@@ -8,13 +8,15 @@ warm-partition reallocation lets the array backend stay in the loop across
 that could resize warm partitions kept the whole loop access-by-access in
 Python).
 
-This benchmark drives :class:`~repro.sim.reconfigure.ReconfiguringTalusRun`
-at fig. 7 scale — omnetpp through a 1.5 paper-MB Talus with ~10 ms-style
-intervals — once with the loop pinned to the object model and once on
-``backend="auto"`` (the array fast path for the exact tier), asserting:
+This benchmark drives the single-application loop — a one-trace
+:class:`~repro.sim.multicore.ReconfiguringSharedRun` — at fig. 7 scale:
+omnetpp through a 1.5 paper-MB Talus with ~10 ms-style intervals, once
+with the loop pinned to the object model and once on ``backend="auto"``
+(the array fast path for the exact tier), asserting:
 
-* the interval records (accesses, misses, configs) are **bit-identical**
-  — the fast path changes nothing but the wall clock, and
+* the interval records (accesses, misses, allocations) are
+  **bit-identical** — the fast path changes nothing but the wall clock,
+  and
 * the fast loop is >= 10x faster than the object loop (the acceptance
   criterion), kernel permitting.
 
@@ -32,7 +34,6 @@ from benchlib import bench_json_path, write_bench_json
 from repro.cache._native import native_available
 from repro.experiments.common import trace_length
 from repro.sim.multicore import ReconfiguringSharedRun
-from repro.sim.reconfigure import ReconfiguringTalusRun
 from repro.workloads.spec_profiles import get_profile
 
 #: Fig. 7 scale: the single-app closed loop the paper's system section
@@ -57,11 +58,11 @@ def _write_json(key: str, payload: dict) -> None:
 
 
 def _timed_run(trace, scheme: str, backend: str):
-    run = ReconfiguringTalusRun(target_mb=TARGET_MB, scheme=scheme,
-                                interval_accesses=INTERVAL_ACCESSES,
-                                backend=backend)
+    run = ReconfiguringSharedRun(total_mb=TARGET_MB, scheme=scheme,
+                                 interval_accesses=INTERVAL_ACCESSES,
+                                 monitor_points=65, backend=backend)
     t0 = time.perf_counter()
-    run.run(trace)
+    run.run([trace])
     return run, time.perf_counter() - t0
 
 
@@ -87,11 +88,11 @@ def test_reconfigure_loop_speedup(capsys, scheme):
               f"(native={'yes' if native_available() else 'no'})")
 
     # The closed loop is bit-identical across backends: same interval
-    # boundaries, same miss counts, same planned configurations.
+    # boundaries, same miss counts, same planned allocations.
     assert len(slow.records) == len(fast.records)
     for a, b in zip(slow.records, fast.records):
         assert (a.accesses, a.misses) == (b.accesses, b.misses)
-        assert a.config == b.config
+        assert a.allocations_mb == b.allocations_mb
 
     if not native_available():
         pytest.skip("no C compiler: the fast path runs the slow Python "

@@ -12,8 +12,8 @@ Talus extends an existing partitioning scheme by (Sec. VI-B of the paper):
 :class:`TalusCache` wraps any :class:`~repro.cache.partition.base.PartitionedCache`
 built with ``2 * num_logical`` partitions and exposes the logical-partition
 interface.  Configurations come from the planner in :mod:`repro.core.talus`
-(directly, or via the software wrapper in
-:mod:`repro.partitioning.talus_wrap`).
+(directly, or via the software wrapper
+:func:`repro.sim.reconfigure.plan_shared_allocations`).
 """
 
 from __future__ import annotations

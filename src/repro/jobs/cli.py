@@ -37,6 +37,7 @@ from pathlib import Path
 
 from ..core.atomicio import atomic_write_json
 from .bank import DEFAULT_BANK_ENV, ResultBank
+from .drivers import _split
 from .payloads import MatrixSweepJob, SweepJob, TraceRef
 from .queue import JobQueue, JobState, RetryPolicy
 
@@ -110,12 +111,9 @@ def _submit_payloads(args, trace) -> list:
     from ..sim.sweep import SweepSpec
     spec = SweepSpec(policies=policies, sizes_mb=sizes, ways=args.ways,
                      base_seed=args.seed, backend=args.backend)
-    configs = spec.expand()
-    shards = max(1, min(args.workers, len(configs)))
-    groups = [configs[i::shards] for i in range(shards)]
     return [SweepJob(trace=trace, configs=tuple(group),
                      backend=spec.backend)
-            for group in groups if group]
+            for group in _split(spec.expand(), args.workers)]
 
 
 def _cmd_submit(args) -> int:

@@ -1,13 +1,17 @@
 """Supervised counterparts of the top-level sim drivers.
 
-These are what ``run_sweep(..., supervise=True)``,
-``run_mix_sweep(..., supervise=True)`` and
-``ReconfiguringSharedRun(supervise=True)`` delegate to.  Each one maps
-the driver's inputs onto job payloads, runs them through a
-:class:`~repro.jobs.queue.JobQueue`, and reassembles the driver's normal
-result type — bit-identical to the unsupervised path, because every
-per-unit seed in this codebase is a stable function of the unit's
-identity, never of its position in a batch or of which worker ran it.
+These are what ``supervise=True`` on :func:`~repro.sim.sweep.run_sweep`,
+:func:`~repro.sim.sweep.run_matrix_sweep`,
+:func:`~repro.sampling.driver.run_sampled`,
+:func:`~repro.sim.mixsweep.run_mix_sweep` and
+:func:`~repro.sim.multicore.run_churn` delegate to.  Each one maps the
+driver's inputs onto job payloads, runs them through a
+:class:`~repro.jobs.queue.JobQueue` (the caller's, or one it owns for the
+call), and reassembles the driver's normal result type — bit-identical
+to the unsupervised path, because every per-unit seed in this codebase
+is a stable function of the unit's identity, never of its position in a
+batch or of which worker ran it.  A single fixed mix runs supervised as
+a one-mix ``run_mix_sweep``.
 
 Fault-injection hooks (``faults=``) take a mapping from unit index (or
 mix name) to a :class:`~repro.jobs.faults.FaultPlan`; they exist for the
@@ -18,15 +22,16 @@ a clean one.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from .bank import ResultBank
 from .payloads import (MatrixSweepJob, MixSweepJob, SamplingJob, SweepJob,
                        as_trace_source)
 from .queue import JobQueue, RetryPolicy
 
 __all__ = ["run_sweep_supervised", "run_matrix_sweep_supervised",
-           "run_mix_sweep_supervised", "run_shared_supervised",
-           "run_sampled_supervised", "run_controller_supervised",
-           "supervised_queue"]
+           "run_mix_sweep_supervised", "run_sampled_supervised",
+           "run_controller_supervised", "supervised_queue"]
 
 
 def supervised_queue(bank=None, *, max_workers: int = 2,
@@ -38,6 +43,17 @@ def supervised_queue(bank=None, *, max_workers: int = 2,
     return JobQueue(bank, max_workers=max_workers, job_timeout=job_timeout,
                     heartbeat_timeout=heartbeat_timeout, retry=retry,
                     start_method=start_method)
+
+
+@contextmanager
+def _queue(queue: JobQueue | None, bank, **options):
+    """``queue`` itself, or a :func:`supervised_queue` with ``options``
+    that lives (and is closed) for the duration of the block."""
+    if queue is not None:
+        yield queue
+        return
+    with supervised_queue(bank, **options) as owned:
+        yield owned
 
 
 def _split(items, shards: int) -> list[list]:
@@ -73,11 +89,8 @@ def run_sweep_supervised(trace, spec, *, backend: str = "auto",
         configs = list(spec)
     source = as_trace_source(trace)
     workers = max_workers if max_workers is not None else 2
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=workers,
-                                 job_timeout=job_timeout)
-    try:
+    with _queue(queue, bank, max_workers=workers,
+                job_timeout=job_timeout) as queue:
         jobs = []
         for shard_index, shard in enumerate(_split(configs, workers)):
             fault = None if faults is None else faults.get(shard_index)
@@ -91,9 +104,6 @@ def run_sweep_supervised(trace, spec, *, backend: str = "auto",
             merged.update(result.stats)
             instructions = result.instructions or instructions
         return SweepResult(merged, instructions=instructions)
-    finally:
-        if owns_queue:
-            queue.close()
 
 
 def run_matrix_sweep_supervised(trace, *, sizes_mb, policies=("LRU",),
@@ -121,11 +131,8 @@ def run_matrix_sweep_supervised(trace, *, sizes_mb, policies=("LRU",),
         trace, sizes_mb=sizes_mb, policies=policies, schemes=schemes,
         num_partitions=num_partitions, ways=ways, backend=backend,
         seed=seed, faults=faults)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=max_workers,
-                                 job_timeout=job_timeout)
-    try:
+    with _queue(queue, bank, max_workers=max_workers,
+                job_timeout=job_timeout) as queue:
         jobs = [queue.submit(shard) for shard in shards]
         merged: dict = {}
         instructions = 0
@@ -134,9 +141,6 @@ def run_matrix_sweep_supervised(trace, *, sizes_mb, policies=("LRU",),
             merged.update(result.stats)
             instructions = result.instructions or instructions
         return SweepResult(merged, instructions=instructions)
-    finally:
-        if owns_queue:
-            queue.close()
 
 
 def run_sampled_supervised(trace, cache, spec, units, *,
@@ -159,11 +163,8 @@ def run_sampled_supervised(trace, cache, spec, units, *,
     del spec  # window identity is fully encoded in the pre-derived units
     source = as_trace_source(trace)
     units = list(units)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=max_workers,
-                                 job_timeout=job_timeout)
-    try:
+    with _queue(queue, bank, max_workers=max_workers,
+                job_timeout=job_timeout) as queue:
         jobs = []
         for shard_index, shard in enumerate(_split(units, max_workers)):
             fault = None if faults is None else faults.get(shard_index)
@@ -174,9 +175,6 @@ def run_sampled_supervised(trace, cache, spec, units, *,
         for job in jobs:
             rows.extend(job.result())      # raises JobFailed on failure
         return rows
-    finally:
-        if owns_queue:
-            queue.close()
 
 
 def run_mix_sweep_supervised(mixes, spec, *,
@@ -196,11 +194,8 @@ def run_mix_sweep_supervised(mixes, spec, *,
     mixes = list(mixes)
     workers = max_workers if max_workers is not None \
         else max(spec.max_workers, 1)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=workers,
-                                 job_timeout=job_timeout)
-    try:
+    with _queue(queue, bank, max_workers=workers,
+                job_timeout=job_timeout) as queue:
         jobs = []
         for mix in mixes:
             fault = None if faults is None else faults.get(mix.name)
@@ -208,9 +203,6 @@ def run_mix_sweep_supervised(mixes, spec, *,
                                                  fault=fault)))
         records = [job.result() for job in jobs]
         return MixSweepResult(spec, mixes, records)
-    finally:
-        if owns_queue:
-            queue.close()
 
 
 def run_controller_supervised(spec, *, bank=None,
@@ -226,9 +218,12 @@ def run_controller_supervised(spec, *, bank=None,
     ``algorithm`` may be a registered name or the registered callable
     itself; the remaining keyword arguments are the scalar
     :class:`~repro.jobs.payloads.ControllerJob` fields (scheme, interval
-    and drift knobs, ...).  The whole stream banks as one unit under the
-    spec's content key, so resubmitting after a crash (or a mid-stream
-    SIGKILL — see the fault suite) resumes from the bank bit-identically.
+    and drift knobs, ...).  ``parallel``, ``threads`` and ``validate``
+    only choose how an in-process run executes, never its records, so
+    they are accepted and dropped.  The whole stream banks as one unit
+    under the spec's content key, so resubmitting after a crash (or a
+    mid-stream SIGKILL — see the fault suite) resumes from the bank
+    bit-identically.
     """
     from ..sim.mixsweep import ALGORITHMS
     from .payloads import ControllerJob
@@ -243,49 +238,10 @@ def run_controller_supervised(spec, *, bank=None,
                 f"({', '.join(sorted(ALGORITHMS))}); got "
                 f"{getattr(algorithm, '__name__', algorithm)!r}")
         algorithm = name
+    for execution_only in ("parallel", "threads", "validate"):
+        controller_kwargs.pop(execution_only, None)
     payload = ControllerJob(spec=spec, algorithm=algorithm, fault=fault,
                             **controller_kwargs)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=1,
-                                 job_timeout=job_timeout)
-    try:
+    with _queue(queue, bank, max_workers=1,
+                job_timeout=job_timeout) as queue:
         return queue.submit(payload).result()
-    finally:
-        if owns_queue:
-            queue.close()
-
-
-def run_shared_supervised(run, traces, *, bank=None,
-                          queue: JobQueue | None = None,
-                          job_timeout: float | None = 1800.0,
-                          fault=None):
-    """Run one :class:`~repro.sim.multicore.ReconfiguringSharedRun` in a
-    supervised worker; returns its interval records."""
-    from ..sim.mixsweep import ALGORITHMS
-    from .payloads import SharedRunJob
-    names = {id(fn): name for name, fn in ALGORITHMS.items()}
-    algorithm = names.get(id(run.algorithm))
-    if algorithm is None:
-        raise ValueError(
-            "supervise=True needs a registered partitioning algorithm "
-            f"({', '.join(sorted(ALGORITHMS))}); got "
-            f"{getattr(run.algorithm, '__name__', run.algorithm)!r}")
-    payload = SharedRunJob(
-        traces=tuple(as_trace_source(t) for t in traces),
-        total_mb=run.total_mb, scheme=run.scheme, algorithm=algorithm,
-        interval_accesses=run.interval_accesses,
-        safety_margin=run.safety_margin,
-        warmup_intervals=run.warmup_intervals,
-        monitor_points=run.monitor_points,
-        granularity_mb=run.granularity_mb, backend=run.backend,
-        fault=fault)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=1,
-                                 job_timeout=job_timeout)
-    try:
-        return queue.submit(payload).result()
-    finally:
-        if owns_queue:
-            queue.close()

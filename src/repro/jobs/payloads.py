@@ -1,12 +1,11 @@
 """Job payloads: the work descriptions the supervised runtime executes.
 
 A payload is a frozen, picklable dataclass wrapping the repo's existing
-declarative specs (:class:`~repro.sim.sweep.SweepSpec` configs,
-:class:`~repro.sim.mixsweep.MixSweepSpec` mixes,
-:class:`~repro.cache.spec.CacheSpec` replays, whole
-:class:`~repro.sim.multicore.ReconfiguringSharedRun` scenarios) together
-with the *trace identity* the job runs against.  Payloads define three
-things:
+declarative specs (:class:`~repro.sim.sweep.SweepSpec` configs, matrix
+cells, sampled windows, :class:`~repro.sim.mixsweep.MixSweepSpec` mixes,
+:class:`~repro.sim.multicore.ChurnSpec` streams,
+:class:`~repro.cache.spec.CacheSpec` replays) together with the *trace
+identity* the job runs against.  Payloads define three things:
 
 * their canonical identity (every ``compare=True`` field feeds
   :func:`repro.jobs.keys.job_key` — fault plans and raw arrays are
@@ -15,7 +14,8 @@ things:
   heart-beats at unit boundaries through the :class:`JobContext`, banks
   completed units so a killed worker loses at most one unit, and skips
   units the bank already holds (this is what makes interrupted or
-  cancelled sweeps *resume*);
+  cancelled sweeps *resume*) — the loop every multi-unit payload runs
+  through :meth:`JobContext.banked_units`;
 * :meth:`load`, which turns the JSON-able result payload back into the
   rich result object (:class:`~repro.sim.sweep.SweepResult`,
   :class:`~repro.sim.mixsweep.MixRunRecord`, ...) on the submitting
@@ -38,8 +38,8 @@ from .faults import FaultPlan
 from .keys import job_key
 
 __all__ = ["TraceRef", "InlineTrace", "as_trace_source", "JobContext",
-           "SweepJob", "MatrixSweepJob", "MixSweepJob", "SharedRunJob",
-           "ControllerJob", "CacheJob", "SamplingJob", "stats_to_payload",
+           "SweepJob", "MatrixSweepJob", "MixSweepJob", "ControllerJob",
+           "CacheJob", "SamplingJob", "stats_to_payload",
            "stats_from_payload"]
 
 
@@ -145,6 +145,30 @@ class JobContext:
         return {"degraded": bool(self.degraded),
                 "attempt": int(self.attempt)}
 
+    def banked_units(self, units, key: Callable,
+                     compute: Callable) -> tuple[list, int]:
+        """Run ``units`` in order through the bank.
+
+        Each unit first marks its boundary (:meth:`unit`), then takes
+        the bank's value for ``key(unit)`` or computes ``compute(unit)``
+        and banks it as soon as it completes.  Returns the per-unit
+        values and how many came from the bank.
+        """
+        values = []
+        hits = 0
+        for index, unit in enumerate(units):
+            self.unit("unit", index)
+            ukey = key(unit)
+            value = self.bank.get(ukey) if self.bank is not None else None
+            if value is not None:
+                hits += 1
+            else:
+                value = compute(unit)
+                if self.bank is not None:
+                    self.bank.put(ukey, value, meta=self.unit_meta())
+            values.append(value)
+        return values, hits
+
 
 # --------------------------------------------------------------------- #
 # Stats serialization
@@ -230,22 +254,16 @@ class SweepJob:
     def execute(self, ctx: JobContext) -> dict:
         from ..sim.sweep import run_sweep
         trace = self.trace.materialize()
-        units = []
-        banked_units = 0
-        for i, config in enumerate(self.configs):
-            ctx.unit("unit", i)
-            ukey = self.unit_key(config)
-            banked = ctx.bank.get(ukey) if ctx.bank is not None else None
-            if banked is not None:
-                banked_units += 1
-                stats = banked
-            else:
-                result = run_sweep(trace, (config,), backend=self.backend,
-                                   max_workers=1, parallel="processes")
-                stats = stats_to_payload(result[config.key])
-                if ctx.bank is not None:
-                    ctx.bank.put(ukey, stats, meta=ctx.unit_meta())
-            units.append({"key": _key_to_json(config.key), "stats": stats})
+
+        def replay(config) -> dict:
+            result = run_sweep(trace, (config,), backend=self.backend,
+                               max_workers=1, parallel="processes")
+            return stats_to_payload(result[config.key])
+
+        stats, banked_units = ctx.banked_units(self.configs, self.unit_key,
+                                               replay)
+        units = [{"key": _key_to_json(config.key), "stats": unit_stats}
+                 for config, unit_stats in zip(self.configs, stats)]
         return {"units": units, "instructions": trace.instructions,
                 "banked_units": banked_units}
 
@@ -331,31 +349,22 @@ class MatrixSweepJob:
         from ..sim.sweep import run_matrix_sweep
         from ..workloads.tracestore import TraceStore
         trace = self.trace.materialize()
-        units = []
-        banked_units = 0
-        store = TraceStore()    # put() dedupes: one materialization
-        try:
-            for i, cell in enumerate(self.cells):
-                ctx.unit("unit", i)
-                ukey = self.unit_key(cell)
-                banked = ctx.bank.get(ukey) if ctx.bank is not None else None
-                if banked is not None:
-                    banked_units += 1
-                    stats = banked
-                else:
-                    policy, scheme, size_mb = cell
-                    result = run_matrix_sweep(
-                        trace, sizes_mb=(size_mb,), policies=(policy,),
-                        schemes=(scheme,),
-                        num_partitions=self.num_partitions, ways=self.ways,
-                        backend=self.backend, threads=1, seed=self.seed,
-                        trace_store=store)
-                    stats = stats_to_payload(result[cell])
-                    if ctx.bank is not None:
-                        ctx.bank.put(ukey, stats, meta=ctx.unit_meta())
-                units.append({"key": _key_to_json(cell), "stats": stats})
-        finally:
-            store.close()
+
+        def replay(cell) -> dict:
+            policy, scheme, size_mb = cell
+            result = run_matrix_sweep(
+                trace, sizes_mb=(size_mb,), policies=(policy,),
+                schemes=(scheme,), num_partitions=self.num_partitions,
+                ways=self.ways, backend=self.backend, threads=1,
+                seed=self.seed, trace_store=store)
+            return stats_to_payload(result[cell])
+
+        # put() dedupes: one materialization for the whole shard.
+        with TraceStore() as store:
+            stats, banked_units = ctx.banked_units(self.cells,
+                                                   self.unit_key, replay)
+        units = [{"key": _key_to_json(cell), "stats": cell_stats}
+                 for cell, cell_stats in zip(self.cells, stats)]
         return {"units": units, "instructions": trace.instructions,
                 "banked_units": banked_units}
 
@@ -403,25 +412,18 @@ class SamplingJob:
         from ..sampling.driver import simulate_window_units
         source = (self.trace if isinstance(self.trace, ChunkedTrace)
                   else self.trace.materialize())
-        rows = []
-        banked_units = 0
-        for i, unit in enumerate(self.units):
-            ctx.unit("unit", i)
-            index, warm_start, start, stop, seed = unit
-            ukey = self.unit_key(unit)
-            banked = ctx.bank.get(ukey) if ctx.bank is not None else None
-            if banked is not None:
-                banked_units += 1
-                counters = banked
-            else:
-                (_, _, accesses, misses, _), = simulate_window_units(
-                    source, self.cache, (unit,))
-                counters = {"accesses": int(accesses), "misses": int(misses)}
-                if ctx.bank is not None:
-                    ctx.bank.put(ukey, counters, meta=ctx.unit_meta())
-            rows.append([int(index), int(start),
-                         int(counters["accesses"]), int(counters["misses"]),
-                         int(start - warm_start)])
+
+        def simulate(unit) -> dict:
+            (_, _, accesses, misses, _), = simulate_window_units(
+                source, self.cache, (unit,))
+            return {"accesses": int(accesses), "misses": int(misses)}
+
+        counters, banked_units = ctx.banked_units(self.units, self.unit_key,
+                                                  simulate)
+        rows = [[int(index), int(start), int(c["accesses"]),
+                 int(c["misses"]), int(start - warm_start)]
+                for (index, warm_start, start, _, _), c
+                in zip(self.units, counters)]
         return {"rows": rows, "banked_units": banked_units}
 
     @staticmethod
@@ -456,70 +458,6 @@ class MixSweepJob:
         """Rebuild the :class:`~repro.sim.mixsweep.MixRunRecord`."""
         from ..sim.mixsweep import MixRunRecord
         return MixRunRecord.from_payload(payload)
-
-
-@dataclass(frozen=True)
-class SharedRunJob:
-    """A whole :class:`~repro.sim.multicore.ReconfiguringSharedRun`.
-
-    The run's parameters travel as plain values (the algorithm by its
-    :data:`~repro.sim.mixsweep.ALGORITHMS` name); its traces as keyable
-    sources.  The payload is the interval records, from which the
-    submitting side reconstructs ``run.records`` bit-identically.
-    """
-
-    traces: tuple
-    total_mb: float
-    scheme: str = "ideal"
-    algorithm: str = "hill"
-    interval_accesses: int = 20_000
-    safety_margin: float = 0.05
-    warmup_intervals: int = 1
-    monitor_points: int = 33
-    granularity_mb: float | None = None
-    backend: str = "auto"
-    fault: FaultPlan | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "traces",
-                           tuple(as_trace_source(t) for t in self.traces))
-        from ..sim.mixsweep import ALGORITHMS
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; valid "
-                             f"algorithms: {', '.join(sorted(ALGORITHMS))}")
-
-    def execute(self, ctx: JobContext) -> dict:
-        from ..sim.mixsweep import ALGORITHMS
-        from ..sim.multicore import ReconfiguringSharedRun
-        ctx.unit("unit", 0)
-        run = ReconfiguringSharedRun(
-            total_mb=self.total_mb, scheme=self.scheme,
-            algorithm=ALGORITHMS[self.algorithm],
-            interval_accesses=self.interval_accesses,
-            safety_margin=self.safety_margin,
-            warmup_intervals=self.warmup_intervals,
-            monitor_points=self.monitor_points,
-            granularity_mb=self.granularity_mb,
-            backend=self.backend)
-        records = run.run([t.materialize() for t in self.traces])
-        ctx.beat()
-        return {"records": [
-            {"index": r.index, "accesses": list(r.accesses),
-             "misses": list(r.misses),
-             "allocations_mb": list(r.allocations_mb)}
-            for r in records]}
-
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the list of interval records."""
-        from ..sim.multicore import SharedIntervalRecord
-        return [SharedIntervalRecord(
-                    index=int(r["index"]),
-                    accesses=tuple(int(a) for a in r["accesses"]),
-                    misses=tuple(int(m) for m in r["misses"]),
-                    allocations_mb=tuple(float(a)
-                                         for a in r["allocations_mb"]))
-                for r in payload["records"]]
 
 
 @dataclass(frozen=True)

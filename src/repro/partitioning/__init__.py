@@ -1,11 +1,14 @@
-"""Software cache-partitioning algorithms and the Talus wrapper."""
+"""Software cache-partitioning algorithms.
+
+Talus wraps any of them with convex hulls and Theorem 6 shadow-partition
+planning in :func:`repro.sim.reconfigure.plan_shared_allocations`.
+"""
 
 from .base import Allocation, PartitioningProblem, total_misses
 from .fair import fair
 from .hill_climbing import hill_climbing
 from .lookahead import lookahead
 from .optimal import optimal_dp
-from .talus_wrap import TalusOutcome, TalusPartitioning
 
 __all__ = [
     "PartitioningProblem",
@@ -15,15 +18,4 @@ __all__ = [
     "lookahead",
     "fair",
     "optimal_dp",
-    "TalusPartitioning",
-    "TalusOutcome",
-    "ALGORITHMS",
 ]
-
-#: Registry of plain partitioning algorithms by name.
-ALGORITHMS = {
-    "hill_climbing": hill_climbing,
-    "lookahead": lookahead,
-    "fair": fair,
-    "optimal_dp": optimal_dp,
-}

@@ -17,8 +17,7 @@ from .multicore import (SCHEMES, ChurnSpec, MixResult,
                         SharedIntervalRecord, churn_events, run_churn,
                         shared_cache_equilibrium)
 from .perf_model import AppPerformance, execution_time, ipc_from_mpki
-from .reconfigure import (IntervalRecord, ReconfiguringTalusRun, SharedPlan,
-                          plan_shared_allocations)
+from .reconfigure import SharedPlan, plan_shared_allocations
 
 __all__ = [
     "SystemConfig",
@@ -43,8 +42,6 @@ __all__ = [
     "MixResult",
     "SCHEMES",
     "shared_cache_equilibrium",
-    "ReconfiguringTalusRun",
-    "IntervalRecord",
     "ReconfiguringSharedRun",
     "SharedIntervalRecord",
     "MixSweepSpec",

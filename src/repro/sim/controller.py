@@ -506,7 +506,7 @@ class OnlineTalusController:
         self._floors.pop(app)
         self._monitors.pop(app)
         self._drift.pop(app)
-        self._replan(seq, "depart", depart_slot=slot)
+        self._replan(seq, "depart")
 
     def _qos_update(self, seq: int, event: QosUpdate) -> None:
         app = event.app
@@ -553,8 +553,7 @@ class OnlineTalusController:
     # ------------------------------------------------------------------ #
     # Replanning
     # ------------------------------------------------------------------ #
-    def _replan(self, seq: int, trigger: str,
-                depart_slot: int | None = None) -> None:
+    def _replan(self, seq: int, trigger: str) -> None:
         """One atomic reconfiguration of every logical partition.
 
         Every slot gets an explicit config — :data:`ZERO_CONFIG` for the
@@ -563,7 +562,6 @@ class OnlineTalusController:
         partitioning force-distributes spare ways when *all* requests are
         zero, and the resulting grants must not leak into later requests).
         """
-        del depart_slot  # implied: the departed slot is no longer active
         configs: list[TalusConfig | None] = [ZERO_CONFIG] * self.max_apps
         active = [(slot, app) for slot, app in enumerate(self._slots)
                   if app is not None]

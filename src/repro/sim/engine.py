@@ -32,6 +32,7 @@ from ..monitor.stack_distance import lru_miss_curve
 from ..workloads.access import Trace
 from ..workloads.scale import paper_mb_to_lines
 from ..workloads.spec_profiles import AppProfile
+from .reconfigure import config_mb_to_lines
 from .sweep import DEFAULT_WAYS, SweepConfig, SweepSpec, run_sweep
 
 __all__ = [
@@ -204,7 +205,7 @@ def plan_talus_spec(size_mb: float,
                                     if partitionable_mb > 0 else size_mb,
                                     safety_margin=safety_margin)
     return TalusSpec(partition=partition,
-                     configs=(_config_to_lines(config),))
+                     configs=(config_mb_to_lines(config),))
 
 
 def talus_sweep_configs(sizes_mb: Sequence[float],
@@ -252,7 +253,7 @@ def talus_sweep_configs(sizes_mb: Sequence[float],
                                             min(size_mb, partitionable_mb)
                                             if partitionable_mb > 0 else size_mb,
                                             safety_margin=safety_margin)
-            talus.configure(0, _config_to_lines(config))
+            talus.configure(0, config_mb_to_lines(config))
             return talus
         return build
 
@@ -272,18 +273,3 @@ def talus_sweep_configs(sizes_mb: Sequence[float],
             configs.append(SweepConfig(key=(label, size_mb), size_mb=size_mb,
                                        spec=spec))
     return configs
-
-
-def _config_to_lines(config):
-    """Convert a TalusConfig planned in paper MB to one in simulated lines."""
-    from ..core.talus import TalusConfig
-    factor = float(paper_mb_to_lines(1.0))
-    return TalusConfig(
-        total_size=config.total_size * factor,
-        alpha=config.alpha * factor,
-        beta=config.beta * factor,
-        rho=config.rho,
-        s1=config.s1 * factor,
-        s2=config.s2 * factor,
-        degenerate=config.degenerate,
-    )

@@ -23,9 +23,13 @@ the aggregate metrics are exactly the paper's (weighted/harmonic speedup,
 CoV of per-core IPC).
 
 Next to the analytic model, :class:`ReconfiguringSharedRun` *executes* the
-same scenario through the closed Fig. 7 loop (the multi-application twin
-of :class:`repro.sim.reconfigure.ReconfiguringTalusRun`); the multi-mix
-sweep over it lives in :mod:`repro.sim.mixsweep`.
+same scenario through the closed Fig. 7 loop; a single application is the
+one-trace mix, ``ReconfiguringSharedRun(...).run([trace])``.  The
+multi-mix sweep over it lives in :mod:`repro.sim.mixsweep`, and the
+churning counterpart — apps arriving and leaving one warm cache — is
+:class:`repro.sim.controller.OnlineTalusController`, fed by
+:func:`churn_events`.  Both loops and the analytic model plan through
+:func:`repro.sim.reconfigure.plan_shared_allocations`.
 
 State ownership in the resumable runtime
 ----------------------------------------
@@ -63,16 +67,17 @@ from ..cache.threadbatch import resolve_parallel
 from ..core.bypass import optimal_bypass_curve
 from ..core.convexhull import convex_hull
 from ..core.misscurve import MissCurve
-from ..core.talus import TalusConfig
+from ..core.talus import TalusConfig, plan_shadow_partitions
 from ..monitor.umon import CombinedUMON
 from ..partitioning import (PartitioningProblem, fair, hill_climbing,
                             lookahead)
-from ..partitioning.talus_wrap import TalusPartitioning
 from ..workloads.access import Trace
 from ..workloads.mixes import WorkloadMix
 from ..workloads.scale import lines_to_paper_mb, paper_mb_to_lines
 from .metrics import coefficient_of_variation, harmonic_speedup, weighted_speedup
 from .perf_model import AppPerformance, ipc_from_mpki
+from .reconfigure import (config_mb_to_lines, plan_shared_allocations,
+                          planning_curve_from_monitor)
 
 __all__ = ["SharedCacheExperiment", "MixResult", "SCHEMES",
            "shared_cache_equilibrium", "ReconfiguringSharedRun",
@@ -328,11 +333,9 @@ class SharedCacheExperiment:
             return size + unmanaged * share
 
         if use_talus:
-            wrapper = TalusPartitioning(algorithm=algorithm,
-                                        safety_margin=self.safety_margin)
-            outcome = wrapper.partition(self.curves, partitionable,
-                                        granularity=self.granularity_mb)
-            sizes = outcome.sizes
+            sizes = plan_shared_allocations(
+                self.curves, partitionable, granularity=self.granularity_mb,
+                algorithm=algorithm, safety_margin=self.safety_margin).sizes
             hulls = [convex_hull(curve) for curve in self.curves]
             mpkis = tuple(float(hull(effective_size(size)))
                           for hull, size in zip(hulls, sizes))
@@ -379,7 +382,7 @@ class SharedIntervalRecord:
 
 @dataclass
 class ReconfiguringSharedRun:
-    """Execution-driven multi-application Talus loop on one shared cache.
+    """Execution-driven Talus loop of a fixed mix on one shared cache.
 
     The analytic side of Figs. 12/13 (:class:`SharedCacheExperiment`)
     evaluates each scheme by reading miss curves at planned allocations.
@@ -391,7 +394,16 @@ class ReconfiguringSharedRun:
     :meth:`~repro.cache.talus_cache.TalusCache.configure_many` step while
     every application's chunk replays through the resumable runtime
     (`run_chunk` on the array backend's chunked native replay wherever the
-    exact policy tier allows, the object model otherwise).
+    exact policy tier allows, the object model otherwise).  One trace is
+    the single-application loop: the lone app holds the whole
+    partitionable capacity, and each replan is Theorem 6 at that size.
+
+    The loop plans in paper MB and MPKI per *estimated* instruction on a
+    ``total_mb / 64`` grid, with unquantised splits and monitor seeds
+    ``11 + 13 * i``; :class:`~repro.sim.controller.OnlineTalusController`
+    plans misses per observed access in lines, with QoS floors and a
+    conservation top-up.  The two objectives differ, so the two loops
+    stay separate.
 
     Parameters
     ----------
@@ -407,8 +419,12 @@ class ReconfiguringSharedRun:
         Reconfiguration interval in accesses *per application* (hardware:
         ~10 ms).
     backend:
-        Backend of the partitioned substrate, as in
-        :class:`~repro.sim.reconfigure.ReconfiguringTalusRun`.
+        Backend of the partitioned substrate ("auto" by default).  Both
+        backends reallocate warm partitions, and the scheme × policy
+        matrix is total on the array side (futility scaling excepted), so
+        "auto" rides the array fast path with chunked native replay
+        between reconfigurations; interval records are bit-identical to
+        ``backend="object"`` on the exact policy tier (LRU/LIP/SRRIP/PDP).
     parallel:
         "threads", "processes" or "auto".  In threads mode (the "auto"
         choice when the native kernel is available) the per-application
@@ -421,14 +437,6 @@ class ReconfiguringSharedRun:
     threads:
         Monitor-recording thread width (default: ``REPRO_THREADS`` or the
         host core count, capped at the application count).
-    supervise:
-        Route the whole run through the fault-tolerant job runtime
-        (:mod:`repro.jobs`): a supervised worker process with heartbeat
-        watchdog and bounded retry executes it, and the interval records
-        bank in ``bank`` for dedupe/resume.  Default off (in-process).
-        Requires ``algorithm`` to be one of the registered
-        :data:`~repro.sim.mixsweep.ALGORITHMS`.  Records are
-        bit-identical either way.
     """
 
     total_mb: float
@@ -442,8 +450,6 @@ class ReconfiguringSharedRun:
     backend: str = "auto"
     parallel: str = "auto"
     threads: int | None = None
-    supervise: bool = False
-    bank: object | None = None
     records: list[SharedIntervalRecord] = field(default_factory=list)
 
     def run(self, traces: Sequence[Trace]) -> list[SharedIntervalRecord]:
@@ -453,13 +459,6 @@ class ReconfiguringSharedRun:
         cache always consumes the chunks in the same order, and each UMON
         only ever touches its own application's state.
         """
-        if self.supervise:
-            # Late import: repro.jobs reaches back into the sim drivers.
-            from ..jobs.drivers import run_shared_supervised
-            self.records = list(run_shared_supervised(
-                self, traces, bank=self.bank))
-            self._traces = list(traces)
-            return self.records
         n = len(traces)
         if n == 0:
             raise ValueError("need at least one application trace")
@@ -535,26 +534,31 @@ class ReconfiguringSharedRun:
                 traces: Sequence[Trace]) -> tuple[float, ...]:
         """Plan from every monitor's current curve; reprogram all pairs.
 
-        Delegates to the shared replan core
+        A lone application gets the whole partitionable capacity (capped
+        at ``total_mb``) and its Theorem 6 plan at that size.  A mix goes
+        through the shared replan core
         (:func:`~repro.sim.reconfigure.plan_shared_allocations`) with the
-        fixed-mix defaults — no floors, no fairness blend, no
-        conservation top-up — which is bit-identical to the pre-core
-        ``TalusPartitioning.partition`` pipeline.
+        fixed-mix defaults: no floors, no fairness blend, no conservation
+        top-up.
         """
-        from .reconfigure import (config_mb_to_lines,
-                                  plan_shared_allocations,
-                                  planning_curve_from_monitor)
         curves = [planning_curve_from_monitor(monitor, trace)
                   for monitor, trace in zip(monitors, traces)]
         partitionable_mb = lines_to_paper_mb(talus.base.partitionable_lines)
-        granularity = (self.granularity_mb if self.granularity_mb
-                       else self.total_mb / 64.0)
-        plan = plan_shared_allocations(curves, partitionable_mb,
-                                       granularity=granularity,
-                                       algorithm=self.algorithm,
-                                       safety_margin=self.safety_margin)
-        talus.configure_many([config_mb_to_lines(c) for c in plan.configs])
-        return tuple(float(s) for s in plan.sizes)
+        if len(curves) == 1:
+            size = min(self.total_mb, partitionable_mb)
+            sizes = (size,)
+            configs = (plan_shadow_partitions(
+                curves[0], size, safety_margin=self.safety_margin),)
+        else:
+            granularity = (self.granularity_mb if self.granularity_mb
+                           else self.total_mb / 64.0)
+            plan = plan_shared_allocations(curves, partitionable_mb,
+                                           granularity=granularity,
+                                           algorithm=self.algorithm,
+                                           safety_margin=self.safety_margin)
+            sizes, configs = plan.sizes, plan.configs
+        talus.configure_many([config_mb_to_lines(c) for c in configs])
+        return tuple(float(s) for s in sizes)
 
     # ------------------------------------------------------------------ #
     def app_misses(self, app: int, skip_warmup: bool = True) -> int:

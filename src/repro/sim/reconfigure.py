@@ -1,51 +1,34 @@
-"""Interval-based Talus reconfiguration loop (the full Fig. 7 system).
+"""The Talus replan core shared by the closed Fig. 7 loops.
 
-In hardware, Talus re-plans every ~10 ms: UMONs accumulate a miss curve over
-an interval, software computes the convex hull, runs the partitioning
-algorithm, derives shadow partition sizes and sampling rates, and programs
-the cache for the next interval.  This module reproduces that closed loop
-for a single application; the multi-application loop is
-:class:`repro.sim.multicore.ReconfiguringSharedRun` (with the analytic
-equilibrium model next to it).
+In hardware, Talus re-plans every ~10 ms: UMONs accumulate a miss curve
+over an interval, software computes the convex hull, runs the
+partitioning algorithm, derives shadow partition sizes and sampling
+rates, and programs the cache for the next interval.  This module holds
+the software half of that cycle — turning a monitor into a planning
+curve (:func:`planning_curve_from_monitor`), planning every partition at
+once (:func:`plan_shared_allocations`), and converting the plan to cache
+lines (:func:`config_mb_to_lines`).  The loops that run it are
+:class:`repro.sim.multicore.ReconfiguringSharedRun` (a fixed mix; one app
+is the one-trace mix) and :class:`repro.sim.controller.OnlineTalusController`
+(a churning stream); the analytic Figs. 12/13 model
+(:class:`repro.sim.multicore.SharedCacheExperiment`) plans through the
+same function.
 
 Assumption 1 of the paper — miss curves are stable across intervals — is
-what makes planning on the *previous* interval's curve work; the tests use
-this driver to check that the dynamically reconfigured cache still tracks
-the convex hull.
-
-State ownership in the resumable runtime
-----------------------------------------
-The loop owns no simulation state of its own — only the interval records
-it appends.  All warm state lives in exactly two places and survives every
-interval boundary:
-
-* the **cache** (:class:`~repro.cache.talus_cache.TalusCache` and its
-  partitioned base): resident lines, recency/RRPV/protection metadata and
-  the granted allocations.  ``run_chunk`` advances it in place and
-  ``configure`` reallocates it in place; the loop never rebuilds or
-  copies it, which is what makes the replay bit-identical to an unchunked
-  run.
-* the **monitor** (:class:`~repro.monitor.umon.CombinedUMON`): the
-  incremental stack-distance tables of its sampled sub-streams.
-  ``record_trace`` folds each chunk in; reading the curve never
-  re-replays.
-
-The planner in between is stateless: each ``_reconfigure`` reads the
-monitor's current curve, plans, and programs the cache — so interrupting
-and resuming the loop at any interval boundary (or swapping the replay
-backend mid-run on the exact tier) cannot change the outcome.
+what makes planning on the *previous* interval's curve work.  The planner
+is stateless: each replan reads the monitors' current curves, plans, and
+programs the cache, so interrupting and resuming a loop at any interval
+boundary (or swapping the replay backend mid-run on the exact tier)
+cannot change the outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from typing import Callable, Sequence
-
-from ..cache.spec import PartitionSpec, TalusSpec, build
-from ..cache.talus_cache import TalusCache
 from ..core.convexhull import convex_hull
 from ..core.misscurve import MissCurve
 from ..core.talus import TalusConfig, plan_shadow_partitions
@@ -56,8 +39,7 @@ from ..partitioning.hill_climbing import hill_climbing
 from ..workloads.access import Trace
 from ..workloads.scale import lines_to_paper_mb, paper_mb_to_lines
 
-__all__ = ["ReconfiguringTalusRun", "IntervalRecord",
-           "planning_curve_from_monitor", "config_mb_to_lines",
+__all__ = ["planning_curve_from_monitor", "config_mb_to_lines",
            "SharedPlan", "plan_shared_allocations"]
 
 
@@ -68,10 +50,7 @@ def planning_curve_from_monitor(monitor: CombinedUMON,
     The planner is scale invariant, but MB/MPKI units keep records human
     readable.  Instructions are estimated from the fraction of the trace
     the monitor has observed so far; the monotone envelope removes the
-    small non-monotonicities of spliced sampled monitors.  Shared by the
-    single-app (:class:`ReconfiguringTalusRun`) and multi-app
-    (:class:`~repro.sim.multicore.ReconfiguringSharedRun`) loops so both
-    plan from identically derived curves.
+    small non-monotonicities of spliced sampled monitors.
     """
     raw = monitor.miss_curve()
     observed = max(monitor.primary.total_accesses, 1)
@@ -121,12 +100,26 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
                             floors: Sequence[float] | None = None,
                             fairness: float = 0.0,
                             conserve: bool = False) -> SharedPlan:
-    """The reusable replan core shared by every multi-application loop.
+    """Talus's software wrapper around a partitioning algorithm (Fig. 7a).
 
-    This is the pipeline :class:`~repro.partitioning.talus_wrap.TalusPartitioning`
-    packages — convex hulls, the system's partitioning algorithm, Theorem 6
-    shadow-partition planning — extended with the three knobs the streaming
-    controller needs:
+    Talus does not propose its own partitioning algorithm.  It wraps the
+    system's ``algorithm`` with two steps:
+
+    * **pre-processing** — each partition's measured miss curve is
+      replaced by its convex hull, so the algorithm can safely assume
+      convexity (and a simple algorithm like hill climbing is optimal);
+    * **post-processing** — the allocations become shadow-partition
+      sizes and sampling rates via Theorem 6
+      (:func:`~repro.core.talus.plan_shadow_partitions`, with
+      ``safety_margin`` as in Sec. VI-B).
+
+    The result carries the allocations, the per-partition
+    :class:`~repro.core.talus.TalusConfig` and the hull miss values Talus
+    commits to, ready for an analytic performance model or to program a
+    :class:`~repro.cache.talus_cache.TalusCache`.  Three knobs serve the
+    streaming controller; their defaults (no floors, no fairness blend,
+    no conservation top-up) are the plain wrapper that the fixed-mix loop
+    and the analytic model use:
 
     ``floors``
         Per-partition minimum allocations (QoS floors).  Every partition
@@ -144,11 +137,6 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
         residual).  Each top-up unit goes to the partition whose hull
         drops the most for it (ties: lowest index), so the invariant
         "allocations sum to the partitionable capacity" holds exactly.
-
-    With the default knobs (no floors, no fairness, no conservation) the
-    result is bit-identical to ``TalusPartitioning.partition`` — the
-    fixed-mix :class:`~repro.sim.multicore.ReconfiguringSharedRun` path is
-    unchanged by the extraction.
     """
     if not 0.0 <= fairness <= 1.0:
         raise ValueError("fairness must be in [0, 1]")
@@ -188,138 +176,3 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
     return SharedPlan(sizes=tuple(float(s) for s in sizes),
                       configs=tuple(configs),
                       expected_misses=tuple(expected))
-
-
-@dataclass(frozen=True)
-class IntervalRecord:
-    """Outcome of one reconfiguration interval."""
-
-    index: int
-    accesses: int
-    misses: int
-    config: TalusConfig | None
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss rate within the interval."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-
-@dataclass
-class ReconfiguringTalusRun:
-    """Run a trace through Talus with periodic monitor-driven reconfiguration.
-
-    Parameters
-    ----------
-    target_mb:
-        Logical partition capacity in paper MB.
-    scheme:
-        Underlying partitioning scheme name.
-    interval_accesses:
-        Reconfiguration interval, in accesses (the hardware uses ~10 ms).
-    safety_margin:
-        Sampling-rate margin applied when planning (Sec. VI-B).
-    warmup_intervals:
-        Number of initial intervals during which the cache runs with a
-        degenerate (single-partition) configuration while the monitor fills.
-    backend:
-        Backend of the underlying partitioned cache ("auto" by default).
-        Warm-partition reallocation is supported by both backends, and
-        the scheme × policy matrix is total on the array side (futility
-        scaling excepted), so "auto" always rides the array fast path
-        with chunked native replay between reconfigurations; interval
-        records are bit-identical to ``backend="object"`` on the exact
-        policy tier (LRU/LIP/SRRIP/PDP).
-    """
-
-    target_mb: float
-    scheme: str = "vantage"
-    interval_accesses: int = 50_000
-    safety_margin: float = 0.05
-    warmup_intervals: int = 1
-    monitor_points: int = 65
-    backend: str = "auto"
-    records: list[IntervalRecord] = field(default_factory=list)
-
-    def run(self, trace: Trace) -> MissCurve | None:
-        """Replay ``trace`` with periodic reconfiguration.
-
-        Returns the final measured miss curve (paper MB / MPKI) from the
-        monitor, or None if the trace was shorter than one interval.
-        """
-        lines = paper_mb_to_lines(self.target_mb)
-        if lines <= 0:
-            raise ValueError("target_mb too small for the configured scale")
-        # Both backends reallocate warm partitions (PR 4), so the backend
-        # is a free choice; "auto" rides the array fast path for every
-        # scheme and policy of the matrix.
-        spec = TalusSpec(partition=PartitionSpec(
-            scheme=self.scheme, capacity_lines=lines, num_partitions=2,
-            backend=self.backend))
-        talus: TalusCache = build(spec)
-        # Start degenerate: all capacity in the beta partition.  The
-        # request is clamped to the scheme's partitionable capacity —
-        # Vantage only partitions its managed 90 %, and an unclamped
-        # full-capacity request is rejected.
-        cap = float(talus.base.partitionable_lines)
-        talus.configure(0, TalusConfig(total_size=cap, alpha=cap,
-                                       beta=cap, rho=0.0, s1=0.0,
-                                       s2=cap, degenerate=True))
-        # Hardware UMONs sample at ~1/64 because real LLCs hold millions of
-        # lines; at this reproduction's scaled-down sizes that would leave
-        # only a handful of sampled lines, so scale the rate to keep a few
-        # thousand monitored lines.
-        primary_rate = min(1.0, max(1.0 / 64.0, 2048.0 / lines))
-        monitor = CombinedUMON(llc_size=lines, points=self.monitor_points,
-                               primary_rate=primary_rate,
-                               coverage_ratio=0.25)
-
-        addresses = trace.addresses
-        total = len(addresses)
-        interval = max(1, self.interval_accesses)
-        interval_index = 0
-        position = 0
-        last_curve = None
-        self.records = []
-        while position < total:
-            end = min(position + interval, total)
-            config_used = talus.shadow_pair(0).config
-            chunk = addresses[position:end]
-            # Monitor and cache both advance chunk by chunk on persistent
-            # state: the monitor folds the interval into its incremental
-            # stack-distance state, and the cache replays it in one batched
-            # native pass on the array backend (access by access on the
-            # object model — identical results on the exact tier).
-            monitor.record_trace(chunk)
-            chunk_stats = talus.run_chunk(chunk, 0)
-            self.records.append(IntervalRecord(index=interval_index,
-                                               accesses=end - position,
-                                               misses=chunk_stats.misses,
-                                               config=config_used))
-            position = end
-            interval_index += 1
-            if interval_index >= self.warmup_intervals:
-                last_curve = self._reconfigure(talus, monitor, lines, trace)
-        return last_curve
-
-    def _reconfigure(self, talus: TalusCache, monitor: CombinedUMON,
-                     lines: int, trace: Trace) -> MissCurve:
-        """Plan from the monitor's current curve and program the cache."""
-        curve = planning_curve_from_monitor(monitor, trace)
-        partitionable_mb = lines_to_paper_mb(talus.base.partitionable_lines)
-        plan_mb = min(self.target_mb, partitionable_mb)
-        config = plan_shadow_partitions(curve, plan_mb,
-                                        safety_margin=self.safety_margin)
-        talus.configure(0, config_mb_to_lines(config))
-        return curve
-
-    # ------------------------------------------------------------------ #
-    def total_misses(self, skip_warmup: bool = True) -> int:
-        """Total misses over recorded intervals (optionally skipping warm-up)."""
-        records = self.records[self.warmup_intervals:] if skip_warmup else self.records
-        return sum(r.misses for r in records)
-
-    def total_accesses(self, skip_warmup: bool = True) -> int:
-        """Total accesses over recorded intervals (optionally skipping warm-up)."""
-        records = self.records[self.warmup_intervals:] if skip_warmup else self.records
-        return sum(r.accesses for r in records)

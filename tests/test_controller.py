@@ -492,3 +492,13 @@ class TestFaultSoak:
         direct = run_churn(spec)
         supervised = run_churn(spec, supervise=True, bank=str(tmp_path))
         assert supervised.signature() == direct.signature()
+
+    def test_supervised_accepts_execution_arguments(self, tmp_path):
+        """``parallel``/``threads``/``validate`` choose how a run executes,
+        not what it records, so the supervised path accepts them too."""
+        spec = small_spec()
+        execution = dict(parallel="off", threads=1, validate=False)
+        direct = run_churn(spec, **execution)
+        supervised = run_churn(spec, supervise=True, bank=str(tmp_path),
+                               **execution)
+        assert supervised.signature() == direct.signature()

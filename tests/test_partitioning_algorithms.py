@@ -1,13 +1,15 @@
-"""Tests for the software partitioning algorithms and the Talus wrapper."""
+"""Tests for the software partitioning algorithms and the Talus wrapper
+(:func:`repro.sim.reconfigure.plan_shared_allocations`)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MissCurve, convex_hull
-from repro.partitioning import (ALGORITHMS, Allocation, PartitioningProblem,
-                                TalusPartitioning, fair, hill_climbing,
-                                lookahead, optimal_dp, total_misses)
+from repro.partitioning import (Allocation, PartitioningProblem, fair,
+                                hill_climbing, lookahead, optimal_dp,
+                                total_misses)
+from repro.sim.reconfigure import plan_shared_allocations
 
 from .conftest import miss_curves
 
@@ -119,9 +121,7 @@ class TestOptimalDP:
         problem = PartitioningProblem(curves=curves, total_size=7,
                                       granularity=1.0)
         opt = optimal_dp(problem)
-        for name, algorithm in ALGORITHMS.items():
-            if name == "optimal_dp":
-                continue
+        for algorithm in (hill_climbing, lookahead, fair):
             assert opt.total_misses <= algorithm(problem).total_misses + 1e-9
 
     @settings(max_examples=20, deadline=None)
@@ -139,8 +139,8 @@ class TestTalusWrapper:
         # good as (or better than) exhaustive optimization of the raw curves.
         curves = (cliff_curve(25, 3, 1), cliff_curve(18, 5, 2),
                   convex_curve(12, 1.0))
-        wrapper = TalusPartitioning(algorithm=hill_climbing)
-        outcome = wrapper.partition(curves, total_size=8, granularity=0.5)
+        outcome = plan_shared_allocations(curves, 8, granularity=0.5,
+                                          algorithm=hill_climbing)
         problem = PartitioningProblem(curves=curves, total_size=8,
                                       granularity=0.5)
         raw_optimal = optimal_dp(problem)
@@ -148,8 +148,7 @@ class TestTalusWrapper:
 
     def test_outcome_contents(self):
         curves = (cliff_curve(), convex_curve())
-        wrapper = TalusPartitioning()
-        outcome = wrapper.partition(curves, total_size=6, granularity=0.5)
+        outcome = plan_shared_allocations(curves, 6, granularity=0.5)
         assert len(outcome.configs) == 2
         assert len(outcome.expected_misses) == 2
         assert sum(outcome.sizes) <= 6 + 1e-9
@@ -162,7 +161,8 @@ class TestTalusWrapper:
 
     def test_safety_margin_validation(self):
         with pytest.raises(ValueError):
-            TalusPartitioning(safety_margin=1.0)
+            plan_shared_allocations((cliff_curve(),), 6, granularity=0.5,
+                                    safety_margin=1.0)
 
     def test_allocation_validation(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,9 @@ Covers the contract end to end, layer by layer:
   semantics: conservation (no lines invented), isolation (no line ever
   crosses partitions) and bit-identical miss streams on the exact tier;
 * the atomic multi-logical ``TalusCache.configure_many``;
-* the reconfiguration loops on ``backend="auto"``
-  (:class:`ReconfiguringTalusRun` parity with the object model, and the
-  new execution-driven :class:`ReconfiguringSharedRun`);
+* the reconfiguration loop on ``backend="auto"``
+  (:class:`ReconfiguringSharedRun`: the one-trace run at parity with the
+  object model, and multi-application mixes);
 * the seeded-deterministic Random array policy;
 * the multi-config shared-trace-pass replay
   (:func:`~repro.cache.arraycache.run_lru_family_batch`);
@@ -38,7 +38,7 @@ from repro.core.talus import TalusConfig
 from repro.monitor.stack_distance import (IncrementalStackMonitor,
                                           stack_distance_histogram)
 from repro.sim.multicore import ReconfiguringSharedRun
-from repro.sim.reconfigure import ReconfiguringTalusRun
+from repro.workloads.scale import lines_to_paper_mb, paper_mb_to_lines
 from repro.workloads.spec_profiles import get_profile
 
 
@@ -280,25 +280,31 @@ class TestTalusResumable:
         trace = profile.trace(n_accesses=60000)
         records = {}
         for backend in ("object", "auto"):
-            run = ReconfiguringTalusRun(target_mb=1.5, scheme="ideal",
-                                        interval_accesses=15000,
-                                        backend=backend)
-            run.run(trace)
-            records[backend] = run.records
+            run = ReconfiguringSharedRun(total_mb=1.5, scheme="ideal",
+                                         interval_accesses=15000,
+                                         monitor_points=65,
+                                         backend=backend)
+            records[backend] = run.run([trace])
         assert len(records["object"]) == len(records["auto"])
         for a, b in zip(records["object"], records["auto"]):
             assert (a.accesses, a.misses) == (b.accesses, b.misses)
-            assert a.config == b.config
+            assert a.allocations_mb == b.allocations_mb
 
     def test_reconfiguring_run_vantage_auto(self):
-        """The default Vantage scheme rides the native fast path under
-        "auto" (bit-identical parity in tests/test_vantage_native.py)."""
+        """The Vantage scheme rides the native fast path under "auto"
+        (bit-identical parity in tests/test_vantage_native.py)."""
         profile = get_profile("omnetpp")
         trace = profile.trace(n_accesses=20000)
-        run = ReconfiguringTalusRun(target_mb=1.0, interval_accesses=5000)
-        run.run(trace)
-        assert len(run.records) == 4
-        assert run.records[0].config.degenerate
+        run = ReconfiguringSharedRun(total_mb=1.0, scheme="vantage",
+                                     interval_accesses=5000,
+                                     monitor_points=65)
+        records = run.run([trace])
+        assert len(records) == 4
+        # Warm-up: the lone app holds the whole managed region.
+        managed = PartitionSpec(scheme="vantage",
+                                capacity_lines=paper_mb_to_lines(1.0),
+                                num_partitions=2).partitionable_lines
+        assert records[0].allocations_mb == (lines_to_paper_mb(managed),)
 
 
 # --------------------------------------------------------------------- #

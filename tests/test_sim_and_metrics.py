@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import convex_hull
 from repro.sim import (MULTI_PROGRAMMED, SINGLE_THREADED, MixResult,
-                       ReconfiguringTalusRun, SharedCacheExperiment,
+                       ReconfiguringSharedRun, SharedCacheExperiment,
                        coefficient_of_variation, execution_time, gmean,
                        harmonic_speedup, ipc_from_mpki, lru_mpki_curve,
                        shared_cache_equilibrium, simulate_policy_at_size,
@@ -148,14 +148,15 @@ class TestSharedCacheModel:
 
 class TestReconfiguration:
     def test_reconfiguring_run_tracks_hull(self):
-        # Uses the default scheme (Vantage, as the paper's hardware does):
-        # the degenerate warm-up request is clamped to the managed region,
-        # which the seed failed to do (it crashed on scheme="vantage").
+        # Vantage, as the paper's hardware uses: the degenerate warm-up
+        # request is clamped to the managed region, which the seed failed
+        # to do (it crashed on scheme="vantage").
         profile = get_profile("omnetpp")
         trace = profile.trace(n_accesses=60000)
-        run = ReconfiguringTalusRun(target_mb=1.5,
-                                    interval_accesses=10000)
-        run.run(trace)
+        run = ReconfiguringSharedRun(total_mb=1.5, scheme="vantage",
+                                     interval_accesses=10000,
+                                     monitor_points=65)
+        run.run([trace])
         assert len(run.records) == 6
         # After warm-up and the first reconfiguration, the miss rate should
         # be clearly below LRU's plateau (omnetpp's cliff is at ~2.25 MB, so
@@ -163,5 +164,5 @@ class TestReconfiguration:
         lru = profile.lru_curve(max_mb=4.0, points=33)
         lru_rate = float(lru(1.5)) / profile.apki
         steady = run.records[-1]
-        assert steady.miss_rate < lru_rate - 0.05
-        assert run.total_accesses() > 0
+        assert steady.miss_rate(0) < lru_rate - 0.05
+        assert run.app_accesses(0) > 0

@@ -390,12 +390,19 @@ class TestReconfigureVantage:
     def test_vantage_warmup_clamped(self):
         # Regression: the seed crashed in the warm-up configure because
         # the degenerate request exceeded Vantage's managed capacity.
-        from repro.sim.reconfigure import ReconfiguringTalusRun
+        from repro.sim.multicore import ReconfiguringSharedRun
+        from repro.workloads.scale import lines_to_paper_mb, paper_mb_to_lines
         profile = get_profile("omnetpp")
         trace = profile.trace(n_accesses=20000)
-        run = ReconfiguringTalusRun(target_mb=1.0, scheme="vantage",
-                                    interval_accesses=5000)
-        run.run(trace)
-        assert len(run.records) == 4
-        assert run.records[0].config is not None
-        assert run.records[0].config.degenerate
+        run = ReconfiguringSharedRun(total_mb=1.0, scheme="vantage",
+                                     interval_accesses=5000,
+                                     monitor_points=65)
+        records = run.run([trace])
+        assert len(records) == 4
+        # The warm-up record holds the whole managed region, which is
+        # smaller than the cache: a full-capacity request is rejected.
+        lines = paper_mb_to_lines(1.0)
+        managed = PartitionSpec(scheme="vantage", capacity_lines=lines,
+                                num_partitions=2).partitionable_lines
+        assert managed < lines
+        assert records[0].allocations_mb == (lines_to_paper_mb(managed),)

@@ -17,7 +17,7 @@ import pytest
 from repro.cache.partition.array import ArrayVantageCache
 from repro.cache.partition.vantage import VantagePartitionedCache
 from repro.cache.spec import PartitionSpec, TalusSpec, build
-from repro.sim.reconfigure import ReconfiguringTalusRun
+from repro.sim.multicore import ReconfiguringSharedRun
 from repro.workloads.spec_profiles import get_profile
 
 
@@ -182,12 +182,12 @@ class TestVantageTalusLoop:
         trace = get_profile("omnetpp").trace(n_accesses=40000)
         records = {}
         for backend in ("object", "auto"):
-            run = ReconfiguringTalusRun(target_mb=1.0, scheme="vantage",
-                                        interval_accesses=8000,
-                                        backend=backend)
-            run.run(trace)
-            records[backend] = run.records
+            run = ReconfiguringSharedRun(total_mb=1.0, scheme="vantage",
+                                         interval_accesses=8000,
+                                         monitor_points=65,
+                                         backend=backend)
+            records[backend] = run.run([trace])
         assert len(records["object"]) == len(records["auto"]) == 5
         for a, b in zip(records["object"], records["auto"]):
             assert (a.accesses, a.misses) == (b.accesses, b.misses)
-            assert a.config == b.config
+            assert a.allocations_mb == b.allocations_mb
