@@ -95,8 +95,8 @@ def test_mix_sweep_speedup(capsys):
         assert slow[name].result == fast[name].result
 
     if not native_available():
-        pytest.skip("no C compiler: the fast path runs the pure-Python "
-                    "twin; the speedup criterion needs the kernel")
+        pytest.skip("no C compiler: both sides run on the object model; "
+                    "the speedup criterion needs the kernel")
     assert speedup >= 5.0, (
         f"mix sweep only {speedup:.2f}x faster than the serial object "
         f"loop (acceptance criterion is >= 5x)")

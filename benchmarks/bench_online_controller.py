@@ -133,7 +133,7 @@ def test_online_controller_throughput(capsys):
 
     if not native_available():
         import pytest
-        pytest.skip("no C compiler: both sides run the Python fallback; "
+        pytest.skip("no C compiler: both sides run the object model; "
                     "the throughput criterion is calibrated to the kernel")
     assert ratio >= 5.0, (
         f"warm controller only {ratio:.2f}x the restart-per-event baseline "

@@ -12,7 +12,7 @@ This benchmark drives the single-application loop — a one-trace
 :class:`~repro.sim.multicore.ReconfiguringSharedRun` — at fig. 7 scale:
 omnetpp through a 1.5 paper-MB Talus with ~10 ms-style intervals, once
 with the loop pinned to the object model and once on ``backend="auto"``
-(the array fast path for the exact tier), asserting:
+(the array fast path when the kernel is available), asserting:
 
 * the interval records (accesses, misses, allocations) are
   **bit-identical** — the fast path changes nothing but the wall clock,
@@ -95,8 +95,8 @@ def test_reconfigure_loop_speedup(capsys, scheme):
         assert a.allocations_mb == b.allocations_mb
 
     if not native_available():
-        pytest.skip("no C compiler: the fast path runs the slow Python "
-                    "fallback; the speedup criterion needs the kernel")
+        pytest.skip("no C compiler: both loops run on the object model; "
+                    "the speedup criterion needs the kernel")
     if scheme == "way":
         assert speedup >= 10.0, (
             f"reconfiguration loop only {speedup:.2f}x faster on the "

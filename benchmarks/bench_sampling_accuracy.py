@@ -10,9 +10,9 @@ The acceptance criteria of the sampling subsystem, measured end to end:
 
 Results land in ``benchmarks/out/sampling_accuracy.json`` for cross-PR
 tracking.  Without the native kernel the trace shrinks so the exact
-pure-Python baseline stays within CI budgets; the accuracy assertion
+object-model baseline stays within CI budgets; the accuracy assertion
 holds at both scales, the wall-clock criterion is asserted only at the
-native scale (the fallback's per-access cost structure differs).
+native scale (the object model's per-access cost structure differs).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from repro.workloads.scale import long_trace
 from benchlib import bench_json_path, write_bench_json
 
 #: Tier-1 drivers default to 150k-access traces; the native benchmark
-#: trace is 20x that.  The no-native fallback keeps the exact replay
-#: affordable in pure Python.
+#: trace is 20x that.  Without the kernel the object model replays a
+#: shorter trace, keeping the exact replay affordable.
 NATIVE_ACCESSES = 3_000_000
 FALLBACK_ACCESSES = 400_000
 

@@ -17,9 +17,10 @@ one sweep-shaped batch of array-cache configs four ways:
   :class:`~repro.workloads.tracestore.TraceStore` memmap path.
 
 Record identity between all four is asserted unconditionally — on every
-host, with and without the kernel.  The speedup criteria are gated on the
-host: >= 3x over the single-thread batch needs >= 8 cores, >= 1.5x over
-the equal-worker process pool needs >= 2.
+host, with and without the kernel (without it the configs are object-model
+caches, whose tasks run their serial fallback).  The speedup criteria are
+gated on the host: >= 3x over the single-thread batch needs >= 8 cores,
+>= 1.5x over the equal-worker process pool needs >= 2.
 
 Timings land in ``benchmarks/out/thread_scaling.json`` (override with
 ``REPRO_BENCH_JSON_THREADS``); the JSON schema is documented in
@@ -30,19 +31,20 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import pytest
 
 from benchlib import bench_json_path, write_bench_json
 from repro.cache._native import native_available, resolve_threads
-from repro.cache.arraycache import ArraySetAssociativeCache
-from repro.cache.threadbatch import run_tasks
+from repro.cache.spec import CacheSpec
+from repro.cache.threadbatch import ReplayTask, run_tasks
 from repro.experiments.common import fast_mode, trace_length
 from repro.sim.sweep import SweepSpec, run_sweep
 from repro.workloads.generators import zipfian
 
 #: (sets, ways, policy) of every config in the batch — a sweep-shaped
-#: spread of sizes across the exactly-replayed policy tier.
+#: spread of sizes across three policies.
 CONFIGS = [(sets, ways, policy)
            for policy in ("LRU", "SRRIP", "PDP")
            for sets, ways in ((64, 8), (256, 8), (1024, 8), (4096, 8))]
@@ -55,7 +57,15 @@ def _trace_accesses() -> int:
 
 
 def _build_batch():
-    return [ArraySetAssociativeCache(s, w, policy=p) for s, w, p in CONFIGS]
+    return [CacheSpec(capacity_lines=s * w, ways=w, policy=p).build()
+            for s, w, p in CONFIGS]
+
+
+def _tasks(caches, addrs):
+    """One replay task per config; object-model caches (built without
+    the kernel) replay through a serial fallback task."""
+    return [c.replay_task(addrs) if hasattr(c, "replay_task")
+            else ReplayTask(fallback=partial(c.run, addrs)) for c in caches]
 
 
 def _digest(caches) -> list[tuple[int, int, int]]:
@@ -83,12 +93,12 @@ def test_thread_scaling(capsys):
 
     t0 = time.perf_counter()
     one = _build_batch()
-    run_tasks([c.replay_task(addrs) for c in one], threads=1)
+    run_tasks(_tasks(one, addrs), threads=1)
     t_one = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     wide = _build_batch()
-    run_tasks([c.replay_task(addrs) for c in wide], threads=width)
+    run_tasks(_tasks(wide, addrs), threads=width)
     t_wide = time.perf_counter() - t0
 
     # The same sweep through the two public fan-out strategies: the
@@ -142,8 +152,8 @@ def test_thread_scaling(capsys):
               f"  (threads {vs_pool:.1f}x faster)")
 
     if not native_available():
-        pytest.skip("no C compiler: all strategies ran the pure-Python "
-                    "fallback; the scaling criteria need the kernel")
+        pytest.skip("no C compiler: all strategies ran the object model; "
+                    "the scaling criteria need the kernel")
     if ncpu >= 8 and width >= 8:
         assert speedup_wide >= 3.0, (
             f"threaded batch only {speedup_wide:.2f}x over threads=1 on "

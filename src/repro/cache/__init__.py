@@ -6,8 +6,7 @@ runs on, and the Talus hardware wrapper itself (shadow partitions plus the
 H3 sampling function).
 """
 
-from .arraycache import (ARRAY_EXACT_POLICIES, ARRAY_POLICIES,
-                         ArraySetAssociativeCache)
+from .arraycache import ARRAY_POLICIES, ArraySetAssociativeCache
 from .cache import (CacheStats, SetAssociativeCache, lru_factory,
                     policy_factory_from_class, simulate_trace)
 from .factory import (BACKENDS, POLICY_NAMES, build_cache, cache_geometry,
@@ -35,7 +34,6 @@ __all__ = [
     "SetAssociativeCache",
     "ArraySetAssociativeCache",
     "ARRAY_POLICIES",
-    "ARRAY_EXACT_POLICIES",
     "simulate_trace",
     "lru_factory",
     "policy_factory_from_class",

@@ -1,15 +1,16 @@
 """On-demand compilation and loading of the native sweep kernels.
 
-The array-backed cache (:mod:`repro.cache.arraycache`) keeps all of its
-state in numpy arrays; replaying a trace through that state is a tight
-per-access loop that pure Python executes ~15-30x slower than necessary.
-This module compiles ``_sweepkernel.c`` into a small shared library with
-whatever C compiler the host has (``cc``/``gcc``/``clang``) and exposes it
-through :mod:`ctypes` — no Python headers, build backends, or third-party
+The array-backed caches (:mod:`repro.cache.arraycache`,
+:mod:`repro.cache.partition.array`) keep all of their state in numpy
+arrays and replay traces through it in compiled loops.  This module
+compiles ``_sweepkernel.c`` into a small shared library with whatever C
+compiler the host has (``cc``/``gcc``/``clang``) and exposes it through
+:mod:`ctypes` — no Python headers, build backends, or third-party
 packages are involved, so the build degrades gracefully: when no compiler
 is available (or ``REPRO_NATIVE=0`` is set) :func:`get_kernel` returns
-``None`` and callers fall back to the pure-Python replay path, which
-produces identical results.
+``None``, ``backend="auto"`` resolves to the object model (bit-identical
+to the kernel, only slower), and building an array cache raises
+(:func:`require_kernel`).
 
 The compiled library is cached under the user's cache directory keyed by a
 hash of the C source, so recompilation happens only when the source
@@ -29,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["get_kernel", "native_available", "disable_native",
+__all__ = ["get_kernel", "native_available", "require_kernel",
+           "disable_native",
            "NativeKernel", "BatchTask",
            "resolve_threads",
            "KIND_LRU", "KIND_RRIP", "KIND_DIP", "KIND_PDP", "KIND_RANDOM",
@@ -559,8 +561,8 @@ def get_kernel() -> NativeKernel | None:
     """The compiled kernel bindings, or None when unavailable.
 
     The first call attempts the build; the result (including failure) is
-    cached for the life of the process.  Set ``REPRO_NATIVE=0`` to force
-    the pure-Python fallback.
+    cached for the life of the process.  Set ``REPRO_NATIVE=0`` to run
+    without it (``backend="auto"`` then resolves to the object model).
     """
     global _kernel, _kernel_tried
     if _kernel_tried:
@@ -583,8 +585,25 @@ def native_available() -> bool:
     return get_kernel() is not None
 
 
+def require_kernel() -> NativeKernel:
+    """The compiled kernel bindings; raises when they are unavailable.
+
+    The array backend has no other replay path, so every array cache
+    checks for the kernel through this when it is built and when it
+    replays.
+    """
+    kernel = get_kernel()
+    if kernel is None:
+        raise RuntimeError(
+            "the array backend needs the native kernel, which is "
+            "unavailable: no C compiler (cc, gcc or clang) could build "
+            "it, or REPRO_NATIVE=0 disabled it; use backend='object' or "
+            "'auto', which replay every policy bit for bit the same")
+    return kernel
+
+
 def disable_native() -> None:
-    """Force the pure-Python fallback for the rest of this process.
+    """Run on the object model for the rest of this process.
 
     The supervised job runtime's degradation ladder calls this in a
     worker that is retrying a job after a native-kernel fault (SIGSEGV,

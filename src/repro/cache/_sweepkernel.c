@@ -9,17 +9,20 @@
  *   rrpv  (num_sets x ways) int64, re-reference prediction values (RRIP only)
  *
  * plus policy-specific side state (PSEL counters, PDP protection deadlines,
- * reuse-distance samplers).  The state encoding is shared with the
- * pure-Python fallback in arraycache.py: a kernel run can be interrupted and
- * resumed by the Python path (or vice versa) and produce the same results.
+ * reuse-distance samplers).
  *
- * Exactness:
- *   - lru_run (LRU and LIP insertion), rrip_run in SRRIP mode, and pdp_run
- *     are bit-identical to the object model in repro.cache.replacement.
- *   - BRRIP/DRRIP (rrip_run) and BIP/DIP (dip_run) draw their bimodal
- *     insertions from a splitmix64 stream instead of CPython's Mersenne
- *     twister, so they are deterministic per seed but not bit-identical to
- *     the object policies (see arraycache.py).
+ * Exactness: every kernel is bit-identical to the object model in
+ * repro.cache.replacement built with the same region layout.  The
+ * randomized policies (BIP/DIP, BRRIP/DRRIP, TA-DRRIP, Random) draw from a
+ * splitmix64 stream that repro.cache.hashing.SplitMix64 reproduces, and the
+ * dueling policies read the leader wiring of
+ * repro.cache.replacement.rrip.leader_roles.
+ *
+ * A region with zero sets or zero ways (a partition warm-resized to no
+ * capacity) misses every access.  The set-associative kernels check for it
+ * once on entry; only the capacity-independent side state then advances
+ * (PSEL counters of the dueling policies, PDP's reuse sampler), as in a
+ * zero-capacity object policy.
  *
  * Set indexing is modulo by default; every replay kernel also accepts
  * hashed indexing (hashed != 0), where the set index is the splitmix64
@@ -103,6 +106,8 @@ int64_t lru_run(const int64_t *addrs, int64_t n, int64_t num_sets,
     int64_t t = counter_io[0];
     uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
 
+    if (num_sets <= 0 || ways <= 0)
+        return n;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
@@ -144,9 +149,8 @@ int64_t lru_run(const int64_t *addrs, int64_t n, int64_t num_sets,
  * state untouched; misses fill the first empty way, or evict a uniformly
  * random way when the set is full (every way is resident then, so this is
  * uniform over resident lines — the object model's RandomPolicy semantics).
- * Victims are drawn from the shared splitmix64 stream, so the kernel is
- * deterministic per seed and matches the Python fallback draw for draw,
- * but it is not bit-identical to the object model's Mersenne twister. */
+ * Victims are drawn from the shared splitmix64 stream, which the object
+ * model's RandomPolicy draws from in the same order. */
 int64_t random_run(const int64_t *addrs, int64_t n, int64_t num_sets,
                    int64_t ways, int64_t *tags, uint64_t *rng_state,
                    int64_t hashed, int64_t index_seed)
@@ -154,6 +158,8 @@ int64_t random_run(const int64_t *addrs, int64_t n, int64_t num_sets,
     int64_t misses = 0;
     uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
 
+    if (num_sets <= 0 || ways <= 0)
+        return n;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
@@ -199,6 +205,36 @@ static inline int64_t address_role(int64_t a, int64_t leader_levels)
     return ROLE_FOLLOWER;
 }
 
+/* Saturating PSEL update for a miss of the given dueling role. */
+static inline void psel_update(int64_t role, int64_t *psel, int64_t psel_max)
+{
+    if (role == ROLE_LEADER_SRRIP && *psel < psel_max)
+        (*psel)++;
+    else if (role == ROLE_LEADER_BRRIP && *psel > 0)
+        (*psel)--;
+}
+
+/* A zero-capacity set-dueling region (DRRIP/DIP): every access misses and
+ * only the PSEL counter advances.  Returns the miss count. */
+static int64_t duel_only_run(const int64_t *addrs, int64_t n,
+                             int64_t num_sets, const int64_t *roles,
+                             int64_t *psel_io, int64_t leader_levels,
+                             int64_t psel_max, int64_t hashed,
+                             int64_t index_seed)
+{
+    uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
+    if (num_sets <= 0)
+        return n;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = addrs[i];
+        int64_t role = roles[set_of(a, num_sets, hashed, seed_mul)];
+        if (role == ROLE_ADDRESS_DUEL)
+            role = address_role(a, leader_levels);
+        psel_update(role, psel_io, psel_max);
+    }
+    return n;
+}
+
 /* Replay `n` addresses through an RRIP-family cache.
  *
  * Victim selection replicates the object model's bucket semantics without
@@ -223,6 +259,11 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
     int64_t psel = psel_io ? psel_io[0] : 0;
     uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
 
+    if (num_sets <= 0 || ways <= 0)
+        return (mode == MODE_DRRIP)
+            ? duel_only_run(addrs, n, num_sets, roles, psel_io, leader_levels,
+                            psel_max, hashed, index_seed)
+            : n;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
@@ -249,10 +290,7 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
             role = roles[s];
             if (role == ROLE_ADDRESS_DUEL)
                 role = address_role(a, leader_levels);
-            if (role == ROLE_LEADER_SRRIP && psel < psel_max)
-                psel++;
-            else if (role == ROLE_LEADER_BRRIP && psel > 0)
-                psel--;
+            psel_update(role, &psel, psel_max);
         }
 
         if (empty < 0) {
@@ -301,12 +339,10 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
  * constituencies, so every co-running app converges to its own SRRIP/BRRIP
  * preference.  `threads[i]` carries the id of the thread issuing access i
  * (NULL == all stream 0); `psel` holds `num_streams` counters.  The
- * bimodal draws come from the shared splitmix64 stream, so the kernel is
- * seeded-deterministic like DRRIP (bit-identical to the Python twin in
- * arraycache.py, not to the object model's Mersenne twister).  `miss_out`,
- * when non-NULL, accumulates per-thread miss counts (never reset here —
- * it is persistent caller state, like the PSEL counters).  Returns the
- * total miss count, or -1 on an out-of-range thread id. */
+ * bimodal draws come from the shared splitmix64 stream, like DRRIP's.
+ * `miss_out`, when non-NULL, accumulates per-thread miss counts (never
+ * reset here — it is persistent caller state, like the PSEL counters).
+ * Returns the total miss count, or -1 on an out-of-range thread id. */
 int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
                     int64_t num_sets, int64_t ways, int64_t max_rrpv,
                     int64_t *tags, int64_t *rrpv, int64_t *stamp,
@@ -319,6 +355,21 @@ int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
     int64_t t = counter_io[0];
     uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
 
+    if (num_sets <= 0 || ways <= 0) {
+        /* Zero-capacity region: per-thread misses and PSELs still move. */
+        for (int64_t i = 0; i < n; i++) {
+            int64_t tid = threads ? threads[i] : 0;
+            if (tid < 0 || tid >= num_streams)
+                return -1;
+            if (num_sets <= 0)
+                continue;
+            if (miss_out)
+                miss_out[tid]++;
+            psel_update(address_role(addrs[i], leader_levels), psel + tid,
+                        psel_max);
+        }
+        return n;
+    }
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t tid = threads ? threads[i] : 0;
@@ -346,10 +397,7 @@ int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
             miss_out[tid]++;
 
         int64_t role = address_role(a, leader_levels);
-        if (role == ROLE_LEADER_SRRIP && psel[tid] < psel_max)
-            psel[tid]++;
-        else if (role == ROLE_LEADER_BRRIP && psel[tid] > 0)
-            psel[tid]--;
+        psel_update(role, psel + tid, psel_max);
 
         if (empty < 0) {
             int64_t maxp = -1;
@@ -534,6 +582,11 @@ int64_t dip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
     int64_t psel = psel_io ? psel_io[0] : 0;
     uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
 
+    if (num_sets <= 0 || ways <= 0)
+        return (mode == DIP_MODE_DIP)
+            ? duel_only_run(addrs, n, num_sets, roles, psel_io, leader_levels,
+                            psel_max, hashed, index_seed)
+            : n;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
@@ -564,10 +617,7 @@ int64_t dip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
             role = roles[s];
             if (role == ROLE_ADDRESS_DUEL)
                 role = address_role(a, leader_levels);
-            if (role == ROLE_LEADER_SRRIP && psel < psel_max)
-                psel++;
-            else if (role == ROLE_LEADER_BRRIP && psel > 0)
-                psel--;
+            psel_update(role, &psel, psel_max);
         }
 
         int64_t w = (empty >= 0) ? empty : victim;
@@ -652,6 +702,37 @@ static void pdp_recompute(int64_t *hist, int64_t max_dp, int64_t *dp_io,
     }
 }
 
+/* PDPPolicy._record_reuse for set `s`: advance the set clock, sample the
+ * bounded reuse distance of `a`, and periodically recompute dp.  Returns
+ * the advanced clock. */
+static inline int64_t pdp_sample(int64_t a, int64_t s, int64_t *clock,
+                                 int64_t *dp, int64_t *sample_count,
+                                 int64_t *hist, int64_t max_dp,
+                                 int64_t interval, int64_t clear_threshold,
+                                 int64_t *ls_tags, int64_t *ls_clocks,
+                                 int64_t *ls_count, int64_t tsize)
+{
+    int64_t *lst = ls_tags + s * tsize;
+    int64_t *lsc = ls_clocks + s * tsize;
+    int64_t c = ++clock[s];
+    int64_t slot = ls_slot(lst, (uint64_t)(tsize - 1), a);
+    if (lst[slot] == a) {
+        int64_t d = c - lsc[slot];
+        if (d <= max_dp)
+            hist[s * (max_dp + 1) + d]++;
+    } else {
+        lst[slot] = a;
+        ls_count[s]++;
+    }
+    lsc[slot] = c;
+    sample_count[s]++;
+    if (sample_count[s] % interval == 0)
+        pdp_recompute(hist + s * (max_dp + 1), max_dp, dp + s,
+                      sample_count[s], lst, tsize, ls_count + s,
+                      clear_threshold);
+    return c;
+}
+
 /* Replay through a PDP (protecting distance) cache; bit-identical to
  * repro.cache.replacement.pdp.PDPPolicy (which records only reuse distances
  * up to the largest candidate protecting distance).
@@ -664,7 +745,8 @@ static void pdp_recompute(int64_t *hist, int64_t max_dp, int64_t *dp_io,
  *                                    last-seen open-addressing tables
  * tsize must be a power of two large enough that a table never fills
  * between clears (arraycache.py sizes it).  Returns the miss count
- * (bypassed fills count as misses, as in the object model).
+ * (bypassed fills count as misses, as in the object model).  A zero-way
+ * region keeps sampling, as a zero-capacity PDPPolicy does.
  */
 int64_t pdp_run(const int64_t *addrs, int64_t n, int64_t num_sets,
                 int64_t ways, int64_t *tags, int64_t *stamp,
@@ -677,35 +759,26 @@ int64_t pdp_run(const int64_t *addrs, int64_t n, int64_t num_sets,
     int64_t misses = 0;
     int64_t t = counter_io[0];
     uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
-    uint64_t tmask = (uint64_t)(tsize - 1);
 
+    if (num_sets <= 0 || ways <= 0) {
+        if (num_sets > 0)
+            for (int64_t i = 0; i < n; i++)
+                pdp_sample(addrs[i],
+                           set_of(addrs[i], num_sets, hashed, seed_mul),
+                           clock, dp, sample_count, hist, max_dp, interval,
+                           clear_threshold, ls_tags, ls_clocks, ls_count,
+                           tsize);
+        return n;
+    }
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
         int64_t *row = tags + s * ways;
         int64_t *st = stamp + s * ways;
         int64_t *ex = expires + s * ways;
-        int64_t *lst = ls_tags + s * tsize;
-        int64_t *lsc = ls_clocks + s * tsize;
-
-        int64_t c = ++clock[s];
-
-        /* Reuse-distance sampling (PDPPolicy._record_reuse). */
-        int64_t slot = ls_slot(lst, tmask, a);
-        if (lst[slot] == a) {
-            int64_t d = c - lsc[slot];
-            if (d <= max_dp)
-                hist[s * (max_dp + 1) + d]++;
-        } else {
-            lst[slot] = a;
-            ls_count[s]++;
-        }
-        lsc[slot] = c;
-        sample_count[s]++;
-        if (sample_count[s] % interval == 0)
-            pdp_recompute(hist + s * (max_dp + 1), max_dp, dp + s,
-                          sample_count[s], lst, tsize, ls_count + s,
-                          clear_threshold);
+        int64_t c = pdp_sample(a, s, clock, dp, sample_count, hist, max_dp,
+                               interval, clear_threshold, ls_tags, ls_clocks,
+                               ls_count, tsize);
 
         int64_t hit = -1, empty = -1;
         for (int64_t w = 0; w < ways; w++) {
@@ -946,8 +1019,7 @@ int64_t multi_lru_run(const int64_t *addrs, int64_t n, int64_t num_configs,
  * Unlike the set-associative kernels above, regions here are line-granular
  * and fully associative, so the state is an intrusive doubly-linked node
  * pool plus an open-addressing hash table — all caller-owned numpy arrays,
- * keeping the kernel chunk-resumable and interchangeable with the pure-
- * Python twin in repro.cache.partition.array:
+ * keeping the kernel chunk-resumable:
  *
  *   node_tag/node_prev/node_next  node pool (N = capacity + 1 entries; one
  *                                 spare absorbs the transient overshoot of
@@ -987,12 +1059,14 @@ int64_t multi_lru_run(const int64_t *addrs, int64_t n, int64_t num_configs,
  *                                     the oldest line when every line is
  *                                     protected, so Vantage never bypasses)
  *   Random                            victims drawn from the shared
- *                                     splitmix64 stream
+ *                                     splitmix64 stream: the
+ *                                     (r % occupancy)-th line in
+ *                                     insertion order
  *
- * The deterministic policies (LRU, LIP, SRRIP, PDP) are bit-identical to
- * the object model; the randomized ones (BIP/DIP/BRRIP/DRRIP/TA-DRRIP/
- * Random) are seeded-deterministic twins of the Python fallback, as in the
- * set-associative kernels above.
+ * Every policy is bit-identical to the object model: the whole cache draws
+ * from one splitmix64 stream, DIP/DRRIP duel over one PSEL with a leader
+ * role per partition, and TA-DRRIP treats each partition as a thread with
+ * its own PSEL.
  */
 
 /* Managed-region policy codes (must match repro.cache.partition.array). */
@@ -1250,10 +1324,7 @@ static void vt_policy_insert(vt_ctx *c, int64_t p, int64_t node, int64_t a)
         return;
     case VPOL_DIP: {
         int64_t role = c->roles[p];
-        if (role == ROLE_LEADER_SRRIP && c->psel[0] < c->psel_max)
-            c->psel[0]++;
-        else if (role == ROLE_LEADER_BRRIP && c->psel[0] > 0)
-            c->psel[0]--;
+        psel_update(role, c->psel, c->psel_max);
         int bip = (role == ROLE_LEADER_BRRIP) ||
                   (role == ROLE_FOLLOWER && c->psel[0] > c->psel_max / 2);
         if (bip && uniform01(c->rng) >= c->epsilon)
@@ -1274,19 +1345,13 @@ static void vt_policy_insert(vt_ctx *c, int64_t p, int64_t node, int64_t a)
             bimodal = 1;
         } else if (c->pol == VPOL_DRRIP) {
             int64_t role = c->roles[p];
-            if (role == ROLE_LEADER_SRRIP && c->psel[0] < c->psel_max)
-                c->psel[0]++;
-            else if (role == ROLE_LEADER_BRRIP && c->psel[0] > 0)
-                c->psel[0]--;
+            psel_update(role, c->psel, c->psel_max);
             bimodal = (role == ROLE_LEADER_BRRIP) ||
                       (role == ROLE_FOLLOWER &&
                        c->psel[0] > c->psel_max / 2);
         } else if (c->pol == VPOL_TADRRIP) {
             int64_t role = address_role(a, c->leader_levels);
-            if (role == ROLE_LEADER_SRRIP && c->psel[p] < c->psel_max)
-                c->psel[p]++;
-            else if (role == ROLE_LEADER_BRRIP && c->psel[p] > 0)
-                c->psel[p]--;
+            psel_update(role, c->psel + p, c->psel_max);
             bimodal = (role == ROLE_LEADER_BRRIP) ||
                       (role == ROLE_FOLLOWER &&
                        c->psel[p] > c->psel_max / 2);

@@ -1,4 +1,4 @@
-"""Array-backed set-associative cache: numpy state, native replay fast path.
+"""Array-backed set-associative cache: numpy state, native replay.
 
 This is the high-throughput counterpart of
 :class:`repro.cache.cache.SetAssociativeCache`.  Instead of one policy
@@ -12,12 +12,12 @@ matrices:
   policies only);
 * ``expires`` and per-set reuse-sampler tables (PDP only).
 
-Replaying a trace is a single call into a compiled kernel
-(:mod:`repro.cache._native`) that walks the trace and mutates those arrays
-in place — typically 15-30x faster than the object model.  When no C
-compiler is available the same algorithm runs in pure Python over the same
-arrays, producing identical results, so the array backend is always
-*correct*, just not always *fast*.
+Replaying a trace — or a single access — is one call into the compiled
+kernel (:mod:`repro.cache._native`) that walks the addresses and mutates
+those arrays in place, typically 15-30x faster than the object model.
+The array backend has no other replay path: without a C compiler (or with
+``REPRO_NATIVE=0``) building one raises, and ``backend="auto"`` builds the
+object model instead, which replays every policy alike.
 
 Both modulo and hashed set indexing are supported (``hashed_index=True``
 uses the splitmix64 finalizer of :func:`repro.cache.hashing.set_index`,
@@ -32,35 +32,33 @@ following the same caller-owned-state conventions.
 
 Exactness contract
 ------------------
-``LRU``, ``LIP``, ``SRRIP`` and ``PDP`` are **bit-identical** to the object
-model (the parity tests in ``tests/test_sweep_and_arraycache.py`` enforce
-this):
+Every online policy is **bit-identical** to the object model built with
+the same region layout (``tests/test_backend_identity.py`` pins both
+backends to the same digests):
 
 * LRU victim = oldest stamp (empty ways first), which is exactly the
   OrderedDict order of :class:`~repro.cache.replacement.lru.LRUPolicy`.
-  LIP additionally stamps inserted lines *older* than the current LRU
-  line, which is exactly ``OrderedDict.move_to_end(tag, last=False)``.
+  LIP (and a bimodal BIP/DIP insertion) stamps inserted lines *older*
+  than the current LRU line, which is exactly
+  ``OrderedDict.move_to_end(tag, last=False)``.
 * RRIP victim = oldest *bucket entrant* among lines at the highest RRPV
   present, after which all lines age by the same delta.  Because aging
   shifts whole buckets without merging them, the object model's per-bucket
   OrderedDict order is fully determined by the last insert/promote event,
   which is what ``stamp`` records.
-* PDP is deterministic (no RNG): protection deadlines, the bounded
-  reuse-distance histogram, the periodic protecting-distance
-  recomputation and the last-seen table clears all replicate
-  :class:`~repro.cache.replacement.pdp.PDPPolicy` exactly.
+* PDP's protection deadlines, bounded reuse-distance histogram, periodic
+  protecting-distance recomputation and last-seen table clears all
+  replicate :class:`~repro.cache.replacement.pdp.PDPPolicy` exactly.
+* The randomized policies (BIP, DIP, BRRIP, DRRIP, TA-DRRIP, Random) draw
+  from one splitmix64 stream per cache, seeded ``mix64(seed)``, which
+  :class:`~repro.cache.hashing.SplitMix64` reproduces draw for draw; the
+  dueling policies share one PSEL over the leader sets of
+  :func:`~repro.cache.replacement.rrip.leader_roles`.
 
 Addresses may be any int64 except ``-1``, which is reserved as the
 empty-way sentinel; :meth:`ArraySetAssociativeCache.access`/``run`` reject
 it rather than silently mis-reporting a hit (the object model has no such
 reservation).
-
-``BIP``, ``DIP``, ``BRRIP``, ``DRRIP``, ``TA-DRRIP`` and ``Random`` are
-*statistically* equivalent but not bit-identical: their randomized draws
-(bimodal insertions, random victims) come from a shared splitmix64 stream
-(used by both the kernel and the Python fallback, so the array backend is
-deterministic per seed across machines) rather than each set's
-``random.Random`` instance.
 
 ``Belady`` (offline MIN) lives in its own organization,
 :class:`ArrayBeladyCache`: it is fully associative and needs the whole
@@ -86,7 +84,9 @@ and statistics to a single one-shot :meth:`run`.  Warm caches can also be
 *resized* in place (:meth:`resize_ways`, :meth:`resize_sets`), evicting
 per-policy victims exactly as the object policies' ``set_capacity`` does;
 this is what lets :class:`~repro.cache.partition.array.ArrayPartitionedCache`
-reallocate warm partitions.
+reallocate warm partitions.  A region resized to zero ways or sets misses
+every access while its capacity-independent side state keeps advancing in
+the kernel.
 """
 
 from __future__ import annotations
@@ -95,13 +95,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._native import get_kernel
+from ._native import require_kernel
 from .cache import CacheStats, materialize_addresses
-from .hashing import GOLDEN64 as _GOLDEN
-from .hashing import mix64, seed_mix
+from .hashing import SplitMix64, mix64, seed_mix
+from .replacement.rrip import DuelRole, leader_roles
 
 __all__ = ["ArraySetAssociativeCache", "ArrayBeladyCache", "ARRAY_POLICIES",
-           "ARRAY_EXACT_POLICIES", "belady_next_use", "run_lru_family_batch"]
+           "belady_next_use", "run_lru_family_batch"]
 
 #: Policies the array backend implements (``Belady`` through
 #: :class:`ArrayBeladyCache`; everything else through
@@ -109,17 +109,14 @@ __all__ = ["ArraySetAssociativeCache", "ArrayBeladyCache", "ARRAY_POLICIES",
 ARRAY_POLICIES = ("LRU", "LIP", "BIP", "DIP", "SRRIP", "BRRIP", "DRRIP",
                   "TA-DRRIP", "PDP", "Random", "Belady")
 
-#: Policies whose array implementation is bit-identical to the object model.
-ARRAY_EXACT_POLICIES = ("LRU", "LIP", "SRRIP", "PDP")
-
 _EMPTY = -1
-_M64 = (1 << 64) - 1
 
 # Insertion modes; must match _sweepkernel.c.
 _MODE = {"SRRIP": 0, "BRRIP": 1, "DRRIP": 2}
 _DIP_MODE = {"BIP": 0, "DIP": 1}
-_ROLE_FOLLOWER, _ROLE_LEADER_SRRIP, _ROLE_LEADER_BRRIP = 0, 1, 2
-_ROLE_ADDRESS_DUEL = 3
+#: Kernel codes of the dueling roles (must match ROLE_* in the kernel).
+_ROLE_CODE = {DuelRole.FOLLOWER: 0, DuelRole.LEADER_SRRIP: 1,
+              DuelRole.LEADER_BRRIP: 2, DuelRole.ADDRESS_DUEL: 3}
 
 #: Policies using the RRIP state matrix / rrip_run kernel.
 _RRIP_FAMILY = ("SRRIP", "BRRIP", "DRRIP")
@@ -132,30 +129,10 @@ _DIP_FAMILY = ("BIP", "DIP")
 _DUELING = ("DRRIP", "DIP")
 
 
-def _splitmix64(state: np.ndarray) -> int:
-    """Advance the shared RNG state; must match the kernel's splitmix64."""
-    s = (int(state[0]) + _GOLDEN) & _M64
-    state[0] = s
-    z = s
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return (z ^ (z >> 31)) & _M64
-
-
-def _uniform01(state: np.ndarray) -> float:
-    return (_splitmix64(state) >> 11) * (1.0 / 9007199254740992.0)
-
-
-def _dueling_roles(num_sets: int,
-                   leader_regions_per_policy: int = 32) -> np.ndarray:
-    """Replicate the leader-set wiring of ``drrip_factory``/``dip_factory``."""
-    leaders = min(leader_regions_per_policy, max(1, num_sets // 4))
-    stride = max(1, num_sets // (2 * leaders))
-    roles = np.full(num_sets, _ROLE_FOLLOWER, dtype=np.int64)
-    for i in range(0, num_sets, stride):
-        roles[i] = (_ROLE_LEADER_SRRIP if (i // stride) % 2 == 0
-                    else _ROLE_LEADER_BRRIP)
-    return roles
+def _dueling_roles(num_sets: int) -> np.ndarray:
+    """The kernel's role codes for the wiring of :func:`leader_roles`."""
+    return np.array([_ROLE_CODE[role] for role in leader_roles(num_sets)],
+                    dtype=np.int64)
 
 
 def _next_pow2(n: int) -> int:
@@ -179,7 +156,7 @@ class ArraySetAssociativeCache:
         ``epsilon`` is also the BIP/DIP bimodal rate), defaulting to the
         paper's 2-bit RRPVs and epsilon = 1/32.
     seed:
-        Seed of the bimodal-insertion RNG stream (BIP/DIP/BRRIP/DRRIP only).
+        Seed of the random stream (BIP/DIP/BRRIP/DRRIP/TA-DRRIP/Random).
     hashed_index, index_seed:
         If ``hashed_index`` is true, set indices come from
         :func:`repro.cache.hashing.set_index` (same hash in the kernel);
@@ -204,6 +181,7 @@ class ArraySetAssociativeCache:
                  max_distance_factor: float = 3.0,
                  initial_distance: int | None = None,
                  num_streams: int = 8):
+        require_kernel()
         if num_sets <= 0:
             raise ValueError("num_sets must be positive")
         if ways <= 0:
@@ -233,7 +211,7 @@ class ArraySetAssociativeCache:
         self.stamp = np.zeros((num_sets, ways), dtype=np.int64)
         self.rrpv = np.full((num_sets, ways), self.max_rrpv, dtype=np.int64)
         self._counter = np.zeros(1, dtype=np.int64)
-        self._rng_state = np.array([mix64(seed)], dtype=np.uint64)
+        self._rng_state = np.array([SplitMix64(seed).state], dtype=np.uint64)
         # Dueling state shared by DRRIP and DIP (mirrors drrip_factory /
         # dip_factory / DuelingController).
         self._psel_max = (1 << 10) - 1
@@ -340,140 +318,18 @@ class ArraySetAssociativeCache:
     def access(self, address: int, thread_id: int = 0) -> bool:
         """Perform one access; returns True on a hit and updates stats.
 
-        This is the pure-Python replay path, bit-compatible with the
-        native kernel: a trace can be replayed partly through
-        :meth:`run` and partly through :meth:`access` with identical
-        results.  ``thread_id`` attributes the access to a stream
-        (TA-DRRIP only; other policies are thread-oblivious and reject a
-        nonzero id).
+        A one-element kernel replay, so scalar accesses and :meth:`run`
+        calls interleave freely.  ``thread_id`` attributes the access to a
+        stream (TA-DRRIP only; other policies are thread-oblivious and
+        reject a nonzero id).
         """
-        address = int(address)
-        if address == _EMPTY:
-            raise ValueError("address -1 is reserved as the empty-way "
-                             "sentinel; the array backend cannot cache it")
-        if self.policy == "TA-DRRIP":
-            tid = self._tad_tid(thread_id)
-        elif thread_id != 0:
+        if thread_id and self.policy != "TA-DRRIP":
             raise ValueError("thread_id applies to TA-DRRIP only")
-        if self.ways == 0 or self.num_sets == 0:
-            # A region warm-resized to zero capacity: every access misses,
-            # but side state advances exactly as the object policies' do
-            # with ``capacity == 0`` (PDP keeps sampling reuse distances,
-            # the dueling policies keep updating PSEL).
-            if self.num_sets > 0:
-                s = self.set_index(address)
-                if self.policy == "PDP":
-                    self._pdp_sample(address, s)
-                elif self.policy == "TA-DRRIP":
-                    self._tad_misses[tid] += 1
-                    self._tad_duel(address, tid)
-                elif self.policy in _DUELING:
-                    self._duel_role(address, s)
-            self.stats.record(False)
-            return False
-        s = self.set_index(address)
-        if self.policy == "TA-DRRIP":
-            hit = self._tadrrip_access(address, s, tid)
-        elif self.policy in _RRIP_FAMILY:
-            hit = self._rrip_access(address, s)
-        elif self.policy in _DIP_FAMILY:
-            hit = self._dip_access(address, s)
-        elif self.policy == "PDP":
-            hit = self._pdp_access(address, s)
-        elif self.policy == "Random":
-            hit = self._random_access(address, s)
-        else:
-            hit = self._lru_access(address, s)
-        self.stats.record(hit)
-        return hit
-
-    def _lru_access(self, a: int, s: int) -> bool:
-        row = self.tags[s]
-        st = self.stamp[s]
-        self._counter[0] += 1
-        t = int(self._counter[0])
-        match = np.nonzero(row == a)[0]
-        if match.size:
-            st[match[0]] = t
-            return True
-        empty = np.nonzero(row == _EMPTY)[0]
-        best = None
-        if self.policy == "LIP":
-            occupied = np.nonzero(row != _EMPTY)[0]
-            best = int(st[occupied].min()) if occupied.size else None
-        w = int(empty[0]) if empty.size else int(np.argmin(st))
-        row[w] = a
-        if self.policy == "LIP" and best is not None:
-            # LRU-position insertion: older than the current LRU line
-            # (whose stamp is `best` even when it was just evicted).
-            st[w] = best - 1
-        else:
-            st[w] = t
-        return False
-
-    def _duel_role(self, a: int, s: int) -> int:
-        """Effective dueling role of a miss, with PSEL update (DRRIP/DIP)."""
-        role = int(self._roles[s])
-        if role == _ROLE_ADDRESS_DUEL:
-            # Standalone-region dueling: a hashed fraction of addresses
-            # form the two constituencies (matches the kernel).
-            bucket = (a * _GOLDEN) & 1023
-            if bucket < self._leader_levels:
-                role = _ROLE_LEADER_SRRIP
-            elif bucket < 2 * self._leader_levels:
-                role = _ROLE_LEADER_BRRIP
-            else:
-                role = _ROLE_FOLLOWER
-        if role == _ROLE_LEADER_SRRIP and self._psel[0] < self._psel_max:
-            self._psel[0] += 1
-        elif role == _ROLE_LEADER_BRRIP and self._psel[0] > 0:
-            self._psel[0] -= 1
-        return role
-
-    def _rrip_access(self, a: int, s: int) -> bool:
-        row = self.tags[s]
-        rv = self.rrpv[s]
-        st = self.stamp[s]
-        self._counter[0] += 1
-        t = int(self._counter[0])
-        match = np.nonzero(row == a)[0]
-        if match.size:
-            w = int(match[0])
-            rv[w] = 0  # hit priority
-            st[w] = t
-            return True
-
-        role = _ROLE_FOLLOWER
-        if self.policy == "DRRIP":
-            role = self._duel_role(a, s)
-
-        empty = np.nonzero(row == _EMPTY)[0]
-        if empty.size:
-            w = int(empty[0])
-        else:
-            maxp = int(rv.max())
-            candidates = np.nonzero(rv == maxp)[0]
-            w = int(candidates[np.argmin(st[candidates])])
-            d = self.max_rrpv - maxp
-            if d > 0:
-                rv += d
-
-        ins = self.max_rrpv - 1
-        if self.policy == "BRRIP":
-            bimodal = True
-        elif self.policy == "DRRIP":
-            bimodal = (role == _ROLE_LEADER_BRRIP
-                       or (role == _ROLE_FOLLOWER
-                           and int(self._psel[0]) > self._psel_max // 2))
-        else:
-            bimodal = False
-        if bimodal and _uniform01(self._rng_state) >= self.epsilon:
-            ins = self.max_rrpv
-
-        row[w] = a
-        rv[w] = ins
-        st[w] = t
-        return False
+        misses = self.stats.misses
+        self.run(np.array([int(address)], dtype=np.int64),
+                 thread_ids=(np.array([int(thread_id)], dtype=np.int64)
+                             if self.policy == "TA-DRRIP" else None))
+        return self.stats.misses == misses
 
     # -- TA-DRRIP -------------------------------------------------------- #
     @property
@@ -482,203 +338,6 @@ class ArraySetAssociativeCache:
         if self.policy != "TA-DRRIP":
             raise AttributeError("thread_misses applies to TA-DRRIP only")
         return self._tad_misses
-
-    def _tad_tid(self, thread_id: int) -> int:
-        tid = int(thread_id)
-        if not 0 <= tid < self.num_streams:
-            raise ValueError(f"thread_id must be in [0, {self.num_streams}),"
-                             f" got {tid}")
-        return tid
-
-    def _tad_duel(self, a: int, tid: int) -> int:
-        """Address-constituency role of a TA-DRRIP miss, updating the
-        issuing stream's PSEL (mirrors TADRRIPPolicy._address_role +
-        DuelingController.record_leader_miss, and the kernel exactly)."""
-        bucket = (a * _GOLDEN) & 1023
-        if bucket < self._leader_levels:
-            role = _ROLE_LEADER_SRRIP
-        elif bucket < 2 * self._leader_levels:
-            role = _ROLE_LEADER_BRRIP
-        else:
-            role = _ROLE_FOLLOWER
-        if role == _ROLE_LEADER_SRRIP and self._psel[tid] < self._psel_max:
-            self._psel[tid] += 1
-        elif role == _ROLE_LEADER_BRRIP and self._psel[tid] > 0:
-            self._psel[tid] -= 1
-        return role
-
-    def _tadrrip_access(self, a: int, s: int, tid: int) -> bool:
-        row = self.tags[s]
-        rv = self.rrpv[s]
-        st = self.stamp[s]
-        self._counter[0] += 1
-        t = int(self._counter[0])
-        match = np.nonzero(row == a)[0]
-        if match.size:
-            w = int(match[0])
-            rv[w] = 0  # hit priority
-            st[w] = t
-            return True
-        self._tad_misses[tid] += 1
-        role = self._tad_duel(a, tid)
-
-        empty = np.nonzero(row == _EMPTY)[0]
-        if empty.size:
-            w = int(empty[0])
-        else:
-            maxp = int(rv.max())
-            candidates = np.nonzero(rv == maxp)[0]
-            w = int(candidates[np.argmin(st[candidates])])
-            d = self.max_rrpv - maxp
-            if d > 0:
-                rv += d
-
-        ins = self.max_rrpv - 1
-        bimodal = (role == _ROLE_LEADER_BRRIP
-                   or (role == _ROLE_FOLLOWER
-                       and int(self._psel[tid]) > self._psel_max // 2))
-        if bimodal and _uniform01(self._rng_state) >= self.epsilon:
-            ins = self.max_rrpv
-
-        row[w] = a
-        rv[w] = ins
-        st[w] = t
-        return False
-
-    def _dip_access(self, a: int, s: int) -> bool:
-        row = self.tags[s]
-        st = self.stamp[s]
-        self._counter[0] += 1
-        t = int(self._counter[0])
-        match = np.nonzero(row == a)[0]
-        if match.size:
-            st[match[0]] = t
-            return True
-
-        role = _ROLE_FOLLOWER
-        if self.policy == "DIP":
-            role = self._duel_role(a, s)
-
-        empty = np.nonzero(row == _EMPTY)[0]
-        w = int(empty[0]) if empty.size else int(np.argmin(st))
-        row[w] = a
-        st[w] = t
-
-        if self.policy == "DIP":
-            if role == _ROLE_LEADER_SRRIP:
-                bip = False
-            elif role == _ROLE_LEADER_BRRIP:
-                bip = True
-            else:
-                bip = int(self._psel[0]) > self._psel_max // 2
-        else:
-            bip = True
-        if bip and _uniform01(self._rng_state) >= self.epsilon:
-            others = np.nonzero((row != _EMPTY)
-                                & (np.arange(self.ways) != w))[0]
-            if others.size:
-                st[w] = int(st[others].min()) - 1
-        return False
-
-    def _random_access(self, a: int, s: int) -> bool:
-        """Random replacement: uniform victim from the shared splitmix
-        stream (draw-for-draw identical to the native ``random_run``)."""
-        row = self.tags[s]
-        match = np.nonzero(row == a)[0]
-        if match.size:
-            return True
-        empty = np.nonzero(row == _EMPTY)[0]
-        if empty.size:
-            w = int(empty[0])
-        else:
-            w = int(_splitmix64(self._rng_state) % self.ways)
-        row[w] = a
-        return False
-
-    # -- PDP ------------------------------------------------------------- #
-    def _ls_lookup(self, s: int, a: int) -> int:
-        """Slot of ``a`` in set ``s``'s last-seen table (linear probing)."""
-        mask = self._pdp_tsize - 1
-        tags = self._ls_tags[s]
-        slot = mix64(a) & mask
-        while tags[slot] != _EMPTY and tags[slot] != a:
-            slot = (slot + 1) & mask
-        return int(slot)
-
-    def _pdp_recompute(self, s: int) -> None:
-        """Mirror PDPPolicy._recompute_dp / select_protecting_distance."""
-        hist = self._pdp_hist[s]
-        max_dp = self._pdp_max_dp
-        total = int(self._pdp_samples[s])
-        if np.any(hist[1:] != 0) and total > 0:
-            best_dp, best_score = max_dp, -1.0
-            hits = weighted = 0
-            for dp in range(1, max_dp + 1):
-                hits += int(hist[dp])
-                weighted += dp * int(hist[dp])
-                misses = total - hits
-                occupancy = weighted + dp * misses
-                if occupancy <= 0:
-                    continue
-                score = hits / occupancy
-                if score > best_score:
-                    best_score = score
-                    best_dp = dp
-            self._pdp_dp[s] = best_dp
-        # Decay the sample so the policy adapts to phase changes.
-        decayed = np.where(hist > 1, (hist + 1) // 2, 0)
-        decayed[0] = 0
-        self._pdp_hist[s] = decayed
-        if self._ls_count[s] > self._pdp_clear_threshold:
-            self._ls_tags[s].fill(_EMPTY)
-            self._ls_count[s] = 0
-
-    def _pdp_sample(self, a: int, s: int) -> int:
-        """Advance set ``s``'s reuse sampler for one access; returns the
-        set-local clock (runs even at zero capacity, like the object
-        policy's sampler)."""
-        self._pdp_clock[s] += 1
-        c = int(self._pdp_clock[s])
-        slot = self._ls_lookup(s, a)
-        if self._ls_tags[s, slot] == a:
-            d = c - int(self._ls_clocks[s, slot])
-            if d <= self._pdp_max_dp:
-                self._pdp_hist[s, d] += 1
-        else:
-            self._ls_tags[s, slot] = a
-            self._ls_count[s] += 1
-        self._ls_clocks[s, slot] = c
-        self._pdp_samples[s] += 1
-        if self._pdp_samples[s] % self._pdp_interval == 0:
-            self._pdp_recompute(s)
-        return c
-
-    def _pdp_access(self, a: int, s: int) -> bool:
-        row = self.tags[s]
-        st = self.stamp[s]
-        ex = self.expires[s]
-        c = self._pdp_sample(a, s)
-
-        self._counter[0] += 1
-        t = int(self._counter[0])
-        match = np.nonzero(row == a)[0]
-        if match.size:
-            w = int(match[0])
-            ex[w] = c + int(self._pdp_dp[s])
-            st[w] = t
-            return True
-        empty = np.nonzero(row == _EMPTY)[0]
-        if empty.size:
-            w = int(empty[0])
-        else:
-            unprotected = np.nonzero(ex <= c)[0]
-            if not unprotected.size:
-                return False  # every line protected: bypass the fill
-            w = int(unprotected[np.argmin(st[unprotected])])
-        row[w] = a
-        ex[w] = c + int(self._pdp_dp[s])
-        st[w] = t
-        return False
 
     # ------------------------------------------------------------------ #
     def _materialize_tids(self, addrs: np.ndarray, thread_ids) -> np.ndarray | None:
@@ -706,10 +365,8 @@ class ArraySetAssociativeCache:
             instructions: int = 0, thread_ids=None) -> CacheStats:
         """Replay a trace; returns (and stores) the accumulated stats.
 
-        Uses the native kernel when available, the Python access path
-        otherwise — results are identical either way.  ``thread_ids``
-        (TA-DRRIP only) attributes each access to a stream; omitted, every
-        access belongs to stream 0.
+        One native kernel call.  ``thread_ids`` (TA-DRRIP only) attributes
+        each access to a stream; omitted, every access belongs to stream 0.
         """
         addrs = materialize_addresses(trace)
         if addrs.ndim != 1:
@@ -718,19 +375,8 @@ class ArraySetAssociativeCache:
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
         tids = self._materialize_tids(addrs, thread_ids)
-        kernel = get_kernel()
-        if kernel is None or self.ways == 0 or self.num_sets == 0:
-            # No kernel, or a zero-capacity warm-resized region (the
-            # kernels index per-way rows, which a zero-way geometry does
-            # not have; the Python path advances the capacity-independent
-            # side state exactly).
-            if tids is None:
-                for a in addrs.tolist():
-                    self.access(a)
-            else:
-                for a, tid in zip(addrs.tolist(), tids.tolist()):
-                    self.access(a, tid)
-        elif addrs.size:
+        kernel = require_kernel()
+        if addrs.size:
             misses = self._run_native(kernel, addrs, tids)
             self.stats.accesses += int(addrs.size)
             self.stats.misses += misses
@@ -818,9 +464,10 @@ class ArraySetAssociativeCache:
         The packed fields mirror :meth:`_run_native` member for member and
         the commit folds the statistics exactly as :meth:`run` does, so a
         task executed by the threaded dispatcher — at any width — is
-        bit-identical to calling :meth:`run` directly.  Without a kernel
-        (or at zero geometry) the task carries :meth:`run` itself as its
-        fallback.  ``thread_ids`` is TA-DRRIP's per-access stream lane.
+        bit-identical to calling :meth:`run` directly.  Without the batch
+        dispatcher (or for an empty trace) the task carries :meth:`run`
+        itself as its fallback.  ``thread_ids`` is TA-DRRIP's per-access
+        stream lane.
         """
         from . import _native
         from .threadbatch import ReplayTask, i64_ptr, u64_ptr
@@ -831,9 +478,7 @@ class ArraySetAssociativeCache:
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
         tids = self._materialize_tids(addrs, thread_ids)
-        kernel = get_kernel()
-        if (kernel is None or not kernel.has_batch or self.ways == 0
-                or self.num_sets == 0 or addrs.size == 0):
+        if not require_kernel().has_batch or addrs.size == 0:
             return ReplayTask(
                 fallback=lambda: self.run(addrs, thread_ids=tids))
         n = int(addrs.size)
@@ -917,11 +562,13 @@ class ArraySetAssociativeCache:
         if new_ways == 0:
             return occupied[:0]
         if self.policy == "Random":
+            rng = SplitMix64.from_state(int(self._rng_state[0]))
             resident = occupied.tolist()
             for _ in range(k):
-                idx = int(_splitmix64(self._rng_state) % len(resident))
+                idx = rng.next64() % len(resident)
                 resident[idx] = resident[-1]
                 resident.pop()
+            self._rng_state[0] = rng.state
             return np.sort(np.asarray(resident, dtype=np.int64))
         st = self.stamp[s, occupied]
         if self.policy in _RRIP_STATE:
@@ -945,7 +592,8 @@ class ArraySetAssociativeCache:
         interval, table sizes) stays frozen at construction-time values,
         exactly as the object model's ``set_capacity`` leaves them.
         Resizing to zero ways is allowed; such a region misses every
-        access while its capacity-independent side state keeps advancing.
+        access while its capacity-independent side state keeps advancing
+        in the kernel.
         """
         if new_ways < 0:
             raise ValueError("new_ways must be non-negative")
@@ -1001,9 +649,9 @@ class ArraySetAssociativeCache:
         per-set policy state — exactly how the object
         :class:`~repro.cache.partition.setpart.SetPartitionedCache` drops
         trailing regions on shrink and appends fresh ones on growth.  The
-        dueling policies' leader-set wiring is recomputed for the new set
-        count (they are on the seeded tier; the object model instead keeps
-        per-region roles by absolute index).
+        dueling policies' leader-set wiring is re-derived for the new set
+        count, as the object scheme's ``rewire_leaders`` does; PSEL and the
+        random stream carry over.
         """
         if new_num_sets < 0:
             raise ValueError("new_num_sets must be non-negative")
@@ -1126,6 +774,7 @@ class ArrayBeladyCache:
     policy = "Belady"
 
     def __init__(self, capacity: int, trace, next_use: np.ndarray | None = None):
+        require_kernel()
         capacity = int(capacity)
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
@@ -1211,12 +860,9 @@ class ArrayBeladyCache:
     def access(self, address: int) -> bool:
         """Replay the next attached-trace access (which must be
         ``address``); returns True on a hit and updates stats."""
-        start, addrs = self._claim(
-            np.asarray([int(address)], dtype=np.int64))
-        misses = self._replay_python(addrs, self._next_use[start:start + 1])
-        hit = misses == 0
-        self.stats.record(hit)
-        return hit
+        misses = self.stats.misses
+        self.run(np.asarray([int(address)], dtype=np.int64))
+        return self.stats.misses == misses
 
     def run(self, trace=None, instructions: int = 0) -> CacheStats:
         """Replay the next chunk of the attached trace (all of it when
@@ -1225,16 +871,11 @@ class ArrayBeladyCache:
         n = int(addrs.size)
         if n:
             nu = self._next_use[start:start + n]
-            kernel = get_kernel()
-            if kernel is None:
-                misses = self._replay_python(addrs, nu)
-            else:
-                misses = kernel.belady_run(addrs, nu, self.capacity,
-                                           self._ht_tag, self._ht_val,
-                                           self._heap_key, self._heap_tag,
-                                           self._heap_io)
-                if misses < 0:
-                    raise RuntimeError("belady_run: corrupt heap state")
+            misses = require_kernel().belady_run(
+                addrs, nu, self.capacity, self._ht_tag, self._ht_val,
+                self._heap_key, self._heap_tag, self._heap_io)
+            if misses < 0:
+                raise RuntimeError("belady_run: corrupt heap state")
             self.stats.accesses += n
             self.stats.misses += misses
             self.stats.hits += n - misses
@@ -1255,91 +896,6 @@ class ArrayBeladyCache:
             misses=self.stats.misses - before.misses,
             instructions=self.stats.instructions - before.instructions)
 
-    def _replay_python(self, addrs: np.ndarray, next_use: np.ndarray) -> int:
-        """Pure-Python twin of ``belady_run`` over the same arrays
-        (bit-identical state, so kernel and Python chunks may be mixed)."""
-        ht_tag, ht_val = self._ht_tag, self._ht_val
-        hk, ht = self._heap_key, self._heap_tag
-        io = self._heap_io
-        mask = self._tsize - 1
-        cap = self.capacity
-        heap_cap = int(hk.size)
-        misses = 0
-        for i in range(int(addrs.size)):
-            a = int(addrs[i])
-            nu = int(next_use[i])
-            slot = mix64(a) & mask
-            while ht_tag[slot] != _EMPTY and ht_tag[slot] != a:
-                slot = (slot + 1) & mask
-            if int(io[0]) >= heap_cap:
-                raise RuntimeError("belady: corrupt heap state")
-            if ht_tag[slot] == a:
-                ht_val[slot] = nu
-            else:
-                misses += 1
-                if cap == 0:
-                    continue
-                if int(io[1]) >= cap:
-                    while True:  # evict the furthest-next-use resident line
-                        ln = int(io[0])
-                        if ln <= 0:
-                            raise RuntimeError("belady: corrupt heap state")
-                        key, tag = int(hk[0]), int(ht[0])
-                        ln -= 1
-                        io[0] = ln
-                        hk[0] = hk[ln]
-                        ht[0] = ht[ln]
-                        j = 0
-                        while True:
-                            left, right, big = 2 * j + 1, 2 * j + 2, j
-                            if left < ln and hk[left] > hk[big]:
-                                big = left
-                            if right < ln and hk[right] > hk[big]:
-                                big = right
-                            if big == j:
-                                break
-                            hk[j], hk[big] = int(hk[big]), int(hk[j])
-                            ht[j], ht[big] = int(ht[big]), int(ht[j])
-                            j = big
-                        vs = mix64(tag) & mask
-                        while ht_tag[vs] != _EMPTY and ht_tag[vs] != tag:
-                            vs = (vs + 1) & mask
-                        if ht_tag[vs] != tag or ht_val[vs] != key:
-                            continue  # stale entry: deadline since renewed
-                        ht_tag[vs] = _EMPTY  # backward-shift delete
-                        hole = vs
-                        k = (vs + 1) & mask
-                        while ht_tag[k] != _EMPTY:
-                            home = mix64(int(ht_tag[k])) & mask
-                            if ((k - home) & mask) >= ((k - hole) & mask):
-                                ht_tag[hole] = ht_tag[k]
-                                ht_val[hole] = ht_val[k]
-                                ht_tag[k] = _EMPTY
-                                hole = k
-                            k = (k + 1) & mask
-                        io[1] -= 1
-                        break
-                    # The delete may have moved the probe target; re-find.
-                    slot = mix64(a) & mask
-                    while ht_tag[slot] != _EMPTY:
-                        slot = (slot + 1) & mask
-                ht_tag[slot] = a
-                ht_val[slot] = nu
-                io[1] += 1
-            # Push (nu, a); hits and fills both push, like the object model.
-            j = int(io[0])
-            io[0] = j + 1
-            hk[j] = nu
-            ht[j] = a
-            while j > 0:
-                parent = (j - 1) // 2
-                if hk[parent] >= hk[j]:
-                    break
-                hk[j], hk[parent] = int(hk[parent]), int(hk[j])
-                ht[j], ht[parent] = int(ht[parent]), int(ht[j])
-                j = parent
-        return misses
-
     # ------------------------------------------------------------------ #
     def replay_task(self, trace=None):
         """The next chunk's replay as a batchable
@@ -1350,8 +906,7 @@ class ArrayBeladyCache:
         start, addrs = self._claim(trace)
         n = int(addrs.size)
         nu = self._next_use[start:start + n]
-        kernel = get_kernel()
-        if kernel is None or not kernel.has_batch or n == 0:
+        if not require_kernel().has_batch or n == 0:
             def fallback():
                 self._cursor = start  # run() re-claims the chunk
                 return self.run(addrs)
@@ -1411,8 +966,7 @@ def run_lru_family_batch(trace, caches: Sequence[ArraySetAssociativeCache]
     memory again), all configurations advance together in one
     ``multi_lru_run`` call.  Results — per-cache state, statistics and the
     returned per-cache miss counts of this replay — are bit-identical to
-    calling ``cache.run(trace)`` on each cache separately; without a native
-    kernel that is exactly what happens.
+    calling ``cache.run(trace)`` on each cache separately.
 
     All caches must be LRU or LIP and share the same set-indexing scheme
     (``hashed_index``/``index_seed``).
@@ -1437,13 +991,7 @@ def run_lru_family_batch(trace, caches: Sequence[ArraySetAssociativeCache]
     if bool(np.any(addrs == _EMPTY)):
         raise ValueError("address -1 is reserved as the empty-way "
                          "sentinel; the array backend cannot cache it")
-    kernel = get_kernel()
-    if kernel is None:
-        for i, cache in enumerate(caches):
-            before = cache.stats.misses
-            cache.run(addrs)
-            misses[i] = cache.stats.misses - before
-        return misses
+    kernel = require_kernel()
     cfg_sets = np.array([c.num_sets for c in caches], dtype=np.int64)
     cfg_ways = np.array([c.ways for c in caches], dtype=np.int64)
     lengths = cfg_sets * cfg_ways

@@ -146,6 +146,10 @@ class SetAssociativeCache:
         is what real LLCs do with low-order index bits, and which spreads
         sequential scans perfectly evenly across sets (the behaviour the
         paper's libquantum-style cliffs depend on).
+
+    A thread-aware policy (TA-DRRIP) attributes each access to a stream:
+    :meth:`access` takes a ``thread_id`` and :meth:`run` a ``thread_ids``
+    lane, and per-stream misses accumulate in :attr:`thread_misses`.
     """
 
     def __init__(self, num_sets: int, ways: int,
@@ -160,6 +164,9 @@ class SetAssociativeCache:
         self.index_seed = index_seed
         self.hashed_index = hashed_index
         self._sets = [policy_factory(i, ways) for i in range(num_sets)]
+        streams = getattr(self._sets[0], "num_streams", None)
+        self._thread_misses = (None if streams is None
+                               else np.zeros(streams, dtype=np.int64))
         self.stats = CacheStats()
 
     @property
@@ -175,19 +182,53 @@ class SetAssociativeCache:
             return mix64(address ^ (self.index_seed * 0x9E3779B97F4A7C15)) % self.num_sets
         return address % self.num_sets
 
-    def access(self, address: int) -> bool:
-        """Perform one access; returns True on a hit and updates stats."""
-        hit = self._sets[self.set_index(address)].access(address)
+    def access(self, address: int, thread_id: int = 0) -> bool:
+        """Perform one access; returns True on a hit and updates stats.
+
+        ``thread_id`` attributes the access to a stream (TA-DRRIP only;
+        other policies are thread-oblivious and reject a nonzero id).
+        """
+        region = self._sets[self.set_index(address)]
+        if self._thread_misses is None:
+            if thread_id:
+                raise ValueError("thread_id applies to TA-DRRIP only")
+            hit = region.access(address)
+        else:
+            hit = region.stream_access(address, thread_id)
+            if not hit:
+                self._thread_misses[thread_id] += 1
         self.stats.record(hit)
         return hit
 
-    def run(self, trace: Iterable[int], instructions: int = 0) -> CacheStats:
-        """Replay a trace; returns (and stores) the accumulated stats."""
-        for address in trace:
-            self.access(int(address))
+    def run(self, trace: Iterable[int], instructions: int = 0,
+            thread_ids=None) -> CacheStats:
+        """Replay a trace; returns (and stores) the accumulated stats.
+
+        ``thread_ids`` (TA-DRRIP only) attributes each access to a stream;
+        omitted, every access belongs to stream 0.
+        """
+        if thread_ids is None:
+            for address in trace:
+                self.access(int(address))
+        elif self._thread_misses is None:
+            raise ValueError("thread_ids applies to TA-DRRIP only")
+        else:
+            addrs = materialize_addresses(trace)
+            tids = np.asarray(thread_ids, dtype=np.int64)
+            if tids.shape != addrs.shape:
+                raise ValueError("thread_ids must have the trace's shape")
+            for address, tid in zip(addrs.tolist(), tids.tolist()):
+                self.access(address, tid)
         if instructions:
             self.stats.instructions += instructions
         return self.stats
+
+    @property
+    def thread_misses(self) -> np.ndarray:
+        """Per-stream cumulative miss counts (TA-DRRIP only)."""
+        if self._thread_misses is None:
+            raise AttributeError("thread_misses applies to TA-DRRIP only")
+        return self._thread_misses
 
     def occupancy(self) -> int:
         """Number of currently resident lines across all sets."""
@@ -196,6 +237,17 @@ class SetAssociativeCache:
     def reset_stats(self) -> None:
         """Zero the statistics without touching cache contents."""
         self.stats = CacheStats()
+
+    def snapshot(self, position: int = 0, meta: dict | None = None):
+        """Capture the warm state as a picklable, content-hashable
+        :class:`~repro.sampling.checkpoint.CacheCheckpoint`."""
+        from ..sampling.checkpoint import snapshot
+        return snapshot(self, position=position, meta=meta)
+
+    def restore(self, checkpoint) -> None:
+        """Rewind this cache to ``checkpoint``'s state, in place."""
+        from ..sampling.checkpoint import restore_into
+        restore_into(self, checkpoint)
 
     def to_spec(self):
         """A :class:`~repro.cache.spec.CacheSpec` rebuilding this cache.

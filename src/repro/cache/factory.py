@@ -1,50 +1,71 @@
-"""Policy-factory construction by name, with correct set-dueling wiring.
+"""Policy-factory construction by name, laid out like the native kernels.
 
-Dueling policies (DIP, DRRIP) need a PSEL counter *shared across sets* and a
-few dedicated leader sets; building them with one independent instance per
-set silently disables adaptation.  This module centralizes the wiring so
-experiments can just ask for a policy by name.
+A *region-cache* is what one native kernel region replays: a plain
+set-associative cache, one partition of a way/set/ideal cache, or a whole
+Vantage cache.  Its regions (sets, or the partitions of Vantage) share one
+:class:`~repro.cache.hashing.SplitMix64` stream, one PSEL counter with the
+leader wiring of :func:`~repro.cache.replacement.rrip.leader_roles` (DIP,
+DRRIP) or one per-stream PSEL vector (TA-DRRIP).  Building the object
+policies with that layout is what makes the object model replay the
+kernel bit for bit; building dueling policies with one independent
+instance per set would silently disable adaptation.  This module
+centralizes the wiring so experiments can just ask for a policy by name.
 """
 
 from __future__ import annotations
 
-from .arraycache import ARRAY_POLICIES
-from .replacement import (BIPPolicy, BRRIPPolicy, DIPPolicy, DRRIPPolicy,
-                          LIPPolicy, LRUPolicy, PDPPolicy, RandomPolicy,
-                          SRRIPPolicy, TADRRIPPolicy)
+from functools import partial
+
+from ._native import native_available, require_kernel
+from .hashing import SplitMix64
+from .replacement import (BIPPolicy, BRRIPPolicy, LIPPolicy, LRUPolicy,
+                          PDPPolicy, RandomPolicy, SRRIPPolicy,
+                          TADRRIPPolicy)
 from .replacement.base import PolicyFactory
 from .replacement.dip import dip_factory
-from .replacement.rrip import drrip_factory
+from .replacement.rrip import DuelingController, drrip_factory
 
 __all__ = ["named_policy_factory", "POLICY_NAMES", "BACKENDS",
            "SEEDED_POLICIES", "cache_geometry", "resolve_backend",
            "build_cache"]
 
-#: Policy names accepted by the spec layer.  All of them (``Belady``
-#: included) run on the array backend; :func:`named_policy_factory` covers
-#: the online subset (``Belady`` is offline — it has no per-region factory).
+#: Policy names accepted by the spec layer.  :func:`named_policy_factory`
+#: covers the online ones; ``Belady`` is offline (it replays one attached
+#: trace) and has no per-region factory.
 POLICY_NAMES = ("LRU", "LIP", "BIP", "Random", "SRRIP", "BRRIP", "DRRIP",
                 "DIP", "PDP", "TA-DRRIP", "Belady")
 
 #: Cache backends accepted by :func:`build_cache`.  "object" is the
-#: reference per-set policy-object model; "array" is the numpy/native model
-#: (:mod:`repro.cache.arraycache`).  "auto" now resolves to the array model
-#: for *every* policy: the exact tier
-#: (:data:`~repro.cache.arraycache.ARRAY_EXACT_POLICIES`: LRU, LIP, SRRIP,
-#: PDP) is bit-identical to the reference, the randomized tier (BIP, DIP,
-#: BRRIP, DRRIP, Random, TA-DRRIP) is seeded-deterministic (splitmix64
-#: stream instead of the object model's Mersenne twisters), and Belady is
-#: exact on miss counts.  Ask for ``backend="object"`` explicitly to run
-#: the reference model.
+#: reference per-set policy-object model; "array" is the numpy state
+#: replayed by the native kernel (:mod:`repro.cache.arraycache`).  The two
+#: are bit-identical for every online policy, and Belady's miss counts
+#: agree.  "auto" picks the array model when the kernel is available and
+#: the object model otherwise.
 BACKENDS = ("object", "array", "auto")
 
 #: Policies whose constructors take a ``seed`` argument (their behaviour
 #: involves randomized insertion/eviction decisions).
 SEEDED_POLICIES = ("BIP", "Random", "BRRIP", "DRRIP", "DIP", "TA-DRRIP")
 
+_UNIFORM = {
+    "LRU": LRUPolicy,
+    "LIP": LIPPolicy,
+    "BIP": BIPPolicy,
+    "Random": RandomPolicy,
+    "SRRIP": SRRIPPolicy,
+    "BRRIP": BRRIPPolicy,
+    "PDP": PDPPolicy,
+    "TA-DRRIP": TADRRIPPolicy,
+}
+
+
+def _uniform_region(policy_class, shared: dict, region_index: int,
+                    capacity: int):
+    return policy_class(capacity, **shared)
+
 
 def named_policy_factory(name: str, num_regions: int, **kwargs) -> PolicyFactory:
-    """Return a per-region policy factory for ``name``.
+    """Return the policy factory of one region-cache for ``name``.
 
     Parameters
     ----------
@@ -55,7 +76,8 @@ def named_policy_factory(name: str, num_regions: int, **kwargs) -> PolicyFactory
         policies can designate leader sets and share their PSEL counter.
     kwargs:
         Extra keyword arguments forwarded to the policy constructor
-        (e.g. ``epsilon`` for BIP/BRRIP).
+        (e.g. ``epsilon`` for BIP/BRRIP).  ``seed`` (default 0) seeds the
+        one stream all regions draw from; ``rng`` shares an existing one.
     """
     if num_regions <= 0:
         raise ValueError("num_regions must be positive")
@@ -66,28 +88,18 @@ def named_policy_factory(name: str, num_regions: int, **kwargs) -> PolicyFactory
             "CacheSpec(policy='Belady').with_trace(trace) or "
             "BeladyMINPolicy(capacity, trace).  Online policies: "
             + ", ".join(n for n in POLICY_NAMES if n != "Belady"))
-    simple = {
-        "LRU": LRUPolicy,
-        "LIP": LIPPolicy,
-        "BIP": BIPPolicy,
-        "Random": RandomPolicy,
-        "SRRIP": SRRIPPolicy,
-        "BRRIP": BRRIPPolicy,
-        "PDP": PDPPolicy,
-        "TA-DRRIP": TADRRIPPolicy,
-    }
-    if name in simple:
-        cls = simple[name]
-
-        def factory(region_index: int, capacity: int):
-            return cls(capacity, **kwargs)
-
-        return factory
     if name == "DRRIP":
         return drrip_factory(num_regions, **kwargs)
     if name == "DIP":
         return dip_factory(num_regions, **kwargs)
-    raise ValueError(f"unknown policy {name!r}; known: {POLICY_NAMES}")
+    if name not in _UNIFORM:
+        raise ValueError(f"unknown policy {name!r}; known: {POLICY_NAMES}")
+    if name in SEEDED_POLICIES and "rng" not in kwargs:
+        kwargs["rng"] = SplitMix64(kwargs.pop("seed", 0))
+    if name == "TA-DRRIP" and "controllers" not in kwargs:
+        kwargs["controllers"] = [DuelingController() for _ in
+                                 range(kwargs.pop("num_streams", 8))]
+    return partial(_uniform_region, _UNIFORM[name], kwargs)
 
 
 def cache_geometry(capacity_lines: int, ways: int) -> tuple[int, int]:
@@ -111,16 +123,10 @@ def cache_geometry(capacity_lines: int, ways: int) -> tuple[int, int]:
 def resolve_backend(backend: str, policy: str) -> str:
     """Resolve a backend name to "object" or "array" for ``policy``.
 
-    The policy matrix is total on the array backend, so "auto" resolves
-    to "array" for every policy.  The exact tier
-    (:data:`~repro.cache.arraycache.ARRAY_EXACT_POLICIES`) is
-    bit-identical to the reference object model; the randomized policies
-    (BIP, DIP, BRRIP, DRRIP, Random, TA-DRRIP) are deterministic per seed
-    but draw from a splitmix64 stream instead of the object model's
-    Mersenne twisters; Belady matches the object MIN's miss counts
-    exactly.  Ask for ``backend="object"`` explicitly to run the
-    reference model (Belady excepted: MIN is offline and fully
-    associative, so only the array organization exists).
+    Both backends implement every policy and agree bit for bit (Belady on
+    miss counts), so the choice is about speed only: "auto" resolves to
+    "array" when the native kernel is available and to "object"
+    otherwise.  An explicit "array" without the kernel raises.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; valid backends: "
@@ -128,18 +134,10 @@ def resolve_backend(backend: str, policy: str) -> str:
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}; valid policies: "
                          f"{', '.join(POLICY_NAMES)}")
-    if policy == "Belady":
-        if backend == "object":
-            raise ValueError(
-                "Belady has no object-backend organization (MIN is offline "
-                "and fully associative); use backend='array' or 'auto'")
-        return "array"
-    if backend == "auto":
-        return "array"
-    if backend == "array" and policy not in ARRAY_POLICIES:
-        raise ValueError(
-            f"the array backend does not implement {policy!r} "
-            f"(supported: {ARRAY_POLICIES}); use backend='object' or 'auto'")
+    if backend == "array":
+        require_kernel()
+    elif backend == "auto":
+        return "array" if native_available() else "object"
     return backend
 
 
@@ -155,7 +153,8 @@ def build_cache(capacity_lines: int, ways: int = 16, policy: str = "LRU",
 
     Returns either a :class:`~repro.cache.cache.SetAssociativeCache` (object
     backend) or an :class:`~repro.cache.arraycache.ArraySetAssociativeCache`
-    (array backend); both expose ``access``/``run``/``stats``.
+    (array backend); both expose ``access``/``run``/``stats`` and replay
+    alike.
 
     Parameters
     ----------
@@ -164,7 +163,7 @@ def build_cache(capacity_lines: int, ways: int = 16, policy: str = "LRU",
     seed:
         Deterministic seed for policies with randomized behaviour; ignored
         (and therefore reproducible by construction) for deterministic
-        policies.  ``None`` keeps each policy's historical default seed.
+        policies.  ``None`` means seed 0 on both backends.
     hashed_index, index_seed:
         Set-index scheme, honoured identically by both backends: modulo
         indexing by default, or the :func:`repro.cache.hashing.set_index`

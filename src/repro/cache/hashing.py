@@ -16,8 +16,8 @@ import zlib
 
 import numpy as np
 
-__all__ = ["H3Hash", "SamplingFunction", "GOLDEN64", "mix64", "mix64_array",
-           "seed_mix", "set_index", "derive_seed"]
+__all__ = ["H3Hash", "SamplingFunction", "SplitMix64", "GOLDEN64", "mix64",
+           "mix64_array", "seed_mix", "set_index", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,6 +50,41 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+class SplitMix64:
+    """The splitmix64 stream every randomized replacement decision draws.
+
+    The native kernels advance the same 64-bit state (``splitmix64_next``
+    in ``_sweepkernel.c``), held in a caller-owned array; a stream seeded
+    ``seed`` starts from ``mix64(seed)`` on both backends.  An object
+    policy and a kernel region seeded alike therefore make the same draws
+    in the same order, which is what makes the randomized policies
+    (BIP, DIP, BRRIP, DRRIP, TA-DRRIP, Random) bit-identical across
+    backends.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed: int = 0):
+        self.state = mix64(seed)
+
+    @classmethod
+    def from_state(cls, state: int) -> "SplitMix64":
+        """A stream resuming at a raw 64-bit ``state`` (e.g. a kernel's)."""
+        stream = cls.__new__(cls)
+        stream.state = int(state) & _MASK64
+        return stream
+
+    def next64(self) -> int:
+        """Advance the state; return the next 64-bit output."""
+        value = mix64(self.state)
+        self.state = (self.state + GOLDEN64) & _MASK64
+        return value
+
+    def uniform(self) -> float:
+        """The next draw as a double in [0, 1): its top 53 bits."""
+        return (self.next64() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def derive_seed(base_seed: int, token: str) -> int:

@@ -14,26 +14,25 @@ possible:
   per-line partition ownership and per-partition occupancy targets);
 * a whole trace *with per-access partition ids* is replayed by
   :meth:`ArrayPartitionedCache.run_partitioned` in one pass — one
-  ``part_lru_run``/``part_srrip_run`` kernel call for the recency/RRIP
-  policies, or one existing per-region kernel call per partition for the
-  rest (PDP and the seeded tier), which is equivalent exactly because the
-  regions are independent;
+  ``part_lru_run``/``part_srrip_run`` kernel call for LRU, LIP and SRRIP,
+  or one per-region kernel call per partition for the rest (each
+  partition owns its random stream and PSEL), which is equivalent exactly
+  because the regions are independent;
 * idealized (fully-associative) partitioning runs LRU through a one-shot
   stack-distance pass per partition (hit iff stack distance < allocation),
   which is bit-identical to a fully-associative
   :class:`~repro.cache.replacement.lru.LRUPolicy` region and avoids an
   O(allocation) scan per access.
 
-Exactness matches the plain array cache: LRU, LIP and SRRIP (and PDP via
-the per-region path) are bit-identical to the object-model schemes in
-:mod:`repro.cache.partition`; BIP/DIP/BRRIP/DRRIP/TA-DRRIP/Random are
-deterministic per seed but draw from splitmix64 streams, with set-dueling
-state per region rather than shared across a shadow pair — the same
-seeded-deterministic tier as the plain array cache.  Idealized
-(fully-associative) partitions run any array policy: LRU keeps the
-stack-distance batch replay below, every other policy runs as a
-single-set :class:`~repro.cache.arraycache.ArraySetAssociativeCache`
-region whose one set *is* the fully-associative partition.
+Exactness matches the plain array cache: every online policy is
+bit-identical to the object-model schemes in :mod:`repro.cache.partition`
+built by :class:`~repro.cache.spec.PartitionSpec`, which gives each
+partition its own random stream, PSEL counter and leader wiring, as each
+array region has.  Idealized (fully-associative) partitions run any array
+policy: LRU keeps the stack-distance batch replay below, every other
+policy runs as a single-set
+:class:`~repro.cache.arraycache.ArraySetAssociativeCache` region whose one
+set *is* the fully-associative partition.
 
 Allocations are granted with the *same* rounding helpers as the object
 schemes (:func:`~repro.cache.partition.way.round_to_ways`,
@@ -46,12 +45,10 @@ so it gets its own organization, :class:`ArrayVantageCache`: a linked-list
 node pool plus a (tag, region)-keyed hash table replayed by the
 ``vantage_run`` kernel.  Managed regions run any policy of the array
 family (per-region RRPV/protecting-distance side state rides on the node
-pool); the deterministic policies (LRU, LIP, SRRIP, PDP) are bit-identical
-to the object :class:`~repro.cache.partition.vantage.
-VantagePartitionedCache`, the randomized tier is seeded-deterministic.
-Futility scaling is the only remaining object-only scheme (its
-feedback-controlled insertion probabilities have no array twin — use
-``backend="object"``).
+pool), bit-identically to the object :class:`~repro.cache.partition.vantage.
+VantagePartitionedCache`.  Futility scaling is the only object-only
+scheme (its feedback-controlled insertion probabilities have no array
+counterpart — use ``backend="object"``).
 
 Warm reallocation
 -----------------
@@ -67,7 +64,7 @@ each trimmed partition's LRU victims into the unmanaged region.  This is
 what lets the interval-based reconfiguration loops
 (:mod:`repro.sim.reconfigure`, :mod:`repro.sim.multicore`) run on the
 array backend: ``run_chunk``/``reallocate`` alternate on a warm cache
-with results bit-identical to the object model for the exact policy tier.
+with results bit-identical to the object model.
 
 State ownership in the resumable runtime
 ----------------------------------------
@@ -78,9 +75,10 @@ counter here, the node pool / region lists / hash table of
 :class:`ArrayVantageCache`, and the per-policy side state inside each
 :class:`~repro.cache.arraycache.ArraySetAssociativeCache` region.  That
 caller-ownership is the whole resumability contract — a replay can stop
-at any access, be resumed by the pure-Python twin (or vice versa), be
-interleaved with warm reallocation, or be pickled conceptually as "the
-arrays", and the result never changes.
+at any access, be resumed later, be interleaved with warm reallocation,
+or be checkpointed as "the arrays", and the result never changes.  Every
+replay and reallocation is a kernel call: building an array partitioned
+cache without the native kernel raises.
 """
 
 from __future__ import annotations
@@ -89,11 +87,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .._native import get_kernel
+from .._native import require_kernel
 from ..arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
-                          _dueling_roles, _next_pow2, _splitmix64, _uniform01)
+                          _dueling_roles, _next_pow2)
 from ..cache import materialize_addresses
-from ..hashing import _MASK64, GOLDEN64, mix64, seed_mix
+from ..hashing import SplitMix64
 from ..replacement.lru import LRUPolicy
 from .base import PartitionedCache, trim_line_allocations
 from .setpart import round_to_sets
@@ -121,8 +119,6 @@ _VPOL = {"LRU": 0, "LIP": 1, "BIP": 2, "DIP": 3, "SRRIP": 4, "BRRIP": 5,
 
 #: Vantage managed-region policies whose victims come from the RRPV scan.
 _VT_RRIP = ("SRRIP", "BRRIP", "DRRIP", "TA-DRRIP")
-
-_ROLE_FOLLOWER, _ROLE_LEADER_SRRIP, _ROLE_LEADER_BRRIP = 0, 1, 2
 
 _EMPTY = -1
 
@@ -153,14 +149,6 @@ class _FastIdealLRURegion:
     def occupancy(self) -> int:
         return len(self._policy)
 
-    def _run_python(self, addrs: np.ndarray) -> int:
-        misses = 0
-        access = self._policy.access
-        for a in addrs.tolist():
-            if not access(a):
-                misses += 1
-        return misses
-
     def run_batch(self, addrs: np.ndarray) -> int:
         """Replay ``addrs``; returns the miss count and updates the state."""
         n = int(addrs.size)
@@ -168,15 +156,11 @@ class _FastIdealLRURegion:
             return 0
         if self.capacity == 0:
             return n
-        kernel = get_kernel()
-        if kernel is None:
-            return self._run_python(addrs)
         resident = np.asarray(list(self._policy.resident()), dtype=np.int64)
         replay = np.concatenate([resident, addrs]) if resident.size else addrs
         hist = np.zeros(replay.size, dtype=np.int64)
-        cold = kernel.stack_hist_run(replay, hist)
-        if cold < 0:  # scratch allocation failed inside the kernel
-            return self._run_python(addrs)
+        if require_kernel().stack_hist_run(replay, hist) < 0:
+            raise MemoryError("stack_hist_run: scratch allocation failed")
         hits = int(hist[:min(self.capacity, hist.size)].sum())
         # The resident-prefix accesses are all cold (distinct tags), so
         # every counted hit belongs to the new accesses.
@@ -228,6 +212,7 @@ class ArrayPartitionedCache(PartitionedCache):
                  policy: str = "LRU", ways: int = 16,
                  hashed_index: bool = False, index_seed: int = 0,
                  min_ways_per_partition: int = 1, **policy_kwargs):
+        require_kernel()
         scheme = scheme.lower()
         if scheme not in _SET_ASSOC_SCHEMES:
             raise ValueError(
@@ -554,12 +539,12 @@ class ArrayPartitionedCache(PartitionedCache):
             raise ValueError(
                 f"partition ids must be in [0, {self.num_partitions})")
         accesses += np.bincount(parts, minlength=self.num_partitions)
-        kernel = get_kernel()
-        if self._flat_ready and kernel is not None:
+        if self._flat_ready:
             if bool(np.any(addrs == _EMPTY)):
                 raise ValueError("address -1 is reserved as the empty-way "
                                  "sentinel; the array backend cannot cache it")
-            self._run_part_kernel(kernel, addrs, parts, accesses, misses)
+            self._run_part_kernel(require_kernel(), addrs, parts, accesses,
+                                  misses)
         else:
             for p in range(self.num_partitions):
                 if accesses[p] == 0:
@@ -639,8 +624,7 @@ class ArrayPartitionedCache(PartitionedCache):
                     f"partition ids must be in [0, {self.num_partitions})")
         accesses = np.bincount(parts, minlength=self.num_partitions) \
             .astype(np.int64)
-        kernel = get_kernel()
-        if (not self._flat_ready or kernel is None or not kernel.has_batch
+        if (not self._flat_ready or not require_kernel().has_batch
                 or addrs.size == 0):
             def fallback() -> None:
                 _, misses = self.run_partitioned(addrs, parts)
@@ -698,17 +682,6 @@ class ArrayPartitionedCache(PartitionedCache):
             if isinstance(region, ArraySetAssociativeCache):
                 region.reset_stats()
 
-    def snapshot(self, position: int = 0, meta: dict | None = None):
-        """Capture the warm state as a picklable, content-hashable
-        :class:`~repro.sampling.checkpoint.CacheCheckpoint`."""
-        from ...sampling.checkpoint import snapshot
-        return snapshot(self, position=position, meta=meta)
-
-    def restore(self, checkpoint) -> None:
-        """Rewind this cache to ``checkpoint``'s state, in place."""
-        from ...sampling.checkpoint import restore_into
-        restore_into(self, checkpoint)
-
     def to_spec(self):
         """A :class:`~repro.cache.spec.PartitionSpec` rebuilding this cache."""
         from ..spec import PartitionSpec
@@ -764,18 +737,15 @@ class ArrayVantageCache(PartitionedCache):
     bucket + bucket-entrant stamp for the RRIP family, protection
     deadline for PDP — lives in two pool-parallel arrays
     (``node_aux``/``node_stamp``), and the per-region PDP
-    clock/distance/reuse-sampler state in per-partition rows.  The
-    deterministic policies (LRU, LIP, SRRIP, PDP) are **bit-identical**
-    to the object model; BIP/DIP/BRRIP/DRRIP/TA-DRRIP/Random are
-    seeded-deterministic, drawing from one shared splitmix64 stream with
-    per-region duel roles (TA-DRRIP duels per partition: in a
-    partitioned cache the partition *is* the thread).  Belady is offline
-    and has no partitioned organization.
+    clock/distance/reuse-sampler state in per-partition rows.  Every
+    policy is **bit-identical** to the object model: the whole cache
+    draws from one splitmix64 stream, with one duel role per partition
+    (TA-DRRIP duels per partition: in a partitioned cache the partition
+    *is* the thread).  Belady is offline and has no partitioned
+    organization.
 
     A whole partition-tagged trace is replayed by one ``vantage_run``
-    kernel call (:meth:`run_partitioned`); without a compiler the same
-    algorithm runs in pure Python over the same arrays, so the two paths
-    are interchangeable mid-stream.  Warm reallocation
+    kernel call (:meth:`run_partitioned`).  Warm reallocation
     (:meth:`reallocate` / ``set_allocations``) trims regions in place
     through ``vantage_realloc``, demoting each region's per-policy
     victims into the unmanaged region exactly as the object scheme does
@@ -791,6 +761,7 @@ class ArrayVantageCache(PartitionedCache):
                  seed: int = 0, recompute_interval: int | None = None,
                  max_distance_factor: float = 3.0,
                  initial_distance: int | None = None):
+        require_kernel()
         if policy == "Belady":
             raise ValueError(
                 "Belady is offline and replays one attached trace; it has "
@@ -856,7 +827,7 @@ class ArrayVantageCache(PartitionedCache):
         # protection deadline for PDP); the RNG/PSEL/roles state mirrors
         # ArraySetAssociativeCache with one region per partition.
         self._counter = np.zeros(1, dtype=np.int64)
-        self._rng_state = np.array([mix64(seed)], dtype=np.uint64)
+        self._rng_state = np.array([SplitMix64(seed).state], dtype=np.uint64)
         self._psel_max = (1 << 10) - 1
         if policy == "TA-DRRIP":
             # Thread-aware dueling: each partition is a thread, so PSEL
@@ -968,19 +939,15 @@ class ArrayVantageCache(PartitionedCache):
         sizes = self._check_requests(sizes)
         granted = trim_line_allocations(sizes, self._managed)
         new_caps = np.asarray(granted, dtype=np.int64)
-        kernel = get_kernel()
-        if kernel is not None:
-            result = kernel.vantage_realloc(
-                self.num_partitions, new_caps, self._unm_cap, self._pol,
-                self.max_rrpv, self._rng_state, self._node_aux,
-                self._node_stamp, self._pdp_clock, self._pdp_dp,
-                self._ht_tag, self._ht_reg, self._ht_node, self._node_tag,
-                self._node_prev, self._node_next, self._head, self._tail,
-                self._occ, self._free)
-            if result < 0:
-                raise RuntimeError("native Vantage reallocation failed")
-        else:
-            self._realloc_python(granted)
+        result = require_kernel().vantage_realloc(
+            self.num_partitions, new_caps, self._unm_cap, self._pol,
+            self.max_rrpv, self._rng_state, self._node_aux,
+            self._node_stamp, self._pdp_clock, self._pdp_dp,
+            self._ht_tag, self._ht_reg, self._ht_node, self._node_tag,
+            self._node_prev, self._node_next, self._head, self._tail,
+            self._occ, self._free)
+        if result < 0:
+            raise RuntimeError("native Vantage reallocation failed")
         self._caps = new_caps
         return list(granted)
 
@@ -1038,8 +1005,7 @@ class ArrayVantageCache(PartitionedCache):
         miss_out = np.zeros(self.num_partitions, dtype=np.int64)
         accesses = np.bincount(parts, minlength=self.num_partitions) \
             .astype(np.int64)
-        kernel = get_kernel()
-        if kernel is None or not kernel.has_batch or addrs.size == 0:
+        if not require_kernel().has_batch or addrs.size == 0:
             def fallback() -> None:
                 _, misses = self.run_partitioned(addrs, parts)
                 miss_out[:] += np.asarray(misses, dtype=np.int64)
@@ -1102,424 +1068,23 @@ class ArrayVantageCache(PartitionedCache):
         if addrs.size == 0:
             return accesses, misses
         accesses += np.bincount(parts, minlength=self.num_partitions)
-        kernel = get_kernel()
-        if kernel is not None:
-            result = kernel.vantage_run(
-                addrs, parts, self.num_partitions, self._caps, self._unm_cap,
-                self._pol, self.max_rrpv, self.epsilon, self._counter,
-                self._rng_state, self._roles, self._psel, self._psel_max,
-                self._leader_levels, self._node_aux, self._node_stamp,
-                self._pdp_clock, self._pdp_dp, self._pdp_samples,
-                self._pdp_hist, self._hist_stride, self._vp_maxdp,
-                self._vp_interval, self._vp_clear, self._ls_tags,
-                self._ls_clocks, self._ls_count, self._ls_size,
-                self._ht_tag, self._ht_reg, self._ht_node, self._node_tag,
-                self._node_prev, self._node_next, self._head, self._tail,
-                self._occ, self._free, misses)
-            if result < 0:
-                raise RuntimeError("native Vantage replay rejected the input")
-        else:
-            self._replay_python(addrs, parts, misses)
+        result = require_kernel().vantage_run(
+            addrs, parts, self.num_partitions, self._caps, self._unm_cap,
+            self._pol, self.max_rrpv, self.epsilon, self._counter,
+            self._rng_state, self._roles, self._psel, self._psel_max,
+            self._leader_levels, self._node_aux, self._node_stamp,
+            self._pdp_clock, self._pdp_dp, self._pdp_samples,
+            self._pdp_hist, self._hist_stride, self._vp_maxdp,
+            self._vp_interval, self._vp_clear, self._ls_tags,
+            self._ls_clocks, self._ls_count, self._ls_size,
+            self._ht_tag, self._ht_reg, self._ht_node, self._node_tag,
+            self._node_prev, self._node_next, self._head, self._tail,
+            self._occ, self._free, misses)
+        if result < 0:
+            raise RuntimeError("native Vantage replay rejected the input")
         return accesses, misses
 
     # ------------------------------------------------------------------ #
-    # Pure-Python twin of the kernel (same arrays, same algorithm)
-    # ------------------------------------------------------------------ #
-    def _state_lists(self):
-        """The array state as plain lists (fast pure-Python mutation)."""
-        return (self._ht_tag.tolist(), self._ht_reg.tolist(),
-                self._ht_node.tolist(), self._node_tag.tolist(),
-                self._node_prev.tolist(), self._node_next.tolist(),
-                self._head.tolist(), self._tail.tolist(), self._occ.tolist(),
-                self._node_aux.tolist(), self._node_stamp.tolist())
-
-    def _write_back(self, state) -> None:
-        (ht_tag, ht_reg, ht_node, node_tag, node_prev, node_next,
-         head, tail, occ, node_aux, node_stamp) = state
-        self._ht_tag[:] = ht_tag
-        self._ht_reg[:] = ht_reg
-        self._ht_node[:] = ht_node
-        self._node_tag[:] = node_tag
-        self._node_prev[:] = node_prev
-        self._node_next[:] = node_next
-        self._head[:] = head
-        self._tail[:] = tail
-        self._occ[:] = occ
-        self._node_aux[:] = node_aux
-        self._node_stamp[:] = node_stamp
-
-    def _pdp_recompute(self, p: int) -> None:
-        """Mirror PDPPolicy._recompute_dp / select_protecting_distance
-        for managed region ``p`` (same arithmetic as the kernel's
-        ``pdp_recompute``)."""
-        hist = self._pdp_hist[p]
-        max_dp = int(self._vp_maxdp[p])
-        total = int(self._pdp_samples[p])
-        if np.any(hist[1:] != 0) and total > 0:
-            best_dp, best_score = max_dp, -1.0
-            hits = weighted = 0
-            for dp in range(1, max_dp + 1):
-                hits += int(hist[dp])
-                weighted += dp * int(hist[dp])
-                misses = total - hits
-                occupancy = weighted + dp * misses
-                if occupancy <= 0:
-                    continue
-                score = hits / occupancy
-                if score > best_score:
-                    best_score = score
-                    best_dp = dp
-            self._pdp_dp[p] = best_dp
-        # Decay the sample so the policy adapts to phase changes.
-        decayed = np.where(hist > 1, (hist + 1) // 2, 0)
-        decayed[0] = 0
-        self._pdp_hist[p] = decayed
-        if self._ls_count[p] > int(self._vp_clear[p]):
-            self._ls_tags[p].fill(_EMPTY)
-            self._ls_count[p] = 0
-
-    def _make_ops(self, state, free_box):
-        """Closure bundle mirroring the C helpers over list state.
-
-        The list/hash-table structure lives in plain lists (``state``);
-        the small policy side state (RNG, PSEL, PDP rows, shared stamp
-        counter) is mutated on the numpy arrays directly, exactly as the
-        kernel does.
-        """
-        (ht_tag, ht_reg, ht_node, node_tag, node_prev, node_next,
-         head, tail, occ, node_aux, node_stamp) = state
-        tmask = len(ht_node) - 1
-        unm = self.num_partitions
-        unm_cap = self._unm_cap
-        pol = self.policy
-        max_rrpv = self.max_rrpv
-        epsilon = self.epsilon
-        rng = self._rng_state
-        psel = self._psel
-        psel_max = self._psel_max
-        roles = self._roles
-        leader_levels = self._leader_levels
-        counter = self._counter
-
-        def home(tag, region):
-            return mix64((tag & _MASK64) ^ seed_mix(region + 1)) & tmask
-
-        def lookup(tag, region):
-            slot = home(tag, region)
-            while ht_node[slot] >= 0:
-                if ht_tag[slot] == tag and ht_reg[slot] == region:
-                    return slot
-                slot = (slot + 1) & tmask
-            return -1
-
-        def insert(tag, region, node):
-            slot = home(tag, region)
-            while ht_node[slot] >= 0:
-                slot = (slot + 1) & tmask
-            ht_tag[slot] = tag
-            ht_reg[slot] = region
-            ht_node[slot] = node
-
-        def delete(slot):
-            ht_node[slot] = -1
-            hole = slot
-            i = (slot + 1) & tmask
-            while ht_node[i] >= 0:
-                h = home(ht_tag[i], ht_reg[i])
-                if ((i - h) & tmask) >= ((i - hole) & tmask):
-                    ht_tag[hole] = ht_tag[i]
-                    ht_reg[hole] = ht_reg[i]
-                    ht_node[hole] = ht_node[i]
-                    ht_node[i] = -1
-                    hole = i
-                i = (i + 1) & tmask
-
-        def list_remove(node, region):
-            prev, nxt = node_prev[node], node_next[node]
-            if prev >= 0:
-                node_next[prev] = nxt
-            else:
-                head[region] = nxt
-            if nxt >= 0:
-                node_prev[nxt] = prev
-            else:
-                tail[region] = prev
-            occ[region] -= 1
-
-        def list_push(node, region):
-            last = tail[region]
-            node_prev[node] = last
-            node_next[node] = -1
-            if last >= 0:
-                node_next[last] = node
-            else:
-                head[region] = node
-            tail[region] = node
-            occ[region] += 1
-
-        def list_push_front(node, region):
-            first = head[region]
-            node_next[node] = first
-            node_prev[node] = -1
-            if first >= 0:
-                node_prev[first] = node
-            else:
-                tail[region] = node
-            head[region] = node
-            occ[region] += 1
-
-        def pdp_record(p, a):
-            # vt_pdp_record: advance region p's clock, sample the bounded
-            # reuse distance, periodically recompute dp.
-            self._pdp_clock[p] += 1
-            clk = int(self._pdp_clock[p])
-            tags = self._ls_tags[p]
-            clocks = self._ls_clocks[p]
-            lmask = self._ls_size - 1
-            slot = mix64(a) & lmask
-            while tags[slot] != _EMPTY and tags[slot] != a:
-                slot = (slot + 1) & lmask
-            if tags[slot] == a:
-                d = clk - int(clocks[slot])
-                if d <= int(self._vp_maxdp[p]):
-                    self._pdp_hist[p, d] += 1
-            else:
-                tags[slot] = a
-                self._ls_count[p] += 1
-            clocks[slot] = clk
-            self._pdp_samples[p] += 1
-            if self._pdp_samples[p] % int(self._vp_interval[p]) == 0:
-                self._pdp_recompute(p)
-
-        def duel(role, idx):
-            # Saturating PSEL update shared by DIP/DRRIP/TA-DRRIP.
-            if role == _ROLE_LEADER_SRRIP and psel[idx] < psel_max:
-                psel[idx] += 1
-            elif role == _ROLE_LEADER_BRRIP and psel[idx] > 0:
-                psel[idx] -= 1
-
-        def evict_one(p):
-            # vt_evict_one: select (and for RRIP, age) but do not unlink.
-            if occ[p] <= 0:
-                return -1
-            if pol in _VT_RRIP:
-                maxp = -1
-                m = head[p]
-                while m >= 0:
-                    if node_aux[m] > maxp:
-                        maxp = node_aux[m]
-                    m = node_next[m]
-                victim, best = -1, None
-                m = head[p]
-                while m >= 0:
-                    if node_aux[m] == maxp and (best is None
-                                                or node_stamp[m] < best):
-                        best = node_stamp[m]
-                        victim = m
-                    m = node_next[m]
-                d = max_rrpv - maxp
-                if d > 0:
-                    m = head[p]
-                    while m >= 0:
-                        node_aux[m] += d
-                        m = node_next[m]
-                return victim
-            if pol == "PDP":
-                # Oldest unprotected line, else the oldest line (no clock
-                # advance here).
-                clk = int(self._pdp_clock[p])
-                m = head[p]
-                while m >= 0:
-                    if node_aux[m] <= clk:
-                        return m
-                    m = node_next[m]
-                return head[p]
-            if pol == "Random":
-                k = _splitmix64(rng) % occ[p]
-                m = head[p]
-                while k:
-                    m = node_next[m]
-                    k -= 1
-                return m
-            # Recency family: the list head is the LRU line.
-            return head[p]
-
-        def policy_hit(p, node, a):
-            # vt_policy_hit: region.access(tag) on a resident line.
-            if pol in _VT_RRIP:
-                node_aux[node] = 0
-                counter[0] += 1
-                node_stamp[node] = int(counter[0])
-            elif pol == "PDP":
-                pdp_record(p, a)
-                node_aux[node] = int(self._pdp_clock[p] + self._pdp_dp[p])
-                list_remove(node, p)
-                list_push(node, p)
-            elif pol == "Random":
-                pass
-            else:
-                list_remove(node, p)
-                list_push(node, p)
-
-        def policy_insert(p, node, a):
-            # vt_policy_insert: metadata, duel bookkeeping, insert position.
-            if pol == "LIP":
-                list_push_front(node, p)
-            elif pol == "BIP":
-                if _uniform01(rng) >= epsilon:
-                    list_push_front(node, p)
-                else:
-                    list_push(node, p)
-            elif pol == "DIP":
-                role = int(roles[p])
-                duel(role, 0)
-                bip = (role == _ROLE_LEADER_BRRIP
-                       or (role == _ROLE_FOLLOWER
-                           and int(psel[0]) > psel_max // 2))
-                if bip and _uniform01(rng) >= epsilon:
-                    list_push_front(node, p)
-                else:
-                    list_push(node, p)
-            elif pol in _VT_RRIP:
-                ins = max_rrpv - 1
-                bimodal = False
-                if pol == "BRRIP":
-                    bimodal = True
-                elif pol == "DRRIP":
-                    role = int(roles[p])
-                    duel(role, 0)
-                    bimodal = (role == _ROLE_LEADER_BRRIP
-                               or (role == _ROLE_FOLLOWER
-                                   and int(psel[0]) > psel_max // 2))
-                elif pol == "TA-DRRIP":
-                    bucket = (a * GOLDEN64) & 1023
-                    if bucket < leader_levels:
-                        role = _ROLE_LEADER_SRRIP
-                    elif bucket < 2 * leader_levels:
-                        role = _ROLE_LEADER_BRRIP
-                    else:
-                        role = _ROLE_FOLLOWER
-                    duel(role, p)
-                    bimodal = (role == _ROLE_LEADER_BRRIP
-                               or (role == _ROLE_FOLLOWER
-                                   and int(psel[p]) > psel_max // 2))
-                if bimodal and _uniform01(rng) >= epsilon:
-                    ins = max_rrpv
-                node_aux[node] = ins
-                counter[0] += 1
-                node_stamp[node] = int(counter[0])
-                list_push(node, p)
-            elif pol == "PDP":
-                pdp_record(p, a)
-                node_aux[node] = int(self._pdp_clock[p] + self._pdp_dp[p])
-                list_push(node, p)
-            else:
-                # LRU / Random: MRU (insertion-order) end.
-                list_push(node, p)
-
-        def release(node):
-            node_next[node] = free_box[0]
-            free_box[0] = node
-
-        def demote(tag):
-            if unm_cap == 0:
-                return
-            slot = lookup(tag, unm)
-            if slot >= 0:
-                node = ht_node[slot]
-                list_remove(node, unm)
-                list_push(node, unm)
-            else:
-                node = free_box[0]
-                free_box[0] = node_next[node]
-                node_tag[node] = tag
-                list_push(node, unm)
-                insert(tag, unm, node)
-            while occ[unm] > unm_cap:
-                victim = head[unm]
-                delete(lookup(node_tag[victim], unm))
-                list_remove(victim, unm)
-                release(victim)
-
-        def evict_and_demote(p):
-            # vt_evict_and_demote: unlink the chosen victim, demote it.
-            victim = evict_one(p)
-            if victim < 0:
-                return
-            vtag = node_tag[victim]
-            delete(lookup(vtag, p))
-            list_remove(victim, p)
-            release(victim)
-            demote(vtag)
-
-        def insert_managed(a, p, cap):
-            if cap == 0:
-                demote(a)
-                return
-            if occ[p] >= cap:
-                evict_and_demote(p)
-            node = free_box[0]
-            free_box[0] = node_next[node]
-            node_tag[node] = a
-            insert(a, p, node)
-            policy_insert(p, node, a)
-
-        return (lookup, delete, list_remove, list_push, release, demote,
-                insert_managed, evict_and_demote, policy_hit, ht_node)
-
-    def _replay_python(self, addrs: np.ndarray, parts: np.ndarray,
-                       miss_out: np.ndarray) -> None:
-        state = self._state_lists()
-        free_box = [int(self._free[0])]
-        (lookup, delete, list_remove, list_push, release, demote,
-         insert_managed, evict_and_demote, policy_hit,
-         ht_node) = self._make_ops(state, free_box)
-        caps = self._caps.tolist()
-        unm = self.num_partitions
-        misses = [0] * self.num_partitions
-        for a, p in zip(addrs.tolist(), parts.tolist()):
-            slot = lookup(a, p)
-            if slot >= 0:
-                policy_hit(p, ht_node[slot], a)
-                continue
-            uslot = lookup(a, unm)
-            if uslot >= 0:
-                node = ht_node[uslot]
-                list_remove(node, unm)
-                delete(uslot)
-                release(node)
-                insert_managed(a, p, caps[p])
-                continue
-            misses[p] += 1
-            insert_managed(a, p, caps[p])
-        self._write_back(state)
-        self._free[0] = free_box[0]
-        miss_out += np.asarray(misses, dtype=np.int64)
-
-    def _realloc_python(self, new_caps: Sequence[int]) -> None:
-        state = self._state_lists()
-        free_box = [int(self._free[0])]
-        ops = self._make_ops(state, free_box)
-        evict_and_demote = ops[7]
-        occ = state[8]
-        for p in range(self.num_partitions):
-            while occ[p] > new_caps[p]:
-                evict_and_demote(p)
-        self._write_back(state)
-        self._free[0] = free_box[0]
-
-    # ------------------------------------------------------------------ #
-    def snapshot(self, position: int = 0, meta: dict | None = None):
-        """Capture the warm state as a picklable, content-hashable
-        :class:`~repro.sampling.checkpoint.CacheCheckpoint`."""
-        from ...sampling.checkpoint import snapshot
-        return snapshot(self, position=position, meta=meta)
-
-    def restore(self, checkpoint) -> None:
-        """Rewind this cache to ``checkpoint``'s state, in place."""
-        from ...sampling.checkpoint import restore_into
-        restore_into(self, checkpoint)
-
     def to_spec(self):
         """A :class:`~repro.cache.spec.PartitionSpec` rebuilding this cache."""
         from ..spec import PartitionSpec

@@ -182,6 +182,17 @@ class PartitionedCache(ABC):
         """Zero all per-partition statistics."""
         self.partition_stats = [CacheStats() for _ in range(self.num_partitions)]
 
+    def snapshot(self, position: int = 0, meta: dict | None = None):
+        """Capture the warm state as a picklable, content-hashable
+        :class:`~repro.sampling.checkpoint.CacheCheckpoint`."""
+        from ...sampling.checkpoint import snapshot
+        return snapshot(self, position=position, meta=meta)
+
+    def restore(self, checkpoint) -> None:
+        """Rewind this cache to ``checkpoint``'s state, in place."""
+        from ...sampling.checkpoint import restore_into
+        restore_into(self, checkpoint)
+
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(capacity={self.capacity_lines} lines, "
                 f"partitions={self.num_partitions})")

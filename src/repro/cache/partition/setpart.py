@@ -14,6 +14,7 @@ from typing import Sequence
 from ..cache import lru_factory
 from ..hashing import mix64
 from ..replacement.base import EvictionPolicy, PolicyFactory
+from ..replacement.rrip import rewire_leaders
 from .base import PartitionedCache
 
 __all__ = ["SetPartitionedCache", "round_to_sets"]
@@ -38,7 +39,9 @@ class SetPartitionedCache(PartitionedCache):
     Each partition owns ``sets_p`` sets of the full associativity; an access
     for partition ``p`` is hash-indexed *within that partition's sets*, so a
     partition with more sets behaves exactly like a larger cache — which is
-    the property the Talus worked example relies on.
+    the property the Talus worked example relies on.  Resizing a
+    partition keeps its leading sets, drops or appends trailing ones, and
+    re-derives the set-dueling leaders for the new set count.
     """
 
     scheme_name = "set"
@@ -73,11 +76,14 @@ class SetPartitionedCache(PartitionedCache):
         set_alloc = self._round_to_sets(sizes)
         for p, sets_p in enumerate(set_alloc):
             regions = self._regions[p]
+            if sets_p == len(regions):
+                continue
             if sets_p > len(regions):
                 regions.extend(self._policy_factory(p * self.num_sets + s, self.ways)
                                for s in range(len(regions), sets_p))
-            elif sets_p < len(regions):
+            else:
                 del regions[sets_p:]
+            rewire_leaders(regions)
         self._set_alloc = set_alloc
         return self.granted_allocations()
 

@@ -82,11 +82,18 @@ class VantagePartitionedCache(PartitionedCache):
         return self._unmanaged_capacity
 
     def set_allocations(self, sizes: Sequence[float]) -> list[int]:
+        """Apply new budgets, demoting each shrunk partition's victims.
+
+        A partition shrinks through repeated ``evict_one`` calls — the
+        order the native kernel's ``vantage_realloc`` evicts in — and each
+        victim moves to the unmanaged region as it leaves.
+        """
         sizes = self._check_requests(sizes)
         granted = trim_line_allocations(sizes, self._managed_capacity)
         for part, (region, lines) in enumerate(zip(self._regions, granted)):
-            for victim in region.set_capacity(lines):
-                self._demote(victim, part)
+            while len(region) > lines:
+                self._demote(region.evict_one(), part)
+            region.set_capacity(lines)
         self._allocations = granted
         return list(granted)
 

@@ -12,7 +12,7 @@ from .dip import DIPPolicy, dip_factory
 from .lru import BIPPolicy, LIPPolicy, LRUPolicy, RandomPolicy
 from .pdp import PDPPolicy, select_protecting_distance
 from .rrip import (BRRIPPolicy, DRRIPPolicy, DuelingController, DuelRole,
-                   SRRIPPolicy, drrip_factory)
+                   SRRIPPolicy, drrip_factory, leader_roles, rewire_leaders)
 from .tadrrip import TADRRIPPolicy
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "DuelingController",
     "DuelRole",
     "drrip_factory",
+    "leader_roles",
+    "rewire_leaders",
     "DIPPolicy",
     "dip_factory",
     "PDPPolicy",

@@ -110,19 +110,27 @@ def belady_miss_curve_points(trace: Sequence[int],
     """Miss counts of Belady's MIN on ``trace`` at each capacity.
 
     Returns ``(capacity, misses)`` pairs suitable for
-    :meth:`repro.core.MissCurve.from_points`.  Next-use positions are
-    precomputed once with a vectorized two-pass scatter
-    (:func:`repro.cache.arraycache.belady_next_use`) and shared by every
-    capacity point; each point then replays through the native
-    :class:`~repro.cache.arraycache.ArrayBeladyCache` kernel, whose miss
-    counts are exact against this module's :class:`BeladyMINPolicy` (tie
-    eviction among dead lines cannot change MIN's miss count).
+    :meth:`repro.core.MissCurve.from_points`.  With the native kernel,
+    next-use positions are precomputed once with a vectorized two-pass
+    scatter (:func:`repro.cache.arraycache.belady_next_use`) and shared by
+    every capacity point, each of which replays through
+    :class:`~repro.cache.arraycache.ArrayBeladyCache`, whose miss counts
+    are exact against this module's :class:`BeladyMINPolicy` (tie eviction
+    among dead lines cannot change MIN's miss count).  Without the kernel
+    every point replays through :class:`BeladyMINPolicy` itself.
     """
+    from .._native import native_available
     from ..arraycache import ArrayBeladyCache, belady_next_use
     from ..cache import materialize_addresses
     addrs = materialize_addresses(trace)
-    next_use = belady_next_use(addrs)
     points = []
+    if not native_available():
+        for capacity in capacities:
+            policy = BeladyMINPolicy(int(capacity), addrs)
+            misses = sum(not policy.access(a) for a in addrs.tolist())
+            points.append((int(capacity), misses))
+        return points
+    next_use = belady_next_use(addrs)
     for capacity in capacities:
         cache = ArrayBeladyCache(int(capacity), addrs, next_use=next_use)
         cache.run(addrs)

@@ -4,19 +4,19 @@ DIP set-duels plain LRU against BIP (bimodal LRU-insertion with
 epsilon = 1/32) and uses the winner for follower sets.  It is the classic
 thrash-resistant enhancement of LRU the paper discusses in Sec. II-A.
 
-The implementation reuses the same :class:`DuelingController` as DRRIP
-(the PSEL mechanism is identical; only the two competing insertion policies
-differ).
+The implementation reuses the same :class:`DuelingController`, leader
+wiring and random stream as DRRIP (the PSEL mechanism is identical; only
+the two competing insertion policies differ).
 """
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from typing import Iterable
 
+from ..hashing import SplitMix64
 from .base import EvictionPolicy, PolicyFactory
-from .rrip import DuelRole, DuelingController
+from .rrip import DuelRole, DuelingController, _dueling_factory
 
 __all__ = ["DIPPolicy", "dip_factory"]
 
@@ -30,15 +30,16 @@ class DIPPolicy(EvictionPolicy):
                  epsilon: float = 1.0 / 32.0,
                  controller: DuelingController | None = None,
                  role: DuelRole = DuelRole.ADDRESS_DUEL,
-                 seed: int = 37,
-                 leader_fraction: float = 1.0 / 16.0):
+                 seed: int = 0,
+                 leader_fraction: float = 1.0 / 16.0,
+                 rng: SplitMix64 | None = None):
         super().__init__(capacity)
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         self.epsilon = epsilon
         self.controller = controller if controller is not None else DuelingController()
         self.role = role
-        self._rng = random.Random(seed)
+        self._rng = rng if rng is not None else SplitMix64(seed)
         self._lines: OrderedDict[int, None] = OrderedDict()
         self._leader_levels = max(1, int(round(leader_fraction * 1024)))
 
@@ -76,7 +77,7 @@ class DIPPolicy(EvictionPolicy):
         if len(lines) >= self.capacity:
             lines.popitem(last=False)
         lines[tag] = None
-        if self._use_bip(role) and self._rng.random() >= self.epsilon:
+        if self._use_bip(role) and self._rng.uniform() >= self.epsilon:
             lines.move_to_end(tag, last=False)  # LRU-position insertion
         return False
 
@@ -98,21 +99,9 @@ class DIPPolicy(EvictionPolicy):
 
 def dip_factory(num_regions: int, epsilon: float = 1.0 / 32.0,
                 leader_regions_per_policy: int = 32,
-                seed: int = 37) -> PolicyFactory:
+                seed: int = 0,
+                rng: SplitMix64 | None = None) -> PolicyFactory:
     """Build a factory creating DIP regions with proper set dueling."""
-    if num_regions <= 0:
-        raise ValueError("num_regions must be positive")
-    controller = DuelingController()
-    leaders = min(leader_regions_per_policy, max(1, num_regions // 4))
-    stride = max(1, num_regions // (2 * leaders))
-
-    def factory(region_index: int, capacity: int) -> DIPPolicy:
-        role = DuelRole.FOLLOWER
-        if region_index % stride == 0:
-            role = (DuelRole.LEADER_SRRIP
-                    if (region_index // stride) % 2 == 0
-                    else DuelRole.LEADER_BRRIP)
-        return DIPPolicy(capacity, epsilon=epsilon, controller=controller,
-                         role=role, seed=seed + region_index)
-
-    return factory
+    return _dueling_factory(DIPPolicy, num_regions,
+                            leader_regions_per_policy, seed=seed, rng=rng,
+                            epsilon=epsilon)

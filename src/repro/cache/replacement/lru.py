@@ -4,14 +4,18 @@ LRU is the reference policy of the paper: its miss curve obeys the stack
 property, can be monitored cheaply (UMONs), and is what Talus is primarily
 applied to.  LIP and BIP are the thrash-resistant insertion variants that
 DIP (``repro.cache.replacement.dip``) duels between.
+
+BIP and Random draw from a :class:`~repro.cache.hashing.SplitMix64`
+stream, the one the native kernels draw from; a factory shares one stream
+across all regions of a cache, as a kernel region does.
 """
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from typing import Iterable
 
+from ..hashing import SplitMix64
 from .base import EvictionPolicy
 
 __all__ = ["LRUPolicy", "LIPPolicy", "BIPPolicy", "RandomPolicy"]
@@ -94,12 +98,13 @@ class BIPPolicy(LRUPolicy):
 
     name = "BIP"
 
-    def __init__(self, capacity: int, epsilon: float = 1.0 / 32.0, seed: int = 17):
+    def __init__(self, capacity: int, epsilon: float = 1.0 / 32.0,
+                 seed: int = 0, rng: SplitMix64 | None = None):
         super().__init__(capacity)
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         self.epsilon = epsilon
-        self._rng = random.Random(seed)
+        self._rng = rng if rng is not None else SplitMix64(seed)
 
     def access(self, tag: int) -> bool:
         lines = self._lines
@@ -111,56 +116,81 @@ class BIPPolicy(LRUPolicy):
         if len(lines) >= self.capacity:
             lines.popitem(last=False)
         lines[tag] = None
-        if self._rng.random() >= self.epsilon:
+        if self._rng.uniform() >= self.epsilon:
             lines.move_to_end(tag, last=False)  # LRU insertion (the common case)
         return False
 
 
 class RandomPolicy(EvictionPolicy):
-    """Random replacement: evict a uniformly random resident line on a miss."""
+    """Random replacement: evict a uniformly random resident line on a miss.
+
+    Lines sit in way order, and each operation draws its victim the way
+    the native kernels do (``r`` is the stream's next draw):
+
+    * a miss in a full region replaces way ``r % capacity`` in place, and
+      a fill takes the first empty way (``random_run``);
+    * :meth:`evict_one` removes the ``(r % occupancy)``-th line in
+      insertion order (``vantage_run``/``vantage_realloc``);
+    * a warm shrink (:meth:`set_capacity`) repeats the array cache's
+      swap-remove draws and keeps the survivors in way order.
+    """
 
     name = "Random"
 
-    def __init__(self, capacity: int, seed: int = 23):
+    def __init__(self, capacity: int, seed: int = 0,
+                 rng: SplitMix64 | None = None):
         super().__init__(capacity)
-        self._tags: list[int] = []
-        self._index: dict[int, int] = {}
-        self._rng = random.Random(seed)
+        self._ways: list[int] = []
+        self._members: set[int] = set()
+        self._rng = rng if rng is not None else SplitMix64(seed)
 
     def access(self, tag: int) -> bool:
-        if tag in self._index:
+        if tag in self._members:
             return True
         if self.capacity == 0:
             return False
-        if len(self._tags) >= self.capacity:
-            self._evict_random()
-        self._index[tag] = len(self._tags)
-        self._tags.append(tag)
+        ways = self._ways
+        if len(ways) >= self.capacity:
+            way = self._rng.next64() % self.capacity
+            self._members.discard(ways[way])
+            ways[way] = tag
+        else:
+            ways.append(tag)
+        self._members.add(tag)
         return False
 
-    def _evict_random(self) -> int:
-        pos = self._rng.randrange(len(self._tags))
-        return self._remove_at(pos)
-
-    def _remove_at(self, pos: int) -> int:
-        victim = self._tags[pos]
-        last = self._tags[-1]
-        self._tags[pos] = last
-        self._index[last] = pos
-        self._tags.pop()
-        del self._index[victim]
-        return victim
-
     def resident(self) -> Iterable[int]:
-        return list(self._tags)
+        return list(self._ways)
 
     def evict_one(self) -> int | None:
-        if not self._tags:
+        if not self._ways:
             return None
-        return self._evict_random()
+        victim = self._ways.pop(self._rng.next64() % len(self._ways))
+        self._members.discard(victim)
+        return victim
+
+    def set_capacity(self, capacity: int) -> list[int]:
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+        self.capacity = int(capacity)
+        excess = len(self._ways) - self.capacity
+        if excess <= 0:
+            return []
+        keep: list[int] = []  # emptying a region draws nothing
+        if self.capacity:
+            keep = list(range(len(self._ways)))
+            for _ in range(excess):
+                pos = self._rng.next64() % len(keep)
+                keep[pos] = keep[-1]
+                keep.pop()
+        kept = set(keep)
+        evicted = [t for w, t in enumerate(self._ways) if w not in kept]
+        self._ways = [self._ways[w] for w in sorted(keep)]
+        self._members = set(self._ways)
+        return evicted
 
     def __len__(self) -> int:
-        return len(self._tags)
+        return len(self._ways)
 
     def __contains__(self, tag: int) -> bool:
-        return tag in self._index
+        return tag in self._members

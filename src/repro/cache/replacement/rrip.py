@@ -14,16 +14,20 @@ lines when none is at the maximum.
   uses the winner in follower sets.
 
 The paper evaluates SRRIP and DRRIP with M = 2 bits and epsilon = 1/32,
-which are the defaults here.
+which are the defaults here.  Bimodal insertions draw from a
+:class:`~repro.cache.hashing.SplitMix64` stream and leader sets follow
+:func:`leader_roles` — the native kernels' stream and wiring — so the
+object policies replay them bit for bit.
 """
 
 from __future__ import annotations
 
-import random
 from collections import OrderedDict
 from enum import Enum
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Sequence
 
+from ..hashing import SplitMix64
 from .base import EvictionPolicy, PolicyFactory
 
 __all__ = [
@@ -33,6 +37,8 @@ __all__ = [
     "DuelingController",
     "DuelRole",
     "drrip_factory",
+    "leader_roles",
+    "rewire_leaders",
 ]
 
 
@@ -138,15 +144,16 @@ class BRRIPPolicy(_RRIPBase):
     name = "BRRIP"
 
     def __init__(self, capacity: int, m_bits: int = 2,
-                 epsilon: float = 1.0 / 32.0, seed: int = 29):
+                 epsilon: float = 1.0 / 32.0, seed: int = 0,
+                 rng: SplitMix64 | None = None):
         super().__init__(capacity, m_bits)
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         self.epsilon = epsilon
-        self._rng = random.Random(seed)
+        self._rng = rng if rng is not None else SplitMix64(seed)
 
     def _insertion_rrpv(self, tag: int) -> int:
-        if self._rng.random() < self.epsilon:
+        if self._rng.uniform() < self.epsilon:
             return self.max_rrpv - 1
         return self.max_rrpv
 
@@ -198,13 +205,14 @@ class DRRIPPolicy(_RRIPBase):
                  epsilon: float = 1.0 / 32.0,
                  controller: DuelingController | None = None,
                  role: DuelRole = DuelRole.ADDRESS_DUEL,
-                 seed: int = 31,
-                 leader_fraction: float = 1.0 / 16.0):
+                 seed: int = 0,
+                 leader_fraction: float = 1.0 / 16.0,
+                 rng: SplitMix64 | None = None):
         super().__init__(capacity, m_bits)
         self.epsilon = epsilon
         self.controller = controller if controller is not None else DuelingController()
         self.role = role
-        self._rng = random.Random(seed)
+        self._rng = rng if rng is not None else SplitMix64(seed)
         # For ADDRESS_DUEL mode: addresses hashing below these thresholds are
         # SRRIP / BRRIP constituencies respectively.
         self._leader_levels = max(1, int(round(leader_fraction * 1024)))
@@ -235,35 +243,85 @@ class DRRIPPolicy(_RRIPBase):
             bimodal = self.controller.prefer_bimodal()
         if not bimodal:
             return self.max_rrpv - 1
-        if self._rng.random() < self.epsilon:
+        if self._rng.uniform() < self.epsilon:
             return self.max_rrpv - 1
         return self.max_rrpv
+
+
+def _leader_stride(num_regions: int, leader_regions_per_policy: int) -> int:
+    leaders = min(leader_regions_per_policy, max(1, num_regions // 4))
+    return max(1, num_regions // (2 * leaders))
+
+
+def _role_at(index: int, stride: int) -> DuelRole:
+    if index % stride:
+        return DuelRole.FOLLOWER
+    return (DuelRole.LEADER_SRRIP if (index // stride) % 2 == 0
+            else DuelRole.LEADER_BRRIP)
+
+
+def leader_roles(num_regions: int,
+                 leader_regions_per_policy: int = 32) -> list[DuelRole]:
+    """Set-dueling roles of ``num_regions`` regions sharing one PSEL.
+
+    Up to ``leader_regions_per_policy`` leaders per policy, spread evenly
+    across the index space and alternating SRRIP/BRRIP (LRU/BIP for DIP);
+    every other region follows.  The native kernels read the same wiring,
+    so one function serves both backends.
+    """
+    stride = _leader_stride(num_regions, leader_regions_per_policy)
+    return [_role_at(i, stride) for i in range(num_regions)]
+
+
+def rewire_leaders(regions: Sequence[EvictionPolicy]) -> None:
+    """Re-derive the leader wiring of a region list after it was resized.
+
+    Set-dueling regions (any policy with a set role) take the roles
+    :func:`leader_roles` gives the new region count; address-dueling
+    regions and other policies are left alone.
+    """
+    for region, role in zip(regions, leader_roles(len(regions))):
+        if getattr(region, "role", DuelRole.ADDRESS_DUEL) \
+                != DuelRole.ADDRESS_DUEL:
+            region.role = role
+
+
+def _dueling_region(policy_class, stride: int, shared: dict,
+                    region_index: int, capacity: int):
+    return policy_class(capacity, role=_role_at(region_index, stride),
+                        **shared)
+
+
+def _dueling_factory(policy_class, num_regions: int,
+                     leader_regions_per_policy: int = 32, seed: int = 0,
+                     rng: SplitMix64 | None = None,
+                     **kwargs) -> PolicyFactory:
+    """A set-dueling :data:`PolicyFactory` for ``policy_class``.
+
+    All regions share one PSEL counter and one random stream (seeded
+    ``seed`` unless ``rng`` is given), with the leaders of
+    :func:`leader_roles`; ``kwargs`` go to every region's constructor.
+    """
+    if num_regions <= 0:
+        raise ValueError("num_regions must be positive")
+    shared = dict(kwargs, controller=DuelingController(),
+                  rng=rng if rng is not None else SplitMix64(seed))
+    return partial(_dueling_region, policy_class,
+                   _leader_stride(num_regions, leader_regions_per_policy),
+                   shared)
 
 
 def drrip_factory(num_regions: int, m_bits: int = 2,
                   epsilon: float = 1.0 / 32.0,
                   leader_regions_per_policy: int = 32,
-                  seed: int = 31) -> PolicyFactory:
+                  seed: int = 0,
+                  rng: SplitMix64 | None = None) -> PolicyFactory:
     """Build a :data:`PolicyFactory` creating DRRIP regions with set dueling.
 
     ``leader_regions_per_policy`` regions are dedicated to SRRIP and the same
     number to BRRIP (spread evenly across the index space); the rest follow
     the shared PSEL.  Use this when building a set-associative DRRIP cache.
     """
-    if num_regions <= 0:
-        raise ValueError("num_regions must be positive")
-    controller = DuelingController()
-    leaders = min(leader_regions_per_policy, max(1, num_regions // 4))
-    stride = max(1, num_regions // (2 * leaders))
-
-    def factory(region_index: int, capacity: int) -> DRRIPPolicy:
-        role = DuelRole.FOLLOWER
-        if region_index % stride == 0:
-            role = (DuelRole.LEADER_SRRIP
-                    if (region_index // stride) % 2 == 0
-                    else DuelRole.LEADER_BRRIP)
-        return DRRIPPolicy(capacity, m_bits=m_bits, epsilon=epsilon,
-                           controller=controller, role=role,
-                           seed=seed + region_index)
-
-    return factory
+    return _dueling_factory(DRRIPPolicy, num_regions,
+                            leader_regions_per_policy, seed=seed, rng=rng,
+                            m_bits=m_bits, epsilon=epsilon)

@@ -7,14 +7,17 @@ hardware-managed (unpartitioned) baseline in the multi-programmed
 experiments (Figs. 12 and 13).
 
 This policy is used by ``repro.sim.multicore`` for shared-cache runs where
-each access carries a stream (core) identifier.
+each access carries a stream (core) identifier.  All regions of a cache
+share one per-stream PSEL vector (``controllers``) and one
+:class:`~repro.cache.hashing.SplitMix64` stream, as the native kernel's
+region does.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from ..hashing import SplitMix64
 from .base import EvictionPolicy
 from .rrip import DuelRole, DuelingController, _RRIPBase
 
@@ -33,14 +36,18 @@ class TADRRIPPolicy(_RRIPBase):
 
     def __init__(self, capacity: int, num_streams: int = 8,
                  m_bits: int = 2, epsilon: float = 1.0 / 32.0,
-                 seed: int = 41, leader_fraction: float = 1.0 / 32.0):
+                 seed: int = 0, leader_fraction: float = 1.0 / 32.0,
+                 rng: SplitMix64 | None = None,
+                 controllers: Sequence[DuelingController] | None = None):
         super().__init__(capacity, m_bits)
-        if num_streams < 1:
+        if controllers is None:
+            controllers = [DuelingController() for _ in range(num_streams)]
+        if len(controllers) < 1:
             raise ValueError("num_streams must be >= 1")
         self.epsilon = epsilon
-        self.num_streams = num_streams
-        self._controllers = [DuelingController() for _ in range(num_streams)]
-        self._rng = random.Random(seed)
+        self.num_streams = len(controllers)
+        self._controllers = controllers
+        self._rng = rng if rng is not None else SplitMix64(seed)
         self._leader_levels = max(1, int(round(leader_fraction * 1024)))
 
     def _address_role(self, tag: int) -> DuelRole:
@@ -82,7 +89,7 @@ class TADRRIPPolicy(_RRIPBase):
             bimodal = controller.prefer_bimodal()
         if not bimodal:
             return self.max_rrpv - 1
-        if self._rng.random() < self.epsilon:
+        if self._rng.uniform() < self.epsilon:
             return self.max_rrpv - 1
         return self.max_rrpv
 

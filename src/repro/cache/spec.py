@@ -17,8 +17,12 @@ point:
 
 ``build(spec)`` turns any of them into a simulatable cache, routing to the
 object model or the array/native fast path according to the spec's
-``backend`` field ("auto" picks the fast path exactly where it is
-bit-identical to the reference).  Existing classes round-trip through
+``backend`` field.  The two replay every online policy bit for bit alike
+(Belady on miss counts), so "auto" picks the fast path whenever the native
+kernel is available and the object model otherwise.  The object model is
+built with the kernel's region layout: one random stream, PSEL counter and
+leader wiring per plain cache, per way/set/ideal partition, and per
+Vantage cache.  Existing classes round-trip through
 ``to_spec()``/``from_spec()``: ``build(cache.to_spec())`` reproduces the
 organization as currently configured, and ``build(spec).to_spec()`` is a
 fixed point.
@@ -36,17 +40,19 @@ object-backend factory that :meth:`PartitionSpec.build` itself uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping
 
 from ..core.talus import TalusConfig
-from .arraycache import (ARRAY_POLICIES, ArrayBeladyCache,
-                         ArraySetAssociativeCache)
+from .arraycache import ArrayBeladyCache, ArraySetAssociativeCache
 from .cache import SetAssociativeCache, materialize_addresses
 from .factory import (BACKENDS, POLICY_NAMES, SEEDED_POLICIES, cache_geometry,
                       named_policy_factory, resolve_backend)
+from .hashing import SplitMix64
 from .partition import (ARRAY_SCHEMES, SCHEME_REGISTRY, ArrayPartitionedCache,
                         ArrayVantageCache, make_partitioned_cache,
                         partitionable_lines_for)
+from .replacement.belady import BeladyMINPolicy
 from .talus_cache import TalusCache
 
 __all__ = ["CacheSpec", "PartitionSpec", "TalusSpec", "build"]
@@ -75,6 +81,17 @@ def _check_backend(backend: str) -> None:
                          f"{', '.join(BACKENDS)}")
 
 
+def _min_region(trace, region_index: int, capacity: int) -> BeladyMINPolicy:
+    return BeladyMINPolicy(capacity, trace)
+
+
+def _partition_region(factories, stride: int, region_index: int,
+                      capacity: int):
+    """Route region ``region_index`` to its partition's own factory."""
+    partition, index = divmod(region_index, stride)
+    return factories[partition](index, capacity)
+
+
 def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEME_REGISTRY:
         raise ValueError(f"unknown partitioning scheme {scheme!r}; valid "
@@ -95,15 +112,18 @@ class CacheSpec:
         ``capacity_lines``-way set).
     policy:
         One of :data:`repro.cache.factory.POLICY_NAMES`.  ``"Belady"``
-        (offline MIN) builds an :class:`ArrayBeladyCache` and needs the
-        trace attached via :meth:`with_trace` before :meth:`build`.
+        (offline MIN) builds a fully associative cache — an
+        :class:`ArrayBeladyCache`, or one set whose region is a
+        :class:`~repro.cache.replacement.belady.BeladyMINPolicy` — and
+        needs the trace attached via :meth:`with_trace` before
+        :meth:`build`.
     backend:
         "object", "array" or "auto" ("auto" resolves to the array/native
-        core for every policy — bit-identical on the exact tier,
-        seeded-deterministic on the randomized tier, miss-count-exact for
-        Belady).
+        core when the kernel is available and to the object model
+        otherwise; both replay every policy alike).
     seed:
-        Deterministic seed for the randomized policies; ignored otherwise.
+        Deterministic seed for the randomized policies (default 0);
+        ignored otherwise.
     hashed_index, index_seed:
         Set-index scheme, honoured identically by both backends.
     policy_kwargs:
@@ -170,8 +190,12 @@ class CacheSpec:
                     "spec.with_trace(trace).  Online policies (no trace "
                     "required): " + ", ".join(
                         n for n in POLICY_NAMES if n != "Belady"))
-            cache = ArrayBeladyCache(self.capacity_lines, self.trace,
-                                     **kwargs)
+            if backend == "array":
+                cache = ArrayBeladyCache(self.capacity_lines, self.trace,
+                                         **kwargs)
+            else:
+                cache = SetAssociativeCache(
+                    1, self.capacity_lines, partial(_min_region, self.trace))
             cache._built_spec = replace(self, backend=backend)
             return cache
         num_sets, eff_ways = self.geometry
@@ -208,11 +232,11 @@ class PartitionSpec:
     backend:
         "object", "array" or "auto".  The array fast path covers every
         scheme × policy combination except futility scaling (whose
-        feedback-controlled insertion probabilities have no array twin),
-        so "auto" resolves to "array" for everything else — bit-identical
-        on the exact tier (LRU/LIP/SRRIP/PDP), seeded-deterministic on
-        the randomized tier.  Futility scaling always runs on the object
-        model.
+        feedback-controlled insertion probabilities have no array
+        counterpart), and replays it bit for bit like the object model,
+        so "auto" resolves to "array" whenever the native kernel is
+        available.  Futility scaling, and everything without the kernel,
+        runs on the object model.
     hashed_index, index_seed:
         Set-index scheme of the way/set organizations.
     targets:
@@ -275,38 +299,57 @@ class PartitionSpec:
                                        self.num_partitions, self.ways,
                                        dict(self.scheme_kwargs))
 
-    def _array_support(self) -> tuple[bool, str]:
-        """Whether the array backend implements this configuration."""
-        if self.scheme not in ARRAY_SCHEMES:
-            return False, (
-                f"the array backend does not implement partitioning scheme "
-                f"{self.scheme!r} (supported: {ARRAY_SCHEMES}); use "
-                f"backend='object'")
-        if self.policy not in ARRAY_POLICIES:
-            return False, (
-                f"the array backend does not implement {self.policy!r} "
-                f"(supported: {ARRAY_POLICIES}); use backend='object' "
-                f"or 'auto'")
-        return True, ""
-
     def resolved_backend(self) -> str:
         """The concrete backend ("object" or "array") this spec builds on.
 
-        The scheme × policy matrix is total on the array backend except
-        futility scaling, so "auto" resolves to "array" for every other
-        combination — bit-identical to the object schemes on the exact
-        policy tier (:data:`~repro.cache.arraycache.ARRAY_EXACT_POLICIES`
-        plus ideal/Vantage LRU), seeded-deterministic on the randomized
-        tier.
+        "auto" resolves to "array" for every scheme the array backend
+        implements (all but futility scaling) when the native kernel is
+        available, and to "object" otherwise.
         """
         if self.backend == "object":
             return "object"
-        supported, reason = self._array_support()
-        if self.backend == "array":
-            if not supported:
-                raise ValueError(reason)
-            return "array"
-        return "array" if supported else "object"
+        if self.scheme not in ARRAY_SCHEMES:
+            if self.backend == "array":
+                raise ValueError(
+                    f"the array backend does not implement partitioning "
+                    f"scheme {self.scheme!r} (supported: {ARRAY_SCHEMES}); "
+                    f"use backend='object'")
+            return "object"
+        return resolve_backend(self.backend, self.policy)
+
+    def _object_policy_factory(self, policy_kwargs: dict):
+        """The object model's policy factory, laid out like the kernel.
+
+        Way, set and ideal partitions are independent kernel regions, each
+        with its own random stream, PSEL counter and leader wiring over
+        its own sets, so every partition gets its own factory.  Vantage
+        (and futility scaling) is one region-cache whose partitions share
+        one factory — except that TA-DRRIP gives each Vantage partition
+        its own PSEL vector, as ``vantage_run`` does.
+        """
+        parts = self.num_partitions
+        if self.scheme == "futility" or (self.scheme == "vantage"
+                                         and self.policy != "TA-DRRIP"):
+            return named_policy_factory(self.policy, parts, **policy_kwargs)
+        if self.scheme in ("ideal", "vantage"):
+            kwargs = dict(policy_kwargs)
+            if self.scheme == "vantage":  # one stream for the whole cache
+                kwargs["rng"] = SplitMix64(kwargs.pop("seed", 0))
+            factories = [named_policy_factory(self.policy, 1, **kwargs)
+                         for _ in range(parts)]
+            return partial(_partition_region, factories, 1)
+        num_sets = (max(1, self.capacity_lines // self.ways)
+                    if self.scheme == "way"
+                    else max(parts, self.capacity_lines // self.ways))
+        sets = [num_sets] * parts
+        if self.scheme == "set":
+            # The set scheme's construction-time equal split.
+            base = num_sets // parts
+            sets = [base] * parts
+            sets[0] += num_sets - base * parts
+        factories = [named_policy_factory(self.policy, n, **policy_kwargs)
+                     for n in sets]
+        return partial(_partition_region, factories, num_sets)
 
     def build(self):
         """Instantiate the partitioned cache this spec describes."""
@@ -324,8 +367,7 @@ class PartitionSpec:
                 hashed_index=self.hashed_index, index_seed=self.index_seed,
                 **scheme_kwargs, **policy_kwargs)
         else:
-            factory = named_policy_factory(self.policy, self.num_partitions,
-                                           **policy_kwargs)
+            factory = self._object_policy_factory(policy_kwargs)
             if self.scheme in ("way", "set"):
                 scheme_kwargs.setdefault("hashed_index", self.hashed_index)
                 scheme_kwargs.setdefault("index_seed", self.index_seed)

@@ -8,8 +8,9 @@ share a byte of mutable state.  This module is the Python side of the
 
 * a :class:`ReplayTask` packages one cache's replay of one trace — either
   as a flat ``BatchTask`` argument record for the native dispatcher, or as
-  a pure-Python fallback closure when the cache (or the host) has no
-  kernel path;
+  a fallback closure through the cache's serial entry point when it has
+  no batched kernel path (an object-model cache, an empty trace, or a
+  kernel built without the threaded dispatcher);
 * :func:`run_tasks` packs all native tasks into one ctypes array, makes a
   *single* ``batch_run_threaded`` call (one GIL release, C worker threads
   inside), then commits each task's statistics exactly as the serial entry
@@ -26,9 +27,11 @@ Caches advertise the fast path by implementing ``replay_task``
 (:class:`~repro.cache.arraycache.ArraySetAssociativeCache`,
 :class:`~repro.cache.partition.array.ArrayPartitionedCache`,
 :class:`~repro.cache.partition.array.ArrayVantageCache`,
-:class:`~repro.cache.talus_cache.TalusCache`).  Tasks built without a
-kernel degrade to their fallback closure inside the same
-:func:`run_tasks` call, so callers never special-case ``REPRO_NATIVE=0``.
+:class:`~repro.cache.talus_cache.TalusCache`).  Without a kernel
+``backend="auto"`` builds object-model caches; a Talus cache over one
+still returns a task, which degrades to its fallback closure inside the
+same :func:`run_tasks` call, so callers never special-case
+``REPRO_NATIVE=0``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def resolve_parallel(mode: str) -> str:
 
     "auto" prefers threads exactly when the native kernel (and therefore
     the GIL-releasing batch dispatcher) is available; without it the
-    pure-Python replay would serialize on the GIL, so the process-pool
+    object-model replay would serialize on the GIL, so the process-pool
     path is kept.
     """
     if mode not in PARALLEL_MODES:

@@ -40,10 +40,9 @@ def run_fig8(benchmark: str = "libquantum",
 
     Returns one series per partitioning scheme plus the LRU curve and its
     convex hull (the target Talus should trace).  Each point is a
-    declarative Talus spec; with the default "auto" backend the way and
-    ideal schemes replay on the partition-aware native fast path
-    (bit-identical to the object model), while Vantage — whose unmanaged
-    region couples the partitions — stays on the object model.
+    declarative Talus spec; with the default "auto" backend every scheme
+    replays on the native fast path when the kernel is available
+    (bit-identical to the object model).
     """
     profile = get_profile(benchmark)
     if max_mb is None:

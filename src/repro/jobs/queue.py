@@ -17,7 +17,7 @@ submission is a payload (:mod:`repro.jobs.payloads`); the queue
   retry in a *degraded* worker (``REPRO_NATIVE=0`` for that process) on
   the theory that the native kernel, not the physics, segfaulted.  The
   degradation is stamped into the result metadata so downstream
-  consumers can see a result came from the pure-Python path;
+  consumers can see a result came from the object model;
 * **banks** successful results, so the next identical submission — in
   this process or any later one — is a cache hit.
 

@@ -19,8 +19,11 @@ Two watchdog clocks run in the parent (:meth:`SupervisedWorker.check`):
 
 Degraded attempts (the quarantine-retry after a signal death) call
 :func:`repro.cache._native.disable_native` *first thing* in the child,
-before any simulation code runs, so the retry is pure Python end to end
-— equivalent to ``REPRO_NATIVE=0`` for that process only.
+before any simulation code runs, so the retry runs on the object model
+end to end — equivalent to ``REPRO_NATIVE=0`` for that process only.
+Every ``backend="auto"`` cache then resolves to the object model, which
+replays every policy bit for bit like the kernel, so a degraded result
+equals the native one.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ def _worker_main(conn, payload, attempt: int, degraded: bool,
     """Child entry point: execute one payload attempt, report by pipe."""
     if degraded:
         # Before any cache code touches the kernel: this attempt is the
-        # quarantine retry and must run pure Python.
+        # quarantine retry and must run on the object model.
         from ..cache._native import disable_native
         disable_native()
 

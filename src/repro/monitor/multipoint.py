@@ -20,13 +20,15 @@ noise that used to make Talus degrade SRRIP past libquantum's cliff).
 Fast path
 ---------
 The per-point sub-streams are selected and remapped with vectorized numpy
-(:meth:`MultiPointMonitor.record_trace`), and each point's cache is an
-array-backend cache (:mod:`repro.cache.arraycache`) replayed by the native
-kernel in one call per point — no per-access Python.  The scalar
-:meth:`MultiPointMonitor.record` path makes identical sampling decisions,
-so online and batch recording interleave freely.  With ``backend="object"``
-the same sampling drives reference object-model caches; for LRU/SRRIP (and
-the other bit-exact policies) the two backends produce identical curves.
+(:meth:`MultiPointMonitor.record_trace`), and each point's cache is built
+from a :class:`~repro.cache.spec.CacheSpec`: an array-backend cache
+(:mod:`repro.cache.arraycache`) replayed by the native kernel in one call
+per point — no per-access Python — when the kernel is available.  The
+scalar :meth:`MultiPointMonitor.record` path makes identical sampling
+decisions, so online and batch recording interleave freely.  With
+``backend="object"`` (or without the kernel) the same sampling drives
+reference object-model caches, and the two backends produce identical
+curves for every policy.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.misscurve import MissCurve
-from ..cache.arraycache import ArraySetAssociativeCache
 from ..cache.cache import SetAssociativeCache, materialize_addresses
-from ..cache.factory import (SEEDED_POLICIES, cache_geometry,
-                             named_policy_factory, resolve_backend)
+from ..cache.factory import cache_geometry, resolve_backend
+from ..cache.spec import CacheSpec
 from ..cache.hashing import mix64_array, seed_mix
 from ..cache.replacement.base import EvictionPolicy
 
@@ -74,7 +75,7 @@ class MultiPointMonitor:
         must be given.
     backend:
         "object", "array" or "auto" (only with ``policy``); "auto" picks
-        the array backend where it is bit-identical to the object model.
+        the array backend when the native kernel is available.
 
     Notes
     -----
@@ -136,16 +137,11 @@ class MultiPointMonitor:
 
     def _build_cache(self, num_sets: int, ways: int,
                      policy_factory, point_index: int):
-        if self.backend == "array":
-            return ArraySetAssociativeCache(num_sets, ways,
-                                            policy=self.policy,
-                                            seed=self.seed + point_index)
-        if policy_factory is None:
-            kwargs = ({"seed": self.seed + point_index}
-                      if self.policy in SEEDED_POLICIES else {})
-            policy_factory = named_policy_factory(self.policy, num_sets,
-                                                  **kwargs)
-        return SetAssociativeCache(num_sets, ways, policy_factory)
+        if policy_factory is not None:
+            return SetAssociativeCache(num_sets, ways, policy_factory)
+        return CacheSpec(capacity_lines=num_sets * ways, ways=self.ways,
+                         policy=self.policy, backend=self.backend,
+                         seed=self.seed + point_index).build()
 
     # ------------------------------------------------------------------ #
     def record(self, address: int) -> None:

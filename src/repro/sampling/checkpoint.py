@@ -1,10 +1,14 @@
-"""Warm-state checkpoints of the array cache tier.
+"""Warm-state checkpoints of every cache organization.
 
 A :class:`CacheCheckpoint` captures everything a replay mutates — the
 caller-owned numpy/flat-buffer state plus policy bookkeeping (RNG
 streams, PSEL duelling counters, PDP histograms, Vantage linked lists,
 Talus sampler registers) and the statistics counters — alongside the
-cache's own :meth:`to_spec` description.  The pair is:
+cache's own :meth:`to_spec` description.  Object-model caches (the
+``backend="object"`` organizations, which ``"auto"`` builds without the
+native kernel) are checkpointed as one pickle of the whole cache, whose
+policies, random streams and PSEL counters all pickle as plain state.
+The pair is:
 
 * **picklable** — checkpoints cross process boundaries, so sample
   windows fan out over the worker pool from warm state;
@@ -30,14 +34,16 @@ rebuild re-derives it, and excluding it keeps digests minimal.
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cache.arraycache import ArrayBeladyCache, ArraySetAssociativeCache
-from ..cache.cache import CacheStats
+from ..cache.cache import CacheStats, SetAssociativeCache
 from ..cache.partition.array import (ArrayPartitionedCache, ArrayVantageCache,
                                      _FastIdealLRURegion)
+from ..cache.partition.base import PartitionedCache
 from ..cache.replacement.lru import LRUPolicy
 from ..cache.talus_cache import TalusCache
 from ..jobs.keys import canonical_json
@@ -60,7 +66,8 @@ def _stats_from(state: dict) -> CacheStats:
 class CacheCheckpoint:
     """One warm cache state, content-addressed and rebuildable."""
 
-    kind: str          #: "array" | "partitioned" | "vantage" | "talus"
+    kind: str          #: "array" | "partitioned" | "vantage" | "belady"
+    #:                    | "talus" | "object"
     spec: object       #: CacheSpec | PartitionSpec | TalusSpec
     state: dict        #: copied arrays + scalar bookkeeping
     position: int = 0  #: trace accesses consumed when the snapshot was taken
@@ -84,7 +91,9 @@ class CacheCheckpoint:
 
 
 def _digest_update(h, obj) -> None:
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, bytes):
+        h.update(obj)
+    elif isinstance(obj, np.ndarray):
         h.update(str(obj.dtype).encode())
         h.update(repr(obj.shape).encode())
         h.update(np.ascontiguousarray(obj).tobytes())
@@ -302,6 +311,18 @@ def _restore_belady(cache: ArrayBeladyCache, state: dict) -> None:
 
 
 # --------------------------------------------------------------------- #
+# Object model (the whole cache, pickled)
+# --------------------------------------------------------------------- #
+def _restore_object(cache, state: dict) -> None:
+    saved = pickle.loads(state["pickle"])
+    if type(saved) is not type(cache):
+        raise TypeError(f"object checkpoint of a {type(saved).__name__} "
+                        f"cannot restore a {type(cache).__name__}")
+    vars(cache).clear()
+    vars(cache).update(vars(saved))
+
+
+# --------------------------------------------------------------------- #
 # TalusCache (base checkpoint + sampler registers + logical stats)
 # --------------------------------------------------------------------- #
 def _talus_state(cache: TalusCache) -> dict:
@@ -361,11 +382,13 @@ def snapshot(cache, position: int = 0,
             spec = spec.with_trace(cache._trace)
         return CacheCheckpoint("belady", spec,
                                _belady_state(cache), position, meta)
+    if isinstance(cache, (SetAssociativeCache, PartitionedCache)):
+        return CacheCheckpoint("object", cache.to_spec(),
+                               {"pickle": pickle.dumps(cache, protocol=4)},
+                               position, meta)
     raise TypeError(
-        f"snapshot() supports the array cache tier "
-        f"(ArraySetAssociativeCache, ArrayBeladyCache, "
-        f"ArrayPartitionedCache, ArrayVantageCache, TalusCache), "
-        f"not {type(cache).__name__}")
+        f"snapshot() supports the set-associative, partitioned and Talus "
+        f"caches of both backends, not {type(cache).__name__}")
 
 
 def restore_into(cache, checkpoint: CacheCheckpoint) -> None:
@@ -402,5 +425,7 @@ def restore_into(cache, checkpoint: CacheCheckpoint) -> None:
             raise TypeError(f"belady checkpoint cannot restore a "
                             f"{type(cache).__name__}")
         _restore_belady(cache, checkpoint.state)
+    elif kind == "object":
+        _restore_object(cache, checkpoint.state)
     else:
         raise ValueError(f"unknown checkpoint kind {kind!r}")

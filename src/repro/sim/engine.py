@@ -6,7 +6,8 @@ These helpers connect the workload, cache and core layers:
 * simulated miss curves for arbitrary replacement policies, batched through
   the sweep engine (:mod:`repro.sim.sweep`): the trace is materialized once
   and every (policy, size) point is simulated from it, on the array/native
-  backend whenever that is bit-identical to the object model;
+  backend whenever the kernel is available (it is bit-identical to the
+  object model);
 * simulated Talus miss curves on a chosen partitioning scheme, either with a
   static configuration planned from a measured curve or with the full
   interval-based reconfiguration loop (:mod:`repro.sim.reconfigure`).

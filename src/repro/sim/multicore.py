@@ -393,8 +393,8 @@ class ReconfiguringSharedRun:
     and all shadow-partition pairs are reprogrammed *warm* in one atomic
     :meth:`~repro.cache.talus_cache.TalusCache.configure_many` step while
     every application's chunk replays through the resumable runtime
-    (`run_chunk` on the array backend's chunked native replay wherever the
-    exact policy tier allows, the object model otherwise).  One trace is
+    (`run_chunk` on the array backend's chunked native replay when the
+    kernel is available, the object model otherwise).  One trace is
     the single-application loop: the lone app holds the whole
     partitionable capacity, and each replan is Theorem 6 at that size.
 
@@ -423,8 +423,9 @@ class ReconfiguringSharedRun:
         backends reallocate warm partitions, and the scheme × policy
         matrix is total on the array side (futility scaling excepted), so
         "auto" rides the array fast path with chunked native replay
-        between reconfigurations; interval records are bit-identical to
-        ``backend="object"`` on the exact policy tier (LRU/LIP/SRRIP/PDP).
+        between reconfigurations when the kernel is available; interval
+        records are bit-identical to ``backend="object"`` for every
+        policy.
     parallel:
         "threads", "processes" or "auto".  In threads mode (the "auto"
         choice when the native kernel is available) the per-application
@@ -610,9 +611,10 @@ class TADRRIPSharedRun:
     replays — in the same round-robin interval interleaving as
     :class:`ReconfiguringSharedRun`, so contention is deterministic and
     directly comparable — through one shared thread-aware DRRIP cache
-    (:class:`~repro.cache.arraycache.ArraySetAssociativeCache` with
-    ``policy="TA-DRRIP"``, one PSEL/dueling stream per application), and
-    per-application misses come from the kernel's ``thread_ids`` lane
+    (a :class:`~repro.cache.spec.CacheSpec` with ``policy="TA-DRRIP"``,
+    one PSEL/dueling stream per application, on the native kernel when
+    it is available and the bit-identical object model otherwise), and
+    per-application misses come from the cache's ``thread_ids`` lane
     rather than an occupancy model.
 
     Parameters
@@ -626,8 +628,7 @@ class TADRRIPSharedRun:
         reconfiguration loop's interval so both baselines observe the
         same interleaving.
     seed:
-        Seed of the kernel's splitmix64 BRRIP insertion stream
-        (seeded-deterministic, like DRRIP on the array backend).
+        Seed of the cache's splitmix64 BRRIP insertion stream.
     """
 
     total_mb: float
@@ -639,17 +640,16 @@ class TADRRIPSharedRun:
 
     def run(self, traces: Sequence[Trace]) -> list[SharedIntervalRecord]:
         """Replay all traces through one shared TA-DRRIP cache."""
-        from ..cache.arraycache import ArraySetAssociativeCache
-        from ..cache.factory import cache_geometry
+        from ..cache.spec import CacheSpec
         n = len(traces)
         if n == 0:
             raise ValueError("need at least one application trace")
         lines = paper_mb_to_lines(self.total_mb)
         if lines <= 0:
             raise ValueError("total_mb too small for the configured scale")
-        num_sets, ways = cache_geometry(lines, self.ways)
-        cache = ArraySetAssociativeCache(num_sets, ways, policy="TA-DRRIP",
-                                         num_streams=n, seed=self.seed)
+        cache = CacheSpec(capacity_lines=lines, ways=self.ways,
+                          policy="TA-DRRIP", seed=self.seed,
+                          policy_kwargs=(("num_streams", n),)).build()
         alloc = (self.total_mb / n,) * n  # nominal share: no partitioning
         positions = [0] * n
         interval = max(1, self.interval_accesses)
@@ -665,9 +665,8 @@ class TADRRIPSharedRun:
                 positions[i] = end
                 if chunk.size:
                     before = int(cache.thread_misses[i])
-                    cache.run_chunk(
-                        chunk, thread_ids=np.full(chunk.size, i,
-                                                  dtype=np.int64))
+                    cache.run(chunk, thread_ids=np.full(chunk.size, i,
+                                                        dtype=np.int64))
                     misses.append(int(cache.thread_misses[i]) - before)
                 else:
                     misses.append(0)

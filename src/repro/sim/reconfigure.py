@@ -18,8 +18,8 @@ Assumption 1 of the paper — miss curves are stable across intervals — is
 what makes planning on the *previous* interval's curve work.  The planner
 is stateless: each replan reads the monitors' current curves, plans, and
 programs the cache, so interrupting and resuming a loop at any interval
-boundary (or swapping the replay backend mid-run on the exact tier)
-cannot change the outcome.
+boundary (or swapping the replay backend mid-run, since both backends
+replay every policy alike) cannot change the outcome.
 """
 
 from __future__ import annotations

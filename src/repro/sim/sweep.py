@@ -15,11 +15,12 @@ the *what* (a :class:`SweepSpec` describing all the points) from the *how*
   additionally share a *single* kernel pass over the trace
   (:func:`~repro.cache.arraycache.run_lru_family_batch`): all sizes of a
   recency-family size sweep advance together, decoding the trace once.
-* ``auto``   — the array backend for every policy (the matrix is total):
-  bit-identical to the object model on the exact tier (LRU, LIP, SRRIP,
-  PDP), seeded-deterministic on the randomized tier, miss-count-exact
-  for Belady.  This is the default; ask for ``backend="object"``
-  explicitly to stream the reference model.
+  It needs the native kernel.
+* ``auto``   — the array backend when the native kernel is available,
+  the object model otherwise.  The two are bit-identical for every
+  online policy and agree on Belady's miss counts, so this default only
+  decides speed; ask for ``backend="object"`` explicitly to stream the
+  reference model.
 
 Independent configs can also run in parallel, in one of two ways selected
 by ``parallel=``:
@@ -59,7 +60,7 @@ import numpy as np
 from ..cache._native import resolve_threads
 from ..cache.arraycache import run_lru_family_batch
 from ..cache.cache import CacheStats
-from ..cache.factory import BACKENDS, build_cache
+from ..cache.factory import BACKENDS, build_cache, resolve_backend
 from ..cache.hashing import derive_seed
 from ..cache.threadbatch import PARALLEL_MODES, resolve_parallel, run_tasks
 from ..core.misscurve import MissCurve
@@ -354,14 +355,13 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
                 object_caches.append(cache)
                 object_keys.append(config.key)
             continue
-        if backend == "object":
-            # The explicit reference baseline: all configs stream together
-            # in one per-access pass over the trace.
-            object_caches.append(config.build("object"))
+        if resolve_backend(backend, config.policy) == "object":
+            # The reference model (asked for, or "auto" without the
+            # kernel): all configs stream together in one per-access pass
+            # over the trace.
+            object_caches.append(config.build("object", addrs))
             object_keys.append(config.key)
             continue
-        # The policy matrix is total on the array backend, so "auto" and
-        # "array" both land here — there is no per-policy object fallback.
         cache = config.build("array", addrs)
         if enqueue(cache, config.key):
             pass
@@ -450,8 +450,8 @@ def _run_sweep_sampled(trace, configs, sampling, *, backend: str,
 
 #: Partitioning schemes :func:`run_matrix_sweep` covers.  "none" is a plain
 #: (unpartitioned) set-associative cache; futility scaling is excluded —
-#: it is the one scheme with no array twin, so it cannot join the single
-#: threaded dispatch (sweep it separately with ``backend="object"``).
+#: it is the one scheme with no array counterpart, so it cannot join the
+#: single threaded dispatch (sweep it separately with ``backend="object"``).
 MATRIX_SCHEMES = ("none", "way", "set", "ideal", "vantage")
 
 
@@ -475,7 +475,8 @@ def matrix_cells(sizes_mb: Sequence[float],
                 raise ValueError(
                     f"unknown matrix scheme {scheme!r}; known: "
                     f"{MATRIX_SCHEMES} (futility scaling has no array "
-                    f"twin; sweep it separately with backend='object')")
+                    f"counterpart; sweep it separately with "
+                    f"backend='object')")
             if policy == "Belady" and scheme != "none":
                 continue
             for size_mb in sizes_mb:
@@ -547,8 +548,9 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
     cell).  Results are keyed ``(policy, scheme, size_mb)`` and are
     bit-identical at any thread width.
 
-    ``backend="object"`` instead streams every cell through the reference
-    object model, access by access, on one core — the baseline
+    ``backend="object"`` (and ``"auto"`` without the native kernel)
+    instead streams every cell through the reference object model, access
+    by access, on one core — the baseline
     ``benchmarks/bench_matrix_sweep.py`` measures the threaded matrix
     against.
 
@@ -584,22 +586,19 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
                                      ways=ways, backend=backend, seed=seed,
                                      addrs=shared)
                   for cell in cells]
-        if backend == "object":
-            for cache in caches:
-                if hasattr(cache, "partition_stats"):
-                    for a, p in zip(shared.tolist(), parts.tolist()):
-                        cache.access(a, p)
-                else:
-                    for a in shared.tolist():
-                        cache.access(a)
-        else:
-            tasks = []
-            for cache in caches:
-                if hasattr(cache, "partition_stats"):
-                    tasks.append(cache.replay_task(shared, parts))
-                else:
-                    tasks.append(cache.replay_task(shared))
-            run_tasks(tasks, threads=resolve_threads(threads))
+        tasks = []
+        for cache in caches:
+            partitioned = hasattr(cache, "partition_stats")
+            if hasattr(cache, "replay_task"):
+                tasks.append(cache.replay_task(shared, parts) if partitioned
+                             else cache.replay_task(shared))
+            elif partitioned:
+                for a, p in zip(shared.tolist(), parts.tolist()):
+                    cache.access(a, p)
+            else:
+                for a in shared.tolist():
+                    cache.access(a)
+        run_tasks(tasks, threads=resolve_threads(threads))
     finally:
         if trace_store is None:
             store.close()

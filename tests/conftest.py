@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.cache._native import native_available
 from repro.core import MissCurve
+
+#: Marks a test that builds array caches (``Array*`` classes or
+#: ``backend="array"``) directly: they have no replay path without the
+#: native kernel.  Everything built with ``backend="auto"`` runs on the
+#: object model instead and needs no mark.
+needs_kernel = pytest.mark.skipif(
+    not native_available(),
+    reason="builds array caches directly, which need the native kernel")
 
 
 @pytest.fixture

@@ -10,7 +10,10 @@ and checks, for every partitioning scheme:
   driven by nothing but ``configure_many`` on the recorded plans and
   ``run_chunk`` on the recorded batches reproduces every miss count and
   every granted allocation.  The controller's bookkeeping adds nothing
-  the public reallocation API cannot express.
+  the public reallocation API cannot express.  The replacement policy is
+  drawn too, randomized ones included, so with the native kernel this
+  checks the kernel's warm reallocation against the object model on
+  every scheme and policy tier.
 * **invariants**: with per-event self-validation enabled, every schedule
   maintains full-capacity conservation, QoS floors and departed-app
   reclamation (violations raise inside the run).
@@ -41,6 +44,7 @@ APPS = ("a", "b", "c")
 #: 16 lines for way/set at this scale) always fit the capacity.
 FLOOR_CHOICES = (0.0, 0.02, 0.05)
 SCHEMES = ("ideal", "way", "set", "vantage")
+POLICIES = ("LRU", "PDP", "DRRIP", "Random", "BIP", "TA-DRRIP")
 
 
 @st.composite
@@ -78,31 +82,33 @@ def schedules(draw) -> list:
     return events
 
 
-def run_controller(events, scheme: str):
+def run_controller(events, scheme: str, policy: str = "LRU"):
     ctl = OnlineTalusController(TOTAL_MB, max_apps=MAX_APPS, scheme=scheme,
-                                base_interval_accesses=400, base_seed=5)
+                                policy=policy, base_interval_accesses=400,
+                                base_seed=5)
     with ctl:
         return ctl.run(events)
 
 
-def object_mirror(scheme: str):
+def object_mirror(scheme: str, policy: str = "LRU"):
     """A fresh object-model cache of the controller's exact spec, with
     the same all-slots-empty reset the controller performs."""
     mirror = build(TalusSpec(partition=PartitionSpec(
         scheme=scheme, capacity_lines=paper_mb_to_lines(TOTAL_MB),
-        num_partitions=2 * MAX_APPS, policy="LRU", backend="object"),
+        num_partitions=2 * MAX_APPS, policy=policy, backend="object"),
         num_logical=MAX_APPS))
     mirror.configure_many([ZERO_CONFIG] * MAX_APPS)
     return mirror
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@settings(max_examples=15, deadline=None)
-@given(events=schedules())
+@settings(max_examples=30, deadline=None)
+@given(events=schedules(), policy=st.sampled_from(POLICIES))
 def test_controller_is_bit_identical_to_explicit_object_replay(scheme,
-                                                               events):
-    result = run_controller(events, scheme)
-    mirror = object_mirror(scheme)
+                                                               events,
+                                                               policy):
+    result = run_controller(events, scheme, policy)
+    mirror = object_mirror(scheme, policy)
     replans = {r.seq: r for r in result.replans}
     batch_records = iter(result.batches)
     for seq, event in enumerate(events):
@@ -112,7 +118,8 @@ def test_controller_is_bit_identical_to_explicit_object_replay(scheme,
         if isinstance(event, AccessBatch):
             record = next(batch_records)
             stats = mirror.run_chunk(event.addresses, record.slot)
-            assert stats.misses == record.misses, f"event {seq} ({scheme})"
+            assert stats.misses == record.misses, \
+                f"event {seq} ({scheme}, {policy})"
         if seq in replans:
             record = replans[seq]
             mirror.configure_many(list(record.planned))
@@ -122,7 +129,7 @@ def test_controller_is_bit_identical_to_explicit_object_replay(scheme,
                 total = float(granted[pair.alpha_index]
                               + granted[pair.beta_index])
                 assert total == record.granted[slot], \
-                    f"event {seq} slot {slot} ({scheme})"
+                    f"event {seq} slot {slot} ({scheme}, {policy})"
     assert next(batch_records, None) is None
 
 
@@ -155,7 +162,7 @@ def test_invariants_hold_on_every_schedule(scheme, events):
 
 
 @settings(max_examples=10, deadline=None)
-@given(events=schedules())
-def test_same_schedule_is_deterministic(events):
-    assert run_controller(events, "ideal").signature() \
-        == run_controller(events, "ideal").signature()
+@given(events=schedules(), policy=st.sampled_from(POLICIES))
+def test_same_schedule_is_deterministic(events, policy):
+    assert run_controller(events, "ideal", policy).signature() \
+        == run_controller(events, "ideal", policy).signature()

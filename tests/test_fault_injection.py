@@ -98,6 +98,20 @@ class TestNativeCrashDegradation:
         assert job.meta["degraded"] is True
         assert job.crashes[0]["signal"] is not None
 
+    def test_degraded_drrip_sweep_matches_native(self, tmp_path):
+        """The quarantine retry runs on the object model, which replays
+        the randomized policies bit for bit like the kernel: a seeded
+        DRRIP sweep recovered that way equals the unfaulted run."""
+        spec = small_spec(policies=("DRRIP",), base_seed=11)
+        expected = serial_signature(spec=spec)
+        plan = FaultPlan("native-crash", attempts=tuple(range(10)))
+        with fault_queue(tmp_path) as queue:
+            job = queue.submit(SweepJob.from_spec(small_trace(), spec,
+                                                  fault=plan))
+            result = job.result()
+        assert job.degraded
+        assert sweep_signature(result) == expected
+
     def test_degradation_is_recorded_in_bank_meta(self, tmp_path):
         plan = FaultPlan("native-crash", attempts=tuple(range(10)))
         with fault_queue(tmp_path) as queue:

@@ -3,22 +3,24 @@ non-LRU Vantage regions, plus the whole-matrix threaded sweep driver.
 
 Three parity ladders anchor the matrix:
 
-* TA-DRRIP — the kernel's ``thread_ids`` lane against the pure-Python
-  twin, bit-identically, including each thread's private PSEL duel;
+* TA-DRRIP — the kernel's ``thread_ids`` lane against the object model's,
+  bit-identically, including each thread's private PSEL duel;
 * Belady MIN — the array kernel's miss counts against the reference
   heap-based :class:`~repro.cache.replacement.belady.BeladyMINPolicy`
   at every capacity (tie eviction among dead lines cannot change MIN's
   count);
-* non-LRU Vantage — array regions running SRRIP/PDP against the object
+* non-LRU Vantage — array regions against the object
   :class:`~repro.cache.partition.vantage.VantagePartitionedCache`,
   per access, across chunk boundaries, and through warm reallocation.
 
 On top of those, :func:`~repro.sim.sweep.run_matrix_sweep` must produce
 identical numbers at any thread width and agree with the serial object
-stream on the exact tier.
+stream.  Tests that build array caches directly need the native kernel.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from repro.cache.replacement.belady import (BeladyMINPolicy,
                                             belady_miss_curve_points)
 from repro.cache.spec import CacheSpec, PartitionSpec, build
 from repro.sim.sweep import MATRIX_SCHEMES, matrix_cells, run_matrix_sweep
+
+from .conftest import needs_kernel
 
 
 def _mixed_trace(n: int, spread: int = 3000, seed: int = 0) -> np.ndarray:
@@ -51,12 +55,6 @@ def _thread_stream(n: int, threads: int, seed: int = 0):
     return addrs, tids
 
 
-@pytest.fixture
-def no_kernel(monkeypatch):
-    monkeypatch.setattr(_native, "_kernel", None)
-    monkeypatch.setattr(_native, "_kernel_tried", True)
-
-
 def _tadrrip_digest(cache) -> tuple:
     return (cache.stats.misses, cache.thread_misses.tolist(),
             cache._psel.tolist(), cache.tags.tolist(),
@@ -66,21 +64,27 @@ def _tadrrip_digest(cache) -> tuple:
 # --------------------------------------------------------------------- #
 # TA-DRRIP
 # --------------------------------------------------------------------- #
+@needs_kernel
 class TestTADRRIPKernel:
-    def test_kernel_matches_python_twin(self, monkeypatch):
-        """The C lane and the pure-Python twin agree bit for bit —
-        misses, per-thread miss counters, per-thread PSELs and the full
-        tag/RRPV state."""
+    def test_kernel_matches_python_twin(self):
+        """The kernel's lane and the object model's agree bit for bit —
+        misses, per-thread miss counters and per-thread PSELs, through
+        scalar and batched replay."""
         addrs, tids = _thread_stream(9000, 4, seed=2)
-        native = ArraySetAssociativeCache(32, 4, policy="TA-DRRIP",
-                                          num_streams=4, seed=7)
-        native.run_chunk(addrs, thread_ids=tids)
-        monkeypatch.setattr(_native, "_kernel", None)
-        monkeypatch.setattr(_native, "_kernel_tried", True)
-        twin = ArraySetAssociativeCache(32, 4, policy="TA-DRRIP",
-                                        num_streams=4, seed=7)
-        twin.run_chunk(addrs, thread_ids=tids)
-        assert _tadrrip_digest(native) == _tadrrip_digest(twin)
+        caches = [build(CacheSpec(capacity_lines=128, ways=4,
+                                  policy="TA-DRRIP", backend=backend,
+                                  seed=7,
+                                  policy_kwargs=(("num_streams", 4),)))
+                  for backend in ("array", "object")]
+        for cache in caches:
+            for a, t in zip(addrs[:300].tolist(), tids[:300].tolist()):
+                cache.access(a, t)
+            cache.run(addrs[300:], thread_ids=tids[300:])
+        native, obj = caches
+        assert native.stats.misses == obj.stats.misses
+        assert native.thread_misses.tolist() == obj.thread_misses.tolist()
+        controllers = obj._sets[0]._controllers
+        assert native._psel.tolist() == [c.psel for c in controllers]
 
     def test_per_thread_psel_trajectories(self):
         """Each thread duels privately: a thrashing thread and a
@@ -134,6 +138,7 @@ class TestTADRRIPKernel:
 # Belady MIN
 # --------------------------------------------------------------------- #
 class TestBeladyKernel:
+    @needs_kernel
     def test_miss_counts_exact_vs_object_min(self):
         addrs = _mixed_trace(6000, spread=900, seed=4)
         for capacity in (0, 1, 16, 64, 200, 512):
@@ -143,6 +148,7 @@ class TestBeladyKernel:
             cache.run(addrs)
             assert cache.stats.misses == expected, capacity
 
+    @needs_kernel
     def test_next_use_precompute_is_shareable(self):
         addrs = _mixed_trace(4000, seed=6)
         shared = belady_next_use(addrs)
@@ -163,17 +169,25 @@ class TestBeladyKernel:
             expected = sum(not policy.access(int(a)) for a in addrs)
             assert misses == expected, capacity
 
-    def test_kernel_matches_python_twin(self, monkeypatch):
+    @needs_kernel
+    def test_kernel_matches_python_twin(self):
+        """The kernel and the object organization (one fully associative
+        set over BeladyMINPolicy) agree on misses and occupancy, through
+        scalar and batched replay."""
         addrs = _mixed_trace(7000, seed=12)
-        native = ArrayBeladyCache(96, addrs)
-        native.run(addrs)
-        monkeypatch.setattr(_native, "_kernel", None)
-        monkeypatch.setattr(_native, "_kernel_tried", True)
-        twin = ArrayBeladyCache(96, addrs)
-        twin.run(addrs)
-        assert native.stats.misses == twin.stats.misses
-        assert native.occupancy() == twin.occupancy()
+        spec = CacheSpec(capacity_lines=96, policy="Belady").with_trace(addrs)
+        caches = [build(replace(spec, backend=backend))
+                  for backend in ("array", "object")]
+        for cache in caches:
+            for a in addrs[:200].tolist():
+                cache.access(a)
+            cache.run(addrs[200:])
+        native, obj = caches
+        assert isinstance(native, ArrayBeladyCache)
+        assert native.stats.misses == obj.stats.misses
+        assert native.occupancy() == obj.occupancy()
 
+    @needs_kernel
     def test_spec_roundtrip_and_no_trace_error(self):
         addrs = _mixed_trace(3000, seed=1)
         spec = CacheSpec(capacity_lines=64, policy="Belady")
@@ -193,9 +207,10 @@ class TestBeladyKernel:
 
     def test_out_of_order_replay_rejected(self):
         addrs = _mixed_trace(1000, seed=3)
-        cache = ArrayBeladyCache(32, addrs)
+        cache = CacheSpec(capacity_lines=32,
+                          policy="Belady").with_trace(addrs).build()
         with pytest.raises(ValueError, match="out-of-order"):
-            cache.run_chunk(addrs[500:])
+            cache.run(addrs[500:])
 
     def test_no_partitioned_organization(self):
         with pytest.raises(ValueError, match="offline"):
@@ -206,14 +221,13 @@ class TestBeladyKernel:
 # --------------------------------------------------------------------- #
 # Non-LRU Vantage regions
 # --------------------------------------------------------------------- #
+@needs_kernel
 class TestVantageNonLRUParity:
-    def _pair(self, lines, parts, policy, **kwargs):
-        from repro.cache.partition.vantage import VantagePartitionedCache
-        from repro.cache.factory import named_policy_factory
-        obj = VantagePartitionedCache(
-            lines, parts,
-            policy_factory=named_policy_factory(policy, parts), **kwargs)
-        arr = ArrayVantageCache(lines, parts, policy=policy, **kwargs)
+    def _pair(self, lines, parts, policy):
+        obj = PartitionSpec(scheme="vantage", capacity_lines=lines,
+                            num_partitions=parts, policy=policy,
+                            backend="object").build()
+        arr = ArrayVantageCache(lines, parts, policy=policy)
         return obj, arr
 
     def _stream(self, n, parts, seed=0):
@@ -222,7 +236,8 @@ class TestVantageNonLRUParity:
         pids = rng.integers(0, parts, n).astype(np.int64)
         return addrs, pids
 
-    @pytest.mark.parametrize("policy", ["SRRIP", "PDP"])
+    @pytest.mark.parametrize("policy", ["SRRIP", "PDP", "BIP", "DIP",
+                                        "DRRIP", "TA-DRRIP", "Random"])
     def test_per_access_parity(self, policy):
         obj, arr = self._pair(128, 2, policy)
         addrs, pids = self._stream(5000, 2, seed=3)
@@ -244,7 +259,8 @@ class TestVantageNonLRUParity:
             assert s_one.misses == s_chunk.misses
             assert s_one.accesses == s_chunk.accesses
 
-    @pytest.mark.parametrize("policy", ["SRRIP", "PDP"])
+    @pytest.mark.parametrize("policy", ["SRRIP", "PDP", "BRRIP", "DRRIP",
+                                        "TA-DRRIP", "Random"])
     def test_warm_reallocate_parity(self, policy):
         obj, arr = self._pair(128, 2, policy)
         addrs, pids = self._stream(6000, 2, seed=11)
@@ -288,6 +304,7 @@ class TestMatrixSweep:
         with pytest.raises(ValueError, match="futility"):
             matrix_cells(self.SIZES, ("LRU",), schemes=("futility",))
 
+    @needs_kernel
     def test_every_cell_resolves_to_array(self):
         for policy in ARRAY_POLICIES:
             for scheme in MATRIX_SCHEMES:
@@ -343,8 +360,8 @@ class TestMatrixSweep:
 
     def test_executed_tadrrip_shared_run(self):
         """The execution-driven TA-DRRIP baseline: all apps share one
-        thread-aware cache, per-app misses come from the kernel's
-        per-thread counters, and the run is deterministic."""
+        thread-aware cache, per-app misses come from its per-thread
+        counters, and the run is deterministic."""
         from repro.sim.multicore import TADRRIPSharedRun
         from repro.workloads.spec_profiles import get_profile
         traces = [get_profile(name).trace(n_accesses=6000, seed=1)
@@ -368,6 +385,7 @@ class TestMatrixSweep:
         assert result.scheme == "ta-drrip-execution"
         assert len(result.apps) == 2
 
+    @needs_kernel
     def test_fallback_matches_kernel_numbers(self, monkeypatch):
         trace = _mixed_trace(4000, seed=27)
         kwargs = dict(sizes_mb=(0.25,),

@@ -10,6 +10,8 @@ from repro.monitor import (UMON, CombinedUMON, MultiPointMonitor,
                            StackDistanceMonitor, lru_miss_curve,
                            stack_distance_histogram)
 
+from .conftest import needs_kernel
+
 
 def brute_force_lru_misses(trace, capacity):
     policy = LRUPolicy(capacity)
@@ -253,10 +255,12 @@ class TestMultiPointFastPath:
                 monitor.record(a)
         return monitor.miss_curve()
 
-    @pytest.mark.parametrize("policy", ["LRU", "SRRIP", "PDP"])
+    @needs_kernel
+    @pytest.mark.parametrize("policy", ["LRU", "SRRIP", "PDP", "DRRIP",
+                                        "Random"])
     def test_array_backend_matches_object_backend(self, policy, rng_trace):
-        """Fast monitors == reference monitors, point for point (exact
-        policies), on identical set-sampled sub-streams."""
+        """Fast monitors == reference monitors, point for point, on
+        identical set-sampled sub-streams."""
         trace, sizes = rng_trace
         fast = self._curve(trace, sizes, policy, "array")
         reference = self._curve(trace, sizes, policy, "object")
@@ -270,16 +274,16 @@ class TestMultiPointFastPath:
 
     def test_batch_and_scalar_recording_agree(self, rng_trace):
         trace, sizes = rng_trace
-        batch = self._curve(trace, sizes, "SRRIP", "array")
-        scalar = self._curve(trace, sizes, "SRRIP", "array",
+        batch = self._curve(trace, sizes, "SRRIP", "auto")
+        scalar = self._curve(trace, sizes, "SRRIP", "auto",
                              record_batch=False)
         assert np.array_equal(batch.misses, scalar.misses)
 
     @pytest.mark.parametrize("policy", ["BRRIP", "DRRIP"])
     def test_seeded_policies_deterministic(self, policy, rng_trace):
         trace, sizes = rng_trace
-        first = self._curve(trace, sizes, policy, "array")
-        second = self._curve(trace, sizes, policy, "array")
+        first = self._curve(trace, sizes, policy, "auto")
+        second = self._curve(trace, sizes, policy, "auto")
         assert np.array_equal(first.misses, second.misses)
 
     def test_monitored_mpki_curve_collapses_degenerate_sizes(self):

@@ -8,16 +8,18 @@ Covers the contract end to end, layer by layer:
 * warm-partition reallocation — ``ArrayPartitionedCache.reallocate``
   resizes occupied partitions with the object schemes' eviction
   semantics: conservation (no lines invented), isolation (no line ever
-  crosses partitions) and bit-identical miss streams on the exact tier;
+  crosses partitions) and bit-identical miss streams for every policy;
 * the atomic multi-logical ``TalusCache.configure_many``;
 * the reconfiguration loop on ``backend="auto"``
   (:class:`ReconfiguringSharedRun`: the one-trace run at parity with the
   object model, and multi-application mixes);
-* the seeded-deterministic Random array policy;
+* the Random policy (deterministic per seed on either backend);
 * the multi-config shared-trace-pass replay
   (:func:`~repro.cache.arraycache.run_lru_family_batch`);
 * the incremental stack-distance monitor and the byte-sliced H3 hash;
 * the vectorized ``shared_cache_equilibrium``.
+
+Tests that build array caches directly need the native kernel.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cache.arraycache import (ARRAY_EXACT_POLICIES, ARRAY_POLICIES,
-                                    ArraySetAssociativeCache,
+from repro.cache.arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
                                     run_lru_family_batch)
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.factory import named_policy_factory, resolve_backend
+from repro.cache.factory import (POLICY_NAMES, build_cache,
+                                 named_policy_factory, resolve_backend)
 from repro.cache.hashing import H3Hash
 from repro.cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from repro.core.talus import TalusConfig
@@ -40,6 +42,11 @@ from repro.monitor.stack_distance import (IncrementalStackMonitor,
 from repro.sim.multicore import ReconfiguringSharedRun
 from repro.workloads.scale import lines_to_paper_mb, paper_mb_to_lines
 from repro.workloads.spec_profiles import get_profile
+
+from .conftest import needs_kernel
+
+
+ONLINE = tuple(p for p in POLICY_NAMES if p != "Belady")
 
 
 def _mixed_trace(n: int, spread: int = 3000, seed: int = 0) -> np.ndarray:
@@ -55,6 +62,7 @@ def _mixed_trace(n: int, spread: int = 3000, seed: int = 0) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # Chunk-boundary invariance
 # --------------------------------------------------------------------- #
+@needs_kernel
 class TestChunkInvariance:
     @pytest.mark.parametrize("policy", ARRAY_POLICIES)
     @pytest.mark.parametrize("hashed", [False, True])
@@ -120,16 +128,19 @@ class TestChunkInvariance:
 # --------------------------------------------------------------------- #
 # Warm reallocation
 # --------------------------------------------------------------------- #
+@needs_kernel
 class TestWarmReallocation:
     SCHEMES = [("way", "LRU"), ("way", "LIP"), ("way", "SRRIP"),
                ("way", "PDP"), ("set", "LRU"), ("set", "SRRIP"),
                ("ideal", "LRU")]
+    SEEDED = [("way", "DRRIP"), ("way", "Random"), ("set", "DIP"),
+              ("set", "TA-DRRIP"), ("ideal", "BIP"), ("ideal", "BRRIP")]
 
-    @pytest.mark.parametrize("scheme,policy", SCHEMES)
+    @pytest.mark.parametrize("scheme,policy", SCHEMES + SEEDED)
     def test_object_parity_through_reallocations(self, scheme, policy):
         """Replay / reallocate / replay: the array backend's warm resizing
-        must match the object schemes' miss streams bit for bit (exact
-        tier), including shrink-evictions and re-growth."""
+        must match the object schemes' miss streams bit for bit, including
+        shrink-evictions and re-growth."""
         rng = np.random.default_rng(21)
         addrs = _mixed_trace(24000, spread=5000, seed=9)
         parts = rng.integers(0, 2, 24000).astype(np.int64)
@@ -211,10 +222,10 @@ class TestWarmReallocation:
         assert cache.partition_occupancy(0) > 0
 
     def test_warm_resize_matches_object_set_capacity(self):
-        """Region-level resize parity for every exact policy (the
+        """Region-level resize parity for every online policy (the
         primitive underneath partition reallocation)."""
         trace = _mixed_trace(16000, seed=17)
-        for policy in ARRAY_EXACT_POLICIES:
+        for policy in ONLINE:
             obj = SetAssociativeCache(16, 8,
                                       named_policy_factory(policy, 16))
             arr = ArraySetAssociativeCache(16, 8, policy=policy)
@@ -252,8 +263,8 @@ class TestTalusResumable:
         """A grow-before-shrink swap that sequential configure calls would
         reject (transiently over capacity) applies in one step."""
         talus = build(TalusSpec(partition=PartitionSpec(
-            scheme="ideal", capacity_lines=1000, num_partitions=4,
-            backend="array"), num_logical=2))
+            scheme="ideal", capacity_lines=1000, num_partitions=4),
+            num_logical=2))
         talus.configure_many([self._config(100, 400),
                               self._config(100, 400)])
         talus.run_chunk(_mixed_trace(3000, seed=1), 0)
@@ -267,7 +278,7 @@ class TestTalusResumable:
         assert effective[1].s1 + effective[1].s2 == 100
 
     def test_configure_many_none_keeps_current(self):
-        talus = self._talus("array")
+        talus = self._talus("auto")
         talus.configure(0, self._config(256, 768))
         before = talus.shadow_pair(0).config
         out = talus.configure_many([None])
@@ -308,9 +319,10 @@ class TestTalusResumable:
 
 
 # --------------------------------------------------------------------- #
-# Random array policy
+# Random policy
 # --------------------------------------------------------------------- #
 class TestRandomArrayPolicy:
+    @needs_kernel
     def test_deterministic_per_seed(self):
         trace = _mixed_trace(8000, seed=3)
         runs = [ArraySetAssociativeCache(16, 4, policy="Random", seed=9)
@@ -325,10 +337,10 @@ class TestRandomArrayPolicy:
     def test_statistically_reasonable(self):
         """Random replacement on a working set slightly above capacity
         should land between LRU (pathological) and a tiny cache."""
-        rng = np.random.default_rng(8)
         trace = np.tile(np.arange(80, dtype=np.int64), 100)
-        random_cache = ArraySetAssociativeCache(1, 64, policy="Random")
-        lru = ArraySetAssociativeCache(1, 64, policy="LRU")
+        random_cache = build_cache(64, ways=64, policy="Random",
+                                   backend="auto")
+        lru = build_cache(64, ways=64, policy="LRU", backend="auto")
         random_cache.run(trace)
         lru.run(trace)
         # Cyclic scan over 80 lines through 64 ways: LRU misses always;
@@ -336,6 +348,7 @@ class TestRandomArrayPolicy:
         assert lru.stats.hits == 0
         assert random_cache.stats.hit_rate > 0.4
 
+    @needs_kernel
     def test_backend_routing(self):
         assert resolve_backend("auto", "Random") == "array"
         assert resolve_backend("array", "Random") == "array"
@@ -349,6 +362,7 @@ class TestRandomArrayPolicy:
 # --------------------------------------------------------------------- #
 # Multi-config shared-pass replay
 # --------------------------------------------------------------------- #
+@needs_kernel
 class TestMultiConfigBatch:
     def test_matches_individual_runs(self):
         trace = _mixed_trace(15000, spread=8000, seed=6)

@@ -6,7 +6,8 @@ The suite proves the three contracts the sampling subsystem rests on:
   continue replaying is indistinguishable from never stopping, for
   every array backend and policy (including the PDP tuner's extra
   state, partitioned flat-buffer aliasing, Vantage's linked lists and
-  Talus's sampler registers), and checkpoints survive pickling.
+  Talus's sampler registers) and for the object model (one pickle), and
+  checkpoints survive pickling.
 * **Estimator correctness** — Student-t critical values, CI widths and
   the MPKI algebra match first-principles values.
 * **Execution-strategy determinism** — serial, threaded, pooled,
@@ -34,6 +35,7 @@ from repro.sampling import (CacheCheckpoint, SampledResult, SamplingSpec,
                             window_seed)
 from repro.workloads.scale import ChunkedTrace, long_trace
 
+from .conftest import needs_kernel
 from .faults import fault_queue
 
 
@@ -97,6 +99,7 @@ def roundtrip_identity(spec, addrs, cut):
 ONLINE_ARRAY_POLICIES = tuple(p for p in ARRAY_POLICIES if p != "Belady")
 
 
+@needs_kernel
 @pytest.mark.parametrize("policy", ONLINE_ARRAY_POLICIES)
 def test_array_checkpoint_roundtrip_native(policy):
     trace = make_trace(12_000)
@@ -108,13 +111,17 @@ def test_array_checkpoint_roundtrip_native(policy):
 
 @pytest.mark.parametrize("policy", ONLINE_ARRAY_POLICIES)
 def test_array_checkpoint_roundtrip_no_kernel(no_kernel, policy):
+    """Without the kernel "auto" builds the object model, whose
+    checkpoints pickle the whole cache (streams and PSELs included)."""
     trace = make_trace(6_000)
     addrs = trace.segment(0, 6_000)
     spec = CacheSpec(capacity_lines=256, ways=8, policy=policy,
-                     backend="array", seed=7)
+                     backend="auto", seed=7)
+    assert build(spec).snapshot().kind == "object"
     roundtrip_identity(spec, addrs, cut=2_500)
 
 
+@needs_kernel
 def test_belady_checkpoint_roundtrip():
     addrs = make_trace(10_000).segment(0, 10_000)
     cut = 4_000
@@ -141,6 +148,7 @@ def test_belady_checkpoint_roundtrip():
     assert counters(rebuilt) == counters(straight)
 
 
+@needs_kernel
 def test_belady_checkpoint_rejects_other_trace():
     addrs = make_trace(4_000).segment(0, 4_000)
     spec = CacheSpec(capacity_lines=128, ways=128, policy="Belady",
@@ -153,6 +161,7 @@ def test_belady_checkpoint_rejects_other_trace():
         other.restore(ckpt)
 
 
+@needs_kernel
 @pytest.mark.parametrize("scheme,policy", [
     ("way", "LRU"), ("way", "SRRIP"), ("way", "PDP"),
     ("set", "LRU"), ("set", "SRRIP"),
@@ -167,6 +176,7 @@ def test_partitioned_checkpoint_roundtrip(scheme, policy):
     roundtrip_identity(spec, addrs, cut=4_000)
 
 
+@needs_kernel
 @pytest.mark.parametrize("policy", ["LRU", "SRRIP", "BRRIP", "PDP",
                                     "TA-DRRIP"])
 def test_vantage_checkpoint_roundtrip(policy):
@@ -180,10 +190,24 @@ def test_vantage_checkpoint_roundtrip(policy):
     roundtrip_identity(spec, addrs, cut=4_000)
 
 
+@pytest.mark.parametrize("scheme,policy", [
+    ("way", "DRRIP"), ("set", "TA-DRRIP"), ("ideal", "BIP"),
+    ("vantage", "Random"),
+])
+def test_object_talus_checkpoint_roundtrip(scheme, policy):
+    """Object-model partitioned caches checkpoint as one pickle, random
+    streams and PSEL counters included."""
+    addrs = make_trace(10_000).segment(0, 10_000)
+    spec = TalusSpec(partition=PartitionSpec(
+        scheme=scheme, capacity_lines=512, num_partitions=2,
+        policy=policy, backend="object"))
+    assert build(spec).snapshot().state["base"].kind == "object"
+    roundtrip_identity(spec, addrs, cut=4_000)
+
+
 def test_checkpoint_digest_tracks_content():
     addrs = make_trace(8_000).segment(0, 8_000)
-    spec = CacheSpec(capacity_lines=256, ways=8, policy="LRU",
-                     backend="array")
+    spec = CacheSpec(capacity_lines=256, ways=8, policy="LRU")
     a, b = build(spec), build(spec)
     replay(a, addrs[:3_000])
     replay(b, addrs[:3_000])
@@ -195,6 +219,7 @@ def test_checkpoint_digest_tracks_content():
     assert pickle.loads(pickle.dumps(ckpt)).digest() == ckpt.digest()
 
 
+@needs_kernel
 def test_restore_rejects_mismatched_spec():
     addrs = make_trace(2_000).segment(0, 2_000)
     donor = build(CacheSpec(capacity_lines=256, ways=8, policy="LRU",

@@ -4,14 +4,16 @@ Covers the three spec layers (CacheSpec / PartitionSpec / TalusSpec):
 round-trip identity through ``to_spec``/``build``, equivalence of the
 legacy ``build_cache`` shim, helpful validation errors, and — the core
 guarantee of the Talus fast path — bit-identical statistics between the
-object-model and array-backend partitioned/Talus replays for the exact
-policy tier (LRU, LIP, SRRIP, PDP).
+object-model and array-backend partitioned/Talus replays for every online
+policy.  Tests that build array caches directly need the native kernel;
+``backend="auto"`` resolves to the object model without it.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache import (ArrayPartitionedCache, ArraySetAssociativeCache,
+from repro.cache import (POLICY_NAMES, ArrayPartitionedCache,
+                         ArraySetAssociativeCache,
                          CacheSpec, PartitionSpec, SetAssociativeCache,
                          TalusCache, TalusSpec, build, build_cache,
                          make_partitioned_cache, partitionable_lines_for,
@@ -20,9 +22,14 @@ from repro.core.misscurve import MissCurve
 from repro.core.talus import plan_shadow_partitions
 from repro.sim.engine import plan_talus_spec, talus_sweep_configs
 from repro.sim.sweep import SweepConfig, run_sweep
+from repro.cache._native import native_available
 from repro.workloads.spec_profiles import get_profile
 
-EXACT_POLICIES = ("LRU", "LIP", "SRRIP", "PDP")
+from .conftest import needs_kernel
+
+ONLINE = tuple(p for p in POLICY_NAMES if p != "Belady")
+#: The backend "auto" resolves to on this host.
+FAST = "array" if native_available() else "object"
 
 
 def _cliff_curve():
@@ -37,6 +44,7 @@ def _mixed_trace(n=12000, seed=0):
 
 
 class TestCacheSpec:
+    @needs_kernel
     def test_build_and_roundtrip_fixed_point(self):
         for backend, cls in (("object", SetAssociativeCache),
                              ("array", ArraySetAssociativeCache)):
@@ -51,20 +59,20 @@ class TestCacheSpec:
 
     def test_auto_resolves_to_concrete_backend(self):
         spec = CacheSpec(capacity_lines=128, policy="LRU", backend="auto")
-        assert spec.resolved_backend() == "array"
-        assert build(spec).to_spec().backend == "array"
-        # The policy matrix is total on the array backend: the seeded
-        # tier rides the kernel under "auto" too.
+        assert spec.resolved_backend() == FAST
+        assert build(spec).to_spec().backend == FAST
+        # Both backends replay the randomized policies alike, so they
+        # follow the kernel under "auto" too.
         spec = CacheSpec(capacity_lines=128, policy="DRRIP", backend="auto")
-        assert spec.resolved_backend() == "array"
+        assert spec.resolved_backend() == FAST
 
     def test_auto_is_total_over_policies(self):
-        from repro.cache.factory import POLICY_NAMES
         for policy in POLICY_NAMES:
             spec = CacheSpec(capacity_lines=128, policy=policy,
                              backend="auto")
-            assert spec.resolved_backend() == "array", policy
+            assert spec.resolved_backend() == FAST, policy
 
+    @needs_kernel
     def test_direct_construction_recovers_policy(self):
         cache = ArraySetAssociativeCache(8, 4, policy="LIP")
         spec = cache.to_spec()
@@ -87,7 +95,7 @@ class TestCacheSpec:
 
     def test_build_cache_shim_equivalence(self):
         trace = _mixed_trace(6000)
-        for policy, backend in (("LRU", "auto"), ("SRRIP", "array"),
+        for policy, backend in (("LRU", "auto"), ("SRRIP", "auto"),
                                 ("DRRIP", "object")):
             old = build_cache(256, ways=8, policy=policy, backend=backend,
                               seed=5)
@@ -115,6 +123,7 @@ class TestPartitionSpec:
         assert recovered.scheme == scheme
         assert build(recovered).to_spec() == recovered
 
+    @needs_kernel
     @pytest.mark.parametrize("scheme", ["ideal", "way", "set", "vantage"])
     def test_array_roundtrip_fixed_point(self, scheme):
         from repro.cache.partition.array import ArrayVantageCache
@@ -130,43 +139,47 @@ class TestPartitionSpec:
 
     def test_auto_tier(self):
         # The scheme x policy matrix is total on the array backend:
-        # every array scheme rides the kernel under "auto" for every
-        # policy, seeded tier included.
+        # every array scheme follows the kernel under "auto" for every
+        # policy, randomized ones included.
         assert PartitionSpec(scheme="way", capacity_lines=512,
                              num_partitions=2,
-                             policy="SRRIP").resolved_backend() == "array"
+                             policy="SRRIP").resolved_backend() == FAST
         assert PartitionSpec(scheme="way", capacity_lines=512,
                              num_partitions=2,
-                             policy="BRRIP").resolved_backend() == "array"
+                             policy="BRRIP").resolved_backend() == FAST
         assert PartitionSpec(scheme="vantage", capacity_lines=512,
                              num_partitions=2,
-                             policy="TA-DRRIP").resolved_backend() == "array"
+                             policy="TA-DRRIP").resolved_backend() == FAST
         assert PartitionSpec(scheme="ideal", capacity_lines=512,
                              num_partitions=2,
-                             policy="SRRIP").resolved_backend() == "array"
+                             policy="SRRIP").resolved_backend() == FAST
         # Futility scaling is the one object-only scheme.
         assert PartitionSpec(scheme="futility", capacity_lines=512,
                              num_partitions=2).resolved_backend() == "object"
 
     def test_auto_is_total_over_scheme_policy_matrix(self):
-        from repro.cache.factory import POLICY_NAMES
         from repro.cache.partition.array import ARRAY_SCHEMES
         for scheme in ARRAY_SCHEMES:
-            for policy in (p for p in POLICY_NAMES if p != "Belady"):
+            for policy in ONLINE:
                 spec = PartitionSpec(scheme=scheme, capacity_lines=512,
                                      num_partitions=2, policy=policy)
-                assert spec.resolved_backend() == "array", (scheme, policy)
+                assert spec.resolved_backend() == FAST, (scheme, policy)
 
     def test_explicit_array_rejects_unsupported(self):
         with pytest.raises(ValueError, match="object"):
             PartitionSpec(scheme="futility", capacity_lines=512,
                           num_partitions=2,
                           backend="array").resolved_backend()
-        # Non-LRU regions are first-class on the array backend now.
+        # Non-LRU regions are first-class on the array backend, which
+        # needs the kernel.
         for scheme in ("ideal", "vantage"):
             spec = PartitionSpec(scheme=scheme, capacity_lines=512,
                                  num_partitions=2, policy="SRRIP",
                                  backend="array")
+            if not native_available():
+                with pytest.raises(RuntimeError, match="REPRO_NATIVE"):
+                    build(spec)
+                continue
             assert spec.resolved_backend() == "array"
             assert build(spec).to_spec().backend == "array"
 
@@ -195,15 +208,15 @@ class TestPartitionSpec:
         from dataclasses import replace
         spec = PartitionSpec(scheme="way", capacity_lines=600,
                              num_partitions=2, targets=(200.0, 392.0))
-        for backend in ("object", "array"):
+        for backend in ("object", "auto"):
             cache = build(replace(spec, backend=backend))
             assert cache.granted_allocations() == [185, 407]  # 5 + 11 ways
 
     def test_array_reallocation_works_warm(self):
-        # PR 4: the array backend reallocates warm partitions in place
-        # (shrink evicts per-policy victims, grow adds empty capacity).
+        # Both backends reallocate warm partitions in place (shrink
+        # evicts per-policy victims, grow adds empty capacity).
         cache = build(PartitionSpec(scheme="way", capacity_lines=512,
-                                    num_partitions=2, backend="array"))
+                                    num_partitions=2))
         cache.set_allocations([128, 384])  # empty: fine
         for a in range(200):
             cache.access(a, 0)
@@ -243,10 +256,11 @@ class TestTalusSpec:
         assert build(recovered).to_spec() == recovered
 
 
+@needs_kernel
 class TestObjectArrayParity:
     """The headline guarantee: the fast path changes nothing but speed."""
 
-    @pytest.mark.parametrize("policy", EXACT_POLICIES)
+    @pytest.mark.parametrize("policy", ONLINE)
     def test_talus_way_shadow_pair_parity(self, policy):
         self._check_talus_parity("way", policy)
 
@@ -277,7 +291,7 @@ class TestObjectArrayParity:
             )
         assert results["object"] == results["array"]
 
-    @pytest.mark.parametrize("policy", EXACT_POLICIES)
+    @pytest.mark.parametrize("policy", ONLINE)
     def test_run_partitioned_matches_object_per_access(self, policy):
         trace = _mixed_trace(8000, seed=3)
         rng = np.random.default_rng(7)
@@ -378,7 +392,7 @@ class TestSweepIntegration:
 
     def test_explicit_spec_sweep_config(self):
         trace = _mixed_trace(5000, seed=11)
-        spec = CacheSpec(capacity_lines=256, policy="LRU", backend="array")
+        spec = CacheSpec(capacity_lines=256, policy="LRU")
         result = run_sweep(trace, [
             SweepConfig(key="spec", size_mb=1.0, spec=spec),
             SweepConfig(key=("LRU", 1.0), size_mb=1.0),

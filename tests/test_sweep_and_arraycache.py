@@ -1,9 +1,11 @@
 """Parity and regression tests for the sweep engine and the array cache.
 
-The array backend's contract is that LRU and SRRIP are *bit-identical* to
-the object model; these tests enforce it with property-based random traces
-(both through the native kernel and through the pure-Python fallback) and
-pin the sweep engine to the per-size reference results.
+The array backend's contract is that every online policy is
+*bit-identical* to the object model; these tests enforce it with
+property-based random traces (through batched kernel runs and scalar
+one-access kernel calls) and pin the sweep engine to the per-size
+reference results.  Tests that build array caches directly need the
+native kernel; the sweep-engine tests run on either backend.
 """
 
 from __future__ import annotations
@@ -13,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (ARRAY_EXACT_POLICIES, ArraySetAssociativeCache,
-                         CacheStats, SetAssociativeCache, build_cache,
-                         cache_geometry, named_policy_factory,
-                         resolve_backend)
+from repro.cache import (POLICY_NAMES, ArraySetAssociativeCache, CacheStats,
+                         SetAssociativeCache, build_cache, cache_geometry,
+                         named_policy_factory, resolve_backend)
 from repro.cache._native import native_available
 from repro.sim.engine import simulate_policy_at_size, simulated_mpki_curve
 from repro.sim.sweep import SweepConfig, SweepSpec, run_sweep
 from repro.workloads.spec_profiles import get_profile
+
+from .conftest import needs_kernel
+
+
+ONLINE = tuple(p for p in POLICY_NAMES if p != "Belady")
 
 
 def traces(max_addr: int = 200, max_len: int = 400):
@@ -38,11 +44,12 @@ def _object_counts(trace, num_sets, ways, policy, hashed_index=False,
     return cache.stats.hits, cache.stats.misses
 
 
+@needs_kernel
 class TestArrayBackendParity:
     @settings(max_examples=40, deadline=None)
     @given(trace=traces(), num_sets=st.integers(1, 9),
            ways=st.integers(1, 8),
-           policy=st.sampled_from(ARRAY_EXACT_POLICIES))
+           policy=st.sampled_from(ONLINE))
     def test_native_run_matches_object_model(self, trace, num_sets, ways,
                                              policy):
         """Array backend replay == object model, hit for hit."""
@@ -54,7 +61,7 @@ class TestArrayBackendParity:
     @settings(max_examples=25, deadline=None)
     @given(trace=traces(), num_sets=st.integers(2, 9),
            ways=st.integers(1, 8),
-           policy=st.sampled_from(ARRAY_EXACT_POLICIES),
+           policy=st.sampled_from(ONLINE),
            index_seed=st.integers(0, 2**31 - 1))
     def test_hashed_indexing_matches_object_model(self, trace, num_sets,
                                                   ways, policy, index_seed):
@@ -70,10 +77,11 @@ class TestArrayBackendParity:
     @settings(max_examples=25, deadline=None)
     @given(trace=traces(max_len=150), num_sets=st.integers(1, 5),
            ways=st.integers(1, 6),
-           policy=st.sampled_from(ARRAY_EXACT_POLICIES))
+           policy=st.sampled_from(ONLINE))
     def test_python_access_path_matches_object_model(self, trace, num_sets,
                                                      ways, policy):
-        """The per-access Python path is bit-compatible with the kernel."""
+        """Scalar access() calls (one-access kernel replays) are
+        bit-compatible with the object model."""
         array = ArraySetAssociativeCache(num_sets, ways, policy=policy)
         expected = _object_counts(trace, num_sets, ways, policy)
         for a in trace:
@@ -127,24 +135,19 @@ class TestArrayBackendParity:
         cache.run(np.array([-2, 0, 7], dtype=np.int64))  # other ints are fine
 
     def test_randomized_policies_track_object_model(self):
-        """Array BIP/DIP/BRRIP/DRRIP land near the reference hit rates.
-
-        These policies are statistically equivalent, not bit-identical
-        (splitmix64 vs per-set Mersenne twisters), so compare hit rates
-        with a tolerance on a workload long enough to average the noise.
-        """
+        """The randomized policies equal the reference model, miss for
+        miss: both draw from the same splitmix64 stream and duel over the
+        same leader sets."""
         trace = get_profile("omnetpp").trace(n_accesses=40000)
-        for policy in ("BIP", "DIP", "BRRIP", "DRRIP"):
-            array = build_cache(512, policy=policy, backend="array")
+        for policy in ("BIP", "DIP", "BRRIP", "DRRIP", "TA-DRRIP",
+                       "Random"):
+            array = build_cache(512, policy=policy, backend="array", seed=9)
             array.run(trace.addresses)
-            obj = build_cache(512, policy=policy, backend="object")
+            obj = build_cache(512, policy=policy, backend="object", seed=9)
             for a in trace.addresses.tolist():
                 obj.access(a)
-            assert array.stats.hit_rate == pytest.approx(
-                obj.stats.hit_rate, abs=0.05), policy
+            assert array.stats.misses == obj.stats.misses, policy
 
-    @pytest.mark.skipif(not native_available(),
-                        reason="no C compiler; python path already covered")
     def test_python_and_native_paths_interleave(self):
         """A replay split across access() and run() matches a pure run()."""
         trace = get_profile("omnetpp").trace(n_accesses=4000)
@@ -160,7 +163,8 @@ class TestArrayBackendParity:
                              ("SRRIP", False), ("BRRIP", False),
                              ("BIP", False), ("DIP", False),
                              ("PDP", False), ("DRRIP", False),
-                             ("DRRIP", True)):
+                             ("DRRIP", True), ("TA-DRRIP", False),
+                             ("Random", False)):
             whole = build(policy, duel)
             whole.run(addrs)
             mixed = build(policy, duel)
@@ -191,10 +195,11 @@ class TestSweepEngine:
                     trace, size, policy, backend=reference_backend)
                 assert result.mpki((policy, size)) == pytest.approx(reference)
 
+    @needs_kernel
     def test_object_and_array_backends_agree(self):
         trace = get_profile("sphinx3").trace(n_accesses=15000)
         sizes = (0.5, 1.0, 2.0)
-        for policy in ARRAY_EXACT_POLICIES:
+        for policy in ONLINE:
             spec = SweepSpec(sizes_mb=sizes, policies=(policy,))
             obj = run_sweep(trace, spec, backend="object")
             arr = run_sweep(trace, spec, backend="array")
@@ -279,33 +284,29 @@ class TestSweepEngine:
 
 class TestFactoryAndStats:
     def test_resolve_backend(self):
-        # The policy matrix is total under "auto": exact tier and
-        # seeded tier alike ride the array backend.
-        assert resolve_backend("auto", "LRU") == "array"
-        assert resolve_backend("auto", "SRRIP") == "array"
-        assert resolve_backend("auto", "LIP") == "array"
-        assert resolve_backend("auto", "PDP") == "array"
-        assert resolve_backend("auto", "DRRIP") == "array"
-        assert resolve_backend("auto", "DIP") == "array"
-        assert resolve_backend("auto", "TA-DRRIP") == "array"
-        assert resolve_backend("array", "DIP") == "array"
-        assert resolve_backend("array", "TA-DRRIP") == "array"
-        assert resolve_backend("object", "LRU") == "object"
-        # Belady is offline and array-only: "auto" resolves to array,
-        # an explicit object backend is an error.
-        assert resolve_backend("auto", "Belady") == "array"
-        assert resolve_backend("array", "Belady") == "array"
-        with pytest.raises(ValueError, match="offline"):
-            resolve_backend("object", "Belady")
+        # Both backends replay every policy alike, so "auto" follows the
+        # kernel: the array model with it, the object model without.
+        fast = "array" if native_available() else "object"
+        for policy in POLICY_NAMES:
+            assert resolve_backend("auto", policy) == fast
+            assert resolve_backend("object", policy) == "object"
+            if native_available():
+                assert resolve_backend("array", policy) == "array"
+            else:
+                with pytest.raises(RuntimeError,
+                                   match="C compiler.*REPRO_NATIVE"):
+                    resolve_backend("array", policy)
         with pytest.raises(ValueError):
             resolve_backend("turbo", "LRU")
+        with pytest.raises(ValueError):
+            resolve_backend("auto", "FIFO")
 
     def test_build_cache_geometries(self):
         assert cache_geometry(256, 16) == (16, 16)
         assert cache_geometry(10, 16) == (1, 10)
         with pytest.raises(ValueError):
             cache_geometry(0, 16)
-        for backend in ("object", "array"):
+        for backend in ("object", "auto"):
             cache = build_cache(256, policy="LRU", backend=backend)
             assert cache.capacity_lines == 256
 

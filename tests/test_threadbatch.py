@@ -4,6 +4,7 @@ The contract under test (docs/ARCHITECTURE.md, "Threading model"): a
 :class:`~repro.cache.threadbatch.ReplayTask` batch produces **bit-identical
 results at any thread count** — the tasks share no mutable state, so the
 worker width only changes wall-clock time, never a single counter.
+Tests that build array caches directly need the native kernel.
 """
 
 from __future__ import annotations
@@ -16,11 +17,14 @@ from repro.cache._native import resolve_threads
 from repro.cache.arraycache import ArraySetAssociativeCache
 from repro.cache.partition.array import (ArrayPartitionedCache,
                                          ArrayVantageCache)
+from repro.cache.spec import PartitionSpec, TalusSpec, build
 from repro.cache.talus_cache import TalusCache
 from repro.cache.threadbatch import (ReplayTask, i64_ptr, resolve_parallel,
                                      run_tasks, u64_ptr)
 from repro.sim.sweep import SweepSpec, run_sweep
 from repro.workloads.generators import zipfian
+
+from .conftest import needs_kernel
 
 #: Thread widths every determinism test sweeps (1 is the serial loop).
 WIDTHS = (1, 2, 8)
@@ -66,6 +70,7 @@ class TestResolvers:
 class TestReplayTaskDeterminism:
     """Bit-identity of threaded batches vs the serial entry points."""
 
+    @needs_kernel
     @pytest.mark.parametrize("policy", ["LRU", "SRRIP", "PDP"])
     def test_single_policy_all_widths(self, policy):
         addrs = _trace()
@@ -77,6 +82,7 @@ class TestReplayTaskDeterminism:
             assert _state_digest(cache) == _state_digest(serial), \
                 (policy, width)
 
+    @needs_kernel
     def test_many_tasks_all_widths(self):
         """A full batch (several policies and sizes at once) stays
         bit-identical at every width — the acceptance shape of the
@@ -96,6 +102,7 @@ class TestReplayTaskDeterminism:
             for ref, cache in zip(serial, batch):
                 assert _state_digest(cache) == _state_digest(ref), width
 
+    @needs_kernel
     def test_partitioned_kernel_all_widths(self):
         addrs = _trace(12_000)
         parts = (np.arange(addrs.size, dtype=np.int64) % 4)
@@ -110,6 +117,7 @@ class TestReplayTaskDeterminism:
                 assert (cache.partition_stats[p].misses
                         == serial.partition_stats[p].misses), (p, width)
 
+    @needs_kernel
     def test_talus_on_vantage_all_widths(self):
         addrs = _trace(12_000)
         serial = TalusCache(ArrayVantageCache(4096, 4), num_logical=2)
@@ -149,14 +157,19 @@ class TestFallbackPath:
         monkeypatch.setattr(_native, "_kernel_tried", True)
 
     def test_tasks_degrade_to_fallback(self, no_kernel):
+        """Without the kernel "auto" builds the object model, whose replay
+        tasks run their serial fallback inside the same batch call."""
         addrs = _trace(6_000)
-        serial = ArraySetAssociativeCache(32, 4, policy="SRRIP")
+        spec = TalusSpec(partition=PartitionSpec(
+            scheme="way", capacity_lines=256, num_partitions=2,
+            policy="SRRIP"))
+        serial = build(spec)
         serial.run(addrs)
-        cache = ArraySetAssociativeCache(32, 4, policy="SRRIP")
+        cache = build(spec)
         task = cache.replay_task(addrs)
         assert not task.native
         run_tasks([task], threads=8)
-        assert _state_digest(cache) == _state_digest(serial)
+        assert cache.total_stats() == serial.total_stats()
 
     def test_auto_mode_prefers_processes(self, no_kernel):
         assert resolve_parallel("auto") == "processes"

@@ -3,10 +3,10 @@
 The object :class:`~repro.cache.partition.vantage.VantagePartitionedCache`
 with LRU regions is fully deterministic, so the array backend
 (:class:`~repro.cache.partition.array.ArrayVantageCache`, the
-``vantage_run``/``vantage_realloc`` kernels and their pure-Python twin)
-must be **bit-identical** to it: same hits and misses access by access,
-same occupancies, same unmanaged-region contents effects, same warm
-reallocation — at any chunk boundary.
+``vantage_run``/``vantage_realloc`` kernels) must be **bit-identical** to
+it: same hits and misses access by access, same occupancies, same
+unmanaged-region contents effects, same warm reallocation — at any chunk
+boundary.  Tests that build array caches directly need the native kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from repro.cache.partition.vantage import VantagePartitionedCache
 from repro.cache.spec import PartitionSpec, TalusSpec, build
 from repro.sim.multicore import ReconfiguringSharedRun
 from repro.workloads.spec_profiles import get_profile
+
+from .conftest import needs_kernel
 
 
 def _stream(n, num_parts, addr_range=(0, 400), seed=0):
@@ -41,6 +43,7 @@ def _object_misses(obj, addrs, parts):
     return misses
 
 
+@needs_kernel
 class TestArrayVantageParity:
     def test_per_access_parity(self):
         obj, arr = _pair(180, 3)
@@ -122,6 +125,7 @@ class TestArrayVantageParity:
             arr.set_allocations([80, 80])
 
 
+@needs_kernel
 class TestVantageSpec:
     def test_auto_resolves_to_array_for_lru(self):
         spec = PartitionSpec(scheme="vantage", capacity_lines=512,
@@ -166,6 +170,7 @@ class TestVantageSpec:
 
 
 class TestVantageTalusLoop:
+    @needs_kernel
     def test_talus_on_vantage_batch_replay(self):
         """Talus with a Vantage base now supports one-pass batched replay."""
         spec = TalusSpec(partition=PartitionSpec(
