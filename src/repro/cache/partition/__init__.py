@@ -1,7 +1,7 @@
 """Cache partitioning schemes (hardware enforcement of capacity allocations)."""
 
 from .array import ARRAY_SCHEMES, ArrayPartitionedCache, ArrayVantageCache
-from .base import PartitionedCache
+from .base import PartitionedCache, shared_partitions
 from .futility import FutilityScalingCache
 from .ideal import IdealPartitionedCache
 from .setpart import SetPartitionedCache
@@ -80,24 +80,31 @@ def make_partitioned_cache(scheme: str, capacity_lines: int, num_partitions: int
     num_partitions:
         Number of partitions.
     policy_factory:
-        Optional replacement-policy factory (default per-scheme LRU).
+        Optional replacement-policy factory shared by every region
+        (default LRU).
     ways:
         Associativity used by the way/set-partitioned organizations.
+    kwargs:
+        Passed to the scheme's constructor.  The way, set and ideal
+        schemes take a ``partition_factory`` giving each partition its
+        own policy factory in place of the shared ``policy_factory``.
     """
     from ..cache import lru_factory
     factory = policy_factory if policy_factory is not None else lru_factory
     scheme = scheme.lower()
+    if scheme in ("ideal", "way", "set"):
+        kwargs.setdefault("partition_factory", shared_partitions(factory))
     if scheme == "ideal":
-        return IdealPartitionedCache(capacity_lines, num_partitions, factory, **kwargs)
+        return IdealPartitionedCache(capacity_lines, num_partitions, **kwargs)
     if scheme == "vantage":
         return VantagePartitionedCache(capacity_lines, num_partitions, factory, **kwargs)
     if scheme == "futility":
         return FutilityScalingCache(capacity_lines, num_partitions, factory, **kwargs)
     if scheme == "way":
         num_sets = max(1, capacity_lines // ways)
-        return WayPartitionedCache(num_sets, ways, num_partitions, factory, **kwargs)
+        return WayPartitionedCache(num_sets, ways, num_partitions, **kwargs)
     if scheme == "set":
         num_sets = max(num_partitions, capacity_lines // ways)
-        return SetPartitionedCache(num_sets, ways, num_partitions, factory, **kwargs)
+        return SetPartitionedCache(num_sets, ways, num_partitions, **kwargs)
     raise ValueError(f"unknown partitioning scheme {scheme!r}; "
                      f"known: {sorted(SCHEME_REGISTRY)}")

@@ -160,7 +160,9 @@ class _FastIdealLRURegion:
         replay = np.concatenate([resident, addrs]) if resident.size else addrs
         hist = np.zeros(replay.size, dtype=np.int64)
         if require_kernel().stack_hist_run(replay, hist) < 0:
-            raise MemoryError("stack_hist_run: scratch allocation failed")
+            # Scratch allocation failed inside the kernel: replay per access.
+            access = self._policy.access
+            return sum(not access(a) for a in addrs.tolist())
         hits = int(hist[:min(self.capacity, hist.size)].sum())
         # The resident-prefix accesses are all cold (distinct tags), so
         # every counted hit belongs to the new accesses.

@@ -21,11 +21,29 @@ allocations:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Sequence
 
-from ..cache import CacheStats
+from ..cache import CacheStats, lru_factory
+from ..replacement.base import PartitionFactory, PolicyFactory
 
-__all__ = ["PartitionedCache", "trim_line_allocations"]
+__all__ = ["PartitionedCache", "trim_line_allocations", "shared_partitions",
+           "LRU_PARTITIONS"]
+
+
+def _shared_factory(policy_factory: PolicyFactory, partition: int,
+                    num_regions: int) -> PolicyFactory:
+    return policy_factory
+
+
+def shared_partitions(policy_factory: PolicyFactory) -> PartitionFactory:
+    """A :data:`~repro.cache.replacement.base.PartitionFactory` under which
+    every partition builds its regions from ``policy_factory``."""
+    return partial(_shared_factory, policy_factory)
+
+
+#: The way, set and ideal schemes' default: plain LRU in every region.
+LRU_PARTITIONS = shared_partitions(lru_factory)
 
 
 def trim_line_allocations(sizes: Sequence[float], capacity: int) -> list[int]:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..cache import lru_factory
-from ..replacement.base import PolicyFactory
-from .base import PartitionedCache, trim_line_allocations
+from ..replacement.base import PartitionFactory
+from .base import LRU_PARTITIONS, PartitionedCache, trim_line_allocations
 
 __all__ = ["IdealPartitionedCache"]
 
@@ -27,19 +26,20 @@ class IdealPartitionedCache(PartitionedCache):
         Total cache capacity in lines.
     num_partitions:
         Number of software-visible partitions.
-    policy_factory:
-        ``(partition_index, capacity) -> EvictionPolicy``; default LRU.
-        Called once per partition; capacities are later adjusted with
-        :meth:`set_allocations`.
+    partition_factory:
+        :data:`~repro.cache.replacement.base.PartitionFactory`: partition
+        ``p``'s one region comes from ``partition_factory(p, 1)``; default
+        LRU.  Capacities are later adjusted with :meth:`set_allocations`.
     """
 
     scheme_name = "ideal"
 
     def __init__(self, capacity_lines: int, num_partitions: int,
-                 policy_factory: PolicyFactory = lru_factory):
+                 partition_factory: PartitionFactory = LRU_PARTITIONS):
         super().__init__(capacity_lines, num_partitions)
         base = capacity_lines // num_partitions
-        self._regions = [policy_factory(i, base) for i in range(num_partitions)]
+        self._regions = [partition_factory(p, 1)(0, base)
+                         for p in range(num_partitions)]
         self._allocations = [base] * num_partitions
 
     def set_allocations(self, sizes: Sequence[float]) -> list[int]:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..cache import lru_factory
 from ..hashing import mix64
-from ..replacement.base import EvictionPolicy, PolicyFactory
+from ..replacement.base import EvictionPolicy, PartitionFactory
 from ..replacement.rrip import rewire_leaders
-from .base import PartitionedCache
+from .base import LRU_PARTITIONS, PartitionedCache
 
 __all__ = ["SetPartitionedCache", "round_to_sets"]
 
@@ -42,12 +41,17 @@ class SetPartitionedCache(PartitionedCache):
     the property the Talus worked example relies on.  Resizing a
     partition keeps its leading sets, drops or appends trailing ones, and
     re-derives the set-dueling leaders for the new set count.
+
+    Partition ``p`` builds its sets from
+    ``partition_factory(p, sets_p)`` (a
+    :data:`~repro.cache.replacement.base.PartitionFactory`, default LRU),
+    sized to its construction-time ``sets_p`` sets.
     """
 
     scheme_name = "set"
 
     def __init__(self, num_sets: int, ways: int, num_partitions: int,
-                 policy_factory: PolicyFactory = lru_factory,
+                 partition_factory: PartitionFactory = LRU_PARTITIONS,
                  index_seed: int = 0, hashed_index: bool = False):
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
@@ -59,13 +63,14 @@ class SetPartitionedCache(PartitionedCache):
         self.ways = ways
         self.index_seed = index_seed
         self.hashed_index = hashed_index
-        self._policy_factory = policy_factory
         base_sets = num_sets // num_partitions
         self._set_alloc = [base_sets] * num_partitions
         self._set_alloc[0] += num_sets - base_sets * num_partitions
+        self._factories = [partition_factory(p, sets_p)
+                           for p, sets_p in enumerate(self._set_alloc)]
         self._regions: list[list[EvictionPolicy]] = [
-            [policy_factory(p * num_sets + s, ways) for s in range(self._set_alloc[p])]
-            for p in range(num_partitions)
+            [factory(s, ways) for s in range(sets_p)]
+            for factory, sets_p in zip(self._factories, self._set_alloc)
         ]
 
     def _round_to_sets(self, sizes: Sequence[float]) -> list[int]:
@@ -79,7 +84,7 @@ class SetPartitionedCache(PartitionedCache):
             if sets_p == len(regions):
                 continue
             if sets_p > len(regions):
-                regions.extend(self._policy_factory(p * self.num_sets + s, self.ways)
+                regions.extend(self._factories[p](s, self.ways)
                                for s in range(len(regions), sets_p))
             else:
                 del regions[sets_p:]

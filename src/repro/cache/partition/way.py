@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..cache import lru_factory
 from ..hashing import mix64
-from ..replacement.base import EvictionPolicy, PolicyFactory
-from .base import PartitionedCache
+from ..replacement.base import EvictionPolicy, PartitionFactory
+from .base import LRU_PARTITIONS, PartitionedCache
 
 __all__ = ["WayPartitionedCache", "round_to_ways"]
 
@@ -70,8 +69,10 @@ class WayPartitionedCache(PartitionedCache):
         Geometry of the underlying cache (capacity = ``num_sets * ways``).
     num_partitions:
         Number of software-visible partitions.
-    policy_factory:
-        ``(region_index, capacity) -> EvictionPolicy``; default LRU.
+    partition_factory:
+        :data:`~repro.cache.replacement.base.PartitionFactory`: partition
+        ``p`` builds its sets from ``partition_factory(p, num_sets)``;
+        default LRU.
     min_ways_per_partition:
         Partitions with a nonzero request are granted at least this many
         ways (real systems cannot give a core zero ways without effectively
@@ -81,7 +82,7 @@ class WayPartitionedCache(PartitionedCache):
     scheme_name = "way"
 
     def __init__(self, num_sets: int, ways: int, num_partitions: int,
-                 policy_factory: PolicyFactory = lru_factory,
+                 partition_factory: PartitionFactory = LRU_PARTITIONS,
                  index_seed: int = 0,
                  min_ways_per_partition: int = 1,
                  hashed_index: bool = False):
@@ -96,16 +97,14 @@ class WayPartitionedCache(PartitionedCache):
         self.index_seed = index_seed
         self.hashed_index = hashed_index
         self.min_ways = min_ways_per_partition
-        self._policy_factory = policy_factory
         start_ways = self._round_to_ways([self.capacity_lines / num_partitions]
                                          * num_partitions)
         self._way_alloc = start_ways
         # regions[partition][set]
-        self._regions: list[list[EvictionPolicy]] = [
-            [policy_factory(p * num_sets + s, start_ways[p])
-             for s in range(num_sets)]
-            for p in range(num_partitions)
-        ]
+        self._regions: list[list[EvictionPolicy]] = []
+        for p, ways_p in enumerate(start_ways):
+            factory = partition_factory(p, num_sets)
+            self._regions.append([factory(s, ways_p) for s in range(num_sets)])
 
     # ------------------------------------------------------------------ #
     def _round_to_ways(self, sizes: Sequence[float]) -> list[int]:

@@ -18,12 +18,18 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable
 
-__all__ = ["EvictionPolicy", "PolicyFactory"]
+__all__ = ["EvictionPolicy", "PolicyFactory", "PartitionFactory"]
 
 #: A callable building a policy for a region of the given capacity.  The
 #: second argument is a region index (e.g. the set index) so that factories
 #: implementing set dueling can designate leader regions.
 PolicyFactory = Callable[[int, int], "EvictionPolicy"]
+
+#: A callable building the :data:`PolicyFactory` of one partition from the
+#: partition index and its number of regions, so that each partition of a
+#: way, set or ideal cache has its own random stream, PSEL counter and
+#: leader wiring, as each native kernel region does.
+PartitionFactory = Callable[[int, int], PolicyFactory]
 
 
 class EvictionPolicy(ABC):

@@ -98,10 +98,8 @@ class DIPPolicy(EvictionPolicy):
 
 
 def dip_factory(num_regions: int, epsilon: float = 1.0 / 32.0,
-                leader_regions_per_policy: int = 32,
                 seed: int = 0,
                 rng: SplitMix64 | None = None) -> PolicyFactory:
     """Build a factory creating DIP regions with proper set dueling."""
-    return _dueling_factory(DIPPolicy, num_regions,
-                            leader_regions_per_policy, seed=seed, rng=rng,
+    return _dueling_factory(DIPPolicy, num_regions, seed=seed, rng=rng,
                             epsilon=epsilon)

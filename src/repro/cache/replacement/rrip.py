@@ -248,8 +248,13 @@ class DRRIPPolicy(_RRIPBase):
         return self.max_rrpv
 
 
-def _leader_stride(num_regions: int, leader_regions_per_policy: int) -> int:
-    leaders = min(leader_regions_per_policy, max(1, num_regions // 4))
+#: Leader regions per dueling policy in one region-cache (fewer when it has
+#: under 128 regions); the native kernels read the same wiring.
+LEADER_REGIONS_PER_POLICY = 32
+
+
+def _leader_stride(num_regions: int) -> int:
+    leaders = min(LEADER_REGIONS_PER_POLICY, max(1, num_regions // 4))
     return max(1, num_regions // (2 * leaders))
 
 
@@ -260,16 +265,15 @@ def _role_at(index: int, stride: int) -> DuelRole:
             else DuelRole.LEADER_BRRIP)
 
 
-def leader_roles(num_regions: int,
-                 leader_regions_per_policy: int = 32) -> list[DuelRole]:
+def leader_roles(num_regions: int) -> list[DuelRole]:
     """Set-dueling roles of ``num_regions`` regions sharing one PSEL.
 
-    Up to ``leader_regions_per_policy`` leaders per policy, spread evenly
-    across the index space and alternating SRRIP/BRRIP (LRU/BIP for DIP);
-    every other region follows.  The native kernels read the same wiring,
-    so one function serves both backends.
+    Up to :data:`LEADER_REGIONS_PER_POLICY` leaders per policy, spread
+    evenly across the index space and alternating SRRIP/BRRIP (LRU/BIP for
+    DIP); every other region follows.  The native kernels read the same
+    wiring, so one function serves both backends.
     """
-    stride = _leader_stride(num_regions, leader_regions_per_policy)
+    stride = _leader_stride(num_regions)
     return [_role_at(i, stride) for i in range(num_regions)]
 
 
@@ -292,8 +296,7 @@ def _dueling_region(policy_class, stride: int, shared: dict,
                         **shared)
 
 
-def _dueling_factory(policy_class, num_regions: int,
-                     leader_regions_per_policy: int = 32, seed: int = 0,
+def _dueling_factory(policy_class, num_regions: int, seed: int = 0,
                      rng: SplitMix64 | None = None,
                      **kwargs) -> PolicyFactory:
     """A set-dueling :data:`PolicyFactory` for ``policy_class``.
@@ -307,21 +310,18 @@ def _dueling_factory(policy_class, num_regions: int,
     shared = dict(kwargs, controller=DuelingController(),
                   rng=rng if rng is not None else SplitMix64(seed))
     return partial(_dueling_region, policy_class,
-                   _leader_stride(num_regions, leader_regions_per_policy),
-                   shared)
+                   _leader_stride(num_regions), shared)
 
 
 def drrip_factory(num_regions: int, m_bits: int = 2,
                   epsilon: float = 1.0 / 32.0,
-                  leader_regions_per_policy: int = 32,
                   seed: int = 0,
                   rng: SplitMix64 | None = None) -> PolicyFactory:
     """Build a :data:`PolicyFactory` creating DRRIP regions with set dueling.
 
-    ``leader_regions_per_policy`` regions are dedicated to SRRIP and the same
-    number to BRRIP (spread evenly across the index space); the rest follow
-    the shared PSEL.  Use this when building a set-associative DRRIP cache.
+    The regions of :func:`leader_roles` are dedicated to SRRIP and BRRIP;
+    the rest follow the shared PSEL.  Use this when building a
+    set-associative DRRIP cache.
     """
-    return _dueling_factory(DRRIPPolicy, num_regions,
-                            leader_regions_per_policy, seed=seed, rng=rng,
+    return _dueling_factory(DRRIPPolicy, num_regions, seed=seed, rng=rng,
                             m_bits=m_bits, epsilon=epsilon)

@@ -45,7 +45,8 @@ from typing import Mapping
 
 from ..core.talus import TalusConfig
 from .arraycache import ArrayBeladyCache, ArraySetAssociativeCache
-from .cache import SetAssociativeCache, materialize_addresses
+from .cache import (SetAssociativeCache, materialize_addresses,
+                    policy_factory_from_class)
 from .factory import (BACKENDS, POLICY_NAMES, SEEDED_POLICIES, cache_geometry,
                       named_policy_factory, resolve_backend)
 from .hashing import SplitMix64
@@ -53,6 +54,7 @@ from .partition import (ARRAY_SCHEMES, SCHEME_REGISTRY, ArrayPartitionedCache,
                         ArrayVantageCache, make_partitioned_cache,
                         partitionable_lines_for)
 from .replacement.belady import BeladyMINPolicy
+from .replacement.tadrrip import TADRRIPPolicy
 from .talus_cache import TalusCache
 
 __all__ = ["CacheSpec", "PartitionSpec", "TalusSpec", "build"]
@@ -85,11 +87,9 @@ def _min_region(trace, region_index: int, capacity: int) -> BeladyMINPolicy:
     return BeladyMINPolicy(capacity, trace)
 
 
-def _partition_region(factories, stride: int, region_index: int,
-                      capacity: int):
-    """Route region ``region_index`` to its partition's own factory."""
-    partition, index = divmod(region_index, stride)
-    return factories[partition](index, capacity)
+def _named_partition_factory(policy: str, kwargs: dict, partition: int,
+                             num_regions: int):
+    return named_policy_factory(policy, num_regions, **kwargs)
 
 
 def _check_scheme(scheme: str) -> None:
@@ -317,39 +317,28 @@ class PartitionSpec:
             return "object"
         return resolve_backend(self.backend, self.policy)
 
-    def _object_policy_factory(self, policy_kwargs: dict):
-        """The object model's policy factory, laid out like the kernel.
+    def _object_factory_kwargs(self, policy_kwargs: dict) -> dict:
+        """The object scheme's policy-factory keyword, laid out like the
+        kernel.
 
         Way, set and ideal partitions are independent kernel regions, each
         with its own random stream, PSEL counter and leader wiring over
-        its own sets, so every partition gets its own factory.  Vantage
-        (and futility scaling) is one region-cache whose partitions share
-        one factory — except that TA-DRRIP gives each Vantage partition
-        its own PSEL vector, as ``vantage_run`` does.
+        its own sets, so the scheme gets a ``partition_factory`` building
+        one factory per partition.  Vantage (and futility scaling) is one
+        region-cache whose partitions share one factory — except that
+        TA-DRRIP gives each Vantage partition its own PSEL vector, as
+        ``vantage_run`` does.
         """
-        parts = self.num_partitions
-        if self.scheme == "futility" or (self.scheme == "vantage"
-                                         and self.policy != "TA-DRRIP"):
-            return named_policy_factory(self.policy, parts, **policy_kwargs)
-        if self.scheme in ("ideal", "vantage"):
+        if self.scheme in ("way", "set", "ideal"):
+            return {"partition_factory": partial(
+                _named_partition_factory, self.policy, policy_kwargs)}
+        if self.scheme == "vantage" and self.policy == "TA-DRRIP":
             kwargs = dict(policy_kwargs)
-            if self.scheme == "vantage":  # one stream for the whole cache
-                kwargs["rng"] = SplitMix64(kwargs.pop("seed", 0))
-            factories = [named_policy_factory(self.policy, 1, **kwargs)
-                         for _ in range(parts)]
-            return partial(_partition_region, factories, 1)
-        num_sets = (max(1, self.capacity_lines // self.ways)
-                    if self.scheme == "way"
-                    else max(parts, self.capacity_lines // self.ways))
-        sets = [num_sets] * parts
-        if self.scheme == "set":
-            # The set scheme's construction-time equal split.
-            base = num_sets // parts
-            sets = [base] * parts
-            sets[0] += num_sets - base * parts
-        factories = [named_policy_factory(self.policy, n, **policy_kwargs)
-                     for n in sets]
-        return partial(_partition_region, factories, num_sets)
+            kwargs["rng"] = SplitMix64(kwargs.pop("seed", 0))
+            return {"policy_factory": policy_factory_from_class(
+                TADRRIPPolicy, **kwargs)}
+        return {"policy_factory": named_policy_factory(
+            self.policy, self.num_partitions, **policy_kwargs)}
 
     def build(self):
         """Instantiate the partitioned cache this spec describes."""
@@ -367,13 +356,13 @@ class PartitionSpec:
                 hashed_index=self.hashed_index, index_seed=self.index_seed,
                 **scheme_kwargs, **policy_kwargs)
         else:
-            factory = self._object_policy_factory(policy_kwargs)
+            scheme_kwargs.update(self._object_factory_kwargs(policy_kwargs))
             if self.scheme in ("way", "set"):
                 scheme_kwargs.setdefault("hashed_index", self.hashed_index)
                 scheme_kwargs.setdefault("index_seed", self.index_seed)
             cache = make_partitioned_cache(
                 self.scheme, self.capacity_lines, self.num_partitions,
-                policy_factory=factory, ways=self.ways, **scheme_kwargs)
+                ways=self.ways, **scheme_kwargs)
         if self.targets is not None:
             cache.set_allocations(list(self.targets))
         return cache

@@ -44,6 +44,7 @@ from ..cache.cache import CacheStats, SetAssociativeCache
 from ..cache.partition.array import (ArrayPartitionedCache, ArrayVantageCache,
                                      _FastIdealLRURegion)
 from ..cache.partition.base import PartitionedCache
+from ..cache.replacement.belady import BeladyMINPolicy
 from ..cache.replacement.lru import LRUPolicy
 from ..cache.talus_cache import TalusCache
 from ..jobs.keys import canonical_json
@@ -313,11 +314,27 @@ def _restore_belady(cache: ArrayBeladyCache, state: dict) -> None:
 # --------------------------------------------------------------------- #
 # Object model (the whole cache, pickled)
 # --------------------------------------------------------------------- #
-def _restore_object(cache, state: dict) -> None:
-    saved = pickle.loads(state["pickle"])
+def _min_trace(cache) -> list | None:
+    """The trace an object-model Belady cache replays (None otherwise)."""
+    policy = cache._sets[0] if isinstance(cache, SetAssociativeCache) else None
+    return policy._trace if isinstance(policy, BeladyMINPolicy) else None
+
+
+def _restore_object(cache, ckpt: "CacheCheckpoint") -> None:
+    saved = pickle.loads(ckpt.state["pickle"])
     if type(saved) is not type(cache):
         raise TypeError(f"object checkpoint of a {type(saved).__name__} "
                         f"cannot restore a {type(cache).__name__}")
+    if cache.to_spec() != ckpt.spec:
+        raise ValueError(
+            f"checkpoint spec {ckpt.spec} does not match the cache's "
+            f"{cache.to_spec()} (policy, geometry or allocations differ); "
+            f"build from the checkpoint instead (CacheCheckpoint.build())")
+    if _min_trace(cache) != _min_trace(saved):
+        raise ValueError(
+            "checkpoint mismatch: Belady MIN is offline, its state is "
+            "meaningful only against the exact trace it was warmed on; "
+            "the cache's attached trace differs")
     vars(cache).clear()
     vars(cache).update(vars(saved))
 
@@ -426,6 +443,6 @@ def restore_into(cache, checkpoint: CacheCheckpoint) -> None:
                             f"{type(cache).__name__}")
         _restore_belady(cache, checkpoint.state)
     elif kind == "object":
-        _restore_object(cache, checkpoint.state)
+        _restore_object(cache, checkpoint)
     else:
         raise ValueError(f"unknown checkpoint kind {kind!r}")
