@@ -7,9 +7,10 @@ kernel reload — the threads share one address space and attach the same
 trace), and change **nothing** about the results.  This benchmark replays
 one sweep-shaped batch of array-cache configs four ways:
 
-* **serial**   — the per-config serial entry points (``cache.run``);
-* **threads=1** — the batched dispatcher at width 1 (the serial loop
-  inside the kernel: measures pure dispatch overhead);
+* **serial**   — the per-config serial entry points (``cache.run``),
+  each one width-1 dispatch of that cache's own replay task;
+* **threads=1** — all configs' tasks in one dispatch at width 1 (the
+  serial loop inside the kernel: measures pure dispatch overhead);
 * **threads=N** — the batched dispatcher at the host width
   (``REPRO_THREADS`` aware);
 * **processes** — ``run_sweep(parallel="processes")`` over the same

@@ -5,12 +5,15 @@ The array-backed caches (:mod:`repro.cache.arraycache`,
 arrays and replay traces through it in compiled loops.  This module
 compiles ``_sweepkernel.c`` into a small shared library with whatever C
 compiler the host has (``cc``/``gcc``/``clang``) and exposes it through
-:mod:`ctypes` — no Python headers, build backends, or third-party
-packages are involved, so the build degrades gracefully: when no compiler
-is available (or ``REPRO_NATIVE=0`` is set) :func:`get_kernel` returns
-``None``, ``backend="auto"`` resolves to the object model (bit-identical
-to the kernel, only slower), and building an array cache raises
-(:func:`require_kernel`).
+:mod:`ctypes` (:class:`NativeKernel`).  Every replay enters the kernel
+the same way: a cache packs its call as a :class:`BatchTask` record and
+:mod:`repro.cache.threadbatch` hands a batch of them to
+``batch_run_threaded``.  No Python headers, build backends, or
+third-party packages are involved, so the build degrades gracefully:
+when no compiler is available (or ``REPRO_NATIVE=0`` is set)
+:func:`get_kernel` returns ``None``, ``backend="auto"`` resolves to the
+object model (bit-identical to the kernel, only slower), and building an
+array cache raises (:func:`require_kernel`).
 
 The compiled library is cached under the user's cache directory keyed by a
 hash of the C source, so recompilation happens only when the source
@@ -52,8 +55,8 @@ _kernel_tried = False
  KIND_PART_LRU, KIND_PART_SRRIP, KIND_VANTAGE,
  KIND_TADRRIP, KIND_BELADY) = range(10)
 
-_P64 = ctypes.POINTER(ctypes.c_int64)
-_PU64 = ctypes.POINTER(ctypes.c_uint64)
+#: Type of the array members of :class:`BatchTask`.
+_PTR = ctypes.c_void_p
 
 
 class BatchTask(ctypes.Structure):
@@ -61,45 +64,47 @@ class BatchTask(ctypes.Structure):
 
     The field order must match the struct declaration in
     ``_sweepkernel.c`` exactly; every member is 8 bytes, so there is no
-    padding to worry about.  Unused members of a given kind stay NULL/0
-    (the zero-initialized default of a fresh ``(BatchTask * n)()`` array).
+    padding to worry about.  Array members are raw data addresses
+    (:func:`~repro.cache.threadbatch.i64_ptr`), the cheapest form ctypes
+    packs.  Unused members of a given kind stay NULL/0 (the
+    zero-initialized default).
     """
 
     _fields_ = [
         ("kind", ctypes.c_int64),
-        ("addrs", _P64),
+        ("addrs", _PTR),
         ("n", ctypes.c_int64),
-        ("parts", _P64),
-        ("tags", _P64),
-        ("stamp", _P64),
-        ("rrpv", _P64),
-        ("counter", _P64),
-        ("rng_state", _PU64),
-        ("roles", _P64),
-        ("psel", _P64),
-        ("expires", _P64),
-        ("clock", _P64),
-        ("dp", _P64),
-        ("sample_count", _P64),
-        ("hist", _P64),
-        ("ls_tags", _P64),
-        ("ls_clocks", _P64),
-        ("ls_count", _P64),
-        ("region_sets", _P64),
-        ("region_ways", _P64),
-        ("region_off", _P64),
-        ("miss_out", _P64),
-        ("caps", _P64),
-        ("ht_tag", _P64),
-        ("ht_reg", _P64),
-        ("ht_node", _P64),
-        ("node_tag", _P64),
-        ("node_prev", _P64),
-        ("node_next", _P64),
-        ("head", _P64),
-        ("tail", _P64),
-        ("occ", _P64),
-        ("free_io", _P64),
+        ("parts", _PTR),
+        ("tags", _PTR),
+        ("stamp", _PTR),
+        ("rrpv", _PTR),
+        ("counter", _PTR),
+        ("rng_state", _PTR),
+        ("roles", _PTR),
+        ("psel", _PTR),
+        ("expires", _PTR),
+        ("clock", _PTR),
+        ("dp", _PTR),
+        ("sample_count", _PTR),
+        ("hist", _PTR),
+        ("ls_tags", _PTR),
+        ("ls_clocks", _PTR),
+        ("ls_count", _PTR),
+        ("region_sets", _PTR),
+        ("region_ways", _PTR),
+        ("region_off", _PTR),
+        ("miss_out", _PTR),
+        ("caps", _PTR),
+        ("ht_tag", _PTR),
+        ("ht_reg", _PTR),
+        ("ht_node", _PTR),
+        ("node_tag", _PTR),
+        ("node_prev", _PTR),
+        ("node_next", _PTR),
+        ("head", _PTR),
+        ("tail", _PTR),
+        ("occ", _PTR),
+        ("free_io", _PTR),
         ("num_sets", ctypes.c_int64),
         ("ways", ctypes.c_int64),
         ("max_rrpv", ctypes.c_int64),
@@ -115,15 +120,15 @@ class BatchTask(ctypes.Structure):
         ("tsize", ctypes.c_int64),
         ("num_regions", ctypes.c_int64),
         ("unm_cap", ctypes.c_int64),
-        ("node_aux", _P64),
-        ("node_stamp", _P64),
-        ("vp_maxdp", _P64),
-        ("vp_interval", _P64),
-        ("vp_clear", _P64),
-        ("next_use", _P64),
-        ("heap_key", _P64),
-        ("heap_tag", _P64),
-        ("heap_io", _P64),
+        ("node_aux", _PTR),
+        ("node_stamp", _PTR),
+        ("vp_maxdp", _PTR),
+        ("vp_interval", _PTR),
+        ("vp_clear", _PTR),
+        ("next_use", _PTR),
+        ("heap_key", _PTR),
+        ("heap_tag", _PTR),
+        ("heap_io", _PTR),
         ("hist_stride", ctypes.c_int64),
         ("ls_size", ctypes.c_int64),
         ("heap_cap", ctypes.c_int64),
@@ -138,8 +143,9 @@ def resolve_threads(threads: int | None = None) -> int:
     """Effective worker-thread width for a batched replay.
 
     Resolution order: an explicit ``threads=`` argument, the
-    ``REPRO_THREADS`` environment variable, then the host core count.
-    Always at least 1.
+    ``REPRO_THREADS`` environment variable, then the number of CPUs this
+    process may run on (its affinity mask where the platform reports
+    one, else the host core count).  Always at least 1.
     """
     if threads is None:
         env = os.environ.get("REPRO_THREADS", "").strip()
@@ -150,48 +156,35 @@ def resolve_threads(threads: int | None = None) -> int:
                 raise ValueError(
                     f"REPRO_THREADS must be an integer, got {env!r}")
     if threads is None:
-        threads = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     return max(1, int(threads))
 
 
 class NativeKernel:
-    """ctypes bindings for the compiled replay and monitoring kernels.
+    """ctypes bindings of the compiled kernel's entry points.
 
-    One method per exported C function: ``lru_run`` (LRU/LIP), ``rrip_run``
-    (SRRIP/BRRIP/DRRIP), ``dip_run`` (BIP/DIP), ``pdp_run`` (protecting
-    distance), ``random_run`` (seeded random replacement), ``multi_lru_run``
-    (several LRU/LIP configs in one trace pass), ``stack_hist_run``
-    (one-shot Mattson stack-distance histogram), ``stack_hist_chunk`` /
-    ``stack_state_rehash`` (the incremental, caller-owned-state variant),
-    ``tadrrip_run`` (thread-aware DRRIP with per-thread PSEL),
-    ``belady_run`` (Belady MIN over precomputed next-use indices),
-    and ``vantage_run`` / ``vantage_realloc`` (line-granular Vantage
-    partitioning, managed regions running any of the recency/RRIP/PDP/
-    Random policies, with a shared unmanaged region).
-    All replay kernels accept modulo or hashed set indexing, and all are
-    chunk-resumable: state is passed in and returned, so split replays are
-    bit-identical to one-shot replays.
+    Every replay kernel is reached through ``batch_run_threaded``, which
+    runs a batch of ``BatchTask`` records (one kernel call each; the
+    caches' ``replay_task`` methods pack them and
+    :mod:`repro.cache.threadbatch` dispatches them).  The other bindings
+    serve the monitors and Vantage's warm reallocation:
+    ``stack_hist_run`` (one-shot Mattson stack-distance histogram),
+    ``stack_hist_chunk`` / ``stack_state_rehash`` (the incremental,
+    caller-owned-state variant) and ``vantage_realloc``.  :attr:`lib`
+    is the loaded library itself.
     """
 
     def __init__(self, lib: ctypes.CDLL):
         self.lib = lib
-        lib.lru_run.restype = ctypes.c_int64
-        lib.lru_run.argtypes = [
-            _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        lib.batch_run_threaded.restype = ctypes.c_int64
+        lib.batch_run_threaded.argtypes = [
+            ctypes.POINTER(BatchTask), ctypes.c_int64, ctypes.c_int64,
         ]
-        lib.random_run.restype = ctypes.c_int64
-        lib.random_run.argtypes = [
-            _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _U64, ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.multi_lru_run.restype = ctypes.c_int64
-        lib.multi_lru_run.argtypes = [
-            _I64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64, _I64, _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
+        lib.stack_hist_run.restype = ctypes.c_int64
+        lib.stack_hist_run.argtypes = [_I64, ctypes.c_int64, _I64]
         lib.stack_hist_chunk.restype = ctypes.c_int64
         lib.stack_hist_chunk.argtypes = [
             _I64, ctypes.c_int64,
@@ -203,74 +196,6 @@ class NativeKernel:
         lib.stack_state_rehash.argtypes = [
             _I64, _I64, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
         ]
-        lib.rrip_run.restype = ctypes.c_int64
-        lib.rrip_run.argtypes = [
-            _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, _I64, _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_double, _U64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.dip_run.restype = ctypes.c_int64
-        lib.dip_run.argtypes = [
-            _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_double, _U64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.pdp_run.restype = ctypes.c_int64
-        lib.pdp_run.argtypes = [
-            _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64, _I64, _I64, _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.stack_hist_run.restype = ctypes.c_int64
-        lib.stack_hist_run.argtypes = [_I64, ctypes.c_int64, _I64]
-        lib.part_lru_run.restype = ctypes.c_int64
-        lib.part_lru_run.argtypes = [
-            _I64, _I64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64,
-            _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
-        lib.part_srrip_run.restype = ctypes.c_int64
-        lib.part_srrip_run.argtypes = [
-            _I64, _I64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, _I64,
-            _I64, _I64, _I64, _I64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
-        lib.tadrrip_run.restype = ctypes.c_int64
-        lib.tadrrip_run.argtypes = [
-            _I64, _I64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, _I64, _I64, _I64, _I64,
-            ctypes.c_double, _U64, _I64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
-        lib.belady_run.restype = ctypes.c_int64
-        lib.belady_run.argtypes = [
-            _I64, _I64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64, ctypes.c_int64,
-            _I64, _I64, ctypes.c_int64, _I64,
-        ]
-        lib.vantage_run.restype = ctypes.c_int64
-        lib.vantage_run.argtypes = [
-            _I64, _I64, ctypes.c_int64, ctypes.c_int64, _I64,
-            ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
-            _I64, _U64, _I64, _I64, ctypes.c_int64, ctypes.c_int64,
-            _I64, _I64,
-            _I64, _I64, _I64, _I64, ctypes.c_int64,
-            _I64, _I64, _I64,
-            _I64, _I64, _I64, ctypes.c_int64,
-            _I64, _I64, _I64, ctypes.c_int64,
-            _I64, _I64, _I64,
-            _I64, _I64, _I64, _I64, _I64,
-        ]
         lib.vantage_realloc.restype = ctypes.c_int64
         lib.vantage_realloc.argtypes = [
             ctypes.c_int64, _I64, ctypes.c_int64,
@@ -280,72 +205,19 @@ class NativeKernel:
             _I64, _I64, _I64,
             _I64, _I64, _I64, _I64,
         ]
-        # The threaded batch dispatcher.  Libraries compiled from this
-        # source always export both symbols (the -DREPRO_SERIAL_BATCH
-        # variant runs the same tasks serially); the AttributeError guard
-        # only protects against a stale pre-dispatcher library.
-        try:
-            lib.batch_run_threaded.restype = ctypes.c_int64
-            lib.batch_run_threaded.argtypes = [
-                ctypes.POINTER(BatchTask), ctypes.c_int64, ctypes.c_int64,
-            ]
-            lib.batch_threads_available.restype = ctypes.c_int64
-            lib.batch_threads_available.argtypes = []
-            self.has_batch = True
-            self.threaded = bool(lib.batch_threads_available())
-        except AttributeError:
-            self.has_batch = False
-            self.threaded = False
 
-    def lru_run(self, addrs, num_sets, ways, tags, stamp, counter,
-                lip=0, hashed=0, index_seed=0) -> int:
-        return int(self.lib.lru_run(addrs, addrs.size, num_sets, ways,
-                                    tags, stamp, counter, lip, hashed,
-                                    index_seed))
+    def batch_run_threaded(self, tasks, num_tasks: int,
+                           num_threads: int) -> int:
+        """Execute ``num_tasks`` independent replay tasks across up to
+        ``num_threads`` worker threads (serial under the
+        ``REPRO_SERIAL_BATCH`` build); each task's outcome lands in its
+        own ``result`` member.  Returns the thread count actually used.
 
-    def rrip_run(self, addrs, num_sets, ways, max_rrpv, tags, rrpv, stamp,
-                 counter, mode, epsilon, rng_state, roles, psel,
-                 psel_max, leader_levels, hashed=0, index_seed=0) -> int:
-        return int(self.lib.rrip_run(addrs, addrs.size, num_sets, ways,
-                                     max_rrpv, tags, rrpv, stamp, counter,
-                                     mode, epsilon, rng_state, roles, psel,
-                                     psel_max, leader_levels, hashed,
-                                     index_seed))
-
-    def dip_run(self, addrs, num_sets, ways, tags, stamp, counter, mode,
-                epsilon, rng_state, roles, psel, psel_max, leader_levels,
-                hashed=0, index_seed=0) -> int:
-        return int(self.lib.dip_run(addrs, addrs.size, num_sets, ways,
-                                    tags, stamp, counter, mode, epsilon,
-                                    rng_state, roles, psel, psel_max,
-                                    leader_levels, hashed, index_seed))
-
-    def pdp_run(self, addrs, num_sets, ways, tags, stamp, counter, expires,
-                clock, dp, sample_count, hist, max_dp, interval,
-                clear_threshold, ls_tags, ls_clocks, ls_count, tsize,
-                hashed=0, index_seed=0) -> int:
-        return int(self.lib.pdp_run(addrs, addrs.size, num_sets, ways,
-                                    tags, stamp, counter, expires, clock,
-                                    dp, sample_count, hist, max_dp,
-                                    interval, clear_threshold, ls_tags,
-                                    ls_clocks, ls_count, tsize, hashed,
-                                    index_seed))
-
-    def random_run(self, addrs, num_sets, ways, tags, rng_state,
-                   hashed=0, index_seed=0) -> int:
-        return int(self.lib.random_run(addrs, addrs.size, num_sets, ways,
-                                       tags, rng_state, hashed, index_seed))
-
-    def multi_lru_run(self, addrs, num_configs, cfg_sets, cfg_ways, cfg_off,
-                      tags, stamp, counters, lip, miss_out,
-                      hashed=0, index_seed=0) -> int:
-        """Replay one trace through several LRU/LIP configs in one pass;
-        fills per-config miss counts into ``miss_out`` and returns the
-        total."""
-        return int(self.lib.multi_lru_run(addrs, addrs.size, num_configs,
-                                          cfg_sets, cfg_ways, cfg_off, tags,
-                                          stamp, counters, lip, hashed,
-                                          index_seed, miss_out))
+        ``tasks`` is a ``(BatchTask * num_tasks)()`` ctypes array; the GIL
+        is released for the whole call, which is what lets Python-level
+        thread pools overlap other work with a running batch."""
+        return int(self.lib.batch_run_threaded(tasks, num_tasks,
+                                               num_threads))
 
     def stack_hist_run(self, addrs, hist) -> int:
         """Fill ``hist`` with stack-distance counts; returns cold misses
@@ -368,82 +240,6 @@ class NativeKernel:
         self.lib.stack_state_rehash(old_tags, old_vals, old_tags.size,
                                     new_tags, new_vals, new_tags.size)
 
-    def part_lru_run(self, addrs, parts, num_regions, region_sets,
-                     region_ways, region_off, tags, stamp, counter, lip,
-                     miss_out, hashed=0, index_seed=0) -> int:
-        """Interleaved multi-partition LRU/LIP replay; fills per-partition
-        miss counts into ``miss_out`` and returns the total (-1 on a bad
-        partition id)."""
-        return int(self.lib.part_lru_run(addrs, parts, addrs.size,
-                                         num_regions, region_sets,
-                                         region_ways, region_off, tags,
-                                         stamp, counter, lip, hashed,
-                                         index_seed, miss_out))
-
-    def part_srrip_run(self, addrs, parts, num_regions, region_sets,
-                       region_ways, region_off, tags, rrpv, stamp, counter,
-                       max_rrpv, miss_out, hashed=0, index_seed=0) -> int:
-        """Interleaved multi-partition SRRIP replay (see part_lru_run)."""
-        return int(self.lib.part_srrip_run(addrs, parts, addrs.size,
-                                           num_regions, region_sets,
-                                           region_ways, region_off, tags,
-                                           rrpv, stamp, counter, max_rrpv,
-                                           hashed, index_seed, miss_out))
-
-    def tadrrip_run(self, addrs, threads, num_sets, ways, max_rrpv, tags,
-                    rrpv, stamp, counter, epsilon, rng_state, psel,
-                    num_streams, psel_max, leader_levels, miss_out,
-                    hashed=0, index_seed=0) -> int:
-        """Thread-aware DRRIP replay: per-thread PSEL counters dueled by
-        address constituency; fills per-thread miss counts into
-        ``miss_out`` and returns the total (-1 on a thread id outside
-        ``[0, num_streams)``)."""
-        return int(self.lib.tadrrip_run(addrs, threads, addrs.size,
-                                        num_sets, ways, max_rrpv, tags,
-                                        rrpv, stamp, counter, epsilon,
-                                        rng_state, psel, num_streams,
-                                        psel_max, leader_levels, hashed,
-                                        index_seed, miss_out))
-
-    def belady_run(self, addrs, next_use, capacity, ht_tag, ht_val,
-                   heap_key, heap_tag, heap_io) -> int:
-        """Belady MIN replay over a fully-associative cache of ``capacity``
-        lines, fed by precomputed next-use indices (see
-        ``belady_next_use``); returns misses (-2 on heap overflow /
-        corruption — defensive, cannot happen when the heap holds
-        ``len(addrs) + 1`` slots)."""
-        return int(self.lib.belady_run(addrs, next_use, addrs.size,
-                                       capacity, ht_tag, ht_val,
-                                       ht_tag.size, heap_key, heap_tag,
-                                       heap_key.size, heap_io))
-
-    def vantage_run(self, addrs, parts, num_parts, caps, unm_cap, pol,
-                    max_rrpv, epsilon, counter, rng_state, roles, psel,
-                    psel_max, leader_levels, node_aux, node_stamp,
-                    pdp_clock, pdp_dp, pdp_sample, pdp_hist, hist_stride,
-                    vp_maxdp, vp_interval, vp_clear, ls_tags, ls_clocks,
-                    ls_count, ls_size, ht_tag, ht_reg, ht_node, node_tag,
-                    node_prev, node_next, head, tail, occ, free_io,
-                    miss_out) -> int:
-        """Partition-tagged Vantage replay (fully-associative managed
-        regions running the ``pol`` replacement policy, plus the shared
-        unmanaged region); fills per-partition miss counts into
-        ``miss_out`` and returns the total (negative on a bad partition
-        id / exhausted node pool — both defensive).  Policy side state the
-        selected ``pol`` does not read may be size-1 dummies."""
-        return int(self.lib.vantage_run(addrs, parts, addrs.size, num_parts,
-                                        caps, unm_cap, pol, max_rrpv,
-                                        epsilon, counter, rng_state, roles,
-                                        psel, psel_max, leader_levels,
-                                        node_aux, node_stamp, pdp_clock,
-                                        pdp_dp, pdp_sample, pdp_hist,
-                                        hist_stride, vp_maxdp, vp_interval,
-                                        vp_clear, ls_tags, ls_clocks,
-                                        ls_count, ls_size, ht_tag, ht_reg,
-                                        ht_node, ht_tag.size, node_tag,
-                                        node_prev, node_next, head, tail,
-                                        occ, free_io, miss_out))
-
     def vantage_realloc(self, num_parts, new_caps, unm_cap, pol, max_rrpv,
                         rng_state, node_aux, node_stamp, pdp_clock, pdp_dp,
                         ht_tag, ht_reg, ht_node, node_tag, node_prev,
@@ -458,19 +254,6 @@ class NativeKernel:
                                             ht_tag.size, node_tag, node_prev,
                                             node_next, head, tail, occ,
                                             free_io))
-
-    def batch_run_threaded(self, tasks, num_tasks: int,
-                           num_threads: int) -> int:
-        """Execute ``num_tasks`` independent replay tasks across up to
-        ``num_threads`` worker threads (serial under the
-        ``REPRO_SERIAL_BATCH`` build); each task's outcome lands in its
-        own ``result`` member.  Returns the thread count actually used.
-
-        ``tasks`` is a ``(BatchTask * num_tasks)()`` ctypes array; the GIL
-        is released for the whole call, which is what lets Python-level
-        thread pools overlap other work with a running batch."""
-        return int(self.lib.batch_run_threaded(tasks, num_tasks,
-                                               num_threads))
 
 
 def _cache_dir() -> Path:
@@ -496,10 +279,11 @@ def _find_compiler() -> str | None:
 #: retry compiles the same entry points with a serial dispatcher.
 _FLAG_VARIANTS = (("-pthread",), ("-DREPRO_SERIAL_BATCH",))
 
-#: Thread-entry symbols of the batch dispatcher.  Folded into the
-#: cached-library key so a cache populated before the dispatcher existed
-#: (same base flags, different exports) can never be picked up.
-_BATCH_SYMBOLS = "batch_run_threaded,batch_threads_available"
+#: Entry symbol of the batch dispatcher, the one way into the replay
+#: kernels.  Folded into the cached-library key so a cache populated
+#: before the dispatcher existed (same base flags, different exports) can
+#: never be picked up.
+_BATCH_SYMBOLS = "batch_run_threaded"
 
 
 def _variant_flags(extra: tuple[str, ...]) -> list[str]:

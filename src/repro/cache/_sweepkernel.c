@@ -38,9 +38,9 @@
  * Every replay kernel is chunk-resumable by construction: all state is
  * passed in and returned through caller-owned arrays, so calling a kernel
  * on a trace split at arbitrary boundaries is bit-identical to one call on
- * the whole trace.  multi_lru_run additionally replays one trace through
- * several independent LRU/LIP configurations in a single pass (shared
- * trace decode for batched sweeps).
+ * the whole trace.  Python reaches the replay kernels only through the
+ * batch dispatcher at the end of this file (batch_run_threaded), one
+ * batch_task record per replay.
  *
  * Compiled on demand by repro.cache._native with a plain `cc -O3 -shared`;
  * no Python headers are required (the library is loaded through ctypes).
@@ -949,68 +949,6 @@ int64_t part_srrip_run(const int64_t *addrs, const int64_t *parts, int64_t n,
     return total_misses;
 }
 
-/* ----------------------------------------------------- multi-config replay --- */
-
-/* Replay one trace through `num_configs` independent LRU/LIP caches in a
- * single pass (shared trace decode).  Config c's lines live in the flat
- * caller-owned buffers at cfg_off[c], organized as cfg_sets[c] x
- * cfg_ways[c]; counters and the LIP flag are per config.  Bit-identical to
- * `num_configs` separate lru_run calls over the same trace — the configs
- * never interact — but the trace is streamed through memory once instead
- * of once per config.  Fills per-config miss counts into miss_out
- * (caller-zeroed) and returns the total. */
-int64_t multi_lru_run(const int64_t *addrs, int64_t n, int64_t num_configs,
-                      const int64_t *cfg_sets, const int64_t *cfg_ways,
-                      const int64_t *cfg_off, int64_t *tags, int64_t *stamp,
-                      int64_t *counters, const int64_t *lip, int64_t hashed,
-                      int64_t index_seed, int64_t *miss_out)
-{
-    int64_t total_misses = 0;
-    uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
-
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = addrs[i];
-        for (int64_t c = 0; c < num_configs; c++) {
-            int64_t nsets = cfg_sets[c], ways = cfg_ways[c];
-            if (nsets <= 0 || ways <= 0) {
-                miss_out[c]++;
-                total_misses++;
-                continue;
-            }
-            int64_t s = set_of(a, nsets, hashed, seed_mul);
-            int64_t *row = tags + cfg_off[c] + s * ways;
-            int64_t *st = stamp + cfg_off[c] + s * ways;
-            int64_t hit = -1, empty = -1, victim = 0;
-            int64_t best = I64_MAX;
-
-            for (int64_t w = 0; w < ways; w++) {
-                int64_t tag = row[w];
-                if (tag == a) { hit = w; break; }
-                if (tag == EMPTY) {
-                    if (empty < 0) empty = w;
-                } else if (st[w] < best) {
-                    best = st[w];
-                    victim = w;
-                }
-            }
-            int64_t t = ++counters[c];
-            if (hit >= 0) {
-                st[hit] = t;
-            } else {
-                miss_out[c]++;
-                total_misses++;
-                int64_t w = (empty >= 0) ? empty : victim;
-                row[w] = a;
-                if (lip[c] && best != I64_MAX)
-                    st[w] = best - 1;
-                else
-                    st[w] = t;
-            }
-        }
-    }
-    return total_misses;
-}
-
 /* -------------------------------------------------------- Vantage replay --- */
 
 /* Vantage-like fine-grained partitioning (repro.cache.partition.vantage):
@@ -1753,11 +1691,11 @@ void stack_state_rehash(const int64_t *old_tags, const int64_t *old_vals,
  *
  * batch_run_threaded executes N *independent* replay tasks — each one a
  * call into one of the per-config kernels above — across a pool of worker
- * threads.  The per-config replay code is untouched: a batch_task is just
- * a flattened argument record plus a `kind` selecting which kernel to
- * call, so a task's result is bit-identical to calling that kernel
- * directly (and therefore independent of the thread count and of which
- * worker happens to run it).  Tasks never share state arrays — each
+ * threads.  It is the only way Python enters the replay kernels: a serial
+ * replay is a batch of one task at width 1.  A batch_task is just a
+ * flattened argument record plus a `kind` selecting which kernel to call,
+ * so a task's result is independent of the thread count and of which
+ * worker happens to run it.  Tasks never share state arrays — each
  * config owns its tags/stamp/side-state buffers and its slice of the
  * output — so the only cross-thread communication is the atomic work
  * counter below.
@@ -1765,8 +1703,7 @@ void stack_state_rehash(const int64_t *old_tags, const int64_t *old_vals,
  * Threading is optional at compile time: when the compiler rejects
  * -pthread, the Python side retries with -DREPRO_SERIAL_BATCH and the
  * dispatcher degrades to a serial loop over the same tasks (same results,
- * one thread).  batch_threads_available() tells the bindings which
- * variant they loaded.
+ * one thread).
  * --------------------------------------------------------------------- */
 
 #ifndef REPRO_SERIAL_BATCH
@@ -2000,8 +1937,6 @@ int64_t batch_run_threaded(batch_task *tasks, int64_t num_tasks,
     return spawned + 1;
 }
 
-int64_t batch_threads_available(void) { return 1; }
-
 #else  /* REPRO_SERIAL_BATCH: same entry points, serial execution */
 
 int64_t batch_run_threaded(batch_task *tasks, int64_t num_tasks,
@@ -2012,7 +1947,5 @@ int64_t batch_run_threaded(batch_task *tasks, int64_t num_tasks,
         batch_run_one(&tasks[i]);
     return 1;
 }
-
-int64_t batch_threads_available(void) { return 0; }
 
 #endif  /* REPRO_SERIAL_BATCH */

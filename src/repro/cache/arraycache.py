@@ -15,9 +15,13 @@ matrices:
 Replaying a trace — or a single access — is one call into the compiled
 kernel (:mod:`repro.cache._native`) that walks the addresses and mutates
 those arrays in place, typically 15-30x faster than the object model.
-The array backend has no other replay path: without a C compiler (or with
-``REPRO_NATIVE=0``) building one raises, and ``backend="auto"`` builds the
-object model instead, which replays every policy alike.
+:meth:`ArraySetAssociativeCache.replay_task` is the one place that call
+is packed: ``run``/``run_chunk``/``access`` run that task on the calling
+thread, and :func:`~repro.cache.threadbatch.run_tasks` runs many at once
+across threads.  The array backend has no other replay path: without a C
+compiler (or with ``REPRO_NATIVE=0``) building one raises, and
+``backend="auto"`` builds the object model instead, which replays every
+policy alike.
 
 Both modulo and hashed set indexing are supported (``hashed_index=True``
 uses the splitmix64 finalizer of :func:`repro.cache.hashing.set_index`,
@@ -95,13 +99,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _native
 from ._native import require_kernel
 from .cache import CacheStats, materialize_addresses
 from .hashing import SplitMix64, mix64, seed_mix
 from .replacement.rrip import DuelRole, leader_roles
+from .threadbatch import ReplayTask, i64_ptr, u64_ptr
 
 __all__ = ["ArraySetAssociativeCache", "ArrayBeladyCache", "ARRAY_POLICIES",
-           "belady_next_use", "run_lru_family_batch"]
+           "belady_next_use"]
 
 #: Policies the array backend implements (``Belady`` through
 #: :class:`ArrayBeladyCache`; everything else through
@@ -168,9 +174,9 @@ class ArraySetAssociativeCache:
         constructors would.
     """
 
-    #: Marker for the sweep engine: ``run`` replays a whole trace in one
-    #: batched (native-kernel) call, so streaming it access by access
-    #: alongside object caches would waste the fast path.
+    #: Marker for the sweep engine: the whole trace replays as one
+    #: :meth:`replay_task`, so streaming it access by access alongside
+    #: object caches would waste the fast path.
     supports_batch_replay = True
 
     def __init__(self, num_sets: int, ways: int, policy: str = "LRU",
@@ -365,22 +371,12 @@ class ArraySetAssociativeCache:
             instructions: int = 0, thread_ids=None) -> CacheStats:
         """Replay a trace; returns (and stores) the accumulated stats.
 
-        One native kernel call.  ``thread_ids`` (TA-DRRIP only) attributes
-        each access to a stream; omitted, every access belongs to stream 0.
+        Runs this cache's :meth:`replay_task` on the calling thread (one
+        width-1 kernel dispatch).  ``thread_ids`` (TA-DRRIP only)
+        attributes each access to a stream; omitted, every access belongs
+        to stream 0.
         """
-        addrs = materialize_addresses(trace)
-        if addrs.ndim != 1:
-            raise ValueError("trace must be one-dimensional")
-        if addrs.size and bool(np.any(addrs == _EMPTY)):
-            raise ValueError("address -1 is reserved as the empty-way "
-                             "sentinel; the array backend cannot cache it")
-        tids = self._materialize_tids(addrs, thread_ids)
-        kernel = require_kernel()
-        if addrs.size:
-            misses = self._run_native(kernel, addrs, tids)
-            self.stats.accesses += int(addrs.size)
-            self.stats.misses += misses
-            self.stats.hits += int(addrs.size) - misses
+        self.replay_task(trace, thread_ids=thread_ids).run()
         if instructions:
             self.stats.instructions += instructions
         return self.stats
@@ -404,73 +400,17 @@ class ArraySetAssociativeCache:
             misses=self.stats.misses - before.misses,
             instructions=self.stats.instructions - before.instructions)
 
-    def _run_native(self, kernel, addrs: np.ndarray,
-                    tids: np.ndarray | None = None) -> int:
-        hashed = 1 if self.hashed_index else 0
-        if self.policy == "TA-DRRIP":
-            if tids is None:
-                tids = np.zeros(addrs.size, dtype=np.int64)
-            misses = kernel.tadrrip_run(addrs, tids, self.num_sets,
-                                        self.ways, self.max_rrpv, self.tags,
-                                        self.rrpv, self.stamp, self._counter,
-                                        self.epsilon, self._rng_state,
-                                        self._psel, self.num_streams,
-                                        self._psel_max, self._leader_levels,
-                                        self._tad_misses, hashed,
-                                        self.index_seed)
-            if misses < 0:
-                raise ValueError(
-                    f"thread ids must be in [0, {self.num_streams})")
-            return misses
-        if self.policy in _RRIP_FAMILY:
-            return kernel.rrip_run(addrs, self.num_sets, self.ways,
-                                   self.max_rrpv, self.tags, self.rrpv,
-                                   self.stamp, self._counter,
-                                   _MODE[self.policy], self.epsilon,
-                                   self._rng_state, self._roles, self._psel,
-                                   self._psel_max, self._leader_levels,
-                                   hashed, self.index_seed)
-        if self.policy in _DIP_FAMILY:
-            return kernel.dip_run(addrs, self.num_sets, self.ways,
-                                  self.tags, self.stamp, self._counter,
-                                  _DIP_MODE[self.policy], self.epsilon,
-                                  self._rng_state, self._roles, self._psel,
-                                  self._psel_max, self._leader_levels,
-                                  hashed, self.index_seed)
-        if self.policy == "PDP":
-            return kernel.pdp_run(addrs, self.num_sets, self.ways,
-                                  self.tags, self.stamp, self._counter,
-                                  self.expires, self._pdp_clock,
-                                  self._pdp_dp, self._pdp_samples,
-                                  self._pdp_hist, self._pdp_max_dp,
-                                  self._pdp_interval,
-                                  self._pdp_clear_threshold,
-                                  self._ls_tags, self._ls_clocks,
-                                  self._ls_count, self._pdp_tsize,
-                                  hashed, self.index_seed)
-        if self.policy == "Random":
-            return kernel.random_run(addrs, self.num_sets, self.ways,
-                                     self.tags, self._rng_state,
-                                     hashed, self.index_seed)
-        return kernel.lru_run(addrs, self.num_sets, self.ways,
-                              self.tags, self.stamp, self._counter,
-                              1 if self.policy == "LIP" else 0,
-                              hashed, self.index_seed)
-
     def replay_task(self, trace, thread_ids=None):
         """This cache's replay of ``trace`` as a batchable
         :class:`~repro.cache.threadbatch.ReplayTask`.
 
-        The packed fields mirror :meth:`_run_native` member for member and
-        the commit folds the statistics exactly as :meth:`run` does, so a
-        task executed by the threaded dispatcher — at any width — is
-        bit-identical to calling :meth:`run` directly.  Without the batch
-        dispatcher (or for an empty trace) the task carries :meth:`run`
-        itself as its fallback.  ``thread_ids`` is TA-DRRIP's per-access
-        stream lane.
+        The one place this organization packs a kernel call: :meth:`run`
+        (and so :meth:`run_chunk` and :meth:`access`) runs this same task
+        at width 1, so a task executed by the threaded dispatcher — at any
+        width — is bit-identical to calling :meth:`run` directly.  An
+        empty trace is a native task with ``n = 0``.  ``thread_ids`` is
+        TA-DRRIP's per-access stream lane.
         """
-        from . import _native
-        from .threadbatch import ReplayTask, i64_ptr, u64_ptr
         addrs = materialize_addresses(trace)
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
@@ -478,9 +418,6 @@ class ArraySetAssociativeCache:
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
         tids = self._materialize_tids(addrs, thread_ids)
-        if not require_kernel().has_batch or addrs.size == 0:
-            return ReplayTask(
-                fallback=lambda: self.run(addrs, thread_ids=tids))
         n = int(addrs.size)
         fields = {
             "addrs": i64_ptr(addrs), "n": n,
@@ -533,9 +470,6 @@ class ArraySetAssociativeCache:
                           lip=1 if self.policy == "LIP" else 0)
 
         def commit(misses: int) -> None:
-            if misses < 0:
-                raise ValueError(
-                    f"thread ids must be in [0, {self.num_streams})")
             self.stats.accesses += n
             self.stats.misses += misses
             self.stats.hits += n - misses
@@ -866,19 +800,9 @@ class ArrayBeladyCache:
 
     def run(self, trace=None, instructions: int = 0) -> CacheStats:
         """Replay the next chunk of the attached trace (all of it when
-        ``trace`` is None); returns (and stores) the accumulated stats."""
-        start, addrs = self._claim(trace)
-        n = int(addrs.size)
-        if n:
-            nu = self._next_use[start:start + n]
-            misses = require_kernel().belady_run(
-                addrs, nu, self.capacity, self._ht_tag, self._ht_val,
-                self._heap_key, self._heap_tag, self._heap_io)
-            if misses < 0:
-                raise RuntimeError("belady_run: corrupt heap state")
-            self.stats.accesses += n
-            self.stats.misses += misses
-            self.stats.hits += n - misses
+        ``trace`` is None); returns (and stores) the accumulated stats.
+        Runs :meth:`replay_task` on the calling thread (width 1)."""
+        self.replay_task(trace).run()
         if instructions:
             self.stats.instructions += instructions
         return self.stats
@@ -901,16 +825,10 @@ class ArrayBeladyCache:
         """The next chunk's replay as a batchable
         :class:`~repro.cache.threadbatch.ReplayTask` (claims the chunk
         immediately; the dispatcher commits its statistics)."""
-        from . import _native
-        from .threadbatch import ReplayTask, i64_ptr
+        require_kernel()  # fail before claiming the chunk
         start, addrs = self._claim(trace)
         n = int(addrs.size)
         nu = self._next_use[start:start + n]
-        if not require_kernel().has_batch or n == 0:
-            def fallback():
-                self._cursor = start  # run() re-claims the chunk
-                return self.run(addrs)
-            return ReplayTask(fallback=fallback)
         fields = {
             "kind": _native.KIND_BELADY, "addrs": i64_ptr(addrs), "n": n,
             "capacity": self.capacity, "next_use": i64_ptr(nu),
@@ -922,8 +840,6 @@ class ArrayBeladyCache:
         }
 
         def commit(misses: int) -> None:
-            if misses < 0:
-                raise RuntimeError("belady_run: corrupt heap state")
             self.stats.accesses += n
             self.stats.misses += misses
             self.stats.hits += n - misses
@@ -955,68 +871,3 @@ class ArrayBeladyCache:
         return (f"ArrayBeladyCache(capacity={self.capacity} lines, "
                 f"trace={int(self._trace.size)} accesses, "
                 f"cursor={self._cursor})")
-
-
-def run_lru_family_batch(trace, caches: Sequence[ArraySetAssociativeCache]
-                         ) -> np.ndarray:
-    """Replay one trace through several LRU/LIP caches in a single pass.
-
-    The shared-trace-decode fast path of batched sweeps: instead of one
-    kernel call per configuration (each streaming the whole trace through
-    memory again), all configurations advance together in one
-    ``multi_lru_run`` call.  Results — per-cache state, statistics and the
-    returned per-cache miss counts of this replay — are bit-identical to
-    calling ``cache.run(trace)`` on each cache separately.
-
-    All caches must be LRU or LIP and share the same set-indexing scheme
-    (``hashed_index``/``index_seed``).
-    """
-    caches = list(caches)
-    misses = np.zeros(len(caches), dtype=np.int64)
-    if not caches:
-        return misses
-    for cache in caches:
-        if cache.policy not in ("LRU", "LIP"):
-            raise ValueError(
-                f"run_lru_family_batch supports LRU/LIP only, got "
-                f"{cache.policy!r}")
-        if (cache.hashed_index != caches[0].hashed_index
-                or cache.index_seed != caches[0].index_seed):
-            raise ValueError("all caches must share one set-indexing scheme")
-    addrs = materialize_addresses(trace)
-    if addrs.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-    if addrs.size == 0:
-        return misses
-    if bool(np.any(addrs == _EMPTY)):
-        raise ValueError("address -1 is reserved as the empty-way "
-                         "sentinel; the array backend cannot cache it")
-    kernel = require_kernel()
-    cfg_sets = np.array([c.num_sets for c in caches], dtype=np.int64)
-    cfg_ways = np.array([c.ways for c in caches], dtype=np.int64)
-    lengths = cfg_sets * cfg_ways
-    cfg_off = np.zeros(len(caches), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=cfg_off[1:])
-    flat_tags = np.concatenate([c.tags.ravel() for c in caches]) \
-        if lengths.sum() else np.zeros(0, dtype=np.int64)
-    flat_stamp = np.concatenate([c.stamp.ravel() for c in caches]) \
-        if lengths.sum() else np.zeros(0, dtype=np.int64)
-    counters = np.array([int(c._counter[0]) for c in caches], dtype=np.int64)
-    lip = np.array([1 if c.policy == "LIP" else 0 for c in caches],
-                   dtype=np.int64)
-    kernel.multi_lru_run(addrs, len(caches), cfg_sets, cfg_ways, cfg_off,
-                         flat_tags, flat_stamp, counters, lip, misses,
-                         1 if caches[0].hashed_index else 0,
-                         caches[0].index_seed)
-    n = int(addrs.size)
-    for i, cache in enumerate(caches):
-        start, end = int(cfg_off[i]), int(cfg_off[i] + lengths[i])
-        shape = (cache.num_sets, cache.ways)
-        cache.tags[:] = flat_tags[start:end].reshape(shape)
-        cache.stamp[:] = flat_stamp[start:end].reshape(shape)
-        cache._counter[0] = counters[i]
-        m = int(misses[i])
-        cache.stats.accesses += n
-        cache.stats.misses += m
-        cache.stats.hits += n - m
-    return misses

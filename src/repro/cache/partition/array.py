@@ -14,10 +14,10 @@ possible:
   per-line partition ownership and per-partition occupancy targets);
 * a whole trace *with per-access partition ids* is replayed by
   :meth:`ArrayPartitionedCache.run_partitioned` in one pass — one
-  ``part_lru_run``/``part_srrip_run`` kernel call for LRU, LIP and SRRIP,
-  or one per-region kernel call per partition for the rest (each
-  partition owns its random stream and PSEL), which is equivalent exactly
-  because the regions are independent;
+  ``part_lru_run``/``part_srrip_run`` kernel task for LRU, LIP and SRRIP,
+  or one per-region replay per partition for the rest (each partition
+  owns its random stream and PSEL), which is equivalent exactly because
+  the regions are independent;
 * idealized (fully-associative) partitioning runs LRU through a one-shot
   stack-distance pass per partition (hit iff stack distance < allocation),
   which is bit-identical to a fully-associative
@@ -79,6 +79,12 @@ at any access, be resumed later, be interleaved with warm reallocation,
 or be checkpointed as "the arrays", and the result never changes.  Every
 replay and reallocation is a kernel call: building an array partitioned
 cache without the native kernel raises.
+
+Each organization packs its replay call in one place, the task behind
+``replay_task``; ``run_partitioned``/``run_chunk`` (and Vantage's scalar
+``access``) run that task on the calling thread, and
+:func:`~repro.cache.threadbatch.run_tasks` runs many of them in one
+threaded dispatch.
 """
 
 from __future__ import annotations
@@ -87,12 +93,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .._native import require_kernel
+from .._native import (KIND_PART_LRU, KIND_PART_SRRIP, KIND_VANTAGE,
+                       require_kernel)
 from ..arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
                           _dueling_roles, _next_pow2)
 from ..cache import materialize_addresses
 from ..hashing import SplitMix64
 from ..replacement.lru import LRUPolicy
+from ..threadbatch import ReplayTask, i64_ptr, u64_ptr
 from .base import PartitionedCache, trim_line_allocations
 from .setpart import round_to_sets
 from .vantage import vantage_managed_lines
@@ -121,6 +129,31 @@ _VPOL = {"LRU": 0, "LIP": 1, "BIP": 2, "DIP": 3, "SRRIP": 4, "BRRIP": 5,
 _VT_RRIP = ("SRRIP", "BRRIP", "DRRIP", "TA-DRRIP")
 
 _EMPTY = -1
+
+
+def _tagged_trace(trace, parts, num_partitions: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A validated partition-tagged trace: ``(addrs, parts, accesses)``
+    with ``accesses`` the per-partition access counts."""
+    addrs = materialize_addresses(trace)
+    parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
+    if addrs.shape != parts.shape or addrs.ndim != 1:
+        raise ValueError("trace and parts must be 1-D and equally long")
+    if addrs.size and (int(parts.min()) < 0
+                       or int(parts.max()) >= num_partitions):
+        raise ValueError(f"partition ids must be in [0, {num_partitions})")
+    accesses = np.bincount(parts, minlength=num_partitions)
+    return addrs, parts, accesses.astype(np.int64, copy=False)
+
+
+def _fold(stats: Sequence, accesses: np.ndarray, misses: np.ndarray) -> None:
+    """Add per-partition access and miss counts into ``stats[p]``
+    (``None`` entries, regions without capacity, are skipped)."""
+    for entry, a, m in zip(stats, accesses.tolist(), misses.tolist()):
+        if entry is not None:
+            entry.accesses += a
+            entry.misses += m
+            entry.hits += a - m
 
 
 class _FastIdealLRURegion:
@@ -528,45 +561,29 @@ class ArrayPartitionedCache(PartitionedCache):
             Per-partition int64 access and miss counts of this replay.
             Per-partition statistics are updated as the per-access path
             would (counts are order-independent, so both paths agree).
+
+        With the flat buffers live (LRU, LIP, SRRIP) this runs the
+        interleaved part-kernel task of :meth:`replay_task` on the
+        calling thread; otherwise each partition's accesses replay
+        through its own region.
         """
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
-        accesses = np.zeros(self.num_partitions, dtype=np.int64)
-        misses = np.zeros(self.num_partitions, dtype=np.int64)
-        if addrs.size == 0:
-            return accesses, misses
-        if int(parts.min()) < 0 or int(parts.max()) >= self.num_partitions:
-            raise ValueError(
-                f"partition ids must be in [0, {self.num_partitions})")
-        accesses += np.bincount(parts, minlength=self.num_partitions)
+        addrs, parts, accesses = _tagged_trace(trace, parts,
+                                               self.num_partitions)
         if self._flat_ready:
-            if bool(np.any(addrs == _EMPTY)):
-                raise ValueError("address -1 is reserved as the empty-way "
-                                 "sentinel; the array backend cannot cache it")
-            self._run_part_kernel(require_kernel(), addrs, parts, accesses,
-                                  misses)
-        else:
-            for p in range(self.num_partitions):
-                if accesses[p] == 0:
-                    continue
-                sub = addrs[parts == p]
-                region = self._regions[p]
-                if region is None:
-                    misses[p] = sub.size
-                elif isinstance(region, _FastIdealLRURegion):
-                    misses[p] = region.run_batch(sub)
-                else:
-                    before = region.stats.misses
-                    region.run(sub)
-                    misses[p] = region.stats.misses - before
-        for p in range(self.num_partitions):
-            stats = self.partition_stats[p]
-            a, m = int(accesses[p]), int(misses[p])
-            stats.accesses += a
-            stats.misses += m
-            stats.hits += a - m
+            return accesses, self._task(addrs, parts, accesses).run().misses
+        misses = np.zeros(self.num_partitions, dtype=np.int64)
+        for p in np.flatnonzero(accesses).tolist():
+            sub = addrs[parts == p]
+            region = self._regions[p]
+            if region is None:
+                misses[p] = sub.size
+            elif isinstance(region, _FastIdealLRURegion):
+                misses[p] = region.run_batch(sub)
+            else:
+                before = region.stats.misses
+                region.run(sub)
+                misses[p] = region.stats.misses - before
+        _fold(self.partition_stats, accesses, misses)
         return accesses, misses
 
     def run_chunk(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
@@ -580,61 +597,34 @@ class ArrayPartitionedCache(PartitionedCache):
         """
         return self.run_partitioned(trace, parts)
 
-    def _run_part_kernel(self, kernel, addrs: np.ndarray, parts: np.ndarray,
-                         accesses: np.ndarray, miss_out: np.ndarray) -> None:
-        hashed = 1 if self.hashed_index else 0
-        if self.policy == "SRRIP":
-            result = kernel.part_srrip_run(
-                addrs, parts, self.num_partitions, self._region_sets,
-                self._region_ways, self._region_off, self._flat_tags,
-                self._flat_rrpv, self._flat_stamp, self._shared_counter,
-                self._max_rrpv, miss_out, hashed, self.index_seed)
-        else:
-            result = kernel.part_lru_run(
-                addrs, parts, self.num_partitions, self._region_sets,
-                self._region_ways, self._region_off, self._flat_tags,
-                self._flat_stamp, self._shared_counter,
-                1 if self.policy == "LIP" else 0, miss_out, hashed,
-                self.index_seed)
-        if result < 0:
-            raise RuntimeError("native partitioned replay rejected the input")
-        # Keep the per-region counters coherent with the split path.
-        for p, region in enumerate(self._regions):
-            if region is None:
-                continue
-            sub_accesses = int(accesses[p])
-            sub_misses = int(miss_out[p])
-            region.stats.accesses += sub_accesses
-            region.stats.misses += sub_misses
-            region.stats.hits += sub_accesses - sub_misses
-
     def replay_task(self, trace, parts):
         """One batchable :class:`~repro.cache.threadbatch.ReplayTask`
         replaying a partition-tagged trace (the threaded twin of
         :meth:`run_partitioned`; per-partition misses land in the task's
-        ``misses`` array on both paths)."""
-        from .._native import KIND_PART_LRU, KIND_PART_SRRIP
-        from ..threadbatch import ReplayTask, i64_ptr
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
+        ``misses`` array on both paths).
+
+        With the flat buffers live it is the interleaved part-kernel
+        task; otherwise a fallback that replays region by region through
+        :meth:`run_partitioned`.
+        """
+        addrs, parts, accesses = _tagged_trace(trace, parts,
+                                               self.num_partitions)
+        if self._flat_ready:
+            return self._task(addrs, parts, accesses)
         miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-        if addrs.size:
-            if int(parts.min()) < 0 or int(parts.max()) >= self.num_partitions:
-                raise ValueError(
-                    f"partition ids must be in [0, {self.num_partitions})")
-        accesses = np.bincount(parts, minlength=self.num_partitions) \
-            .astype(np.int64)
-        if (not self._flat_ready or not require_kernel().has_batch
-                or addrs.size == 0):
-            def fallback() -> None:
-                _, misses = self.run_partitioned(addrs, parts)
-                miss_out[:] += np.asarray(misses, dtype=np.int64)
-            return ReplayTask(fallback=fallback, misses=miss_out)
-        if bool(np.any(addrs == _EMPTY)):
+
+        def fallback() -> None:
+            miss_out[:] += self.run_partitioned(addrs, parts)[1]
+        return ReplayTask(fallback=fallback, misses=miss_out)
+
+    def _task(self, addrs: np.ndarray, parts: np.ndarray,
+              accesses: np.ndarray):
+        """The part-kernel task of a validated tagged trace (flat buffers
+        live); its commit folds region and partition statistics."""
+        if addrs.size and bool(np.any(addrs == _EMPTY)):
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
+        miss_out = np.zeros(self.num_partitions, dtype=np.int64)
         fields = {
             "kind": (KIND_PART_SRRIP if self.policy == "SRRIP"
                      else KIND_PART_LRU),
@@ -658,21 +648,10 @@ class ArrayPartitionedCache(PartitionedCache):
             fields.update(lip=1 if self.policy == "LIP" else 0)
 
         def commit(_total: int) -> None:
-            # The same two folds run_partitioned performs around
-            # _run_part_kernel: per-region stats, then partition stats.
-            for p, region in enumerate(self._regions):
-                if region is None:
-                    continue
-                a, m = int(accesses[p]), int(miss_out[p])
-                region.stats.accesses += a
-                region.stats.misses += m
-                region.stats.hits += a - m
-            for p in range(self.num_partitions):
-                stats = self.partition_stats[p]
-                a, m = int(accesses[p]), int(miss_out[p])
-                stats.accesses += a
-                stats.misses += m
-                stats.hits += a - m
+            # Region counters stay coherent with the per-region path.
+            _fold([None if r is None else r.stats for r in self._regions],
+                  accesses, miss_out)
+            _fold(self.partition_stats, accesses, miss_out)
 
         return ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
                           commit=commit, misses=miss_out)
@@ -747,7 +726,7 @@ class ArrayVantageCache(PartitionedCache):
     organization.
 
     A whole partition-tagged trace is replayed by one ``vantage_run``
-    kernel call (:meth:`run_partitioned`).  Warm reallocation
+    kernel task (:meth:`run_partitioned`).  Warm reallocation
     (:meth:`reallocate` / ``set_allocations``) trims regions in place
     through ``vantage_realloc``, demoting each region's per-policy
     victims into the unmanaged region exactly as the object scheme does
@@ -958,32 +937,17 @@ class ArrayVantageCache(PartitionedCache):
     # ------------------------------------------------------------------ #
     def access(self, address: int, partition: int) -> bool:
         self._check_partition(partition)
-        accesses, misses = self._replay(
-            np.asarray([address], dtype=np.int64),
-            np.asarray([partition], dtype=np.int64))
-        hit = int(misses[partition]) == 0
-        self.record(partition, hit)
-        return hit
+        task = self.replay_task(np.array([address], dtype=np.int64),
+                                np.array([partition], dtype=np.int64))
+        return int(task.run().misses[partition]) == 0
 
     def run_partitioned(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay a partition-tagged trace in one batch (see
-        :meth:`ArrayPartitionedCache.run_partitioned`)."""
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
-        if addrs.size and (int(parts.min()) < 0
-                           or int(parts.max()) >= self.num_partitions):
-            raise ValueError(
-                f"partition ids must be in [0, {self.num_partitions})")
-        accesses, misses = self._replay(addrs, parts)
-        for p in range(self.num_partitions):
-            stats = self.partition_stats[p]
-            a, m = int(accesses[p]), int(misses[p])
-            stats.accesses += a
-            stats.misses += m
-            stats.hits += a - m
-        return accesses, misses
+        :meth:`ArrayPartitionedCache.run_partitioned`): runs the
+        :meth:`replay_task` task on the calling thread."""
+        addrs, parts, accesses = _tagged_trace(trace, parts,
+                                               self.num_partitions)
+        return accesses, self._task(addrs, parts, accesses).run().misses
 
     def run_chunk(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay one chunk (state carries across calls; chunked and
@@ -993,25 +957,15 @@ class ArrayVantageCache(PartitionedCache):
     def replay_task(self, trace, parts):
         """One batchable :class:`~repro.cache.threadbatch.ReplayTask`
         replaying a partition-tagged trace through the Vantage kernel
-        (threaded twin of :meth:`run_partitioned`)."""
-        from .._native import KIND_VANTAGE
-        from ..threadbatch import ReplayTask, i64_ptr, u64_ptr
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
-        if addrs.size and (int(parts.min()) < 0
-                           or int(parts.max()) >= self.num_partitions):
-            raise ValueError(
-                f"partition ids must be in [0, {self.num_partitions})")
+        (the task :meth:`run_partitioned` and :meth:`access` run)."""
+        return self._task(*_tagged_trace(trace, parts,
+                                         self.num_partitions))
+
+    def _task(self, addrs: np.ndarray, parts: np.ndarray,
+              accesses: np.ndarray):
+        """The Vantage kernel task of a validated tagged trace; its
+        commit folds the partition statistics."""
         miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-        accesses = np.bincount(parts, minlength=self.num_partitions) \
-            .astype(np.int64)
-        if not require_kernel().has_batch or addrs.size == 0:
-            def fallback() -> None:
-                _, misses = self.run_partitioned(addrs, parts)
-                miss_out[:] += np.asarray(misses, dtype=np.int64)
-            return ReplayTask(fallback=fallback, misses=miss_out)
         fields = {
             "kind": KIND_VANTAGE,
             "addrs": i64_ptr(addrs), "n": int(addrs.size),
@@ -1051,40 +1005,10 @@ class ArrayVantageCache(PartitionedCache):
         }
 
         def commit(_total: int) -> None:
-            for p in range(self.num_partitions):
-                stats = self.partition_stats[p]
-                a, m = int(accesses[p]), int(miss_out[p])
-                stats.accesses += a
-                stats.misses += m
-                stats.hits += a - m
+            _fold(self.partition_stats, accesses, miss_out)
 
         return ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
                           commit=commit, misses=miss_out)
-
-    def _replay(self, addrs: np.ndarray,
-                parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the state by a validated batch; returns per-partition
-        (accesses, misses) of this batch without touching the stats."""
-        accesses = np.zeros(self.num_partitions, dtype=np.int64)
-        misses = np.zeros(self.num_partitions, dtype=np.int64)
-        if addrs.size == 0:
-            return accesses, misses
-        accesses += np.bincount(parts, minlength=self.num_partitions)
-        result = require_kernel().vantage_run(
-            addrs, parts, self.num_partitions, self._caps, self._unm_cap,
-            self._pol, self.max_rrpv, self.epsilon, self._counter,
-            self._rng_state, self._roles, self._psel, self._psel_max,
-            self._leader_levels, self._node_aux, self._node_stamp,
-            self._pdp_clock, self._pdp_dp, self._pdp_samples,
-            self._pdp_hist, self._hist_stride, self._vp_maxdp,
-            self._vp_interval, self._vp_clear, self._ls_tags,
-            self._ls_clocks, self._ls_count, self._ls_size,
-            self._ht_tag, self._ht_reg, self._ht_node, self._node_tag,
-            self._node_prev, self._node_next, self._head, self._tail,
-            self._occ, self._free, misses)
-        if result < 0:
-            raise RuntimeError("native Vantage replay rejected the input")
-        return accesses, misses
 
     # ------------------------------------------------------------------ #
     def to_spec(self):

@@ -1,30 +1,35 @@
-"""Thread-parallel batched replay over the native kernels.
+"""The one way into the native replay kernels: batched replay tasks.
 
 The native replay kernels (:mod:`repro.cache._native`) release the GIL for
 the duration of each call and keep *all* state in caller-owned arrays, so
 N independent config replays are embarrassingly parallel: no two tasks
 share a byte of mutable state.  This module is the Python side of the
-``batch_run_threaded`` dispatcher in ``_sweepkernel.c``:
+``batch_run_threaded`` dispatcher in ``_sweepkernel.c``, and the only
+caller of it:
 
 * a :class:`ReplayTask` packages one cache's replay of one trace — either
   as a flat ``BatchTask`` argument record for the native dispatcher, or as
-  a fallback closure through the cache's serial entry point when it has
-  no batched kernel path (an object-model cache, an empty trace, or a
-  kernel built without the threaded dispatcher);
-* :func:`run_tasks` packs all native tasks into one ctypes array, makes a
-  *single* ``batch_run_threaded`` call (one GIL release, C worker threads
-  inside), then commits each task's statistics exactly as the serial entry
-  points would.
+  a fallback closure for a cache with no kernel task of its own (an
+  object-model cache, or a partitioned cache whose regions replay one by
+  one);
+* one private dispatcher packs all native tasks into one ctypes array,
+  makes a *single* ``batch_run_threaded`` call (one GIL release, C worker
+  threads inside), commits each task's statistics, then runs the
+  fallbacks in order.  :func:`run_tasks` calls it at the resolved width;
+  :meth:`ReplayTask.run` calls it with one task at width 1, which is how
+  every serial entry point of the array caches (``run``, ``run_chunk``,
+  ``access``, ``run_partitioned``) replays.
 
-Because the per-config replay code is untouched — a task is just a
-flattened call into the same kernel the serial path uses — results are
-**bit-identical to serial execution at any thread count**: the kernels
-never read another task's state, and each task's misses land in its own
+Because a task is the same kernel call whichever way it is dispatched,
+results are **bit-identical at any thread count**: the kernels never read
+another task's state, and each task's misses land in its own
 ``result``/``miss_out`` slots.  ``REPRO_THREADS`` (or an explicit
-``threads=``) controls the worker width; width 1 *is* the serial loop.
+``threads=``) controls the worker width of :func:`run_tasks`; width 1
+*is* the serial loop.
 
-Caches advertise the fast path by implementing ``replay_task``
+Caches advertise the batch path by implementing ``replay_task``
 (:class:`~repro.cache.arraycache.ArraySetAssociativeCache`,
+:class:`~repro.cache.arraycache.ArrayBeladyCache`,
 :class:`~repro.cache.partition.array.ArrayPartitionedCache`,
 :class:`~repro.cache.partition.array.ArrayVantageCache`,
 :class:`~repro.cache.talus_cache.TalusCache`).  Without a kernel
@@ -36,12 +41,12 @@ same :func:`run_tasks` call, so callers never special-case
 
 from __future__ import annotations
 
-import ctypes
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._native import BatchTask, get_kernel, native_available, resolve_threads
+from ._native import (BatchTask, native_available, require_kernel,
+                      resolve_threads)
 
 __all__ = ["ReplayTask", "run_tasks", "resolve_parallel", "PARALLEL_MODES",
            "i64_ptr", "u64_ptr"]
@@ -66,22 +71,26 @@ def resolve_parallel(mode: str) -> str:
     return mode
 
 
-def i64_ptr(array: np.ndarray):
-    """``int64_t *`` for a C-contiguous int64 array (no copy, no cast).
+def i64_ptr(array: np.ndarray) -> int:
+    """The ``int64_t *`` of a C-contiguous int64 array, as the address a
+    ``BatchTask`` array member holds (no copy, no cast).
 
     Raises rather than copies: these arrays are the caller's live
     simulation state, and a silent copy would discard the kernel's writes.
+    The address does not keep the array alive; a task's ``refs`` (or the
+    cache owning the state) does.
     """
     if array.dtype != np.int64 or not array.flags["C_CONTIGUOUS"]:
         raise ValueError("state arrays must be C-contiguous int64")
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+    return array.ctypes.data
 
 
-def u64_ptr(array: np.ndarray):
-    """``uint64_t *`` for a C-contiguous uint64 array (see :func:`i64_ptr`)."""
+def u64_ptr(array: np.ndarray) -> int:
+    """The ``uint64_t *`` of a C-contiguous uint64 array (see
+    :func:`i64_ptr`)."""
     if array.dtype != np.uint64 or not array.flags["C_CONTIGUOUS"]:
         raise ValueError("RNG state must be C-contiguous uint64")
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64))
+    return array.ctypes.data
 
 
 class ReplayTask:
@@ -90,21 +99,22 @@ class ReplayTask:
     Parameters
     ----------
     fields:
-        ``BatchTask`` member values (pointers from :func:`i64_ptr` /
-        :func:`u64_ptr`, plain ints, and ``epsilon`` as float) for the
+        ``BatchTask`` member values (array addresses from :func:`i64_ptr`
+        / :func:`u64_ptr`, plain ints, and ``epsilon`` as float) for the
         native dispatcher, or ``None`` when this task can only run through
         its fallback.
     refs:
         Arrays that must stay alive while the kernel may dereference the
-        packed pointers (the address trace and any buffers created for
+        packed addresses (the address trace and any buffers created for
         this task; long-lived cache state is kept alive by the cache).
     commit:
         Called with the task's non-negative kernel result after the batch
-        returns; folds the replay into the cache's statistics exactly as
-        the serial entry point would.
+        returns; folds the replay into the cache's statistics.  The
+        serial entry points run the same task, so they fold the same way.
     fallback:
-        Zero-argument closure replaying through the cache's normal
-        (serial) entry point — used when ``fields`` is ``None``.
+        Zero-argument closure replaying through another entry point of
+        the cache (the per-access object model, or a per-region loop) —
+        used when ``fields`` is ``None``.
     misses:
         Optional caller-visible per-partition miss array (partitioned
         kinds); the kernel writes it in place, the fallback must fill it.
@@ -158,6 +168,28 @@ class ReplayTask:
         for hook in self._after:
             hook()
 
+    def run(self) -> "ReplayTask":
+        """Run this task alone on the calling thread (one width-1
+        dispatch) and commit it; the serial entry points' replay."""
+        _dispatch((self,), 1)
+        return self
+
+
+def _dispatch(tasks: Sequence[ReplayTask], threads: int) -> None:
+    """Run ``tasks``: every native one in a single ``batch_run_threaded``
+    call at width ``threads``, each committed in order once the call
+    returns; then every fallback task, in order."""
+    native = [t for t in tasks if t.native]
+    if native:
+        packed = (BatchTask * len(native))(
+            *[BatchTask(**task.fields) for task in native])
+        require_kernel().batch_run_threaded(packed, len(native), threads)
+        for slot, task in zip(packed, native):
+            task.commit(int(slot.result))
+    for task in tasks:
+        if not task.native:
+            task.run_fallback()
+
 
 def run_tasks(tasks: Iterable[ReplayTask],
               threads: int | None = None) -> list[ReplayTask]:
@@ -168,26 +200,9 @@ def run_tasks(tasks: Iterable[ReplayTask],
     whole batch and the C worker threads claim tasks from an atomic work
     queue.  Fallback-only tasks then run serially in submission order.
     ``threads`` defaults to :func:`~repro.cache._native.resolve_threads`
-    (``REPRO_THREADS`` or the host core count); any width, including 1,
-    produces bit-identical results.
+    (``REPRO_THREADS`` or the CPUs this process may use); any width,
+    including 1, produces bit-identical results.
     """
     tasks = list(tasks)
-    native = [t for t in tasks if t.native]
-    if native:
-        kernel = get_kernel()
-        if kernel is None or not kernel.has_batch:
-            # Tasks were built against a kernel that has since become
-            # unavailable (should not happen: replay_task checks first).
-            raise RuntimeError("native kernel unavailable for batched tasks")
-        packed = (BatchTask * len(native))()
-        for slot, task in zip(packed, native):
-            for name, value in task.fields.items():
-                setattr(slot, name, value)
-        kernel.batch_run_threaded(packed, len(native),
-                                  resolve_threads(threads))
-        for slot, task in zip(packed, native):
-            task.commit(int(slot.result))
-    for task in tasks:
-        if not task.native:
-            task.run_fallback()
+    _dispatch(tasks, resolve_threads(threads))
     return tasks

@@ -152,15 +152,8 @@ class StackDistanceMonitor:
         Misses are absolute counts over the recorded accesses; divide by
         instructions (or use :meth:`MissCurve.scaled`) for MPKI.
         """
-        dense = self.histogram()
-        beyond = 0
-        if sizes is not None and len(dense):
-            # Counts beyond the largest requested size still contribute to
-            # the miss totals at the requested sizes via cold_misses below,
-            # handled by from_stack_distances clamping.
-            beyond = 0
         return MissCurve.from_stack_distances(
-            dense, cold_misses=self.cold_misses + beyond, sizes=sizes)
+            self.histogram(), cold_misses=self.cold_misses, sizes=sizes)
 
 
 class IncrementalStackMonitor:

@@ -437,7 +437,7 @@ class ReconfiguringSharedRun:
         in-process: one mix cannot split across processes.
     threads:
         Monitor-recording thread width (default: ``REPRO_THREADS`` or the
-        host core count, capped at the application count).
+        CPUs this process may run on, capped at the application count).
     """
 
     total_mb: float

@@ -10,12 +10,10 @@ the *what* (a :class:`SweepSpec` describing all the points) from the *how*
   the sweep advance together in a single streaming pass over the trace
   (the trace is materialized and decoded once, not once per point).
 * ``array``  — the numpy/native array cache
-  (:mod:`repro.cache.arraycache`): each config is replayed by a compiled
-  kernel, typically 10-30x faster than the object model.  LRU/LIP configs
-  additionally share a *single* kernel pass over the trace
-  (:func:`~repro.cache.arraycache.run_lru_family_batch`): all sizes of a
-  recency-family size sweep advance together, decoding the trace once.
-  It needs the native kernel.
+  (:mod:`repro.cache.arraycache`): each config is one
+  :class:`~repro.cache.threadbatch.ReplayTask` of a compiled kernel,
+  typically 10-30x faster than the object model, and all of a sweep's
+  tasks run in one native dispatch.  It needs the native kernel.
 * ``auto``   — the array backend when the native kernel is available,
   the object model otherwise.  The two are bit-identical for every
   online policy and agree on Belady's miss counts, so this default only
@@ -28,13 +26,14 @@ by ``parallel=``:
 * ``"threads"`` — every batch-capable config becomes a
   :class:`~repro.cache.threadbatch.ReplayTask` and the whole sweep is one
   GIL-releasing ``batch_run_threaded`` call into the native kernel
-  (width from ``threads=`` or ``REPRO_THREADS``); object-model and
-  builder configs stream serially as before.
+  (width from ``threads=`` or ``REPRO_THREADS``); object-model configs
+  stream serially in one per-access pass.
 * ``"processes"`` — independent configs fan out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers > 1``),
   with the address array shared through a
   :class:`~repro.workloads.tracestore.TraceStore` memmap so workers
-  attach to one materialized trace instead of re-pickling it.
+  attach to one materialized trace instead of re-pickling it.  Each
+  worker runs its configs' tasks as one width-1 dispatch.
 * ``"auto"`` (default) — threads when the native kernel is available,
   the process pool otherwise (``REPRO_NATIVE=0``).
 
@@ -58,7 +57,6 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from ..cache._native import resolve_threads
-from ..cache.arraycache import run_lru_family_batch
 from ..cache.cache import CacheStats
 from ..cache.factory import BACKENDS, build_cache, resolve_backend
 from ..cache.hashing import derive_seed
@@ -292,103 +290,46 @@ def _stream_object_pass(addrs: np.ndarray, caches: Sequence[object]) -> None:
             access(a)
 
 
-def _make_replay_task(cache, addrs: np.ndarray):
-    """This cache's :class:`ReplayTask` for ``addrs``, or ``None``.
-
-    ``None`` means the cache has no single-trace ``replay_task`` entry
-    point (e.g. a bare partitioned cache that needs a partition stream);
-    such configs keep their batched ``run`` path.
-    """
-    maker = getattr(cache, "replay_task", None)
-    if maker is None:
-        return None
-    try:
-        return maker(addrs)
-    except TypeError:
-        return None
-
-
 def _simulate_chunk(addrs: np.ndarray | TraceHandle,
                     configs: Sequence[SweepConfig],
                     backend: str,
-                    threads: int = 0) -> list[tuple[Hashable, CacheStats]]:
+                    threads: int = 1) -> list[tuple[Hashable, CacheStats]]:
     """Simulate a group of configs over one trace pass (worker entry point).
 
     ``addrs`` may be a :class:`TraceHandle`, which pool workers attach
-    zero-copy instead of receiving the pickled array.  With ``threads >=
-    1`` every batch-capable config becomes a :class:`ReplayTask` and the
-    chunk executes as one threaded native dispatch (bit-identical to the
-    serial per-config replays at any width).
+    zero-copy instead of receiving the pickled array.  Every
+    batch-capable config becomes a :class:`ReplayTask` and the chunk's
+    tasks execute as one native dispatch of width ``threads`` (1 in
+    process-pool workers; bit-identical at any width).  The remaining
+    (object-model) configs stream together in one per-access pass.
     """
     if isinstance(addrs, TraceHandle):
         addrs = addrs.array()
     out = []
     object_caches, object_keys = [], []
-    lru_family_caches, lru_family_keys = [], []
     tasks, task_caches, task_keys = [], [], []
-
-    def enqueue(cache, key) -> bool:
-        if threads < 1:
-            return False
-        task = _make_replay_task(cache, addrs)
-        if task is None:
-            return False
-        tasks.append(task)
-        task_caches.append(cache)
-        task_keys.append(key)
-        return True
-
     for config in configs:
         custom = config.spec is not None or config.builder is not None
         if not custom and config.capacity_lines <= 0:
             out.append((config.key, _all_miss_stats(int(addrs.size))))
             continue
-        if custom:
-            cache = config.build(backend, addrs)
-            if getattr(cache, "supports_batch_replay", False):
-                # Array-backed organizations (incl. Talus on an array
-                # base) replay the whole trace in one batched pass.
-                if not enqueue(cache, config.key):
-                    cache.run(addrs)
-                    out.append((config.key, _extract_stats(cache)))
-            else:
-                object_caches.append(cache)
-                object_keys.append(config.key)
-            continue
-        if resolve_backend(backend, config.policy) == "object":
-            # The reference model (asked for, or "auto" without the
-            # kernel): all configs stream together in one per-access pass
-            # over the trace.
-            object_caches.append(config.build("object", addrs))
-            object_keys.append(config.key)
-            continue
-        cache = config.build("array", addrs)
-        if enqueue(cache, config.key):
-            pass
-        elif config.policy in ("LRU", "LIP"):
-            # Recency-family array configs share one trace pass (the
-            # multi-config kernel); bit-identical to per-config runs.
-            lru_family_caches.append(cache)
-            lru_family_keys.append(config.key)
+        # Standard points on the reference model (asked for, or "auto"
+        # without the kernel) are object caches; spec and builder configs
+        # carry their own backend.
+        cache = config.build(backend if custom
+                             else resolve_backend(backend, config.policy),
+                             addrs)
+        if getattr(cache, "supports_batch_replay", False):
+            tasks.append(cache.replay_task(addrs))
+            task_caches.append(cache)
+            task_keys.append(config.key)
         else:
-            cache.run(addrs)
-            out.append((config.key, _extract_stats(cache)))
+            object_caches.append(cache)
+            object_keys.append(config.key)
     if tasks:
         run_tasks(tasks, threads=threads)
         out.extend((key, _extract_stats(cache))
                    for key, cache in zip(task_keys, task_caches))
-    if lru_family_caches:
-        # One shared pass per set-indexing scheme (the kernel applies one
-        # scheme to the whole batch; sweeps mixing modulo and hashed
-        # configs split into one batch each).
-        groups: dict[tuple, list] = {}
-        for cache in lru_family_caches:
-            groups.setdefault((cache.hashed_index, cache.index_seed),
-                              []).append(cache)
-        for group in groups.values():
-            run_lru_family_batch(addrs, group)
-        out.extend((key, _extract_stats(cache))
-                   for key, cache in zip(lru_family_keys, lru_family_caches))
     if object_caches:
         _stream_object_pass(addrs, object_caches)
         out.extend((key, _extract_stats(cache))
@@ -632,12 +573,12 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     ``parallel`` picks the fan-out strategy (module docstring): "threads"
     executes all batch-capable configs in one threaded native dispatch
     (width from ``threads=``, else ``REPRO_THREADS``, else
-    ``max_workers``/host core count); "processes" distributes standard and
-    spec-based configs over a process pool when ``max_workers > 1``,
-    sharing the trace through ``trace_store`` (a temporary store when not
-    given).  Builder configs always run serially in-process because their
-    closures may not be picklable.  Results are bit-identical regardless
-    of the execution strategy.
+    ``max_workers``/the CPUs this process may run on); "processes"
+    distributes standard and spec-based configs over a process pool when
+    ``max_workers > 1``, sharing the trace through ``trace_store`` (a
+    temporary store when not given).  Builder configs always run serially
+    in-process because their closures may not be picklable.  Results are
+    bit-identical regardless of the execution strategy.
 
     ``supervise=True`` (default off, preserving the in-process fast
     path) routes the sweep through the fault-tolerant job runtime

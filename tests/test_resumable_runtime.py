@@ -14,8 +14,8 @@ Covers the contract end to end, layer by layer:
   (:class:`ReconfiguringSharedRun`: the one-trace run at parity with the
   object model, and multi-application mixes);
 * the Random policy (deterministic per seed on either backend);
-* the multi-config shared-trace-pass replay
-  (:func:`~repro.cache.arraycache.run_lru_family_batch`);
+* multi-config sweeps of the recency family (every config one replay
+  task of the sweep's native dispatch) against the object model;
 * the incremental stack-distance monitor and the byte-sliced H3 hash;
 * the vectorized ``shared_cache_equilibrium``.
 
@@ -29,8 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.cache.arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
-                                    run_lru_family_batch)
+from repro.cache.arraycache import ARRAY_POLICIES, ArraySetAssociativeCache
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.factory import (POLICY_NAMES, build_cache,
                                  named_policy_factory, resolve_backend)
@@ -360,46 +359,13 @@ class TestRandomArrayPolicy:
 
 
 # --------------------------------------------------------------------- #
-# Multi-config shared-pass replay
+# Multi-config sweeps
 # --------------------------------------------------------------------- #
 @needs_kernel
 class TestMultiConfigBatch:
-    def test_matches_individual_runs(self):
-        trace = _mixed_trace(15000, spread=8000, seed=6)
-        geoms = [(8, 4, "LRU"), (64, 4, "LIP"), (256, 4, "LRU"),
-                 (128, 8, "LIP")]
-        batch = [ArraySetAssociativeCache(s, w, policy=p)
-                 for s, w, p in geoms]
-        solo = [ArraySetAssociativeCache(s, w, policy=p)
-                for s, w, p in geoms]
-        misses = run_lru_family_batch(trace, batch)
-        for cache in solo:
-            cache.run(trace)
-        assert [int(m) for m in misses] == [c.stats.misses for c in solo]
-        for a, b in zip(batch, solo):
-            assert np.array_equal(a.tags, b.tags)
-            assert np.array_equal(a.stamp, b.stamp)
-            assert a.stats.misses == b.stats.misses
-
-    def test_batch_is_resumable(self):
-        trace = _mixed_trace(9000, seed=7)
-        batch = [ArraySetAssociativeCache(32, 4),
-                 ArraySetAssociativeCache(64, 4, policy="LIP")]
-        run_lru_family_batch(trace[:5000], batch)
-        run_lru_family_batch(trace[5000:], batch)
-        solo = ArraySetAssociativeCache(32, 4)
-        solo.run(trace)
-        assert batch[0].stats.misses == solo.stats.misses
-
-    def test_rejects_mixed_indexing_and_policies(self):
-        with pytest.raises(ValueError, match="LRU/LIP"):
-            run_lru_family_batch([1, 2],
-                                 [ArraySetAssociativeCache(8, 2,
-                                                           policy="SRRIP")])
-        with pytest.raises(ValueError, match="indexing"):
-            run_lru_family_batch([1, 2], [
-                ArraySetAssociativeCache(8, 2),
-                ArraySetAssociativeCache(8, 2, hashed_index=True)])
+    """LRU/LIP size sweeps on the array backend (one replay task per
+    config, all in one dispatch) equal the object model config for
+    config."""
 
     def test_sweep_uses_shared_pass(self):
         from repro.sim.sweep import SweepSpec, run_sweep
@@ -412,9 +378,8 @@ class TestMultiConfigBatch:
             assert fast[key].misses == reference[key].misses
 
     def test_sweep_mixed_indexing_configs(self):
-        """Regression: configs with different set-indexing schemes must
-        not be batched into one shared pass (the kernel applies a single
-        scheme per batch)."""
+        """Configs with different set-indexing schemes in one sweep each
+        keep their own scheme (each config's task carries it)."""
         from repro.sim.sweep import SweepConfig, run_sweep
         trace = _mixed_trace(8000, spread=6000, seed=19)
         configs = [

@@ -3,18 +3,24 @@
 The contract under test (docs/ARCHITECTURE.md, "Threading model"): a
 :class:`~repro.cache.threadbatch.ReplayTask` batch produces **bit-identical
 results at any thread count** — the tasks share no mutable state, so the
-worker width only changes wall-clock time, never a single counter.
-Tests that build array caches directly need the native kernel.
+worker width only changes wall-clock time, never a single counter.  The
+serial entry points (``run``, ``run_partitioned``) run the same tasks one
+at a time at width 1; every task kind is checked in batches at widths 1,
+2 and 8 against them.  Tests that build array caches directly need the
+native kernel.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.cache import _native
 from repro.cache._native import resolve_threads
-from repro.cache.arraycache import ArraySetAssociativeCache
+from repro.cache.arraycache import ArrayBeladyCache, ArraySetAssociativeCache
+from repro.cache.cache import CacheStats
 from repro.cache.partition.array import (ArrayPartitionedCache,
                                          ArrayVantageCache)
 from repro.cache.spec import PartitionSpec, TalusSpec, build
@@ -29,14 +35,51 @@ from .conftest import needs_kernel
 #: Thread widths every determinism test sweeps (1 is the serial loop).
 WIDTHS = (1, 2, 8)
 
+#: Every task kind of a plain cache: each online policy, and Belady.
+SINGLE_POLICIES = ("LRU", "LIP", "BIP", "DIP", "SRRIP", "BRRIP", "DRRIP",
+                   "TA-DRRIP", "PDP", "Random", "Belady")
+
 
 def _trace(n=20_000, seed=3):
     return zipfian(8_000, n, seed=seed).addresses
 
 
 def _state_digest(cache):
-    return (cache.stats.accesses, cache.stats.hits, cache.stats.misses,
-            int(cache.tags.sum()), int(cache.stamp.sum()))
+    stats = (cache.stats.accesses, cache.stats.hits, cache.stats.misses)
+    if isinstance(cache, ArrayBeladyCache):
+        return stats + (cache.occupancy(), int(cache._ht_tag.sum()))
+    lanes = (tuple(cache.thread_misses.tolist())
+             if cache.policy == "TA-DRRIP" else ())
+    return stats + (int(cache.tags.sum()), int(cache.stamp.sum()),
+                    int(cache.rrpv.sum())) + lanes
+
+
+def _single_batch(policy, addrs):
+    """Three caches of ``policy`` (three sizes) and the keyword arguments
+    of their replay: TA-DRRIP replays a 4-stream thread lane."""
+    if policy == "Belady":
+        return [ArrayBeladyCache(lines, addrs)
+                for lines in (64, 512, 2048)], {}
+    lane = {}
+    kwargs = {}
+    if policy == "TA-DRRIP":
+        kwargs = {"num_streams": 4}
+        lane = {"thread_ids": np.arange(addrs.size, dtype=np.int64) % 4}
+    return [ArraySetAssociativeCache(sets, ways, policy=policy, **kwargs)
+            for sets, ways in ((16, 4), (64, 8), (256, 4))], lane
+
+
+def _state(cache) -> dict:
+    """Every state array (as bytes) and statistics record of a cache."""
+    out = {}
+    for name, value in vars(cache).items():
+        if isinstance(value, np.ndarray):
+            out[name] = value.tobytes()
+        elif isinstance(value, CacheStats) or (
+                isinstance(value, list) and value
+                and isinstance(value[0], CacheStats)):
+            out[name] = repr(value)
+    return out
 
 
 class TestResolvers:
@@ -47,6 +90,11 @@ class TestResolvers:
         monkeypatch.delenv("REPRO_THREADS")
         assert resolve_threads() >= 1           # cpu_count floor
         assert resolve_threads(0) == 1          # clamped to 1
+        # The default width is the CPUs this process may run on, not the
+        # host's core count.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_threads() == 1
         monkeypatch.setenv("REPRO_THREADS", "lots")
         with pytest.raises(ValueError, match="REPRO_THREADS"):
             resolve_threads()
@@ -71,16 +119,20 @@ class TestReplayTaskDeterminism:
     """Bit-identity of threaded batches vs the serial entry points."""
 
     @needs_kernel
-    @pytest.mark.parametrize("policy", ["LRU", "SRRIP", "PDP"])
+    @pytest.mark.parametrize("policy", SINGLE_POLICIES)
     def test_single_policy_all_widths(self, policy):
         addrs = _trace()
-        serial = ArraySetAssociativeCache(64, 8, policy=policy)
-        serial.run(addrs)
+        serial, lane = _single_batch(policy, addrs)
+        for cache in serial:
+            cache.run(addrs, **lane)
         for width in WIDTHS:
-            cache = ArraySetAssociativeCache(64, 8, policy=policy)
-            run_tasks([cache.replay_task(addrs)], threads=width)
-            assert _state_digest(cache) == _state_digest(serial), \
-                (policy, width)
+            batch, lane = _single_batch(policy, addrs)
+            tasks = run_tasks([c.replay_task(addrs, **lane) for c in batch],
+                              threads=width)
+            assert all(task.native for task in tasks)
+            for ref, cache in zip(serial, batch):
+                assert _state_digest(cache) == _state_digest(ref), \
+                    (policy, width)
 
     @needs_kernel
     def test_many_tasks_all_widths(self):
@@ -104,31 +156,91 @@ class TestReplayTaskDeterminism:
 
     @needs_kernel
     def test_partitioned_kernel_all_widths(self):
+        """Every part-kernel policy, way and set schemes in one batch."""
         addrs = _trace(12_000)
         parts = (np.arange(addrs.size, dtype=np.int64) % 4)
-        serial = ArrayPartitionedCache("way", 4096, 4, policy="SRRIP")
-        _, serial_misses = serial.run_partitioned(addrs, parts)
-        for width in WIDTHS:
-            cache = ArrayPartitionedCache("way", 4096, 4, policy="SRRIP")
-            task = cache.replay_task(addrs, parts)
-            run_tasks([task], threads=width)
-            assert np.array_equal(task.misses, serial_misses), width
-            for p in range(4):
-                assert (cache.partition_stats[p].misses
-                        == serial.partition_stats[p].misses), (p, width)
+
+        def caches(policy):
+            return [ArrayPartitionedCache(scheme, 4096, 4, policy=policy)
+                    for scheme in ("way", "set")]
+
+        for policy in ("LRU", "LIP", "SRRIP"):
+            serial = caches(policy)
+            serial_misses = [c.run_partitioned(addrs, parts)[1]
+                             for c in serial]
+            for width in WIDTHS:
+                batch = caches(policy)
+                tasks = run_tasks([c.replay_task(addrs, parts)
+                                   for c in batch], threads=width)
+                for task, cache, ref, ref_misses in zip(
+                        tasks, batch, serial, serial_misses):
+                    assert task.native, policy
+                    assert np.array_equal(task.misses, ref_misses), \
+                        (policy, width)
+                    for p in range(4):
+                        assert (cache.partition_stats[p].misses
+                                == ref.partition_stats[p].misses), \
+                            (policy, p, width)
 
     @needs_kernel
     def test_talus_on_vantage_all_widths(self):
+        """LRU, an RRIP-family policy and a randomized policy, as one
+        mixed batch of Talus-on-Vantage tasks."""
         addrs = _trace(12_000)
-        serial = TalusCache(ArrayVantageCache(4096, 4), num_logical=2)
-        serial.run(addrs, 1)
+        policies = ("LRU", "DRRIP", "Random")
+
+        def caches():
+            return [TalusCache(ArrayVantageCache(4096, 4, policy=policy),
+                               num_logical=2) for policy in policies]
+
+        serial = caches()
+        for cache in serial:
+            cache.run(addrs, 1)
         for width in WIDTHS:
-            cache = TalusCache(ArrayVantageCache(4096, 4), num_logical=2)
-            run_tasks([cache.replay_task(addrs, logical=1)], threads=width)
-            assert (cache.logical_stats[1].misses
-                    == serial.logical_stats[1].misses), width
-            assert (cache.base.partition_stats[2].misses
-                    == serial.base.partition_stats[2].misses), width
+            batch = caches()
+            run_tasks([c.replay_task(addrs, logical=1) for c in batch],
+                      threads=width)
+            for policy, cache, ref in zip(policies, batch, serial):
+                assert (cache.logical_stats[1].misses
+                        == ref.logical_stats[1].misses), (policy, width)
+                assert (cache.base.partition_stats[2].misses
+                        == ref.base.partition_stats[2].misses), \
+                    (policy, width)
+                assert _state(cache.base) == _state(ref.base), \
+                    (policy, width)
+
+    @needs_kernel
+    def test_empty_trace_tasks_are_native_noops(self):
+        """A zero-length replay on every array organization is a native
+        task (``n = 0``) that changes no state and no statistic."""
+        addrs = _trace(4_000)
+        parts = (np.arange(addrs.size, dtype=np.int64) % 2)
+        empty = np.zeros(0, dtype=np.int64)
+        plain = ArraySetAssociativeCache(16, 4, policy="DRRIP")
+        plain.run(addrs)
+        lanes = ArraySetAssociativeCache(16, 4, policy="TA-DRRIP",
+                                         num_streams=2)
+        lanes.run(addrs, thread_ids=parts)
+        belady = ArrayBeladyCache(128, addrs)
+        belady.run(addrs[:2_000])
+        way = ArrayPartitionedCache("way", 1024, 2, policy="SRRIP")
+        way.run_partitioned(addrs, parts)
+        vantage = ArrayVantageCache(1024, 2, policy="PDP")
+        vantage.run_partitioned(addrs, parts)
+        tasks = [plain.replay_task(empty), lanes.replay_task(empty, empty),
+                 belady.replay_task(empty), way.replay_task(empty, empty),
+                 vantage.replay_task(empty, empty)]
+        caches = (plain, lanes, belady, way, vantage)
+        before = [_state(cache) for cache in caches]
+        for task in tasks:
+            assert task.native
+            assert task.fields["n"] == 0
+        run_tasks(tasks, threads=2)
+        for task in tasks:
+            task.run()
+        for cache, state in zip(caches, before):
+            assert _state(cache) == state, cache
+        assert belady.trace_remaining == addrs.size - 2_000
 
     def test_run_sweep_modes_identical(self):
         trace = zipfian(8_000, 15_000, seed=5)
