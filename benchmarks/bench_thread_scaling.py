@@ -20,8 +20,12 @@ one sweep-shaped batch of array-cache configs four ways:
 Record identity between all four is asserted unconditionally — on every
 host, with and without the kernel (without it the configs are object-model
 caches, whose tasks run their serial fallback).  The speedup criteria are
-gated on the host: >= 3x over the single-thread batch needs >= 8 cores,
->= 1.5x over the equal-worker process pool needs >= 2.
+gated on the CPUs this process can use
+(:func:`~repro.cache._native.available_cpus`: the affinity mask capped
+by the cgroup CPU quota) and on the thread width: >= 3x over the
+single-thread batch needs >= 8 of each, >= 1.5x over the equal-worker
+process pool needs >= 2 of each.  Where neither floor applies the test
+skips and says why, rather than passing without a check.
 
 Timings land in ``benchmarks/out/thread_scaling.json`` (override with
 ``REPRO_BENCH_JSON_THREADS``); the JSON schema is documented in
@@ -30,14 +34,14 @@ Timings land in ``benchmarks/out/thread_scaling.json`` (override with
 
 from __future__ import annotations
 
-import os
 import time
 from functools import partial
 
 import pytest
 
 from benchlib import bench_json_path, write_bench_json
-from repro.cache._native import native_available, resolve_threads
+from repro.cache._native import (available_cpus, native_available,
+                                 resolve_threads)
 from repro.cache.spec import CacheSpec
 from repro.cache.threadbatch import ReplayTask, run_tasks
 from repro.experiments.common import fast_mode, trace_length
@@ -83,7 +87,7 @@ def _write_json(key: str, payload: dict, meta: dict) -> None:
 def test_thread_scaling(capsys):
     accesses = _trace_accesses()
     addrs = zipfian(50_000, accesses, seed=2015).addresses
-    ncpu = os.cpu_count() or 1
+    cpus = available_cpus()
     width = resolve_threads()
 
     t0 = time.perf_counter()
@@ -142,7 +146,7 @@ def test_thread_scaling(capsys):
     with capsys.disabled():
         print()
         print(f"== threaded batch dispatch ({len(CONFIGS)} configs x "
-              f"{accesses} accesses, {ncpu} cores) ==")
+              f"{accesses} accesses, {cpus} available CPUs) ==")
         print(f"  per-config serial runs     : {t_serial * 1000:8.1f} ms")
         print(f"  batch, threads=1           : {t_one * 1000:8.1f} ms")
         print(f"  batch, threads={width:<2}          : "
@@ -155,14 +159,14 @@ def test_thread_scaling(capsys):
     if not native_available():
         pytest.skip("no C compiler: all strategies ran the object model; "
                     "the scaling criteria need the kernel")
-    if ncpu >= 8 and width >= 8:
+    if cpus < 2 or width < 2:
+        pytest.skip(f"{cpus} available CPU(s) at thread width {width}: the "
+                    f"scaling criteria need >= 2 of each (record identity "
+                    f"was still asserted)")
+    if cpus >= 8 and width >= 8:
         assert speedup_wide >= 3.0, (
-            f"threaded batch only {speedup_wide:.2f}x over threads=1 on "
-            f"{ncpu} cores (acceptance criterion is >= 3x at 8 cores)")
-    if ncpu >= 2 and width >= 2:
-        assert vs_pool >= 1.5, (
-            f"threaded batch only {vs_pool:.2f}x over the {width}-worker "
-            f"process pool (acceptance criterion is >= 1.5x)")
-    if ncpu < 2:
-        pytest.skip(f"host has {ncpu} core(s); scaling criteria need >= 2 "
-                    f"(record identity was still asserted)")
+            f"threaded batch only {speedup_wide:.2f}x over threads=1 with "
+            f"{cpus} available CPUs (acceptance criterion is >= 3x at 8)")
+    assert vs_pool >= 1.5, (
+        f"threaded batch only {vs_pool:.2f}x over the {width}-worker "
+        f"process pool (acceptance criterion is >= 1.5x)")

@@ -17,7 +17,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.cache._native import native_available, resolve_threads
+from repro.cache._native import (available_cpus, native_available,
+                                 resolve_threads)
 from repro.core.atomicio import atomic_write_json
 
 #: Directory the benchmark JSON banks land in (gitignored; uploaded by CI).
@@ -36,8 +37,10 @@ def write_bench_json(path: Path, key: str, payload: dict,
 
     Existing entries under other keys are preserved (so parametrized
     benchmarks accumulate into one file); ``meta`` is refreshed with the
-    native-kernel flag, the host's core count and resolved thread width
-    (``REPRO_THREADS``-aware), and a timestamp on every write.
+    native-kernel flag, the host's core count (``cpu_count``), the CPUs
+    this process can use (``cpus``: the affinity mask capped by the cgroup
+    CPU quota), the resolved thread width (``REPRO_THREADS``-aware), and a
+    timestamp on every write.
     """
     path = Path(path)
     data = {}
@@ -49,6 +52,7 @@ def write_bench_json(path: Path, key: str, payload: dict,
     data[key] = payload
     data["meta"] = {**(meta or {}), "native": native_available(),
                     "cpu_count": os.cpu_count() or 1,
+                    "cpus": available_cpus(),
                     "threads": resolve_threads(),
                     "timestamp": time.time()}
     atomic_write_json(path, data)

@@ -36,7 +36,7 @@ import numpy as np
 __all__ = ["get_kernel", "native_available", "require_kernel",
            "disable_native",
            "NativeKernel", "BatchTask",
-           "resolve_threads",
+           "available_cpus", "resolve_threads",
            "KIND_LRU", "KIND_RRIP", "KIND_DIP", "KIND_PDP", "KIND_RANDOM",
            "KIND_PART_LRU", "KIND_PART_SRRIP", "KIND_VANTAGE",
            "KIND_TADRRIP", "KIND_BELADY"]
@@ -139,13 +139,61 @@ class BatchTask(ctypes.Structure):
     ]
 
 
+#: Root of the cgroup file system whose CPU quota :func:`available_cpus`
+#: reads.
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cgroup_cpu_limit() -> int | None:
+    """CPUs the cgroup CPU quota allows, ``ceil(quota / period)``.
+
+    Reads cgroup v2 ``cpu.max``, else v1 ``cpu/cpu.cfs_quota_us`` and
+    ``cpu/cpu.cfs_period_us``.  None when the quota is ``max`` or -1 (no
+    cap) or cannot be read.
+    """
+    v2 = _CGROUP_ROOT / "cpu.max"
+    v1 = _CGROUP_ROOT / "cpu"
+    try:
+        if v2.is_file():
+            quota, period = v2.read_text().split()[:2]
+        else:
+            quota = (v1 / "cpu.cfs_quota_us").read_text().strip()
+            period = (v1 / "cpu.cfs_period_us").read_text().strip()
+        if quota in ("max", "-1"):
+            return None
+        quota_us, period_us = int(quota), int(period)
+    except (OSError, ValueError):
+        return None
+    if quota_us <= 0 or period_us <= 0:
+        return None
+    return -(-quota_us // period_us)
+
+
+def available_cpus() -> int:
+    """How many CPUs this process can keep busy at once.
+
+    The size of its affinity mask (the host core count where the platform
+    reports no mask), capped by the cgroup CPU quota rounded up to whole
+    CPUs.  Always at least 1.  This is the default thread width and the
+    CPU count the benchmarks gate their scaling floors on.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    if limit is not None:
+        cpus = min(cpus, limit)
+    return max(1, cpus)
+
+
 def resolve_threads(threads: int | None = None) -> int:
     """Effective worker-thread width for a batched replay.
 
     Resolution order: an explicit ``threads=`` argument, the
-    ``REPRO_THREADS`` environment variable, then the number of CPUs this
-    process may run on (its affinity mask where the platform reports
-    one, else the host core count).  Always at least 1.
+    ``REPRO_THREADS`` environment variable, then
+    :func:`available_cpus` (the affinity mask capped by the cgroup CPU
+    quota).  Always at least 1.
     """
     if threads is None:
         env = os.environ.get("REPRO_THREADS", "").strip()
@@ -156,10 +204,7 @@ def resolve_threads(threads: int | None = None) -> int:
                 raise ValueError(
                     f"REPRO_THREADS must be an integer, got {env!r}")
     if threads is None:
-        if hasattr(os, "sched_getaffinity"):
-            threads = len(os.sched_getaffinity(0))
-        else:
-            threads = os.cpu_count() or 1
+        threads = available_cpus()
     return max(1, int(threads))
 
 

@@ -29,9 +29,27 @@ __all__ = [
 ]
 
 
-def _cross(o: Tuple[float, float], a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Z component of the cross product of vectors OA and OB."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _lower_hull(xs: Sequence[float], ys: Sequence[float],
+                tolerance: float) -> List[int]:
+    """Indices of the lower-hull points of ``(xs[i], ys[i])``, in order.
+
+    One monotone-chain scan over points sorted by strictly increasing
+    ``x``.  A point is popped while it is not strictly below the chord
+    from the point before it to the new point, i.e. while the z component
+    of the cross product ``OA x OB`` (O the second-to-last hull point, A
+    the last, B the new point) is at most ``tolerance``; that cross
+    product is written out inline.
+    """
+    hull: List[int] = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            ox, oy = xs[o], ys[o]
+            if (xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) > tolerance:
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
 
 
 def lower_convex_hull_points(points: Sequence[Tuple[float, float]],
@@ -59,14 +77,8 @@ def lower_convex_hull_points(points: Sequence[Tuple[float, float]],
     xs = [p[0] for p in pts]
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("points must have strictly increasing x")
-    hull: List[Tuple[float, float]] = []
-    for p in pts:
-        # Keep turning clockwise (cross <= 0 would mean the middle point is
-        # above or on the chord for a lower hull).
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= tolerance:
-            hull.pop()
-        hull.append(p)
-    return hull
+    keep = _lower_hull(xs, [p[1] for p in pts], tolerance)
+    return [pts[i] for i in keep]
 
 
 def convex_hull(curve: MissCurve, tolerance: float = 0.0) -> MissCurve:
@@ -75,19 +87,27 @@ def convex_hull(curve: MissCurve, tolerance: float = 0.0) -> MissCurve:
     The hull is sampled only at its vertex points (the sizes where the
     original curve and the hull coincide); since :class:`MissCurve`
     interpolates linearly, evaluating the returned curve at any size yields
-    the hull value there.
+    the hull value there.  One scan over the curve's coordinates picks the
+    vertices (the same scan as :func:`lower_convex_hull_points`), and the
+    hull is built straight from them: the curve's sizes are already
+    sorted.
     """
-    hull_pts = lower_convex_hull_points(curve.points(), tolerance=tolerance)
-    return MissCurve.from_points(hull_pts)
+    keep = _lower_hull(curve.sizes.tolist(), curve.misses.tolist(), tolerance)
+    return MissCurve(curve.sizes[keep], curve.misses[keep])
 
 
-def hull_neighbors(curve: MissCurve, size: float) -> Tuple[float, float]:
+def hull_neighbors(curve: MissCurve, size: float,
+                   hull: MissCurve | None = None) -> Tuple[float, float]:
     """Return hull vertices ``(alpha, beta)`` bracketing ``size``.
 
     ``alpha`` is the largest hull-vertex size that is ``<= size`` and ``beta``
     is the smallest hull-vertex size that is ``> size`` (Theorem 6).  If
     ``size`` is at or beyond the last hull vertex, both are that last vertex
     — the degenerate case where no interpolation is needed.
+
+    ``hull`` is ``convex_hull(curve)`` when the caller already has it (a
+    planner that hulls every curve before allocating); it is computed
+    here otherwise, and the result is the same either way.
 
     Raises
     ------
@@ -97,7 +117,8 @@ def hull_neighbors(curve: MissCurve, size: float) -> Tuple[float, float]:
     if size < curve.min_size:
         raise ValueError(
             f"size {size} below curve's smallest sample {curve.min_size}")
-    hull = convex_hull(curve)
+    if hull is None:
+        hull = convex_hull(curve)
     vertices = hull.sizes
     if size >= vertices[-1]:
         return float(vertices[-1]), float(vertices[-1])

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MissCurve"]
+__all__ = ["MissCurve", "mattson_misses"]
 
 
 def _as_float_array(values: Iterable[float], name: str) -> np.ndarray:
@@ -39,6 +39,36 @@ def _as_float_array(values: Iterable[float], name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     return arr
+
+
+def mattson_misses(histogram: Sequence[float], cold_misses: float = 0.0,
+                   sizes: np.ndarray | None = None) -> np.ndarray:
+    """LRU misses at each capacity in ``sizes``, from a stack-distance
+    histogram (the Mattson construction).
+
+    ``histogram[d]`` counts accesses with LRU stack distance ``d`` (hits in
+    a cache of at least ``d + 1`` lines) and ``cold_misses`` the accesses
+    that never hit.  Returns the miss array at ``sizes`` (interpolated,
+    clamped to the ends), or at every line count ``0..len(histogram)``
+    when ``sizes`` is None.  This is the arithmetic behind
+    :meth:`MissCurve.from_stack_distances`; monitors that scale or splice
+    the misses before building their curve call it directly.
+    """
+    hist = np.asarray(histogram, dtype=float)
+    if hist.ndim != 1:
+        raise ValueError("histogram must be one-dimensional")
+    if np.any(hist < 0) or cold_misses < 0:
+        raise ValueError("histogram counts must be non-negative")
+    total = float(hist.sum() + cold_misses)
+    # misses(c) = accesses with distance >= c  (plus cold misses)
+    # cumulative hits at capacity c = sum(hist[:c])
+    cum_hits = np.concatenate(([0.0], np.cumsum(hist)))
+    full_misses = total - cum_hits
+    if sizes is None:
+        return full_misses
+    full_sizes = np.arange(len(hist) + 1, dtype=float)
+    return np.interp(sizes, full_sizes, full_misses,
+                     left=full_misses[0], right=full_misses[-1])
 
 
 @dataclass(frozen=True)
@@ -118,23 +148,12 @@ class MissCurve:
             Optional capacities (in lines) at which to sample the curve.
             Defaults to ``0..len(histogram)`` (every line count).
         """
-        hist = np.asarray(histogram, dtype=float)
-        if hist.ndim != 1:
-            raise ValueError("histogram must be one-dimensional")
-        if np.any(hist < 0) or cold_misses < 0:
-            raise ValueError("histogram counts must be non-negative")
-        total = float(hist.sum() + cold_misses)
-        # misses(c) = accesses with distance >= c  (plus cold misses)
-        # cumulative hits at capacity c = sum(hist[:c])
-        cum_hits = np.concatenate(([0.0], np.cumsum(hist)))
-        full_sizes = np.arange(len(hist) + 1, dtype=float)
-        full_misses = total - cum_hits
+        if sizes is not None:
+            sizes = np.asarray(list(sizes), dtype=float)
+        misses = mattson_misses(histogram, cold_misses, sizes)
         if sizes is None:
-            return cls(full_sizes, full_misses)
-        sizes = np.asarray(list(sizes), dtype=float)
-        sampled = np.interp(sizes, full_sizes, full_misses,
-                            left=full_misses[0], right=full_misses[-1])
-        return cls(sizes, sampled)
+            sizes = np.arange(misses.size, dtype=float)
+        return cls(sizes, misses)
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -101,6 +101,7 @@ class TalusConfig:
 def plan_shadow_partitions(curve: MissCurve,
                            total_size: float,
                            safety_margin: float = 0.0,
+                           hull: MissCurve | None = None,
                            ) -> TalusConfig:
     """Choose ``alpha``, ``beta``, ``rho``, ``s1`` and ``s2`` for a capacity.
 
@@ -119,6 +120,11 @@ def plan_shadow_partitions(curve: MissCurve,
         ``X`` effectively decreases ``alpha`` and increases ``beta`` by ``X``,
         building slack against interval-to-interval variation.  The paper
         uses 0.05 in hardware; the analytic default here is 0 (exact hull).
+    hull:
+        ``convex_hull(curve)``, when the caller already holds it (the
+        shared planner hulls every curve before allocating, and
+        :func:`talus_miss_curve` plans many sizes on one curve).  Omitted,
+        it is computed here; the configuration is the same either way.
 
     Returns
     -------
@@ -134,7 +140,7 @@ def plan_shadow_partitions(curve: MissCurve,
     if safety_margin < 0 or safety_margin >= 1:
         raise ValueError("safety_margin must be in [0, 1)")
 
-    alpha, beta = hull_neighbors(curve, total_size)
+    alpha, beta = hull_neighbors(curve, total_size, hull=hull)
 
     scale = max(abs(total_size), 1.0)
     if beta <= alpha or total_size >= beta or abs(total_size - alpha) <= 1e-12 * scale:
@@ -198,13 +204,17 @@ def talus_miss_curve(curve: MissCurve,
         curve's sample sizes).
     safety_margin:
         Passed through to :func:`plan_shadow_partitions`.
+
+    The curve is hulled once, and every size is planned on that hull.
     """
     if sizes is None:
         sizes = curve.sizes
     sizes = np.asarray(sizes, dtype=float)
+    hull = convex_hull(curve)
     misses = []
     for s in sizes:
-        cfg = plan_shadow_partitions(curve, float(s), safety_margin=safety_margin)
+        cfg = plan_shadow_partitions(curve, float(s),
+                                     safety_margin=safety_margin, hull=hull)
         predicted = predicted_miss(curve, cfg)
         # A nonzero safety margin shifts beta below the planned hull vertex,
         # which right after a cliff can predict slightly *worse* than the

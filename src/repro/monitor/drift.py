@@ -26,16 +26,17 @@ __all__ = ["curve_drift", "CurveDriftTracker"]
 def curve_drift(previous: MissCurve, current: MissCurve) -> float:
     """Normalised distance between two miss-curve snapshots.
 
-    Both curves are evaluated on the union of their sample grids; the
-    score is the mean absolute difference divided by the larger curve's
-    maximum value (0 when both curves are identically zero).  The result
-    is in ``[0, 1]`` for curves whose values share a scale: 0 means "the
-    curve did not move", 1 means "the curve moved by its own full height
-    on average".
+    Both curves are evaluated on the union of their sample grids, one
+    array call per curve (the same interpolation, value for value, as
+    evaluating each grid point alone); the score is the mean absolute
+    difference divided by the larger curve's maximum value (0 when both
+    curves are identically zero).  The result is in ``[0, 1]`` for curves
+    whose values share a scale: 0 means "the curve did not move", 1 means
+    "the curve moved by its own full height on average".
     """
     grid = np.union1d(previous.sizes, current.sizes)
-    prev = np.asarray([float(previous(s)) for s in grid])
-    curr = np.asarray([float(current(s)) for s in grid])
+    prev = previous(grid)
+    curr = current(grid)
     scale = max(float(prev.max(initial=0.0)), float(curr.max(initial=0.0)))
     if scale <= 0.0:
         return 0.0

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.misscurve import MissCurve
+from ..core.misscurve import MissCurve, mattson_misses
 from ..cache.cache import materialize_addresses as _materialize
 from ..cache.hashing import mix64, mix64_array, seed_mix
 from .stack_distance import IncrementalStackMonitor
@@ -165,21 +165,21 @@ class UMON:
         The monitor's internal curve covers sampled sizes up to
         ``max_size * sampling_rate``; Theorem 4 scales it back up: sizes are
         divided by the sampling rate and miss counts are multiplied by the
-        inverse rate.
+        inverse rate.  One :class:`MissCurve` is built per call.
         """
         if sizes is None:
             sizes = np.linspace(0, self.max_size, self.points)
         sizes = np.asarray(sizes, dtype=float)
-        sampled_sizes = sizes * self.sampling_rate
+        return MissCurve(sizes, self._misses(sizes))
+
+    def _misses(self, sizes: np.ndarray) -> np.ndarray:
+        """Estimated full-stream misses at ``sizes`` (full-cache lines)."""
         dense, cold = self._histogram()
-        sampled_curve = MissCurve.from_stack_distances(
-            dense, cold_misses=cold, sizes=sampled_sizes)
+        misses = mattson_misses(dense, cold, sizes * self.sampling_rate)
         scale = 1.0 / self.sampling_rate if self._observed else 1.0
-        misses = sampled_curve.misses * scale
         # Guard against sampling noise: the curve should not exceed the
         # total access count.
-        misses = np.minimum(misses, self._total)
-        return MissCurve(sizes, misses)
+        return np.minimum(misses * scale, self._total)
 
 
 class CombinedUMON:
@@ -225,19 +225,25 @@ class CombinedUMON:
         return self.secondary.max_size
 
     def miss_curve(self, sizes: Sequence[float] | None = None) -> MissCurve:
-        """Spliced miss curve covering up to ``llc_size / coverage_ratio``."""
+        """Spliced miss curve covering up to ``llc_size / coverage_ratio``.
+
+        Sizes up to ``llc_size`` read the primary monitor and larger sizes
+        the secondary; a grid wholly on one side reads only that monitor.
+        The spliced misses take their running minimum (the monotone
+        envelope) and become one :class:`MissCurve`.
+        """
         if sizes is None:
             sizes = np.linspace(0, self.max_size, 2 * self.primary.points)
         sizes = np.asarray(sizes, dtype=float)
-        primary_curve = self.primary.miss_curve(
-            sizes=sizes[sizes <= self.llc_size])
-        secondary_curve = self.secondary.miss_curve(
-            sizes=sizes[sizes > self.llc_size])
-        all_sizes = np.concatenate([primary_curve.sizes, secondary_curve.sizes])
-        all_misses = np.concatenate([primary_curve.misses, secondary_curve.misses])
-        if all_sizes.size == 0:
+        halves = [(monitor, part) for monitor, part in
+                  ((self.primary, sizes[sizes <= self.llc_size]),
+                   (self.secondary, sizes[sizes > self.llc_size]))
+                  if part.size]
+        if not halves:
             raise ValueError("no sizes requested")
-        curve = MissCurve(all_sizes, all_misses)
+        all_sizes = np.concatenate([part for _, part in halves])
+        all_misses = np.concatenate([monitor._misses(part)
+                                     for monitor, part in halves])
         # Splicing two independently sampled monitors can introduce a small
         # upward step at the boundary; enforce monotonicity.
-        return curve.monotone_envelope()
+        return MissCurve(all_sizes, np.minimum.accumulate(all_misses))

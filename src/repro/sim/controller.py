@@ -667,8 +667,8 @@ class OnlineTalusController:
         makes streams of different intensities commensurable."""
         raw = monitor.miss_curve()
         observed = max(monitor.primary.total_accesses, 1)
-        return MissCurve(raw.sizes,
-                         raw.misses * 1000.0 / observed).monotone_envelope()
+        return MissCurve(raw.sizes, np.minimum.accumulate(
+            raw.misses * 1000.0 / observed))
 
     def _quantize_config(self, config: TalusConfig) -> TalusConfig:
         """Snap a pair's shadow sizes onto the allocation quantum.

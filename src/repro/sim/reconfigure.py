@@ -37,7 +37,7 @@ from ..partitioning.base import PartitioningProblem
 from ..partitioning.fair import fair
 from ..partitioning.hill_climbing import hill_climbing
 from ..workloads.access import Trace
-from ..workloads.scale import lines_to_paper_mb, paper_mb_to_lines
+from ..workloads.scale import LINES_PER_PAPER_MB, paper_mb_to_lines
 
 __all__ = ["planning_curve_from_monitor", "config_mb_to_lines",
            "SharedPlan", "plan_shared_allocations"]
@@ -55,9 +55,9 @@ def planning_curve_from_monitor(monitor: CombinedUMON,
     raw = monitor.miss_curve()
     observed = max(monitor.primary.total_accesses, 1)
     instructions = trace.instructions * observed / max(len(trace), 1)
-    sizes_mb = np.array([lines_to_paper_mb(s) for s in raw.sizes])
+    sizes_mb = raw.sizes / LINES_PER_PAPER_MB
     mpki = raw.misses * 1000.0 / max(instructions, 1.0)
-    return MissCurve(sizes_mb, mpki).monotone_envelope()
+    return MissCurve(sizes_mb, np.minimum.accumulate(mpki))
 
 
 def config_mb_to_lines(config: TalusConfig) -> TalusConfig:
@@ -111,7 +111,8 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
     * **post-processing** — the allocations become shadow-partition
       sizes and sampling rates via Theorem 6
       (:func:`~repro.core.talus.plan_shadow_partitions`, with
-      ``safety_margin`` as in Sec. VI-B).
+      ``safety_margin`` as in Sec. VI-B), which reuses the
+      pre-processing hulls: each curve is hulled once per plan.
 
     The result carries the allocations, the per-partition
     :class:`~repro.core.talus.TalusConfig` and the hull miss values Talus
@@ -171,7 +172,8 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
     expected = []
     for curve, hull, size in zip(curves, hulls, sizes):
         configs.append(plan_shadow_partitions(curve, size,
-                                              safety_margin=safety_margin))
+                                              safety_margin=safety_margin,
+                                              hull=hull))
         expected.append(float(hull(size)))
     return SharedPlan(sizes=tuple(float(s) for s in sizes),
                       configs=tuple(configs),

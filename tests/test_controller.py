@@ -26,7 +26,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from tests.conftest import miss_curves
 from tests.faults import fault_queue
 
 from repro.core.misscurve import MissCurve
@@ -72,7 +74,33 @@ def small_spec(**overrides) -> ChurnSpec:
 # --------------------------------------------------------------------------- #
 # Drift signal
 # --------------------------------------------------------------------------- #
+def pointwise_curve_drift(previous, current):
+    """:func:`curve_drift` with one scalar evaluation per grid point,
+    kept as the exact reference for its array evaluation."""
+    grid = np.union1d(previous.sizes, current.sizes)
+    prev = np.asarray([float(previous(s)) for s in grid])
+    curr = np.asarray([float(current(s)) for s in grid])
+    scale = max(float(prev.max(initial=0.0)), float(curr.max(initial=0.0)))
+    if scale <= 0.0:
+        return 0.0
+    return float(np.mean(np.abs(curr - prev)) / scale)
+
+
 class TestDrift:
+    @settings(max_examples=100, deadline=None)
+    @given(previous=miss_curves(), current=miss_curves())
+    def test_matches_pointwise_reference(self, previous, current):
+        assert curve_drift(previous, current) == \
+            pointwise_curve_drift(previous, current)
+
+    def test_matches_pointwise_reference_on_shifted_grids(self):
+        # Grids that only partly overlap and start above zero, so the
+        # union grid clamps each curve at its ends.
+        before = MissCurve([8, 24, 40, 56], [90.5, 41.25, 40.0, 3.0])
+        after = MissCurve([0, 16, 32, 48, 64, 80], [100, 70, 65, 9, 9, 1])
+        for pair in ((before, after), (after, before)):
+            assert curve_drift(*pair) == pointwise_curve_drift(*pair)
+
     def test_identical_curves_have_zero_drift(self):
         curve = MissCurve([0, 32, 64], [100, 40, 10])
         assert curve_drift(curve, curve) == 0.0

@@ -3,12 +3,44 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (Cliff, MissCurve, convex_hull, convexity_gap,
                         find_cliffs, hull_neighbors, hull_segments, is_convex,
                         lower_convex_hull_points, total_convexity_gap)
 
 from .conftest import miss_curves
+
+
+def _cross(o, a, b):
+    """Z component of the cross product of vectors OA and OB."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def pointwise_lower_hull(points, tolerance=0.0):
+    """The monotone-chain scan over point tuples through :func:`_cross`,
+    kept as the exact reference for the inlined scan."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= tolerance:
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+@st.composite
+def piecewise_curves(draw):
+    """Curves made of collinear runs (exact on a 1/4 grid, rounded on a
+    0.1 or 1/3 grid) ending in a flat tail."""
+    step = draw(st.sampled_from([0.1, 0.25, 1 / 3, 1.0]))
+    runs = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5)),
+                         min_size=1, max_size=4))
+    misses = [100.0]
+    for slope, length in runs:
+        for _ in range(length):
+            misses.append(max(0.0, misses[-1] - slope * step))
+    misses += [misses[-1]] * draw(st.integers(0, 4))
+    return MissCurve([i * step for i in range(len(misses))], misses)
 
 
 class TestLowerHullPoints:
@@ -67,6 +99,36 @@ class TestConvexHull:
         assert hull(curve.max_size) == pytest.approx(curve(curve.max_size))
 
 
+class TestHullScanReference:
+    """The inlined scan behind :func:`convex_hull` and
+    :func:`lower_convex_hull_points` keeps exactly the points of the
+    pointwise reference scan."""
+
+    @pytest.mark.parametrize("points", [
+        [(0, 10), (1, 8), (2, 6), (3, 4), (4, 2), (5, 0)],
+        [(0, 9), (1, 6), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3)],
+        [(0, 16), (2, 4), (4, 4), (6, 1), (8, 1)],
+        [(0.0, 1.0), (0.1, 0.9), (0.2, 0.8), (0.3, 0.7), (0.7, 0.3),
+         (1.0, 0.0)],
+    ], ids=["collinear-run", "flat-tail", "plateau-cliff-tail",
+            "rounded-collinear"])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.5])
+    def test_explicit_cases(self, points, tolerance):
+        want = pointwise_lower_hull(points, tolerance)
+        assert lower_convex_hull_points(points, tolerance) == want
+        hull = convex_hull(MissCurve.from_points(points), tolerance)
+        assert hull.points() == [(float(x), float(y)) for x, y in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve=st.one_of(miss_curves(), piecewise_curves()),
+           tolerance=st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 5.0]))
+    def test_matches_pointwise_scan(self, curve, tolerance):
+        points = curve.points()
+        want = pointwise_lower_hull(points, tolerance)
+        assert lower_convex_hull_points(points, tolerance) == want
+        assert convex_hull(curve, tolerance).points() == want
+
+
 class TestHullNeighbors:
     def test_bracketing_inside_cliff(self, example_curve):
         alpha, beta = hull_neighbors(example_curve, 4.0)
@@ -86,6 +148,13 @@ class TestHullNeighbors:
         curve = MissCurve([1, 2], [5, 1])
         with pytest.raises(ValueError):
             hull_neighbors(curve, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=miss_curves(), fraction=st.floats(0.0, 1.2))
+    def test_given_hull_changes_nothing(self, curve, fraction):
+        size = fraction * curve.max_size
+        assert hull_neighbors(curve, size, hull=convex_hull(curve)) == \
+            hull_neighbors(curve, size)
 
 
 class TestIsConvex:

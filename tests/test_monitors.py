@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUPolicy
+from repro.core import MissCurve
 from repro.monitor import (UMON, CombinedUMON, MultiPointMonitor,
                            StackDistanceMonitor, lru_miss_curve,
                            stack_distance_histogram)
@@ -16,6 +17,32 @@ from .conftest import needs_kernel
 def brute_force_lru_misses(trace, capacity):
     policy = LRUPolicy(capacity)
     return sum(0 if policy.access(t) else 1 for t in trace)
+
+
+def per_half_combined_curve(combined, sizes):
+    """:meth:`CombinedUMON.miss_curve` built as two per-monitor curves
+    through :meth:`MissCurve.from_stack_distances`, spliced and
+    enveloped: the exact reference for its one-curve construction."""
+    halves = []
+    for monitor, part in ((combined.primary,
+                           sizes[sizes <= combined.llc_size]),
+                          (combined.secondary,
+                           sizes[sizes > combined.llc_size])):
+        dense, cold = monitor._histogram()
+        sampled = MissCurve.from_stack_distances(
+            dense, cold_misses=cold, sizes=part * monitor.sampling_rate)
+        scale = (1.0 / monitor.sampling_rate if monitor.sampled_accesses
+                 else 1.0)
+        halves.append(MissCurve(part, np.minimum(sampled.misses * scale,
+                                                 monitor.total_accesses)))
+    return MissCurve(np.concatenate([h.sizes for h in halves]),
+                     np.concatenate([h.misses for h in halves])
+                     ).monotone_envelope()
+
+
+def assert_same_curve(got, want):
+    assert np.array_equal(got.sizes, want.sizes)
+    assert np.array_equal(got.misses, want.misses)
 
 
 class TestStackDistance:
@@ -104,6 +131,44 @@ class TestUMON:
             CombinedUMON(llc_size=0)
         with pytest.raises(ValueError):
             CombinedUMON(llc_size=100, coverage_ratio=2.0)
+
+    @pytest.mark.parametrize("grid,side", [([100, 200, 500], "primary"),
+                                           ([1024], "primary"),
+                                           ([2000, 3000], "secondary")])
+    def test_combined_umon_one_sided_grid(self, grid, side):
+        """A grid wholly on one side of ``llc_size`` reads that monitor
+        alone: its own curve with the envelope applied."""
+        trace = list(range(3000)) * 5
+        combined = CombinedUMON(llc_size=1024, primary_rate=1 / 4,
+                                coverage_ratio=1 / 4)
+        combined.record_trace(trace)
+        monitor = getattr(combined, side)
+        assert_same_curve(combined.miss_curve(sizes=grid),
+                          monitor.miss_curve(sizes=grid).monotone_envelope())
+
+    def test_combined_umon_empty_grid(self):
+        combined = CombinedUMON(llc_size=1024)
+        combined.record_trace(range(100))
+        with pytest.raises(ValueError, match="no sizes requested"):
+            combined.miss_curve(sizes=[])
+
+    def test_combined_umon_matches_per_half_curves(self):
+        """Every read equals the per-monitor ``from_stack_distances``
+        construction bit for bit: before any access, across batches with
+        reads in between, on the default and on straddling grids."""
+        rng = np.random.default_rng(21)
+        combined = CombinedUMON(llc_size=512, primary_rate=1 / 4,
+                                coverage_ratio=1 / 8, points=17, seed=5)
+        grids = [None, np.array([0.0, 300.0, 512.0, 513.0, 4000.0]),
+                 np.sort(rng.uniform(0.0, 2 * combined.max_size, 40))]
+        for batch in range(4):
+            for grid in grids:
+                default = np.linspace(0, combined.max_size,
+                                      2 * combined.primary.points)
+                want = per_half_combined_curve(
+                    combined, default if grid is None else grid)
+                assert_same_curve(combined.miss_curve(sizes=grid), want)
+            combined.record_trace(rng.integers(0, 300 * (batch + 1), 4000))
 
 
 class TestMultiPointMonitor:

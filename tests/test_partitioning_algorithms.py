@@ -1,10 +1,14 @@
 """Tests for the software partitioning algorithms and the Talus wrapper
 (:func:`repro.sim.reconfigure.plan_shared_allocations`)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.convexhull as convexhull_module
+import repro.core.talus as talus_module
+import repro.sim.reconfigure as reconfigure_module
 from repro.core import MissCurve, convex_hull
 from repro.partitioning import (Allocation, PartitioningProblem, fair,
                                 hill_climbing, lookahead, optimal_dp,
@@ -23,6 +27,51 @@ def cliff_curve(plateau=10.0, cliff_at=4.0, after=1.0, max_size=8.0):
 def convex_curve(scale=10.0, rate=2.0, max_size=8.0):
     sizes = [0, 1, 2, 3, 4, 6, 8]
     return MissCurve(sizes, [scale / (1 + rate * s) for s in sizes])
+
+
+def per_step_hill_climbing(problem):
+    """Hill climbing with one scalar curve evaluation per candidate step:
+    the exact reference for :func:`hill_climbing`'s ladder evaluation."""
+    if problem.minimums is not None:
+        sizes = list(problem.minimums)
+        budget = problem.total_size - sum(sizes)
+    else:
+        sizes = [problem.minimum] * problem.num_partitions
+        budget = problem.total_size - problem.minimum * problem.num_partitions
+    step = problem.granularity
+    current_misses = [float(curve(size))
+                      for curve, size in zip(problem.curves, sizes)]
+    remaining_steps = int(budget / step + 1e-9)
+    for _ in range(remaining_steps):
+        best_index = -1
+        best_gain = -1.0
+        for i, curve in enumerate(problem.curves):
+            gain = current_misses[i] - float(curve(sizes[i] + step))
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best_index = i
+        if best_index < 0:
+            break
+        sizes[best_index] += step
+        current_misses[best_index] = float(
+            problem.curves[best_index](sizes[best_index]))
+    return Allocation(sizes=tuple(sizes),
+                      total_misses=total_misses(problem.curves, sizes),
+                      algorithm="hill_climbing")
+
+
+@st.composite
+def raw_curves(draw, max_points=12, max_size=64.0):
+    """Unconstrained measured curves: any non-negative misses, so cliffs,
+    bumps and exact ties all occur."""
+    n = draw(st.integers(2, max_points))
+    sizes = draw(st.lists(
+        st.floats(0.0, max_size).map(lambda v: round(v, 3)),
+        min_size=n, max_size=n, unique=True))
+    misses = draw(st.lists(
+        st.one_of(st.floats(0.0, 100.0), st.integers(0, 4).map(float)),
+        min_size=n, max_size=n))
+    return MissCurve(sorted(sizes), misses)
 
 
 class TestProblemValidation:
@@ -75,6 +124,60 @@ class TestHillClimbing:
                                       granularity=0.25)
         result = hill_climbing(problem)
         assert sum(result.sizes) <= 3 + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(curves=st.lists(st.one_of(miss_curves(), raw_curves()),
+                           min_size=1, max_size=5),
+           step=st.sampled_from([0.1, 1 / 3, 0.25, 1, 32]),
+           data=st.data())
+    def test_matches_per_step_reference(self, curves, step, data):
+        """Ladder evaluation allocates exactly like one scalar evaluation
+        per candidate step: the same sizes (values and types) and the
+        same total misses, on convex and cliffy curves, with floors."""
+        floors = data.draw(st.one_of(st.none(), st.lists(
+            st.sampled_from([0.0, 0.1, 0.3, 1.7, 5]),
+            min_size=len(curves), max_size=len(curves))))
+        steps = data.draw(st.integers(0, 60))
+        slack = data.draw(st.floats(0.0, 0.999))
+        total = (sum(floors) if floors else 0.0) + (steps + slack) * step
+        problem = PartitioningProblem(
+            curves=tuple(curves), total_size=total, granularity=step,
+            minimums=None if floors is None else tuple(floors))
+        got = hill_climbing(problem)
+        want = per_step_hill_climbing(problem)
+        assert got.sizes == want.sizes
+        assert [type(s) for s in got.sizes] == [type(s) for s in want.sizes]
+        assert got.total_misses == want.total_misses
+
+    def test_ladder_rungs_are_running_sums(self):
+        """Ten steps of 0.1 reach 0.9999999999999999, not 1.0: partition
+        0's cliff sits between the two, so only a ladder built by
+        repeated addition grants the eleventh step as the per-step loop
+        does (``floor + k * step`` would hand it to partition 1)."""
+        below = sum([0.1] * 10)
+        assert below < 1.0 and 10 * 0.1 == 1.0
+        curves = (MissCurve([0, below, 1.0, 3], [2.0, 1.99, 0.0, 0.0]),
+                  MissCurve([0, 3], [1.0, 0.99]))
+        problem = PartitioningProblem(curves=curves, total_size=1.1,
+                                      granularity=0.1)
+        result = hill_climbing(problem)
+        assert result.sizes == (sum([0.1] * 11), 0.0)
+        assert result == per_step_hill_climbing(problem)
+
+    def test_near_tie_goes_to_lowest_index(self):
+        """Partition 1's first gain beats partition 0's by less than the
+        1e-15 tie margin: the step stays with partition 0, where a plain
+        ``np.argmax`` over the gains would hand it to partition 1."""
+        low = 0.5 - 5e-16
+        curves = (MissCurve([0, 1], [1.0, 0.5]), MissCurve([0, 1], [1.0, low]))
+        gains = [1.0 - 0.5, 1.0 - low]
+        assert 0.0 < gains[1] - gains[0] < 1e-15
+        assert int(np.argmax(gains)) == 1
+        problem = PartitioningProblem(curves=curves, total_size=1,
+                                      granularity=1)
+        result = hill_climbing(problem)
+        assert result.sizes == (1.0, 0.0)
+        assert result == per_step_hill_climbing(problem)
 
 
 class TestLookahead:
@@ -158,6 +261,24 @@ class TestTalusWrapper:
         for hull, size, expected in zip(hulls, outcome.sizes,
                                         outcome.expected_misses):
             assert expected == pytest.approx(float(hull(size)), abs=1e-9)
+
+    def test_hulls_each_curve_once(self, monkeypatch):
+        """One plan hulls each curve exactly once: Theorem 6 reuses the
+        hulls the allocation was planned on."""
+        hulled = []
+
+        def counting_hull(curve, *args, **kwargs):
+            hulled.append(curve)
+            return convex_hull(curve, *args, **kwargs)
+
+        for module in (convexhull_module, talus_module, reconfigure_module):
+            monkeypatch.setattr(module, "convex_hull", counting_hull)
+        curves = (cliff_curve(25, 3, 1), cliff_curve(18, 5, 2),
+                  convex_curve(12, 1.0), cliff_curve(8, 6, 0.5))
+        plan = plan_shared_allocations(curves, 8, granularity=0.5,
+                                       safety_margin=0.05, conserve=True)
+        assert [id(c) for c in hulled] == [id(c) for c in curves]
+        assert sum(not config.degenerate for config in plan.configs) >= 1
 
     def test_safety_margin_validation(self):
         with pytest.raises(ValueError):

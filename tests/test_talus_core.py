@@ -114,6 +114,16 @@ class TestPlanner:
         with pytest.raises(ValueError):
             TalusConfig(total_size=4, alpha=2, beta=5, rho=0.5, s1=3, s2=3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(curve=miss_curves(), frac=st.floats(0.0, 1.2),
+           margin=st.sampled_from([0.0, 0.05]))
+    def test_given_hull_changes_nothing(self, curve, frac, margin):
+        """Passing the curve's hull only saves hulling it again."""
+        size = curve.min_size + frac * (curve.max_size - curve.min_size)
+        assert plan_shadow_partitions(curve, size, safety_margin=margin,
+                                      hull=convex_hull(curve)) == \
+            plan_shadow_partitions(curve, size, safety_margin=margin)
+
     def test_talus_curve_equals_hull(self, example_curve):
         talus = talus_miss_curve(example_curve)
         hull = convex_hull(example_curve)

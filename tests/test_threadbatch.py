@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cache import _native
-from repro.cache._native import resolve_threads
+from repro.cache._native import available_cpus, resolve_threads
 from repro.cache.arraycache import ArrayBeladyCache, ArraySetAssociativeCache
 from repro.cache.cache import CacheStats
 from repro.cache.partition.array import (ArrayPartitionedCache,
@@ -98,6 +98,33 @@ class TestResolvers:
         monkeypatch.setenv("REPRO_THREADS", "lots")
         with pytest.raises(ValueError, match="REPRO_THREADS"):
             resolve_threads()
+
+    @pytest.mark.parametrize("files,affinity,expected", [
+        ({"cpu.max": "100000 100000\n"}, {0, 1}, 1),
+        ({"cpu.max": "max 100000\n"}, {0, 1, 2}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, {0, 1}, 2),
+        ({"cpu.max": "150000 100000\n"}, {0, 1}, 2),
+        ({"cpu.max": "150000 100000\n"}, {0}, 1),
+        ({"cpu/cpu.cfs_quota_us": "50000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, {0, 1}, 1),
+        ({}, {0, 1}, 2),
+    ], ids=["v2-one-cpu", "v2-max", "v1-unlimited", "v2-one-and-a-half",
+            "v2-affinity-smaller", "v1-half-cpu", "no-cgroup-files"])
+    def test_available_cpus_reads_cgroup_quota(self, tmp_path, monkeypatch,
+                                               files, affinity, expected):
+        """The affinity mask capped by ceil(quota / period); ``max`` and
+        -1 mean no cap.  The default thread width follows it."""
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        monkeypatch.setattr(_native, "_CGROUP_ROOT", tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+        monkeypatch.delenv("REPRO_THREADS", raising=False)
+        assert available_cpus() == expected
+        assert resolve_threads() == expected
 
     def test_resolve_parallel(self):
         assert resolve_parallel("threads") == "threads"
