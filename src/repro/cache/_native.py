@@ -6,7 +6,8 @@ arrays and replay traces through it in compiled loops.  This module
 compiles ``_sweepkernel.c`` into a small shared library with whatever C
 compiler the host has (``cc``/``gcc``/``clang``) and exposes it through
 :mod:`ctypes` (:class:`NativeKernel`).  Every replay enters the kernel
-the same way: a cache packs its call as a :class:`BatchTask` record and
+the same way: a cache packs its call as a :class:`BatchTask` record (a
+partitioned cache as one group record over one record per region) and
 :mod:`repro.cache.threadbatch` hands a batch of them to
 ``batch_run_threaded``.  No Python headers, build backends, or
 third-party packages are involved, so the build degrades gracefully:
@@ -38,8 +39,8 @@ __all__ = ["get_kernel", "native_available", "require_kernel",
            "NativeKernel", "BatchTask",
            "available_cpus", "resolve_threads",
            "KIND_LRU", "KIND_RRIP", "KIND_DIP", "KIND_PDP", "KIND_RANDOM",
-           "KIND_PART_LRU", "KIND_PART_SRRIP", "KIND_VANTAGE",
-           "KIND_TADRRIP", "KIND_BELADY"]
+           "KIND_VANTAGE", "KIND_TADRRIP", "KIND_BELADY", "KIND_IDEAL_LRU",
+           "KIND_GROUP"]
 
 _SOURCE = Path(__file__).with_name("_sweepkernel.c")
 
@@ -51,9 +52,8 @@ _kernel_tried = False
 
 #: Task kinds of the threaded batch dispatcher; must match the
 #: BATCH_KIND_* enum in _sweepkernel.c.
-(KIND_LRU, KIND_RRIP, KIND_DIP, KIND_PDP, KIND_RANDOM,
- KIND_PART_LRU, KIND_PART_SRRIP, KIND_VANTAGE,
- KIND_TADRRIP, KIND_BELADY) = range(10)
+(KIND_LRU, KIND_RRIP, KIND_DIP, KIND_PDP, KIND_RANDOM, KIND_VANTAGE,
+ KIND_TADRRIP, KIND_BELADY, KIND_IDEAL_LRU, KIND_GROUP) = range(10)
 
 #: Type of the array members of :class:`BatchTask`.
 _PTR = ctypes.c_void_p
@@ -67,7 +67,8 @@ class BatchTask(ctypes.Structure):
     padding to worry about.  Array members are raw data addresses
     (:func:`~repro.cache.threadbatch.i64_ptr`), the cheapest form ctypes
     packs.  Unused members of a given kind stay NULL/0 (the
-    zero-initialized default).
+    zero-initialized default).  A group record's ``sub`` is the address
+    of a ``BatchTask`` array of ``num_regions`` records.
     """
 
     _fields_ = [
@@ -90,9 +91,7 @@ class BatchTask(ctypes.Structure):
         ("ls_tags", _PTR),
         ("ls_clocks", _PTR),
         ("ls_count", _PTR),
-        ("region_sets", _PTR),
-        ("region_ways", _PTR),
-        ("region_off", _PTR),
+        ("sub", _PTR),
         ("miss_out", _PTR),
         ("caps", _PTR),
         ("ht_tag", _PTR),

@@ -34,6 +34,14 @@
  * stack_hist_chunk is its *stateful* sibling: the table, tree, position
  * counter and histogram are caller-owned, so a monitor can feed the trace
  * in chunks (the resumable-runtime contract) without ever re-replaying.
+ * ideal_lru_run replays a fully-associative LRU region (an idealized
+ * partition) with the same pass over its resident lines and new accesses.
+ *
+ * A way, set or ideal partitioned cache has no kernel of its own: its
+ * partitions are independent regions, and its replay is one group record
+ * that runs one of the kernels above per region, over that region's
+ * sub-trace, state, random stream and PSEL.  Vantage, whose partitions
+ * share a victim region, has vantage_run.
  *
  * Every replay kernel is chunk-resumable by construction: all state is
  * passed in and returned through caller-owned arrays, so calling a kernel
@@ -810,145 +818,6 @@ int64_t pdp_run(const int64_t *addrs, int64_t n, int64_t num_sets,
     return misses;
 }
 
-/* ------------------------------------------------------ partitioned replay --- */
-
-/* Interleaved multi-partition replay (way/set partitioning, Talus shadow
- * pairs).  Each access carries the id of the partition that owns it
- * (parts[i]); partition p's lines live in the caller-owned flat buffers at
- * region_off[p], organized as region_sets[p] x region_ways[p] — the
- * per-partition occupancy target granted by the partitioning scheme.
- * Regions are fully independent (no line migrates between partitions), so
- * this is bit-identical to replaying each partition's subsequence through
- * the corresponding single-cache kernel.
- *
- * A region with zero sets or ways is a zero-capacity partition: every
- * access misses and nothing is retained (matching a zero-capacity object
- * policy region).  Fills per-partition miss counts into miss_out (caller-
- * zeroed) and returns the total miss count, or -1 on an out-of-range
- * partition id (state may be partially advanced; callers validate first).
- */
-int64_t part_lru_run(const int64_t *addrs, const int64_t *parts, int64_t n,
-                     int64_t num_regions, const int64_t *region_sets,
-                     const int64_t *region_ways, const int64_t *region_off,
-                     int64_t *tags, int64_t *stamp, int64_t *counter_io,
-                     int64_t lip, int64_t hashed, int64_t index_seed,
-                     int64_t *miss_out)
-{
-    int64_t total_misses = 0;
-    int64_t t = counter_io[0];
-    uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
-
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = addrs[i];
-        int64_t p = parts[i];
-        if (p < 0 || p >= num_regions)
-            return -1;
-        int64_t nsets = region_sets[p], ways = region_ways[p];
-        if (nsets <= 0 || ways <= 0) {
-            miss_out[p]++;
-            total_misses++;
-            continue;
-        }
-        int64_t s = set_of(a, nsets, hashed, seed_mul);
-        int64_t *row = tags + region_off[p] + s * ways;
-        int64_t *st = stamp + region_off[p] + s * ways;
-        int64_t hit = -1, empty = -1, victim = 0;
-        int64_t best = I64_MAX;
-
-        for (int64_t w = 0; w < ways; w++) {
-            int64_t tag = row[w];
-            if (tag == a) { hit = w; break; }
-            if (tag == EMPTY) {
-                if (empty < 0) empty = w;
-            } else if (st[w] < best) {
-                best = st[w];
-                victim = w;
-            }
-        }
-        t++;
-        if (hit >= 0) {
-            st[hit] = t;
-        } else {
-            miss_out[p]++;
-            total_misses++;
-            int64_t w = (empty >= 0) ? empty : victim;
-            row[w] = a;
-            if (lip && best != I64_MAX)
-                st[w] = best - 1;   /* in front of the current LRU line */
-            else
-                st[w] = t;
-        }
-    }
-    counter_io[0] = t;
-    return total_misses;
-}
-
-/* SRRIP variant of part_lru_run: same region layout plus a flat RRPV
- * buffer.  Insertion is always the SRRIP long re-reference position
- * (max_rrpv - 1); the bimodal/dueling variants keep per-region state on
- * the Python side and are replayed per partition instead. */
-int64_t part_srrip_run(const int64_t *addrs, const int64_t *parts, int64_t n,
-                       int64_t num_regions, const int64_t *region_sets,
-                       const int64_t *region_ways, const int64_t *region_off,
-                       int64_t *tags, int64_t *rrpv, int64_t *stamp,
-                       int64_t *counter_io, int64_t max_rrpv, int64_t hashed,
-                       int64_t index_seed, int64_t *miss_out)
-{
-    int64_t total_misses = 0;
-    int64_t t = counter_io[0];
-    uint64_t seed_mul = (uint64_t)index_seed * GOLDEN;
-
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = addrs[i];
-        int64_t p = parts[i];
-        if (p < 0 || p >= num_regions)
-            return -1;
-        int64_t nsets = region_sets[p], ways = region_ways[p];
-        if (nsets <= 0 || ways <= 0) {
-            miss_out[p]++;
-            total_misses++;
-            continue;
-        }
-        int64_t s = set_of(a, nsets, hashed, seed_mul);
-        int64_t *row = tags + region_off[p] + s * ways;
-        int64_t *rv = rrpv + region_off[p] + s * ways;
-        int64_t *st = stamp + region_off[p] + s * ways;
-        int64_t hit = -1, empty = -1;
-
-        for (int64_t w = 0; w < ways; w++) {
-            int64_t tag = row[w];
-            if (tag == a) { hit = w; break; }
-            if (tag == EMPTY && empty < 0) empty = w;
-        }
-        t++;
-        if (hit >= 0) {
-            rv[hit] = 0; /* hit priority */
-            st[hit] = t;
-            continue;
-        }
-        miss_out[p]++;
-        total_misses++;
-
-        if (empty < 0) {
-            int64_t maxp = -1;
-            for (int64_t w = 0; w < ways; w++)
-                if (rv[w] > maxp) maxp = rv[w];
-            int64_t victim = 0, best = I64_MAX;
-            for (int64_t w = 0; w < ways; w++)
-                if (rv[w] == maxp && st[w] < best) { best = st[w]; victim = w; }
-            int64_t d = max_rrpv - maxp;
-            if (d > 0)
-                for (int64_t w = 0; w < ways; w++) rv[w] += d;
-            empty = victim;
-        }
-        row[empty] = a;
-        rv[empty] = max_rrpv - 1; /* SRRIP long re-reference insertion */
-        st[empty] = t;
-    }
-    counter_io[0] = t;
-    return total_misses;
-}
-
 /* -------------------------------------------------------- Vantage replay --- */
 
 /* Vantage-like fine-grained partitioning (repro.cache.partition.vantage):
@@ -1602,6 +1471,74 @@ int64_t stack_hist_run(const int64_t *addrs, int64_t n, int64_t *hist)
     return cold;
 }
 
+/* Replay `n` addresses through a fully-associative LRU region of
+ * `capacity` lines (an idealized partition).  resident[0, occ_io[0]) holds
+ * the region's lines, LRU -> MRU; resident has room for `capacity` lines.
+ *
+ * A Mattson pass over the resident lines followed by the new accesses
+ * counts an access as a hit iff its stack distance is below `capacity`
+ * (the LRU stack property; the resident lines are distinct, so none of
+ * them hits).  The last `capacity` distinct lines of that replay are then
+ * written back, LRU -> MRU.  Returns the miss count, or -1 when scratch
+ * memory could not be allocated, leaving the region untouched.  Every
+ * int64 address, -1 included, is a valid line. */
+int64_t ideal_lru_run(const int64_t *addrs, int64_t n, int64_t capacity,
+                      int64_t *resident, int64_t *occ_io)
+{
+    if (n <= 0)
+        return 0;
+    if (capacity <= 0)
+        return n;
+    int64_t occ = occ_io[0];
+    int64_t m = occ + n;
+    uint64_t tsize = 64;
+    while (tsize < (uint64_t)m * 2)
+        tsize <<= 1;
+    int64_t *ttags = malloc(tsize * sizeof(int64_t));
+    int64_t *tvals = malloc(tsize * sizeof(int64_t));
+    int64_t *tree = calloc((size_t)m + 1, sizeof(int64_t));
+    if (!ttags || !tvals || !tree) {
+        free(ttags); free(tvals); free(tree);
+        return -1;
+    }
+    memset(tvals, 0xFF, tsize * sizeof(int64_t));
+    uint64_t tmask = tsize - 1;
+    int64_t hits = 0;
+
+    for (int64_t i = 0; i < m; i++) {
+        int64_t a = (i < occ) ? resident[i] : addrs[i - occ];
+        uint64_t slot = mix64((uint64_t)a) & tmask;
+        while (tvals[slot] >= 0 && ttags[slot] != a)
+            slot = (slot + 1) & tmask;
+        if (tvals[slot] >= 0) {
+            int64_t last = tvals[slot];
+            if (fen_prefix(tree, i - 1) - fen_prefix(tree, last) < capacity)
+                hits++;
+            fen_add(tree, m, last, -1);
+        } else {
+            ttags[slot] = a;
+        }
+        fen_add(tree, m, i, 1);
+        tvals[slot] = i;
+    }
+    /* Walk back from the MRU end: position j holds a resident line iff it
+     * is that line's last occurrence.  The kept lines collect at the top
+     * of the tree's storage, which the pass no longer needs. */
+    int64_t kept = 0;
+    for (int64_t j = m - 1; j >= 0 && kept < capacity; j--) {
+        int64_t a = (j < occ) ? resident[j] : addrs[j - occ];
+        uint64_t slot = mix64((uint64_t)a) & tmask;
+        while (tvals[slot] >= 0 && ttags[slot] != a)
+            slot = (slot + 1) & tmask;
+        if (tvals[slot] == j)
+            tree[m - kept++] = a;
+    }
+    memcpy(resident, tree + m + 1 - kept, (size_t)kept * sizeof(int64_t));
+    occ_io[0] = kept;
+    free(ttags); free(tvals); free(tree);
+    return n - hits;
+}
+
 /* Stateful chunked Mattson pass: the incremental twin of stack_hist_run.
  *
  * All state is caller-owned, so a monitor can feed its sub-stream chunk by
@@ -1695,10 +1632,11 @@ void stack_state_rehash(const int64_t *old_tags, const int64_t *old_vals,
  * replay is a batch of one task at width 1.  A batch_task is just a
  * flattened argument record plus a `kind` selecting which kernel to call,
  * so a task's result is independent of the thread count and of which
- * worker happens to run it.  Tasks never share state arrays — each
- * config owns its tags/stamp/side-state buffers and its slice of the
- * output — so the only cross-thread communication is the atomic work
- * counter below.
+ * worker happens to run it.  A group record (a partitioned cache) runs
+ * its region records in order on the worker that claimed it.  Tasks
+ * never share state arrays — each config owns its tags/stamp/side-state
+ * buffers and its slice of the output — so the only cross-thread
+ * communication is the atomic work counter below.
  *
  * Threading is optional at compile time: when the compiler rejects
  * -pthread, the Python side retries with -DREPRO_SERIAL_BATCH and the
@@ -1716,18 +1654,20 @@ enum {
     BATCH_KIND_DIP = 2,      /* dip_run (BIP/DIP)                  */
     BATCH_KIND_PDP = 3,      /* pdp_run                            */
     BATCH_KIND_RANDOM = 4,   /* random_run                         */
-    BATCH_KIND_PART_LRU = 5, /* part_lru_run (LRU/LIP regions)     */
-    BATCH_KIND_PART_SRRIP = 6, /* part_srrip_run                   */
-    BATCH_KIND_VANTAGE = 7,  /* vantage_run                        */
-    BATCH_KIND_TADRRIP = 8,  /* tadrrip_run (parts = thread ids)   */
-    BATCH_KIND_BELADY = 9,   /* belady_run (ht_reg = next-use map) */
+    BATCH_KIND_VANTAGE = 5,  /* vantage_run                        */
+    BATCH_KIND_TADRRIP = 6,  /* tadrrip_run (parts = thread ids)   */
+    BATCH_KIND_BELADY = 7,   /* belady_run (ht_reg = next-use map) */
+    BATCH_KIND_IDEAL_LRU = 8, /* ideal_lru_run (tags = resident)   */
+    BATCH_KIND_GROUP = 9,    /* sub[0, num_regions), in order      */
 };
 
 /* One replay task.  Every member is 8 bytes, so the layout is identical
  * across platforms and trivially mirrored by a ctypes.Structure (see
  * _native.py: the field order there must match this declaration).  Unused
- * members of a given kind stay NULL/0. */
-typedef struct {
+ * members of a given kind stay NULL/0.  A group record (a partitioned
+ * cache's replay: one record per region, each over that region's own
+ * sub-trace and state) points `sub` at its `num_regions` records. */
+typedef struct batch_task {
     int64_t kind;
     const int64_t *addrs;
     int64_t n;
@@ -1747,9 +1687,7 @@ typedef struct {
     int64_t *ls_tags;
     int64_t *ls_clocks;
     int64_t *ls_count;
-    const int64_t *region_sets;
-    const int64_t *region_ways;
-    const int64_t *region_off;
+    struct batch_task *sub;
     int64_t *miss_out;
     const int64_t *caps;
     int64_t *ht_tag;
@@ -1829,21 +1767,6 @@ static void batch_run_one(batch_task *t)
                                t->tags, t->rng_state, t->hashed,
                                t->index_seed);
         break;
-    case BATCH_KIND_PART_LRU:
-        t->result = part_lru_run(t->addrs, t->parts, t->n, t->num_regions,
-                                 t->region_sets, t->region_ways,
-                                 t->region_off, t->tags, t->stamp,
-                                 t->counter, t->lip, t->hashed,
-                                 t->index_seed, t->miss_out);
-        break;
-    case BATCH_KIND_PART_SRRIP:
-        t->result = part_srrip_run(t->addrs, t->parts, t->n,
-                                   t->num_regions, t->region_sets,
-                                   t->region_ways, t->region_off, t->tags,
-                                   t->rrpv, t->stamp, t->counter,
-                                   t->max_rrpv, t->hashed, t->index_seed,
-                                   t->miss_out);
-        break;
     case BATCH_KIND_VANTAGE:
         t->result = vantage_run(t->addrs, t->parts, t->n, t->num_regions,
                                 t->caps, t->unm_cap, t->mode, t->max_rrpv,
@@ -1871,6 +1794,22 @@ static void batch_run_one(batch_task *t)
         t->result = belady_run(t->addrs, t->next_use, t->n, t->capacity,
                                t->ht_tag, t->ht_reg, t->tsize, t->heap_key,
                                t->heap_tag, t->heap_cap, t->heap_io);
+        break;
+    case BATCH_KIND_IDEAL_LRU:
+        t->result = ideal_lru_run(t->addrs, t->n, t->capacity, t->tags,
+                                  t->occ);
+        break;
+    case BATCH_KIND_GROUP:
+        /* Sum of the records' miss counts, or the first negative one. */
+        t->result = 0;
+        for (int64_t r = 0; r < t->num_regions; r++) {
+            batch_run_one(&t->sub[r]);
+            if (t->sub[r].result < 0) {
+                t->result = t->sub[r].result;
+                break;
+            }
+            t->result += t->sub[r].result;
+        }
         break;
     default:
         t->result = -2;

@@ -8,19 +8,19 @@ moves between partitions and no replacement decision reads another
 partition's state.  That independence is what makes a batched fast path
 possible:
 
-* each partition's state lives in numpy matrices (for way/set
-  partitioning, slices of one flat per-line buffer, so a single native
-  kernel call can replay an interleaved multi-partition access stream with
-  per-line partition ownership and per-partition occupancy targets);
+* each partition is a region with its own state, random stream and PSEL:
+  an :class:`~repro.cache.arraycache.ArraySetAssociativeCache` over the
+  partition's ways of every set (way), its sets (set), or its one
+  fully-associative set (ideal);
 * a whole trace *with per-access partition ids* is replayed by
-  :meth:`ArrayPartitionedCache.run_partitioned` in one pass — one
-  ``part_lru_run``/``part_srrip_run`` kernel task for LRU, LIP and SRRIP,
-  or one per-region replay per partition for the rest (each partition
-  owns its random stream and PSEL), which is equivalent exactly because
-  the regions are independent;
-* idealized (fully-associative) partitioning runs LRU through a one-shot
-  stack-distance pass per partition (hit iff stack distance < allocation),
-  which is bit-identical to a fully-associative
+  :meth:`ArrayPartitionedCache.run_partitioned` as one native group task
+  (:meth:`~repro.cache.threadbatch.ReplayTask.group`): one plain kernel
+  record per region over that region's sub-trace, committed once, which
+  is equivalent to the interleaved replay exactly because the regions are
+  independent;
+* an idealized LRU partition is an :class:`_IdealLRURegion`, replayed by
+  the ``ideal_lru_run`` stack-distance kernel (hit iff stack distance <
+  allocation), which is bit-identical to a fully-associative
   :class:`~repro.cache.replacement.lru.LRUPolicy` region and avoids an
   O(allocation) scan per access.
 
@@ -29,10 +29,9 @@ bit-identical to the object-model schemes in :mod:`repro.cache.partition`
 built by :class:`~repro.cache.spec.PartitionSpec`, which gives each
 partition its own random stream, PSEL counter and leader wiring, as each
 array region has.  Idealized (fully-associative) partitions run any array
-policy: LRU keeps the stack-distance batch replay below, every other
-policy runs as a single-set
-:class:`~repro.cache.arraycache.ArraySetAssociativeCache` region whose one
-set *is* the fully-associative partition.
+policy: LRU through :class:`_IdealLRURegion`, every other policy as a
+single-set :class:`~repro.cache.arraycache.ArraySetAssociativeCache`
+region whose one set *is* the fully-associative partition.
 
 Allocations are granted with the *same* rounding helpers as the object
 schemes (:func:`~repro.cache.partition.way.round_to_ways`,
@@ -70,19 +69,18 @@ State ownership in the resumable runtime
 ----------------------------------------
 Every byte of simulation state is owned by the cache object as plain
 numpy arrays and passed *into* each kernel call (nothing lives on the C
-side between calls): the flat tags/stamp/RRPV buffers and shared access
-counter here, the node pool / region lists / hash table of
-:class:`ArrayVantageCache`, and the per-policy side state inside each
-:class:`~repro.cache.arraycache.ArraySetAssociativeCache` region.  That
-caller-ownership is the whole resumability contract — a replay can stop
-at any access, be resumed later, be interleaved with warm reallocation,
-or be checkpointed as "the arrays", and the result never changes.  Every
-replay and reallocation is a kernel call: building an array partitioned
-cache without the native kernel raises.
+side between calls): each region's matrices and side state (an ideal LRU
+region's resident lines) here, and the node pool / region lists / hash
+table of :class:`ArrayVantageCache`.  That caller-ownership is the whole
+resumability contract — a replay can stop at any access, be resumed
+later, be interleaved with warm reallocation, or be checkpointed as "the
+arrays", and the result never changes.  Every replay and reallocation is
+a kernel call: building an array partitioned cache without the native
+kernel raises.
 
 Each organization packs its replay call in one place, the task behind
-``replay_task``; ``run_partitioned``/``run_chunk`` (and Vantage's scalar
-``access``) run that task on the calling thread, and
+``replay_task``; ``run_partitioned``/``run_chunk``/``access`` run that
+task on the calling thread, and
 :func:`~repro.cache.threadbatch.run_tasks` runs many of them in one
 threaded dispatch.
 """
@@ -93,13 +91,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .._native import (KIND_PART_LRU, KIND_PART_SRRIP, KIND_VANTAGE,
-                       require_kernel)
+from .._native import KIND_IDEAL_LRU, KIND_VANTAGE, require_kernel
 from ..arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
                           _dueling_roles, _next_pow2)
 from ..cache import materialize_addresses
 from ..hashing import SplitMix64
-from ..replacement.lru import LRUPolicy
 from ..threadbatch import ReplayTask, i64_ptr, u64_ptr
 from .base import PartitionedCache, trim_line_allocations
 from .setpart import round_to_sets
@@ -111,14 +107,10 @@ __all__ = ["ArrayPartitionedCache", "ArrayVantageCache", "ARRAY_SCHEMES"]
 #: Partitioning schemes the array backend implements.
 ARRAY_SCHEMES = ("ideal", "way", "set", "vantage")
 
-#: Schemes built on independent set-associative regions (the
-#: :class:`ArrayPartitionedCache` flat-buffer machinery); Vantage is
-#: line-granular with a shared victim region and lives in
+#: Schemes built on independent regions (:class:`ArrayPartitionedCache`);
+#: Vantage is line-granular with a shared victim region and lives in
 #: :class:`ArrayVantageCache` instead.
 _SET_ASSOC_SCHEMES = ("ideal", "way", "set")
-
-#: Policies replayed by the interleaved multi-region part kernels.
-_PART_KERNEL_POLICIES = ("LRU", "LIP", "SRRIP")
 
 #: Managed-region policy codes of the native Vantage kernel (must match
 #: the ``VPOL_*`` enum in ``_sweepkernel.c``).
@@ -147,69 +139,51 @@ def _tagged_trace(trace, parts, num_partitions: int
 
 
 def _fold(stats: Sequence, accesses: np.ndarray, misses: np.ndarray) -> None:
-    """Add per-partition access and miss counts into ``stats[p]``
-    (``None`` entries, regions without capacity, are skipped)."""
+    """Add per-partition access and miss counts into ``stats[p]``."""
     for entry, a, m in zip(stats, accesses.tolist(), misses.tolist()):
-        if entry is not None:
-            entry.accesses += a
-            entry.misses += m
-            entry.hits += a - m
+        entry.accesses += a
+        entry.misses += m
+        entry.hits += a - m
 
 
-class _FastIdealLRURegion:
-    """A fully-associative LRU region with a stack-distance batch replay.
+class _IdealLRURegion:
+    """A fully-associative LRU region replayed by the ``ideal_lru_run``
+    kernel.
 
-    The per-access path is the object model itself (an
-    :class:`~repro.cache.replacement.lru.LRUPolicy`); the batch path
-    replays the region's resident lines (LRU -> MRU) followed by the new
-    accesses through the native ``stack_hist_run`` kernel and counts hits
-    as accesses with stack distance below the allocation — which is the
-    stack property, so results are bit-identical to the per-access path.
+    ``resident[:occ[0]]`` holds the region's lines, LRU -> MRU, in a
+    buffer of ``capacity`` slots.  The kernel runs one stack-distance pass
+    over those lines followed by the new accesses, counts an access as a
+    hit iff its distance is below ``capacity`` (the LRU stack property),
+    and writes back the last ``capacity`` distinct lines — bit-identical
+    to an :class:`~repro.cache.replacement.lru.LRUPolicy` of that
+    capacity.
     """
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self._policy = LRUPolicy(self.capacity)
-
-    def access(self, address: int) -> bool:
-        return self._policy.access(int(address))
-
-    def set_capacity(self, capacity: int) -> None:
-        """Warm-resize the region (shrinking evicts LRU overflow)."""
-        self.capacity = int(capacity)
-        self._policy.set_capacity(self.capacity)
+        self.resident = np.zeros(self.capacity, dtype=np.int64)
+        self.occ = np.zeros(1, dtype=np.int64)
 
     def occupancy(self) -> int:
-        return len(self._policy)
+        return int(self.occ[0])
 
-    def run_batch(self, addrs: np.ndarray) -> int:
-        """Replay ``addrs``; returns the miss count and updates the state."""
-        n = int(addrs.size)
-        if n == 0:
-            return 0
-        if self.capacity == 0:
-            return n
-        resident = np.asarray(list(self._policy.resident()), dtype=np.int64)
-        replay = np.concatenate([resident, addrs]) if resident.size else addrs
-        hist = np.zeros(replay.size, dtype=np.int64)
-        if require_kernel().stack_hist_run(replay, hist) < 0:
-            # Scratch allocation failed inside the kernel: replay per access.
-            access = self._policy.access
-            return sum(not access(a) for a in addrs.tolist())
-        hits = int(hist[:min(self.capacity, hist.size)].sum())
-        # The resident-prefix accesses are all cold (distinct tags), so
-        # every counted hit belongs to the new accesses.
-        misses = n - hits
-        # Final LRU state: the last `capacity` distinct addresses, most
-        # recent at MRU.
-        reversed_replay = replay[::-1]
-        uniq, first = np.unique(reversed_replay, return_index=True)
-        recent_first = uniq[np.argsort(first)][: self.capacity]
-        policy = LRUPolicy(self.capacity)
-        for tag in recent_first[::-1].tolist():
-            policy.access(int(tag))
-        self._policy = policy
-        return misses
+    def resize_ways(self, lines: int) -> None:
+        """Warm-resize to ``lines`` (the ways of a fully-associative
+        region), keeping the MRU-most ``min(occupancy, lines)`` lines."""
+        occ = self.occupancy()
+        keep = min(occ, lines)
+        resident = np.zeros(lines, dtype=np.int64)
+        resident[:keep] = self.resident[occ - keep:occ]
+        self.resident = resident
+        self.capacity = int(lines)
+        self.occ[0] = keep
+
+    def replay_task(self, addrs: np.ndarray) -> ReplayTask:
+        """The ``ideal_lru_run`` record replaying ``addrs``."""
+        fields = {"kind": KIND_IDEAL_LRU, "addrs": i64_ptr(addrs),
+                  "n": int(addrs.size), "capacity": self.capacity,
+                  "tags": i64_ptr(self.resident), "occ": i64_ptr(self.occ)}
+        return ReplayTask(fields=fields, refs=(addrs,))
 
 
 class ArrayPartitionedCache(PartitionedCache):
@@ -218,9 +192,9 @@ class ArrayPartitionedCache(PartitionedCache):
     Parameters
     ----------
     scheme:
-        One of the set-associative-region schemes ("ideal", "way",
-        "set").  Vantage couples partitions through its shared unmanaged
-        region and is implemented by :class:`ArrayVantageCache`; futility
+        One of the independent-region schemes ("ideal", "way", "set").
+        Vantage couples partitions through its shared unmanaged region
+        and is implemented by :class:`ArrayVantageCache`; futility
         scaling stays object-only.
     capacity_lines, num_partitions, ways:
         As in :func:`repro.cache.partition.make_partitioned_cache`; the
@@ -230,8 +204,8 @@ class ArrayPartitionedCache(PartitionedCache):
         One of :data:`~repro.cache.arraycache.ARRAY_POLICIES` except the
         offline "Belady" (which has no partitioned organization).
         Idealized partitions are fully associative: LRU rides the
-        stack-distance batch replay, every other policy a single-set
-        array region.
+        ``ideal_lru_run`` stack-distance kernel, every other policy a
+        single-set array region.
     hashed_index, index_seed:
         Set-index scheme of the way/set organizations (same hash as the
         object model).
@@ -291,80 +265,49 @@ class ArrayPartitionedCache(PartitionedCache):
         self.index_seed = index_seed
         self.min_ways = min_ways_per_partition
         self._policy_kwargs = dict(policy_kwargs)
+        # Per-partition allocation in the scheme's unit: ways (way), sets
+        # (set) or lines (ideal).
         if scheme == "way":
-            self._way_alloc = round_to_ways(
+            self._alloc = round_to_ways(
                 [self.capacity_lines / num_partitions] * num_partitions,
                 num_sets, ways, self.min_ways)
-            # The object model builds each partition's policy regions once,
-            # at this equal-split allocation, and later reallocations only
-            # change capacities — so capacity-derived policy parameters
-            # (PDP's tuning) are frozen at these way counts.  Recorded so
-            # the array regions can replicate that exactly.
-            self._initial_ways = list(self._way_alloc)
         elif scheme == "set":
             base_sets = num_sets // num_partitions
-            self._set_alloc = [base_sets] * num_partitions
-            self._set_alloc[0] += num_sets - base_sets * num_partitions
+            self._alloc = [base_sets] * num_partitions
+            self._alloc[0] += num_sets - base_sets * num_partitions
         else:
-            base = capacity // num_partitions
-            self._line_alloc = [base] * num_partitions
-            # As with way partitioning above: the object model derives
-            # capacity-dependent policy parameters (PDP's tuning) once, at
-            # the construction-time equal split.
-            self._initial_lines = list(self._line_alloc)
-        self._rebuild_regions()
+            self._alloc = [capacity // num_partitions] * num_partitions
+        # The object model builds each partition's policy regions once, at
+        # this equal-split allocation, and later reallocations only change
+        # capacities — so capacity-derived policy parameters (PDP's
+        # tuning) are frozen at it.  Recorded so the array regions can
+        # replicate that exactly.
+        self._initial_alloc = list(self._alloc)
+        self._regions = [self._make_region(p, size)
+                         for p, size in enumerate(self._alloc)]
 
     # ------------------------------------------------------------------ #
     # Region construction
     # ------------------------------------------------------------------ #
-    def _region_geometries(self) -> list[tuple[int, int]]:
-        """Per-partition (num_sets, ways) geometry.
+    def _make_region(self, partition: int, size: int):
+        """Partition ``partition``'s region at ``size`` ways (way), sets
+        (set) or lines (ideal); None at zero.
 
-        Zero-allocation way/set partitions keep a degenerate (but
-        well-shaped) geometry — ``(num_sets, 0)`` / ``(0, ways)`` — so a
-        warm-resized zero-capacity region's arrays still line up with the
-        flat buffers; the kernels treat any zero dimension as all-miss.
+        An ideal partition is fully associative: LRU is an
+        :class:`_IdealLRURegion`, every other policy a single-set
+        :class:`~repro.cache.arraycache.ArraySetAssociativeCache` whose
+        one set *is* the partition.
         """
-        if self.scheme == "way":
-            return [(self.num_sets, w) for w in self._way_alloc]
-        if self.scheme == "set":
-            return [(s, self.ways) for s in self._set_alloc]
-        return [(1, c) if c > 0 else (0, 0) for c in self._line_alloc]
-
-    def _rebuild_regions(self) -> None:
-        if self.scheme == "ideal":
-            self._regions = [self._make_ideal_region(p, c)
-                             for p, c in enumerate(self._line_alloc)]
-            self._flat_ready = False
-            return
-        self._regions = []
-        for p, (sets_p, ways_p) in enumerate(self._region_geometries()):
-            if sets_p <= 0 or ways_p <= 0:
-                self._regions.append(None)
-                continue
-            kwargs = self._region_policy_kwargs(p, ways_p)
-            self._regions.append(ArraySetAssociativeCache(
-                sets_p, ways_p, policy=self.policy,
-                hashed_index=self.hashed_index, index_seed=self.index_seed,
-                **kwargs))
-        self._link_flat_state()
-
-    def _make_ideal_region(self, partition: int, lines: int):
-        """One fully-associative ideal region of ``lines`` capacity.
-
-        LRU keeps the stack-distance batch replay of
-        :class:`_FastIdealLRURegion`; every other policy runs as a
-        single-set :class:`~repro.cache.arraycache.
-        ArraySetAssociativeCache` whose one set *is* the
-        fully-associative region.
-        """
-        if lines <= 0:
+        if size <= 0:
             return None
-        if self.policy == "LRU":
-            return _FastIdealLRURegion(lines)
-        kwargs = self._region_policy_kwargs(partition, lines)
-        return ArraySetAssociativeCache(1, lines, policy=self.policy,
-                                        **kwargs)
+        if self.scheme == "ideal" and self.policy == "LRU":
+            return _IdealLRURegion(size)
+        sets, ways = {"way": (self.num_sets, size), "set": (size, self.ways),
+                      "ideal": (1, size)}[self.scheme]
+        return ArraySetAssociativeCache(
+            sets, ways, policy=self.policy, hashed_index=self.hashed_index,
+            index_seed=self.index_seed,
+            **self._region_policy_kwargs(partition, ways))
 
     def _region_policy_kwargs(self, partition: int, ways_p: int) -> dict:
         """Policy kwargs for one region, replicating object-model quirks.
@@ -379,8 +322,7 @@ class ArrayPartitionedCache(PartitionedCache):
         kwargs = dict(self._policy_kwargs)
         if self.policy != "PDP" or self.scheme == "set":
             return kwargs
-        construction = (self._initial_ways if self.scheme == "way"
-                        else self._initial_lines)[partition]
+        construction = self._initial_alloc[partition]
         w0 = max(construction, 1)
         interval = kwargs.get("recompute_interval")
         if interval is None:
@@ -398,60 +340,6 @@ class ArrayPartitionedCache(PartitionedCache):
             max_distance_factor=(max_candidate + 0.5) / max(ways_p, 1),
         )
         return kwargs
-
-    def _link_flat_state(self) -> None:
-        """Re-point region matrices into one flat per-line buffer.
-
-        Lines of all partitions live in a single tags/stamp (and, for the
-        RRIP family, RRPV) buffer, each partition owning the slice
-        described by the region geometry arrays — the layout the
-        interleaved ``part_*_run`` kernels replay in one call.  The region
-        objects keep views into the same memory, so the per-access Python
-        path and the kernels stay interchangeable.
-
-        Existing region state is *copied* into the (re-)built flat buffer,
-        so re-linking after a warm :meth:`reallocate` preserves resident
-        lines, recency and RRPVs; at construction the regions are freshly
-        initialized, making the copy equivalent to the initial fill.
-        """
-        self._flat_ready = self.policy in _PART_KERNEL_POLICIES
-        geoms = self._region_geometries()
-        self._region_sets = np.array([g[0] for g in geoms], dtype=np.int64)
-        self._region_ways = np.array([g[1] for g in geoms], dtype=np.int64)
-        lengths = self._region_sets * self._region_ways
-        self._region_off = np.zeros(self.num_partitions, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=self._region_off[1:])
-        if not self._flat_ready:
-            return
-        total = int(lengths.sum())
-        self._flat_tags = np.full(total, _EMPTY, dtype=np.int64)
-        self._flat_stamp = np.zeros(total, dtype=np.int64)
-        rrip = self.policy == "SRRIP"
-        max_rrpv = 3
-        self._flat_rrpv = None
-        if rrip:
-            for region in self._regions:
-                if region is not None:
-                    max_rrpv = region.max_rrpv
-                    break
-            self._flat_rrpv = np.full(total, max_rrpv, dtype=np.int64)
-        self._max_rrpv = max_rrpv
-        counter = int(getattr(self, "_shared_counter", np.zeros(1))[0])
-        self._shared_counter = np.array([counter], dtype=np.int64)
-        for p, region in enumerate(self._regions):
-            if region is None:
-                continue
-            start = int(self._region_off[p])
-            end = start + int(lengths[p])
-            shape = (region.num_sets, region.ways)
-            self._flat_tags[start:end] = region.tags.ravel()
-            self._flat_stamp[start:end] = region.stamp.ravel()
-            region.tags = self._flat_tags[start:end].reshape(shape)
-            region.stamp = self._flat_stamp[start:end].reshape(shape)
-            if rrip:
-                self._flat_rrpv[start:end] = region.rrpv.ravel()
-                region.rrpv = self._flat_rrpv[start:end].reshape(shape)
-            region._counter = self._shared_counter
 
     # ------------------------------------------------------------------ #
     # PartitionedCache interface
@@ -478,64 +366,35 @@ class ArrayPartitionedCache(PartitionedCache):
         sizes = self._check_requests(sizes)
         if self.scheme == "way":
             new = round_to_ways(sizes, self.num_sets, self.ways, self.min_ways)
-            current = self._way_alloc
         elif self.scheme == "set":
             new = round_to_sets(sizes, self.num_sets, self.ways)
-            current = self._set_alloc
         else:
             new = trim_line_allocations(sizes, self.capacity_lines)
-            current = self._line_alloc
-        if new == current:
+        if new == self._alloc:
             return self.granted_allocations()
-        if self.scheme == "ideal":
-            for p, lines in enumerate(new):
-                region = self._regions[p]
-                if region is None:
-                    self._regions[p] = self._make_ideal_region(p, lines)
-                elif isinstance(region, _FastIdealLRURegion):
-                    region.set_capacity(lines)
-                else:
-                    region.resize_ways(lines)
-            self._line_alloc = new
-            return self.granted_allocations()
-        for p, region in enumerate(self._regions):
+        for p, size in enumerate(new):
+            region = self._regions[p]
             if region is None:
-                if new[p] <= 0:
-                    continue
-                geometry = ((self.num_sets, new[p]) if self.scheme == "way"
-                            else (new[p], self.ways))
-                kwargs = self._region_policy_kwargs(p, geometry[1])
-                self._regions[p] = ArraySetAssociativeCache(
-                    geometry[0], geometry[1], policy=self.policy,
-                    hashed_index=self.hashed_index,
-                    index_seed=self.index_seed, **kwargs)
-            elif self.scheme == "way":
-                region.resize_ways(new[p])
+                self._regions[p] = self._make_region(p, size)
+            elif self.scheme == "set":
+                region.resize_sets(size)
             else:
-                region.resize_sets(new[p])
-        if self.scheme == "way":
-            self._way_alloc = new
-        else:
-            self._set_alloc = new
-        self._link_flat_state()
+                region.resize_ways(size)
+        self._alloc = new
         return self.granted_allocations()
 
     def granted_allocations(self) -> list[int]:
         if self.scheme == "way":
-            return [w * self.num_sets for w in self._way_alloc]
+            return [w * self.num_sets for w in self._alloc]
         if self.scheme == "set":
-            return [s * self.ways for s in self._set_alloc]
-        return list(self._line_alloc)
+            return [s * self.ways for s in self._alloc]
+        return list(self._alloc)
 
     def access(self, address: int, partition: int) -> bool:
         self._check_partition(partition)
-        region = self._regions[partition]
-        if region is None:
-            self.record(partition, False)
-            return False
-        hit = region.access(address)
-        self.record(partition, hit)
-        return hit
+        task = self.replay_task(np.array([address], dtype=np.int64),
+                                np.array([partition], dtype=np.int64))
+        return int(task.run().misses[partition]) == 0
 
     def partition_occupancy(self, partition: int) -> int:
         self._check_partition(partition)
@@ -562,29 +421,11 @@ class ArrayPartitionedCache(PartitionedCache):
             Per-partition statistics are updated as the per-access path
             would (counts are order-independent, so both paths agree).
 
-        With the flat buffers live (LRU, LIP, SRRIP) this runs the
-        interleaved part-kernel task of :meth:`replay_task` on the
-        calling thread; otherwise each partition's accesses replay
-        through its own region.
+        Runs the group task of :meth:`replay_task` on the calling thread.
         """
         addrs, parts, accesses = _tagged_trace(trace, parts,
                                                self.num_partitions)
-        if self._flat_ready:
-            return accesses, self._task(addrs, parts, accesses).run().misses
-        misses = np.zeros(self.num_partitions, dtype=np.int64)
-        for p in np.flatnonzero(accesses).tolist():
-            sub = addrs[parts == p]
-            region = self._regions[p]
-            if region is None:
-                misses[p] = sub.size
-            elif isinstance(region, _FastIdealLRURegion):
-                misses[p] = region.run_batch(sub)
-            else:
-                before = region.stats.misses
-                region.run(sub)
-                misses[p] = region.stats.misses - before
-        _fold(self.partition_stats, accesses, misses)
-        return accesses, misses
+        return accesses, self._task(addrs, parts, accesses).run().misses
 
     def run_chunk(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay one chunk of a partition-tagged trace.
@@ -599,62 +440,33 @@ class ArrayPartitionedCache(PartitionedCache):
 
     def replay_task(self, trace, parts):
         """One batchable :class:`~repro.cache.threadbatch.ReplayTask`
-        replaying a partition-tagged trace (the threaded twin of
-        :meth:`run_partitioned`; per-partition misses land in the task's
-        ``misses`` array on both paths).
-
-        With the flat buffers live it is the interleaved part-kernel
-        task; otherwise a fallback that replays region by region through
-        :meth:`run_partitioned`.
-        """
-        addrs, parts, accesses = _tagged_trace(trace, parts,
-                                               self.num_partitions)
-        if self._flat_ready:
-            return self._task(addrs, parts, accesses)
-        miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-
-        def fallback() -> None:
-            miss_out[:] += self.run_partitioned(addrs, parts)[1]
-        return ReplayTask(fallback=fallback, misses=miss_out)
+        replaying a partition-tagged trace: the group task that
+        :meth:`run_partitioned`, :meth:`run_chunk` and :meth:`access` run
+        (per-partition misses land in the task's ``misses`` array)."""
+        return self._task(*_tagged_trace(trace, parts, self.num_partitions))
 
     def _task(self, addrs: np.ndarray, parts: np.ndarray,
               accesses: np.ndarray):
-        """The part-kernel task of a validated tagged trace (flat buffers
-        live); its commit folds region and partition statistics."""
-        if addrs.size and bool(np.any(addrs == _EMPTY)):
-            raise ValueError("address -1 is reserved as the empty-way "
-                             "sentinel; the array backend cannot cache it")
-        miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-        fields = {
-            "kind": (KIND_PART_SRRIP if self.policy == "SRRIP"
-                     else KIND_PART_LRU),
-            "addrs": i64_ptr(addrs), "n": int(addrs.size),
-            "parts": i64_ptr(parts),
-            "num_regions": self.num_partitions,
-            "region_sets": i64_ptr(self._region_sets),
-            "region_ways": i64_ptr(self._region_ways),
-            "region_off": i64_ptr(self._region_off),
-            "tags": i64_ptr(self._flat_tags),
-            "stamp": i64_ptr(self._flat_stamp),
-            "counter": i64_ptr(self._shared_counter),
-            "miss_out": i64_ptr(miss_out),
-            "hashed": 1 if self.hashed_index else 0,
-            "index_seed": self.index_seed,
-        }
-        if self.policy == "SRRIP":
-            fields.update(rrpv=i64_ptr(self._flat_rrpv),
-                          max_rrpv=self._max_rrpv)
-        else:
-            fields.update(lip=1 if self.policy == "LIP" else 0)
+        """The group task of a validated tagged trace: one region record
+        per partition with accesses and a region, over that partition's
+        sub-trace.  A partition without a region (zero capacity) misses
+        every access.  The commit folds the partition statistics; each
+        region record folds its region's own."""
+        owners = [p for p in np.flatnonzero(accesses).tolist()
+                  if self._regions[p] is not None]
+        tasks = [self._regions[p].replay_task(
+                     addrs if accesses[p] == addrs.size
+                     else addrs[parts == p])
+                 for p in owners]
+        misses = np.zeros(self.num_partitions, dtype=np.int64)
 
-        def commit(_total: int) -> None:
-            # Region counters stay coherent with the per-region path.
-            _fold([None if r is None else r.stats for r in self._regions],
-                  accesses, miss_out)
-            _fold(self.partition_stats, accesses, miss_out)
+        def commit(results: list[int]) -> None:
+            misses[:] = accesses
+            misses[owners] = results
+            _fold(self.partition_stats, accesses, misses)
 
-        return ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
-                          commit=commit, misses=miss_out)
+        return ReplayTask.group(tasks, int(addrs.size), commit=commit,
+                                misses=misses)
 
     # ------------------------------------------------------------------ #
     def reset_stats(self) -> None:

@@ -8,10 +8,11 @@ share a byte of mutable state.  This module is the Python side of the
 caller of it:
 
 * a :class:`ReplayTask` packages one cache's replay of one trace — either
-  as a flat ``BatchTask`` argument record for the native dispatcher, or as
-  a fallback closure for a cache with no kernel task of its own (an
-  object-model cache, or a partitioned cache whose regions replay one by
-  one);
+  as a ``BatchTask`` argument record for the native dispatcher, or as a
+  fallback closure for a cache with no kernel task of its own (an
+  object-model cache).  A way, set or ideal partitioned cache replays as
+  one *group* record (:meth:`ReplayTask.group`) that runs one plain
+  kernel record per region and commits once;
 * one private dispatcher packs all native tasks into one ctypes array,
   makes a *single* ``batch_run_threaded`` call (one GIL release, C worker
   threads inside), commits each task's statistics, then runs the
@@ -41,12 +42,13 @@ same :func:`run_tasks` call, so callers never special-case
 
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._native import (BatchTask, native_available, require_kernel,
-                      resolve_threads)
+from ._native import (KIND_GROUP, BatchTask, native_available,
+                      require_kernel, resolve_threads)
 
 __all__ = ["ReplayTask", "run_tasks", "resolve_parallel", "PARALLEL_MODES",
            "i64_ptr", "u64_ptr"]
@@ -104,7 +106,7 @@ class ReplayTask:
         native dispatcher, or ``None`` when this task can only run through
         its fallback.
     refs:
-        Arrays that must stay alive while the kernel may dereference the
+        Objects that must stay alive while the kernel may dereference the
         packed addresses (the address trace and any buffers created for
         this task; long-lived cache state is kept alive by the cache).
     commit:
@@ -117,14 +119,15 @@ class ReplayTask:
         used when ``fields`` is ``None``.
     misses:
         Optional caller-visible per-partition miss array (partitioned
-        kinds); the kernel writes it in place, the fallback must fill it.
+        kinds); the kernel or the commit writes it, the fallback must
+        fill it.
     """
 
     __slots__ = ("fields", "refs", "misses", "_commit", "_fallback",
                  "_after")
 
     def __init__(self, *, fields: dict | None = None,
-                 refs: Sequence[np.ndarray] = (),
+                 refs: Sequence[object] = (),
                  commit: Callable[[int], None] | None = None,
                  fallback: Callable[[], None] | None = None,
                  misses: np.ndarray | None = None):
@@ -136,6 +139,34 @@ class ReplayTask:
         self._commit = commit
         self._fallback = fallback
         self._after: list[Callable[[], None]] = []
+
+    @classmethod
+    def group(cls, tasks: Sequence["ReplayTask"], n: int, *,
+              commit: Callable[[list[int]], None],
+              misses: np.ndarray | None = None) -> "ReplayTask":
+        """One native task running the native ``tasks`` in order.
+
+        The group is a single ``BatchTask`` record pointing at the packed
+        records of ``tasks`` (one worker runs them all, one after the
+        other), so a partitioned cache's replay is one task of the batch
+        with ``n`` its whole tagged trace.  Its kernel result is the sum
+        of theirs, or the first negative one.  On commit each task commits
+        its own result, then ``commit`` receives the list of results.
+        """
+        packed = (BatchTask * len(tasks))(
+            *[BatchTask(**task.fields) for task in tasks])
+
+        def commit_all(_total: int) -> None:
+            results = [int(slot.result) for slot in packed]
+            for task, result in zip(tasks, results):
+                task.commit(result)
+            commit(results)
+
+        fields = {"kind": KIND_GROUP, "n": int(n),
+                  "sub": ctypes.addressof(packed),
+                  "num_regions": len(tasks)}
+        return cls(fields=fields, refs=(packed, *tasks), commit=commit_all,
+                   misses=misses)
 
     @property
     def native(self) -> bool:

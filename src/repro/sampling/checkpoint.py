@@ -1,10 +1,10 @@
 """Warm-state checkpoints of every cache organization.
 
 A :class:`CacheCheckpoint` captures everything a replay mutates — the
-caller-owned numpy/flat-buffer state plus policy bookkeeping (RNG
-streams, PSEL duelling counters, PDP histograms, Vantage linked lists,
-Talus sampler registers) and the statistics counters — alongside the
-cache's own :meth:`to_spec` description.  Object-model caches (the
+caller-owned numpy state plus policy bookkeeping (RNG streams, PSEL
+duelling counters, PDP histograms, Vantage linked lists, Talus sampler
+registers) and the statistics counters — alongside the cache's own
+:meth:`to_spec` description.  Object-model caches (the
 ``backend="object"`` organizations, which ``"auto"`` builds without the
 native kernel) are checkpointed as one pickle of the whole cache, whose
 policies, random streams and PSEL counters all pickle as plain state.
@@ -21,10 +21,9 @@ The pair is:
 
 Ownership rules: a checkpoint owns deep *copies* of the state arrays
 (taking one never aliases the live cache), and restoring copies back
-*in place* — which is what keeps the flat-buffer aliasing of
-:class:`~repro.cache.partition.array.ArrayPartitionedCache` intact
-(region matrices are views into the flat tags/stamp/RRPV buffers; the
-restore writes through those views rather than re-pointing them).
+*in place*, through the cache's existing buffers.  An idealized LRU
+region of :class:`~repro.cache.partition.array.ArrayPartitionedCache`
+is checkpointed as its capacity and resident lines, LRU -> MRU.
 
 State that is a pure function of the spec (set-dueling role maps, H3
 hash matrices, geometry arrays) is deliberately *not* captured: the
@@ -42,10 +41,9 @@ import numpy as np
 from ..cache.arraycache import ArrayBeladyCache, ArraySetAssociativeCache
 from ..cache.cache import CacheStats, SetAssociativeCache
 from ..cache.partition.array import (ArrayPartitionedCache, ArrayVantageCache,
-                                     _FastIdealLRURegion)
+                                     _IdealLRURegion)
 from ..cache.partition.base import PartitionedCache
 from ..cache.replacement.belady import BeladyMINPolicy
-from ..cache.replacement.lru import LRUPolicy
 from ..cache.talus_cache import TalusCache
 from ..jobs.keys import canonical_json
 
@@ -186,16 +184,14 @@ def _restore_array(cache: ArraySetAssociativeCache, state: dict,
 
 
 # --------------------------------------------------------------------- #
-# ArrayPartitionedCache (way/set/ideal regions over flat buffers)
+# ArrayPartitionedCache (one independent region per partition)
 # --------------------------------------------------------------------- #
 def _region_state(region) -> dict | None:
     if region is None:
         return None
-    if isinstance(region, _FastIdealLRURegion):
-        resident = np.asarray(list(region._policy.resident()),
-                              dtype=np.int64)
+    if isinstance(region, _IdealLRURegion):
         return {"kind": "ideal", "capacity": int(region.capacity),
-                "resident": resident}
+                "resident": region.resident[:region.occupancy()].copy()}
     return {"kind": "array", **_array_state(region)}
 
 
@@ -206,7 +202,7 @@ def _restore_region(region, state: dict | None, index: int) -> None:
     if state is None:
         return
     if state["kind"] == "ideal":
-        if not isinstance(region, _FastIdealLRURegion):
+        if not isinstance(region, _IdealLRURegion):
             raise ValueError(f"partition {index}: checkpoint holds an ideal "
                              f"region, cache has {type(region).__name__}")
         if region.capacity != state["capacity"]:
@@ -214,12 +210,10 @@ def _restore_region(region, state: dict | None, index: int) -> None:
                              f"{region.capacity} != checkpoint "
                              f"{state['capacity']}")
         # An LRU stack is fully determined by its resident lines in
-        # LRU -> MRU order: re-accessing them into a fresh policy of the
-        # same capacity reproduces it exactly (no evictions can occur).
-        policy = LRUPolicy(region.capacity)
-        for tag in state["resident"].tolist():
-            policy.access(int(tag))
-        region._policy = policy
+        # LRU -> MRU order.
+        resident = state["resident"]
+        region.resident[:resident.size] = resident
+        region.occ[0] = resident.size
     else:
         _restore_array(region, state, state["policy"])
 
@@ -239,10 +233,6 @@ def _restore_partitioned(cache: ArrayPartitionedCache, state: dict) -> None:
             f"checkpoint allocations {state['granted']} do not match the "
             f"cache's {granted}; build from the checkpoint instead "
             f"(CacheCheckpoint.build())")
-    # Region arrays are views into the flat buffers (when flat-linked), so
-    # the in-place region restores below also rewrite the flat state the
-    # kernels replay; the shared access counter is aliased by every
-    # region's ``_counter`` and lands with the last region restored.
     for index, (region, sub) in enumerate(zip(cache._regions,
                                               state["regions"])):
         _restore_region(region, sub, index)
@@ -413,8 +403,7 @@ def restore_into(cache, checkpoint: CacheCheckpoint) -> None:
 
     The cache must be structurally compatible (same policy, geometry and
     allocations — anything built from the checkpoint's spec is); state
-    arrays are copied through the existing buffers so flat-buffer views
-    and kernel pointers stay valid.
+    arrays are copied through the existing buffers.
     """
     kind = checkpoint.kind
     if kind == "talus":

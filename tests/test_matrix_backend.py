@@ -319,6 +319,31 @@ class TestMatrixSweep:
                     assert spec.resolved_backend() == "array", \
                         (policy, scheme)
 
+    @needs_kernel
+    def test_every_cell_is_one_native_task(self, monkeypatch):
+        """Every policy x scheme cell replays as one native task of the
+        matrix's single dispatch: no cell falls back to a serial replay
+        (partitioned cells are one group record each)."""
+        from repro.sim import sweep
+        seen = []
+        run_tasks = sweep.run_tasks
+
+        def spy(tasks, threads=None):
+            tasks = list(tasks)
+            seen.extend(tasks)
+            return run_tasks(tasks, threads=threads)
+
+        monkeypatch.setattr(sweep, "run_tasks", spy)
+        trace = _mixed_trace(3000, seed=29)
+        parts = (np.arange(trace.size) % 2).astype(np.int64)
+        result = run_matrix_sweep(trace, sizes_mb=(0.25,),
+                                  policies=ARRAY_POLICIES, num_partitions=2,
+                                  parts=parts, seed=3)
+        assert set(result.stats) == set(matrix_cells((0.25,),
+                                                     ARRAY_POLICIES))
+        assert len(seen) == len(result.stats)
+        assert all(task.native for task in seen)
+
     def test_thread_width_invariance(self):
         trace = _mixed_trace(6000, seed=21)
         results = [run_matrix_sweep(trace, sizes_mb=self.SIZES,

@@ -28,6 +28,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.arraycache import ARRAY_POLICIES, ArraySetAssociativeCache
 from repro.cache.cache import SetAssociativeCache
@@ -192,7 +194,7 @@ class TestWarmReallocation:
             for p, region in enumerate(cache._regions):
                 if region is None:
                     continue
-                tags = (np.asarray(list(region._policy.resident()))
+                tags = (region.resident[:region.occupancy()]
                         if scheme == "ideal" else
                         region.tags[region.tags != -1])
                 if np.size(tags) == 0:
@@ -201,6 +203,46 @@ class TestWarmReallocation:
                     assert np.all(np.asarray(tags) < (1 << 20))
                 else:
                     assert np.all(np.asarray(tags) >= (1 << 20))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_ideal_lru_matches_object_model(self, data):
+        """The native ideal-LRU region against the object ideal scheme:
+        random traces (address -1 included) over 1-3 partitions, random
+        feasible plans that empty partitions and regrow them, and scalar
+        accesses mixed with batched chunks, empty ones included.  After
+        every chunk both backends agree on every partition's misses and
+        occupancy."""
+        num = data.draw(st.integers(1, 3), label="partitions")
+        # A small cache over a small address space, so reuse at every
+        # stack distance (capacity included) is common.
+        capacity = 24
+        spec = PartitionSpec(scheme="ideal", capacity_lines=capacity,
+                             num_partitions=num, policy="LRU")
+        obj = build(replace(spec, backend="object"))
+        arr = build(replace(spec, backend="array"))
+        access = st.tuples(st.integers(-1, 40), st.integers(0, num - 1))
+        for _ in range(data.draw(st.integers(1, 6), label="chunks")):
+            cuts = sorted(data.draw(st.lists(
+                st.integers(0, capacity), min_size=num, max_size=num),
+                label="cuts"))
+            plan = [hi - lo for lo, hi in zip([0] + cuts, cuts)]
+            assert obj.set_allocations(plan) == arr.reallocate(plan)
+            size = data.draw(st.integers(0, 150), label="size")
+            chunk = data.draw(st.lists(access, min_size=size, max_size=size),
+                              label="chunk")
+            scalar = data.draw(st.integers(0, len(chunk)), label="scalar")
+            for address, part in chunk[:scalar]:
+                assert obj.access(address, part) == arr.access(address, part)
+            rest = chunk[scalar:]
+            for address, part in rest:
+                obj.access(address, part)
+            arr.run_chunk(np.array([a for a, _ in rest], dtype=np.int64),
+                          np.array([p for _, p in rest], dtype=np.int64))
+            assert ([s.misses for s in obj.partition_stats]
+                    == [s.misses for s in arr.partition_stats])
+            assert ([obj.partition_occupancy(p) for p in range(num)]
+                    == [arr.partition_occupancy(p) for p in range(num)])
 
     def test_shrink_to_zero_and_regrow(self):
         cache = build(PartitionSpec(scheme="way", capacity_lines=512,

@@ -5,8 +5,8 @@ The suite proves the three contracts the sampling subsystem rests on:
 * **Checkpoint bit-identity** — ``snapshot()`` → ``restore()`` →
   continue replaying is indistinguishable from never stopping, for
   every array backend and policy (including the PDP tuner's extra
-  state, partitioned flat-buffer aliasing, Vantage's linked lists and
-  Talus's sampler registers) and for the object model (one pickle), and
+  state, partitioned regions and ideal-LRU resident lines, Vantage's
+  linked lists and Talus's sampler registers) and for the object model (one pickle), and
   checkpoints survive pickling.
 * **Estimator correctness** — Student-t critical values, CI widths and
   the MPKI algebra match first-principles values.

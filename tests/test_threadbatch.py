@@ -183,15 +183,19 @@ class TestReplayTaskDeterminism:
 
     @needs_kernel
     def test_partitioned_kernel_all_widths(self):
-        """Every part-kernel policy, way and set schemes in one batch."""
+        """Every online policy on way, set and ideal partitioning: each
+        cache is one native group task, and a batch of them matches the
+        serial replay in per-partition misses and in every region's
+        state."""
         addrs = _trace(12_000)
         parts = (np.arange(addrs.size, dtype=np.int64) % 4)
+        schemes = ("way", "set", "ideal")
 
         def caches(policy):
             return [ArrayPartitionedCache(scheme, 4096, 4, policy=policy)
-                    for scheme in ("way", "set")]
+                    for scheme in schemes]
 
-        for policy in ("LRU", "LIP", "SRRIP"):
+        for policy in (p for p in SINGLE_POLICIES if p != "Belady"):
             serial = caches(policy)
             serial_misses = [c.run_partitioned(addrs, parts)[1]
                              for c in serial]
@@ -199,15 +203,16 @@ class TestReplayTaskDeterminism:
                 batch = caches(policy)
                 tasks = run_tasks([c.replay_task(addrs, parts)
                                    for c in batch], threads=width)
-                for task, cache, ref, ref_misses in zip(
-                        tasks, batch, serial, serial_misses):
-                    assert task.native, policy
-                    assert np.array_equal(task.misses, ref_misses), \
-                        (policy, width)
+                for scheme, task, cache, ref, ref_misses in zip(
+                        schemes, tasks, batch, serial, serial_misses):
+                    key = (policy, scheme, width)
+                    assert task.native, key
+                    assert np.array_equal(task.misses, ref_misses), key
                     for p in range(4):
                         assert (cache.partition_stats[p].misses
-                                == ref.partition_stats[p].misses), \
-                            (policy, p, width)
+                                == ref.partition_stats[p].misses), key
+                    assert ([_state(r) for r in cache._regions]
+                            == [_state(r) for r in ref._regions]), key
 
     @needs_kernel
     def test_talus_on_vantage_all_widths(self):
@@ -252,13 +257,17 @@ class TestReplayTaskDeterminism:
         belady.run(addrs[:2_000])
         way = ArrayPartitionedCache("way", 1024, 2, policy="SRRIP")
         way.run_partitioned(addrs, parts)
+        ideal = ArrayPartitionedCache("ideal", 1024, 2, policy="LRU")
+        ideal.run_partitioned(addrs, parts)
         vantage = ArrayVantageCache(1024, 2, policy="PDP")
         vantage.run_partitioned(addrs, parts)
         tasks = [plain.replay_task(empty), lanes.replay_task(empty, empty),
                  belady.replay_task(empty), way.replay_task(empty, empty),
+                 ideal.replay_task(empty, empty),
                  vantage.replay_task(empty, empty)]
-        caches = (plain, lanes, belady, way, vantage)
+        caches = (plain, lanes, belady, way, ideal, vantage)
         before = [_state(cache) for cache in caches]
+        regions = [_state(region) for region in ideal._regions]
         for task in tasks:
             assert task.native
             assert task.fields["n"] == 0
@@ -267,6 +276,7 @@ class TestReplayTaskDeterminism:
             task.run()
         for cache, state in zip(caches, before):
             assert _state(cache) == state, cache
+        assert [_state(region) for region in ideal._regions] == regions
         assert belady.trace_remaining == addrs.size - 2_000
 
     def test_run_sweep_modes_identical(self):
