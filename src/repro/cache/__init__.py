@@ -9,7 +9,7 @@ H3 sampling function).
 from .arraycache import ARRAY_POLICIES, ArraySetAssociativeCache
 from .cache import (CacheStats, SetAssociativeCache, lru_factory,
                     policy_factory_from_class, simulate_trace)
-from .factory import (BACKENDS, POLICY_NAMES, build_cache, cache_geometry,
+from .factory import (BACKENDS, POLICY_NAMES, cache_geometry,
                       named_policy_factory, resolve_backend)
 from .hashing import H3Hash, SamplingFunction, mix64, set_index
 from .partition import (ARRAY_SCHEMES, ArrayPartitionedCache,
@@ -40,7 +40,6 @@ __all__ = [
     "named_policy_factory",
     "POLICY_NAMES",
     "BACKENDS",
-    "build_cache",
     "cache_geometry",
     "resolve_backend",
     "H3Hash",

@@ -252,8 +252,7 @@ class SetAssociativeCache:
     def to_spec(self):
         """A :class:`~repro.cache.spec.CacheSpec` rebuilding this cache.
 
-        Caches built from a spec (or through ``build_cache``) return it
-        verbatim; directly constructed caches recover the policy name from
+        Caches built from a spec return it verbatim; directly constructed caches recover the policy name from
         the first set's policy instance (constructor keyword arguments of
         custom factories are not recoverable).
         """

@@ -26,8 +26,7 @@ from .replacement.dip import dip_factory
 from .replacement.rrip import DuelingController, drrip_factory
 
 __all__ = ["named_policy_factory", "POLICY_NAMES", "BACKENDS",
-           "SEEDED_POLICIES", "cache_geometry", "resolve_backend",
-           "build_cache"]
+           "SEEDED_POLICIES", "cache_geometry", "resolve_backend"]
 
 #: Policy names accepted by the spec layer.  :func:`named_policy_factory`
 #: covers the online ones; ``Belady`` is offline (it replays one attached
@@ -35,7 +34,7 @@ __all__ = ["named_policy_factory", "POLICY_NAMES", "BACKENDS",
 POLICY_NAMES = ("LRU", "LIP", "BIP", "Random", "SRRIP", "BRRIP", "DRRIP",
                 "DIP", "PDP", "TA-DRRIP", "Belady")
 
-#: Cache backends accepted by :func:`build_cache`.  "object" is the
+#: Cache backends accepted by the spec layer.  "object" is the
 #: reference per-set policy-object model; "array" is the numpy state
 #: replayed by the native kernel (:mod:`repro.cache.arraycache`).  The two
 #: are bit-identical for every online policy, and Belady's miss counts
@@ -139,38 +138,3 @@ def resolve_backend(backend: str, policy: str) -> str:
     elif backend == "auto":
         return "array" if native_available() else "object"
     return backend
-
-
-def build_cache(capacity_lines: int, ways: int = 16, policy: str = "LRU",
-                backend: str = "object", seed: int | None = None,
-                hashed_index: bool = False, index_seed: int = 0,
-                **policy_kwargs):
-    """Build a simulatable cache of ``capacity_lines`` for ``policy``.
-
-    Legacy shim over the declarative spec API: the arguments are packed
-    into a :class:`repro.cache.spec.CacheSpec` and built through it, so
-    this signature and ``build(CacheSpec(...))`` are interchangeable.
-
-    Returns either a :class:`~repro.cache.cache.SetAssociativeCache` (object
-    backend) or an :class:`~repro.cache.arraycache.ArraySetAssociativeCache`
-    (array backend); both expose ``access``/``run``/``stats`` and replay
-    alike.
-
-    Parameters
-    ----------
-    backend:
-        One of :data:`BACKENDS`.
-    seed:
-        Deterministic seed for policies with randomized behaviour; ignored
-        (and therefore reproducible by construction) for deterministic
-        policies.  ``None`` means seed 0 on both backends.
-    hashed_index, index_seed:
-        Set-index scheme, honoured identically by both backends: modulo
-        indexing by default, or the :func:`repro.cache.hashing.set_index`
-        hash when ``hashed_index`` is true.
-    """
-    from .spec import CacheSpec
-    return CacheSpec(capacity_lines=capacity_lines, ways=ways, policy=policy,
-                     backend=backend, seed=seed, hashed_index=hashed_index,
-                     index_seed=index_seed,
-                     policy_kwargs=tuple(sorted(policy_kwargs.items()))).build()

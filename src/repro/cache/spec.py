@@ -1,11 +1,11 @@
 """Declarative construction specs for every cache organization.
 
-The construction APIs grew organically: ``build_cache(policy, backend=...)``
-for plain caches, ``make_partitioned_cache(scheme, ...)`` plus per-scheme
+The construction APIs grew organically: per-class constructors for plain
+caches, ``make_partitioned_cache(scheme, ...)`` plus per-scheme
 constructors for partitioned caches, and ``TalusCache(base, num_logical)``
 for the Talus wrapper — each with its own ad-hoc argument bundle.  This
-module replaces them with three frozen-dataclass *specs* and one entry
-point:
+module describes them all with three frozen-dataclass *specs* and one
+entry point:
 
 * :class:`CacheSpec` — geometry + policy + indexing + backend of a plain
   set-associative cache;
@@ -28,13 +28,13 @@ organization as currently configured, and ``build(spec).to_spec()`` is a
 fixed point.
 
 Because specs are frozen dataclasses of plain values they are hashable,
-comparable and picklable — a sweep over Talus configurations can ship its
-specs to process-pool workers, which the old closure-based builders could
-not.
+comparable and picklable: every sweep point is a spec
+(:class:`~repro.sim.sweep.SweepConfig`), so it can ship to process-pool
+workers, drive a sampled estimate, and bank under its content key.
 
-The legacy signatures keep working as shims: ``build_cache(...)`` builds a
-:class:`CacheSpec` internally, and ``make_partitioned_cache`` remains the
-object-backend factory that :meth:`PartitionSpec.build` itself uses.
+The class constructors stay public, and ``make_partitioned_cache``
+remains the object-backend factory that :meth:`PartitionSpec.build`
+itself uses.
 """
 
 from __future__ import annotations

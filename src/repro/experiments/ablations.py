@@ -60,7 +60,7 @@ def run_safety_margin_ablation(benchmark: str = "omnetpp",
         configs.extend(talus_sweep_configs(
             [target_mb], scheme="ideal", planning_curve=lru,
             safety_margin=margin, label=("margin", margin)))
-    sweep = run_sweep(profile.trace(n_accesses=n), configs, backend="object")
+    sweep = run_sweep(profile.trace(n_accesses=n), configs)
     simulated = [sweep.mpki((("margin", margin), float(target_mb)))
                  for margin in margins]
     predicted = [float(talus_miss_curve(lru, sizes=np.array([target_mb]),
@@ -144,7 +144,7 @@ def run_unmanaged_fraction_ablation(benchmark: str = "omnetpp",
             [target_mb], scheme=scheme, planning_curve=lru,
             safety_margin=0.05, scheme_kwargs=scheme_kwargs,
             label=("unmanaged", fraction)))
-    sweep = run_sweep(profile.trace(n_accesses=n), configs, backend="object")
+    sweep = run_sweep(profile.trace(n_accesses=n), configs)
     simulated = [sweep.mpki((("unmanaged", fraction), float(target_mb)))
                  for fraction in fractions]
     x = tuple(float(f) for f in fractions)

@@ -69,8 +69,7 @@ def run_fig3(target_mb: float = 4.0, apki: float = 24.0,
     from ..sim.engine import talus_sweep_configs
     from ..sim.sweep import run_sweep
     sweep = run_sweep(trace, talus_sweep_configs(
-        [target_mb], scheme="ideal", planning_curve=lru, safety_margin=0.0),
-        backend="object")
+        [target_mb], scheme="ideal", planning_curve=lru, safety_margin=0.0))
     simulated_mpki = sweep.mpki(("talus", float(target_mb)))
 
     sizes = tuple(float(s) for s in lru.sizes)

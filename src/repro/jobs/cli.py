@@ -111,8 +111,7 @@ def _submit_payloads(args, trace) -> list:
     from ..sim.sweep import SweepSpec
     spec = SweepSpec(policies=policies, sizes_mb=sizes, ways=args.ways,
                      base_seed=args.seed, backend=args.backend)
-    return [SweepJob(trace=trace, configs=tuple(group),
-                     backend=spec.backend)
+    return [SweepJob(trace=trace, configs=tuple(group))
             for group in _split(spec.expand(), args.workers)]
 
 

@@ -65,7 +65,7 @@ def _split(items, shards: int) -> list[list]:
     return [g for g in groups if g]
 
 
-def run_sweep_supervised(trace, spec, *, backend: str = "auto",
+def run_sweep_supervised(trace, spec, *, backend: str | None = None,
                          max_workers: int | None = None,
                          bank: ResultBank | str | None = None,
                          queue: JobQueue | None = None,
@@ -73,30 +73,26 @@ def run_sweep_supervised(trace, spec, *, backend: str = "auto",
                          faults=None):
     """Supervised :func:`~repro.sim.sweep.run_sweep`.
 
-    Configs are sharded round-robin across ``max_workers`` jobs; inside
-    each job the worker banks every completed config, so a crash costs
-    at most one config and a resubmission resumes from the bank.
-    Returns the usual :class:`~repro.sim.sweep.SweepResult`.
+    Configs are sharded round-robin across ``max_workers`` jobs (a
+    :class:`~repro.sim.sweep.SweepSpec`'s own ``max_workers`` by
+    default, else 2); inside each job the worker banks every completed
+    config, so a crash costs at most one config and a resubmission
+    resumes from the bank.  ``backend`` overrides a ``SweepSpec``'s, as
+    in :func:`~repro.sim.sweep.sweep_configs`.  Returns the usual
+    :class:`~repro.sim.sweep.SweepResult`.
     """
-    from ..sim.sweep import SweepResult, SweepSpec
-    if isinstance(spec, SweepSpec):
-        configs = list(spec.expand())
-        if backend == "auto":
-            backend = spec.backend
-        if max_workers is None:
-            max_workers = spec.max_workers
-    else:
-        configs = list(spec)
+    from ..sim.sweep import SweepResult, sweep_configs
+    configs = sweep_configs(spec, backend)
     source = as_trace_source(trace)
-    workers = max_workers if max_workers is not None else 2
+    workers = (max_workers if max_workers is not None
+               else getattr(spec, "max_workers", 2))
     with _queue(queue, bank, max_workers=workers,
                 job_timeout=job_timeout) as queue:
         jobs = []
         for shard_index, shard in enumerate(_split(configs, workers)):
             fault = None if faults is None else faults.get(shard_index)
             jobs.append(queue.submit(SweepJob(
-                trace=source, configs=tuple(shard), backend=backend,
-                fault=fault)))
+                trace=source, configs=tuple(shard), fault=fault)))
         merged: dict = {}
         instructions = 0
         for job in jobs:

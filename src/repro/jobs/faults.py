@@ -4,7 +4,7 @@ Every recovery path of the runtime — SIGKILLed workers, watchdog-killed
 hangs, native-kernel crashes degraded to ``REPRO_NATIVE=0`` — must be
 *provable*, which means faults have to fire at exact, repeatable points.
 A :class:`FaultPlan` rides along on a job payload (excluded from the
-canonical job key and from equality, like a sweep config's ``builder``)
+canonical job key and from equality, like an inline trace's addresses)
 and the payload calls :meth:`FaultPlan.maybe_fire` at its unit
 boundaries; the plan decides, purely from ``(stage, unit index, attempt,
 degraded)``, whether to die, hang, or raise right there.

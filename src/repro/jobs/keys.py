@@ -38,6 +38,10 @@ _CODE_VERSION: str | None = None
 
 def _normalize(obj):
     """Recursively normalize a payload description for canonical JSON."""
+    # Plain leaves first: they are most of every description, and
+    # is_dataclass() is the costlier test.
+    if obj is None or isinstance(obj, (str, bool, int, float)):
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {"__type__": type(obj).__name__,
                 **{f.name: _normalize(getattr(obj, f.name))
@@ -49,10 +53,6 @@ def _normalize(obj):
         return [_normalize(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted(_normalize(v) for v in obj)
-    if isinstance(obj, (str, bool)) or obj is None:
-        return obj
-    if isinstance(obj, (int, float)):
-        return obj
     # numpy scalars (and anything else with .item()) reduce to Python
     # numbers so array-derived and literal parameters hash identically.
     item = getattr(obj, "item", None)

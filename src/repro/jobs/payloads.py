@@ -208,56 +208,44 @@ def _key_from_json(key):
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class SweepJob:
-    """Replay a batch of sweep configs against one trace.
+    """Replay a batch of sweep points against one trace.
 
-    Executes config by config (the per-config seeds are stable functions
-    of the point itself, so any grouping is bit-identical to a serial
-    :func:`~repro.sim.sweep.run_sweep`), banking each config's stats
-    under its own content key as it completes.  A retried or resubmitted
-    job therefore *resumes*: banked configs are loaded, not re-run.
+    Executes point by point (each point's spec carries its backend and
+    seed, so any grouping is bit-identical to a serial
+    :func:`~repro.sim.sweep.run_sweep`), banking each point's stats
+    under the content key of its spec as it completes.  A retried or
+    resubmitted job therefore *resumes*: banked points are loaded, not
+    re-run, and equal specs share one entry whatever their sweep key.
     """
 
     trace: TraceRef | InlineTrace
     configs: tuple
-    backend: str = "auto"
     fault: FaultPlan | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "configs", tuple(self.configs))
-        for config in self.configs:
-            if getattr(config, "builder", None) is not None:
-                raise ValueError(
-                    "builder-based sweep configs cannot run supervised: "
-                    "their closures are not picklable/keyable; describe "
-                    "the point with spec= or (policy, size) instead")
 
     @classmethod
-    def from_spec(cls, trace, spec, backend: str | None = None,
+    def from_spec(cls, trace, spec,
                   fault: FaultPlan | None = None) -> "SweepJob":
         """A job for a whole :class:`~repro.sim.sweep.SweepSpec` (or an
         explicit config sequence)."""
-        from ..sim.sweep import SweepSpec
-        if isinstance(spec, SweepSpec):
-            configs = spec.expand()
-            backend = backend if backend is not None else spec.backend
-        else:
-            configs = tuple(spec)
-            backend = backend if backend is not None else "auto"
-        return cls(trace=as_trace_source(trace), configs=configs,
-                   backend=backend, fault=fault)
+        from ..sim.sweep import sweep_configs
+        return cls(trace=as_trace_source(trace), configs=sweep_configs(spec),
+                   fault=fault)
 
     def unit_key(self, config) -> str:
-        """Bank key of one config's stats on this trace."""
-        return job_key({"unit": "sweep-config", "trace": self.trace,
-                        "config": config, "backend": self.backend})
+        """Bank key of one point's stats on this trace."""
+        return job_key({"unit": "sweep-point", "trace": self.trace,
+                        "spec": config.spec})
 
     def execute(self, ctx: JobContext) -> dict:
         from ..sim.sweep import run_sweep
         trace = self.trace.materialize()
 
         def replay(config) -> dict:
-            result = run_sweep(trace, (config,), backend=self.backend,
-                               max_workers=1, parallel="processes")
+            result = run_sweep(trace, (config,), max_workers=1,
+                               parallel="processes")
             return stats_to_payload(result[config.key])
 
         stats, banked_units = ctx.banked_units(self.configs, self.unit_key,

@@ -131,11 +131,11 @@ class MultiPointMonitor:
                 chosen = np.argsort(keys, kind="stable")[:m]
                 lut = np.full(mod_sets, -1, dtype=np.int64)
                 lut[chosen] = np.arange(m, dtype=np.int64)
-            cache = self._build_cache(m, mod_ways, policy_factory, i)
+            cache = self._point_cache(m, mod_ways, policy_factory, i)
             self._points.append({"size": size, "rate": rate, "cache": cache,
                                  "lut": lut, "mod_sets": mod_sets, "m": m})
 
-    def _build_cache(self, num_sets: int, ways: int,
+    def _point_cache(self, num_sets: int, ways: int,
                      policy_factory, point_index: int):
         if policy_factory is not None:
             return SetAssociativeCache(num_sets, ways, policy_factory)

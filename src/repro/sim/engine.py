@@ -22,10 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..cache.partition import make_partitioned_cache
-from ..cache.replacement.base import PolicyFactory
 from ..cache.spec import PartitionSpec, TalusSpec
-from ..cache.talus_cache import TalusCache
 from ..core.misscurve import MissCurve
 from ..core.talus import plan_shadow_partitions
 from ..monitor.multipoint import MultiPointMonitor
@@ -127,7 +124,6 @@ def talus_simulated_mpki_curve(profile: AppProfile,
                                n_accesses: int | None = None,
                                seed: int = 0,
                                ways: int = DEFAULT_WAYS,
-                               policy_factory: PolicyFactory | None = None,
                                scheme_kwargs: dict | None = None,
                                backend: str = "auto",
                                ) -> MissCurve:
@@ -170,7 +166,6 @@ def talus_simulated_mpki_curve(profile: AppProfile,
     configs = talus_sweep_configs(sizes_mb, scheme=scheme, policy=policy,
                                   planning_curve=planning_curve,
                                   safety_margin=safety_margin, ways=ways,
-                                  policy_factory=policy_factory,
                                   scheme_kwargs=scheme_kwargs,
                                   backend=backend)
     result = run_sweep(trace, configs)
@@ -215,62 +210,31 @@ def talus_sweep_configs(sizes_mb: Sequence[float],
                         planning_curve: MissCurve | None = None,
                         safety_margin: float = 0.05,
                         ways: int = DEFAULT_WAYS,
-                        policy_factory: PolicyFactory | None = None,
                         scheme_kwargs: dict | None = None,
                         label: object = "talus",
                         backend: str = "auto") -> list[SweepConfig]:
     """Sweep configs for planned Talus caches, one per target size.
 
-    Each config's key is ``(label, size_mb)``, so several scheme/policy/
-    margin variants can be concatenated into a single
-    :func:`repro.sim.sweep.run_sweep` pass (the Fig. 8 harness and the
-    ablations do exactly that).  Duplicate sizes are deduplicated; sizes
-    that map to zero lines become builder-less zero-capacity configs, which
-    the sweep engine reports as all-miss — the trace's full miss rate, as
-    the seed per-size loop did.
-
-    Configs are declarative :func:`plan_talus_spec` specs (picklable, and
-    batched through the partition-aware fast path wherever ``backend``
-    resolves to the array model).  A custom ``policy_factory`` cannot be
-    expressed declaratively, so it falls back to the legacy object-model
-    builder closure.
+    Each config is ``(key, spec)``: the key is ``(label, size_mb)``, so
+    several scheme/policy/margin variants can be concatenated into a
+    single :func:`repro.sim.sweep.run_sweep` pass (the Fig. 8 harness and
+    the ablations do exactly that), and the spec is the declarative
+    :func:`plan_talus_spec` :class:`~repro.cache.spec.TalusSpec` on
+    ``backend``.  Duplicate sizes are deduplicated; sizes that map to
+    zero lines become ``spec=None`` points, which the sweep engine
+    reports as all-miss — the trace's full miss rate, as the seed
+    per-size loop did.
     """
     if planning_curve is None:
         raise ValueError("planning_curve is required")
-    sizes_mb = sorted(set(float(s) for s in sizes_mb))
-
-    def talus_builder(size_mb: float):
-        def build():
-            lines = paper_mb_to_lines(size_mb)
-            base = make_partitioned_cache(scheme, lines, 2,
-                                          policy_factory=policy_factory,
-                                          ways=ways,
-                                          **(scheme_kwargs or {}))
-            talus = TalusCache(base, num_logical=1)
-            # Plan in MB on the planning curve, then convert the shadow
-            # sizes to lines for the hardware.
-            partitionable_mb = base.partitionable_lines / paper_mb_to_lines(1.0)
-            config = plan_shadow_partitions(planning_curve,
-                                            min(size_mb, partitionable_mb)
-                                            if partitionable_mb > 0 else size_mb,
-                                            safety_margin=safety_margin)
-            talus.configure(0, config_mb_to_lines(config))
-            return talus
-        return build
-
     configs = []
-    for size_mb in sizes_mb:
-        if paper_mb_to_lines(size_mb) <= 0:
-            configs.append(SweepConfig(key=(label, size_mb), size_mb=size_mb))
-        elif policy_factory is not None:
-            configs.append(SweepConfig(key=(label, size_mb), size_mb=size_mb,
-                                       builder=talus_builder(size_mb)))
-        else:
+    for size_mb in sorted(set(float(s) for s in sizes_mb)):
+        spec = None
+        if paper_mb_to_lines(size_mb) > 0:
             spec = plan_talus_spec(size_mb, planning_curve, scheme=scheme,
                                    policy=policy,
                                    safety_margin=safety_margin, ways=ways,
                                    backend=backend,
                                    scheme_kwargs=scheme_kwargs)
-            configs.append(SweepConfig(key=(label, size_mb), size_mb=size_mb,
-                                       spec=spec))
+        configs.append(SweepConfig((label, size_mb), spec))
     return configs

@@ -3,8 +3,12 @@
 Every figure of the paper is a *sweep* — a miss/MPKI curve over many cache
 sizes, policies, or schemes.  The seed implementation replayed the full
 trace once per point through the object-model cache; this module separates
-the *what* (a :class:`SweepSpec` describing all the points) from the *how*
-(interchangeable simulation backends):
+the *what* from the *how*.  Every point is a :class:`SweepConfig`: a
+result key plus the declarative spec of its cache (a
+:class:`~repro.cache.spec.CacheSpec` or a
+:class:`~repro.cache.spec.TalusSpec`, or ``None`` for a zero-capacity
+point).  A :class:`SweepSpec` expands a size × policy grid into such
+points.  Each spec's ``backend`` field picks its simulation core:
 
 * ``object`` — the reference per-set policy-object model.  All configs of
   the sweep advance together in a single streaming pass over the trace
@@ -37,9 +41,10 @@ by ``parallel=``:
 * ``"auto"`` (default) — threads when the native kernel is available,
   the process pool otherwise (``REPRO_NATIVE=0``).
 
-Results are independent of the execution strategy: every config derives a
-deterministic seed from ``(base_seed, config index)``, so serial, batched,
-threaded and pooled runs all agree bit for bit.
+Results are independent of the execution strategy: every point of a
+seeded :class:`SweepSpec` derives its seed from ``(base_seed, policy,
+size)``, so serial, batched, threaded, pooled and supervised runs all
+agree bit for bit.
 
 Example
 -------
@@ -51,23 +56,24 @@ Example
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from dataclasses import dataclass, replace
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from ..cache._native import resolve_threads
 from ..cache.cache import CacheStats
-from ..cache.factory import BACKENDS, build_cache, resolve_backend
+from ..cache.factory import BACKENDS, SEEDED_POLICIES
 from ..cache.hashing import derive_seed
+from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec
 from ..cache.threadbatch import PARALLEL_MODES, resolve_parallel, run_tasks
 from ..core.misscurve import MissCurve
 from ..workloads.access import Trace
 from ..workloads.scale import paper_mb_to_lines
 from ..workloads.tracestore import TraceHandle, TraceStore
 
-__all__ = ["SweepConfig", "SweepSpec", "SweepResult", "run_sweep",
-           "run_matrix_sweep", "matrix_cells", "MATRIX_SCHEMES",
+__all__ = ["SweepConfig", "SweepSpec", "SweepResult", "sweep_configs",
+           "run_sweep", "run_matrix_sweep", "matrix_cells", "MATRIX_SCHEMES",
            "DEFAULT_WAYS"]
 
 #: Default associativity of simulated caches (scaled stand-in for the
@@ -90,69 +96,40 @@ def _derive_seed(base_seed: int, policy: str, size_mb: float) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One point of a sweep.
+    """One point of a sweep: a result key plus the spec of its cache.
 
-    Standard points are ``(policy, size_mb)`` pairs simulated through
-    :func:`repro.cache.factory.build_cache`.  Richer organizations ride
-    the same engine two ways:
-
-    * ``spec`` — a declarative :mod:`repro.cache.spec` spec
-      (:class:`~repro.cache.spec.TalusSpec` or an explicit
-      :class:`~repro.cache.spec.CacheSpec`; the built cache must accept
-      single-address accesses).  Specs are picklable, so these configs
-      can fan out over a process pool, and caches whose backend supports
-      batched replay run one native-kernel pass instead of joining the
-      per-access streaming loop.
-    * ``builder`` — a zero-argument callable returning any object with an
-      ``access(address) -> bool`` method (the legacy escape hatch, e.g.
-      for custom policy factories).  Builder configs always run
-      in-process.
+    ``spec`` is a :class:`~repro.cache.spec.CacheSpec` or a
+    :class:`~repro.cache.spec.TalusSpec`, each carrying its own backend,
+    or ``None`` for a zero-capacity point, which every path reports as
+    all-miss.  Specs are frozen dataclasses of plain values, so every
+    point can fan out over a process pool, be sampled, or bank under
+    its content key in a supervised job, and equal specs describe equal
+    points.  A :class:`~repro.cache.spec.PartitionSpec` is rejected: it
+    needs per-access partition ids that a sweep does not have.
     """
 
     key: Hashable
-    size_mb: float
-    policy: str = "LRU"
-    ways: int = DEFAULT_WAYS
-    seed: int | None = None
-    policy_kwargs: tuple = ()
-    builder: Callable[[], object] | None = field(
-        default=None, compare=False)
-    spec: object | None = None
+    spec: CacheSpec | TalusSpec | None
 
-    @property
-    def capacity_lines(self) -> int:
-        """Simulated capacity in lines."""
-        return paper_mb_to_lines(self.size_mb)
+    def __post_init__(self):
+        if self.spec is not None and not isinstance(
+                self.spec, (CacheSpec, TalusSpec)):
+            raise TypeError(
+                f"a sweep point's spec must be a CacheSpec, a TalusSpec or "
+                f"None, got {type(self.spec).__name__} (a PartitionSpec "
+                f"needs per-access partition ids; see run_matrix_sweep)")
 
-    def build(self, backend: str, trace=None):
-        """Instantiate the cache for this config on ``backend``.
+    def build(self, trace=None):
+        """Instantiate this point's cache.
 
-        ``spec`` and ``builder`` configs carry their own backend choice;
-        ``backend`` applies to the standard (policy, size) points.
-        ``trace`` is attached to offline (Belady) configs whose spec does
-        not already carry one — MIN replays exactly the sweep's trace.
+        ``trace`` is attached to an offline (Belady) spec that does not
+        already carry one — MIN replays exactly the sweep's trace.
         """
-        if self.spec is not None:
-            from ..cache.spec import build as build_spec
-            spec = self.spec
-            if (trace is not None and getattr(spec, "policy", None) == "Belady"
-                    and getattr(spec, "trace", None) is None):
-                spec = spec.with_trace(trace)
-            return build_spec(spec)
-        if self.builder is not None:
-            return self.builder()
-        if self.policy == "Belady":
-            from ..cache.spec import CacheSpec
-            spec = CacheSpec(capacity_lines=self.capacity_lines,
-                             ways=self.ways, policy="Belady",
-                             backend=backend,
-                             policy_kwargs=self.policy_kwargs)
-            if trace is not None:
-                spec = spec.with_trace(trace)
-            return spec.build()  # no trace -> the spec's clear error
-        return build_cache(self.capacity_lines, ways=self.ways,
-                           policy=self.policy, backend=backend,
-                           seed=self.seed, **dict(self.policy_kwargs))
+        spec = self.spec
+        if (trace is not None and isinstance(spec, CacheSpec)
+                and spec.policy == "Belady" and spec.trace is None):
+            spec = spec.with_trace(trace)
+        return spec.build()
 
 
 @dataclass(frozen=True)
@@ -208,16 +185,49 @@ class SweepSpec:
         object.__setattr__(self, "policies", tuple(self.policies))
 
     def expand(self) -> tuple[SweepConfig, ...]:
-        """All sweep points, with deterministic per-config seeds."""
+        """All sweep points, keyed ``(policy, size_mb)``.
+
+        Each point is a :class:`~repro.cache.spec.CacheSpec` carrying the
+        sweep's ``ways``, its backend unresolved (a worker resolves
+        "auto" where it runs) and the point's derived seed; a size that
+        maps to zero lines is a ``spec=None`` all-miss point.
+        """
         configs = []
         for policy in self.policies:
             for size_mb in self.sizes_mb:
+                lines = paper_mb_to_lines(size_mb)
                 seed = (None if self.base_seed is None
                         else _derive_seed(self.base_seed, policy, size_mb))
-                configs.append(SweepConfig(
-                    key=(policy, size_mb), size_mb=size_mb, policy=policy,
-                    ways=self.ways, seed=seed))
+                spec = None if lines <= 0 else CacheSpec(
+                    capacity_lines=lines, ways=self.ways, policy=policy,
+                    backend=self.backend, seed=seed)
+                configs.append(SweepConfig((policy, size_mb), spec))
         return tuple(configs)
+
+
+def sweep_configs(spec: SweepSpec | Sequence[SweepConfig],
+                  backend: str | None = None) -> tuple[SweepConfig, ...]:
+    """The points of a sweep, with unique keys.
+
+    A :class:`SweepSpec` expands with ``backend`` (when given) in place
+    of its own.  A config sequence is taken as is: each point's spec
+    carries its own backend, so a ``backend`` there raises
+    :class:`ValueError` instead of being ignored.
+    """
+    if isinstance(spec, SweepSpec):
+        if backend is not None:
+            spec = replace(spec, backend=backend)
+        configs = spec.expand()
+    elif backend is not None:
+        raise ValueError(
+            "backend= overrides a SweepSpec only; each SweepConfig's spec "
+            "carries its own backend")
+    else:
+        configs = tuple(spec)
+    keys = [config.key for config in configs]
+    if len(set(keys)) != len(keys):
+        raise ValueError("sweep config keys must be unique")
+    return configs
 
 
 class SweepResult:
@@ -292,7 +302,6 @@ def _stream_object_pass(addrs: np.ndarray, caches: Sequence[object]) -> None:
 
 def _simulate_chunk(addrs: np.ndarray | TraceHandle,
                     configs: Sequence[SweepConfig],
-                    backend: str,
                     threads: int = 1) -> list[tuple[Hashable, CacheStats]]:
     """Simulate a group of configs over one trace pass (worker entry point).
 
@@ -309,16 +318,10 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
     object_caches, object_keys = [], []
     tasks, task_caches, task_keys = [], [], []
     for config in configs:
-        custom = config.spec is not None or config.builder is not None
-        if not custom and config.capacity_lines <= 0:
+        if config.spec is None:
             out.append((config.key, _all_miss_stats(int(addrs.size))))
             continue
-        # Standard points on the reference model (asked for, or "auto"
-        # without the kernel) are object caches; spec and builder configs
-        # carry their own backend.
-        cache = config.build(backend if custom
-                             else resolve_backend(backend, config.policy),
-                             addrs)
+        cache = config.build(addrs)
         if getattr(cache, "supports_batch_replay", False):
             tasks.append(cache.replay_task(addrs))
             task_caches.append(cache)
@@ -337,10 +340,9 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
     return out
 
 
-def _run_sweep_sampled(trace, configs, sampling, *, backend: str,
-                       max_workers: int, parallel: str,
-                       threads: int | None, trace_store, supervise: bool,
-                       bank) -> SweepResult:
+def _run_sweep_sampled(trace, configs, sampling, *, max_workers: int,
+                       parallel: str, threads: int | None, trace_store,
+                       supervise: bool, bank) -> SweepResult:
     """The ``sampling=`` execution path of :func:`run_sweep`.
 
     Each config's MPKI comes from a sampled estimate
@@ -349,7 +351,6 @@ def _run_sweep_sampled(trace, configs, sampling, *, backend: str,
     The trace may be a :class:`~repro.workloads.scale.ChunkedTrace` —
     it is never materialized.
     """
-    from ..cache.spec import CacheSpec
     from ..sampling.driver import _as_view, run_sampled
     view = _as_view(trace)
     n = view.n_accesses
@@ -357,26 +358,13 @@ def _run_sweep_sampled(trace, configs, sampling, *, backend: str,
     stats: dict[Hashable, CacheStats] = {}
     sampled: dict[Hashable, object] = {}
     for config in configs:
-        if config.builder is not None:
-            raise ValueError(
-                "builder-based sweep configs cannot run sampled: the "
-                "sampling driver builds per-window caches from a "
-                "picklable spec; describe the point with spec= or "
-                "(policy, size) instead")
-        if config.spec is not None:
-            cache_spec = config.spec
-        elif config.capacity_lines <= 0:
+        if config.spec is None:
             stats[config.key] = _all_miss_stats(n)
             stats[config.key].instructions = instructions
             sampled[config.key] = None
             continue
-        else:
-            cache_spec = CacheSpec(
-                capacity_lines=config.capacity_lines, ways=config.ways,
-                policy=config.policy, backend=backend, seed=config.seed,
-                policy_kwargs=config.policy_kwargs)
         result = run_sampled(
-            trace, cache_spec, sampling, parallel=parallel,
+            trace, config.spec, sampling, parallel=parallel,
             threads=threads, max_workers=max_workers,
             trace_store=trace_store, supervise=supervise, bank=bank)
         sampled[config.key] = result
@@ -448,8 +436,6 @@ def _matrix_stats(cache) -> CacheStats:
 def _build_matrix_cell(cell: tuple[str, str, float], *, num_partitions: int,
                        ways: int, backend: str, seed: int | None, addrs):
     """Instantiate the cache for one matrix cell."""
-    from ..cache.factory import SEEDED_POLICIES
-    from ..cache.spec import CacheSpec, PartitionSpec
     policy, scheme, size_mb = cell
     capacity = paper_mb_to_lines(size_mb)
     cell_seed = (None if seed is None or policy not in SEEDED_POLICIES
@@ -565,28 +551,28 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     """Simulate every config of ``spec`` against ``trace``.
 
     The trace is materialized once; all configs consume the same address
-    array.  With the object backend the configs advance together in a
-    single streaming pass; with the array backend each config is replayed
-    by the native kernel.  ``backend``/``max_workers``/``parallel``
-    override the spec.
+    array.  Each point builds from its own spec: object-model caches
+    advance together in a single streaming pass and array caches replay
+    in the native kernel.  ``max_workers``/``parallel`` override the
+    spec's; ``backend`` overrides a :class:`SweepSpec`'s backend and
+    raises :class:`ValueError` with a config sequence, whose specs carry
+    their own (see :func:`sweep_configs`).
 
     ``parallel`` picks the fan-out strategy (module docstring): "threads"
     executes all batch-capable configs in one threaded native dispatch
     (width from ``threads=``, else ``REPRO_THREADS``, else
     ``max_workers``/the CPUs this process may run on); "processes"
-    distributes standard and spec-based configs over a process pool when
-    ``max_workers > 1``, sharing the trace through ``trace_store`` (a
-    temporary store when not given).  Builder configs always run serially
-    in-process because their closures may not be picklable.  Results are
-    bit-identical regardless of the execution strategy.
+    distributes the configs over a process pool when ``max_workers > 1``,
+    sharing the trace through ``trace_store`` (a temporary store when not
+    given).  Results are bit-identical regardless of the execution
+    strategy.
 
     ``supervise=True`` (default off, preserving the in-process fast
     path) routes the sweep through the fault-tolerant job runtime
     (:mod:`repro.jobs`): supervised worker processes with heartbeat
-    watchdogs and bounded retry, per-config results banked in ``bank``
-    so interrupted sweeps resume.  Builder configs are rejected there
-    (their closures are neither picklable nor content-addressable);
-    results are bit-identical to the in-process path.
+    watchdogs and bounded retry, per-point results banked in ``bank``
+    under their spec's content key so interrupted sweeps resume; results
+    are bit-identical to the in-process path.
 
     ``sampling=`` (a :class:`~repro.sampling.driver.SamplingSpec`)
     switches every config to a *sampled* estimate: detailed windows out
@@ -596,32 +582,22 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     ``.sampled`` dict.  The trace may then be a
     :class:`~repro.workloads.scale.ChunkedTrace` of 10^8+ accesses — it
     is never materialized.  ``supervise``/``bank`` compose with it
-    (per-window banking); builder configs are rejected.
+    (per-window banking).
     """
-    if sampling is not None:
-        if isinstance(spec, SweepSpec):
-            configs = spec.expand()
-            backend = backend if backend is not None else spec.backend
-            max_workers = (max_workers if max_workers is not None
-                           else spec.max_workers)
-            parallel = parallel if parallel is not None else spec.parallel
-        else:
-            configs = tuple(spec)
-            backend = backend if backend is not None else "auto"
-            max_workers = max_workers if max_workers is not None else 1
-            parallel = parallel if parallel is not None else "auto"
-        keys = [config.key for config in configs]
-        if len(set(keys)) != len(keys):
-            raise ValueError("sweep config keys must be unique")
-        return _run_sweep_sampled(
-            trace, configs, sampling, backend=backend,
-            max_workers=max_workers, parallel=parallel, threads=threads,
-            trace_store=trace_store, supervise=supervise, bank=bank)
-    if supervise:
+    if supervise and sampling is None:
         from ..jobs.drivers import run_sweep_supervised
-        return run_sweep_supervised(
-            trace, spec, backend=backend if backend is not None else "auto",
-            max_workers=max_workers, bank=bank)
+        return run_sweep_supervised(trace, spec, backend=backend,
+                                    max_workers=max_workers, bank=bank)
+    configs = sweep_configs(spec, backend)
+    if max_workers is None:
+        max_workers = getattr(spec, "max_workers", 1)
+    if parallel is None:
+        parallel = getattr(spec, "parallel", "auto")
+    if sampling is not None:
+        return _run_sweep_sampled(
+            trace, configs, sampling, max_workers=max_workers,
+            parallel=parallel, threads=threads, trace_store=trace_store,
+            supervise=supervise, bank=bank)
     if isinstance(trace, Trace):
         addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
         instructions = trace.instructions
@@ -631,56 +607,30 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     if addrs.ndim != 1:
         raise ValueError("trace must be one-dimensional")
 
-    if isinstance(spec, SweepSpec):
-        configs = spec.expand()
-        backend = backend if backend is not None else spec.backend
-        max_workers = (max_workers if max_workers is not None
-                       else spec.max_workers)
-        parallel = parallel if parallel is not None else spec.parallel
-    else:
-        configs = tuple(spec)
-        backend = backend if backend is not None else "auto"
-        max_workers = max_workers if max_workers is not None else 1
-        parallel = parallel if parallel is not None else "auto"
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    mode = resolve_parallel(parallel)
-    keys = [config.key for config in configs]
-    if len(set(keys)) != len(keys):
-        raise ValueError("sweep config keys must be unique")
-
     stats: dict[Hashable, CacheStats] = {}
-    if mode == "threads":
+    if resolve_parallel(parallel) == "threads":
         width = resolve_threads(
             threads if threads is not None
             else (max_workers if max_workers > 1 else None))
-        stats.update(_simulate_chunk(addrs, configs, backend,
-                                     threads=width))
+        stats.update(_simulate_chunk(addrs, configs, threads=width))
+    elif max_workers > 1 and len(configs) > 1:
+        workers = min(max_workers, len(configs))
+        store = trace_store if trace_store is not None else TraceStore()
+        try:
+            # Workers attach the store's one materialized copy of the
+            # trace instead of unpickling a private copy each.
+            handle = store.put(addrs)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_simulate_chunk, handle,
+                                       configs[i::workers])
+                           for i in range(workers)]
+                for future in futures:
+                    stats.update(future.result())
+        finally:
+            if trace_store is None:
+                store.close()
     else:
-        local = [c for c in configs if c.builder is not None]
-        poolable = [c for c in configs if c.builder is None]
-        if max_workers > 1 and len(poolable) > 1:
-            workers = min(max_workers, len(poolable))
-            chunks = [poolable[i::workers] for i in range(workers)]
-            store = trace_store if trace_store is not None else TraceStore()
-            try:
-                # Workers attach the store's one materialized copy of the
-                # trace instead of unpickling a private copy each.
-                handle = store.put(addrs)
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [pool.submit(_simulate_chunk, handle, chunk,
-                                           backend)
-                               for chunk in chunks if chunk]
-                    for future in futures:
-                        stats.update(future.result())
-            finally:
-                if trace_store is None:
-                    store.close()
-        else:
-            local = list(configs)
-
-        if local:
-            stats.update(_simulate_chunk(addrs, local, backend))
+        stats.update(_simulate_chunk(addrs, configs))
 
     for config_stats in stats.values():
         if instructions and not config_stats.instructions:

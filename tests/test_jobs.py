@@ -167,13 +167,22 @@ class TestJobQueue:
         queue.close()
         assert job.state == JobState.CANCELLED
 
-    def test_builder_configs_are_rejected(self):
-        from repro.sim.sweep import SweepConfig
-        config = SweepConfig(key="custom", size_mb=1.0,
-                             builder=lambda: object())
-        with pytest.raises(ValueError, match="builder"):
-            SweepJob(trace=as_trace_source(small_trace()),
-                     configs=(config,))
+    def test_equal_specs_share_one_bank_entry(self, tmp_path):
+        """A SweepSpec point and an explicit config of the same CacheSpec
+        bank under one unit key, whatever their sweep keys."""
+        from repro.cache.spec import CacheSpec
+        from repro.sim.sweep import SweepConfig, SweepSpec
+        trace = small_trace()
+        with fault_queue(tmp_path) as queue:
+            grid = queue.submit(SweepJob.from_spec(
+                trace, SweepSpec(policies=("LRU",), sizes_mb=(1.0,))))
+            expanded = grid.result()
+            mine = queue.submit(SweepJob.from_spec(
+                trace, [SweepConfig(key="mine",
+                                    spec=CacheSpec.from_mb(1.0))]))
+            explicit = mine.result()
+        assert mine.result_payload["banked_units"] == 1
+        assert explicit["mine"].misses == expanded[("LRU", 1.0)].misses
 
 
 class TestPayloadRoundTrips:

@@ -33,8 +33,8 @@ from hypothesis import strategies as st
 
 from repro.cache.arraycache import ARRAY_POLICIES, ArraySetAssociativeCache
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.factory import (POLICY_NAMES, build_cache,
-                                 named_policy_factory, resolve_backend)
+from repro.cache.factory import (POLICY_NAMES, named_policy_factory,
+                                 resolve_backend)
 from repro.cache.hashing import H3Hash
 from repro.cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from repro.core.talus import TalusConfig
@@ -379,9 +379,10 @@ class TestRandomArrayPolicy:
         """Random replacement on a working set slightly above capacity
         should land between LRU (pathological) and a tiny cache."""
         trace = np.tile(np.arange(80, dtype=np.int64), 100)
-        random_cache = build_cache(64, ways=64, policy="Random",
-                                   backend="auto")
-        lru = build_cache(64, ways=64, policy="LRU", backend="auto")
+        random_cache = CacheSpec(capacity_lines=64, ways=64,
+                                 policy="Random", backend="auto").build()
+        lru = CacheSpec(capacity_lines=64, ways=64, policy="LRU",
+                        backend="auto").build()
         random_cache.run(trace)
         lru.run(trace)
         # Cyclic scan over 80 lines through 64 ways: LRU misses always;
@@ -424,17 +425,19 @@ class TestMultiConfigBatch:
         keep their own scheme (each config's task carries it)."""
         from repro.sim.sweep import SweepConfig, run_sweep
         trace = _mixed_trace(8000, spread=6000, seed=19)
-        configs = [
-            SweepConfig(key="mod", size_mb=1.0, policy="LRU"),
-            SweepConfig(key="hash", size_mb=1.0, policy="LRU",
-                        policy_kwargs=(("hashed_index", True),
-                                       ("index_seed", 7))),
-            SweepConfig(key="hash2", size_mb=0.5, policy="LIP",
-                        policy_kwargs=(("hashed_index", True),
-                                       ("index_seed", 7))),
-        ]
-        fast = run_sweep(trace, configs, backend="array")
-        reference = run_sweep(trace, configs, backend="object")
+
+        def configs(backend):
+            return [
+                SweepConfig("mod", CacheSpec.from_mb(1.0, backend=backend)),
+                SweepConfig("hash", CacheSpec.from_mb(
+                    1.0, backend=backend, hashed_index=True, index_seed=7)),
+                SweepConfig("hash2", CacheSpec.from_mb(
+                    0.5, policy="LIP", backend=backend, hashed_index=True,
+                    index_seed=7)),
+            ]
+
+        fast = run_sweep(trace, configs("array"))
+        reference = run_sweep(trace, configs("object"))
         for key in ("mod", "hash", "hash2"):
             assert fast[key].misses == reference[key].misses
         assert fast["mod"].misses != fast["hash"].misses

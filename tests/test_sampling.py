@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.cache import _native
-from repro.cache.arraycache import ARRAY_POLICIES, ArraySetAssociativeCache
+from repro.cache.arraycache import ARRAY_POLICIES
 from repro.cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from repro.jobs.faults import FaultPlan
 from repro.sampling import (CacheCheckpoint, SampledResult, SamplingSpec,
@@ -514,16 +514,6 @@ def test_simulated_mpki_curve_sampling_passthrough():
     curve = simulated_mpki_curve(trace, (1.0, 2.0), "LRU", sampling=samp)
     assert list(curve.sizes) == [1.0, 2.0]
     assert curve.misses[1] < curve.misses[0]
-
-
-def test_run_sweep_sampling_rejects_builder_configs():
-    from repro.sim.sweep import SweepConfig, run_sweep
-    trace = make_trace(10_000)
-    config = SweepConfig(key="custom", size_mb=1.0,
-                         builder=lambda: ArraySetAssociativeCache(16, 8))
-    with pytest.raises(ValueError, match="builder"):
-        run_sweep(trace, (config,),
-                  sampling=SamplingSpec(window=500, n_windows=4))
 
 
 # --------------------------------------------------------------------- #

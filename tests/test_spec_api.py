@@ -1,11 +1,10 @@
 """Tests for the declarative spec API and the partition-aware fast path.
 
 Covers the three spec layers (CacheSpec / PartitionSpec / TalusSpec):
-round-trip identity through ``to_spec``/``build``, equivalence of the
-legacy ``build_cache`` shim, helpful validation errors, and — the core
-guarantee of the Talus fast path — bit-identical statistics between the
-object-model and array-backend partitioned/Talus replays for every online
-policy.  Tests that build array caches directly need the native kernel;
+round-trip identity through ``to_spec``/``build``, helpful validation
+errors, and — the core guarantee of the Talus fast path — bit-identical
+statistics between the object-model and array-backend partitioned/Talus
+replays for every online policy.  Tests that build array caches directly need the native kernel;
 ``backend="auto"`` resolves to the object model without it.
 """
 
@@ -15,7 +14,7 @@ import pytest
 from repro.cache import (POLICY_NAMES, ArrayPartitionedCache,
                          ArraySetAssociativeCache,
                          CacheSpec, PartitionSpec, SetAssociativeCache,
-                         TalusCache, TalusSpec, build, build_cache,
+                         TalusCache, TalusSpec, build,
                          make_partitioned_cache, partitionable_lines_for,
                          resolve_backend)
 from repro.core.misscurve import MissCurve
@@ -92,19 +91,6 @@ class TestCacheSpec:
             resolve_backend("auto", "LFU")
         with pytest.raises(ValueError, match="valid backends"):
             resolve_backend("turbo", "LRU")
-
-    def test_build_cache_shim_equivalence(self):
-        trace = _mixed_trace(6000)
-        for policy, backend in (("LRU", "auto"), ("SRRIP", "auto"),
-                                ("DRRIP", "object")):
-            old = build_cache(256, ways=8, policy=policy, backend=backend,
-                              seed=5)
-            new = build(CacheSpec(capacity_lines=256, ways=8, policy=policy,
-                                  backend=backend, seed=5))
-            assert type(old) is type(new)
-            old.run(trace)
-            new.run(trace)
-            assert old.stats.misses == new.stats.misses
 
     def test_from_mb_uses_paper_scale(self):
         from repro.workloads.scale import paper_mb_to_lines
@@ -394,8 +380,8 @@ class TestSweepIntegration:
         trace = _mixed_trace(5000, seed=11)
         spec = CacheSpec(capacity_lines=256, policy="LRU")
         result = run_sweep(trace, [
-            SweepConfig(key="spec", size_mb=1.0, spec=spec),
-            SweepConfig(key=("LRU", 1.0), size_mb=1.0),
+            SweepConfig("spec", spec),
+            SweepConfig(("LRU", 1.0), CacheSpec.from_mb(1.0)),
         ])
         assert result["spec"].accesses == len(trace)
 

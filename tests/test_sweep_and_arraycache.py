@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (POLICY_NAMES, ArraySetAssociativeCache, CacheStats,
-                         SetAssociativeCache, build_cache, cache_geometry,
-                         named_policy_factory, resolve_backend)
+from repro.cache import (POLICY_NAMES, ArraySetAssociativeCache, CacheSpec,
+                         CacheStats, PartitionSpec, SetAssociativeCache,
+                         cache_geometry, named_policy_factory,
+                         resolve_backend)
 from repro.cache._native import native_available
 from repro.sim.engine import simulate_policy_at_size, simulated_mpki_curve
-from repro.sim.sweep import SweepConfig, SweepSpec, run_sweep
+from repro.sim.sweep import (SweepConfig, SweepSpec, _derive_seed, run_sweep,
+                             sweep_configs)
 from repro.workloads.spec_profiles import get_profile
 
 from .conftest import needs_kernel
@@ -105,16 +107,18 @@ class TestArrayBackendParity:
         assert runs[0] == runs[1]
 
     def test_pdp_tuning_kwargs_stay_bit_identical(self):
-        """PDP tuning kwargs ride build_cache to both backends (auto
+        """PDP tuning kwargs ride a CacheSpec to both backends (auto
         routes PDP to the array model, so they must agree beyond the
         defaults too)."""
         trace = get_profile("omnetpp").trace(n_accesses=12000)
         kwargs = dict(recompute_interval=256, max_distance_factor=2.0,
                       initial_distance=3)
-        arr = build_cache(256, policy="PDP", backend="auto", **kwargs)
+        arr = CacheSpec(capacity_lines=256, policy="PDP", backend="auto",
+                        policy_kwargs=kwargs).build()
         assert isinstance(arr, ArraySetAssociativeCache)
         arr.run(trace.addresses)
-        obj = build_cache(256, policy="PDP", backend="object", **kwargs)
+        obj = CacheSpec(capacity_lines=256, policy="PDP", backend="object",
+                        policy_kwargs=kwargs).build()
         for a in trace.addresses.tolist():
             obj.access(a)
         assert arr.stats.misses == obj.stats.misses
@@ -141,9 +145,11 @@ class TestArrayBackendParity:
         trace = get_profile("omnetpp").trace(n_accesses=40000)
         for policy in ("BIP", "DIP", "BRRIP", "DRRIP", "TA-DRRIP",
                        "Random"):
-            array = build_cache(512, policy=policy, backend="array", seed=9)
+            array = CacheSpec(capacity_lines=512, policy=policy,
+                              backend="array", seed=9).build()
             array.run(trace.addresses)
-            obj = build_cache(512, policy=policy, backend="object", seed=9)
+            obj = CacheSpec(capacity_lines=512, policy=policy,
+                            backend="object", seed=9).build()
             for a in trace.addresses.tolist():
                 obj.access(a)
             assert array.stats.misses == obj.stats.misses, policy
@@ -223,7 +229,19 @@ class TestSweepEngine:
         # Different base seeds give different RNG seeds to the configs.
         other = SweepSpec(sizes_mb=(1.0, 2.0), policies=("LRU", "BRRIP"),
                           base_seed=4).expand()
-        assert [c.seed for c in first] != [c.seed for c in other]
+        assert [c.spec.seed for c in first] != [c.spec.seed for c in other]
+        # Every point is the CacheSpec of its (policy, size), carrying
+        # the sweep's backend unresolved and the point's derived seed.
+        spec = SweepSpec(sizes_mb=(0.0, 1.0, 2.0), policies=("LRU", "BRRIP"),
+                         ways=8, backend="object", base_seed=3)
+        for config in spec.expand():
+            policy, size = config.key
+            if size == 0.0:
+                assert config.spec is None      # zero lines: all-miss
+                continue
+            assert config.spec == CacheSpec.from_mb(
+                size, ways=8, policy=policy, backend="object",
+                seed=_derive_seed(3, policy, size))
 
     def test_zero_size_config_is_all_misses(self):
         trace = get_profile("omnetpp").trace(n_accesses=2000)
@@ -240,8 +258,27 @@ class TestSweepEngine:
         with pytest.raises(ValueError):
             SweepSpec(sizes_mb=(1.0,), backend="gpu")
         with pytest.raises(ValueError):
-            run_sweep(trace, [SweepConfig(key="a", size_mb=1.0),
-                              SweepConfig(key="a", size_mb=2.0)])
+            run_sweep(trace, [SweepConfig("a", CacheSpec.from_mb(1.0)),
+                              SweepConfig("a", CacheSpec.from_mb(2.0))])
+
+    def test_backend_override_rejects_config_sequences(self):
+        """Each point's spec carries its own backend, so ``backend=``
+        with a config sequence raises instead of being ignored."""
+        trace = get_profile("omnetpp").trace(n_accesses=2000)
+        configs = [SweepConfig(("LRU", 1.0), CacheSpec.from_mb(1.0))]
+        with pytest.raises(ValueError, match="SweepSpec only"):
+            run_sweep(trace, configs, backend="object")
+        # On a SweepSpec every override applies, "auto" included.
+        spec = SweepSpec(sizes_mb=(1.0,), backend="object")
+        assert [c.spec.backend for c in sweep_configs(spec, "auto")] == \
+            ["auto"]
+
+    def test_sweep_points_are_cache_or_talus_specs(self):
+        spec = PartitionSpec(scheme="ideal", capacity_lines=256,
+                             num_partitions=2)
+        for bad in (spec, lambda: SetAssociativeCache(16, 16)):
+            with pytest.raises(TypeError, match="CacheSpec, a TalusSpec"):
+                SweepConfig("bad", bad)
 
     def test_talus_configs_handle_zero_and_duplicate_sizes(self):
         from repro.core.convexhull import convex_hull
@@ -255,7 +292,7 @@ class TestSweepEngine:
         configs = talus_sweep_configs([0.0, 1.0, 1.0], planning_curve=lru,
                                       scheme="ideal")
         assert [c.key for c in configs] == [("talus", 0.0), ("talus", 1.0)]
-        result = run_sweep(trace, configs, backend="object")
+        result = run_sweep(trace, configs)
         assert result[("talus", 0.0)].misses == len(trace)
         curve = talus_simulated_mpki_curve(profile, [0.0, 1.5, 1.5],
                                            scheme="ideal",
@@ -269,17 +306,6 @@ class TestSweepEngine:
         from repro.sim.sweep import _derive_seed
         assert _derive_seed(1, "BRRIP", 1.0) != \
             _derive_seed(2**32 + 1, "BRRIP", 1.0)
-
-    def test_builder_configs_ride_the_object_pass(self):
-        trace = get_profile("omnetpp").trace(n_accesses=5000)
-        lines = cache_geometry(256, 16)
-        configs = [
-            SweepConfig(key="built", size_mb=1.0,
-                        builder=lambda: SetAssociativeCache(*lines)),
-            SweepConfig(key=("LRU", 1.0), size_mb=1.0),
-        ]
-        result = run_sweep(trace, configs, backend="object")
-        assert result["built"].misses == result[("LRU", 1.0)].misses
 
 
 class TestFactoryAndStats:
@@ -307,7 +333,8 @@ class TestFactoryAndStats:
         with pytest.raises(ValueError):
             cache_geometry(0, 16)
         for backend in ("object", "auto"):
-            cache = build_cache(256, policy="LRU", backend=backend)
+            cache = CacheSpec(capacity_lines=256, policy="LRU",
+                              backend=backend).build()
             assert cache.capacity_lines == 256
 
     def test_stats_merge_keeps_extra(self):
