@@ -14,8 +14,16 @@ through :func:`repro.sim.sweep.run_matrix_sweep` twice:
 
 checking that both record **identical cell keys**, that every online
 cell's misses agree, and that the threaded matrix clears the **>= 5x**
-acceptance criterion.  Timings land in
-``benchmarks/out/matrix_sweep.json`` (override with
+acceptance criterion.
+
+A second test gates how one cell's cost scales with its region: an SRRIP
+cell on the ideal and on the Vantage scheme, replayed at 0.5 MB and at
+4 MB (one ``run_tasks`` call at width 1, best of 3), must cost at most
+**2x** more at 4 MB.  Its fully-associative regions find victims through
+the kernel's RRPV bucket index; a scan of the region on every miss makes
+the 4 MB cell five to six times as costly.
+
+Timings land in ``benchmarks/out/matrix_sweep.json`` (override with
 ``$REPRO_BENCH_MATRIX_JSON``).
 """
 
@@ -23,12 +31,16 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from benchlib import bench_json_path, write_bench_json
 from repro.cache._native import native_available, resolve_threads
+from repro.cache.spec import PartitionSpec
+from repro.cache.threadbatch import run_tasks
 from repro.experiments.common import trace_length
 from repro.sim.sweep import matrix_cells, run_matrix_sweep
+from repro.workloads.scale import paper_mb_to_lines
 from repro.workloads.spec_profiles import get_profile
 
 #: The benchmark grid: every scheme of the matrix, and a recency, an RRIP,
@@ -38,6 +50,9 @@ POLICIES = ("LRU", "SRRIP", "DRRIP", "TA-DRRIP", "Belady")
 SCHEMES = ("none", "way", "set", "ideal", "vantage")
 NUM_PARTITIONS = 2
 SEED = 2015
+#: The region sizes of the scaling gate, and its bound on their cost ratio.
+SCALING_SIZES_MB = (0.5, 4.0)
+MAX_SCALING = 2.0
 
 _JSON_PATH = bench_json_path("matrix_sweep.json", "REPRO_BENCH_MATRIX_JSON")
 
@@ -45,6 +60,13 @@ _JSON_PATH = bench_json_path("matrix_sweep.json", "REPRO_BENCH_MATRIX_JSON")
 def _grid_kwargs(policies):
     return dict(sizes_mb=SIZES_MB, policies=policies, schemes=SCHEMES,
                 num_partitions=NUM_PARTITIONS, seed=SEED)
+
+
+def _meta(trace) -> dict:
+    return {"sizes_mb": list(SIZES_MB), "policies": list(POLICIES),
+            "schemes": list(SCHEMES), "accesses": len(trace),
+            "num_partitions": NUM_PARTITIONS, "seed": SEED,
+            "scaling_sizes_mb": list(SCALING_SIZES_MB)}
 
 
 def test_matrix_sweep_speedup(capsys):
@@ -95,9 +117,7 @@ def test_matrix_sweep_speedup(capsys):
         {"serial_object_s": t_serial, "threaded_auto_s": t_threaded,
          "speedup": speedup, "cells_serial": len(serial_keys),
          "cells_threaded": cells},
-        meta={"sizes_mb": list(SIZES_MB), "policies": list(POLICIES),
-              "schemes": list(SCHEMES), "accesses": len(trace),
-              "num_partitions": NUM_PARTITIONS, "seed": SEED})
+        meta=_meta(trace))
 
     if not native_available():
         pytest.skip("no C compiler: the matrix runs on the object model; "
@@ -105,6 +125,47 @@ def test_matrix_sweep_speedup(capsys):
     assert speedup >= 5.0, (
         f"threaded matrix only {speedup:.2f}x faster than the serial "
         f"object stream (acceptance criterion is >= 5x)")
+
+
+def _srrip_cell_s(addrs: np.ndarray, scheme: str, size_mb: float) -> float:
+    """Best-of-3 replay time of one SRRIP matrix cell: a fresh cache's
+    whole-trace task, run by ``run_tasks`` at width 1."""
+    parts = np.zeros(addrs.size, dtype=np.int64)
+    best = float("inf")
+    for _ in range(3):
+        cache = PartitionSpec(scheme=scheme,
+                              capacity_lines=paper_mb_to_lines(size_mb),
+                              num_partitions=NUM_PARTITIONS, policy="SRRIP",
+                              backend="array").build()
+        task = cache.replay_task(addrs, parts)
+        t0 = time.perf_counter()
+        run_tasks([task], threads=1)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_rrip_cell_cost_flat_in_region_size(capsys):
+    """A fully-associative SRRIP cell costs about the same at 4 MB as at
+    0.5 MB: its victims come from the RRPV bucket index, not a scan."""
+    if not native_available():
+        pytest.skip("the scaling gate times the native kernel")
+    trace = get_profile("omnetpp").trace(n_accesses=trace_length())
+    addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
+    small, large = SCALING_SIZES_MB
+    timings = {f"{scheme}_srrip_{mb:g}mb_s": _srrip_cell_s(addrs, scheme, mb)
+               for scheme in ("ideal", "vantage") for mb in (small, large)}
+    with capsys.disabled():
+        print()
+        for key, seconds in timings.items():
+            print(f"  {key:24s}: {seconds * 1000:8.2f} ms")
+    write_bench_json(_JSON_PATH, "rrip_region_scaling", timings,
+                     meta=_meta(trace))
+    for scheme in ("ideal", "vantage"):
+        ratio = (timings[f"{scheme}_srrip_{large:g}mb_s"]
+                 / timings[f"{scheme}_srrip_{small:g}mb_s"])
+        assert ratio <= MAX_SCALING, (
+            f"{scheme} SRRIP cell costs {ratio:.2f}x more at {large:g} MB "
+            f"than at {small:g} MB (bound {MAX_SCALING:g}x)")
 
 
 def test_matrix_thread_width_invariance():

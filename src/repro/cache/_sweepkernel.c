@@ -29,6 +29,13 @@
  * finalizer of (address XOR index_seed * golden-ratio), matching
  * repro.cache.hashing.set_index.
  *
+ * Fully-associative RRIP regions (the one set of an ideal partition, the
+ * managed regions of Vantage) may be thousands of lines wide, so a call
+ * that replays at least as many accesses as its regions hold lines builds
+ * a per-call RRPV bucket index (one FIFO per RRPV level plus an aging
+ * offset: O(1) victims) and writes the true RRPVs back before returning;
+ * shorter calls scan.  The arrays mean the same either way.
+ *
  * stack_hist_run is a one-shot Mattson stack-distance pass (Fenwick tree +
  * open-addressing last-position table) used by the LRU miss-curve monitors;
  * stack_hist_chunk is its *stateful* sibling: the table, tree, position
@@ -243,6 +250,308 @@ static int64_t duel_only_run(const int64_t *addrs, int64_t n,
     return n;
 }
 
+/* Look `a` up in one set's ways: returns the hit way or -1, and stores the
+ * lowest empty way (or -1) in *empty. */
+static inline int64_t scan_find(const int64_t *row, int64_t ways, int64_t a,
+                                int64_t *empty)
+{
+    *empty = -1;
+    for (int64_t w = 0; w < ways; w++) {
+        int64_t tag = row[w];
+        if (tag == a)
+            return w;
+        if (tag == EMPTY && *empty < 0)
+            *empty = w;
+    }
+    return -1;
+}
+
+/* A full set's RRIP victim by scan: the oldest entrant (lowest stamp, then
+ * lowest way) of the highest RRPV present, after which every way ages so
+ * that bucket sits at max_rrpv. */
+static int64_t scan_rrip_victim(int64_t *rv, const int64_t *st, int64_t ways,
+                                int64_t max_rrpv)
+{
+    int64_t maxp = -1;
+    for (int64_t w = 0; w < ways; w++)
+        if (rv[w] > maxp) maxp = rv[w];
+    int64_t victim = 0, best = I64_MAX;
+    for (int64_t w = 0; w < ways; w++)
+        if (rv[w] == maxp && st[w] < best) { best = st[w]; victim = w; }
+    int64_t d = max_rrpv - maxp;
+    if (d > 0)
+        for (int64_t w = 0; w < ways; w++) rv[w] += d;
+    return victim;
+}
+
+/* ------------------------------------------------ RRPV bucket index --- *
+ *
+ * A fully-associative RRIP region (the one set of an ideal partition, or a
+ * Vantage managed region) would otherwise scan all its lines on every
+ * miss.  For one kernel call the index below keeps what the object model's
+ * _RRIPBase._buckets keeps: one FIFO per RRPV level holding that level's
+ * lines in stamp order, plus a per-region aging offset `off`.
+ *
+ *   - While the index is open, a line's RRPV slot (rrpv / node_aux) holds
+ *     its true RRPV minus its region's `off`, and its FIFO is that stored
+ *     value modulo `levels`, the power of two at or above max_rrpv + 1.
+ *     Aging every line by d is then `off += d`, which also rotates the
+ *     FIFOs onto their new levels: the FIFOs that rotate onto levels
+ *     0..d-1 held levels above max_rrpv - d, or none, so they are empty.
+ *   - A hit moves the line to the tail of level 0; an insertion goes to
+ *     the tail of its insertion level.  New stamps exceed every stamp in
+ *     the region, so each FIFO stays in stamp order.
+ *   - The victim is the head of the highest non-empty level, after which
+ *     `off` grows by max_rrpv minus that level.  Its RRPV slot keeps the
+ *     aged value max_rrpv, as the scan leaves it.
+ *   - On open, each region's lines are sorted by (stamp, position): the
+ *     position (way index, or place in the Vantage region list) breaks
+ *     stamp ties as the scans do.  On close, every resident line gets its
+ *     region's `off` back, so the caller's arrays hold true RRPVs again.
+ *
+ * A call builds the index only when it replays at least as many accesses
+ * as its regions hold lines; shorter calls (scalar access(), small chunks)
+ * keep the scans, which cost nothing to set up.  Opening allocates all the
+ * scratch before the first state write, so an allocation failure leaves
+ * the cache untouched. */
+
+/* Sort scratch entry: a line's stamp and slot. */
+typedef struct {
+    int64_t stamp, slot;
+} ri_entry;
+
+typedef struct {
+    int64_t levels;        /* FIFOs per region: a power of two */
+    int64_t max_rrpv;
+    int64_t *val;          /* the caller's RRPV slots, offset while open */
+    int64_t *prev, *next;  /* FIFO links, per slot */
+    int64_t *head, *tail;  /* per (region, stored RRPV mod `levels`) */
+    int64_t *off;          /* per-region aging offset */
+    ri_entry *sort;        /* 2 * widest entries: ri_build's scratch */
+    int64_t widest;        /* most lines one region holds on open */
+} rrpv_index;
+
+/* Allocate an empty index over `slots` slots and `regions` regions, with
+ * sort scratch for regions of up to `widest` lines; returns 0, or -1 when
+ * memory could not be allocated. */
+static int ri_alloc(rrpv_index *ix, int64_t slots, int64_t regions,
+                    int64_t max_rrpv, int64_t *val, int64_t widest)
+{
+    int64_t levels = 1;
+    while (levels <= max_rrpv)
+        levels <<= 1;
+    int64_t anchors = regions * levels;
+    int64_t words = 2 * slots + 2 * anchors + regions;
+    int64_t *mem = malloc((size_t)words * sizeof(int64_t)
+                          + (size_t)(2 * widest) * sizeof(ri_entry));
+    if (!mem)
+        return -1;
+    ix->levels = levels;
+    ix->max_rrpv = max_rrpv;
+    ix->val = val;
+    ix->prev = mem;
+    ix->next = mem + slots;
+    ix->head = mem + 2 * slots;
+    ix->tail = ix->head + anchors;
+    ix->off = ix->tail + anchors;
+    ix->sort = (ri_entry *)(mem + words);
+    ix->widest = widest;
+    memset(ix->head, 0xFF, (size_t)(2 * anchors) * sizeof(int64_t));
+    memset(ix->off, 0, (size_t)regions * sizeof(int64_t));
+    return 0;
+}
+
+static inline void ri_free(rrpv_index *ix)
+{
+    free(ix->prev);
+}
+
+static inline int64_t ri_anchor(const rrpv_index *ix, int64_t r,
+                                int64_t stored)
+{
+    return r * ix->levels
+        + (int64_t)((uint64_t)stored & (uint64_t)(ix->levels - 1));
+}
+
+/* Append `slot` to the tail of region r's FIFO for true RRPV `rrpv`. */
+static inline void ri_push(rrpv_index *ix, int64_t r, int64_t slot,
+                           int64_t rrpv)
+{
+    int64_t stored = rrpv - ix->off[r];
+    int64_t b = ri_anchor(ix, r, stored);
+    int64_t last = ix->tail[b];
+    ix->val[slot] = stored;
+    ix->prev[slot] = last;
+    ix->next[slot] = -1;
+    if (last >= 0) ix->next[last] = slot; else ix->head[b] = slot;
+    ix->tail[b] = slot;
+}
+
+static inline void ri_unlink(rrpv_index *ix, int64_t r, int64_t slot)
+{
+    int64_t b = ri_anchor(ix, r, ix->val[slot]);
+    int64_t p = ix->prev[slot], q = ix->next[slot];
+    if (p >= 0) ix->next[p] = q; else ix->head[b] = q;
+    if (q >= 0) ix->prev[q] = p; else ix->tail[b] = p;
+}
+
+/* Hit priority: move `slot` to the tail of level 0. */
+static inline void ri_promote(rrpv_index *ix, int64_t r, int64_t slot)
+{
+    ri_unlink(ix, r, slot);
+    ri_push(ix, r, slot, 0);
+}
+
+/* Unlink and return region r's victim (-1 when it is empty), aging the
+ * survivors. */
+static inline int64_t ri_evict(rrpv_index *ix, int64_t r)
+{
+    for (int64_t level = ix->max_rrpv; level >= 0; level--) {
+        int64_t slot = ix->head[ri_anchor(ix, r, level - ix->off[r])];
+        if (slot < 0)
+            continue;
+        ri_unlink(ix, r, slot);
+        ix->off[r] += ix->max_rrpv - level;
+        ix->val[slot] = ix->max_rrpv;
+        return slot;
+    }
+    return -1;
+}
+
+/* Link region r's `k` lines, given in position order in ix->sort[0, k),
+ * into their FIFOs in (stamp, position) order.  The offset is still 0, so
+ * the RRPV slots keep their values. */
+static void ri_build(rrpv_index *ix, int64_t r, int64_t k)
+{
+    /* Bottom-up merge sort by stamp; taking the left run on ties keeps
+     * equal stamps in position order. */
+    ri_entry *src = ix->sort, *dst = ix->sort + ix->widest;
+    for (int64_t width = 1; width < k; width *= 2) {
+        for (int64_t lo = 0; lo < k; lo += 2 * width) {
+            int64_t mid = (lo + width < k) ? lo + width : k;
+            int64_t hi = (lo + 2 * width < k) ? lo + 2 * width : k;
+            int64_t i = lo, j = mid, o = lo;
+            while (i < mid && j < hi)
+                dst[o++] = (src[j].stamp < src[i].stamp) ? src[j++]
+                                                         : src[i++];
+            while (i < mid) dst[o++] = src[i++];
+            while (j < hi) dst[o++] = src[j++];
+        }
+        ri_entry *swap = src; src = dst; dst = swap;
+    }
+    for (int64_t i = 0; i < k; i++)
+        ri_push(ix, r, src[i].slot, ix->val[src[i].slot]);
+}
+
+/* The index of a one-set region (an ideal partition): the bucket index
+ * plus a tag -> way table (open addressing over way indices, -1 == empty
+ * slot, backward-shift deletion) and the lowest empty way.  Ways never
+ * empty during a call, so the empty ways fill lowest first, as scan_find
+ * picks them. */
+typedef struct {
+    rrpv_index ix;
+    int64_t *row;          /* the set's tags */
+    int64_t ways;
+    int64_t *table;
+    uint64_t tmask;
+    int64_t next_empty;    /* lowest empty way, or `ways` */
+} way_index;
+
+/* The table slot holding `a`, or the empty slot ending its probe chain. */
+static inline uint64_t wi_probe(const way_index *wx, int64_t a)
+{
+    uint64_t slot = mix64((uint64_t)a) & wx->tmask;
+    while (wx->table[slot] >= 0 && wx->row[wx->table[slot]] != a)
+        slot = (slot + 1) & wx->tmask;
+    return slot;
+}
+
+/* Open the index of a one-set cache (tags `row`, RRPVs `rv`, stamps `st`)
+ * whose call replays at least as many accesses as the set has ways:
+ * returns 1 when open, 0 to scan, or -1 when memory could not be
+ * allocated. */
+static int wi_open(way_index *wx, int64_t n, int64_t num_sets, int64_t ways,
+                   int64_t max_rrpv, int64_t *row, int64_t *rv,
+                   const int64_t *st)
+{
+    if (num_sets != 1 || n < ways)
+        return 0;
+    uint64_t tsize = 64;
+    while (tsize < (uint64_t)ways * 2)
+        tsize <<= 1;
+    wx->table = malloc(tsize * sizeof(int64_t));
+    if (!wx->table)
+        return -1;
+    if (ri_alloc(&wx->ix, ways, 1, max_rrpv, rv, ways) < 0) {
+        free(wx->table);
+        return -1;
+    }
+    memset(wx->table, 0xFF, tsize * sizeof(int64_t));
+    wx->row = row;
+    wx->ways = ways;
+    wx->tmask = tsize - 1;
+    wx->next_empty = ways;
+    int64_t k = 0;
+    for (int64_t w = 0; w < ways; w++) {
+        if (row[w] == EMPTY) {
+            if (wx->next_empty == ways) wx->next_empty = w;
+            continue;
+        }
+        wx->table[wi_probe(wx, row[w])] = w;
+        wx->ix.sort[k].stamp = st[w];
+        wx->ix.sort[k++].slot = w;
+    }
+    ri_build(&wx->ix, 0, k);
+    return 1;
+}
+
+/* The way holding `a`, or -1. */
+static inline int64_t wi_find(const way_index *wx, int64_t a)
+{
+    return wx->table[wi_probe(wx, a)];
+}
+
+/* The way a miss fills: the lowest empty way, else the evicted victim. */
+static inline int64_t wi_take(way_index *wx)
+{
+    if (wx->next_empty < wx->ways)
+        return wx->next_empty;
+    int64_t victim = ri_evict(&wx->ix, 0);
+    uint64_t mask = wx->tmask;
+    uint64_t hole = wi_probe(wx, wx->row[victim]);
+    wx->table[hole] = -1;
+    for (uint64_t i = (hole + 1) & mask; wx->table[i] >= 0;
+         i = (i + 1) & mask) {
+        uint64_t home = mix64((uint64_t)wx->row[wx->table[i]]) & mask;
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+            wx->table[hole] = wx->table[i];
+            wx->table[i] = -1;
+            hole = i;
+        }
+    }
+    return victim;
+}
+
+/* Index the line just written to way `w` at true RRPV `rrpv`. */
+static inline void wi_fill(way_index *wx, int64_t w, int64_t rrpv)
+{
+    wx->table[wi_probe(wx, wx->row[w])] = w;
+    ri_push(&wx->ix, 0, w, rrpv);
+    while (wx->next_empty < wx->ways && wx->row[wx->next_empty] != EMPTY)
+        wx->next_empty++;
+}
+
+/* Write the true RRPVs back and free the scratch. */
+static void wi_close(way_index *wx)
+{
+    int64_t off = wx->ix.off[0];
+    for (int64_t w = 0; w < wx->ways; w++)
+        if (wx->row[w] != EMPTY)
+            wx->ix.val[w] += off;
+    ri_free(&wx->ix);
+    free(wx->table);
+}
+
 /* Replay `n` addresses through an RRIP-family cache.
  *
  * Victim selection replicates the object model's bucket semantics without
@@ -250,10 +559,15 @@ static int64_t duel_only_run(const int64_t *addrs, int64_t n,
  * among lines at the highest RRPV present, after which every line ages up
  * by the same delta.  Stamps are refreshed exactly when the object model
  * reorders a line within its bucket (insertion and hit promotion), so the
- * SRRIP kernel is bit-identical to SRRIPPolicy.
+ * SRRIP kernel is bit-identical to SRRIPPolicy.  A one-set cache (an ideal
+ * partition) finds tags and victims through the RRPV bucket index above
+ * when the call is at least as long as the set is wide; otherwise, and for
+ * every multi-set cache, victims come from a scan of the set.
  *
  * `roles` (per set) and `psel_io`/`psel_max`/`leader_levels` are only read
  * in MODE_DRRIP; `epsilon`/`rng_state` only in MODE_BRRIP and MODE_DRRIP.
+ * Returns the miss count, or -3 when the index's scratch memory could not
+ * be allocated (the cache is then untouched).
  */
 int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
                  int64_t ways, int64_t max_rrpv, int64_t *tags,
@@ -272,22 +586,23 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
             ? duel_only_run(addrs, n, num_sets, roles, psel_io, leader_levels,
                             psel_max, hashed, index_seed)
             : n;
+    way_index wx;
+    int open = wi_open(&wx, n, num_sets, ways, max_rrpv, tags, rrpv, stamp);
+    if (open < 0)
+        return -3;
+    way_index *ox = open ? &wx : NULL;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
         int64_t *row = tags + s * ways;
         int64_t *rv = rrpv + s * ways;
         int64_t *st = stamp + s * ways;
-        int64_t hit = -1, empty = -1;
-
-        for (int64_t w = 0; w < ways; w++) {
-            int64_t tag = row[w];
-            if (tag == a) { hit = w; break; }
-            if (tag == EMPTY && empty < 0) empty = w;
-        }
+        int64_t empty = -1;
+        int64_t hit = ox ? wi_find(ox, a) : scan_find(row, ways, a, &empty);
         t++;
         if (hit >= 0) {
-            rv[hit] = 0; /* hit priority */
+            /* hit priority */
+            if (ox) ri_promote(&ox->ix, 0, hit); else rv[hit] = 0;
             st[hit] = t;
             continue;
         }
@@ -301,20 +616,10 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
             psel_update(role, &psel, psel_max);
         }
 
-        if (empty < 0) {
-            /* Evict the oldest entrant of the highest occupied RRPV bucket,
-             * then age everyone so that bucket sits at max_rrpv. */
-            int64_t maxp = -1;
-            for (int64_t w = 0; w < ways; w++)
-                if (rv[w] > maxp) maxp = rv[w];
-            int64_t victim = 0, best = I64_MAX;
-            for (int64_t w = 0; w < ways; w++)
-                if (rv[w] == maxp && st[w] < best) { best = st[w]; victim = w; }
-            int64_t d = max_rrpv - maxp;
-            if (d > 0)
-                for (int64_t w = 0; w < ways; w++) rv[w] += d;
-            empty = victim;
-        }
+        if (ox)
+            empty = wi_take(ox);
+        else if (empty < 0)
+            empty = scan_rrip_victim(rv, st, ways, max_rrpv);
 
         int64_t ins = max_rrpv - 1; /* SRRIP long re-reference insertion */
         int bimodal = 0;
@@ -330,9 +635,11 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
             ins = max_rrpv;
 
         row[empty] = a;
-        rv[empty] = ins;
         st[empty] = t;
+        if (ox) wi_fill(ox, empty, ins); else rv[empty] = ins;
     }
+    if (ox)
+        wi_close(ox);
     counter_io[0] = t;
     if (psel_io)
         psel_io[0] = psel;
@@ -350,7 +657,9 @@ int64_t rrip_run(const int64_t *addrs, int64_t n, int64_t num_sets,
  * bimodal draws come from the shared splitmix64 stream, like DRRIP's.
  * `miss_out`, when non-NULL, accumulates per-thread miss counts (never
  * reset here — it is persistent caller state, like the PSEL counters).
- * Returns the total miss count, or -1 on an out-of-range thread id. */
+ * A one-set cache uses the RRPV bucket index as rrip_run does.  Returns the
+ * total miss count, -1 on an out-of-range thread id, or -3 when the
+ * index's scratch memory could not be allocated (the cache untouched). */
 int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
                     int64_t num_sets, int64_t ways, int64_t max_rrpv,
                     int64_t *tags, int64_t *rrpv, int64_t *stamp,
@@ -378,25 +687,28 @@ int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
         }
         return n;
     }
+    way_index wx;
+    int open = wi_open(&wx, n, num_sets, ways, max_rrpv, tags, rrpv, stamp);
+    if (open < 0)
+        return -3;
+    way_index *ox = open ? &wx : NULL;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = addrs[i];
         int64_t tid = threads ? threads[i] : 0;
-        if (tid < 0 || tid >= num_streams)
-            return -1;
+        if (tid < 0 || tid >= num_streams) {
+            misses = -1;
+            break;
+        }
         int64_t s = set_of(a, num_sets, hashed, seed_mul);
         int64_t *row = tags + s * ways;
         int64_t *rv = rrpv + s * ways;
         int64_t *st = stamp + s * ways;
-        int64_t hit = -1, empty = -1;
-
-        for (int64_t w = 0; w < ways; w++) {
-            int64_t tag = row[w];
-            if (tag == a) { hit = w; break; }
-            if (tag == EMPTY && empty < 0) empty = w;
-        }
+        int64_t empty = -1;
+        int64_t hit = ox ? wi_find(ox, a) : scan_find(row, ways, a, &empty);
         t++;
         if (hit >= 0) {
-            rv[hit] = 0; /* hit priority */
+            /* hit priority */
+            if (ox) ri_promote(&ox->ix, 0, hit); else rv[hit] = 0;
             st[hit] = t;
             continue;
         }
@@ -407,18 +719,10 @@ int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
         int64_t role = address_role(a, leader_levels);
         psel_update(role, psel + tid, psel_max);
 
-        if (empty < 0) {
-            int64_t maxp = -1;
-            for (int64_t w = 0; w < ways; w++)
-                if (rv[w] > maxp) maxp = rv[w];
-            int64_t victim = 0, best = I64_MAX;
-            for (int64_t w = 0; w < ways; w++)
-                if (rv[w] == maxp && st[w] < best) { best = st[w]; victim = w; }
-            int64_t d = max_rrpv - maxp;
-            if (d > 0)
-                for (int64_t w = 0; w < ways; w++) rv[w] += d;
-            empty = victim;
-        }
+        if (ox)
+            empty = wi_take(ox);
+        else if (empty < 0)
+            empty = scan_rrip_victim(rv, st, ways, max_rrpv);
 
         int64_t ins = max_rrpv - 1;
         int bimodal = (role == ROLE_LEADER_BRRIP) ||
@@ -427,10 +731,13 @@ int64_t tadrrip_run(const int64_t *addrs, const int64_t *threads, int64_t n,
             ins = max_rrpv;
 
         row[empty] = a;
-        rv[empty] = ins;
         st[empty] = t;
+        if (ox) wi_fill(ox, empty, ins); else rv[empty] = ins;
     }
-    counter_io[0] = t;
+    if (ox)
+        wi_close(ox);
+    if (misses >= 0)
+        counter_io[0] = t;
     return misses;
 }
 
@@ -855,10 +1162,15 @@ int64_t pdp_run(const int64_t *addrs, int64_t n, int64_t num_sets,
  *                                     order; only the insertion end (and
  *                                     DIP's shared-PSEL duel) differ
  *   RRIP family (SRRIP/BRRIP/DRRIP/   per-node RRPV (node_aux) + bucket-
- *   TA-DRRIP)                         entrant stamps (node_stamp); victims
- *                                     scan the region for (max RRPV,
- *                                     oldest stamp) and age survivors,
- *                                     exactly _RRIPBase.evict_one
+ *   TA-DRRIP)                         entrant stamps (node_stamp); the
+ *                                     victim is the oldest stamp at the
+ *                                     max RRPV and survivors age, exactly
+ *                                     _RRIPBase.evict_one: found through
+ *                                     the RRPV bucket index when the call
+ *                                     replays at least as many accesses
+ *                                     as the managed capacities sum to,
+ *                                     else by a scan of the region
+ *                                     (vantage_realloc always scans)
  *   PDP                               per-node protection deadline
  *                                     (node_aux) + per-region clock/dp/
  *                                     reuse-sampler state, exactly
@@ -911,6 +1223,8 @@ typedef struct {
     uint64_t tmask;
     int64_t *node_tag, *node_prev, *node_next;
     int64_t *head, *tail, *occ, *free_io;
+    rrpv_index *ix;            /* RRIP family: the managed regions' bucket
+                                * index, or NULL to scan */
 } vt_ctx;
 
 static inline uint64_t vt_home(int64_t tag, int64_t region)
@@ -1041,6 +1355,8 @@ static int64_t vt_evict_one(vt_ctx *c, int64_t p)
     case VPOL_TADRRIP: {
         /* Oldest bucket entrant at the highest RRPV, then age everyone —
          * _RRIPBase._age_until_victim_available + evict. */
+        if (c->ix)
+            return ri_evict(c->ix, p);
         int64_t maxp = -1;
         for (int64_t m = c->head[p]; m >= 0; m = c->node_next[m])
             if (c->node_aux[m] > maxp) maxp = c->node_aux[m];
@@ -1089,7 +1405,7 @@ static inline void vt_policy_hit(vt_ctx *c, int64_t p, int64_t node,
     case VPOL_TADRRIP:
         /* Promote to bucket 0; the region list stays in membership order
          * (victims are ordered by (RRPV, stamp), never by list position). */
-        c->node_aux[node] = 0;
+        if (c->ix) ri_promote(c->ix, p, node); else c->node_aux[node] = 0;
         c->node_stamp[node] = ++c->counter[0];
         break;
     case VPOL_PDP:
@@ -1165,7 +1481,7 @@ static void vt_policy_insert(vt_ctx *c, int64_t p, int64_t node, int64_t a)
         }
         if (bimodal && uniform01(c->rng) >= c->epsilon)
             ins = c->max_rrpv;
-        c->node_aux[node] = ins;
+        if (c->ix) ri_push(c->ix, p, node, ins); else c->node_aux[node] = ins;
         c->node_stamp[node] = ++c->counter[0];
         vt_list_push(node, p, c->node_prev, c->node_next, c->head, c->tail,
                      c->occ);
@@ -1302,15 +1618,63 @@ static inline vt_ctx vt_make_ctx(int64_t num_parts, int64_t unm_cap,
     c.tmask = (uint64_t)(tsize - 1);
     c.node_tag = node_tag; c.node_prev = node_prev; c.node_next = node_next;
     c.head = head; c.tail = tail; c.occ = occ; c.free_io = free_io;
+    c.ix = NULL;
     return c;
+}
+
+/* Open the RRPV bucket index over every managed region of an RRIP-family
+ * call that replays at least as many accesses as those regions hold lines
+ * (their capacities' sum).  Slots are pool nodes: ArrayVantageCache sizes
+ * the hash table at two slots or more per node, so tsize / 2 bounds the
+ * node indices.  Returns 0 (index open, or not worth it), or -1 when
+ * memory could not be allocated. */
+static int vt_index_open(vt_ctx *c, rrpv_index *ix, int64_t n,
+                         const int64_t *caps, int64_t tsize)
+{
+    if (c->pol != VPOL_SRRIP && c->pol != VPOL_BRRIP
+        && c->pol != VPOL_DRRIP && c->pol != VPOL_TADRRIP)
+        return 0;
+    int64_t lines = 0, widest = 0;
+    for (int64_t p = 0; p < c->num_parts; p++) {
+        lines += caps[p];
+        if (c->occ[p] > widest) widest = c->occ[p];
+    }
+    if (n < lines)
+        return 0;
+    if (ri_alloc(ix, tsize / 2, c->num_parts, c->max_rrpv, c->node_aux,
+                 widest) < 0)
+        return -1;
+    for (int64_t p = 0; p < c->num_parts; p++) {
+        int64_t k = 0;
+        for (int64_t m = c->head[p]; m >= 0; m = c->node_next[m]) {
+            ix->sort[k].stamp = c->node_stamp[m];
+            ix->sort[k++].slot = m;
+        }
+        ri_build(ix, p, k);
+    }
+    c->ix = ix;
+    return 0;
+}
+
+/* Write the true RRPVs of every managed line back and free the index. */
+static void vt_index_close(vt_ctx *c)
+{
+    if (!c->ix)
+        return;
+    for (int64_t p = 0; p < c->num_parts; p++)
+        for (int64_t m = c->head[p]; m >= 0; m = c->node_next[m])
+            c->node_aux[m] += c->ix->off[p];
+    ri_free(c->ix);
+    c->ix = NULL;
 }
 
 /* Replay a partition-tagged trace through a Vantage cache whose managed
  * regions run the `pol` replacement policy.  Fills per-partition miss
  * counts into miss_out (caller-zeroed) and returns the total, -1 on an
- * out-of-range partition id, or -2 on free-list exhaustion (both
- * defensive; callers validate / size the pool).  Policy side state not
- * used by `pol` may be NULL. */
+ * out-of-range partition id, -2 on free-list exhaustion (both defensive;
+ * callers validate / size the pool), or -3 when the RRPV bucket index's
+ * scratch memory could not be allocated (the cache untouched).  Policy
+ * side state not used by `pol` may be NULL. */
 int64_t vantage_run(const int64_t *addrs, const int64_t *parts, int64_t n,
                     int64_t num_parts, const int64_t *caps, int64_t unm_cap,
                     int64_t pol, int64_t max_rrpv, double epsilon,
@@ -1336,13 +1700,18 @@ int64_t vantage_run(const int64_t *addrs, const int64_t *parts, int64_t n,
                            ls_clocks, ls_count, ls_size, ht_tag, ht_reg,
                            ht_node, tsize, node_tag, node_prev, node_next,
                            head, tail, occ, free_io);
-    int64_t total_misses = 0;
+    rrpv_index ix;
+    if (vt_index_open(&c, &ix, n, caps, tsize) < 0)
+        return -3;
+    int64_t total_misses = 0, rc = 0;
 
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < n && rc >= 0; i++) {
         int64_t a = addrs[i];
         int64_t p = parts[i];
-        if (p < 0 || p >= num_parts)
-            return -1;
+        if (p < 0 || p >= num_parts) {
+            rc = -1;
+            break;
+        }
         int64_t slot = vt_lookup(c.ht_tag, c.ht_reg, c.ht_node, c.tmask,
                                  a, p);
         if (slot >= 0) {
@@ -1361,18 +1730,15 @@ int64_t vantage_run(const int64_t *addrs, const int64_t *parts, int64_t n,
                       (uint64_t)uslot);
             c.node_next[node] = c.free_io[0];
             c.free_io[0] = node;
-            int64_t rc = vt_insert_managed(&c, a, p, caps[p]);
-            if (rc < 0)
-                return rc;
+            rc = vt_insert_managed(&c, a, p, caps[p]);
             continue;
         }
         miss_out[p]++;
         total_misses++;
-        int64_t rc = vt_insert_managed(&c, a, p, caps[p]);
-        if (rc < 0)
-            return rc;
+        rc = vt_insert_managed(&c, a, p, caps[p]);
     }
-    return total_misses;
+    vt_index_close(&c);
+    return (rc < 0) ? rc : total_misses;
 }
 
 /* Warm reallocation: shrink each managed region to its new capacity,
@@ -1456,8 +1822,9 @@ int64_t stack_hist_run(const int64_t *addrs, int64_t n, int64_t *hist)
         while (tvals[slot] >= 0 && ttags[slot] != a)
             slot = (slot + 1) & tmask;
         if (tvals[slot] >= 0) {
+            /* One live marker per distinct (`cold`) line, all before i. */
             int64_t last = tvals[slot];
-            int64_t d = fen_prefix(tree, i - 1) - fen_prefix(tree, last);
+            int64_t d = cold - fen_prefix(tree, last);
             hist[d]++;
             fen_add(tree, n, last, -1);
         } else {
@@ -1503,7 +1870,7 @@ int64_t ideal_lru_run(const int64_t *addrs, int64_t n, int64_t capacity,
     }
     memset(tvals, 0xFF, tsize * sizeof(int64_t));
     uint64_t tmask = tsize - 1;
-    int64_t hits = 0;
+    int64_t hits = 0, distinct = 0;
 
     for (int64_t i = 0; i < m; i++) {
         int64_t a = (i < occ) ? resident[i] : addrs[i - occ];
@@ -1511,12 +1878,14 @@ int64_t ideal_lru_run(const int64_t *addrs, int64_t n, int64_t capacity,
         while (tvals[slot] >= 0 && ttags[slot] != a)
             slot = (slot + 1) & tmask;
         if (tvals[slot] >= 0) {
+            /* One live marker per distinct line, all before i. */
             int64_t last = tvals[slot];
-            if (fen_prefix(tree, i - 1) - fen_prefix(tree, last) < capacity)
+            if (distinct - fen_prefix(tree, last) < capacity)
                 hits++;
             fen_add(tree, m, last, -1);
         } else {
             ttags[slot] = a;
+            distinct++;
         }
         fen_add(tree, m, i, 1);
         tvals[slot] = i;
@@ -1579,8 +1948,9 @@ int64_t stack_hist_chunk(const int64_t *addrs, int64_t n,
         while (tab_vals[slot] >= 0 && tab_tags[slot] != a)
             slot = (slot + 1) & tmask;
         if (tab_vals[slot] >= 0) {
+            /* The `live` markers all sit before pos. */
             int64_t last = tab_vals[slot];
-            int64_t d = fen_prefix(tree, pos - 1) - fen_prefix(tree, last);
+            int64_t d = live - fen_prefix(tree, last);
             if (d >= hist_cap) {
                 pos_io[0] = pos; live_io[0] = live; cold_io[0] = cold;
                 return -2;

@@ -291,7 +291,9 @@ class TestVantageNonLRUParity:
 # --------------------------------------------------------------------- #
 class TestMatrixSweep:
     SIZES = (0.25, 0.5)
-    POLICIES = ("LRU", "SRRIP", "TA-DRRIP", "Belady")
+    #: DRRIP runs Vantage's shared-PSEL duel through the kernel's RRPV
+    #: bucket index in the thread-width test (CI's tsan job runs it).
+    POLICIES = ("LRU", "SRRIP", "DRRIP", "TA-DRRIP", "Belady")
 
     def test_cells_cover_the_matrix(self):
         cells = matrix_cells(self.SIZES, self.POLICIES)
