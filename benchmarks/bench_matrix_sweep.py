@@ -3,13 +3,16 @@
 The tentpole claim of the total backend matrix: every replacement policy
 on every partitioning scheme at every size — TA-DRRIP, offline Belady
 MIN and non-LRU Vantage regions included — executes as **one**
-``batch_run_threaded`` dispatch over one shared ``TraceStore`` copy of
-the trace.  This benchmark runs the same policy × scheme × size grid
-through :func:`repro.sim.sweep.run_matrix_sweep` twice:
+``batch_run_threaded`` dispatch over one address array.  This benchmark
+runs the same policy × scheme × size grid through
+:func:`repro.sim.sweep.run_matrix_sweep` (one
+:func:`~repro.sim.sweep.run_sweep` over
+:func:`~repro.sim.sweep.matrix_configs`; every partitioned cell replays
+all accesses into partition 0) twice:
 
 * ``backend="object"`` — the reference serial stream, access by access,
-  one core (Belady excluded from the baseline grid, so its cells are
-  timed on the array path only);
+  one cell after another on one core (Belady excluded from the baseline
+  grid, so its cells are timed on the array path only);
 * ``backend="auto"`` — the threaded native matrix,
 
 checking that both record **identical cell keys**, that every online

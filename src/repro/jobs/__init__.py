@@ -1,12 +1,11 @@
 """Fault-tolerant job runtime for long sweeps.
 
 A supervised execution layer over the declarative spec API: jobs are
-frozen, picklable payloads (:class:`SweepJob`, :class:`MatrixSweepJob`,
-:class:`SamplingJob`, :class:`MixSweepJob`, :class:`ControllerJob`,
-:class:`CacheJob`) wrapping the existing
-``SweepSpec``/``MixSweepSpec``/``ChurnSpec``/``CacheSpec`` descriptors.
-Jobs with many units (sweep configs, matrix cells, sampled windows) bank
-each unit as it completes, through one loop
+frozen, picklable payloads (:class:`SweepJob`, :class:`SamplingJob`,
+:class:`MixSweepJob`, :class:`ControllerJob`) wrapping the existing
+sweep points and ``MixSweepSpec``/``ChurnSpec`` descriptors.  Jobs with
+many units (sweep points, a matrix's cells among them, and sampled
+windows) bank each unit as it completes, through one loop
 (:meth:`JobContext.banked_units`); the
 :class:`JobQueue` runs each attempt in a fresh supervised worker process
 with heartbeat and wall-clock watchdogs, bounded retry with exponential
@@ -17,25 +16,23 @@ interrupted sweeps resume.
 
 The sim drivers integrate via ``supervise=True``
 (:func:`repro.sim.sweep.run_sweep`,
-:func:`repro.sim.sweep.run_matrix_sweep`,
 :func:`repro.sampling.driver.run_sampled`,
 :func:`repro.sim.mixsweep.run_mix_sweep`,
-:func:`repro.sim.multicore.run_churn`); ``python -m repro.jobs`` is the
-operator CLI.  Fault recovery is provable:
+:func:`repro.sim.multicore.run_churn`); a supervised policy × scheme
+matrix is ``run_sweep(trace, matrix_configs(...), supervise=True,
+bank=...)``.  ``python -m repro.jobs`` is the operator CLI.  Fault recovery is provable:
 :mod:`repro.jobs.faults` injects worker deaths deterministically, and
 the fault suite asserts recovered results bit-identical to unfaulted
 serial runs.
 """
 
 from .bank import DEFAULT_BANK_ENV, ResultBank
-from .drivers import (run_controller_supervised, run_matrix_sweep_supervised,
-                      run_mix_sweep_supervised, run_sampled_supervised,
-                      run_sweep_supervised, supervised_queue)
+from .drivers import (run_controller_supervised, run_mix_sweep_supervised,
+                      run_sampled_supervised, run_sweep_supervised)
 from .faults import FAULT_KINDS, FaultInjected, FaultPlan
 from .keys import canonical_digest, canonical_json, code_version, job_key
-from .payloads import (CacheJob, ControllerJob, InlineTrace, JobContext,
-                       MatrixSweepJob, MixSweepJob, SamplingJob, SweepJob,
-                       TraceRef, as_trace_source)
+from .payloads import (ControllerJob, InlineTrace, JobContext, MixSweepJob,
+                       SamplingJob, SweepJob, TraceRef, as_trace_source)
 from .queue import Job, JobFailed, JobQueue, JobState, RetryPolicy
 from .supervisor import SupervisedWorker, WorkerOutcome
 
@@ -43,12 +40,10 @@ __all__ = [
     "ResultBank", "DEFAULT_BANK_ENV",
     "JobQueue", "Job", "JobState", "JobFailed", "RetryPolicy",
     "SupervisedWorker", "WorkerOutcome",
-    "SweepJob", "MatrixSweepJob", "MixSweepJob", "ControllerJob",
-    "CacheJob", "SamplingJob",
+    "SweepJob", "MixSweepJob", "ControllerJob", "SamplingJob",
     "TraceRef", "InlineTrace", "as_trace_source", "JobContext",
     "FaultPlan", "FaultInjected", "FAULT_KINDS",
     "job_key", "code_version", "canonical_json", "canonical_digest",
-    "run_sweep_supervised", "run_matrix_sweep_supervised",
-    "run_mix_sweep_supervised", "run_sampled_supervised",
-    "run_controller_supervised", "supervised_queue",
+    "run_sweep_supervised", "run_mix_sweep_supervised",
+    "run_sampled_supervised", "run_controller_supervised",
 ]

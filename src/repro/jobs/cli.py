@@ -8,8 +8,8 @@ Four subcommands over a shared bank directory (``--bank``, or
     mirroring live job snapshots into ``<bank>/jobs-state.json`` so other
     terminals can watch.  Exits non-zero if any job fails.  With
     ``--schemes`` the submission is a whole policy × scheme × size
-    matrix (one job per ``(policy, scheme)`` row, every cell banked
-    individually) instead of a plain policy × size sweep.
+    matrix (every cell a sweep point, banked individually) instead of a
+    plain policy × size sweep.
 ``status``
     Print the last known state of every recorded job plus bank counters.
 ``cancel``
@@ -38,7 +38,7 @@ from pathlib import Path
 from ..core.atomicio import atomic_write_json
 from .bank import DEFAULT_BANK_ENV, ResultBank
 from .drivers import _split
-from .payloads import MatrixSweepJob, SweepJob, TraceRef
+from .payloads import SweepJob, TraceRef
 from .queue import JobQueue, JobState, RetryPolicy
 
 __all__ = ["main"]
@@ -92,27 +92,27 @@ def _drain_cancel_markers(bank_dir: Path, queue: JobQueue) -> None:
 def _submit_payloads(args, trace) -> list:
     """The job payloads one ``submit`` invocation expands to.
 
-    Without ``--schemes`` this is the classic policy × size sweep,
-    sharded round-robin across the workers.  With ``--schemes`` the
-    whole policy × scheme × size matrix is submitted instead, one
-    :class:`MatrixSweepJob` shard per ``(policy, scheme)`` row — each
-    completed cell banks under its own content key, so a resubmission
-    resumes where the last run stopped.
+    The sweep points — the classic policy × size sweep, or with
+    ``--schemes`` the whole policy × scheme × size matrix — sharded
+    round-robin across the workers.  Each completed point banks under
+    its own content key, so a resubmission resumes where the last run
+    stopped.
     """
+    from ..sim.sweep import MATRIX_SCHEMES, SweepSpec, matrix_configs
     policies = tuple(args.policies.split(","))
     sizes = tuple(float(s) for s in args.sizes.split(","))
     if args.schemes:
-        schemes = (None if args.schemes == "all"
+        schemes = (MATRIX_SCHEMES if args.schemes == "all"
                    else tuple(args.schemes.split(",")))
-        return MatrixSweepJob.shards_for_matrix(
-            trace, sizes_mb=sizes, policies=policies, schemes=schemes,
-            num_partitions=args.partitions, ways=args.ways,
-            backend=args.backend, seed=args.seed)
-    from ..sim.sweep import SweepSpec
-    spec = SweepSpec(policies=policies, sizes_mb=sizes, ways=args.ways,
-                     base_seed=args.seed, backend=args.backend)
+        configs = matrix_configs(
+            sizes, policies, schemes, num_partitions=args.partitions,
+            ways=args.ways, backend=args.backend, seed=args.seed)
+    else:
+        configs = SweepSpec(policies=policies, sizes_mb=sizes,
+                            ways=args.ways, base_seed=args.seed,
+                            backend=args.backend).expand()
     return [SweepJob(trace=trace, configs=tuple(group))
-            for group in _split(spec.expand(), args.workers)]
+            for group in _split(configs, args.workers)]
 
 
 def _cmd_submit(args) -> int:
@@ -212,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="submit a whole policy x scheme x size matrix "
                              "instead of a plain sweep: comma-separated "
                              "partitioning schemes (none,way,set,ideal,"
-                             "vantage) or 'all'; one job per "
-                             "(policy, scheme) row, each cell banked "
+                             "vantage) or 'all'; each cell banked "
                              "individually so resubmissions resume")
     submit.add_argument("--partitions", type=int, default=1,
                         help="partitions per partitioned matrix cell "

@@ -1,7 +1,6 @@
 """Supervised counterparts of the top-level sim drivers.
 
 These are what ``supervise=True`` on :func:`~repro.sim.sweep.run_sweep`,
-:func:`~repro.sim.sweep.run_matrix_sweep`,
 :func:`~repro.sampling.driver.run_sampled`,
 :func:`~repro.sim.mixsweep.run_mix_sweep` and
 :func:`~repro.sim.multicore.run_churn` delegate to.  Each one maps the
@@ -11,7 +10,8 @@ call), and reassembles the driver's normal result type — bit-identical
 to the unsupervised path, because every per-unit seed in this codebase
 is a stable function of the unit's identity, never of its position in a
 batch or of which worker ran it.  A single fixed mix runs supervised as
-a one-mix ``run_mix_sweep``.
+a one-mix ``run_mix_sweep``, and a supervised policy × scheme matrix is
+``run_sweep(trace, matrix_configs(...), supervise=True, bank=...)``.
 
 Fault-injection hooks (``faults=``) take a mapping from unit index (or
 mix name) to a :class:`~repro.jobs.faults.FaultPlan`; they exist for the
@@ -25,34 +25,21 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .bank import ResultBank
-from .payloads import (MatrixSweepJob, MixSweepJob, SamplingJob, SweepJob,
-                       as_trace_source)
-from .queue import JobQueue, RetryPolicy
+from .payloads import MixSweepJob, SamplingJob, SweepJob, as_trace_source
+from .queue import JobQueue
 
-__all__ = ["run_sweep_supervised", "run_matrix_sweep_supervised",
-           "run_mix_sweep_supervised", "run_sampled_supervised",
-           "run_controller_supervised", "supervised_queue"]
-
-
-def supervised_queue(bank=None, *, max_workers: int = 2,
-                     job_timeout: float | None = 600.0,
-                     heartbeat_timeout: float = 30.0,
-                     retry: RetryPolicy | None = None,
-                     start_method: str | None = None) -> JobQueue:
-    """A :class:`JobQueue` with the drivers' defaults applied."""
-    return JobQueue(bank, max_workers=max_workers, job_timeout=job_timeout,
-                    heartbeat_timeout=heartbeat_timeout, retry=retry,
-                    start_method=start_method)
+__all__ = ["run_sweep_supervised", "run_mix_sweep_supervised",
+           "run_sampled_supervised", "run_controller_supervised"]
 
 
 @contextmanager
 def _queue(queue: JobQueue | None, bank, **options):
-    """``queue`` itself, or a :func:`supervised_queue` with ``options``
-    that lives (and is closed) for the duration of the block."""
+    """``queue`` itself, or a :class:`JobQueue` with ``options`` that
+    lives (and is closed) for the duration of the block."""
     if queue is not None:
         yield queue
         return
-    with supervised_queue(bank, **options) as owned:
+    with JobQueue(bank, **options) as owned:
         yield owned
 
 
@@ -73,7 +60,10 @@ def run_sweep_supervised(trace, spec, *, backend: str | None = None,
                          faults=None):
     """Supervised :func:`~repro.sim.sweep.run_sweep`.
 
-    Configs are sharded round-robin across ``max_workers`` jobs (a
+    ``spec`` is a :class:`~repro.sim.sweep.SweepSpec` or a config
+    sequence, such as a matrix's
+    (:func:`~repro.sim.sweep.matrix_configs`).  Configs are sharded
+    round-robin across ``max_workers`` jobs (a
     :class:`~repro.sim.sweep.SweepSpec`'s own ``max_workers`` by
     default, else 2); inside each job the worker banks every completed
     config, so a crash costs at most one config and a resubmission
@@ -93,43 +83,6 @@ def run_sweep_supervised(trace, spec, *, backend: str | None = None,
             fault = None if faults is None else faults.get(shard_index)
             jobs.append(queue.submit(SweepJob(
                 trace=source, configs=tuple(shard), fault=fault)))
-        merged: dict = {}
-        instructions = 0
-        for job in jobs:
-            result = job.result()          # raises JobFailed on failure
-            merged.update(result.stats)
-            instructions = result.instructions or instructions
-        return SweepResult(merged, instructions=instructions)
-
-
-def run_matrix_sweep_supervised(trace, *, sizes_mb, policies=("LRU",),
-                                schemes=None, num_partitions: int = 1,
-                                ways: int = 16, backend: str = "auto",
-                                seed: int | None = None,
-                                max_workers: int = 2,
-                                bank: ResultBank | str | None = None,
-                                queue: JobQueue | None = None,
-                                job_timeout: float | None = 600.0,
-                                faults=None):
-    """Supervised :func:`~repro.sim.sweep.run_matrix_sweep`.
-
-    The matrix shards one ``(policy, scheme)`` row per job; inside each
-    job the worker banks every completed cell under its own content key,
-    so a crash costs at most one cell and a resubmission resumes from
-    the bank.  Per-cell seeds are stable functions of the cell itself,
-    so the merged result is bit-identical to one unsupervised
-    whole-matrix call.  ``faults`` maps row index to a
-    :class:`~repro.jobs.faults.FaultPlan`.  Returns the usual
-    cell-keyed :class:`~repro.sim.sweep.SweepResult`.
-    """
-    from ..sim.sweep import SweepResult
-    shards = MatrixSweepJob.shards_for_matrix(
-        trace, sizes_mb=sizes_mb, policies=policies, schemes=schemes,
-        num_partitions=num_partitions, ways=ways, backend=backend,
-        seed=seed, faults=faults)
-    with _queue(queue, bank, max_workers=max_workers,
-                job_timeout=job_timeout) as queue:
-        jobs = [queue.submit(shard) for shard in shards]
         merged: dict = {}
         instructions = 0
         for job in jobs:

@@ -1,11 +1,10 @@
 """Job payloads: the work descriptions the supervised runtime executes.
 
 A payload is a frozen, picklable dataclass wrapping the repo's existing
-declarative specs (:class:`~repro.sim.sweep.SweepSpec` configs, matrix
-cells, sampled windows, :class:`~repro.sim.mixsweep.MixSweepSpec` mixes,
-:class:`~repro.sim.multicore.ChurnSpec` streams,
-:class:`~repro.cache.spec.CacheSpec` replays) together with the *trace
-identity* the job runs against.  Payloads define three things:
+declarative specs (sweep points — a plain sweep's or a policy × scheme
+matrix's — sampled windows, :class:`~repro.sim.mixsweep.MixSweepSpec`
+mixes, :class:`~repro.sim.multicore.ChurnSpec` streams) together with
+the *trace identity* the job runs against.  Payloads define three things:
 
 * their canonical identity (every ``compare=True`` field feeds
   :func:`repro.jobs.keys.job_key` — fault plans and raw arrays are
@@ -31,16 +30,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..cache.cache import CacheStats
-from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
+from ..cache.spec import CacheSpec, TalusSpec
 from ..workloads.access import Trace
 from ..workloads.scale import ChunkedTrace
 from .faults import FaultPlan
 from .keys import job_key
 
 __all__ = ["TraceRef", "InlineTrace", "as_trace_source", "JobContext",
-           "SweepJob", "MatrixSweepJob", "MixSweepJob", "ControllerJob",
-           "CacheJob", "SamplingJob", "stats_to_payload",
-           "stats_from_payload"]
+           "SweepJob", "MixSweepJob", "ControllerJob", "SamplingJob",
+           "stats_to_payload", "stats_from_payload"]
 
 
 # --------------------------------------------------------------------- #
@@ -210,6 +208,9 @@ def _key_from_json(key):
 class SweepJob:
     """Replay a batch of sweep points against one trace.
 
+    The points are a plain sweep's (:meth:`from_spec`) or any
+    :class:`~repro.sim.sweep.SweepConfig` sequence, a policy × scheme
+    matrix's (:func:`~repro.sim.sweep.matrix_configs`) included.
     Executes point by point (each point's spec carries its backend and
     seed, so any grouping is bit-identical to a serial
     :func:`~repro.sim.sweep.run_sweep`), banking each point's stats
@@ -264,103 +265,6 @@ class SweepJob:
                  for unit in payload["units"]}
         return SweepResult(stats,
                            instructions=int(payload.get("instructions", 0)))
-
-
-@dataclass(frozen=True)
-class MatrixSweepJob:
-    """Replay a shard of matrix-sweep cells against one trace.
-
-    A shard is typically one ``(policy, scheme)`` row of the matrix —
-    every size of that row — as produced by
-    :func:`~repro.sim.sweep.matrix_cells`.  Each cell banks under its own
-    content key (trace identity + cell + organization parameters, never
-    its shard or position), so a killed worker loses at most one cell and
-    a resubmitted matrix resumes from the bank.  Per-cell seeds are
-    stable functions of ``(seed, policy, scheme, size)`` — independent of
-    sharding — so any grouping is bit-identical to one whole-matrix
-    :func:`~repro.sim.sweep.run_matrix_sweep` call.
-    """
-
-    trace: TraceRef | InlineTrace
-    cells: tuple            #: ``(policy, scheme, size_mb)`` tuples
-    num_partitions: int = 1
-    ways: int = 16
-    backend: str = "auto"
-    seed: int | None = None
-    fault: FaultPlan | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        cells = tuple((str(p), str(s), float(m)) for p, s, m in self.cells)
-        if not cells:
-            raise ValueError("a matrix-sweep job needs at least one cell")
-        object.__setattr__(self, "cells", cells)
-
-    @classmethod
-    def shards_for_matrix(cls, trace, *, sizes_mb, policies,
-                          schemes=None, num_partitions: int = 1,
-                          ways: int = 16, backend: str = "auto",
-                          seed: int | None = None,
-                          faults=None) -> list["MatrixSweepJob"]:
-        """One job per ``(policy, scheme)`` row of the matrix.
-
-        Rows are the natural shard: cells of a row differ only in size,
-        and :func:`~repro.sim.sweep.matrix_cells` already groups them
-        contiguously (skipping the Belady × partitioned-scheme cells that
-        do not exist).  ``faults`` maps row index to a
-        :class:`~repro.jobs.faults.FaultPlan` (fault-suite hook).
-        """
-        from ..sim.sweep import MATRIX_SCHEMES, matrix_cells
-        if schemes is None:
-            schemes = MATRIX_SCHEMES
-        source = as_trace_source(trace)
-        rows: dict[tuple[str, str], list] = {}
-        for cell in matrix_cells(sizes_mb, policies, schemes):
-            rows.setdefault(cell[:2], []).append(cell)
-        jobs = []
-        for index, row in enumerate(rows.values()):
-            fault = None if faults is None else faults.get(index)
-            jobs.append(cls(trace=source, cells=tuple(row),
-                            num_partitions=num_partitions, ways=ways,
-                            backend=backend, seed=seed, fault=fault))
-        return jobs
-
-    def unit_key(self, cell) -> str:
-        """Bank key of one cell's stats on this trace."""
-        return job_key({"unit": "matrix-cell", "trace": self.trace,
-                        "cell": list(cell),
-                        "num_partitions": int(self.num_partitions),
-                        "ways": int(self.ways), "backend": self.backend,
-                        "seed": None if self.seed is None
-                        else int(self.seed)})
-
-    def execute(self, ctx: JobContext) -> dict:
-        from ..sim.sweep import run_matrix_sweep
-        from ..workloads.tracestore import TraceStore
-        trace = self.trace.materialize()
-
-        def replay(cell) -> dict:
-            policy, scheme, size_mb = cell
-            result = run_matrix_sweep(
-                trace, sizes_mb=(size_mb,), policies=(policy,),
-                schemes=(scheme,), num_partitions=self.num_partitions,
-                ways=self.ways, backend=self.backend, threads=1,
-                seed=self.seed, trace_store=store)
-            return stats_to_payload(result[cell])
-
-        # put() dedupes: one materialization for the whole shard.
-        with TraceStore() as store:
-            stats, banked_units = ctx.banked_units(self.cells,
-                                                   self.unit_key, replay)
-        units = [{"key": _key_to_json(cell), "stats": cell_stats}
-                 for cell, cell_stats in zip(self.cells, stats)]
-        return {"units": units, "instructions": trace.instructions,
-                "banked_units": banked_units}
-
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the :class:`~repro.sim.sweep.SweepResult` keyed by
-        ``(policy, scheme, size_mb)`` cells."""
-        return SweepJob.load(payload)
 
 
 @dataclass(frozen=True)
@@ -520,47 +424,3 @@ class ControllerJob:
         """Rebuild the run's :class:`~repro.sim.controller.ControllerResult`."""
         from ..sim.controller import ControllerResult
         return ControllerResult.from_payload(payload)
-
-
-@dataclass(frozen=True)
-class CacheJob:
-    """Replay one trace through one declaratively specified cache."""
-
-    trace: TraceRef | InlineTrace
-    cache: object           # CacheSpec or TalusSpec
-    fault: FaultPlan | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if isinstance(self.cache, PartitionSpec):
-            raise TypeError(
-                "a bare PartitionSpec needs a per-access partition stream; "
-                "submit a TalusSpec (which steers internally) or a "
-                "CacheSpec instead")
-        if not isinstance(self.cache, (CacheSpec, TalusSpec)):
-            raise TypeError(f"cache must be a CacheSpec or TalusSpec, got "
-                            f"{type(self.cache).__name__}")
-        object.__setattr__(self, "trace", as_trace_source(self.trace))
-
-    def execute(self, ctx: JobContext) -> dict:
-        ctx.unit("unit", 0)
-        trace = self.trace.materialize()
-        cache = build(self.cache)
-        if getattr(cache, "supports_batch_replay", False):
-            cache.run(trace.addresses)
-        else:
-            access = cache.access
-            for addr in trace.addresses.tolist():
-                access(addr)
-        ctx.beat()
-        stats = getattr(cache, "stats", None)
-        if not isinstance(stats, CacheStats):
-            stats = cache.logical_stats[0]
-        return {"stats": stats_to_payload(stats),
-                "instructions": trace.instructions}
-
-    @staticmethod
-    def load(payload: dict) -> CacheStats:
-        stats = stats_from_payload(payload["stats"])
-        if not stats.instructions:
-            stats.instructions = int(payload.get("instructions", 0))
-        return stats

@@ -41,6 +41,9 @@ from .supervisor import SupervisedWorker, WorkerOutcome
 
 __all__ = ["JobQueue", "Job", "JobState", "JobFailed", "RetryPolicy"]
 
+#: Seconds between the scheduler thread's checks of its workers.
+POLL_INTERVAL = 0.02
+
 
 class JobState:
     """Lifecycle states of a :class:`Job`."""
@@ -98,7 +101,9 @@ class Job:
     degraded: bool = False
     error: str | None = None
     #: Quarantine log: one entry per abnormal worker death
-    #: (``{"outcome", "attempt", "signal", "error", "degraded"}``).
+    #: (``{"outcome", "attempt", "signal", "error", "stack",
+    #: "degraded"}``; ``stack`` is the worker's fault-handler dump of
+    #: every thread, or ``None``).
     crashes: list = field(default_factory=list)
     result_payload: object = None
     meta: dict = field(default_factory=dict)
@@ -146,7 +151,7 @@ class JobQueue:
     retry:
         The :class:`RetryPolicy`; retries apply to worker crashes,
         watchdog kills and payload exceptions alike.
-    job_timeout / heartbeat_timeout / heartbeat_interval:
+    job_timeout / heartbeat_timeout:
         Watchdog budgets handed to every
         :class:`~repro.jobs.supervisor.SupervisedWorker`.
 
@@ -158,9 +163,7 @@ class JobQueue:
                  *, max_workers: int = 2, retry: RetryPolicy | None = None,
                  job_timeout: float | None = 600.0,
                  heartbeat_timeout: float = 30.0,
-                 heartbeat_interval: float = 0.1,
-                 start_method: str | None = None,
-                 poll_interval: float = 0.02):
+                 start_method: str | None = None):
         if bank is not None and not isinstance(bank, ResultBank):
             bank = ResultBank(bank)
         self.bank = bank
@@ -168,9 +171,7 @@ class JobQueue:
         self.retry = retry if retry is not None else RetryPolicy()
         self.job_timeout = job_timeout
         self.heartbeat_timeout = heartbeat_timeout
-        self.heartbeat_interval = heartbeat_interval
         self.start_method = start_method
-        self.poll_interval = poll_interval
 
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}           # id -> job
@@ -222,10 +223,6 @@ class JobQueue:
         self._wake.set()
         return job
 
-    def submit_many(self, payloads) -> list[Job]:
-        """Submit several payloads; order of the returned jobs matches."""
-        return [self.submit(p) for p in payloads]
-
     # ------------------------------------------------------------------ #
     # Introspection and control
     # ------------------------------------------------------------------ #
@@ -236,10 +233,6 @@ class JobQueue:
     def jobs(self) -> list[Job]:
         with self._lock:
             return list(self._jobs.values())
-
-    def status(self) -> list[dict]:
-        """Status snapshot of every tracked job (CLI ``status``)."""
-        return [job.snapshot() for job in self.jobs()]
 
     def wait(self, job: Job, timeout: float | None = None) -> Job:
         """Block until ``job`` is terminal (or ``timeout`` elapses)."""
@@ -310,7 +303,7 @@ class JobQueue:
                 if outcome is None:
                     continue
                 self._settle(job_id, worker, outcome)
-            self._wake.wait(self.poll_interval)
+            self._wake.wait(POLL_INTERVAL)
             self._wake.clear()
 
     def _promote_waiting_locked(self) -> None:
@@ -330,7 +323,6 @@ class JobQueue:
             worker = SupervisedWorker(
                 job.payload, attempt=job.attempts, degraded=job.degraded,
                 bank_dir=None if self.bank is None else self.bank.directory,
-                heartbeat_interval=self.heartbeat_interval,
                 heartbeat_timeout=self.heartbeat_timeout,
                 job_timeout=self.job_timeout,
                 start_method=self.start_method)
@@ -363,7 +355,7 @@ class JobQueue:
                 job.crashes.append({
                     "outcome": outcome, "attempt": job.attempts - 1,
                     "signal": worker.signal, "error": worker.error,
-                    "degraded": job.degraded})
+                    "stack": worker.stack, "degraded": job.degraded})
             # Degradation ladder: a signal death on a non-degraded job
             # earns one quarantine retry with the native kernel disabled,
             # over and above the ordinary retry budget.

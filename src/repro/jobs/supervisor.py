@@ -11,11 +11,16 @@ sharing the corpse's address space.
 Two watchdog clocks run in the parent (:meth:`SupervisedWorker.check`):
 
 * a **heartbeat timeout** — the worker's daemon beat thread pings every
-  ``heartbeat_interval`` seconds; silence means the *process* is wedged
+  :data:`HEARTBEAT_INTERVAL` seconds; silence means the *process* is wedged
   (stop-the-world native hang, livelocked GIL holder);
 * a **job timeout** — a hard wall-clock budget per attempt, which also
   catches the case a beat thread would mask: Python-level loops that
   happily heartbeat forever while making no progress.
+
+A worker that dies of a fatal signal leaves the stacks of all its
+threads, as :mod:`faulthandler` dumps them, in a per-attempt file; the
+supervisor reads it into :attr:`SupervisedWorker.stack`, so the dump
+reaches the job's crash record instead of the submitting terminal.
 
 Degraded attempts (the quarantine-retry after a signal death) call
 :func:`repro.cache._native.disable_native` *first thing* in the child,
@@ -28,16 +33,22 @@ equals the native one.
 
 from __future__ import annotations
 
+import faulthandler
 import multiprocessing as mp
 import os
 import signal
+import tempfile
 import threading
 import time
 import traceback
+from contextlib import suppress
 
 __all__ = ["SupervisedWorker", "WorkerOutcome", "resolve_start_method"]
 
 _WORKER_START_ENV = "REPRO_JOBS_START"
+
+#: Seconds between a worker's heartbeats.
+HEARTBEAT_INTERVAL = 0.1
 
 
 def resolve_start_method(method: str | None = None) -> str:
@@ -59,8 +70,11 @@ def resolve_start_method(method: str | None = None) -> str:
 
 
 def _worker_main(conn, payload, attempt: int, degraded: bool,
-                 bank_dir: str | None, heartbeat_interval: float) -> None:
+                 bank_dir: str | None, stack_path: str) -> None:
     """Child entry point: execute one payload attempt, report by pipe."""
+    # A fatal signal dumps every thread's stack into this attempt's file
+    # (the file object stays open for the life of the process).
+    faulthandler.enable(open(stack_path, "w"), all_threads=True)
     if degraded:
         # Before any cache code touches the kernel: this attempt is the
         # quarantine retry and must run on the object model.
@@ -79,7 +93,7 @@ def _worker_main(conn, payload, attempt: int, degraded: bool,
     stop = threading.Event()
 
     def beat_loop() -> None:
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             send(("beat", None))
 
     threading.Thread(target=beat_loop, daemon=True,
@@ -128,12 +142,13 @@ class SupervisedWorker:
     The supervisor drives this with :meth:`check` from its scheduling
     loop; a non-``None`` return is the attempt's final classification
     (one of the :class:`WorkerOutcome` constants).  After ``CRASH`` the
-    delivered signal, if any, is in :attr:`signal`.
+    delivered signal, if any, is in :attr:`signal`, and the worker's
+    fault-handler dump of every thread, if it wrote one, in
+    :attr:`stack`.
     """
 
     def __init__(self, payload, *, attempt: int = 0, degraded: bool = False,
                  bank_dir: str | os.PathLike | None = None,
-                 heartbeat_interval: float = 0.1,
                  heartbeat_timeout: float = 30.0,
                  job_timeout: float | None = 600.0,
                  start_method: str | None = None):
@@ -144,15 +159,19 @@ class SupervisedWorker:
         self.job_timeout = job_timeout
         context = mp.get_context(resolve_start_method(start_method))
         self._conn, child_conn = context.Pipe(duplex=False)
+        fd, self._stack_path = tempfile.mkstemp(prefix="repro-worker-",
+                                                suffix=".stack")
+        os.close(fd)
         self.process = context.Process(
             target=_worker_main,
             args=(child_conn, payload, attempt, degraded,
                   None if bank_dir is None else str(bank_dir),
-                  heartbeat_interval),
+                  self._stack_path),
             daemon=True, name=f"job-worker-a{attempt}")
         self.result = None
         self.error: str | None = None
         self.signal: int | None = None
+        self.stack: str | None = None
         self._reported: str | None = None
         self.process.start()
         child_conn.close()
@@ -189,6 +208,8 @@ class SupervisedWorker:
             self._drain()  # the final report may race the exit
             if self._reported is not None:
                 return self._reported
+            with suppress(OSError), open(self._stack_path) as dump:
+                self.stack = dump.read() or None
             if exitcode < 0:
                 self.signal = -exitcode
                 self.error = (f"worker killed by signal {self.signal} "
@@ -222,7 +243,7 @@ class SupervisedWorker:
             pass
 
     def close(self, join_timeout: float = 5.0) -> None:
-        """Reap the process and release the pipe."""
+        """Reap the process, release the pipe, delete the stack file."""
         try:
             self.process.join(timeout=join_timeout)
             if self.process.is_alive():
@@ -235,3 +256,5 @@ class SupervisedWorker:
             self._conn.close()
         except OSError:
             pass
+        with suppress(OSError):
+            os.unlink(self._stack_path)

@@ -5,14 +5,16 @@ sizes, policies, or schemes.  The seed implementation replayed the full
 trace once per point through the object-model cache; this module separates
 the *what* from the *how*.  Every point is a :class:`SweepConfig`: a
 result key plus the declarative spec of its cache (a
-:class:`~repro.cache.spec.CacheSpec` or a
+:class:`~repro.cache.spec.CacheSpec`, a
+:class:`~repro.cache.spec.PartitionSpec` or a
 :class:`~repro.cache.spec.TalusSpec`, or ``None`` for a zero-capacity
 point).  A :class:`SweepSpec` expands a size × policy grid into such
-points.  Each spec's ``backend`` field picks its simulation core:
+points, and :func:`matrix_configs` a policy × scheme × size matrix.
+Each spec's ``backend`` field picks its simulation core:
 
-* ``object`` — the reference per-set policy-object model.  All configs of
-  the sweep advance together in a single streaming pass over the trace
-  (the trace is materialized and decoded once, not once per point).
+* ``object`` — the reference per-set policy-object model.  The configs
+  of the sweep stream one after another over one decoded copy of the
+  trace (the trace is materialized and decoded once, not once per point).
 * ``array``  — the numpy/native array cache
   (:mod:`repro.cache.arraycache`): each config is one
   :class:`~repro.cache.threadbatch.ReplayTask` of a compiled kernel,
@@ -31,7 +33,7 @@ by ``parallel=``:
   :class:`~repro.cache.threadbatch.ReplayTask` and the whole sweep is one
   GIL-releasing ``batch_run_threaded`` call into the native kernel
   (width from ``threads=`` or ``REPRO_THREADS``); object-model configs
-  stream serially in one per-access pass.
+  stream serially.
 * ``"processes"`` — independent configs fan out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers > 1``),
   with the address array shared through a
@@ -73,8 +75,8 @@ from ..workloads.scale import paper_mb_to_lines
 from ..workloads.tracestore import TraceHandle, TraceStore
 
 __all__ = ["SweepConfig", "SweepSpec", "SweepResult", "sweep_configs",
-           "run_sweep", "run_matrix_sweep", "matrix_cells", "MATRIX_SCHEMES",
-           "DEFAULT_WAYS"]
+           "run_sweep", "run_matrix_sweep", "matrix_cells", "matrix_configs",
+           "MATRIX_SCHEMES", "DEFAULT_WAYS"]
 
 #: Default associativity of simulated caches (scaled stand-in for the
 #: paper's 32-way LLC).
@@ -98,26 +100,28 @@ def _derive_seed(base_seed: int, policy: str, size_mb: float) -> int:
 class SweepConfig:
     """One point of a sweep: a result key plus the spec of its cache.
 
-    ``spec`` is a :class:`~repro.cache.spec.CacheSpec` or a
+    ``spec`` is a :class:`~repro.cache.spec.CacheSpec`, a
+    :class:`~repro.cache.spec.PartitionSpec` or a
     :class:`~repro.cache.spec.TalusSpec`, each carrying its own backend,
     or ``None`` for a zero-capacity point, which every path reports as
-    all-miss.  Specs are frozen dataclasses of plain values, so every
-    point can fan out over a process pool, be sampled, or bank under
-    its content key in a supervised job, and equal specs describe equal
-    points.  A :class:`~repro.cache.spec.PartitionSpec` is rejected: it
-    needs per-access partition ids that a sweep does not have.
+    all-miss.  A partitioned point replays every access into partition
+    0 and reports the sum of its partitions.  Specs are frozen
+    dataclasses of plain values, so every point can fan out over a
+    process pool or bank under its content key in a supervised job
+    (and a cache or Talus point can be sampled), and equal specs
+    describe equal points.
     """
 
     key: Hashable
-    spec: CacheSpec | TalusSpec | None
+    spec: CacheSpec | PartitionSpec | TalusSpec | None
 
     def __post_init__(self):
         if self.spec is not None and not isinstance(
-                self.spec, (CacheSpec, TalusSpec)):
+                self.spec, (CacheSpec, PartitionSpec, TalusSpec)):
             raise TypeError(
-                f"a sweep point's spec must be a CacheSpec, a TalusSpec or "
-                f"None, got {type(self.spec).__name__} (a PartitionSpec "
-                f"needs per-access partition ids; see run_matrix_sweep)")
+                f"a sweep point's spec must be a CacheSpec, a "
+                f"PartitionSpec, a TalusSpec or None, got "
+                f"{type(self.spec).__name__}")
 
     def build(self, trace=None):
         """Instantiate this point's cache.
@@ -272,13 +276,16 @@ class SweepResult:
 
 
 def _extract_stats(cache) -> CacheStats:
-    """Statistics of any cache organization the sweep can drive."""
+    """Statistics of any cache organization the sweep can drive (a
+    partitioned cache sums its partitions)."""
     stats = getattr(cache, "stats", None)
     if isinstance(stats, CacheStats):
         return stats
     logical = getattr(cache, "logical_stats", None)
     if logical:
         return logical[0]
+    if hasattr(cache, "partition_stats"):
+        return cache.total_stats()
     raise TypeError(f"cannot extract stats from {type(cache).__name__}")
 
 
@@ -287,16 +294,15 @@ def _all_miss_stats(n_accesses: int) -> CacheStats:
     return CacheStats(accesses=n_accesses, hits=0, misses=n_accesses)
 
 
-def _stream_object_pass(addrs: np.ndarray, caches: Sequence[object]) -> None:
-    """Advance every cache by one access per trace element, one trace pass."""
-    accessors = [cache.access for cache in caches]
-    if len(accessors) == 1:
-        access = accessors[0]
-        for a in addrs.tolist():
-            access(a)
-        return
-    for a in addrs.tolist():
-        for access in accessors:
+def _replay_object(cache, trace: list, partitioned: bool) -> None:
+    """Replay a decoded trace through one object-model cache; a
+    partitioned cache takes every access into partition 0."""
+    access = cache.access
+    if partitioned:
+        for a in trace:
+            access(a, 0)
+    else:
+        for a in trace:
             access(a)
 
 
@@ -310,33 +316,41 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
     batch-capable config becomes a :class:`ReplayTask` and the chunk's
     tasks execute as one native dispatch of width ``threads`` (1 in
     process-pool workers; bit-identical at any width).  The remaining
-    (object-model) configs stream together in one per-access pass.
+    (object-model) configs stream over one decoded copy of the trace.  A
+    partitioned point replays every access into partition 0.
     """
     if isinstance(addrs, TraceHandle):
         addrs = addrs.array()
+    zeros = (np.zeros(addrs.size, dtype=np.int64)
+             if any(isinstance(c.spec, PartitionSpec) for c in configs)
+             else None)
     out = []
-    object_caches, object_keys = [], []
-    tasks, task_caches, task_keys = [], [], []
+    batched, tasks, streamed = [], [], []
     for config in configs:
         if config.spec is None:
             out.append((config.key, _all_miss_stats(int(addrs.size))))
             continue
         cache = config.build(addrs)
-        if getattr(cache, "supports_batch_replay", False):
+        partitioned = isinstance(config.spec, PartitionSpec)
+        if partitioned and hasattr(cache, "replay_task"):
+            tasks.append(cache.replay_task(addrs, zeros))
+        elif not partitioned and getattr(cache, "supports_batch_replay",
+                                         False):
             tasks.append(cache.replay_task(addrs))
-            task_caches.append(cache)
-            task_keys.append(config.key)
         else:
-            object_caches.append(cache)
-            object_keys.append(config.key)
+            streamed.append((config.key, cache, partitioned))
+            continue
+        batched.append((config.key, cache))
     if tasks:
         run_tasks(tasks, threads=threads)
-        out.extend((key, _extract_stats(cache))
-                   for key, cache in zip(task_keys, task_caches))
-    if object_caches:
-        _stream_object_pass(addrs, object_caches)
-        out.extend((key, _extract_stats(cache))
-                   for key, cache in zip(object_keys, object_caches))
+        out.extend((key, _extract_stats(cache)) for key, cache in batched)
+    if streamed:
+        # One cache at a time keeps each call site monomorphic, which
+        # streams faster than advancing every cache per access.
+        trace = addrs.tolist()
+        for key, cache, partitioned in streamed:
+            _replay_object(cache, trace, partitioned)
+            out.append((key, _extract_stats(cache)))
     return out
 
 
@@ -391,11 +405,9 @@ def matrix_cells(sizes_mb: Sequence[float],
     """The ``(policy, scheme, size_mb)`` cells of a matrix sweep.
 
     One tuple per sweep point, in the deterministic order
-    :func:`run_matrix_sweep` simulates (and keys) them.  The job runtime
-    shards a matrix sweep one ``(policy, scheme)`` row at a time, so rows
-    group contiguously.  Belady is offline with no partitioned
-    organization, so its cells exist for scheme ``"none"`` only — other
-    schemes simply skip it.
+    :func:`matrix_configs` builds (and keys) them.  Belady is offline
+    with no partitioned organization, so its cells exist for scheme
+    ``"none"`` only — other schemes simply skip it.
     """
     cells = []
     for policy in policies:
@@ -416,41 +428,43 @@ def matrix_cells(sizes_mb: Sequence[float],
     return tuple(cells)
 
 
-def _matrix_stats(cache) -> CacheStats:
-    """Whole-cache statistics of a matrix cell (partitioned caches sum
-    their per-partition stats)."""
-    stats = getattr(cache, "stats", None)
-    if isinstance(stats, CacheStats):
-        return stats
-    partition_stats = getattr(cache, "partition_stats", None)
-    if partition_stats:
-        total = CacheStats()
-        for s in partition_stats:
-            total.accesses += s.accesses
-            total.hits += s.hits
-            total.misses += s.misses
-        return total
-    return _extract_stats(cache)
+def matrix_configs(sizes_mb: Sequence[float],
+                   policies: Sequence[str],
+                   schemes: Sequence[str] = MATRIX_SCHEMES, *,
+                   num_partitions: int = 1,
+                   ways: int = DEFAULT_WAYS,
+                   backend: str = "auto",
+                   seed: int | None = None) -> tuple[SweepConfig, ...]:
+    """The sweep points of a policy × scheme × size matrix.
 
-
-def _build_matrix_cell(cell: tuple[str, str, float], *, num_partitions: int,
-                       ways: int, backend: str, seed: int | None, addrs):
-    """Instantiate the cache for one matrix cell."""
-    policy, scheme, size_mb = cell
-    capacity = paper_mb_to_lines(size_mb)
-    cell_seed = (None if seed is None or policy not in SEEDED_POLICIES
-                 else _derive_seed(seed, f"{policy}|{scheme}", size_mb))
-    if scheme == "none":
-        spec = CacheSpec(capacity_lines=capacity, ways=ways, policy=policy,
-                         backend=backend, seed=cell_seed)
-        if policy == "Belady":
-            spec = spec.with_trace(addrs)
-        return spec.build()
-    policy_kwargs = () if cell_seed is None else (("seed", cell_seed),)
-    return PartitionSpec(scheme=scheme, capacity_lines=capacity,
-                         num_partitions=num_partitions, policy=policy,
-                         ways=ways, backend=backend,
-                         policy_kwargs=policy_kwargs).build()
+    One point per :func:`matrix_cells` cell, keyed by the cell: a
+    :class:`~repro.cache.spec.CacheSpec` for scheme ``"none"`` (Belady
+    without a trace; :meth:`SweepConfig.build` attaches the sweep's),
+    else a :class:`~repro.cache.spec.PartitionSpec` of ``num_partitions``
+    partitions.  A seeded policy draws a seed derived from ``(seed,
+    policy, scheme, size)``, so a cell gives the same result alone, in
+    any shard, or in the whole matrix.
+    """
+    if num_partitions < 1:
+        raise ValueError("num_partitions must be >= 1")
+    configs = []
+    for cell in matrix_cells(sizes_mb, policies, schemes):
+        policy, scheme, size_mb = cell
+        capacity = paper_mb_to_lines(size_mb)
+        cell_seed = (None if seed is None or policy not in SEEDED_POLICIES
+                     else _derive_seed(seed, f"{policy}|{scheme}", size_mb))
+        if scheme == "none":
+            spec = CacheSpec(capacity_lines=capacity, ways=ways,
+                             policy=policy, backend=backend, seed=cell_seed)
+        else:
+            spec = PartitionSpec(
+                scheme=scheme, capacity_lines=capacity,
+                num_partitions=num_partitions, policy=policy, ways=ways,
+                backend=backend,
+                policy_kwargs=() if cell_seed is None
+                else (("seed", cell_seed),))
+        configs.append(SweepConfig(cell, spec))
+    return tuple(configs)
 
 
 def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
@@ -458,7 +472,6 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
                      policies: Sequence[str] = ("LRU",),
                      schemes: Sequence[str] = MATRIX_SCHEMES,
                      num_partitions: int = 1,
-                     parts: np.ndarray | Sequence[int] | None = None,
                      ways: int = DEFAULT_WAYS,
                      backend: str = "auto",
                      threads: int | None = None,
@@ -466,76 +479,28 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
                      trace_store: TraceStore | None = None) -> SweepResult:
     """Sweep the whole policy × scheme × size matrix in one threaded pass.
 
-    Every cell — each replacement policy on each partitioning scheme at
-    each size — becomes one :class:`~repro.cache.threadbatch.ReplayTask`,
-    and the entire matrix executes as a single GIL-releasing
-    ``batch_run_threaded`` dispatch over *one* shared copy of the trace (a
-    :class:`~repro.workloads.tracestore.TraceStore` memmap, so a
-    whole-matrix sweep decodes and stores the trace once, not once per
-    cell).  Results are keyed ``(policy, scheme, size_mb)`` and are
-    bit-identical at any thread width.
+    :func:`run_sweep` over :func:`matrix_configs`: every cell — each
+    replacement policy on each partitioning scheme at each size — becomes
+    one :class:`~repro.cache.threadbatch.ReplayTask` over one address
+    array, and the entire matrix executes as a single GIL-releasing
+    ``batch_run_threaded`` dispatch.  Results are keyed ``(policy,
+    scheme, size_mb)`` and are bit-identical at any thread width.  A
+    partitioned cell replays every access into partition 0.
 
     ``backend="object"`` (and ``"auto"`` without the native kernel)
-    instead streams every cell through the reference object model, access
-    by access, on one core — the baseline
+    instead streams every cell, one after another, through the reference
+    object model on one core — the baseline
     ``benchmarks/bench_matrix_sweep.py`` measures the threaded matrix
-    against.
-
-    ``parts`` optionally tags each access with a partition id for the
-    partitioned schemes (all accesses land in partition 0 by default);
-    plain-cache cells ignore it.
+    against.  A supervised, banked matrix is ``run_sweep(trace,
+    matrix_configs(...), supervise=True, bank=...)``.  ``trace_store``
+    goes to :func:`run_sweep`, which shares it with process-pool workers
+    only; a matrix never takes that path, so the store goes unused.
     """
-    cells = matrix_cells(sizes_mb, policies, schemes)
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    if isinstance(trace, Trace):
-        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
-        instructions = trace.instructions
-    else:
-        addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-        instructions = 0
-    if addrs.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-    if parts is None:
-        parts = np.zeros(addrs.size, dtype=np.int64)
-    else:
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if parts.shape != addrs.shape:
-            raise ValueError("parts must match the trace's shape")
-
-    store = trace_store if trace_store is not None else TraceStore()
-    try:
-        # All cells replay the store's one materialized copy.
-        shared = store.put(addrs).array()
-        caches = [_build_matrix_cell(cell, num_partitions=num_partitions,
-                                     ways=ways, backend=backend, seed=seed,
-                                     addrs=shared)
-                  for cell in cells]
-        tasks = []
-        for cache in caches:
-            partitioned = hasattr(cache, "partition_stats")
-            if hasattr(cache, "replay_task"):
-                tasks.append(cache.replay_task(shared, parts) if partitioned
-                             else cache.replay_task(shared))
-            elif partitioned:
-                for a, p in zip(shared.tolist(), parts.tolist()):
-                    cache.access(a, p)
-            else:
-                for a in shared.tolist():
-                    cache.access(a)
-        run_tasks(tasks, threads=resolve_threads(threads))
-    finally:
-        if trace_store is None:
-            store.close()
-    stats: dict[Hashable, CacheStats] = {}
-    for cell, cache in zip(cells, caches):
-        cell_stats = _matrix_stats(cache)
-        if instructions and not cell_stats.instructions:
-            cell_stats.instructions = instructions
-        stats[cell] = cell_stats
-    return SweepResult(stats, instructions=instructions)
+    configs = matrix_configs(sizes_mb, policies, schemes,
+                             num_partitions=num_partitions, ways=ways,
+                             backend=backend, seed=seed)
+    return run_sweep(trace, configs, threads=threads,
+                     trace_store=trace_store)
 
 
 def run_sweep(trace: Trace | np.ndarray | Sequence[int],
@@ -552,8 +517,9 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
 
     The trace is materialized once; all configs consume the same address
     array.  Each point builds from its own spec: object-model caches
-    advance together in a single streaming pass and array caches replay
-    in the native kernel.  ``max_workers``/``parallel`` override the
+    stream one after another and array caches replay in the native
+    kernel; a partitioned point replays every access into partition 0.
+    ``max_workers``/``parallel`` override the
     spec's; ``backend`` overrides a :class:`SweepSpec`'s backend and
     raises :class:`ValueError` with a config sequence, whose specs carry
     their own (see :func:`sweep_configs`).

@@ -9,6 +9,7 @@ banks under the same content address as a clean one; that is asserted
 too, via resume tests that hit the faulted run's bank.
 """
 
+import tempfile
 import time
 
 import pytest
@@ -112,7 +113,11 @@ class TestNativeCrashDegradation:
         assert job.degraded
         assert sweep_signature(result) == expected
 
-    def test_degradation_is_recorded_in_bank_meta(self, tmp_path):
+    def test_degradation_is_recorded_in_bank_meta(self, tmp_path,
+                                                  monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         plan = FaultPlan("native-crash", attempts=tuple(range(10)))
         with fault_queue(tmp_path) as queue:
             job = queue.submit(SweepJob.from_spec(small_trace(),
@@ -123,6 +128,11 @@ class TestNativeCrashDegradation:
         _, meta = banked
         assert meta["degraded"] is True
         assert meta["crashes"]
+        # The worker's fault-handler dump lands in the crash record (not
+        # on this process's stderr) and names the frame that crashed;
+        # closing each worker deleted its dump file.
+        assert "maybe_fire" in meta["crashes"][0]["stack"]
+        assert list(scratch.iterdir()) == []
 
 
 class TestCorruptBankRecovery:

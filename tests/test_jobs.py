@@ -6,12 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.jobs import (CacheJob, FaultPlan, InlineTrace, JobQueue, JobState,
-                        MatrixSweepJob, MixSweepJob, ResultBank, RetryPolicy,
-                        SweepJob, TraceRef, as_trace_source, canonical_json,
-                        code_version, job_key,
-                        run_matrix_sweep_supervised,
-                        run_mix_sweep_supervised)
+from repro.jobs import (FaultPlan, InlineTrace, JobQueue, JobState,
+                        MixSweepJob, ResultBank, RetryPolicy, SweepJob,
+                        TraceRef, as_trace_source, canonical_json,
+                        code_version, job_key, run_mix_sweep_supervised,
+                        run_sweep_supervised)
 from repro.jobs.cli import main as cli_main
 from tests.faults import fault_queue, small_spec, small_trace
 
@@ -186,24 +185,6 @@ class TestJobQueue:
 
 
 class TestPayloadRoundTrips:
-    def test_cache_job_matches_direct_replay(self, tmp_path):
-        from repro.cache.spec import CacheSpec, build
-        trace = small_trace()
-        spec = CacheSpec(capacity_lines=2048, policy="LRU")
-        cache = build(spec)
-        cache.run(trace.addresses)
-        with fault_queue(tmp_path) as queue:
-            stats = queue.submit(CacheJob(trace=trace, cache=spec)).result()
-        assert (stats.accesses, stats.hits, stats.misses) == \
-            (cache.stats.accesses, cache.stats.hits, cache.stats.misses)
-
-    def test_partition_spec_rejected_with_clear_error(self):
-        from repro.cache.spec import PartitionSpec
-        spec = PartitionSpec(scheme="ideal", capacity_lines=2048,
-                             num_partitions=2)
-        with pytest.raises(TypeError, match="TalusSpec"):
-            CacheJob(trace=small_trace(), cache=spec)
-
     def test_mix_record_payload_round_trip(self, tmp_path):
         from repro.sim.mixsweep import (MixRunRecord, MixSweepSpec,
                                         run_mix_sweep)
@@ -221,52 +202,52 @@ class TestPayloadRoundTrips:
 
 
 class TestMatrixSweepJobs:
-    KWARGS = dict(sizes_mb=(0.25, 0.5), policies=("LRU", "TA-DRRIP"),
-                  schemes=("none", "way"), num_partitions=2, seed=9)
+    """A policy x scheme matrix is a list of sweep points, so a supervised
+    matrix runs and banks through :class:`SweepJob`."""
 
-    def test_shards_group_by_policy_scheme_row(self):
-        shards = MatrixSweepJob.shards_for_matrix(small_trace(),
-                                                  **self.KWARGS)
-        rows = [{cell[:2] for cell in shard.cells} for shard in shards]
-        assert all(len(row) == 1 for row in rows)
-        assert sorted(next(iter(row)) for row in rows) == \
-            sorted((p, s) for p in self.KWARGS["policies"]
-                   for s in self.KWARGS["schemes"])
-        assert all(len(shard.cells) == 2 for shard in shards)
+    CELLS = dict(sizes_mb=(0.25, 0.5), policies=("LRU", "TA-DRRIP"),
+                 schemes=("none", "way"))
+    OPTIONS = dict(num_partitions=2, seed=9)
+
+    def _configs(self):
+        from repro.sim.sweep import matrix_configs
+        return matrix_configs(**self.CELLS, **self.OPTIONS)
 
     def test_supervised_matrix_matches_direct_and_resumes(self, tmp_path):
-        from repro.sim.sweep import run_matrix_sweep
+        from repro.sim.sweep import run_matrix_sweep, run_sweep
         trace = small_trace()
-        direct = run_matrix_sweep(trace, **self.KWARGS)
-        supervised = run_matrix_sweep_supervised(trace, bank=tmp_path,
-                                                 max_workers=2,
-                                                 **self.KWARGS)
+        configs = self._configs()
+        direct = run_matrix_sweep(trace, **self.CELLS, **self.OPTIONS)
+        supervised = run_sweep(trace, configs, supervise=True,
+                               bank=tmp_path, max_workers=2)
         assert set(supervised.stats) == set(direct.stats)
         for key, stats in direct.stats.items():
             assert supervised.stats[key].misses == stats.misses, key
             assert supervised.stats[key].accesses == stats.accesses, key
-        # A resubmission replays nothing: every cell is already banked.
+        # Every cell is banked under its sweep-point key.
         bank = ResultBank(tmp_path)
-        shards = MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS)
-        for shard in shards:
-            for cell in shard.cells:
-                assert bank.get(shard.unit_key(cell)) is not None, cell
-        resumed = run_matrix_sweep_supervised(trace, bank=tmp_path,
-                                              max_workers=2, **self.KWARGS)
+        job = SweepJob(trace=as_trace_source(trace), configs=configs)
+        for config in configs:
+            assert bank.get(job.unit_key(config)) is not None, config.key
+        # A resubmission replays nothing: every job is a bank hit.
+        with JobQueue(tmp_path) as queue:
+            resumed = run_sweep_supervised(trace, configs, queue=queue)
+            assert all(j.meta.get("bank_hit") for j in queue.jobs())
+            assert queue.bank.stats()["writes"] == 0
         for key, stats in direct.stats.items():
             assert resumed.stats[key].misses == stats.misses, key
 
     def test_unit_keys_are_shard_independent(self):
-        trace = small_trace()
-        whole = MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS)
-        cell = whole[0].cells[0]
-        solo = MatrixSweepJob(trace=as_trace_source(trace), cells=(cell,),
-                              num_partitions=2, seed=9)
-        assert solo.unit_key(cell) == whole[0].unit_key(cell)
+        trace = as_trace_source(small_trace())
+        configs = self._configs()
+        whole = SweepJob(trace=trace, configs=configs)
+        solo = SweepJob(trace=trace, configs=configs[-1:])
+        assert solo.unit_key(configs[-1]) == whole.unit_key(configs[-1])
 
     def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError, match="cell"):
-            MatrixSweepJob(trace=as_trace_source(small_trace()), cells=())
+        from repro.sim.sweep import matrix_configs
+        with pytest.raises(ValueError, match="cells"):
+            matrix_configs((), ("LRU",), **self.OPTIONS)
 
 
 class TestCli:
@@ -310,14 +291,15 @@ class TestCli:
                 "--partitions", "2", "--workers", "2"]
         assert cli_main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        # One job per (policy, scheme) row of the matrix.
-        assert len(report["jobs"]) == 4
-        assert all(j["payload"] == "MatrixSweepJob" for j in report["jobs"])
+        # The matrix's four cells are sweep points, dealt over the workers.
+        assert len(report["jobs"]) == 2
+        assert all(j["payload"] == "SweepJob" for j in report["jobs"])
         assert all(j["state"] == "succeeded" for j in report["jobs"])
         # Resubmission is satisfied straight from the bank.
         assert cli_main(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert all(j["meta"].get("bank_hit") for j in report["jobs"])
+        assert report["bank"]["writes"] == 0
 
     def test_cancel_writes_markers(self, tmp_path, capsys):
         bank = tmp_path / "bank"

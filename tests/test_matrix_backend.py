@@ -13,9 +13,11 @@ Three parity ladders anchor the matrix:
   :class:`~repro.cache.partition.vantage.VantagePartitionedCache`,
   per access, across chunk boundaries, and through warm reallocation.
 
-On top of those, :func:`~repro.sim.sweep.run_matrix_sweep` must produce
-identical numbers at any thread width and agree with the serial object
-stream.  Tests that build array caches directly need the native kernel.
+On top of those, :func:`~repro.sim.sweep.run_matrix_sweep` (one
+:func:`~repro.sim.sweep.run_sweep` over the matrix's sweep points) must
+produce identical numbers at any thread width and agree with the serial
+object stream.  Tests that build array caches directly need the native
+kernel.
 """
 
 from __future__ import annotations
@@ -305,6 +307,8 @@ class TestMatrixSweep:
         assert not any(p == "Belady" and s != "none" for p, s, _ in cells)
         with pytest.raises(ValueError, match="futility"):
             matrix_cells(self.SIZES, ("LRU",), schemes=("futility",))
+        with pytest.raises(ValueError, match="empty"):
+            matrix_cells((), self.POLICIES)
 
     @needs_kernel
     def test_every_cell_resolves_to_array(self):
@@ -337,10 +341,9 @@ class TestMatrixSweep:
 
         monkeypatch.setattr(sweep, "run_tasks", spy)
         trace = _mixed_trace(3000, seed=29)
-        parts = (np.arange(trace.size) % 2).astype(np.int64)
         result = run_matrix_sweep(trace, sizes_mb=(0.25,),
                                   policies=ARRAY_POLICIES, num_partitions=2,
-                                  parts=parts, seed=3)
+                                  seed=3)
         assert set(result.stats) == set(matrix_cells((0.25,),
                                                      ARRAY_POLICIES))
         assert len(seen) == len(result.stats)
@@ -371,19 +374,6 @@ class TestMatrixSweep:
         obj = run_matrix_sweep(trace, backend="object", **kwargs)
         for key in arr.stats:
             assert arr.stats[key].misses == obj.stats[key].misses, key
-
-    def test_parts_steer_partitioned_cells(self):
-        trace = _mixed_trace(4000, seed=25)
-        parts = (np.arange(trace.size) % 2).astype(np.int64)
-        result = run_matrix_sweep(trace, sizes_mb=(0.25,),
-                                  policies=("LRU",), schemes=("way",),
-                                  num_partitions=2, parts=parts)
-        stats = result.stats[("LRU", "way", 0.25)]
-        assert stats.accesses == trace.size
-        with pytest.raises(ValueError, match="shape"):
-            run_matrix_sweep(trace, sizes_mb=(0.25,), policies=("LRU",),
-                             schemes=("way",), num_partitions=2,
-                             parts=parts[:-1])
 
     def test_executed_tadrrip_shared_run(self):
         """The execution-driven TA-DRRIP baseline: all apps share one

@@ -274,11 +274,53 @@ class TestSweepEngine:
             ["auto"]
 
     def test_sweep_points_are_cache_or_talus_specs(self):
+        """A point's spec is a CacheSpec, a PartitionSpec, a TalusSpec or
+        None; a partitioned point cannot be sampled."""
+        from repro.sampling.driver import SamplingSpec
         spec = PartitionSpec(scheme="ideal", capacity_lines=256,
                              num_partitions=2)
-        for bad in (spec, lambda: SetAssociativeCache(16, 16)):
-            with pytest.raises(TypeError, match="CacheSpec, a TalusSpec"):
-                SweepConfig("bad", bad)
+        point = SweepConfig("ideal", spec)
+        assert point.spec is spec
+        with pytest.raises(TypeError, match="CacheSpec, a PartitionSpec"):
+            SweepConfig("bad", lambda: SetAssociativeCache(16, 16))
+        trace = get_profile("omnetpp").trace(n_accesses=2000)
+        with pytest.raises(ValueError, match="PartitionSpec"):
+            run_sweep(trace, [point],
+                      sampling=SamplingSpec(window=200, n_windows=2))
+
+    @pytest.mark.parametrize("path", [
+        "object", pytest.param("array", marks=needs_kernel), "supervised"])
+    @pytest.mark.parametrize("scheme", ["way", "ideal", "vantage"])
+    def test_partitioned_point_replays_into_partition_zero(self, path,
+                                                            scheme,
+                                                            tmp_path):
+        """A PartitionSpec point equals building the spec, replaying every
+        access into partition 0 (``run_partitioned(addrs, zeros)`` on the
+        array cache, ``access(a, 0)`` on the object model) and summing
+        the partitions with ``total_stats()``."""
+        trace = get_profile("omnetpp").trace(n_accesses=4000, seed=2)
+        addrs = np.asarray(trace.addresses, dtype=np.int64)
+        backend = "auto" if path == "supervised" else path
+        spec = PartitionSpec(scheme=scheme, capacity_lines=512,
+                             num_partitions=2, policy="DRRIP",
+                             backend=backend, policy_kwargs=(("seed", 5),))
+        reference = spec.build()
+        if hasattr(reference, "run_partitioned"):
+            reference.run_partitioned(addrs, np.zeros_like(addrs))
+        else:
+            for a in addrs.tolist():
+                reference.access(a, 0)
+        expected = reference.total_stats()
+        configs = [SweepConfig(("DRRIP", scheme), spec)]
+        if path == "supervised":
+            result = run_sweep(trace, configs, supervise=True, bank=tmp_path)
+        else:
+            result = run_sweep(trace, configs)
+        stats = result[("DRRIP", scheme)]
+        assert (stats.accesses, stats.hits, stats.misses) == \
+            (expected.accesses, expected.hits, expected.misses)
+        assert stats.accesses == len(trace)
+        assert stats.instructions == trace.instructions
 
     def test_talus_configs_handle_zero_and_duplicate_sizes(self):
         from repro.core.convexhull import convex_hull
