@@ -1,4 +1,4 @@
-"""Multi-mix sweep speedup: pooled native loop vs the serial object loop.
+"""Multi-mix sweep speedup: threaded native loop vs the serial object loop.
 
 The execution-driven Fig. 12/13 sweep (:mod:`repro.sim.mixsweep`) runs one
 :class:`~repro.sim.multicore.ReconfiguringSharedRun` per workload mix on
@@ -8,7 +8,8 @@ mixes twice:
 * **baseline** — the serial object-backend mix loop (per-access Python
   replay through ``VantagePartitionedCache``, one mix after another);
 * **fast** — ``backend="auto"`` (the native Vantage kernel) with the
-  mixes fanned out over a process pool.
+  mixes fanned out over a thread pool (``max_workers``), whose workers
+  overlap in the GIL-releasing kernel replays.
 
 and asserts the acceptance criteria:
 
@@ -81,7 +82,7 @@ def test_mix_sweep_speedup(capsys):
         print(f"== execution-driven mix sweep ({n_mixes} mixes x {apps} "
               f"apps x {accesses} accesses, Talus+V/LRU) ==")
         print(f"  serial object-backend loop : {t_slow * 1000:8.1f} ms")
-        print(f"  pooled native loop ({workers} proc): "
+        print(f"  native loop, {workers} threads     : "
               f"{t_fast * 1000:8.1f} ms")
         print(f"  speedup                    : {speedup:8.1f}x "
               f"(native={'yes' if native_available() else 'no'})")

@@ -55,7 +55,7 @@ def test_sampling_accuracy_and_speedup(capsys):
     exact_mpki = 1000.0 * exact.misses / exact.instructions
 
     t0 = time.perf_counter()
-    result = run_sampled(trace, cache, spec, parallel="auto")
+    result = run_sampled(trace, cache, spec)
     t_sampled = time.perf_counter() - t0
 
     report = result.error_vs_exact(exact_mpki)

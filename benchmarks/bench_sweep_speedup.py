@@ -83,10 +83,10 @@ def test_sweep_speedup(capsys, policy):
 
 
 def test_parallel_sweep_consistency():
-    """The optional process-pool path returns the same counts as serial."""
+    """A sweep at four threads returns the same counts as at one."""
     trace = get_profile("omnetpp").trace(n_accesses=20000)
     spec = SweepSpec(sizes_mb=SIZES_MB, policies=("LRU",), backend="array")
-    serial = run_sweep(trace, spec)
-    pooled = run_sweep(trace, spec, max_workers=4)
+    serial = run_sweep(trace, spec, threads=1)
+    threaded = run_sweep(trace, spec, max_workers=4)
     for size in SIZES_MB:
-        assert pooled.misses(("LRU", size)) == serial.misses(("LRU", size))
+        assert threaded.misses(("LRU", size)) == serial.misses(("LRU", size))

@@ -1,11 +1,10 @@
 """Thread scaling of the batched native dispatcher.
 
 The tentpole claim of the threaded runtime: N independent config replays
-through ``batch_run_threaded`` scale with the worker-thread width, beat
-the process pool at equal parallelism (no fork, no IPC, no per-worker
-kernel reload — the threads share one address space and attach the same
-trace), and change **nothing** about the results.  This benchmark replays
-one sweep-shaped batch of array-cache configs four ways:
+through ``batch_run_threaded`` scale with the worker-thread width (the
+threads share one address space and one trace) and change **nothing**
+about the results.  This benchmark replays one sweep-shaped batch of
+array-cache configs three ways, then one sweep through ``run_sweep``:
 
 * **serial**   — the per-config serial entry points (``cache.run``),
   each one width-1 dispatch of that cache's own replay task;
@@ -13,19 +12,17 @@ one sweep-shaped batch of array-cache configs four ways:
   serial loop inside the kernel: measures pure dispatch overhead);
 * **threads=N** — the batched dispatcher at the host width
   (``REPRO_THREADS`` aware);
-* **processes** — ``run_sweep(parallel="processes")`` over the same
-  configs with N pool workers, traces routed through the
-  :class:`~repro.workloads.tracestore.TraceStore` memmap path.
+* **sweep** — ``run_sweep(threads=N)`` over a size × policy grid,
+  against the same sweep at ``threads=1`` (the serial path).
 
-Record identity between all four is asserted unconditionally — on every
-host, with and without the kernel (without it the configs are object-model
-caches, whose tasks run their serial fallback).  The speedup criteria are
-gated on the CPUs this process can use
+Record identity is asserted unconditionally — on every host, with and
+without the kernel (without it the configs are object-model caches,
+whose tasks run their serial fallback).  The speedup criterion is gated
+on the CPUs this process can use
 (:func:`~repro.cache._native.available_cpus`: the affinity mask capped
 by the cgroup CPU quota) and on the thread width: >= 3x over the
-single-thread batch needs >= 8 of each, >= 1.5x over the equal-worker
-process pool needs >= 2 of each.  Where neither floor applies the test
-skips and says why, rather than passing without a check.
+single-thread batch needs >= 8 of each.  Where the floor does not apply
+the test skips and says why, rather than passing without a check.
 
 Timings land in ``benchmarks/out/thread_scaling.json`` (override with
 ``REPRO_BENCH_JSON_THREADS``); the JSON schema is documented in
@@ -106,41 +103,31 @@ def test_thread_scaling(capsys):
     run_tasks(_tasks(wide, addrs), threads=width)
     t_wide = time.perf_counter() - t0
 
-    # The same sweep through the two public fan-out strategies: the
-    # threaded dispatch vs a process pool at equal parallelism (pool
-    # workers attach the trace through the TraceStore memmap path).
+    # The same kind of batch through the public sweep driver.
     sweep_spec = SweepSpec(
         sizes_mb=(0.25, 0.5, 1.0, 2.0), policies=("LRU", "SRRIP", "PDP"))
     t0 = time.perf_counter()
-    threaded_sweep = run_sweep(addrs, sweep_spec, parallel="threads",
-                               threads=width)
+    threaded_sweep = run_sweep(addrs, sweep_spec, threads=width)
     t_sweep_threads = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pooled_sweep = run_sweep(addrs, sweep_spec, parallel="processes",
-                             max_workers=width)
-    t_pool = time.perf_counter() - t0
+    serial_sweep = run_sweep(addrs, sweep_spec, threads=1)
 
     # Record identity, asserted unconditionally: every execution strategy
     # produces the same counters bit for bit.
     ref = _digest(serial)
     assert _digest(one) == ref, "threads=1 diverged from serial replay"
     assert _digest(wide) == ref, f"threads={width} diverged from serial"
-    for key in threaded_sweep.stats:
-        assert (threaded_sweep.stats[key].misses
-                == pooled_sweep.stats[key].misses), \
-            f"threaded and pooled sweeps diverged at {key}"
+    for key, stats in serial_sweep.stats.items():
+        assert threaded_sweep.stats[key].misses == stats.misses, \
+            f"threads={width} sweep diverged from serial at {key}"
 
     speedup_wide = t_one / t_wide if t_wide > 0 else float("inf")
-    vs_pool = (t_pool / t_sweep_threads if t_sweep_threads > 0
-               else float("inf"))
     _write_json("thread_scaling",
                 {"serial_s": t_serial, "threads1_s": t_one,
                  "threadsN_s": t_wide,
-                 "sweep_threads_s": t_sweep_threads, "sweep_pool_s": t_pool,
+                 "sweep_threads_s": t_sweep_threads,
                  "speedup_vs_threads1": speedup_wide,
-                 "speedup_vs_pool": vs_pool,
                  "configs": len(CONFIGS), "accesses": accesses,
-                 "threads": width, "pool_workers": width},
+                 "threads": width},
                 meta={"policies": sorted({p for _, _, p in CONFIGS})})
 
     with capsys.disabled():
@@ -153,20 +140,14 @@ def test_thread_scaling(capsys):
               f"{t_wide * 1000:8.1f} ms  ({speedup_wide:.1f}x)")
         print(f"  sweep, threads={width:<2}          : "
               f"{t_sweep_threads * 1000:8.1f} ms")
-        print(f"  sweep, {width}-worker pool      : {t_pool * 1000:8.1f} ms"
-              f"  (threads {vs_pool:.1f}x faster)")
 
     if not native_available():
         pytest.skip("no C compiler: all strategies ran the object model; "
-                    "the scaling criteria need the kernel")
-    if cpus < 2 or width < 2:
+                    "the scaling criterion needs the kernel")
+    if cpus < 8 or width < 8:
         pytest.skip(f"{cpus} available CPU(s) at thread width {width}: the "
-                    f"scaling criteria need >= 2 of each (record identity "
+                    f"scaling criterion needs >= 8 of each (record identity "
                     f"was still asserted)")
-    if cpus >= 8 and width >= 8:
-        assert speedup_wide >= 3.0, (
-            f"threaded batch only {speedup_wide:.2f}x over threads=1 with "
-            f"{cpus} available CPUs (acceptance criterion is >= 3x at 8)")
-    assert vs_pool >= 1.5, (
-        f"threaded batch only {vs_pool:.2f}x over the {width}-worker "
-        f"process pool (acceptance criterion is >= 1.5x)")
+    assert speedup_wide >= 3.0, (
+        f"threaded batch only {speedup_wide:.2f}x over threads=1 with "
+        f"{cpus} available CPUs (acceptance criterion is >= 3x at 8)")

@@ -25,7 +25,7 @@ def main() -> None:
         algorithm="hill",      # naive hill climbing — enough, thanks to Talus
         trace_accesses=40_000,
         interval_accesses=10_000,
-        max_workers=2,         # mixes fan out over a process pool
+        max_workers=2,         # mixes fan out over a thread pool
     )
     result = run_mix_sweep(mixes, spec)
 

@@ -92,7 +92,7 @@ def derive_seed(base_seed: int, token: str) -> int:
 
     A stable function of ``(base_seed, token)`` — never of execution
     order, worker identity or batch composition — so a unit simulated
-    alone, in a batched sweep, in a pooled worker or resumed from a
+    alone, in a batched sweep, in a supervised worker or resumed from a
     result bank always draws the same random stream.  The sweep engine
     derives per-config seeds from ``"policy|size"`` tokens and the
     sampling driver per-window seeds from ``"sampling-window|start"``

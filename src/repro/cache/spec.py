@@ -29,7 +29,7 @@ fixed point.
 
 Because specs are frozen dataclasses of plain values they are hashable,
 comparable and picklable: every sweep point is a spec
-(:class:`~repro.sim.sweep.SweepConfig`), so it can ship to process-pool
+(:class:`~repro.sim.sweep.SweepConfig`), so it can ship to supervised
 workers, drive a sampled estimate, and bank under its content key.
 
 The class constructors stay public, and ``make_partitioned_cache``

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.misscurve import MissCurve
-from ..core.talus import TalusConfig, plan_shadow_partitions
+from ..core.talus import TalusConfig
 from .cache import CacheStats, materialize_addresses
 from .hashing import SamplingFunction
 from .partition.base import PartitionedCache
@@ -156,14 +155,6 @@ class TalusCache:
         )
         pair.config = effective
         return effective
-
-    def configure_from_curve(self, logical: int, curve: MissCurve,
-                             total_size: float,
-                             safety_margin: float = 0.0) -> TalusConfig:
-        """Plan (Theorem 6) and apply a configuration in one step."""
-        config = plan_shadow_partitions(curve, total_size,
-                                        safety_margin=safety_margin)
-        return self.configure(logical, config)
 
     def _build_requests(self, logical: int, config: TalusConfig) -> list[float]:
         """Allocation request vector for the underlying partitioned cache.

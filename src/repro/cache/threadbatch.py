@@ -26,7 +26,10 @@ results are **bit-identical at any thread count**: the kernels never read
 another task's state, and each task's misses land in its own
 ``result``/``miss_out`` slots.  ``REPRO_THREADS`` (or an explicit
 ``threads=``) controls the worker width of :func:`run_tasks`; width 1
-*is* the serial loop.
+*is* the serial loop.  This is how every driver fans replays out
+in-process: a sweep's points and a sampled estimate's windows are the
+tasks of one :func:`run_tasks` call.  Worker processes come only from
+the supervised job runtime (``supervise=True``, :mod:`repro.jobs`).
 
 Caches advertise the batch path by implementing ``replay_task``
 (:class:`~repro.cache.arraycache.ArraySetAssociativeCache`,
@@ -47,30 +50,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._native import (KIND_GROUP, BatchTask, native_available,
-                      require_kernel, resolve_threads)
+from ._native import KIND_GROUP, BatchTask, require_kernel, resolve_threads
 
-__all__ = ["ReplayTask", "run_tasks", "resolve_parallel", "PARALLEL_MODES",
-           "i64_ptr", "u64_ptr"]
-
-#: Values accepted by the drivers' ``parallel=`` parameter.
-PARALLEL_MODES = ("auto", "threads", "processes")
-
-
-def resolve_parallel(mode: str) -> str:
-    """Resolve a ``parallel=`` mode to "threads" or "processes".
-
-    "auto" prefers threads exactly when the native kernel (and therefore
-    the GIL-releasing batch dispatcher) is available; without it the
-    object-model replay would serialize on the GIL, so the process-pool
-    path is kept.
-    """
-    if mode not in PARALLEL_MODES:
-        raise ValueError(f"unknown parallel mode {mode!r}; "
-                         f"known: {PARALLEL_MODES}")
-    if mode == "auto":
-        return "threads" if native_available() else "processes"
-    return mode
+__all__ = ["ReplayTask", "run_tasks", "i64_ptr", "u64_ptr"]
 
 
 def i64_ptr(array: np.ndarray) -> int:

@@ -86,11 +86,6 @@ class TalusConfig:
         if abs((self.s1 + self.s2) - self.total_size) > 1e-6 * max(self.total_size, 1.0):
             raise ValueError("shadow partition sizes must sum to total_size")
 
-    @property
-    def beta_sampling_rate(self) -> float:
-        """Fraction of accesses sent to the beta shadow partition."""
-        return 1.0 - self.rho
-
     def emulated_sizes(self) -> tuple[float, float]:
         """The cache sizes each shadow partition emulates, ``(s1/rho, s2/(1-rho))``."""
         alpha_emu = self.s1 / self.rho if self.rho > 0 else 0.0

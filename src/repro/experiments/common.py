@@ -27,10 +27,6 @@ class Series:
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same length")
 
-    def as_dict(self) -> Dict[float, float]:
-        """Mapping from x to y."""
-        return dict(zip(self.x, self.y))
-
 
 @dataclass(frozen=True)
 class FigureResult:

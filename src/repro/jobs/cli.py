@@ -17,9 +17,8 @@ Four subcommands over a shared bank directory (``--bank``, or
     process polls the marker directory and cancels the matching live
     jobs; completed units stay banked, so a later resubmission resumes.
 ``gc``
-    Re-verify every bank entry (evicting corrupt ones), reclaim
-    orphaned trace-store backings of dead processes, and prune terminal
-    jobs from the state file.
+    Re-verify every bank entry (evicting corrupt ones) and prune
+    terminal jobs from the state file.
 
 The CLI is deliberately daemonless: state lives in files, cancellation
 in marker files, results in the bank — all atomic writes, so concurrent
@@ -168,14 +167,6 @@ def _cmd_gc(args) -> int:
     bank_dir = _bank_dir(args)
     bank = ResultBank(bank_dir)
     report = {"bank": bank.gc()}
-    from ..workloads.tracestore import TraceStore
-    stale = TraceStore.stale_dirs()
-    stale_bytes = sum(TraceStore.dir_bytes(p) for p in stale)
-    reclaimed = TraceStore.gc_stale()
-    report["stale_trace_dirs"] = [str(p) for p in reclaimed]
-    report["trace_gc"] = {"found": len(stale),
-                          "reclaimed": len(reclaimed),
-                          "reclaimed_bytes": int(stale_bytes)}
     state = _load_state(bank_dir)
     live = {job_id: row for job_id, row in state.items()
             if row.get("state") not in JobState.TERMINAL}
@@ -241,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     cancel.set_defaults(func=_cmd_cancel)
 
     gc = commands.add_parser(
-        "gc", help="verify bank entries, reclaim stale trace backings, "
-                   "prune finished jobs from the state file")
+        "gc", help="verify bank entries and prune finished jobs from the "
+                   "state file")
     gc.set_defaults(func=_cmd_gc)
     return parser
 

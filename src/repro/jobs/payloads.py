@@ -245,8 +245,7 @@ class SweepJob:
         trace = self.trace.materialize()
 
         def replay(config) -> dict:
-            result = run_sweep(trace, (config,), max_workers=1,
-                               parallel="processes")
+            result = run_sweep(trace, (config,), threads=1)
             return stats_to_payload(result[config.key])
 
         stats, banked_units = ctx.banked_units(self.configs, self.unit_key,
@@ -278,7 +277,7 @@ class SamplingJob:
     and a resubmitted estimate resumes from the bank.  Window seeds
     arrive pre-derived inside ``units`` (stable functions of window
     *position*, see :func:`repro.sampling.driver.window_units`), which is
-    what keeps supervised, pooled and serial estimates bit-identical.
+    what keeps supervised, threaded and serial estimates bit-identical.
     """
 
     trace: TraceRef | InlineTrace | ChunkedTrace

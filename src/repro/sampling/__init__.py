@@ -10,8 +10,8 @@ parallel driver architecture:
   ideal partitioned, Vantage, Talus), picklable and content-hashable;
 * :mod:`repro.sampling.driver` — :class:`SamplingSpec` window
   placement, functional-warming fast-forward (:func:`warm_checkpoints`),
-  and :func:`run_sampled`, fanning detailed windows over threads, a
-  process pool, or the fault-tolerant job runtime (``supervise=True``);
+  and :func:`run_sampled`, fanning detailed windows over threads or the
+  fault-tolerant job runtime (``supervise=True``);
 * :mod:`repro.sampling.estimator` — per-window aggregation into a
   :class:`SampledResult` with Student-t confidence intervals and an
   :meth:`~SampledResult.error_vs_exact` validator.

@@ -10,12 +10,9 @@ The pFSA/SMARTS recipe for traces too long to replay exactly:
    fast-forward* pass that streams the whole trace once and emits a
    :class:`~repro.sampling.checkpoint.CacheCheckpoint` at every window
    boundary (``warming="checkpoint"``);
-3. simulate the windows in detail — serially, as one threaded native
-   batch (``parallel="threads"`` via :mod:`repro.cache.threadbatch`), or
-   fanned over a process pool (``parallel="processes"``, the trace
-   shared through a :class:`~repro.workloads.tracestore.TraceStore`
-   memmap or generated on demand from a
-   :class:`~repro.workloads.scale.ChunkedTrace`);
+3. simulate the windows in detail as threaded native batches
+   (:func:`~repro.cache.threadbatch.run_tasks`; a cache without a
+   replay task replays them serially);
 4. aggregate the per-window miss rates into a point estimate with a
    confidence interval (:class:`~repro.sampling.estimator.SampledResult`).
 
@@ -34,12 +31,14 @@ Determinism: windows draw per-window seeds through the shared
 identity-derived helper (:func:`repro.cache.hashing.derive_seed`, token
 ``"sampling-window|<start>"``) — a function of the window's *position*,
 never of execution order, worker identity or resume history — so
-serial, threaded, pooled and resumed-from-bank runs are bit-identical.
+serial, threaded, supervised and resumed-from-bank runs are
+bit-identical.
 
 ``supervise=True`` routes the windows through the fault-tolerant job
-runtime (:mod:`repro.jobs`): each window banks under its own content
-address, so a SIGKILLed worker resumes mid-estimate without recomputing
-finished windows.
+runtime (:mod:`repro.jobs`), the one way to run them in worker
+processes: each window banks under its own content address, so a
+SIGKILLed worker resumes mid-estimate without recomputing finished
+windows.
 """
 
 from __future__ import annotations
@@ -54,10 +53,9 @@ from ..cache.factory import SEEDED_POLICIES
 from ..cache.hashing import derive_seed
 from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
-from ..cache.threadbatch import resolve_parallel, run_tasks
+from ..cache.threadbatch import run_tasks
 from ..workloads.access import Trace
 from ..workloads.scale import ChunkedTrace
-from ..workloads.tracestore import TraceHandle, TraceStore
 from .checkpoint import CacheCheckpoint, snapshot
 from .estimator import SampledResult, WindowResult
 
@@ -163,8 +161,6 @@ def _as_view(trace):
         return trace
     if isinstance(trace, _ArrayView):
         return trace
-    if isinstance(trace, TraceHandle):
-        return _ArrayView(trace.array(), int(trace.instructions))
     if isinstance(trace, Trace):
         return _ArrayView(
             np.ascontiguousarray(trace.addresses, dtype=np.int64),
@@ -226,14 +222,14 @@ def _counts(cache) -> tuple[int, int]:
 
 
 # --------------------------------------------------------------------- #
-# Window units (shared by the serial, pooled and supervised paths)
+# Window units (shared by the in-process and supervised paths)
 # --------------------------------------------------------------------- #
 def window_units(spec: SamplingSpec, cache, n_accesses: int) -> tuple:
     """Per-window work units ``(index, warm_start, start, stop, seed)``.
 
     Seeds are derived here, in the parent, as a pure function of window
-    identity — executors (threads, pools, supervised workers, bank
-    resumes) receive them readymade and cannot diverge.
+    identity — executors (threads, supervised workers, bank resumes)
+    receive them readymade and cannot diverge.
     """
     windows = spec.windows_for(n_accesses)
     warmup = spec.warmup_accesses
@@ -246,10 +242,11 @@ def window_units(spec: SamplingSpec, cache, n_accesses: int) -> tuple:
 
 
 def simulate_window_units(source, cache, units) -> list[tuple]:
-    """Replay window units against ``source`` (worker entry point).
+    """Replay window units against ``source`` (the serial path and the
+    supervised worker's unit).
 
-    ``source`` may be a ChunkedTrace, TraceHandle, Trace or address
-    array; returns ``(index, start, accesses, misses, warmup)`` tuples.
+    ``source`` may be a ChunkedTrace, Trace or address array; returns
+    ``(index, start, accesses, misses, warmup)`` tuples.
     Pure function of its arguments — every execution strategy funnels
     through it (or through its threaded twin) and agrees bit for bit.
     """
@@ -291,17 +288,27 @@ def _simulate_windows_threaded(view, cache, units, threads) -> list[tuple]:
     return out
 
 
-def simulate_checkpoint_units(source, cache, units) -> list[tuple]:
-    """Replay ``(index, checkpoint, start, stop)`` units (worker entry
-    point of the checkpoint-warming mode)."""
-    view = _as_view(source)
+def _simulate_checkpoints(view, checkpoints, window: int,
+                          threads: int) -> list[tuple]:
+    """Replay the window after each checkpoint from its exact warm state:
+    one native batch of width ``threads``, or serially when the cache has
+    no replay task."""
+    caches = [ckpt.build() for ckpt in checkpoints]
+    baselines = [_counts(replayer) for replayer in caches]
+    segments = [view.segment(ckpt.position, ckpt.position + window)
+                for ckpt in checkpoints]
+    if caches and getattr(caches[0], "replay_task", None) is not None:
+        run_tasks([_replay_task(replayer, seg)
+                   for replayer, seg in zip(caches, segments)],
+                  threads=threads)
+    else:
+        for replayer, seg in zip(caches, segments):
+            _replay(replayer, seg)
     out = []
-    for index, ckpt, start, stop in units:
-        replayer = ckpt.build()
-        a0, m0 = _counts(replayer)
-        _replay(replayer, view.segment(start, stop))
+    for index, (replayer, ckpt, (a0, m0)) in enumerate(
+            zip(caches, checkpoints, baselines)):
         a1, m1 = _counts(replayer)
-        out.append((index, start, a1 - a0, m1 - m0, 0))
+        out.append((index, ckpt.position, a1 - a0, m1 - m0, 0))
     return out
 
 
@@ -353,47 +360,21 @@ def run_exact(trace, cache, *, chunk: int = DEFAULT_CHUNK) -> CacheStats:
 # --------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------- #
-def _pool_source(trace, view, trace_store):
-    """A picklable trace source for process workers (+ owned store)."""
-    if isinstance(trace, (ChunkedTrace, TraceHandle)):
-        return trace, None
-    store = trace_store if trace_store is not None else TraceStore()
-    handle = store.put(view.addresses)
-    return handle, (store if trace_store is None else None)
-
-
-def _fan_out(trace, view, cache, units, simulate, max_workers,
-             trace_store) -> list[tuple]:
-    from concurrent.futures import ProcessPoolExecutor
-    workers = min(max_workers, len(units))
-    shards = [units[i::workers] for i in range(workers)]
-    source, owned = _pool_source(trace, view, trace_store)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(simulate, source, cache, shard)
-                       for shard in shards if shard]
-            return [row for future in futures for row in future.result()]
-    finally:
-        if owned is not None:
-            owned.close()
-
-
 def run_sampled(trace, cache, spec: SamplingSpec, *,
-                parallel: str = "auto", threads: int | None = None,
+                threads: int | None = None,
                 max_workers: int | None = None,
-                trace_store: TraceStore | None = None,
                 supervise: bool = False, bank=None, queue=None,
                 faults=None) -> SampledResult:
     """Estimate ``cache``'s MPKI on ``trace`` from sampled windows.
 
-    Parameters mirror :func:`repro.sim.sweep.run_sweep`: ``parallel``
-    picks threads (one GIL-releasing native batch over all windows) or
-    a process pool (windows sharded round-robin; the trace rides a
-    TraceStore memmap, or is regenerated block-on-demand when it is a
-    :class:`ChunkedTrace`); ``supervise=True`` runs the windows through
-    the fault-tolerant job runtime with per-window banking in ``bank``
-    (``faults`` is the fault-injection hook, tests only).  Results are
-    bit-identical across all execution strategies.
+    Parameters mirror :func:`repro.sim.sweep.run_sweep`: in-process, the
+    windows replay as GIL-releasing native batches of width ``threads``,
+    else ``max_workers`` when it is above 1, else ``REPRO_THREADS`` or
+    the CPUs this process may run on; ``supervise=True`` runs them in
+    ``max_workers`` processes of the fault-tolerant job runtime with
+    per-window banking in ``bank`` (``faults`` is the fault-injection
+    hook, tests only).  Results are bit-identical across all execution
+    strategies.
 
     Returns a :class:`~repro.sampling.estimator.SampledResult`; compare
     against :func:`run_exact` with ``result.error_vs_exact(...)``.
@@ -402,58 +383,26 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
     view = _as_view(trace)
     n = view.n_accesses
     max_workers = max_workers if max_workers is not None else 1
-
-    if spec.warming == "checkpoint":
-        if supervise:
+    if supervise:
+        if spec.warming == "checkpoint":
             raise ValueError(
                 "warming='checkpoint' is a serial validation pass and is "
                 "not supervised; use warming='window' with supervise=True")
-        checkpoints = warm_checkpoints(trace, cache, spec)
-        units = [(i, ckpt, ckpt.position, ckpt.position + spec.window)
-                 for i, ckpt in enumerate(checkpoints)]
-        mode = resolve_parallel(parallel)
-        caches = ([ckpt.build() for _, ckpt, _, _ in units]
-                  if mode == "threads" else [])
-        if (mode == "threads" and caches
-                and getattr(caches[0], "replay_task", None) is not None):
-            baselines = [_counts(c) for c in caches]
-            width = resolve_threads(
-                threads if threads is not None
-                else (max_workers if max_workers > 1 else None))
-            run_tasks([_replay_task(c, view.segment(start, stop))
-                       for c, (_, _, start, stop) in zip(caches, units)],
-                      threads=width)
-            rows = []
-            for c, (index, _, start, _), (a0, m0) in zip(caches, units,
-                                                         baselines):
-                a1, m1 = _counts(c)
-                rows.append((index, start, a1 - a0, m1 - m0, 0))
-        elif max_workers > 1 and len(units) > 1:
-            rows = _fan_out(trace, view, cache, units,
-                            simulate_checkpoint_units, max_workers,
-                            trace_store)
-        else:
-            rows = simulate_checkpoint_units(view, cache, units)
+        from ..jobs.drivers import run_sampled_supervised
+        rows = run_sampled_supervised(
+            trace, cache, spec, window_units(spec, cache, n),
+            max_workers=max_workers, bank=bank, queue=queue, faults=faults)
     else:
-        units = window_units(spec, cache, n)
-        if supervise:
-            from ..jobs.drivers import run_sampled_supervised
-            rows = run_sampled_supervised(
-                trace, cache, spec, units, max_workers=max_workers,
-                bank=bank, queue=queue, faults=faults)
+        width = resolve_threads(
+            threads if threads is not None
+            else (max_workers if max_workers > 1 else None))
+        if spec.warming == "checkpoint":
+            rows = _simulate_checkpoints(
+                view, warm_checkpoints(trace, cache, spec), spec.window,
+                width)
         else:
-            mode = resolve_parallel(parallel)
-            if mode == "threads":
-                width = resolve_threads(
-                    threads if threads is not None
-                    else (max_workers if max_workers > 1 else None))
-                rows = _simulate_windows_threaded(view, cache, units, width)
-            elif max_workers > 1 and len(units) > 1:
-                rows = _fan_out(trace, view, cache, units,
-                                simulate_window_units, max_workers,
-                                trace_store)
-            else:
-                rows = simulate_window_units(view, cache, units)
+            rows = _simulate_windows_threaded(
+                view, cache, window_units(spec, cache, n), width)
 
     windows = tuple(WindowResult(index=index, start=start,
                                  accesses=accesses, misses=misses,

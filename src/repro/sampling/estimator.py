@@ -136,10 +136,6 @@ class SampledResult:
         return sum(w.accesses + w.warmup_accesses for w in self.windows)
 
     @property
-    def measured_accesses(self) -> int:
-        return sum(w.accesses for w in self.windows)
-
-    @property
     def miss_rate(self) -> float:
         """Point estimate: mean of the per-window miss rates."""
         if not self.windows:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..workloads.scale import LINES_PER_PAPER_MB, paper_mb_to_lines
+from ..workloads.scale import paper_mb_to_lines
 
 __all__ = ["SystemConfig", "SINGLE_THREADED", "MULTI_PROGRAMMED"]
 
@@ -47,11 +47,6 @@ class SystemConfig:
     def llc_lines(self) -> int:
         """Total LLC capacity in simulated lines."""
         return paper_mb_to_lines(self.llc_mb)
-
-    @property
-    def lines_per_mb(self) -> int:
-        """Scaling factor (simulated lines per paper MB)."""
-        return LINES_PER_PAPER_MB
 
 
 #: Single-threaded configuration of Table I (1 core, 1 MB LLC per core).

@@ -54,11 +54,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..cache._native import resolve_threads
+from ..cache._native import native_available, resolve_threads
 from ..cache.hashing import derive_seed
 from ..cache.spec import PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
-from ..cache.threadbatch import resolve_parallel
 from ..core.misscurve import MissCurve
 from ..core.talus import TalusConfig
 from ..monitor.drift import CurveDriftTracker
@@ -261,10 +260,11 @@ class OnlineTalusController:
         Planning step in lines (default: partitionable / 64, snapped up
         to the scheme's allocation quantum).
     parallel:
-        "auto", "threads" or "processes"/"off": in threads mode each
-        batch's UMON recording overlaps the shared cache's replay of the
-        same batch on a worker thread (the two touch disjoint state), as
-        in the fixed-mix drivers.  Results are bit-identical either way.
+        "off", "threads" or "auto" ("threads" when the native kernel is
+        loaded, else "off"): in threads mode each batch's UMON recording
+        overlaps the shared cache's replay of the same batch on a worker
+        thread (the two touch disjoint state), as in the fixed-mix
+        drivers.  Results are bit-identical either way.
     base_seed:
         Root of all derived seeds (monitors).
     validate:
@@ -291,6 +291,9 @@ class OnlineTalusController:
             raise ValueError("fairness must be in [0, 1]")
         if drift_grow > drift_shrink:
             raise ValueError("drift_grow must not exceed drift_shrink")
+        if parallel not in ("off", "threads", "auto"):
+            raise ValueError(f"unknown parallel mode {parallel!r}; known: "
+                             f"'off', 'threads', 'auto'")
         lines = paper_mb_to_lines(total_mb)
         if lines <= 0:
             raise ValueError("total_mb too small for the configured scale")
@@ -343,9 +346,9 @@ class OnlineTalusController:
         self.batches: list[BatchRecord] = []
         self.replans: list[ReplanRecord] = []
 
-        mode = resolve_parallel(parallel) if parallel != "off" else "off"
         self._pool = None
-        if mode == "threads":
+        if parallel == "threads" or (parallel == "auto"
+                                     and native_available()):
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(
                 max_workers=max(1, min(2, resolve_threads(threads))))

@@ -71,8 +71,8 @@ def simulated_mpki_curve(trace: Trace, sizes_mb: Sequence[float], policy: str,
 
     All sizes are simulated from one materialized trace through
     :func:`repro.sim.sweep.run_sweep`; ``backend`` selects the simulation
-    core ("object", "array" or "auto") and ``max_workers`` optionally fans
-    the sizes out over a process pool.  ``sampling=`` (a
+    core ("object", "array" or "auto") and ``max_workers`` optionally sets
+    the width of the threaded replay.  ``sampling=`` (a
     :class:`~repro.sampling.driver.SamplingSpec`) estimates each point
     from sampled detailed windows instead of an exact replay — the way
     to draw a curve from a trace too long to materialize (a

@@ -10,17 +10,20 @@ sweep itself:
 
 * :class:`MixSweepSpec` — a frozen-dataclass description of the whole
   sweep in the :mod:`repro.cache.spec` style: hashable, comparable and
-  picklable, so the per-mix work can fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` exactly like
+  picklable, so each mix can run as a banked job of the supervised
+  runtime (:mod:`repro.jobs`) exactly like
   :func:`repro.sim.sweep.run_sweep` configs do.
 * **Stable per-mix seeding** — every application trace draws its seed
   from ``(base_seed, mix name, core, app name)``, never from execution
-  order, so serial and process-pool runs (and any subset of the mixes)
-  are bit-identical.
+  order, so serial, threaded and supervised runs (and any subset of the
+  mixes) are bit-identical.
 * :func:`run_mix_sweep` — one :class:`ReconfiguringSharedRun` per mix,
   each riding the resumable runtime (chunked replay + warm reallocation;
   the default ``scheme="vantage"`` substrate replays through the native
-  Vantage kernel on ``backend="auto"``).
+  Vantage kernel on ``backend="auto"``).  Mixes run one after another,
+  or on a thread pool when ``max_workers > 1``; each mix generates its
+  traces when it runs, or takes them from a caller's
+  :class:`~repro.workloads.tracestore.TraceStore`.
 * :class:`MixSweepResult` — the per-mix interval records and measured
   :class:`~repro.sim.multicore.MixResult` objects, bridged to the
   analytic Fig. 12/13 machinery (speedups over the
@@ -42,8 +45,8 @@ True
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Sequence
 
@@ -52,11 +55,10 @@ from ..core.atomicio import atomic_write_json
 from ..cache.hashing import mix64
 from ..cache.partition import SCHEME_REGISTRY
 from ..cache.spec import PartitionSpec
-from ..cache.threadbatch import PARALLEL_MODES, resolve_parallel
 from ..partitioning import fair, hill_climbing, lookahead
 from ..workloads.mixes import WorkloadMix
 from ..workloads.scale import paper_mb_to_lines
-from ..workloads.tracestore import TraceHandle, TraceStore
+from ..workloads.tracestore import TraceStore
 from .metrics import gmean
 from .multicore import (MixResult, ReconfiguringSharedRun,
                         SharedCacheExperiment, SharedIntervalRecord,
@@ -80,8 +82,8 @@ def mix_trace_seed(base_seed: int, mix_name: str, core: int,
     """Deterministic trace seed for one core of one mix.
 
     A stable function of the mix/core/app identity — not of execution
-    order — so a mix simulated alone, serially, or in a process-pool
-    worker generates the same traces (the contract
+    order — so a mix simulated alone, serially, on a worker thread or in
+    a supervised worker generates the same traces (the contract
     :func:`repro.sim.sweep._derive_seed` establishes for sweep points).
     """
     token = f"{mix_name}|{core}|{app_name}".encode()
@@ -112,13 +114,11 @@ class MixSweepSpec:
     base_seed:
         Root of the per-mix trace-seed derivation.
     max_workers:
-        Above 1, mixes fan out — over a process pool or a thread pool
-        depending on ``parallel`` (results are identical to a serial run
-        either way).
-    parallel:
-        "threads", "processes" or "auto" ("auto" prefers threads when the
-        native kernel is available, so the GIL-releasing replay overlaps;
-        without it, the process pool).
+        Above 1, mixes run on a thread pool of this width (results are
+        identical to a serial run), and a supervised sweep runs this
+        many worker processes.  It only chooses how the sweep executes,
+        so it is left out of comparisons and of the job key: a
+        resubmission with another width is served from the bank.
     """
 
     total_mb: float
@@ -132,8 +132,7 @@ class MixSweepSpec:
     granularity_mb: float | None = None
     backend: str = "auto"
     base_seed: int = 2015
-    max_workers: int = 1
-    parallel: str = "auto"
+    max_workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.total_mb <= 0:
@@ -154,9 +153,6 @@ class MixSweepSpec:
                              "positive")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.parallel not in PARALLEL_MODES:
-            raise ValueError(f"unknown parallel mode {self.parallel!r}; "
-                             f"known: {PARALLEL_MODES}")
 
     def substrate_spec(self, num_apps: int) -> PartitionSpec:
         """The declarative substrate one mix of ``num_apps`` runs on."""
@@ -223,39 +219,25 @@ class MixRunRecord:
                        apps=apps))
 
 
-def _mix_handles(store: TraceStore, spec: MixSweepSpec,
-                 mix: WorkloadMix) -> tuple[TraceHandle, ...]:
-    """Materialize (or find) every per-core trace of one mix in ``store``.
-
-    The store's content addressing by ``(app, length, seed)`` means a
-    trace shared between mixes — or between cores of a homogeneous mix
-    with a coinciding seed — is generated exactly once for the whole
-    sweep.
-    """
-    return tuple(
-        store.get(app, spec.trace_accesses,
-                  mix_trace_seed(spec.base_seed, mix.name, core, app.name))
-        for core, app in enumerate(mix.apps))
+def _mix_traces(spec: MixSweepSpec, mix: WorkloadMix,
+                store: TraceStore | None = None) -> list:
+    """Every core's trace of one mix: from ``store`` when one is given
+    (generated there on first use), else straight from its profile.  Both
+    draw the same per-core seeds, so they are the same traces."""
+    traces = []
+    for core, app in enumerate(mix.apps):
+        seed = mix_trace_seed(spec.base_seed, mix.name, core, app.name)
+        traces.append(
+            app.trace(n_accesses=spec.trace_accesses, seed=seed)
+            if store is None else store.get(app, spec.trace_accesses, seed))
+    return traces
 
 
 def _run_one_mix(spec: MixSweepSpec, mix: WorkloadMix,
-                 handles: Sequence[TraceHandle] | None = None
-                 ) -> MixRunRecord:
-    """Execute one mix end to end (the pool worker entry point).
-
-    With ``handles`` the worker attaches the parent's already-materialized
-    traces (zero-copy for memmap/shared-memory backings); without them it
-    regenerates from the profiles — both paths draw the same per-core
-    seeds, so the records are bit-identical.
-    """
-    if handles is not None:
-        traces = [handle.attach() for handle in handles]
-    else:
-        traces = [
-            app.trace(n_accesses=spec.trace_accesses,
-                      seed=mix_trace_seed(spec.base_seed, mix.name, core,
-                                          app.name))
-            for core, app in enumerate(mix.apps)]
+                 store: TraceStore | None = None) -> MixRunRecord:
+    """Execute one mix end to end (a thread or supervised worker's unit)
+    on its :func:`_mix_traces`."""
+    traces = _mix_traces(spec, mix, store)
     run = ReconfiguringSharedRun(
         total_mb=spec.total_mb, scheme=spec.scheme,
         algorithm=ALGORITHMS[spec.algorithm],
@@ -339,11 +321,7 @@ class MixSweepResult:
         key = (mix_name, "ta-drrip-execution", seed)
         if key not in self._baselines:
             mix = self.mixes[mix_name]
-            traces = [
-                app.trace(n_accesses=self.spec.trace_accesses,
-                          seed=mix_trace_seed(self.spec.base_seed, mix.name,
-                                              core, app.name))
-                for core, app in enumerate(mix.apps)]
+            traces = _mix_traces(self.spec, mix)
             run = TADRRIPSharedRun(
                 total_mb=self.spec.total_mb,
                 interval_accesses=self.spec.interval_accesses,
@@ -412,7 +390,6 @@ class MixSweepResult:
 def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
                   max_workers: int | None = None,
                   backend: str | None = None,
-                  parallel: str | None = None,
                   trace_store: TraceStore | None = None,
                   supervise: bool = False,
                   bank=None) -> MixSweepResult:
@@ -420,23 +397,20 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
 
     Each mix runs one :class:`~repro.sim.multicore.ReconfiguringSharedRun`
     (chunked replay, per-app UMONs, coordinated warm reconfiguration) on
-    its own deterministic traces.  With ``max_workers > 1`` the mixes fan
-    out — one worker task per mix, since a mix's apps share one cache and
-    must advance together — over a process pool or, with
-    ``parallel="threads"`` (the "auto" choice when the native kernel is
-    available), a thread pool whose workers overlap in the GIL-releasing
-    kernel replays.  The stable per-mix seeding makes every strategy
-    bit-identical to a serial run.
+    its own deterministic traces.  Mixes run one after another or, with
+    ``max_workers > 1``, on a thread pool — one task per mix, since a
+    mix's apps share one cache and must advance together — whose workers
+    overlap in the GIL-releasing kernel replays.  The stable per-mix
+    seeding makes both bit-identical.
 
-    The parent materializes every per-core trace exactly once in
-    ``trace_store`` (a temporary memmap-backed store when not given) and
-    hands workers lightweight handles; pooled workers *attach* rather
-    than regenerate, so a sweep no longer pays apps x mixes trace
-    generations per pool fan-out.
+    Each mix generates its per-core traces when it runs, or takes them
+    from ``trace_store`` (a :class:`~repro.workloads.tracestore.TraceStore`
+    the caller owns), which generates each ``(app, length, seed)`` trace
+    once across every sweep that shares it.
 
-    ``max_workers``/``backend``/``parallel`` override the spec's values
-    (the spec stays the single source of truth for everything the workers
-    need, which is what makes it picklable).
+    ``max_workers``/``backend`` override the spec's values (the spec
+    stays the single source of truth for everything a supervised worker
+    needs, which is what makes it picklable).
 
     ``supervise=True`` (default off, preserving the in-process fast
     path) routes each mix through the fault-tolerant job runtime
@@ -449,30 +423,17 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
     if len(set(names)) != len(names):
         raise ValueError("mix names must be unique")
     if backend is not None and backend != spec.backend:
-        from dataclasses import replace
         spec = replace(spec, backend=backend)
     if supervise:
         from ..jobs.drivers import run_mix_sweep_supervised
         return run_mix_sweep_supervised(mixes, spec, bank=bank,
                                         max_workers=max_workers)
     workers = max_workers if max_workers is not None else spec.max_workers
-    mode = resolve_parallel(parallel if parallel is not None
-                            else spec.parallel)
-    store = trace_store if trace_store is not None else TraceStore()
-    try:
-        handles = [_mix_handles(store, spec, mix) for mix in mixes]
-        if workers > 1 and len(mixes) > 1:
-            workers = min(workers, len(mixes))
-            pool_cls = (ThreadPoolExecutor if mode == "threads"
-                        else ProcessPoolExecutor)
-            with pool_cls(max_workers=workers) as pool:
-                futures = [pool.submit(_run_one_mix, spec, mix, mix_handles)
-                           for mix, mix_handles in zip(mixes, handles)]
-                records = [future.result() for future in futures]
-        else:
-            records = [_run_one_mix(spec, mix, mix_handles)
-                       for mix, mix_handles in zip(mixes, handles)]
-    finally:
-        if trace_store is None:
-            store.close()
+    if workers > 1 and len(mixes) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(mixes))) as pool:
+            futures = [pool.submit(_run_one_mix, spec, mix, trace_store)
+                       for mix in mixes]
+            records = [future.result() for future in futures]
+    else:
+        records = [_run_one_mix(spec, mix, trace_store) for mix in mixes]
     return MixSweepResult(spec, mixes, records)

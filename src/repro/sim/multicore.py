@@ -61,9 +61,8 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..cache._native import resolve_threads
+from ..cache._native import native_available, resolve_threads
 from ..cache.spec import PartitionSpec, TalusSpec, build
-from ..cache.threadbatch import resolve_parallel
 from ..core.bypass import optimal_bypass_curve
 from ..core.convexhull import convex_hull
 from ..core.misscurve import MissCurve
@@ -354,11 +353,6 @@ class SharedCacheExperiment:
                                        ipc=ipc_from_mpki(profile, float(mpki))))
         return MixResult(scheme=scheme, apps=tuple(apps))
 
-    # ------------------------------------------------------------------ #
-    def hull_curves(self) -> List[MissCurve]:
-        """Convex hulls of the per-application curves (Talus pre-processing)."""
-        return [convex_hull(curve) for curve in self.curves]
-
 
 # --------------------------------------------------------------------- #
 # Execution-driven multi-application reconfiguration (Figs. 12/13)
@@ -426,18 +420,15 @@ class ReconfiguringSharedRun:
         between reconfigurations when the kernel is available; interval
         records are bit-identical to ``backend="object"`` for every
         policy.
-    parallel:
-        "threads", "processes" or "auto".  In threads mode (the "auto"
-        choice when the native kernel is available) the per-application
-        UMON recording of each interval fans out over a thread pool while
-        the shared cache replays each chunk sequentially — the cache is
-        one shared state, so its access order must not change, but the
-        monitors are per-app-private and order-free.  "processes" (the
-        ``REPRO_NATIVE=0`` auto choice) keeps everything sequential
-        in-process: one mix cannot split across processes.
     threads:
         Monitor-recording thread width (default: ``REPRO_THREADS`` or the
         CPUs this process may run on, capped at the application count).
+        With the native kernel loaded and more than one application, the
+        per-application UMON recording of each interval fans out over a
+        thread pool while the shared cache replays each chunk
+        sequentially — the cache is one shared state, so its access order
+        must not change, but the monitors are per-app-private and
+        order-free.  Without the kernel everything runs sequentially.
     """
 
     total_mb: float
@@ -449,16 +440,16 @@ class ReconfiguringSharedRun:
     monitor_points: int = 33
     granularity_mb: float | None = None
     backend: str = "auto"
-    parallel: str = "auto"
     threads: int | None = None
     records: list[SharedIntervalRecord] = field(default_factory=list)
 
     def run(self, traces: Sequence[Trace]) -> list[SharedIntervalRecord]:
         """Replay all traces with periodic coordinated reconfiguration.
 
-        Results are bit-identical for every ``parallel`` mode: the shared
-        cache always consumes the chunks in the same order, and each UMON
-        only ever touches its own application's state.
+        Results are bit-identical with or without the monitor thread
+        pool: the shared cache always consumes the chunks in the same
+        order, and each UMON only ever touches its own application's
+        state.
         """
         n = len(traces)
         if n == 0:
@@ -485,9 +476,8 @@ class ReconfiguringSharedRun:
         self.records = []
         self._traces = list(traces)
         index = 0
-        mode = resolve_parallel(self.parallel)
         pool = None
-        if mode == "threads" and n > 1:
+        if native_available() and n > 1:
             from concurrent.futures import ThreadPoolExecutor
             pool = ThreadPoolExecutor(
                 max_workers=min(n, resolve_threads(self.threads)))

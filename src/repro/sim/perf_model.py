@@ -51,9 +51,3 @@ class AppPerformance:
     allocation_mb: float
     mpki: float
     ipc: float
-
-    def speedup_over(self, baseline_ipc: float) -> float:
-        """IPC ratio relative to a baseline IPC."""
-        if baseline_ipc <= 0:
-            raise ValueError("baseline_ipc must be positive")
-        return self.ipc / baseline_ipc

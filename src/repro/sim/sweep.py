@@ -26,27 +26,19 @@ Each spec's ``backend`` field picks its simulation core:
   decides speed; ask for ``backend="object"`` explicitly to stream the
   reference model.
 
-Independent configs can also run in parallel, in one of two ways selected
-by ``parallel=``:
-
-* ``"threads"`` — every batch-capable config becomes a
-  :class:`~repro.cache.threadbatch.ReplayTask` and the whole sweep is one
-  GIL-releasing ``batch_run_threaded`` call into the native kernel
-  (width from ``threads=`` or ``REPRO_THREADS``); object-model configs
-  stream serially.
-* ``"processes"`` — independent configs fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers > 1``),
-  with the address array shared through a
-  :class:`~repro.workloads.tracestore.TraceStore` memmap so workers
-  attach to one materialized trace instead of re-pickling it.  Each
-  worker runs its configs' tasks as one width-1 dispatch.
-* ``"auto"`` (default) — threads when the native kernel is available,
-  the process pool otherwise (``REPRO_NATIVE=0``).
+In-process, every batch-capable config becomes a
+:class:`~repro.cache.threadbatch.ReplayTask` and the whole sweep is one
+GIL-releasing ``batch_run_threaded`` call into the native kernel (width
+from ``threads=``, else ``max_workers`` above 1, else ``REPRO_THREADS``
+or the CPUs this process may run on); configs without a replay task
+(object-model caches) stream serially.  ``supervise=True`` runs the
+points in worker processes of the job runtime (:mod:`repro.jobs`)
+instead, banked and retried.
 
 Results are independent of the execution strategy: every point of a
 seeded :class:`SweepSpec` derives its seed from ``(base_seed, policy,
-size)``, so serial, batched, threaded, pooled and supervised runs all
-agree bit for bit.
+size)``, so serial, batched, threaded and supervised runs all agree bit
+for bit.
 
 Example
 -------
@@ -57,7 +49,6 @@ Example
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Hashable, Sequence
 
@@ -68,11 +59,11 @@ from ..cache.cache import CacheStats
 from ..cache.factory import BACKENDS, SEEDED_POLICIES
 from ..cache.hashing import derive_seed
 from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec
-from ..cache.threadbatch import PARALLEL_MODES, resolve_parallel, run_tasks
+from ..cache.threadbatch import run_tasks
 from ..core.misscurve import MissCurve
 from ..workloads.access import Trace
 from ..workloads.scale import paper_mb_to_lines
-from ..workloads.tracestore import TraceHandle, TraceStore
+from ..workloads.tracestore import TraceStore
 
 __all__ = ["SweepConfig", "SweepSpec", "SweepResult", "sweep_configs",
            "run_sweep", "run_matrix_sweep", "matrix_cells", "matrix_configs",
@@ -89,7 +80,7 @@ def _derive_seed(base_seed: int, policy: str, size_mb: float) -> int:
     Deriving from ``(policy, size)`` rather than the config's position in
     the sweep makes seeds independent of execution order and sweep
     composition: a point simulated alone, in a batched sweep, or in a
-    process-pool worker always draws the same stream.  (The shared
+    supervised worker always draws the same stream.  (The shared
     primitive is :func:`repro.cache.hashing.derive_seed`; the sampling
     driver derives its per-window seeds the same way.)
     """
@@ -106,10 +97,9 @@ class SweepConfig:
     or ``None`` for a zero-capacity point, which every path reports as
     all-miss.  A partitioned point replays every access into partition
     0 and reports the sum of its partitions.  Specs are frozen
-    dataclasses of plain values, so every point can fan out over a
-    process pool or bank under its content key in a supervised job
-    (and a cache or Talus point can be sampled), and equal specs
-    describe equal points.
+    dataclasses of plain values, so every point can bank under its
+    content key in a supervised job (and a cache or Talus point can be
+    sampled), and equal specs describe equal points.
     """
 
     key: Hashable
@@ -151,11 +141,8 @@ class SweepSpec:
     backend:
         "object", "array" or "auto" (see module docstring).
     max_workers:
-        Above 1, independent configs are distributed over a process pool
-        (``parallel="processes"``) or set the thread width when no
-        explicit ``threads=`` is given (``parallel="threads"``).
-    parallel:
-        "threads", "processes" or "auto" (see module docstring).
+        Above 1, the thread width when no explicit ``threads=`` is given,
+        and the worker count of a supervised sweep.
     base_seed:
         Root of the deterministic per-config seed derivation for policies
         with randomized behaviour.  ``None`` (the default) keeps every
@@ -168,16 +155,12 @@ class SweepSpec:
     ways: int = DEFAULT_WAYS
     backend: str = "auto"
     max_workers: int = 1
-    parallel: str = "auto"
     base_seed: int | None = None
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"known: {BACKENDS}")
-        if self.parallel not in PARALLEL_MODES:
-            raise ValueError(f"unknown parallel mode {self.parallel!r}; "
-                             f"known: {PARALLEL_MODES}")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if not self.policies:
@@ -306,21 +289,16 @@ def _replay_object(cache, trace: list, partitioned: bool) -> None:
             access(a)
 
 
-def _simulate_chunk(addrs: np.ndarray | TraceHandle,
-                    configs: Sequence[SweepConfig],
-                    threads: int = 1) -> list[tuple[Hashable, CacheStats]]:
-    """Simulate a group of configs over one trace pass (worker entry point).
+def _simulate_points(addrs: np.ndarray, configs: Sequence[SweepConfig],
+                     threads: int) -> list[tuple[Hashable, CacheStats]]:
+    """Simulate every config over one trace pass.
 
-    ``addrs`` may be a :class:`TraceHandle`, which pool workers attach
-    zero-copy instead of receiving the pickled array.  Every
-    batch-capable config becomes a :class:`ReplayTask` and the chunk's
-    tasks execute as one native dispatch of width ``threads`` (1 in
-    process-pool workers; bit-identical at any width).  The remaining
-    (object-model) configs stream over one decoded copy of the trace.  A
-    partitioned point replays every access into partition 0.
+    Every batch-capable config becomes a :class:`ReplayTask` and the
+    tasks execute as one native dispatch of width ``threads``
+    (bit-identical at any width).  The remaining (object-model) configs
+    stream over one decoded copy of the trace.  A partitioned point
+    replays every access into partition 0.
     """
-    if isinstance(addrs, TraceHandle):
-        addrs = addrs.array()
     zeros = (np.zeros(addrs.size, dtype=np.int64)
              if any(isinstance(c.spec, PartitionSpec) for c in configs)
              else None)
@@ -355,8 +333,8 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
 
 
 def _run_sweep_sampled(trace, configs, sampling, *, max_workers: int,
-                       parallel: str, threads: int | None, trace_store,
-                       supervise: bool, bank) -> SweepResult:
+                       threads: int | None, supervise: bool,
+                       bank) -> SweepResult:
     """The ``sampling=`` execution path of :func:`run_sweep`.
 
     Each config's MPKI comes from a sampled estimate
@@ -378,9 +356,8 @@ def _run_sweep_sampled(trace, configs, sampling, *, max_workers: int,
             sampled[config.key] = None
             continue
         result = run_sampled(
-            trace, config.spec, sampling, parallel=parallel,
-            threads=threads, max_workers=max_workers,
-            trace_store=trace_store, supervise=supervise, bank=bank)
+            trace, config.spec, sampling, threads=threads,
+            max_workers=max_workers, supervise=supervise, bank=bank)
         sampled[config.key] = result
         misses = int(round(result.estimated_misses))
         stats[config.key] = CacheStats(
@@ -493,23 +470,21 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
     ``benchmarks/bench_matrix_sweep.py`` measures the threaded matrix
     against.  A supervised, banked matrix is ``run_sweep(trace,
     matrix_configs(...), supervise=True, bank=...)``.  ``trace_store``
-    goes to :func:`run_sweep`, which shares it with process-pool workers
-    only; a matrix never takes that path, so the store goes unused.
+    is accepted and unused; it stays only because the committed
+    benchmark (``perfbench/workloads.py``) passes one.
     """
+    del trace_store
     configs = matrix_configs(sizes_mb, policies, schemes,
                              num_partitions=num_partitions, ways=ways,
                              backend=backend, seed=seed)
-    return run_sweep(trace, configs, threads=threads,
-                     trace_store=trace_store)
+    return run_sweep(trace, configs, threads=threads)
 
 
 def run_sweep(trace: Trace | np.ndarray | Sequence[int],
               spec: SweepSpec | Sequence[SweepConfig],
               *, backend: str | None = None,
               max_workers: int | None = None,
-              parallel: str | None = None,
               threads: int | None = None,
-              trace_store: TraceStore | None = None,
               supervise: bool = False,
               bank=None,
               sampling=None) -> SweepResult:
@@ -519,19 +494,15 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     array.  Each point builds from its own spec: object-model caches
     stream one after another and array caches replay in the native
     kernel; a partitioned point replays every access into partition 0.
-    ``max_workers``/``parallel`` override the
-    spec's; ``backend`` overrides a :class:`SweepSpec`'s backend and
-    raises :class:`ValueError` with a config sequence, whose specs carry
-    their own (see :func:`sweep_configs`).
+    ``max_workers`` overrides the spec's; ``backend`` overrides a
+    :class:`SweepSpec`'s backend and raises :class:`ValueError` with a
+    config sequence, whose specs carry their own (see
+    :func:`sweep_configs`).
 
-    ``parallel`` picks the fan-out strategy (module docstring): "threads"
-    executes all batch-capable configs in one threaded native dispatch
-    (width from ``threads=``, else ``REPRO_THREADS``, else
-    ``max_workers``/the CPUs this process may run on); "processes"
-    distributes the configs over a process pool when ``max_workers > 1``,
-    sharing the trace through ``trace_store`` (a temporary store when not
-    given).  Results are bit-identical regardless of the execution
-    strategy.
+    All batch-capable configs execute in one threaded native dispatch of
+    width ``threads``, else ``max_workers`` when it is above 1, else
+    ``REPRO_THREADS`` or the CPUs this process may run on.  Results are
+    bit-identical at any width.
 
     ``supervise=True`` (default off, preserving the in-process fast
     path) routes the sweep through the fault-tolerant job runtime
@@ -557,13 +528,10 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     configs = sweep_configs(spec, backend)
     if max_workers is None:
         max_workers = getattr(spec, "max_workers", 1)
-    if parallel is None:
-        parallel = getattr(spec, "parallel", "auto")
     if sampling is not None:
         return _run_sweep_sampled(
             trace, configs, sampling, max_workers=max_workers,
-            parallel=parallel, threads=threads, trace_store=trace_store,
-            supervise=supervise, bank=bank)
+            threads=threads, supervise=supervise, bank=bank)
     if isinstance(trace, Trace):
         addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
         instructions = trace.instructions
@@ -573,31 +541,10 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     if addrs.ndim != 1:
         raise ValueError("trace must be one-dimensional")
 
-    stats: dict[Hashable, CacheStats] = {}
-    if resolve_parallel(parallel) == "threads":
-        width = resolve_threads(
-            threads if threads is not None
-            else (max_workers if max_workers > 1 else None))
-        stats.update(_simulate_chunk(addrs, configs, threads=width))
-    elif max_workers > 1 and len(configs) > 1:
-        workers = min(max_workers, len(configs))
-        store = trace_store if trace_store is not None else TraceStore()
-        try:
-            # Workers attach the store's one materialized copy of the
-            # trace instead of unpickling a private copy each.
-            handle = store.put(addrs)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_simulate_chunk, handle,
-                                       configs[i::workers])
-                           for i in range(workers)]
-                for future in futures:
-                    stats.update(future.result())
-        finally:
-            if trace_store is None:
-                store.close()
-    else:
-        stats.update(_simulate_chunk(addrs, configs))
-
+    width = resolve_threads(
+        threads if threads is not None
+        else (max_workers if max_workers > 1 else None))
+    stats = dict(_simulate_points(addrs, configs, threads=width))
     for config_stats in stats.values():
         if instructions and not config_stats.instructions:
             config_stats.instructions = instructions

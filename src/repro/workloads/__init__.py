@@ -9,8 +9,7 @@ from .scale import (LINE_SIZE_BYTES, LINES_PER_PAPER_MB, lines_to_paper_mb,
 from .spec_profiles import (FIG10_BENCHMARKS, FIG13_BENCHMARKS, AppProfile,
                             SPEC_PROFILES, get_profile,
                             memory_intensive_profiles, profile_names)
-from .tracestore import (TRACE_BACKINGS, TraceBackingError,
-                         TraceHandle, TraceStore)
+from .tracestore import TraceStore
 
 __all__ = [
     "Trace",
@@ -38,7 +37,4 @@ __all__ = [
     "random_mixes",
     "homogeneous_mix",
     "TraceStore",
-    "TraceHandle",
-    "TraceBackingError",
-    "TRACE_BACKINGS",
 ]

@@ -1,263 +1,47 @@
-"""Zero-copy shared trace store for sweep and mix-sweep workers.
+"""An in-memory, content-addressed memo of traces.
 
-Before this module, every process-pool worker either re-pickled the full
-address array through IPC (:func:`repro.sim.sweep.run_sweep`) or — worse —
-regenerated its whole trace from the synthetic profile
-(:func:`repro.sim.mixsweep.run_mix_sweep`).  A :class:`TraceStore`
-materializes each trace exactly once and hands out lightweight, picklable
-:class:`TraceHandle` objects; workers (threaded or pooled) *attach* to the
-one materialized copy instead:
+A :class:`TraceStore` generates each profile trace once per ``(profile,
+length, seed)`` and hands the same :class:`~repro.workloads.access.Trace`
+to every later request, so a caller running several multi-mix sweeps
+over the same mixes and seeds (:func:`repro.sim.mixsweep.run_mix_sweep`
+with ``trace_store=``) generates each per-core trace only once.  Raw
+address arrays enter through :meth:`TraceStore.put`, keyed by a digest of
+their bytes.
 
-* ``backing="memmap"`` (default) — addresses live in a file under a
-  private temporary directory; attaching maps it read-only with
-  :func:`numpy.memmap`, so every process shares one page-cache copy.
-* ``backing="shared_memory"`` — a :class:`multiprocessing.shared_memory.
-  SharedMemory` segment per trace.  Attached segments are pinned by the
-  returned trace's ``metadata``, keeping the buffer alive for the trace's
-  lifetime.  (The store must outlive all attachments; pre-3.13 resource
-  tracking makes cross-process attachment noisy, so memmap is the
-  default.)
-* ``backing="memory"`` — the handle simply carries the array (no
-  sharing); pickling such a handle ships the data, which is exactly the
-  pre-store behaviour and the graceful floor.
-
-Traces are **content-addressed by (profile, seed, length)**: :meth:`get`
-generates a profile's trace only on the first request of a given
-``(profile.name, n_accesses, seed)`` key and returns the same handle for
-every later request.  Raw arrays enter through :meth:`put`, keyed by a
-digest of their bytes.
-
-The store owns the backing storage: :meth:`close` (or exiting the context
-manager) unlinks every file/segment.  Handles never unlink anything.
-
-Abnormal-exit safety
---------------------
-Backing cleanup does not rely on ``close`` being reached: every store
-registers a :func:`weakref.finalize` finalizer (which the interpreter also
-runs at exit, like ``atexit``) releasing its segments and files when the
-store is garbage-collected or the process ends normally.  A process killed
-by a signal runs no finalizers, so owned memmap directories additionally
-carry an ``owner.pid`` marker and :meth:`TraceStore.gc_stale` sweeps
-orphaned ``repro-traces-*`` directories whose owning process is gone —
-the job runtime's ``gc`` command calls it.  Attaching a handle whose
-backing has vanished raises :class:`TraceBackingError` with the likely
-cause instead of a bare ``FileNotFoundError`` from deep inside numpy.
+Traces stay in this process's memory.  The drivers fan out over threads,
+and supervised workers regenerate their traces from identities
+(:mod:`repro.jobs.payloads`), so no trace crosses a process boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
-import tempfile
-import weakref
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .access import Trace
 
-__all__ = ["TraceStore", "TraceHandle", "TraceBackingError",
-           "TRACE_BACKINGS"]
-
-#: Backings a :class:`TraceStore` supports ("auto" resolves to "memmap").
-TRACE_BACKINGS = ("auto", "memory", "memmap", "shared_memory")
-
-#: Prefix of the private temporary directories owned memmap backings live
-#: in; :meth:`TraceStore.gc_stale` only ever touches directories matching
-#: this prefix (and only with a dead or missing ``owner.pid``).
-_TRACE_DIR_PREFIX = "repro-traces-"
-
-#: Name of the owning-process marker file inside an owned backing
-#: directory.
-_PID_MARKER = "owner.pid"
-
-
-class TraceBackingError(RuntimeError):
-    """An attachment's backing storage is gone.
-
-    Raised by :meth:`TraceHandle.attach`/:meth:`TraceHandle.array` when
-    the memmap file or shared-memory segment behind a handle no longer
-    exists — the owning :class:`TraceStore` was closed or garbage
-    collected, the process that owned it died and a :meth:`TraceStore.
-    gc_stale` sweep reclaimed the directory, or the handle outlived a
-    ``with TraceStore() as store:`` block.
-    """
-
-
-def _backing_missing(handle: "TraceHandle",
-                     truncated: bool = False) -> TraceBackingError:
-    what = ("has been truncated below its recorded length"
-            if truncated else "has vanished")
-    return TraceBackingError(
-        f"trace backing for {handle.name!r} {what} "
-        f"({handle.backing} at {handle.location!r}).  The owning "
-        f"TraceStore was closed, garbage-collected, or reclaimed by "
-        f"TraceStore.gc_stale(); keep the store open for the lifetime of "
-        f"every handle, or re-materialize the trace with store.put()/"
-        f"store.get().")
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with this pid exists (best effort)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
-        return True
-    return True
-
-
-def _cleanup_backings(segments: list, directory: Path | None, own_dir: bool,
-                      owned_paths: list) -> None:
-    """Release a store's backing storage (finalizer-safe module function).
-
-    Runs from :meth:`TraceStore.close`, from the ``weakref.finalize``
-    finalizer when a store is garbage collected, and at interpreter exit —
-    it must therefore hold no reference to the store itself and tolerate
-    storage that is already gone.
-    """
-    for shm in segments:
-        try:
-            shm.close()
-            shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-    segments.clear()
-    if directory is not None:
-        if own_dir:
-            shutil.rmtree(directory, ignore_errors=True)
-        else:
-            for path in owned_paths:
-                try:
-                    Path(path).unlink(missing_ok=True)
-                except OSError:
-                    pass
-    owned_paths.clear()
-
-
-@dataclass(frozen=True)
-class TraceHandle:
-    """A lightweight, picklable reference to one materialized trace.
-
-    ``attach()`` (or ``array()`` for the bare addresses) is cheap and
-    zero-copy for the shared backings; a handle can be attached any number
-    of times, from any process, as long as the owning store is open.
-    """
-
-    key: str
-    backing: str
-    location: str
-    length: int
-    instructions: int
-    name: str
-    payload: Trace | None = field(default=None, repr=False)
-
-    def array(self) -> np.ndarray:
-        """The address array (read-only view for the shared backings)."""
-        if self.backing == "memory":
-            return self.payload.addresses
-        if self.backing == "memmap":
-            if self.length == 0:
-                return np.zeros(0, dtype=np.int64)
-            try:
-                return np.memmap(self.location, dtype=np.int64, mode="r",
-                                 shape=(self.length,))
-            except (FileNotFoundError, ValueError) as exc:
-                # ValueError covers a truncated file (mmap smaller than
-                # the recorded shape) — same root cause, same remedy.
-                path = Path(self.location)
-                if isinstance(exc, ValueError):
-                    if path.exists() \
-                            and path.stat().st_size >= 8 * self.length:
-                        raise
-                    raise _backing_missing(
-                        self, truncated=path.exists()) from exc
-                raise _backing_missing(self) from exc
-        if self.backing == "shared_memory":
-            return self._attach_shm()[0]
-        raise ValueError(f"unknown trace backing {self.backing!r}")
-
-    def _attach_shm(self):
-        from multiprocessing import shared_memory
-        try:
-            shm = shared_memory.SharedMemory(name=self.location)
-        except FileNotFoundError as exc:
-            raise _backing_missing(self) from exc
-        addrs = np.ndarray((self.length,), dtype=np.int64,
-                           buffer=shm.buf)
-        addrs.flags.writeable = False
-        return addrs, shm
-
-    def attach(self) -> Trace:
-        """The trace behind this handle (addresses attached zero-copy)."""
-        if self.backing == "memory":
-            return self.payload
-        instructions = max(1, int(self.instructions))
-        if self.backing == "shared_memory":
-            addrs, shm = self._attach_shm()
-            # The segment object pins the buffer for the trace's lifetime.
-            return Trace(addrs, instructions, name=self.name,
-                         metadata={"shm": shm})
-        return Trace(self.array(), instructions, name=self.name)
+__all__ = ["TraceStore"]
 
 
 class TraceStore:
-    """Materialize traces once; share them zero-copy across workers.
+    """Generate each trace once; return the same :class:`Trace` after.
 
-    Parameters
-    ----------
-    backing:
-        One of :data:`TRACE_BACKINGS`; "auto" (the default) resolves to
-        "memmap", which is shareable across processes on every supported
-        Python version.
-    directory:
-        Directory for memmap files.  Defaults to a private temporary
-        directory removed by :meth:`close`; an explicit directory is left
-        in place (only the store's files are deleted).
+    ``backing`` names where the traces live; "memory" is the only one.
+    The store is a context manager: :meth:`close` (or leaving the
+    ``with`` block) drops every trace, and a closed store raises on use.
     """
 
-    def __init__(self, backing: str = "auto",
-                 directory: str | os.PathLike | None = None):
-        if backing not in TRACE_BACKINGS:
-            raise ValueError(f"unknown backing {backing!r}; "
-                             f"known: {TRACE_BACKINGS}")
-        self.backing = "memmap" if backing == "auto" else backing
-        self._handles: dict[str, TraceHandle] = {}
-        self._segments: list = []
-        self._owned_paths: list = []
-        self._own_dir = False
-        self._dir: Path | None = None
-        if self.backing == "memmap":
-            if directory is None:
-                self._dir = Path(tempfile.mkdtemp(prefix=_TRACE_DIR_PREFIX))
-                self._own_dir = True
-                # Ownership marker: gc_stale() reclaims this directory
-                # only once this process is gone (finalizers never ran).
-                (self._dir / _PID_MARKER).write_text(f"{os.getpid()}\n")
-            else:
-                self._dir = Path(directory)
-                self._dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, backing: str = "memory"):
+        if backing != "memory":
+            raise ValueError(f"unknown backing {backing!r}; a TraceStore "
+                             f"keeps its traces in memory ('memory')")
+        self.backing = backing
+        self._traces: dict[str, Trace] = {}
         self._closed = False
-        # Runs on close(), on garbage collection, and at interpreter exit
-        # (weakref.finalize registers itself with atexit) — whichever
-        # comes first; the others become no-ops.
-        self._finalizer = weakref.finalize(
-            self, _cleanup_backings, self._segments,
-            self._dir, self._own_dir, self._owned_paths)
 
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._handles)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._handles
+        return len(self._traces)
 
     def __enter__(self) -> "TraceStore":
         return self
@@ -265,34 +49,24 @@ class TraceStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def profile_key(profile, n_accesses: int, seed: int) -> str:
-        """Content-address of a profile trace: (profile, length, seed)."""
-        return f"{profile.name}|{int(n_accesses)}|{int(seed)}"
-
-    def get(self, profile, n_accesses: int, seed: int) -> TraceHandle:
-        """The handle for a profile's trace, generating it on first use.
-
-        Every later ``get`` with the same ``(profile.name, n_accesses,
-        seed)`` returns the already-materialized handle — this is the
-        dedup that stops pooled mix-sweep workers from regenerating
-        identical per-app traces.
-        """
+    def get(self, profile, n_accesses: int, seed: int) -> Trace:
+        """The profile's trace, generated on the first request of its
+        ``(profile.name, n_accesses, seed)`` key."""
         self._check_open()
-        key = self.profile_key(profile, n_accesses, seed)
-        if key not in self._handles:
-            trace = profile.trace(n_accesses=n_accesses, seed=seed)
-            self._handles[key] = self._materialize(key, trace)
-        return self._handles[key]
+        key = f"{profile.name}|{int(n_accesses)}|{int(seed)}"
+        trace = self._traces.get(key)
+        if trace is None:
+            # Mixes on a thread pool share the store: setdefault is one
+            # atomic dict operation, so two threads that both missed
+            # still return the one trace stored first.
+            trace = self._traces.setdefault(
+                key, profile.trace(n_accesses=n_accesses, seed=seed))
+        return trace
 
     def put(self, trace: Trace | np.ndarray, name: str = "trace",
-            instructions: int = 0) -> TraceHandle:
-        """Store an existing trace (or raw address array), deduplicated.
-
-        Raw arrays are keyed by a digest of their bytes, so storing the
-        same data twice yields one materialization.
-        """
+            instructions: int = 0) -> Trace:
+        """Store an existing trace (or raw address array), deduplicated
+        by a digest of its addresses."""
         self._check_open()
         if isinstance(trace, Trace):
             addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
@@ -302,123 +76,23 @@ class TraceStore:
             addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
-        digest = hashlib.sha256(addrs.tobytes()).hexdigest()[:24]
-        key = f"{name}|{digest}"
-        if key not in self._handles:
-            source = Trace(addrs, max(1, int(instructions)), name=name)
-            self._handles[key] = self._materialize(
-                key, source, instructions=int(instructions))
-        return self._handles[key]
-
-    # ------------------------------------------------------------------ #
-    def _materialize(self, key: str, trace: Trace,
-                     instructions: int | None = None) -> TraceHandle:
-        instructions = (trace.instructions if instructions is None
-                        else instructions)
-        meta = dict(key=key, length=int(trace.addresses.size),
-                    instructions=int(instructions), name=trace.name)
-        if self.backing == "memory":
-            return TraceHandle(backing="memory", location="", payload=trace,
-                               **meta)
-        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
-        if self.backing == "memmap":
-            fname = hashlib.sha256(key.encode()).hexdigest()[:24] + ".i64"
-            path = self._dir / fname
-            tmp = self._dir / (fname + ".tmp")
-            addrs.tofile(tmp)
-            os.replace(tmp, path)  # atomic: attachers never see a partial
-            self._owned_paths.append(str(path))
-            return TraceHandle(backing="memmap", location=str(path), **meta)
-        from multiprocessing import shared_memory
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, addrs.nbytes))
-        np.ndarray(addrs.shape, dtype=np.int64,
-                   buffer=shm.buf)[:] = addrs
-        self._segments.append(shm)
-        return TraceHandle(backing="shared_memory", location=shm.name,
-                           **meta)
+        key = f"{name}|{hashlib.sha256(addrs.tobytes()).hexdigest()[:24]}"
+        stored = self._traces.get(key)
+        if stored is None:
+            stored = self._traces.setdefault(
+                key, Trace(addrs, max(1, int(instructions)), name=name))
+        return stored
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("TraceStore is closed")
 
     def close(self) -> None:
-        """Release all backing storage (files/segments are unlinked).
-
-        Closing is idempotent, and the same cleanup runs automatically
-        when the store is garbage collected or the interpreter exits, so
-        a sweep aborted by an exception does not leak its backings.
-        """
-        if self._closed:
-            return
+        """Drop every trace; later ``get``/``put`` calls raise
+        (idempotent)."""
         self._closed = True
-        self._finalizer()
-        self._handles = {}
-
-    @classmethod
-    def stale_dirs(cls, root: str | os.PathLike | None = None) -> list[Path]:
-        """Orphaned backing directories of dead processes (not removed).
-
-        Sweeps ``root`` (default: the system temporary directory) for
-        ``repro-traces-*`` directories whose ``owner.pid`` marker names a
-        process that no longer exists.  Directories of live stores — and
-        directories without a readable marker (a pre-marker store or one
-        torn down mid-create; without a pid we cannot tell) — are not
-        reported.  This is the read-only census behind :meth:`gc_stale`;
-        the job CLI's ``gc`` command uses both to report what it
-        reclaimed and how many bytes it freed.
-        """
-        root = Path(root if root is not None else tempfile.gettempdir())
-        stale = []
-        try:
-            candidates = sorted(root.glob(_TRACE_DIR_PREFIX + "*"))
-        except OSError:
-            return stale
-        for candidate in candidates:
-            if not candidate.is_dir():
-                continue
-            marker = candidate / _PID_MARKER
-            try:
-                pid = int(marker.read_text().strip())
-            except (FileNotFoundError, ValueError, OSError):
-                continue
-            if _pid_alive(pid):
-                continue
-            stale.append(candidate)
-        return stale
-
-    @staticmethod
-    def dir_bytes(path: Path) -> int:
-        """Total size of one backing directory's files (best effort)."""
-        total = 0
-        try:
-            for entry in path.rglob("*"):
-                try:
-                    if entry.is_file():
-                        total += entry.stat().st_size
-                except OSError:
-                    continue
-        except OSError:
-            pass
-        return total
-
-    @classmethod
-    def gc_stale(cls, root: str | os.PathLike | None = None) -> list[Path]:
-        """Remove orphaned backing directories of dead processes.
-
-        A worker killed by a signal (the supervised job runtime's SIGKILL
-        fault class, an OOM kill, a machine crash) runs no finalizers and
-        leaves its ``repro-traces-*`` directory behind.  This removes
-        every directory :meth:`stale_dirs` identifies under ``root`` and
-        returns the paths it removed.  Safe to call from any process at
-        any time; the job CLI's ``gc`` command does.
-        """
-        removed = []
-        for candidate in cls.stale_dirs(root):
-            shutil.rmtree(candidate, ignore_errors=True)
-            removed.append(candidate)
-        return removed
+        self._traces = {}
 
     def __repr__(self) -> str:
         return (f"TraceStore(backing={self.backing!r}, "
-                f"traces={len(self._handles)})")
+                f"traces={len(self._traces)})")

@@ -201,6 +201,39 @@ class TestPayloadRoundTrips:
             assert supervised.records[name] == record
 
 
+class TestMixSweepJobs:
+    """A mix sweep's worker count chooses how it runs, not what it
+    computes, so equivalent submissions share one bank entry per mix."""
+
+    @staticmethod
+    def _spec(**overrides):
+        from repro.sim.mixsweep import MixSweepSpec
+        return MixSweepSpec(total_mb=2.0, trace_accesses=6_000,
+                            interval_accesses=3_000, **overrides)
+
+    def test_key_ignores_max_workers(self):
+        from repro.workloads.mixes import random_mixes
+        mix = random_mixes(1, apps_per_mix=2)[0]
+        assert self._spec(max_workers=1) == self._spec(max_workers=4)
+        assert (job_key(MixSweepJob(spec=self._spec(max_workers=1), mix=mix))
+                == job_key(MixSweepJob(spec=self._spec(max_workers=4),
+                                       mix=mix)))
+
+    def test_resubmission_with_other_width_served_from_bank(self, tmp_path):
+        from repro.workloads.mixes import random_mixes
+        mixes = random_mixes(2, apps_per_mix=2)
+        first = run_mix_sweep_supervised(mixes, self._spec(), bank=tmp_path)
+        with fault_queue(tmp_path, max_workers=2) as queue:
+            again = run_mix_sweep_supervised(
+                mixes, self._spec(max_workers=2), queue=queue)
+            jobs = queue.jobs()
+            assert queue.bank.stats()["writes"] == 0
+        assert len(jobs) == len(mixes)
+        assert all(job.meta.get("bank_hit") and job.attempts == 0
+                   for job in jobs)
+        assert again.records == first.records
+
+
 class TestMatrixSweepJobs:
     """A policy x scheme matrix is a list of sweep points, so a supervised
     matrix runs and banks through :class:`SweepJob`."""

@@ -31,8 +31,6 @@ class TestMixSweepSpec:
             MixSweepSpec(total_mb=0.0)
         with pytest.raises(ValueError, match="max_workers"):
             MixSweepSpec(total_mb=2.0, max_workers=0)
-        with pytest.raises(ValueError, match="parallel"):
-            MixSweepSpec(total_mb=2.0, parallel="fibers")
 
     def test_spec_is_hashable_and_picklable(self):
         import pickle
@@ -63,47 +61,51 @@ class TestRunMixSweep:
             assert serial[name].result == pooled[name].result
 
     def test_pool_attaches_tracestore_handles(self):
-        """The pool path routes traces through one TraceStore: workers
-        attach the parent's materialized memmaps, never regenerate, and
+        """The pool path takes every trace from one TraceStore: each
+        (app, length, seed) is generated once across the whole sweep, and
         every record matches the serial bank bit for bit."""
         from repro.workloads import TraceStore
 
         mixes = _mixes()
         serial_bank = run_mix_sweep(mixes, _SPEC)
-        store = TraceStore()
-        try:
+        with TraceStore(backing="memory") as store:
             pooled = run_mix_sweep(mixes, _SPEC, max_workers=2,
-                                   parallel="processes", trace_store=store)
+                                   trace_store=store)
             # One materialization per distinct (app, length, seed) across
             # the whole sweep — the dedup the store exists for.
             assert len(store) == sum(len(mix) for mix in mixes)
-            for name in serial_bank.mix_names():
-                assert pooled[name].intervals == serial_bank[name].intervals
-                assert pooled[name].result == serial_bank[name].result
-        finally:
-            store.close()
+            again = run_mix_sweep(mixes, _SPEC, max_workers=2,
+                                  trace_store=store)
+            assert len(store) == sum(len(mix) for mix in mixes)
+        for name in serial_bank.mix_names():
+            assert pooled[name].intervals == serial_bank[name].intervals
+            assert pooled[name].result == serial_bank[name].result
+        assert again.records == serial_bank.records
 
     def test_threads_mode_matches_serial_bank(self):
+        """The spec's own ``max_workers`` puts the mixes on a thread
+        pool, with the serial records."""
+        from dataclasses import replace
+
         mixes = _mixes()
         serial_bank = run_mix_sweep(mixes, _SPEC)
-        threaded = run_mix_sweep(mixes, _SPEC, max_workers=2,
-                                 parallel="threads")
+        threaded = run_mix_sweep(mixes, replace(_SPEC, max_workers=2))
         for name in serial_bank.mix_names():
             assert threaded[name].intervals == serial_bank[name].intervals
             assert threaded[name].result == serial_bank[name].result
 
     def test_handle_run_matches_regeneration(self):
-        """The legacy no-handle worker path and the handle-attaching path
-        execute the same records (the regression guard for the old
-        regenerate-per-worker behaviour)."""
-        from repro.sim.mixsweep import _mix_handles, _run_one_mix
+        """A mix that generates its own traces and a mix that takes them
+        from a store execute the same records (the regression guard for
+        the old regenerate-per-worker behaviour)."""
+        from repro.sim.mixsweep import _run_one_mix
         from repro.workloads import TraceStore
 
         mix = _mixes(n=1)[0]
         regenerated = _run_one_mix(_SPEC, mix)
-        with TraceStore() as store:
-            attached = _run_one_mix(_SPEC, mix,
-                                    _mix_handles(store, _SPEC, mix))
+        with TraceStore(backing="memory") as store:
+            attached = _run_one_mix(_SPEC, mix, store)
+            assert len(store) == len(mix)
         assert attached.intervals == regenerated.intervals
         assert attached.result == regenerated.result
 

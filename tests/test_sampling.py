@@ -388,25 +388,20 @@ def test_execution_strategies_bit_identical():
     cache = CacheSpec(capacity_lines=512, ways=8, policy="DRRIP")
     spec = SamplingSpec(window=2_000, n_windows=6, offset=4_000,
                         base_seed=42)
-    serial = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=1)
-    threaded1 = run_sampled(trace, cache, spec, parallel="threads",
-                            threads=1)
-    threaded4 = run_sampled(trace, cache, spec, parallel="threads",
-                            threads=4)
-    pooled = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=3)
-    assert (window_key(serial) == window_key(threaded1)
-            == window_key(threaded4) == window_key(pooled))
+    serial = run_sampled(trace, cache, spec, threads=1)
+    threaded4 = run_sampled(trace, cache, spec, threads=4)
+    workers3 = run_sampled(trace, cache, spec, max_workers=3)
+    default = run_sampled(trace, cache, spec)
+    assert (window_key(serial) == window_key(threaded4)
+            == window_key(workers3) == window_key(default))
 
 
 def test_driver_without_kernel_matches_native(no_kernel):
     trace = make_trace(15_000)
     cache = CacheSpec(capacity_lines=512, ways=8, policy="LRU")
     spec = SamplingSpec(window=1_500, n_windows=4, offset=3_000)
-    a = run_sampled(trace, cache, spec, parallel="threads")
-    b = run_sampled(trace, cache, spec, parallel="processes",
-                    max_workers=1)
+    a = run_sampled(trace, cache, spec)
+    b = run_sampled(trace, cache, spec, threads=1)
     assert window_key(a) == window_key(b)
 
 
@@ -447,8 +442,7 @@ def test_supervised_matches_serial_and_resumes(tmp_path):
     cache = CacheSpec(capacity_lines=512, ways=8, policy="DRRIP")
     spec = SamplingSpec(window=1_500, n_windows=5, offset=3_000,
                         base_seed=7)
-    serial = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=1)
+    serial = run_sampled(trace, cache, spec, threads=1)
     sup = run_sampled(trace, cache, spec, supervise=True,
                       bank=tmp_path, max_workers=2)
     assert window_key(sup) == window_key(serial)
@@ -462,8 +456,7 @@ def test_sigkill_mid_window_recovers_bit_identical(tmp_path):
     trace = make_trace(24_000)
     cache = CacheSpec(capacity_lines=512, ways=8, policy="LRU")
     spec = SamplingSpec(window=1_500, n_windows=5, offset=3_000)
-    serial = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=1)
+    serial = run_sampled(trace, cache, spec, threads=1)
     with fault_queue(tmp_path, max_workers=1) as queue:
         faulted = run_sampled(
             trace, cache, spec, supervise=True, queue=queue,
@@ -517,45 +510,22 @@ def test_simulated_mpki_curve_sampling_passthrough():
 
 
 # --------------------------------------------------------------------- #
-# TraceStore gc census
+# Job CLI gc
 # --------------------------------------------------------------------- #
-def test_stale_dirs_census_and_gc(tmp_path):
-    from repro.workloads.tracestore import TraceStore
-    stale = tmp_path / "repro-traces-deadbeef"
-    stale.mkdir()
-    (stale / "owner.pid").write_text("999999999")
-    (stale / "trace.bin").write_bytes(b"x" * 128)
-    live = tmp_path / "repro-traces-cafe"
-    live.mkdir()
-    import os
-    (live / "owner.pid").write_text(str(os.getpid()))
-    unreadable = tmp_path / "repro-traces-nopid"
-    unreadable.mkdir()
-
-    found = TraceStore.stale_dirs(tmp_path)
-    assert found == [stale]
-    assert TraceStore.dir_bytes(stale) == 128 + len("999999999")
-    removed = TraceStore.gc_stale(tmp_path)
-    assert removed == [stale] and not stale.exists()
-    assert live.exists() and unreadable.exists()
-
-
-def test_jobs_cli_gc_reports_reclaimed(tmp_path, monkeypatch, capsys):
+def test_jobs_cli_gc_reports_reclaimed(tmp_path, capsys):
+    """``gc`` reports the torn bank entries it evicted and the finished
+    jobs it pruned, and nothing else."""
     import json
-    import tempfile
 
+    from repro.jobs import ResultBank
     from repro.jobs.cli import main
-    scratch = tmp_path / "tmproot"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "gettempdir", lambda: str(scratch))
-    stale = scratch / "repro-traces-gone"
-    stale.mkdir()
-    (stale / "owner.pid").write_text("999999999")
-    (stale / "blob").write_bytes(b"y" * 64)
+    bank = ResultBank(tmp_path / "bank")
+    good, bad = "33" * 32, "44" * 32
+    bank.put(good, "ok")
+    bank.put(bad, "soon-corrupt")
+    bank._path(bad).write_text("{ torn")
     assert main(["--bank", str(tmp_path / "bank"), "gc"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["trace_gc"]["found"] == 1
-    assert report["trace_gc"]["reclaimed"] == 1
-    assert report["trace_gc"]["reclaimed_bytes"] == 64 + len("999999999")
-    assert report["stale_trace_dirs"] == [str(stale)]
-    assert not stale.exists()
+    assert set(report) == {"bank", "pruned_jobs"}
+    assert report["bank"] == {"checked": 2, "evicted": [bad]}
+    assert report["pruned_jobs"] == []

@@ -365,16 +365,22 @@ class TestSweepIntegration:
             assert r_fast[("talus", size)].misses == \
                 r_slow[("talus", size)].misses
 
-    def test_spec_configs_are_poolable(self):
+    def test_spec_configs_are_poolable(self, tmp_path):
+        """Talus points ship to supervised worker processes and bank
+        there, with the in-process serial and threaded counts."""
         profile = get_profile("omnetpp")
         trace = profile.trace(n_accesses=5000)
         lru = profile.lru_curve(max_mb=4.0, points=17, n_accesses=5000)
         configs = talus_sweep_configs([1.0, 1.5], scheme="way",
                                       planning_curve=lru)
-        serial = run_sweep(trace, configs)
-        pooled = run_sweep(trace, configs, max_workers=2)
+        serial = run_sweep(trace, configs, threads=1)
+        threaded = run_sweep(trace, configs, max_workers=2)
+        supervised = run_sweep(trace, configs, supervise=True,
+                               bank=tmp_path, max_workers=2)
         for config in configs:
-            assert serial[config.key].misses == pooled[config.key].misses
+            assert serial[config.key].misses == threaded[config.key].misses
+            assert (serial[config.key].misses
+                    == supervised[config.key].misses)
 
     def test_explicit_spec_sweep_config(self):
         trace = _mixed_trace(5000, seed=11)

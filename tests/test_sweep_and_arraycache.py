@@ -216,7 +216,7 @@ class TestSweepEngine:
         trace = get_profile("omnetpp").trace(n_accesses=8000)
         spec = SweepSpec(sizes_mb=(0.25, 0.5, 1.0, 2.0),
                          policies=("LRU", "BRRIP"))
-        serial = run_sweep(trace, spec)
+        serial = run_sweep(trace, spec, threads=1)
         parallel = run_sweep(trace, spec, max_workers=2)
         for key, stats in serial.stats.items():
             assert parallel[key].misses == stats.misses

@@ -25,8 +25,7 @@ from repro.cache.partition.array import (ArrayPartitionedCache,
                                          ArrayVantageCache)
 from repro.cache.spec import PartitionSpec, TalusSpec, build
 from repro.cache.talus_cache import TalusCache
-from repro.cache.threadbatch import (ReplayTask, i64_ptr, resolve_parallel,
-                                     run_tasks, u64_ptr)
+from repro.cache.threadbatch import ReplayTask, i64_ptr, run_tasks, u64_ptr
 from repro.sim.sweep import SweepSpec, run_sweep
 from repro.workloads.generators import zipfian
 
@@ -125,13 +124,6 @@ class TestResolvers:
         monkeypatch.delenv("REPRO_THREADS", raising=False)
         assert available_cpus() == expected
         assert resolve_threads() == expected
-
-    def test_resolve_parallel(self):
-        assert resolve_parallel("threads") == "threads"
-        assert resolve_parallel("processes") == "processes"
-        assert resolve_parallel("auto") in ("threads", "processes")
-        with pytest.raises(ValueError, match="parallel"):
-            resolve_parallel("fibers")
 
     def test_pointer_helpers_never_copy(self):
         with pytest.raises(ValueError, match="int64"):
@@ -282,19 +274,21 @@ class TestReplayTaskDeterminism:
     def test_run_sweep_modes_identical(self):
         trace = zipfian(8_000, 15_000, seed=5)
         spec = SweepSpec(sizes_mb=(0.5, 1.0), policies=("LRU", "SRRIP"))
-        base = run_sweep(trace, spec, parallel="processes")  # serial path
-        for kwargs in (dict(parallel="threads", threads=1),
-                       dict(parallel="threads", threads=8),
-                       dict(parallel="auto"),
-                       dict(parallel="processes", max_workers=2)):
+        base = run_sweep(trace, spec, threads=1)  # serial path
+        for kwargs in (dict(threads=8), dict(), dict(max_workers=2)):
             result = run_sweep(trace, spec, **kwargs)
             for key in base.stats:
                 assert (result.stats[key].misses
                         == base.stats[key].misses), (kwargs, key)
 
     def test_unknown_parallel_mode_rejected(self):
-        with pytest.raises(ValueError, match="parallel"):
-            SweepSpec(sizes_mb=(1.0,), parallel="fibers")
+        """The drivers take no ``parallel=`` mode at all: thread widths
+        and ``supervise=True`` are the only execution choices."""
+        with pytest.raises(TypeError, match="parallel"):
+            SweepSpec(sizes_mb=(1.0,), parallel="threads")
+        with pytest.raises(TypeError, match="parallel"):
+            run_sweep(zipfian(100, 1_000, seed=1), SweepSpec(sizes_mb=(1.0,)),
+                      parallel="threads")
 
 
 class TestFallbackPath:
@@ -320,18 +314,36 @@ class TestFallbackPath:
         run_tasks([task], threads=8)
         assert cache.total_stats() == serial.total_stats()
 
-    def test_auto_mode_prefers_processes(self, no_kernel):
-        assert resolve_parallel("auto") == "processes"
-
     def test_sweep_threads_mode_still_correct(self, no_kernel):
-        """Forcing parallel="threads" without a kernel must not change
-        results: every task runs its serial fallback."""
+        """A threaded sweep without a kernel must not change results:
+        object-model points stream serially at any width."""
         trace = zipfian(4_000, 8_000, seed=9)
         spec = SweepSpec(sizes_mb=(0.5, 1.0), policies=("LRU", "SRRIP"))
-        base = run_sweep(trace, spec, parallel="processes")
-        threaded = run_sweep(trace, spec, parallel="threads", threads=4)
+        base = run_sweep(trace, spec, threads=1)
+        threaded = run_sweep(trace, spec, threads=4)
         for key in base.stats:
             assert threaded.stats[key].misses == base.stats[key].misses
+
+    def test_mix_sweep_and_sampling_widths_match_serial(self, no_kernel):
+        """Without a kernel, a mix sweep on a thread pool and a sampled
+        estimate at width 4 reproduce their serial runs."""
+        from repro.cache.spec import CacheSpec
+        from repro.sampling import SamplingSpec, run_sampled
+        from repro.sim.mixsweep import MixSweepSpec, run_mix_sweep
+        from repro.workloads.mixes import random_mixes
+        mixes = random_mixes(2, apps_per_mix=2, seed=3)
+        spec = MixSweepSpec(total_mb=1.0, trace_accesses=3_000,
+                            interval_accesses=1_500)
+        serial = run_mix_sweep(mixes, spec)
+        pooled = run_mix_sweep(mixes, spec, max_workers=2)
+        assert pooled.records == serial.records
+        trace = zipfian(2_000, 12_000, seed=4)
+        cache = CacheSpec(capacity_lines=256, ways=8, policy="DRRIP")
+        sampling = SamplingSpec(window=1_000, n_windows=4, offset=2_000,
+                                base_seed=5)
+        one = run_sampled(trace, cache, sampling, threads=1)
+        four = run_sampled(trace, cache, sampling, threads=4)
+        assert one.windows == four.windows
 
     def test_replay_task_requires_fields_or_fallback(self):
         with pytest.raises(ValueError, match="fields or a fallback"):

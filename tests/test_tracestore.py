@@ -1,17 +1,12 @@
-"""Tests for the zero-copy shared trace store."""
+"""Tests for the in-memory, content-addressed trace store."""
 
 from __future__ import annotations
-
-import pickle
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.workloads import Trace, TraceStore
 from repro.workloads.spec_profiles import get_profile
-from repro.workloads.tracestore import TRACE_BACKINGS
 
 
 class TestContentAddressing:
@@ -29,11 +24,10 @@ class TestContentAddressing:
     def test_attached_trace_matches_generation(self):
         with TraceStore() as store:
             profile = get_profile("omnetpp")
-            handle = store.get(profile, 3000, seed=7)
-            attached = handle.attach()
+            stored = store.get(profile, 3000, seed=7)
             reference = profile.trace(n_accesses=3000, seed=7)
-            assert np.array_equal(attached.addresses, reference.addresses)
-            assert attached.instructions == reference.instructions
+            assert np.array_equal(stored.addresses, reference.addresses)
+            assert stored.instructions == reference.instructions
 
     def test_put_dedups_by_content(self):
         with TraceStore() as store:
@@ -41,140 +35,62 @@ class TestContentAddressing:
             one = store.put(addrs)
             two = store.put(addrs.copy())
             assert one is two
-            assert np.array_equal(one.array(), addrs)
+            assert np.array_equal(one.addresses, addrs)
+
+    def test_concurrent_gets_share_one_trace(self):
+        """Threads racing on the same keys all receive the one stored
+        trace per key (mixes on a thread pool share a caller's store)."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        profile = get_profile("mcf")
+        seeds = [i % 3 for i in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with TraceStore() as store, ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(
+                    lambda seed: (seed, store.get(profile, 500, seed)),
+                    seeds, timeout=60))
+                assert len(store) == 3
+                for seed, trace in got:
+                    assert trace is store.get(profile, 500, seed)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_put_trace_keeps_instructions(self):
         with TraceStore() as store:
             trace = Trace(np.arange(100, dtype=np.int64), 5000, name="t")
-            handle = store.put(trace)
-            assert handle.attach().instructions == 5000
-            assert handle.attach().name == "t"
+            stored = store.put(trace)
+            assert stored.instructions == 5000
+            assert stored.name == "t"
 
 
 class TestBackings:
-    @pytest.mark.parametrize("backing", ["memory", "memmap"])
+    @pytest.mark.parametrize("backing", ["memory"])
     def test_roundtrip(self, backing):
         with TraceStore(backing=backing) as store:
             addrs = np.arange(2048, dtype=np.int64) * 3
-            handle = store.put(addrs)
-            assert np.array_equal(handle.array(), addrs)
-
-    @pytest.mark.skipif(sys.version_info < (3, 13),
-                        reason="pre-3.13 shared_memory attachment is "
-                               "resource-tracker-noisy across processes")
-    def test_shared_memory_roundtrip(self):
-        with TraceStore(backing="shared_memory") as store:
-            addrs = np.arange(512, dtype=np.int64)
-            handle = store.put(addrs)
-            assert np.array_equal(handle.array(), addrs)
-
-    def test_auto_resolves_to_memmap(self):
-        with TraceStore() as store:
-            assert store.backing == "memmap"
+            assert np.array_equal(store.put(addrs).addresses, addrs)
 
     def test_unknown_backing_rejected(self):
-        with pytest.raises(ValueError, match="backing"):
-            TraceStore(backing="gpu")
-        assert "auto" in TRACE_BACKINGS
-
-    def test_memmap_handle_pickles_without_data(self):
-        """The whole point of a handle: what crosses the pool IPC is a
-        path, not the address array."""
-        with TraceStore() as store:
-            addrs = np.arange(100_000, dtype=np.int64)
-            handle = store.put(addrs)
-            wire = pickle.dumps(handle)
-            assert len(wire) < 2000
-            assert np.array_equal(pickle.loads(wire).array(), addrs)
-
-    def test_memmap_attachment_is_readonly(self):
-        with TraceStore() as store:
-            handle = store.put(np.arange(16, dtype=np.int64))
-            view = handle.array()
-            with pytest.raises((ValueError, TypeError)):
-                view[0] = 99
+        for backing in ("gpu", "memmap", "auto"):
+            with pytest.raises(ValueError, match="backing"):
+                TraceStore(backing=backing)
 
 
 class TestOwnership:
-    def test_close_removes_backing_files(self):
+    def test_closed_store_raises(self):
         store = TraceStore()
-        handle = store.put(np.arange(64, dtype=np.int64))
-        path = Path(handle.location)
-        assert path.exists()
+        store.put(np.arange(64, dtype=np.int64))
         store.close()
-        assert not path.exists()
+        assert len(store) == 0
         with pytest.raises(RuntimeError, match="closed"):
             store.put(np.arange(4, dtype=np.int64))
+        with pytest.raises(RuntimeError, match="closed"):
+            store.get(get_profile("mcf"), 100, seed=1)
 
     def test_close_is_idempotent(self):
         store = TraceStore()
         store.close()
-        store.close()
-
-    def test_explicit_directory_left_in_place(self, tmp_path):
-        target = tmp_path / "bank"
-        store = TraceStore(directory=target)
-        handle = store.put(np.arange(8, dtype=np.int64))
-        store.close()
-        assert target.exists()
-        assert not Path(handle.location).exists()
-
-
-class TestAbnormalExitSafety:
-    def test_attach_after_backing_vanishes_names_the_backing(self):
-        from repro.workloads import TraceBackingError
-        store = TraceStore()
-        handle = store.put(np.arange(64, dtype=np.int64))
-        Path(handle.location).unlink()
-        with pytest.raises(TraceBackingError, match="has vanished"):
-            handle.attach()
-        store.close()
-
-    def test_truncated_backing_reported_clearly(self):
-        from repro.workloads import TraceBackingError
-        store = TraceStore()
-        handle = store.put(np.arange(64, dtype=np.int64))
-        with open(handle.location, "r+b") as f:
-            f.truncate(8)
-        with pytest.raises(TraceBackingError, match="truncated"):
-            handle.attach()
-        store.close()
-
-    def test_finalizer_cleans_up_without_close(self):
-        store = TraceStore()
-        handle = store.put(np.arange(32, dtype=np.int64))
-        path = Path(handle.location)
-        directory = store._dir
-        assert path.exists()
-        del store
-        import gc
-        gc.collect()
-        assert not path.exists()
-        assert not directory.exists()
-
-    def test_gc_stale_reclaims_dead_owner_dirs(self, tmp_path):
-        fake = tmp_path / "repro-traces-dead"
-        fake.mkdir()
-        (fake / "owner.pid").write_text("999999999")
-        (fake / "leftover.bin").write_bytes(b"\0" * 64)
-        removed = TraceStore.gc_stale(root=tmp_path)
-        assert fake in removed
-        assert not fake.exists()
-
-    def test_gc_stale_spares_live_owner_dirs(self, tmp_path):
-        import os
-        live = tmp_path / "repro-traces-live"
-        live.mkdir()
-        (live / "owner.pid").write_text(str(os.getpid()))
-        unmarked = tmp_path / "repro-traces-unmarked"
-        unmarked.mkdir()
-        removed = TraceStore.gc_stale(root=tmp_path)
-        assert removed == []
-        assert live.exists() and unmarked.exists()
-
-    def test_own_store_dir_carries_pid_marker(self):
-        import os
-        store = TraceStore()
-        marker = store._dir / "owner.pid"
-        assert marker.read_text().strip() == str(os.getpid())
         store.close()
