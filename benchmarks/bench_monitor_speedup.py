@@ -4,8 +4,8 @@ PR 1 made the swept caches fast; this PR moves the *monitors* — the other
 half of every Talus planning step — onto the same array/native machinery:
 
 * ``UMON`` selects its sampled sub-stream with one vectorized splitmix64
-  pass and computes the stack-distance histogram in the native
-  ``stack_hist_run`` kernel, instead of one Python hash call (and one
+  pass and folds it into the stack-distance histogram as one native
+  batch task per curve read, instead of one Python hash call (and one
   Fenwick update) per access;
 * ``MultiPointMonitor`` precomputes each point's set-sampled sub-stream
   with numpy and replays it through an array-backend cache in one kernel

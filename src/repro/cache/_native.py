@@ -5,9 +5,11 @@ The array-backed caches (:mod:`repro.cache.arraycache`,
 arrays and replay traces through it in compiled loops.  This module
 compiles ``_sweepkernel.c`` into a small shared library with whatever C
 compiler the host has (``cc``/``gcc``/``clang``) and exposes it through
-:mod:`ctypes` (:class:`NativeKernel`).  Every replay enters the kernel
-the same way: a cache packs its call as a :class:`BatchTask` record (a
-partitioned cache as one group record over one record per region) and
+:mod:`ctypes` (:class:`NativeKernel`).  Every replay, and every fold of
+a stack-distance monitor, enters the kernel the same way: a cache (or
+:class:`~repro.monitor.stack_distance.IncrementalStackMonitor`) packs
+its call as a :class:`BatchTask` record (a partitioned cache as one
+group record over one record per region) and
 :mod:`repro.cache.threadbatch` hands a batch of them to
 ``batch_run_threaded``.  No Python headers, build backends, or
 third-party packages are involved, so the build degrades gracefully:
@@ -40,7 +42,7 @@ __all__ = ["get_kernel", "native_available", "require_kernel",
            "available_cpus", "resolve_threads",
            "KIND_LRU", "KIND_RRIP", "KIND_DIP", "KIND_PDP", "KIND_RANDOM",
            "KIND_VANTAGE", "KIND_TADRRIP", "KIND_BELADY", "KIND_IDEAL_LRU",
-           "KIND_GROUP"]
+           "KIND_GROUP", "KIND_STACK"]
 
 _SOURCE = Path(__file__).with_name("_sweepkernel.c")
 
@@ -53,7 +55,8 @@ _kernel_tried = False
 #: Task kinds of the threaded batch dispatcher; must match the
 #: BATCH_KIND_* enum in _sweepkernel.c.
 (KIND_LRU, KIND_RRIP, KIND_DIP, KIND_PDP, KIND_RANDOM, KIND_VANTAGE,
- KIND_TADRRIP, KIND_BELADY, KIND_IDEAL_LRU, KIND_GROUP) = range(10)
+ KIND_TADRRIP, KIND_BELADY, KIND_IDEAL_LRU, KIND_GROUP,
+ KIND_STACK) = range(11)
 
 #: Type of the array members of :class:`BatchTask`.
 _PTR = ctypes.c_void_p
@@ -208,16 +211,14 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 class NativeKernel:
-    """ctypes bindings of the compiled kernel's entry points.
+    """ctypes bindings of the compiled kernel's two entry points.
 
-    Every replay kernel is reached through ``batch_run_threaded``, which
-    runs a batch of ``BatchTask`` records (one kernel call each; the
-    caches' ``replay_task`` methods pack them and
-    :mod:`repro.cache.threadbatch` dispatches them).  The other bindings
-    serve the monitors and Vantage's warm reallocation:
-    ``stack_hist_run`` (one-shot Mattson stack-distance histogram),
-    ``stack_hist_chunk`` / ``stack_state_rehash`` (the incremental,
-    caller-owned-state variant) and ``vantage_realloc``.  :attr:`lib`
+    Every replay kernel and the stack-distance fold are reached through
+    ``batch_run_threaded``, which runs a batch of ``BatchTask`` records
+    (one kernel call each; the caches' and the monitor's
+    ``replay_task`` methods pack them and
+    :mod:`repro.cache.threadbatch` dispatches them).  The other binding
+    is Vantage's warm reallocation, ``vantage_realloc``.  :attr:`lib`
     is the loaded library itself.
     """
 
@@ -226,19 +227,6 @@ class NativeKernel:
         lib.batch_run_threaded.restype = ctypes.c_int64
         lib.batch_run_threaded.argtypes = [
             ctypes.POINTER(BatchTask), ctypes.c_int64, ctypes.c_int64,
-        ]
-        lib.stack_hist_run.restype = ctypes.c_int64
-        lib.stack_hist_run.argtypes = [_I64, ctypes.c_int64, _I64]
-        lib.stack_hist_chunk.restype = ctypes.c_int64
-        lib.stack_hist_chunk.argtypes = [
-            _I64, ctypes.c_int64,
-            _I64, _I64, ctypes.c_int64,
-            _I64, ctypes.c_int64, _I64, _I64, _I64,
-            _I64, ctypes.c_int64,
-        ]
-        lib.stack_state_rehash.restype = None
-        lib.stack_state_rehash.argtypes = [
-            _I64, _I64, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
         ]
         lib.vantage_realloc.restype = ctypes.c_int64
         lib.vantage_realloc.argtypes = [
@@ -262,27 +250,6 @@ class NativeKernel:
         thread pools overlap other work with a running batch."""
         return int(self.lib.batch_run_threaded(tasks, num_tasks,
                                                num_threads))
-
-    def stack_hist_run(self, addrs, hist) -> int:
-        """Fill ``hist`` with stack-distance counts; returns cold misses
-        (or -1 when scratch allocation failed and nothing was written)."""
-        return int(self.lib.stack_hist_run(addrs, addrs.size, hist))
-
-    def stack_hist_chunk(self, addrs, tab_tags, tab_vals, tree, pos, live,
-                         cold, hist) -> int:
-        """Advance a caller-owned incremental stack-distance state by one
-        chunk; returns 0, or -1 when the state arrays are too small for the
-        chunk (grow and retry)."""
-        return int(self.lib.stack_hist_chunk(
-            addrs, addrs.size, tab_tags, tab_vals, tab_tags.size, tree,
-            tree.size - 1, pos, live, cold, hist, hist.size))
-
-    def stack_state_rehash(self, old_tags, old_vals, new_tags,
-                           new_vals) -> None:
-        """Re-probe every occupied slot of a last-position table into a
-        larger caller-allocated table (``new_vals`` pre-filled with -1)."""
-        self.lib.stack_state_rehash(old_tags, old_vals, old_tags.size,
-                                    new_tags, new_vals, new_tags.size)
 
     def vantage_realloc(self, num_parts, new_caps, unm_cap, pol, max_rrpv,
                         rng_state, node_aux, node_stamp, pdp_clock, pdp_dp,

@@ -1,5 +1,5 @@
 /* Native replay kernels for the array-backed cache (repro.cache.arraycache)
- * and the batch stack-distance monitor (repro.monitor.stack_distance).
+ * and the stack-distance monitor (repro.monitor.stack_distance).
  *
  * Each replay function walks a full address trace through one
  * set-associative cache whose state lives in caller-owned numpy arrays:
@@ -36,13 +36,13 @@
  * offset: O(1) victims) and writes the true RRPVs back before returning;
  * shorter calls scan.  The arrays mean the same either way.
  *
- * stack_hist_run is a one-shot Mattson stack-distance pass (Fenwick tree +
- * open-addressing last-position table) used by the LRU miss-curve monitors;
- * stack_hist_chunk is its *stateful* sibling: the table, tree, position
- * counter and histogram are caller-owned, so a monitor can feed the trace
- * in chunks (the resumable-runtime contract) without ever re-replaying.
  * ideal_lru_run replays a fully-associative LRU region (an idealized
- * partition) with the same pass over its resident lines and new accesses.
+ * partition) with a Mattson stack-distance pass (Fenwick tree +
+ * open-addressing last-position table) over its resident lines and new
+ * accesses.  stack_fold is the same pass over a stack-distance monitor's
+ * caller-owned table, tree and histogram, so the LRU miss-curve monitors
+ * feed their sub-streams in chunks (the resumable-runtime contract)
+ * without ever re-replaying.
  *
  * A way, set or ideal partitioned cache has no kernel of its own: its
  * partitions are independent regions, and its replay is one group record
@@ -53,9 +53,9 @@
  * Every replay kernel is chunk-resumable by construction: all state is
  * passed in and returned through caller-owned arrays, so calling a kernel
  * on a trace split at arbitrary boundaries is bit-identical to one call on
- * the whole trace.  Python reaches the replay kernels only through the
- * batch dispatcher at the end of this file (batch_run_threaded), one
- * batch_task record per replay.
+ * the whole trace.  Python reaches the replay kernels and the monitor fold
+ * only through the batch dispatcher at the end of this file
+ * (batch_run_threaded), one batch_task record per replay or fold.
  *
  * Compiled on demand by repro.cache._native with a plain `cc -O3 -shared`;
  * no Python headers are required (the library is loaded through ctypes).
@@ -1788,56 +1788,6 @@ static inline int64_t fen_prefix(const int64_t *tree, int64_t index)
     return total;
 }
 
-/* One-shot Mattson stack-distance pass over a trace.
- *
- * Fills `hist` (caller-zeroed, length >= n) with hist[d] = number of
- * accesses at stack distance d (distinct lines touched since the previous
- * access to the same line) and returns the number of cold (first-touch)
- * accesses.  Returns -1 if scratch memory could not be allocated, in which
- * case `hist` is untouched and the caller should fall back to the Python
- * monitor.  Matches repro.monitor.stack_distance.StackDistanceMonitor. */
-int64_t stack_hist_run(const int64_t *addrs, int64_t n, int64_t *hist)
-{
-    if (n <= 0)
-        return 0;
-    uint64_t tsize = 64;
-    while (tsize < (uint64_t)n * 2)
-        tsize <<= 1;
-    int64_t *ttags = malloc(tsize * sizeof(int64_t));
-    int64_t *tvals = malloc(tsize * sizeof(int64_t));
-    int64_t *tree = calloc((size_t)n + 1, sizeof(int64_t));
-    if (!ttags || !tvals || !tree) {
-        free(ttags); free(tvals); free(tree);
-        return -1;
-    }
-    /* Slot occupancy is marked by tvals >= 0 (positions are non-negative),
-     * so every int64 address — including -1 — is a valid key. */
-    memset(tvals, 0xFF, tsize * sizeof(int64_t));
-    uint64_t tmask = tsize - 1;
-    int64_t cold = 0;
-
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = addrs[i];
-        uint64_t slot = mix64((uint64_t)a) & tmask;
-        while (tvals[slot] >= 0 && ttags[slot] != a)
-            slot = (slot + 1) & tmask;
-        if (tvals[slot] >= 0) {
-            /* One live marker per distinct (`cold`) line, all before i. */
-            int64_t last = tvals[slot];
-            int64_t d = cold - fen_prefix(tree, last);
-            hist[d]++;
-            fen_add(tree, n, last, -1);
-        } else {
-            ttags[slot] = a;
-            cold++;
-        }
-        fen_add(tree, n, i, 1);
-        tvals[slot] = i;
-    }
-    free(ttags); free(tvals); free(tree);
-    return cold;
-}
-
 /* Replay `n` addresses through a fully-associative LRU region of
  * `capacity` lines (an idealized partition).  resident[0, occ_io[0]) holds
  * the region's lines, LRU -> MRU; resident has room for `capacity` lines.
@@ -1908,41 +1858,87 @@ int64_t ideal_lru_run(const int64_t *addrs, int64_t n, int64_t capacity,
     return n - hits;
 }
 
-/* Stateful chunked Mattson pass: the incremental twin of stack_hist_run.
- *
- * All state is caller-owned, so a monitor can feed its sub-stream chunk by
- * chunk and read the histogram at any boundary without re-replaying:
- *
- *   tab_tags/tab_vals  open-addressing last-position table (tsize slots,
- *                      power of two; tab_vals[slot] < 0 == empty slot)
- *   tree               Fenwick tree over positions [0, cap)
- *   pos_io[0]          next access position (monotonic within a tree epoch)
- *   live_io[0]         occupied table slots (== live position markers)
- *   cold_io[0]         running cold-miss count
- *   hist               distance histogram, hist_cap entries
- *
- * The caller guarantees pos + n <= cap and live + n <= tsize / 2 before
- * calling (growing / compacting the arrays otherwise — position compaction
- * preserves the relative order of live markers, which is all the distance
- * computation reads).  Returns 0, or -1 without touching any state when
- * those bounds do not hold, or -2 if a distance would overflow hist
- * (cannot happen when hist_cap > cap; defensive).  Identical histograms to
- * stack_hist_run over the concatenated chunks, enforced by
- * tests/test_monitors.py. */
-int64_t stack_hist_chunk(const int64_t *addrs, int64_t n,
-                         int64_t *tab_tags, int64_t *tab_vals, int64_t tsize,
-                         int64_t *tree, int64_t cap, int64_t *pos_io,
-                         int64_t *live_io, int64_t *cold_io,
-                         int64_t *hist, int64_t hist_cap)
+/* Relabel a fold's live markers 0..live-1 in position order (the relative
+ * order of the markers is all a distance reads).  The state lives in
+ * old_tags/old_vals; when tab_vals is another (larger) table, every live
+ * line is re-probed into it, else it is relabelled in place.  Each live
+ * position is marked in the tree array, and a running count then turns
+ * tree[p + 1] into position p's rank plus one; the tree is finally
+ * rebuilt in closed form as one marker at each position 0..live-1.  No
+ * sort and no allocation: O(cap + old_tsize). */
+static void stack_relabel(int64_t *tab_tags, int64_t *tab_vals,
+                          int64_t tsize, const int64_t *old_tags,
+                          const int64_t *old_vals, int64_t old_tsize,
+                          int64_t *tree, int64_t cap, int64_t pos,
+                          int64_t live)
 {
-    int64_t pos = pos_io[0];
-    int64_t live = live_io[0];
-    int64_t cold = cold_io[0];
-    if (n < 0 || pos + n > cap || live + n > tsize / 2)
-        return -1;
+    memset(tree, 0, (size_t)(pos + 1) * sizeof(int64_t));
+    for (int64_t s = 0; s < old_tsize; s++)
+        if (old_vals[s] >= 0)
+            tree[old_vals[s] + 1] = 1;
+    for (int64_t p = 1; p <= pos; p++)
+        tree[p] += tree[p - 1];
     uint64_t tmask = (uint64_t)(tsize - 1);
+    for (int64_t s = 0; s < old_tsize; s++) {
+        if (old_vals[s] < 0)
+            continue;
+        int64_t rank = tree[old_vals[s] + 1] - 1;
+        if (tab_vals == old_vals) {
+            tab_vals[s] = rank;
+            continue;
+        }
+        uint64_t slot = mix64((uint64_t)old_tags[s]) & tmask;
+        while (tab_vals[slot] >= 0)
+            slot = (slot + 1) & tmask;
+        tab_tags[slot] = old_tags[s];
+        tab_vals[slot] = rank;
+    }
+    tree[0] = 0;
+    for (int64_t i = 1; i <= cap; i++) {
+        int64_t lo = i - (i & (-i));
+        tree[i] = (i < live ? i : live) - (lo < live ? lo : live);
+    }
+}
 
-    for (int64_t i = 0; i < n; i++) {
+/* Fold `n` accesses into a stack-distance monitor's caller-owned state
+ * (repro.monitor.stack_distance.IncrementalStackMonitor):
+ *
+ *   tab_tags/tab_vals  open-addressing last-position table, tsize slots
+ *                      (a power of two; tab_vals[slot] < 0 == empty)
+ *   tree               Fenwick tree over positions [0, cap)
+ *   hist               distance histogram, cap + 1 entries
+ *   state              {next position, live markers, cold misses}
+ *
+ * The caller may hand over larger arrays than the state lives in (a new
+ * table arrives empty): the state then still sits in old_tags/old_vals
+ * (old_tsize slots) and in old_tree.  When the arrays moved or the
+ * chunk's positions would run past the tree, the markers are relabelled
+ * first (stack_relabel), so the state moves itself.  Returns 0; -1
+ * without touching any state when the chunk cannot fit (the caller sizes
+ * the table to hold live + n lines at half load and the tree to hold
+ * live + n positions); -2 when a distance falls outside the histogram,
+ * which only a corrupt tree produces.  The histogram equals that of
+ * StackDistanceMonitor over the concatenated chunks, however the stream
+ * is chunked (tests/test_resumable_runtime.py). */
+static int64_t stack_fold(const int64_t *addrs, int64_t n,
+                          int64_t *tab_tags, int64_t *tab_vals,
+                          int64_t tsize, const int64_t *old_tags,
+                          const int64_t *old_vals, int64_t old_tsize,
+                          int64_t *tree, const int64_t *old_tree,
+                          int64_t cap, int64_t *hist, int64_t *state)
+{
+    int64_t pos = state[0], live = state[1], cold = state[2];
+    int move = tab_vals != old_vals || tree != old_tree || pos + n > cap;
+    if (n < 0 || live + n > tsize / 2 || (move ? live : pos) + n > cap)
+        return -1;
+    if (move) {
+        stack_relabel(tab_tags, tab_vals, tsize, old_tags, old_vals,
+                      old_tsize, tree, cap, pos, live);
+        pos = live;
+    }
+    uint64_t tmask = (uint64_t)(tsize - 1);
+    int64_t i = 0;
+    for (; i < n; i++) {
         int64_t a = addrs[i];
         uint64_t slot = mix64((uint64_t)a) & tmask;
         while (tab_vals[slot] >= 0 && tab_tags[slot] != a)
@@ -1951,10 +1947,8 @@ int64_t stack_hist_chunk(const int64_t *addrs, int64_t n,
             /* The `live` markers all sit before pos. */
             int64_t last = tab_vals[slot];
             int64_t d = live - fen_prefix(tree, last);
-            if (d >= hist_cap) {
-                pos_io[0] = pos; live_io[0] = live; cold_io[0] = cold;
-                return -2;
-            }
+            if (d < 0 || d >= cap)
+                break;      /* a corrupt tree: never write past hist */
             hist[d]++;
             fen_add(tree, cap, last, -1);
         } else {
@@ -1966,31 +1960,10 @@ int64_t stack_hist_chunk(const int64_t *addrs, int64_t n,
         tab_vals[slot] = pos;
         pos++;
     }
-    pos_io[0] = pos;
-    live_io[0] = live;
-    cold_io[0] = cold;
-    return 0;
-}
-
-/* Rebuild an open-addressing last-position table into a larger one.  The
- * new arrays are caller-allocated with new_vals pre-filled to -1; every
- * occupied old slot is re-probed into the new table.  Positions are copied
- * unchanged. */
-void stack_state_rehash(const int64_t *old_tags, const int64_t *old_vals,
-                        int64_t old_size, int64_t *new_tags,
-                        int64_t *new_vals, int64_t new_size)
-{
-    uint64_t nmask = (uint64_t)(new_size - 1);
-    for (int64_t i = 0; i < old_size; i++) {
-        if (old_vals[i] < 0)
-            continue;
-        int64_t a = old_tags[i];
-        uint64_t slot = mix64((uint64_t)a) & nmask;
-        while (new_vals[slot] >= 0)
-            slot = (slot + 1) & nmask;
-        new_tags[slot] = a;
-        new_vals[slot] = old_vals[i];
-    }
+    state[0] = pos;
+    state[1] = live;
+    state[2] = cold;
+    return i == n ? 0 : -2;
 }
 
 /* --------------------------------------------------------------------- *
@@ -2029,7 +2002,15 @@ enum {
     BATCH_KIND_BELADY = 7,   /* belady_run (ht_reg = next-use map) */
     BATCH_KIND_IDEAL_LRU = 8, /* ideal_lru_run (tags = resident)   */
     BATCH_KIND_GROUP = 9,    /* sub[0, num_regions), in order      */
+    BATCH_KIND_STACK = 10,   /* stack_fold (members below)         */
 };
+
+/* A fold record reuses Belady's table and heap members and PDP's
+ * last-seen table: ht_tag/ht_reg are its last-position table of tsize
+ * slots and ls_tags/ls_clocks the table of ls_size slots its state lives
+ * in; heap_key is its Fenwick tree over heap_cap positions and heap_tag
+ * the tree its state lives in; hist is its histogram and heap_io its
+ * {position, live, cold} triple. */
 
 /* One replay task.  Every member is 8 bytes, so the layout is identical
  * across platforms and trivially mirrored by a ctypes.Structure (see
@@ -2168,6 +2149,12 @@ static void batch_run_one(batch_task *t)
     case BATCH_KIND_IDEAL_LRU:
         t->result = ideal_lru_run(t->addrs, t->n, t->capacity, t->tags,
                                   t->occ);
+        break;
+    case BATCH_KIND_STACK:
+        t->result = stack_fold(t->addrs, t->n, t->ht_tag, t->ht_reg,
+                               t->tsize, t->ls_tags, t->ls_clocks,
+                               t->ls_size, t->heap_key, t->heap_tag,
+                               t->heap_cap, t->hist, t->heap_io);
         break;
     case BATCH_KIND_GROUP:
         /* Sum of the records' miss counts, or the first negative one. */

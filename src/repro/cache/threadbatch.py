@@ -36,7 +36,10 @@ Caches advertise the batch path by implementing ``replay_task``
 :class:`~repro.cache.arraycache.ArrayBeladyCache`,
 :class:`~repro.cache.partition.array.ArrayPartitionedCache`,
 :class:`~repro.cache.partition.array.ArrayVantageCache`,
-:class:`~repro.cache.talus_cache.TalusCache`).  Without a kernel
+:class:`~repro.cache.talus_cache.TalusCache`), and so does the
+stack-distance monitor
+(:class:`~repro.monitor.stack_distance.IncrementalStackMonitor`), whose
+fold of one chunk is a task like a replay.  Without a kernel
 ``backend="auto"`` builds object-model caches; a Talus cache over one
 still returns a task, which degrades to its fallback closure inside the
 same :func:`run_tasks` call, so callers never special-case

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 __all__ = ["Series", "FigureResult", "format_table", "fast_mode",
            "trace_length", "num_mixes"]

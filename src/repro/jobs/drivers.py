@@ -168,8 +168,7 @@ def run_controller_supervised(spec, *, bank=None,
     itself; the remaining keyword arguments are the scalar
     :class:`~repro.jobs.payloads.ControllerJob` fields (scheme, interval
     and drift knobs, ...).  ``parallel``, ``threads`` and ``validate``
-    only choose how an in-process run executes, never its records, so
-    they are accepted and dropped.  The whole stream banks as one unit
+    never change a run's records, so they are accepted and dropped.  The whole stream banks as one unit
     under the spec's content key, so resubmitting after a crash (or a
     mid-stream SIGKILL — see the fault suite) resumes from the bank
     bit-identically.

@@ -10,24 +10,21 @@ The implementation uses the classic Fenwick-tree (binary indexed tree)
 formulation: keep each line's last access position, mark positions as live,
 and count live positions newer than the line's last access in O(log n).
 
-Three execution paths share that algorithm:
+Two implementations share that algorithm:
 
-* :class:`StackDistanceMonitor` — the online reference: feed accesses one
-  at a time, read the histogram or curve at any point.
-* :func:`stack_distance_histogram` / :func:`lru_miss_curve` — the batch
-  fast path over a materialized trace: one call into the native
-  ``stack_hist_run`` kernel (:mod:`repro.cache._native`), which produces
-  the identical histogram 20-50x faster; without a compiler it falls back
-  to the online monitor.
-* :class:`IncrementalStackMonitor` — the *resumable* fast path: the hash
-  table, Fenwick tree, position counter and histogram persist in numpy
-  arrays across ``record_trace`` calls, so a monitor that interleaves
-  recording with curve reads (the interval-based reconfiguration loop)
-  never re-replays its accumulated sub-stream.  Chunks advance the native
-  ``stack_hist_chunk`` kernel; growth is amortized by geometric table
-  rehashes and position-space compactions that preserve the relative
-  order of live markers (the only thing distances read).  Without a
-  compiler it degrades to the online monitor — identical results.
+* :class:`StackDistanceMonitor` — the online reference (the oracle): feed
+  accesses one at a time, read the histogram or curve at any point.
+* :class:`IncrementalStackMonitor` — the fast path: the hash table,
+  Fenwick tree, position counter and histogram persist in numpy arrays
+  across ``record_trace`` calls, so a monitor that interleaves recording
+  with curve reads (the interval-based reconfiguration loop) never
+  re-replays its accumulated sub-stream.  Each chunk is one fold task of
+  the native batch dispatcher (:mod:`repro.cache.threadbatch`); the
+  kernel relabels the live markers in position order (the only thing
+  distances read) when a chunk would run past the tree or the monitor
+  hands it larger arrays.  Without a compiler it degrades to the online
+  monitor — identical results.  :func:`stack_distance_histogram` and
+  :func:`lru_miss_curve` are one fold over a materialized trace.
 
 This is the algorithmic core of the UMON monitors in :mod:`repro.monitor.umon`
 and of the fast exact LRU miss curves used throughout the experiments.
@@ -39,7 +36,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..cache._native import get_kernel
+from ..cache._native import KIND_STACK, get_kernel
+from ..cache.threadbatch import ReplayTask, i64_ptr
 from ..core.misscurve import MissCurve
 
 __all__ = ["StackDistanceMonitor", "IncrementalStackMonitor",
@@ -159,13 +157,19 @@ class StackDistanceMonitor:
 class IncrementalStackMonitor:
     """Stateful chunked stack-distance monitor (native state, resumable).
 
-    The incremental counterpart of :func:`stack_distance_histogram`: feed
-    the trace in chunks with :meth:`record_trace`, read the histogram at
-    any chunk boundary — total work is O(n log n) over the whole stream
-    regardless of how often the histogram is read, where the one-shot
-    batch path would re-replay everything per read.  Histograms are
-    bit-identical to both other paths (enforced by
-    ``tests/test_monitors.py``).
+    Feed the trace in chunks with :meth:`record_trace` and read the
+    histogram at any chunk boundary: total work is O(n log n) over the
+    whole stream however often the histogram is read.  Histograms are
+    bit-identical to :class:`StackDistanceMonitor` over the concatenated
+    chunks (enforced by ``tests/test_monitors.py`` and
+    ``tests/test_resumable_runtime.py``).
+
+    Each chunk is one fold task (:meth:`replay_task`) of the kernel's
+    batch dispatcher.  Before a fold the monitor only allocates: its
+    last-position table doubles while ``2 * (live + n)`` exceeds it, and
+    when the chunk's positions would run past the Fenwick tree, the tree
+    grows to ``live + 4 * n`` positions of headroom if ``live + 4 * n``
+    does not fit.  The kernel moves the state into the new arrays itself.
 
     Parameters
     ----------
@@ -175,9 +179,8 @@ class IncrementalStackMonitor:
     """
 
     def __init__(self, capacity_hint: int = 1 << 12):
-        self._kernel = get_kernel()
         self.accesses = 0
-        if self._kernel is None:
+        if get_kernel() is None:
             self._online = StackDistanceMonitor(
                 capacity_hint=max(1024, capacity_hint))
             return
@@ -190,68 +193,24 @@ class IncrementalStackMonitor:
             tsize <<= 1
         self._tab_tags = np.zeros(tsize, dtype=np.int64)
         self._tab_vals = np.full(tsize, -1, dtype=np.int64)
-        self._pos = np.zeros(1, dtype=np.int64)
-        self._live = np.zeros(1, dtype=np.int64)
-        self._cold = np.zeros(1, dtype=np.int64)
-
-    @property
-    def _cap(self) -> int:
-        return int(self._tree.size - 1)
+        #: Next position, live markers and cold misses.
+        self._state = np.zeros(3, dtype=np.int64)
 
     @property
     def cold_misses(self) -> int:
         """Accesses that never hit at any finite capacity so far."""
         if self._online is not None:
             return self._online.cold_misses
-        return int(self._cold[0])
-
-    # -- growth ---------------------------------------------------------- #
-    def _ensure_room(self, n: int) -> None:
-        """Grow/compact state so one chunk of ``n`` accesses fits."""
-        live = int(self._live[0])
-        tsize = int(self._tab_tags.size)
-        if 2 * (live + n) > tsize:
-            new_size = tsize
-            while 2 * (live + n) > new_size:
-                new_size <<= 1
-            new_tags = np.zeros(new_size, dtype=np.int64)
-            new_vals = np.full(new_size, -1, dtype=np.int64)
-            self._kernel.stack_state_rehash(self._tab_tags, self._tab_vals,
-                                            new_tags, new_vals)
-            self._tab_tags, self._tab_vals = new_tags, new_vals
-        if int(self._pos[0]) + n <= self._cap:
-            return
-        # Compact positions: relabel live markers 0..live-1 in order.  The
-        # relative order of live markers is all the distance computation
-        # reads, so this is invisible in the histograms.
-        occupied = self._tab_vals >= 0
-        vals = self._tab_vals[occupied]
-        ranks = np.empty(vals.size, dtype=np.int64)
-        ranks[np.argsort(vals, kind="stable")] = np.arange(
-            vals.size, dtype=np.int64)
-        self._tab_vals[occupied] = ranks
-        live = int(vals.size)
-        cap = self._cap
-        if live + 4 * n > cap:
-            # Grow with headroom: a tight fit would force an O(cap) tree
-            # rebuild on every subsequent chunk of an interval-sized feed.
-            while live + 4 * n > cap:
-                cap *= 2
-            old_hist = self._hist
-            self._hist = np.zeros(cap + 1, dtype=np.int64)
-            self._hist[:old_hist.size] = old_hist
-            self._tree = np.zeros(cap + 1, dtype=np.int64)
-        # Fenwick tree of one live marker at each position 0..live-1.
-        idx = np.arange(1, cap + 1, dtype=np.int64)
-        low = idx & (-idx)
-        self._tree[0] = 0
-        self._tree[1:] = (np.minimum(idx, live)
-                          - np.minimum(idx - low, live))
-        self._pos[0] = live
+        return int(self._state[2])
 
     # -- recording ------------------------------------------------------- #
-    def record_trace(self, trace: Iterable[int]) -> None:
-        """Record every access of a chunk (one native-kernel call)."""
+    def replay_task(self, trace: Iterable[int]) -> ReplayTask:
+        """The fold of one chunk as a task of the kernel's batch
+        dispatcher (a fallback-only task without a kernel).
+
+        The monitor takes the task's arrays when it commits, so run each
+        task once, before building the monitor's next one.
+        """
         addrs = np.ascontiguousarray(np.asarray(
             trace if isinstance(trace, np.ndarray)
             else np.fromiter((int(a) for a in trace), dtype=np.int64),
@@ -259,20 +218,49 @@ class IncrementalStackMonitor:
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
         n = int(addrs.size)
-        if n == 0:
-            return
-        self.accesses += n
         if self._online is not None:
-            self._online.record_trace(addrs)
-            return
-        self._ensure_room(n)
-        result = self._kernel.stack_hist_chunk(
-            addrs, self._tab_tags, self._tab_vals, self._tree,
-            self._pos, self._live, self._cold, self._hist)
-        if result != 0:
-            raise RuntimeError(
-                f"incremental stack-distance kernel rejected a chunk "
-                f"(code {result}); state sizing bug")
+            def fallback() -> None:
+                self._online.record_trace(addrs)
+                self.accesses += n
+            return ReplayTask(fallback=fallback)
+        pos, live = int(self._state[0]), int(self._state[1])
+        tags, vals, tree, hist = (self._tab_tags, self._tab_vals,
+                                  self._tree, self._hist)
+        if 2 * (live + n) > tags.size:
+            tsize = tags.size
+            while 2 * (live + n) > tsize:
+                tsize <<= 1
+            tags = np.zeros(tsize, dtype=np.int64)
+            vals = np.full(tsize, -1, dtype=np.int64)
+        cap = tree.size - 1
+        if pos + n > cap and live + 4 * n > cap:
+            # Grow with headroom: a tight fit would relabel the whole tree
+            # on every following chunk of an interval-sized feed.
+            while live + 4 * n > cap:
+                cap *= 2
+            tree = np.zeros(cap + 1, dtype=np.int64)
+            hist = np.pad(hist, (0, cap + 1 - hist.size))
+
+        def commit(_result: int) -> None:
+            self._tab_tags, self._tab_vals = tags, vals
+            self._tree, self._hist = tree, hist
+            self.accesses += n
+
+        fields = {"kind": KIND_STACK, "addrs": i64_ptr(addrs), "n": n,
+                  "ht_tag": i64_ptr(tags), "ht_reg": i64_ptr(vals),
+                  "tsize": int(tags.size),
+                  "ls_tags": i64_ptr(self._tab_tags),
+                  "ls_clocks": i64_ptr(self._tab_vals),
+                  "ls_size": int(self._tab_tags.size),
+                  "heap_key": i64_ptr(tree), "heap_tag": i64_ptr(self._tree),
+                  "heap_cap": cap, "hist": i64_ptr(hist),
+                  "heap_io": i64_ptr(self._state)}
+        return ReplayTask(fields=fields, refs=(addrs, tags, vals, tree, hist),
+                          commit=commit)
+
+    def record_trace(self, trace: Iterable[int]) -> None:
+        """Record every access of a chunk (one fold on this thread)."""
+        self.replay_task(trace).run()
 
     def record(self, address: int) -> None:
         """Record one access (wraps it as a one-element chunk)."""
@@ -296,26 +284,11 @@ class IncrementalStackMonitor:
 def stack_distance_histogram(trace: Sequence[int]) -> tuple[np.ndarray, int]:
     """One-shot stack-distance histogram of a trace.
 
-    Returns ``(histogram, cold_misses)``.  Runs the native
-    ``stack_hist_run`` kernel when available (bit-identical to the online
-    monitor, enforced by ``tests/test_monitors.py``), the
-    :class:`StackDistanceMonitor` otherwise.
+    Returns ``(histogram, cold_misses)``: one fold into a fresh
+    :class:`IncrementalStackMonitor` sized for the trace.
     """
-    addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-    if addrs.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-    n = int(addrs.size)
-    if n == 0:
-        return np.zeros(0), 0
-    kernel = get_kernel()
-    if kernel is not None:
-        hist = np.zeros(n, dtype=np.int64)
-        cold = kernel.stack_hist_run(addrs, hist)
-        if cold >= 0:    # -1 == scratch allocation failed; fall back
-            nonzero = np.nonzero(hist)[0]
-            top = int(nonzero[-1]) + 1 if nonzero.size else 0
-            return hist[:top].astype(float), int(cold)
-    monitor = StackDistanceMonitor(capacity_hint=max(1024, n))
+    addrs = np.asarray(trace, dtype=np.int64)
+    monitor = IncrementalStackMonitor(capacity_hint=addrs.size)
     monitor.record_trace(addrs)
     return monitor.histogram(), monitor.cold_misses
 

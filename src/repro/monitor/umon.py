@@ -22,9 +22,11 @@ the sampled sub-stream with one vectorized splitmix64 pass
 per access, and the sub-stream advances a persistent native
 stack-distance state
 (:class:`repro.monitor.stack_distance.IncrementalStackMonitor`) on the
-first curve read after new data — accumulated accesses are never
-re-replayed, so a reconfiguration loop that reads the curve every
-interval does O(sub-stream length) total monitoring work.  The scalar
+first curve read after new data, in one fold of everything sampled since
+the previous read — accumulated accesses are never re-replayed, so a
+reconfiguration loop that reads the curve every interval does
+O(sub-stream length) total monitoring work.  Recording and folding run
+on the caller's thread.  The scalar
 :meth:`UMON.record` path selects exactly the same sub-stream, so online
 and batch recording are interchangeable and the produced curves are
 bit-identical to the pre-vectorization implementation.
@@ -136,11 +138,11 @@ class UMON:
     def _histogram(self) -> tuple[np.ndarray, int]:
         """(stack-distance histogram, cold misses) of the sub-stream.
 
-        Chunks recorded since the last read are folded into the
-        persistent :class:`IncrementalStackMonitor` (native state when a
-        kernel is available, the online reference monitor otherwise), so
-        each sampled access is processed exactly once no matter how often
-        the curve is read — the resumable-runtime contract the
+        Chunks recorded since the last read are folded, as one task, into
+        the persistent :class:`IncrementalStackMonitor` (native state when
+        a kernel is available, the online reference monitor otherwise),
+        so each sampled access is processed exactly once no matter how
+        often the curve is read — the resumable-runtime contract the
         reconfiguration loop relies on.
         """
         if self._hist_cache is not None \
@@ -152,9 +154,9 @@ class UMON:
         if self._monitor is None:
             self._monitor = IncrementalStackMonitor(
                 capacity_hint=max(1024, self._observed))
-        for chunk in self._chunks:
-            self._monitor.record_trace(chunk)
-        self._chunks = []
+        if self._chunks:
+            self._monitor.record_trace(np.concatenate(self._chunks))
+            self._chunks = []
         dense, cold = self._monitor.histogram(), self._monitor.cold_misses
         self._hist_cache = (self._observed, dense, cold)
         return dense, cold

@@ -49,12 +49,11 @@ immediately and no transient over-commitment occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ..cache._native import native_available, resolve_threads
 from ..cache.hashing import derive_seed
 from ..cache.spec import PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
@@ -259,12 +258,10 @@ class OnlineTalusController:
     granularity_lines:
         Planning step in lines (default: partitionable / 64, snapped up
         to the scheme's allocation quantum).
-    parallel:
-        "off", "threads" or "auto" ("threads" when the native kernel is
-        loaded, else "off"): in threads mode each batch's UMON recording
-        overlaps the shared cache's replay of the same batch on a worker
-        thread (the two touch disjoint state), as in the fixed-mix
-        drivers.  Results are bit-identical either way.
+    parallel, threads:
+        Accepted and unused: every batch's monitor recording and replay
+        run on the calling thread.  Kept because ``perfbench/workloads.py``
+        passes them.
     base_seed:
         Root of all derived seeds (monitors).
     validate:
@@ -291,9 +288,6 @@ class OnlineTalusController:
             raise ValueError("fairness must be in [0, 1]")
         if drift_grow > drift_shrink:
             raise ValueError("drift_grow must not exceed drift_shrink")
-        if parallel not in ("off", "threads", "auto"):
-            raise ValueError(f"unknown parallel mode {parallel!r}; known: "
-                             f"'off', 'threads', 'auto'")
         lines = paper_mb_to_lines(total_mb)
         if lines <= 0:
             raise ValueError("total_mb too small for the configured scale")
@@ -346,21 +340,12 @@ class OnlineTalusController:
         self.batches: list[BatchRecord] = []
         self.replans: list[ReplanRecord] = []
 
-        self._pool = None
-        if parallel == "threads" or (parallel == "auto"
-                                     and native_available()):
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, min(2, resolve_threads(threads))))
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut the monitor-overlap thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Nothing to release; kept with ``with`` support because
+        ``perfbench/workloads.py`` uses both."""
 
     def __enter__(self) -> "OnlineTalusController":
         return self
@@ -532,18 +517,8 @@ class OnlineTalusController:
         addresses = event.addresses
         monitor = self._monitors[app]
         if addresses.size:
-            if self._pool is not None:
-                # The UMON only touches its own sampled stack-distance
-                # state, the cache only its partition state — so the
-                # monitor folds the batch in on a worker thread while the
-                # shared cache replays it here (joined before any reader).
-                future = self._pool.submit(monitor.record_trace, addresses)
-                stats = self.talus.run_chunk(addresses, slot)
-                future.result()
-            else:
-                monitor.record_trace(addresses)
-                stats = self.talus.run_chunk(addresses, slot)
-            misses = stats.misses
+            monitor.record_trace(addresses)
+            misses = self.talus.run_chunk(addresses, slot).misses
         else:
             misses = 0
         self.batches.append(BatchRecord(seq=seq, app=app, slot=slot,

@@ -21,7 +21,8 @@ sweep itself:
   each riding the resumable runtime (chunked replay + warm reallocation;
   the default ``scheme="vantage"`` substrate replays through the native
   Vantage kernel on ``backend="auto"``).  Mixes run one after another,
-  or on a thread pool when ``max_workers > 1``; each mix generates its
+  or on a thread pool when ``max_workers > 1`` and the native kernel is
+  loaded; each mix generates its
   traces when it runs, or takes them from a caller's
   :class:`~repro.workloads.tracestore.TraceStore`.
 * :class:`MixSweepResult` — the per-mix interval records and measured
@@ -50,6 +51,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Sequence
 
+from ..cache._native import native_available
 from ..cache.factory import BACKENDS
 from ..core.atomicio import atomic_write_json
 from ..cache.hashing import mix64
@@ -114,10 +116,11 @@ class MixSweepSpec:
     base_seed:
         Root of the per-mix trace-seed derivation.
     max_workers:
-        Above 1, mixes run on a thread pool of this width (results are
-        identical to a serial run), and a supervised sweep runs this
-        many worker processes.  It only chooses how the sweep executes,
-        so it is left out of comparisons and of the job key: a
+        Above 1, mixes run on a thread pool of this width when the
+        native kernel is loaded (results are identical to a serial run;
+        without the kernel they run serially), and a supervised sweep
+        runs this many worker processes.  It only chooses how the sweep
+        executes, so it is left out of comparisons and of the job key: a
         resubmission with another width is served from the bank.
     """
 
@@ -398,10 +401,12 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
     Each mix runs one :class:`~repro.sim.multicore.ReconfiguringSharedRun`
     (chunked replay, per-app UMONs, coordinated warm reconfiguration) on
     its own deterministic traces.  Mixes run one after another or, with
-    ``max_workers > 1``, on a thread pool — one task per mix, since a
-    mix's apps share one cache and must advance together — whose workers
-    overlap in the GIL-releasing kernel replays.  The stable per-mix
-    seeding makes both bit-identical.
+    ``max_workers > 1`` and the native kernel loaded, on a thread pool —
+    one task per mix, since a mix's apps share one cache and must advance
+    together — whose workers overlap in the GIL-releasing kernel
+    replays.  Without the kernel every mix replays in Python, where
+    threads would only contend for the GIL, so the mixes run serially.
+    The stable per-mix seeding makes both bit-identical.
 
     Each mix generates its per-core traces when it runs, or takes them
     from ``trace_store`` (a :class:`~repro.workloads.tracestore.TraceStore`
@@ -429,7 +434,7 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
         return run_mix_sweep_supervised(mixes, spec, bank=bank,
                                         max_workers=max_workers)
     workers = max_workers if max_workers is not None else spec.max_workers
-    if workers > 1 and len(mixes) > 1:
+    if workers > 1 and len(mixes) > 1 and native_available():
         with ThreadPoolExecutor(max_workers=min(workers, len(mixes))) as pool:
             futures = [pool.submit(_run_one_mix, spec, mix, trace_store)
                        for mix in mixes]

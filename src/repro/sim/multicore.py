@@ -61,7 +61,6 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..cache._native import native_available, resolve_threads
 from ..cache.spec import PartitionSpec, TalusSpec, build
 from ..core.bypass import optimal_bypass_curve
 from ..core.convexhull import convex_hull
@@ -420,15 +419,6 @@ class ReconfiguringSharedRun:
         between reconfigurations when the kernel is available; interval
         records are bit-identical to ``backend="object"`` for every
         policy.
-    threads:
-        Monitor-recording thread width (default: ``REPRO_THREADS`` or the
-        CPUs this process may run on, capped at the application count).
-        With the native kernel loaded and more than one application, the
-        per-application UMON recording of each interval fans out over a
-        thread pool while the shared cache replays each chunk
-        sequentially — the cache is one shared state, so its access order
-        must not change, but the monitors are per-app-private and
-        order-free.  Without the kernel everything runs sequentially.
     """
 
     total_mb: float
@@ -440,16 +430,14 @@ class ReconfiguringSharedRun:
     monitor_points: int = 33
     granularity_mb: float | None = None
     backend: str = "auto"
-    threads: int | None = None
     records: list[SharedIntervalRecord] = field(default_factory=list)
 
     def run(self, traces: Sequence[Trace]) -> list[SharedIntervalRecord]:
         """Replay all traces with periodic coordinated reconfiguration.
 
-        Results are bit-identical with or without the monitor thread
-        pool: the shared cache always consumes the chunks in the same
-        order, and each UMON only ever touches its own application's
-        state.
+        Each interval records every application's chunk in its UMON and
+        replays it through the shared cache, in application order, on
+        the calling thread.
         """
         n = len(traces)
         if n == 0:
@@ -476,49 +464,25 @@ class ReconfiguringSharedRun:
         self.records = []
         self._traces = list(traces)
         index = 0
-        pool = None
-        if native_available() and n > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(
-                max_workers=min(n, resolve_threads(self.threads)))
-        try:
-            while any(positions[i] < len(traces[i]) for i in range(n)):
-                accesses, misses = [], []
-                chunks = []
-                for i, trace in enumerate(traces):
-                    end = min(positions[i] + interval, len(trace))
-                    chunks.append(trace.addresses[positions[i]:end])
-                    accesses.append(end - positions[i])
-                    positions[i] = end
-                if pool is not None:
-                    # Monitor recording is per-app-private, so it overlaps
-                    # across apps (and with the sequential cache replay
-                    # below); joined before the records/replan read it.
-                    futures = [pool.submit(monitors[i].record_trace, chunk)
-                               for i, chunk in enumerate(chunks)
-                               if chunk.size]
-                for i, chunk in enumerate(chunks):
-                    if chunk.size:
-                        if pool is None:
-                            monitors[i].record_trace(chunk)
-                        stats = talus.run_chunk(chunk, i)
-                        misses.append(stats.misses)
-                    else:
-                        misses.append(0)
-                if pool is not None:
-                    for future in futures:
-                        future.result()
-                self.records.append(SharedIntervalRecord(
-                    index=index, accesses=tuple(accesses),
-                    misses=tuple(misses), allocations_mb=current_alloc))
-                index += 1
-                remaining = any(positions[i] < len(traces[i])
-                                for i in range(n))
-                if index >= self.warmup_intervals and remaining:
-                    current_alloc = self._replan(talus, monitors, traces)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        while any(positions[i] < len(traces[i]) for i in range(n)):
+            accesses, misses = [], []
+            for i, trace in enumerate(traces):
+                end = min(positions[i] + interval, len(trace))
+                chunk = trace.addresses[positions[i]:end]
+                accesses.append(end - positions[i])
+                positions[i] = end
+                if chunk.size:
+                    monitors[i].record_trace(chunk)
+                    misses.append(talus.run_chunk(chunk, i).misses)
+                else:
+                    misses.append(0)
+            self.records.append(SharedIntervalRecord(
+                index=index, accesses=tuple(accesses),
+                misses=tuple(misses), allocations_mb=current_alloc))
+            index += 1
+            remaining = any(positions[i] < len(traces[i]) for i in range(n))
+            if index >= self.warmup_intervals and remaining:
+                current_alloc = self._replan(talus, monitors, traces)
         return self.records
 
     def _replan(self, talus, monitors: Sequence[CombinedUMON],

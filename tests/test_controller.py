@@ -357,12 +357,6 @@ class TestDeterminism:
         spec = small_spec()
         assert run_churn(spec).signature() == run_churn(spec).signature()
 
-    def test_monitor_overlap_pool_changes_nothing(self):
-        spec = small_spec()
-        off = run_churn(spec, parallel="off")
-        threads = run_churn(spec, parallel="threads")
-        assert off.signature() == threads.signature()
-
     def test_churn_schedule_is_deterministic(self):
         spec = small_spec()
         a, b = churn_events(spec), churn_events(spec)

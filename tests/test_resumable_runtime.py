@@ -39,7 +39,7 @@ from repro.cache.hashing import H3Hash
 from repro.cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from repro.core.talus import TalusConfig
 from repro.monitor.stack_distance import (IncrementalStackMonitor,
-                                          stack_distance_histogram)
+                                          StackDistanceMonitor)
 from repro.sim.multicore import ReconfiguringSharedRun
 from repro.workloads.scale import lines_to_paper_mb, paper_mb_to_lines
 from repro.workloads.spec_profiles import get_profile
@@ -448,18 +448,42 @@ class TestMultiConfigBatch:
 # --------------------------------------------------------------------- #
 class TestIncrementalMonitors:
     def test_chunked_equals_one_shot_with_growth(self):
-        trace = np.concatenate([
+        """Chunked folds equal the online oracle through every way the
+        kernel moves a monitor's state: a relabel in place, table growth
+        alone, tree growth alone, both at once, one-access chunks, and
+        -1 and the int64 extremes as addresses."""
+        info = np.iinfo(np.int64)
+        footprint = np.array([-1, info.min, info.max, *range(13)],
+                             dtype=np.int64)
+        rng = np.random.default_rng(14)
+        # A hint of 64 starts with a 64-position tree and a 128-slot table.
+        chunks = [footprint[rng.integers(0, 16, 1)] for _ in range(100)]
+        chunks.append(footprint[rng.integers(0, 16, 20)])
+        chunks.append(np.arange(100, 150, dtype=np.int64))
+        chunks += np.array_split(np.concatenate([
             _mixed_trace(20000, spread=1500, seed=14),
-            _mixed_trace(20000, spread=40000, seed=15)])
-        # A tiny hint forces table rehashes and position compactions.
+            _mixed_trace(20000, spread=40000, seed=15)]), 13)
+        chunks.append(footprint)
         inc = IncrementalStackMonitor(capacity_hint=64)
-        for chunk in np.array_split(trace, 13):
+        moves = set()
+        for chunk in chunks:
+            if inc._online is None:
+                before = (inc._tab_vals, inc._tree, int(inc._state[0]))
             inc.record_trace(chunk)
-            inc.histogram()         # interleaved reads must be free of
-        dense_inc = inc.histogram()  # re-replay side effects
-        dense_ref, cold_ref = stack_distance_histogram(trace)
-        assert inc.cold_misses == cold_ref
-        assert np.array_equal(dense_inc, dense_ref)
+            inc.histogram()     # interleaved reads must be free of
+            if inc._online is None:     # re-replay side effects
+                moved = (inc._tab_vals is not before[0],
+                         inc._tree is not before[1])
+                relabelled = int(inc._state[0]) < before[2] + chunk.size
+                moves.add(moved + (relabelled and not any(moved),))
+        oracle = StackDistanceMonitor()
+        oracle.record_trace(np.concatenate(chunks))
+        assert inc.cold_misses == oracle.cold_misses
+        assert np.array_equal(inc.histogram(), oracle.histogram())
+        if inc._online is None:
+            # (table moved, tree moved, relabelled in place) per fold.
+            assert {(False, False, True), (True, False, False),
+                    (False, True, False), (True, True, False)} <= moves
 
     def test_scalar_record_matches_trace(self):
         trace = _mixed_trace(2000, spread=300, seed=16)

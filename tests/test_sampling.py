@@ -29,10 +29,9 @@ from repro.cache import _native
 from repro.cache.arraycache import ARRAY_POLICIES
 from repro.cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from repro.jobs.faults import FaultPlan
-from repro.sampling import (CacheCheckpoint, SampledResult, SamplingSpec,
-                            WindowResult, normal_quantile, restore_into,
-                            run_exact, run_sampled, snapshot,
-                            student_t_critical, warm_checkpoints,
+from repro.sampling import (SampledResult, SamplingSpec, WindowResult,
+                            normal_quantile, run_exact, run_sampled,
+                            snapshot, student_t_critical, warm_checkpoints,
                             window_seed)
 from repro.workloads.scale import ChunkedTrace, long_trace
 

@@ -15,11 +15,10 @@ from repro.cache import (POLICY_NAMES, ArrayPartitionedCache,
                          ArraySetAssociativeCache,
                          CacheSpec, PartitionSpec, SetAssociativeCache,
                          TalusCache, TalusSpec, build,
-                         make_partitioned_cache, partitionable_lines_for,
-                         resolve_backend)
+                         partitionable_lines_for, resolve_backend)
 from repro.core.misscurve import MissCurve
 from repro.core.talus import plan_shadow_partitions
-from repro.sim.engine import plan_talus_spec, talus_sweep_configs
+from repro.sim.engine import talus_sweep_configs
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.cache._native import native_available
 from repro.workloads.spec_profiles import get_profile

@@ -26,6 +26,7 @@ from repro.cache.partition.array import (ArrayPartitionedCache,
 from repro.cache.spec import PartitionSpec, TalusSpec, build
 from repro.cache.talus_cache import TalusCache
 from repro.cache.threadbatch import ReplayTask, i64_ptr, run_tasks, u64_ptr
+from repro.monitor.stack_distance import IncrementalStackMonitor
 from repro.sim.sweep import SweepSpec, run_sweep
 from repro.workloads.generators import zipfian
 
@@ -234,9 +235,34 @@ class TestReplayTaskDeterminism:
                     (policy, width)
 
     @needs_kernel
+    def test_monitor_folds_all_widths(self):
+        """A batch of stack-distance folds, one per monitor (from a
+        64-position tree that grows and relabels to one that never
+        does), equals serial ``record_trace``: histogram, cold misses and
+        every state array."""
+        chunks = np.array_split(_trace(), 7)
+        hints = (64, 2_048, 1 << 15)
+        serial = [IncrementalStackMonitor(capacity_hint=h) for h in hints]
+        for monitor in serial:
+            for chunk in chunks:
+                monitor.record_trace(chunk)
+        for width in WIDTHS:
+            batch = [IncrementalStackMonitor(capacity_hint=h) for h in hints]
+            for chunk in chunks:
+                tasks = run_tasks([m.replay_task(chunk) for m in batch],
+                                  threads=width)
+                assert all(task.native for task in tasks)
+            for ref, monitor in zip(serial, batch):
+                assert np.array_equal(monitor.histogram(), ref.histogram())
+                assert monitor.cold_misses == ref.cold_misses, width
+                assert monitor.accesses == ref.accesses, width
+                assert _state(monitor) == _state(ref), width
+
+    @needs_kernel
     def test_empty_trace_tasks_are_native_noops(self):
-        """A zero-length replay on every array organization is a native
-        task (``n = 0``) that changes no state and no statistic."""
+        """A zero-length replay on every array organization, and a
+        zero-length monitor fold, is a native task (``n = 0``) that
+        changes no state and no statistic."""
         addrs = _trace(4_000)
         parts = (np.arange(addrs.size, dtype=np.int64) % 2)
         empty = np.zeros(0, dtype=np.int64)
@@ -253,11 +279,14 @@ class TestReplayTaskDeterminism:
         ideal.run_partitioned(addrs, parts)
         vantage = ArrayVantageCache(1024, 2, policy="PDP")
         vantage.run_partitioned(addrs, parts)
+        monitor = IncrementalStackMonitor(capacity_hint=64)
+        monitor.record_trace(addrs)
         tasks = [plain.replay_task(empty), lanes.replay_task(empty, empty),
                  belady.replay_task(empty), way.replay_task(empty, empty),
                  ideal.replay_task(empty, empty),
-                 vantage.replay_task(empty, empty)]
-        caches = (plain, lanes, belady, way, ideal, vantage)
+                 vantage.replay_task(empty, empty),
+                 monitor.replay_task(empty)]
+        caches = (plain, lanes, belady, way, ideal, vantage, monitor)
         before = [_state(cache) for cache in caches]
         regions = [_state(region) for region in ideal._regions]
         for task in tasks:
@@ -270,6 +299,7 @@ class TestReplayTaskDeterminism:
             assert _state(cache) == state, cache
         assert [_state(region) for region in ideal._regions] == regions
         assert belady.trace_remaining == addrs.size - 2_000
+        assert monitor.accesses == addrs.size
 
     def test_run_sweep_modes_identical(self):
         trace = zipfian(8_000, 15_000, seed=5)
@@ -324,17 +354,27 @@ class TestFallbackPath:
         for key in base.stats:
             assert threaded.stats[key].misses == base.stats[key].misses
 
-    def test_mix_sweep_and_sampling_widths_match_serial(self, no_kernel):
-        """Without a kernel, a mix sweep on a thread pool and a sampled
-        estimate at width 4 reproduce their serial runs."""
+    def test_mix_sweep_and_sampling_widths_match_serial(self, no_kernel,
+                                                        monkeypatch):
+        """Without a kernel, a mix sweep at ``max_workers=2`` builds no
+        thread pool (every mix replays in Python, where threads would
+        only contend for the GIL) and reproduces its serial run, and a
+        sampled estimate at width 4 reproduces its serial run."""
         from repro.cache.spec import CacheSpec
         from repro.sampling import SamplingSpec, run_sampled
+        from repro.sim import mixsweep
         from repro.sim.mixsweep import MixSweepSpec, run_mix_sweep
         from repro.workloads.mixes import random_mixes
         mixes = random_mixes(2, apps_per_mix=2, seed=3)
         spec = MixSweepSpec(total_mb=1.0, trace_accesses=3_000,
                             interval_accesses=1_500)
         serial = run_mix_sweep(mixes, spec)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a mix sweep without a kernel built a "
+                                 "thread pool")
+
+        monkeypatch.setattr(mixsweep, "ThreadPoolExecutor", no_pool)
         pooled = run_mix_sweep(mixes, spec, max_workers=2)
         assert pooled.records == serial.records
         trace = zipfian(2_000, 12_000, seed=4)
