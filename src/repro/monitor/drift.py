@@ -48,7 +48,11 @@ class CurveDriftTracker:
 
     ``update(curve)`` returns the drift between ``curve`` and the
     previously seen snapshot (0.0 for the first snapshot), and remembers
-    ``curve`` for the next call.  One tracker per monitored stream.
+    ``curve`` for the next call.  One tracker per monitored stream.  A
+    snapshot that *is* the previous one (a reader that memoises curves
+    of an unchanged monitor) scores 0.0 without evaluating anything,
+    which is what :func:`curve_drift` returns for any curve against
+    itself.
     """
 
     def __init__(self) -> None:
@@ -56,7 +60,7 @@ class CurveDriftTracker:
         self.last_drift: float = 0.0
 
     def update(self, curve: MissCurve) -> float:
-        if self._previous is None:
+        if self._previous is None or curve is self._previous:
             self.last_drift = 0.0
         else:
             self.last_drift = curve_drift(self._previous, curve)

@@ -268,10 +268,16 @@ class IncrementalStackMonitor:
 
     # -- reading --------------------------------------------------------- #
     def histogram(self) -> np.ndarray:
-        """Dense stack-distance histogram (trailing zeros trimmed)."""
+        """Dense stack-distance histogram (trailing zeros trimmed).
+
+        A distance counts the live markers newer than the line's last
+        one, so it is below the live count at the time, and the live
+        count never falls: only the first ``live`` entries are scanned,
+        not the whole tree-sized array.
+        """
         if self._online is not None:
             return self._online.histogram()
-        nonzero = np.nonzero(self._hist)[0]
+        nonzero = np.nonzero(self._hist[:int(self._state[1])])[0]
         top = int(nonzero[-1]) + 1 if nonzero.size else 0
         return self._hist[:top].astype(float)
 

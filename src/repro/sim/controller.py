@@ -57,6 +57,7 @@ import numpy as np
 from ..cache.hashing import derive_seed
 from ..cache.spec import PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
+from ..core.convexhull import convex_hull
 from ..core.misscurve import MissCurve
 from ..core.talus import TalusConfig
 from ..monitor.drift import CurveDriftTracker
@@ -335,6 +336,9 @@ class OnlineTalusController:
         self._floors: dict[str, float] = {}
         self._monitors: dict[str, CombinedUMON] = {}
         self._drift: dict[str, CurveDriftTracker] = {}
+        #: Per warm app: (monitor accesses, planning curve, its hull) at
+        #: the app's last read.
+        self._curves: dict[str, tuple[int, MissCurve, MissCurve]] = {}
         self._since_replan = 0
         self._seq = 0
         self.batches: list[BatchRecord] = []
@@ -494,6 +498,9 @@ class OnlineTalusController:
         self._floors.pop(app)
         self._monitors.pop(app)
         self._drift.pop(app)
+        # A re-arrival under this id gets a fresh monitor whose count may
+        # equal this one's, so the entry must not outlive the monitor.
+        self._curves.pop(app, None)
         self._replan(seq, "depart")
 
     def _qos_update(self, seq: int, event: QosUpdate) -> None:
@@ -601,19 +608,20 @@ class OnlineTalusController:
 
         drift = 0.0
         if warm:
-            curves = []
+            curves, hulls = [], []
             for i in warm:
                 app = active[i][1]
-                curve = self._planning_curve(self._monitors[app])
+                curve, hull = self._planning_curve(app)
                 if adapt:
                     drift = max(drift, self._drift[app].update(curve))
                 curves.append(curve)
+                hulls.append(hull)
             warm_budget = budget - sum(sizes[i] for i in cold)
             plan = plan_shared_allocations(
                 curves, warm_budget, granularity=self.granularity,
                 algorithm=self.algorithm, safety_margin=self.safety_margin,
                 floors=[floors[i] for i in warm], fairness=self.fairness,
-                conserve=True)
+                conserve=True, hulls=hulls)
             configs_by_index: dict[int, TalusConfig] = {}
             for i, size, config in zip(warm, plan.sizes, plan.configs):
                 sizes[i] = float(size)
@@ -639,14 +647,28 @@ class OnlineTalusController:
                     degenerate=True))
         return sizes, configs, drift
 
-    def _planning_curve(self, monitor: CombinedUMON) -> MissCurve:
-        """The monitor's current curve in planner units (lines, misses
-        per kilo-access): normalising by each app's observed accesses
-        makes streams of different intensities commensurable."""
+    def _planning_curve(self, app: str) -> tuple[MissCurve, MissCurve]:
+        """``app``'s current curve in planner units (lines, misses per
+        kilo-access), and its convex hull.
+
+        Normalising by each app's observed accesses makes streams of
+        different intensities commensurable.  The curve is a pure
+        function of the stream the monitor recorded, and every recorded
+        access moves ``primary.total_accesses``; so a read that finds the
+        count of the app's last read returns that read's curve and hull,
+        the same objects (callers never write into a curve's arrays).
+        """
+        monitor = self._monitors[app]
+        observed = monitor.primary.total_accesses
+        entry = self._curves.get(app)
+        if entry is not None and entry[0] == observed:
+            return entry[1], entry[2]
         raw = monitor.miss_curve()
-        observed = max(monitor.primary.total_accesses, 1)
-        return MissCurve(raw.sizes, np.minimum.accumulate(
-            raw.misses * 1000.0 / observed))
+        curve = MissCurve(raw.sizes, np.minimum.accumulate(
+            raw.misses * 1000.0 / max(observed, 1)))
+        hull = convex_hull(curve)
+        self._curves[app] = (observed, curve, hull)
+        return curve, hull
 
     def _quantize_config(self, config: TalusConfig) -> TalusConfig:
         """Snap a pair's shadow sizes onto the allocation quantum.

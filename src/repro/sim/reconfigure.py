@@ -99,7 +99,9 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
                             safety_margin: float = 0.0,
                             floors: Sequence[float] | None = None,
                             fairness: float = 0.0,
-                            conserve: bool = False) -> SharedPlan:
+                            conserve: bool = False,
+                            hulls: Sequence[MissCurve] | None = None
+                            ) -> SharedPlan:
     """Talus's software wrapper around a partitioning algorithm (Fig. 7a).
 
     Talus does not propose its own partitioning algorithm.  It wraps the
@@ -138,10 +140,19 @@ def plan_shared_allocations(curves: Sequence[MissCurve], total_size: float,
         residual).  Each top-up unit goes to the partition whose hull
         drops the most for it (ties: lowest index), so the invariant
         "allocations sum to the partitionable capacity" holds exactly.
+
+    ``hulls`` are ``convex_hull(curve)`` of each curve when the caller
+    already has them (the controller keeps each app's hull with its
+    curve); they are computed here otherwise, and the plan is the same
+    either way.
     """
     if not 0.0 <= fairness <= 1.0:
         raise ValueError("fairness must be in [0, 1]")
-    hulls = tuple(convex_hull(curve) for curve in curves)
+    if hulls is None:
+        hulls = [convex_hull(curve) for curve in curves]
+    elif len(hulls) != len(curves):
+        raise ValueError("hulls must match curves one to one")
+    hulls = tuple(hulls)
     problem = PartitioningProblem(
         curves=hulls, total_size=total_size, granularity=granularity,
         minimums=None if floors is None else tuple(floors))

@@ -1,6 +1,6 @@
 """Online streaming controller: events, QoS floors, drift, invariants, faults.
 
-Four layers of coverage for :mod:`repro.sim.controller`:
+Five layers of coverage for :mod:`repro.sim.controller`:
 
 * event-machine unit tests (arrivals, departures, QoS updates, rejection
   of malformed streams, adaptive-interval behaviour);
@@ -8,9 +8,11 @@ Four layers of coverage for :mod:`repro.sim.controller`:
   QoS floors hold after every event, departed applications' lines are
   fully reclaimed — exercised across all four partitioning schemes with
   the controller's per-event self-checks enabled;
-* determinism: a churn schedule replayed twice (and with the monitor
-  overlap pool on) is bit-identical, and the recorded plans replay
-  bit-identically through explicit ``configure_many`` on a fresh cache;
+* determinism: a churn schedule replayed twice is bit-identical, and the
+  recorded plans replay bit-identically through explicit
+  ``configure_many`` on a fresh cache;
+* the planning-curve memo: every read equals a rebuild from the
+  monitor, and a departed app's entry never serves its successor;
 * the fault soak: a ~1k-event stream through the supervised runtime with
   a mid-stream SIGKILL recovers bit-identically and resumes from the
   result bank.
@@ -31,8 +33,10 @@ from hypothesis import given, settings
 from tests.conftest import miss_curves
 from tests.faults import fault_queue
 
+from repro.core.convexhull import convex_hull
 from repro.core.misscurve import MissCurve
 from repro.jobs import ControllerJob, FaultPlan, run_controller_supervised
+from repro.monitor import drift as drift_module
 from repro.monitor.drift import CurveDriftTracker, curve_drift
 from repro.partitioning.base import PartitioningProblem
 from repro.partitioning.fair import fair
@@ -126,12 +130,21 @@ class TestDrift:
         assert tracker.update(MissCurve([0, 64], [100, 10])) == 0.0
         assert tracker.last_drift == 0.0
 
-    def test_tracker_scores_successive_snapshots(self):
+    def test_tracker_scores_successive_snapshots(self, monkeypatch):
         tracker = CurveDriftTracker()
         a = MissCurve([0, 64], [100, 10])
         b = MissCurve([0, 64], [100, 80])
         tracker.update(a)
         assert tracker.update(b) == pytest.approx(curve_drift(a, b))
+
+        # The same snapshot object again (a memoised curve of a monitor
+        # that recorded nothing since) scores 0.0 unevaluated.
+        def unexpected(previous, current):
+            raise AssertionError("curve_drift evaluated a repeated snapshot")
+
+        monkeypatch.setattr(drift_module, "curve_drift", unexpected)
+        assert tracker.update(b) == 0.0
+        assert tracker.last_drift == 0.0
 
     def test_tracker_reset_forgets_history(self):
         tracker = CurveDriftTracker()
@@ -410,6 +423,71 @@ class TestDeterminism:
                     total = float(granted[pair.alpha_index]
                                   + granted[pair.beta_index])
                     assert total == record.granted[slot], f"event {seq}"
+
+
+# --------------------------------------------------------------------------- #
+# Planning-curve memo
+# --------------------------------------------------------------------------- #
+def rebuilt_planning_curve(monitor) -> MissCurve:
+    """An app's planning curve built from its monitor alone, kept as the
+    exact reference for the controller's memoised curve."""
+    raw = monitor.miss_curve()
+    observed = max(monitor.primary.total_accesses, 1)
+    return MissCurve(raw.sizes, np.minimum.accumulate(
+        raw.misses * 1000.0 / observed))
+
+
+class TestPlanningCurveMemo:
+    def test_every_read_equals_a_fresh_rebuild(self, monkeypatch):
+        """Over a churn stream, every read of a warm app's (curve, hull)
+        equals a rebuild from its monitor; a read that finds no batch
+        since the app's last read returns the same objects; and an app id
+        that departs and re-arrives, then records as many accesses as its
+        departed monitor had, never gets that monitor's entry."""
+        latest = {}          # app -> (monitor, accesses, curve, hull)
+        hits = []
+        read = OnlineTalusController._planning_curve
+
+        def checked(self, app):
+            curve, hull = read(self, app)
+            monitor = self._monitors[app]
+            count = monitor.primary.total_accesses
+            fresh = rebuilt_planning_curve(monitor)
+            for got, want in ((curve, fresh), (hull, convex_hull(fresh))):
+                assert np.array_equal(got.sizes, want.sizes), app
+                assert np.array_equal(got.misses, want.misses), app
+            last = latest.get(app)
+            if last is not None and last[0] is monitor and last[1] == count:
+                assert curve is last[2] and hull is last[3], app
+                hits.append(app)
+            latest[app] = (monitor, count, curve, hull)
+            return curve, hull
+
+        monkeypatch.setattr(OnlineTalusController, "_planning_curve",
+                            checked)
+        spec = small_spec()
+        ctl = controller(max_apps=spec.max_apps + 1,
+                         base_interval_accesses=1_500, base_seed=42)
+        ctl.run(churn_events(spec))
+        assert hits, "no read found its monitor unchanged"
+
+        app = ctl.active_apps[0]
+        departed = ctl._monitors[app]
+        count = departed.primary.total_accesses
+        ctl.handle(AppArrive("probe"))      # reads `app` at `count`
+        assert latest[app][:2] == (departed, count)
+        departed_curve = latest[app][2]
+        ctl.handle(AppDepart(app))
+        ctl.handle(AppArrive(app))
+        # As many accesses as the departed monitor saw, looping over 8
+        # lines: a curve the departed monitor's entry does not match.
+        ctl.handle(AccessBatch(app, (1 << 40) + np.arange(count) % 8))
+        ctl.handle(AppDepart("probe"))      # reads the re-arrived `app`
+        monitor = ctl._monitors[app]
+        assert monitor is not departed
+        assert latest[app][:2] == (monitor, count)
+        assert not np.array_equal(latest[app][2].misses,
+                                  departed_curve.misses)
 
 
 # --------------------------------------------------------------------------- #

@@ -264,7 +264,8 @@ class TestTalusWrapper:
 
     def test_hulls_each_curve_once(self, monkeypatch):
         """One plan hulls each curve exactly once: Theorem 6 reuses the
-        hulls the allocation was planned on."""
+        hulls the allocation was planned on.  Given the hulls, the plan
+        computes none and comes out the same."""
         hulled = []
 
         def counting_hull(curve, *args, **kwargs):
@@ -279,6 +280,17 @@ class TestTalusWrapper:
                                        safety_margin=0.05, conserve=True)
         assert [id(c) for c in hulled] == [id(c) for c in curves]
         assert sum(not config.degenerate for config in plan.configs) >= 1
+
+        hulls = [convex_hull(curve) for curve in curves]
+        hulled.clear()
+        given = plan_shared_allocations(curves, 8, granularity=0.5,
+                                        safety_margin=0.05, conserve=True,
+                                        hulls=hulls)
+        assert hulled == []
+        assert given == plan
+        with pytest.raises(ValueError, match="one to one"):
+            plan_shared_allocations(curves, 8, granularity=0.5,
+                                    hulls=hulls[:-1])
 
     def test_safety_margin_validation(self):
         with pytest.raises(ValueError):

@@ -451,7 +451,10 @@ class TestIncrementalMonitors:
         """Chunked folds equal the online oracle through every way the
         kernel moves a monitor's state: a relabel in place, table growth
         alone, tree growth alone, both at once, one-access chunks, and
-        -1 and the int64 extremes as addresses."""
+        -1 and the int64 extremes as addresses.  Every interleaved read
+        equals the oracle over the chunks fed so far, also on a monitor
+        whose tree is far larger than its footprint (a read scans only
+        the live distances)."""
         info = np.iinfo(np.int64)
         footprint = np.array([-1, info.min, info.max, *range(13)],
                              dtype=np.int64)
@@ -459,31 +462,42 @@ class TestIncrementalMonitors:
         # A hint of 64 starts with a 64-position tree and a 128-slot table.
         chunks = [footprint[rng.integers(0, 16, 1)] for _ in range(100)]
         chunks.append(footprint[rng.integers(0, 16, 20)])
+        footprint_chunks = chunks + [footprint]
         chunks.append(np.arange(100, 150, dtype=np.int64))
         chunks += np.array_split(np.concatenate([
             _mixed_trace(20000, spread=1500, seed=14),
             _mixed_trace(20000, spread=40000, seed=15)]), 13)
         chunks.append(footprint)
+
+        def fold_checked(inc, chunks):
+            """Fold ``chunks`` one by one, comparing every read with the
+            oracle; returns each fold's (table moved, tree moved,
+            relabelled in place)."""
+            oracle = StackDistanceMonitor()
+            moves = set()
+            for chunk in chunks:
+                if inc._online is None:
+                    before = (inc._tab_vals, inc._tree, int(inc._state[0]))
+                inc.record_trace(chunk)
+                oracle.record_trace(chunk)
+                assert inc.cold_misses == oracle.cold_misses
+                assert np.array_equal(inc.histogram(), oracle.histogram())
+                if inc._online is None:
+                    moved = (inc._tab_vals is not before[0],
+                             inc._tree is not before[1])
+                    relabelled = int(inc._state[0]) < before[2] + chunk.size
+                    moves.add(moved + (relabelled and not any(moved),))
+            return moves
+
         inc = IncrementalStackMonitor(capacity_hint=64)
-        moves = set()
-        for chunk in chunks:
-            if inc._online is None:
-                before = (inc._tab_vals, inc._tree, int(inc._state[0]))
-            inc.record_trace(chunk)
-            inc.histogram()     # interleaved reads must be free of
-            if inc._online is None:     # re-replay side effects
-                moved = (inc._tab_vals is not before[0],
-                         inc._tree is not before[1])
-                relabelled = int(inc._state[0]) < before[2] + chunk.size
-                moves.add(moved + (relabelled and not any(moved),))
-        oracle = StackDistanceMonitor()
-        oracle.record_trace(np.concatenate(chunks))
-        assert inc.cold_misses == oracle.cold_misses
-        assert np.array_equal(inc.histogram(), oracle.histogram())
+        moves = fold_checked(inc, chunks)
         if inc._online is None:
-            # (table moved, tree moved, relabelled in place) per fold.
             assert {(False, False, True), (True, False, False),
                     (False, True, False), (True, True, False)} <= moves
+        wide = IncrementalStackMonitor(capacity_hint=4096)
+        fold_checked(wide, footprint_chunks)
+        if wide._online is None:
+            assert wide._hist.size > 200 * len(footprint)
 
     def test_scalar_record_matches_trace(self):
         trace = _mixed_trace(2000, spread=300, seed=16)
