@@ -8,7 +8,9 @@ submission is a payload (:mod:`repro.jobs.payloads`); the queue
   result satisfies the submission without spawning anything;
 * runs attempts in :class:`~repro.jobs.supervisor.SupervisedWorker`
   processes, up to ``max_workers`` at a time, off a daemon scheduler
-  thread;
+  thread that sleeps until a worker reports or exits, a submission,
+  cancel or close wakes it, or a watchdog or backoff deadline falls
+  due — it never polls;
 * applies the **retry policy** — bounded attempts with exponential
   backoff and deterministic per-``(key, attempt)`` jitter, so retry
   storms decorrelate without introducing nondeterminism into tests;
@@ -22,7 +24,10 @@ submission is a payload (:mod:`repro.jobs.payloads`); the queue
   this process or any later one — is a cache hit.
 
 States: ``pending -> running -> succeeded | failed | cancelled``, with
-``pending`` doubling as the backoff waiting room between attempts.
+``pending`` doubling as the backoff waiting room between attempts.  An
+exception on the scheduler thread (a worker that cannot start, a bank
+write that fails) ends the job it was serving ``failed``, with the
+traceback in :attr:`Job.error`; the scheduler serves on.
 """
 
 from __future__ import annotations
@@ -32,8 +37,11 @@ import itertools
 import os
 import threading
 import time
+import traceback
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 from .bank import ResultBank
 from .keys import job_key
@@ -41,8 +49,15 @@ from .supervisor import SupervisedWorker, WorkerOutcome
 
 __all__ = ["JobQueue", "Job", "JobState", "JobFailed", "RetryPolicy"]
 
-#: Seconds between the scheduler thread's checks of its workers.
-POLL_INTERVAL = 0.02
+#: Seconds of the longest single sleep.  ``poll`` rejects a timeout past
+#: 2**31 ms, and a budget may be longer (``heartbeat_timeout=inf``): a
+#: deadline further off is re-read after this long.
+_LONGEST_SLEEP = 86_400.0
+
+
+def _scheduler_error() -> str:
+    """The job error for an exception raised on the scheduler thread."""
+    return "scheduler error\n" + traceback.format_exc()
 
 
 class JobState:
@@ -137,6 +152,40 @@ class Job:
                 "payload": type(self.payload).__name__}
 
 
+class _WakeChannel:
+    """A self-pipe the scheduler sleeps on beside its workers.
+
+    :meth:`set` writes one byte to the non-blocking write end and never
+    blocks: a full pipe already holds a pending wake.  A byte written
+    before the scheduler sleeps keeps the read end readable, so no wake
+    is lost.  :meth:`clear` drains the pipe (one read takes a default
+    pipe's whole capacity; a byte left over only wakes once more).
+    """
+
+    def __init__(self):
+        self._read, self._write = os.pipe()
+        os.set_blocking(self._read, False)
+        os.set_blocking(self._write, False)
+
+    def fileno(self) -> int:
+        return self._read
+
+    def set(self) -> None:
+        if self._write is not None:
+            with suppress(BlockingIOError):
+                os.write(self._write, b"\0")
+
+    def clear(self) -> None:
+        with suppress(BlockingIOError):
+            os.read(self._read, 1 << 16)
+
+    def close(self) -> None:
+        if self._write is not None:
+            os.close(self._read)
+            os.close(self._write)
+            self._write = None
+
+
 class JobQueue:
     """Supervised, deduplicating, bank-backed job executor.
 
@@ -181,7 +230,9 @@ class JobQueue:
         self._running: dict[str, SupervisedWorker] = {}  # job id -> worker
         self._cancelling: set[str] = set()
         self._sequence = itertools.count(1)
-        self._wake = threading.Event()
+        # Written under the lock by submit, cancel and close; released
+        # by close once the scheduler thread has exited.
+        self._wake = _WakeChannel()
         self._shutdown = False
         self._thread: threading.Thread | None = None
 
@@ -220,7 +271,7 @@ class JobQueue:
                     return job
             self._pending.append(job)
             self._ensure_thread()
-        self._wake.set()
+            self._wake.set()
         return job
 
     # ------------------------------------------------------------------ #
@@ -266,7 +317,7 @@ class JobQueue:
                                     error="cancelled before start")
                 return True
             self._cancelling.add(job.id)
-        self._wake.set()
+            self._wake.set()
         return True
 
     # ------------------------------------------------------------------ #
@@ -284,27 +335,74 @@ class JobQueue:
                 if self._shutdown:
                     self._abort_all_locked()
                     return
+                # Wakes are written under the lock: each one drained here
+                # shows in the state read below, and a later one stays
+                # in the pipe for the next sleep.
+                self._wake.clear()
                 self._promote_waiting_locked()
                 self._launch_locked()
                 running = list(self._running.items())
                 cancelling = set(self._cancelling)
+            alive = []
             for job_id, worker in running:
-                if job_id in cancelling:
-                    worker.kill()
-                    worker.close()
-                    with self._lock:
-                        self._running.pop(job_id, None)
-                        self._cancelling.discard(job_id)
-                        job = self._jobs[job_id]
-                        self._finish_locked(job, JobState.CANCELLED,
-                                            error="cancelled while running")
-                    continue
-                outcome = worker.check()
-                if outcome is None:
-                    continue
-                self._settle(job_id, worker, outcome)
-            self._wake.wait(POLL_INTERVAL)
-            self._wake.clear()
+                try:
+                    if self._step(job_id, worker, job_id in cancelling):
+                        alive.append((job_id, worker))
+                except Exception:
+                    self._stop(job_id, worker, JobState.FAILED,
+                               _scheduler_error())
+            self._sleep(alive)
+
+    def _step(self, job_id: str, worker: SupervisedWorker,
+              cancel: bool) -> bool:
+        """Cancel, settle or keep one running attempt; ``True`` while
+        it runs on."""
+        if cancel:
+            self._stop(job_id, worker, JobState.CANCELLED,
+                       "cancelled while running")
+            return False
+        outcome = worker.check()
+        if outcome is None:
+            return True
+        self._settle(job_id, worker, outcome)
+        return False
+
+    def _sleep(self, alive: list) -> None:
+        """Block until a worker reports or exits, the wake channel is
+        written, or the nearest watchdog or backoff deadline falls due."""
+        with self._lock:
+            if self._pending and len(self._running) < self.max_workers:
+                return  # a settle freed a slot: launch before sleeping
+            deadlines = [due for due, _ in self._waiting]
+        deadlines += [worker.deadline() for _, worker in alive]
+        timeout = (min(max(0.0, min(deadlines) - time.monotonic()),
+                       _LONGEST_SLEEP) if deadlines else None)
+        try:
+            connection.wait([self._wake] + [
+                handle for _, worker in alive
+                for handle in worker.wait_handles()], timeout)
+        except Exception:
+            # Fail the job whose handles cannot be waited on, not the
+            # scheduler.
+            for job_id, worker in alive:
+                try:
+                    connection.wait(worker.wait_handles(), 0)
+                except Exception:
+                    self._stop(job_id, worker, JobState.FAILED,
+                               _scheduler_error())
+
+    def _stop(self, job_id: str, worker: SupervisedWorker, state: str,
+              error: str) -> None:
+        """Kill and reap a running attempt, and end its job ``state``."""
+        with suppress(Exception):
+            worker.kill()
+            worker.close()
+        with self._lock:
+            self._running.pop(job_id, None)
+            self._cancelling.discard(job_id)
+            job = self._jobs[job_id]
+            if job.state not in JobState.TERMINAL:
+                self._finish_locked(job, state, error=error)
 
     def _promote_waiting_locked(self) -> None:
         now = time.monotonic()
@@ -319,13 +417,20 @@ class JobQueue:
             job = self._pending.popleft()
             if job.state in JobState.TERMINAL:
                 continue
+            try:
+                worker = SupervisedWorker(
+                    job.payload, attempt=job.attempts,
+                    degraded=job.degraded,
+                    bank_dir=(None if self.bank is None
+                              else self.bank.directory),
+                    heartbeat_timeout=self.heartbeat_timeout,
+                    job_timeout=self.job_timeout,
+                    start_method=self.start_method)
+            except Exception:
+                self._finish_locked(job, JobState.FAILED,
+                                    error=_scheduler_error())
+                continue
             job.state = JobState.RUNNING
-            worker = SupervisedWorker(
-                job.payload, attempt=job.attempts, degraded=job.degraded,
-                bank_dir=None if self.bank is None else self.bank.directory,
-                heartbeat_timeout=self.heartbeat_timeout,
-                job_timeout=self.job_timeout,
-                start_method=self.start_method)
             job.attempts += 1
             self._running[job.id] = worker
 
@@ -341,12 +446,12 @@ class JobQueue:
             if job.state in JobState.TERMINAL:
                 return
             if outcome == WorkerOutcome.DONE:
-                job.result_payload = worker.result
-                job.meta = {"degraded": job.degraded,
-                            "attempts": job.attempts,
-                            "crashes": list(job.crashes)}
+                meta = {"degraded": job.degraded, "attempts": job.attempts,
+                        "crashes": list(job.crashes)}
                 if self.bank is not None:
-                    self.bank.put(job.key, worker.result, meta=job.meta)
+                    self.bank.put(job.key, worker.result, meta=meta)
+                job.result_payload = worker.result
+                job.meta = meta
                 self._finish_locked(job, JobState.SUCCEEDED)
                 return
             job.error = worker.error
@@ -400,16 +505,22 @@ class JobQueue:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Stop the scheduler; cancel whatever has not finished."""
+        """Stop the scheduler; cancel whatever has not finished.
+
+        A second call does nothing.
+        """
         with self._lock:
             self._shutdown = True
-        self._wake.set()
+            self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         # No scheduler ever started: settle the books directly.
         with self._lock:
             if self._pending or self._waiting or self._running:
                 self._abort_all_locked()
+            # A scheduler still alive after the join keeps its channel.
+            if self._thread is None or not self._thread.is_alive():
+                self._wake.close()
 
     def __enter__(self) -> "JobQueue":
         return self

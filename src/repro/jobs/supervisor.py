@@ -140,7 +140,8 @@ class SupervisedWorker:
     """One supervised attempt of one job payload.
 
     The supervisor drives this with :meth:`check` from its scheduling
-    loop; a non-``None`` return is the attempt's final classification
+    loop, which sleeps on :meth:`wait_handles` until :meth:`deadline`;
+    a non-``None`` return is the attempt's final classification
     (one of the :class:`WorkerOutcome` constants).  After ``CRASH`` the
     delivered signal, if any, is in :attr:`signal`, and the worker's
     fault-handler dump of every thread, if it wrote one, in
@@ -173,8 +174,16 @@ class SupervisedWorker:
         self.signal: int | None = None
         self.stack: str | None = None
         self._reported: str | None = None
-        self.process.start()
-        child_conn.close()
+        self._eof = False
+        try:
+            self.process.start()
+        except BaseException:
+            self._conn.close()
+            with suppress(OSError):
+                os.unlink(self._stack_path)
+            raise
+        finally:
+            child_conn.close()
         self.started = time.monotonic()
         self.last_beat = self.started
 
@@ -191,7 +200,8 @@ class SupervisedWorker:
                     self._reported = WorkerOutcome.ERROR
                     self.error = value
         except (EOFError, OSError):
-            pass  # pipe closed; exitcode is now the source of truth
+            # Pipe closed; exitcode is now the source of truth.
+            self._eof = True
 
     def check(self) -> str | None:
         """Classify the attempt, or ``None`` while it is still healthy.
@@ -229,6 +239,25 @@ class SupervisedWorker:
                           f"(budget {self.heartbeat_timeout:g}s)")
             return WorkerOutcome.STALLED
         return None
+
+    def wait_handles(self) -> list[int]:
+        """The fds to sleep on while the attempt runs: the report pipe
+        until it reaches EOF, and the process sentinel.
+
+        A pipe at EOF is always readable, so from then on only the
+        sentinel can say anything new: that the process is gone.
+        """
+        if self._eof:
+            return [self.process.sentinel]
+        return [self._conn.fileno(), self.process.sentinel]
+
+    def deadline(self) -> float:
+        """The ``time.monotonic()`` at which :meth:`check` next trips a
+        watchdog if the worker reports nothing before then."""
+        deadline = self.last_beat + self.heartbeat_timeout
+        if self.job_timeout is not None:
+            deadline = min(deadline, self.started + self.job_timeout)
+        return deadline
 
     # ------------------------------------------------------------------ #
     @property

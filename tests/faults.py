@@ -61,7 +61,7 @@ def record_signature(records) -> list:
 
 
 def fault_queue(bank_dir, *, max_workers: int = 1,
-                job_timeout: float = 60.0,
+                job_timeout: float | None = 60.0,
                 heartbeat_timeout: float = 60.0,
                 max_retries: int = 3) -> JobQueue:
     """A queue with test-sized watchdog and backoff budgets.

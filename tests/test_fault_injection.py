@@ -38,9 +38,14 @@ class TestSigkillRecovery:
 
     def test_completed_units_survive_the_kill(self, tmp_path, reference):
         trace = small_trace()
-        with fault_queue(tmp_path) as queue:
+        # No watchdog deadline in reach: only the worker's process
+        # sentinel can tell the scheduler that the worker died.
+        with fault_queue(tmp_path, job_timeout=None,
+                         heartbeat_timeout=3600.0) as queue:
             job = queue.submit(SweepJob.from_spec(
                 trace, small_spec(), fault=FaultPlan("kill", index=2)))
+            queue.wait(job, timeout=60.0)
+            assert job.state == JobState.SUCCEEDED, job.state
             result = job.result()
         assert sweep_signature(result) == reference
         # The retry found the first two configs in the bank: the unit

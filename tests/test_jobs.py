@@ -1,14 +1,19 @@
 """Unit tests for the job runtime: keys, bank, queue, payloads, CLI."""
 
+import errno
 import json
+import multiprocessing.process
 import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
 
 from repro.jobs import (FaultPlan, InlineTrace, JobQueue, JobState,
-                        MixSweepJob, ResultBank, RetryPolicy, SweepJob,
-                        TraceRef, as_trace_source, canonical_json,
+                        MixSweepJob, ResultBank, RetryPolicy,
+                        SupervisedWorker, SweepJob, TraceRef,
+                        WorkerOutcome, as_trace_source, canonical_json,
                         code_version, job_key, run_mix_sweep_supervised,
                         run_sweep_supervised)
 from repro.jobs.cli import main as cli_main
@@ -166,6 +171,19 @@ class TestJobQueue:
         queue.close()
         assert job.state == JobState.CANCELLED
 
+    def test_serial_jobs_without_deadlines_all_run(self, tmp_path):
+        """One worker and no watchdog deadline in reach: once a job
+        settles, nothing but the scheduler itself can start the next,
+        so it must launch before it sleeps."""
+        with fault_queue(tmp_path, max_workers=1, job_timeout=None,
+                         heartbeat_timeout=3600.0) as queue:
+            jobs = [queue.submit(SweepJob.from_spec(
+                        small_trace(), small_spec(sizes_mb=(size,))))
+                    for size in (0.5, 1.0, 2.0)]
+            for job in jobs:
+                queue.wait(job, timeout=60.0)
+                assert job.state == JobState.SUCCEEDED, job.error
+
     def test_equal_specs_share_one_bank_entry(self, tmp_path):
         """A SweepSpec point and an explicit config of the same CacheSpec
         bank under one unit key, whatever their sweep keys."""
@@ -182,6 +200,150 @@ class TestJobQueue:
             explicit = mine.result()
         assert mine.result_payload["banked_units"] == 1
         assert explicit["mine"].misses == expanded[("LRU", 1.0)].misses
+
+
+class TestSchedulerFaults:
+    """An exception on the scheduler thread ends the job it was serving
+    ``failed``, with the cause in its error, and the scheduler serves
+    the next submission."""
+
+    def test_worker_that_cannot_start_fails_its_job(self, tmp_path,
+                                                    monkeypatch):
+        dumps = tmp_path / "tmp"
+        dumps.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(dumps))
+        start = multiprocessing.process.BaseProcess.start
+        refused = []
+
+        def refuse_first(process):
+            if not refused:
+                refused.append(process)
+                raise OSError(errno.EAGAIN, "fork refused")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse_first)
+        payload = SweepJob.from_spec(small_trace(), small_spec())
+        with fault_queue(tmp_path / "bank") as queue:
+            job = queue.submit(payload)
+            queue.wait(job, timeout=30.0)
+            assert job.state == JobState.FAILED
+            assert "fork refused" in job.error
+            assert job.attempts == 0
+            again = queue.submit(payload)
+            queue.wait(again, timeout=30.0)
+            assert again.state == JobState.SUCCEEDED, again.error
+        # The refused attempt removed its stack-dump file.
+        assert list(dumps.iterdir()) == []
+
+    def test_failed_bank_write_fails_its_job(self, tmp_path, monkeypatch):
+        payload = SweepJob.from_spec(small_trace(), small_spec())
+        with fault_queue(tmp_path) as queue:
+            put = queue.bank.put
+            failed = []
+
+            def disk_full_once(key, value, meta=None):
+                if not failed:
+                    failed.append(key)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return put(key, value, meta=meta)
+
+            # The queue's own bank only: workers open theirs.
+            monkeypatch.setattr(queue.bank, "put", disk_full_once)
+            job = queue.submit(payload)
+            queue.wait(job, timeout=30.0)
+            assert job.state == JobState.FAILED
+            assert "No space left on device" in job.error
+            assert job.result_payload is None
+            again = queue.submit(payload)
+            queue.wait(again, timeout=30.0)
+            assert again.state == JobState.SUCCEEDED, again.error
+        assert failed == [job.key]
+
+    def test_worker_that_cannot_be_waited_on_fails_its_job(self, tmp_path,
+                                                           monkeypatch):
+        handles = SupervisedWorker.wait_handles
+        first = []
+
+        def bad_fd_first(worker):
+            if not first:
+                first.append(worker)
+            return [-1] if worker is first[0] else handles(worker)
+
+        monkeypatch.setattr(SupervisedWorker, "wait_handles", bad_fd_first)
+        with fault_queue(tmp_path) as queue:
+            # Only the scheduler can end this one: it hangs for an hour.
+            hung = queue.submit(SweepJob.from_spec(
+                small_trace(), small_spec(), fault=FaultPlan("hang")))
+            queue.wait(hung, timeout=30.0)
+            assert hung.state == JobState.FAILED
+            assert "Invalid file descriptor" in hung.error
+            after = queue.submit(SweepJob.from_spec(small_trace(),
+                                                    small_spec()))
+            queue.wait(after, timeout=30.0)
+            assert after.state == JobState.SUCCEEDED, after.error
+
+
+class TestWakeSources:
+    def test_a_worker_past_eof_is_waited_on_through_its_sentinel(self):
+        """The scheduler sleeps on a worker's pipe and sentinel; once the
+        pipe is at EOF (always readable), on the sentinel alone."""
+        worker = SupervisedWorker(
+            SweepJob.from_spec(small_trace(), small_spec(),
+                               fault=FaultPlan("kill", index=0)),
+            job_timeout=None, heartbeat_timeout=3600.0)
+        try:
+            sentinel = worker.process.sentinel
+            assert sentinel in worker.wait_handles()
+            assert len(worker.wait_handles()) == 2
+            worker.process.join(timeout=60.0)  # the fault kills it
+            assert worker.check() == WorkerOutcome.CRASH
+            assert worker.wait_handles() == [sentinel]
+        finally:
+            worker.close()
+
+    def test_scheduler_sleeps_between_beats(self, tmp_path):
+        """A running worker wakes the scheduler only when it beats, also
+        when its budgets are past any timeout ``poll`` accepts."""
+        with fault_queue(tmp_path, job_timeout=None,
+                         heartbeat_timeout=float("inf")) as queue:
+            job = queue.submit(SweepJob.from_spec(
+                small_trace(), small_spec(), fault=FaultPlan("hang")))
+            time.sleep(0.5)  # the worker starts and hangs
+            cpu = time.process_time()
+            time.sleep(1.0)
+            busy = time.process_time() - cpu
+            assert job.state == JobState.RUNNING
+            assert queue.cancel(job)
+            queue.wait(job, timeout=30.0)
+            assert job.state == JobState.CANCELLED
+        # Ten beats cost milliseconds; a scheduler that spins, a CPU.
+        assert busy < 0.5, f"scheduler busy {busy:.2f} s of 1 s"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_closed_queues_release_their_wake_channels(self, tmp_path):
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        payload = SweepJob.from_spec(small_trace(),
+                                     small_spec(sizes_mb=(1.0,)))
+        # A start method's helpers (a fork server, a resource tracker)
+        # open their descriptors on first use, for good.
+        with JobQueue() as queue:
+            queue.submit(payload).result()
+        before = open_fds()
+        for i in range(64):
+            queue = JobQueue()
+            if i % 16 == 0:  # some with a scheduler thread, most without
+                queue.submit(payload).result()
+            queue.close()
+            # A second close is a no-op: it must not close a descriptor
+            # that reused one of the channel's numbers.
+            with open(os.devnull) as other:
+                queue.close()
+                os.fstat(other.fileno())
+        assert open_fds() == before
 
 
 class TestPayloadRoundTrips:
