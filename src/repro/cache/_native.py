@@ -136,6 +136,8 @@ class BatchTask(ctypes.Structure):
         ("heap_cap", ctypes.c_int64),
         ("capacity", ctypes.c_int64),
         ("num_streams", ctypes.c_int64),
+        ("old_tree_cap", ctypes.c_int64),
+        ("hist_len", ctypes.c_int64),
         ("epsilon", ctypes.c_double),
         ("result", ctypes.c_int64),
     ]

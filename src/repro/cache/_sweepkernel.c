@@ -37,12 +37,13 @@
  * shorter calls scan.  The arrays mean the same either way.
  *
  * ideal_lru_run replays a fully-associative LRU region (an idealized
- * partition) with a Mattson stack-distance pass (Fenwick tree +
- * open-addressing last-position table) over its resident lines and new
- * accesses.  stack_fold is the same pass over a stack-distance monitor's
- * caller-owned table, tree and histogram, so the LRU miss-curve monitors
- * feed their sub-streams in chunks (the resumable-runtime contract)
- * without ever re-replaying.
+ * partition) with a Mattson stack-distance pass over its resident lines
+ * and new accesses: an open-addressing last-position table, and a rank
+ * structure that marks the live positions in a bitmap under a Fenwick
+ * tree over its 64-bit words' popcounts.  stack_fold is the same pass
+ * over a stack-distance monitor's caller-owned table, rank structure and
+ * histogram, so the LRU miss-curve monitors feed their sub-streams in
+ * chunks (the resumable-runtime contract) without ever re-replaying.
  *
  * A way, set or ideal partitioned cache has no kernel of its own: its
  * partitions are independent regions, and its replay is one group record
@@ -1773,19 +1774,48 @@ int64_t vantage_realloc(int64_t num_parts, const int64_t *new_caps,
 
 /* --------------------------------------------------------- stack distance --- */
 
-static inline void fen_add(int64_t *tree, int64_t size, int64_t index,
-                           int64_t delta)
+/* The rank structure of both Mattson passes: which positions of [0, cap)
+ * hold a live marker, as a bitmap of W = ceil(cap / 64) words plus a
+ * Fenwick tree over the words' popcounts, in one int64 array of 2W + 1
+ * entries (rk[0, W) the bits, rk[W + 1, 2W] the word tree; rk[W] is
+ * unused).  A rank is a word-tree prefix plus one popcount, and marking
+ * or clearing a position flips one bit and walks log2(W) levels. */
+static inline int64_t rank_words(int64_t cap)
 {
-    for (int64_t i = index + 1; i <= size; i += i & (-i))
-        tree[i] += delta;
+    return (cap + 63) >> 6;
 }
 
-static inline int64_t fen_prefix(const int64_t *tree, int64_t index)
+static inline void rank_flip(int64_t *rk, int64_t words, int64_t p,
+                             int64_t delta)
+{
+    ((uint64_t *)rk)[p >> 6] ^= 1ULL << (p & 63);
+    for (int64_t i = (p >> 6) + 1; i <= words; i += i & (-i))
+        rk[words + i] += delta;
+}
+
+/* Live markers at positions [0, p]. */
+static inline int64_t rank_upto(const int64_t *rk, int64_t words, int64_t p)
 {
     int64_t total = 0;
-    for (int64_t i = index + 1; i > 0; i -= i & (-i))
-        total += tree[i];
-    return total;
+    for (int64_t i = p >> 6; i > 0; i -= i & (-i))
+        total += rk[words + i];
+    uint64_t bits = ((const uint64_t *)rk)[p >> 6];
+    return total + __builtin_popcountll(bits & ((2ULL << (p & 63)) - 1));
+}
+
+/* Mark exactly the positions [0, live), in closed form. */
+static void rank_fill(int64_t *rk, int64_t words, int64_t live)
+{
+    uint64_t *bits = (uint64_t *)rk;
+    for (int64_t w = 0; w < words; w++) {
+        int64_t k = live - (w << 6);
+        bits[w] = k >= 64 ? ~0ULL : k > 0 ? (1ULL << k) - 1 : 0;
+    }
+    rk[words] = 0;
+    for (int64_t i = 1; i <= words; i++) {
+        int64_t lo = (i - (i & (-i))) << 6, hi = i << 6;
+        rk[words + i] = (hi < live ? hi : live) - (lo < live ? lo : live);
+    }
 }
 
 /* Replay `n` addresses through a fully-associative LRU region of
@@ -1808,14 +1838,17 @@ int64_t ideal_lru_run(const int64_t *addrs, int64_t n, int64_t capacity,
         return n;
     int64_t occ = occ_io[0];
     int64_t m = occ + n;
+    int64_t words = rank_words(m);
+    int64_t room = capacity < m ? capacity : m;
     uint64_t tsize = 64;
     while (tsize < (uint64_t)m * 2)
         tsize <<= 1;
     int64_t *ttags = malloc(tsize * sizeof(int64_t));
     int64_t *tvals = malloc(tsize * sizeof(int64_t));
-    int64_t *tree = calloc((size_t)m + 1, sizeof(int64_t));
-    if (!ttags || !tvals || !tree) {
-        free(ttags); free(tvals); free(tree);
+    int64_t *rk = calloc((size_t)(2 * words + 1), sizeof(int64_t));
+    int64_t *kept_lines = malloc((size_t)room * sizeof(int64_t));
+    if (!ttags || !tvals || !rk || !kept_lines) {
+        free(ttags); free(tvals); free(rk); free(kept_lines);
         return -1;
     }
     memset(tvals, 0xFF, tsize * sizeof(int64_t));
@@ -1830,59 +1863,67 @@ int64_t ideal_lru_run(const int64_t *addrs, int64_t n, int64_t capacity,
         if (tvals[slot] >= 0) {
             /* One live marker per distinct line, all before i. */
             int64_t last = tvals[slot];
-            if (distinct - fen_prefix(tree, last) < capacity)
+            if (distinct - rank_upto(rk, words, last) < capacity)
                 hits++;
-            fen_add(tree, m, last, -1);
+            rank_flip(rk, words, last, -1);
         } else {
             ttags[slot] = a;
             distinct++;
         }
-        fen_add(tree, m, i, 1);
+        rank_flip(rk, words, i, 1);
         tvals[slot] = i;
     }
     /* Walk back from the MRU end: position j holds a resident line iff it
      * is that line's last occurrence.  The kept lines collect at the top
-     * of the tree's storage, which the pass no longer needs. */
+     * of kept_lines. */
     int64_t kept = 0;
-    for (int64_t j = m - 1; j >= 0 && kept < capacity; j--) {
+    for (int64_t j = m - 1; j >= 0 && kept < room; j--) {
         int64_t a = (j < occ) ? resident[j] : addrs[j - occ];
         uint64_t slot = mix64((uint64_t)a) & tmask;
         while (tvals[slot] >= 0 && ttags[slot] != a)
             slot = (slot + 1) & tmask;
         if (tvals[slot] == j)
-            tree[m - kept++] = a;
+            kept_lines[room - 1 - kept++] = a;
     }
-    memcpy(resident, tree + m + 1 - kept, (size_t)kept * sizeof(int64_t));
+    memcpy(resident, kept_lines + room - kept,
+           (size_t)kept * sizeof(int64_t));
     occ_io[0] = kept;
-    free(ttags); free(tvals); free(tree);
+    free(ttags); free(tvals); free(rk); free(kept_lines);
     return n - hits;
 }
 
 /* Relabel a fold's live markers 0..live-1 in position order (the relative
  * order of the markers is all a distance reads).  The state lives in
- * old_tags/old_vals; when tab_vals is another (larger) table, every live
- * line is re-probed into it, else it is relabelled in place.  Each live
- * position is marked in the tree array, and a running count then turns
- * tree[p + 1] into position p's rank plus one; the tree is finally
- * rebuilt in closed form as one marker at each position 0..live-1.  No
- * sort and no allocation: O(cap + old_tsize). */
+ * old_tags/old_vals and in old_tree (old_cap positions); when tab_vals is
+ * another (larger) table, every live line is re-probed into it, else it
+ * is relabelled in place, and `tree` (cap >= old_cap positions) may be
+ * old_tree itself.  A live position's rank is read from the old bitmap:
+ * the live markers of the words before its own (an exclusive running
+ * count, kept in the new word tree's storage, which the old bits do not
+ * share) plus one popcount.  The new tree then marks positions 0..live-1
+ * in closed form.  No sort and no allocation: O(words + old_tsize). */
 static void stack_relabel(int64_t *tab_tags, int64_t *tab_vals,
                           int64_t tsize, const int64_t *old_tags,
                           const int64_t *old_vals, int64_t old_tsize,
-                          int64_t *tree, int64_t cap, int64_t pos,
+                          int64_t *tree, int64_t cap,
+                          const int64_t *old_tree, int64_t old_cap,
                           int64_t live)
 {
-    memset(tree, 0, (size_t)(pos + 1) * sizeof(int64_t));
-    for (int64_t s = 0; s < old_tsize; s++)
-        if (old_vals[s] >= 0)
-            tree[old_vals[s] + 1] = 1;
-    for (int64_t p = 1; p <= pos; p++)
-        tree[p] += tree[p - 1];
+    int64_t words = rank_words(cap), old_words = rank_words(old_cap);
+    const uint64_t *bits = (const uint64_t *)old_tree;
+    int64_t *before = tree + words + 1;
+    int64_t count = 0;
+    for (int64_t w = 0; w < old_words; w++) {
+        before[w] = count;
+        count += __builtin_popcountll(bits[w]);
+    }
     uint64_t tmask = (uint64_t)(tsize - 1);
     for (int64_t s = 0; s < old_tsize; s++) {
-        if (old_vals[s] < 0)
+        int64_t p = old_vals[s];
+        if (p < 0)
             continue;
-        int64_t rank = tree[old_vals[s] + 1] - 1;
+        int64_t rank = before[p >> 6]
+            + __builtin_popcountll(bits[p >> 6] & ((1ULL << (p & 63)) - 1));
         if (tab_vals == old_vals) {
             tab_vals[s] = rank;
             continue;
@@ -1893,11 +1934,7 @@ static void stack_relabel(int64_t *tab_tags, int64_t *tab_vals,
         tab_tags[slot] = old_tags[s];
         tab_vals[slot] = rank;
     }
-    tree[0] = 0;
-    for (int64_t i = 1; i <= cap; i++) {
-        int64_t lo = i - (i & (-i));
-        tree[i] = (i < live ? i : live) - (lo < live ? lo : live);
-    }
+    rank_fill(tree, words, live);
 }
 
 /* Fold `n` accesses into a stack-distance monitor's caller-owned state
@@ -1905,37 +1942,46 @@ static void stack_relabel(int64_t *tab_tags, int64_t *tab_vals,
  *
  *   tab_tags/tab_vals  open-addressing last-position table, tsize slots
  *                      (a power of two; tab_vals[slot] < 0 == empty)
- *   tree               Fenwick tree over positions [0, cap)
- *   hist               distance histogram, cap + 1 entries
+ *   tree               rank structure over positions [0, cap): a bitmap
+ *                      of the live markers under a word-level Fenwick
+ *                      tree, 2 * ceil(cap / 64) + 1 entries
+ *   hist               distance histogram, hist_len entries (tsize / 2
+ *                      bound every distance: a distance is below the
+ *                      live count, and the table holds live + n lines
+ *                      at most half full)
  *   state              {next position, live markers, cold misses}
  *
  * The caller may hand over larger arrays than the state lives in (a new
  * table arrives empty): the state then still sits in old_tags/old_vals
- * (old_tsize slots) and in old_tree.  When the arrays moved or the
- * chunk's positions would run past the tree, the markers are relabelled
- * first (stack_relabel), so the state moves itself.  Returns 0; -1
- * without touching any state when the chunk cannot fit (the caller sizes
- * the table to hold live + n lines at half load and the tree to hold
- * live + n positions); -2 when a distance falls outside the histogram,
- * which only a corrupt tree produces.  The histogram equals that of
+ * (old_tsize slots) and in old_tree (old_cap positions).  When the arrays
+ * moved or the chunk's positions would run past the tree, the markers
+ * are relabelled first (stack_relabel), so the state moves itself.
+ * Returns 0; -1 without touching any state when the chunk cannot fit
+ * (the caller sizes the table to hold live + n lines at half load and
+ * the tree to hold live + n positions, never fewer than old_cap); -2
+ * when a distance falls outside the histogram, which only a corrupt tree
+ * or a short histogram produces.  The histogram equals that of
  * StackDistanceMonitor over the concatenated chunks, however the stream
  * is chunked (tests/test_resumable_runtime.py). */
 static int64_t stack_fold(const int64_t *addrs, int64_t n,
                           int64_t *tab_tags, int64_t *tab_vals,
                           int64_t tsize, const int64_t *old_tags,
                           const int64_t *old_vals, int64_t old_tsize,
-                          int64_t *tree, const int64_t *old_tree,
-                          int64_t cap, int64_t *hist, int64_t *state)
+                          int64_t *tree, int64_t cap,
+                          const int64_t *old_tree, int64_t old_cap,
+                          int64_t *hist, int64_t hist_len, int64_t *state)
 {
     int64_t pos = state[0], live = state[1], cold = state[2];
     int move = tab_vals != old_vals || tree != old_tree || pos + n > cap;
-    if (n < 0 || live + n > tsize / 2 || (move ? live : pos) + n > cap)
+    if (n < 0 || live + n > tsize / 2 || (move ? live : pos) + n > cap
+        || old_cap > cap)
         return -1;
     if (move) {
         stack_relabel(tab_tags, tab_vals, tsize, old_tags, old_vals,
-                      old_tsize, tree, cap, pos, live);
+                      old_tsize, tree, cap, old_tree, old_cap, live);
         pos = live;
     }
+    int64_t words = rank_words(cap);
     uint64_t tmask = (uint64_t)(tsize - 1);
     int64_t i = 0;
     for (; i < n; i++) {
@@ -1946,17 +1992,17 @@ static int64_t stack_fold(const int64_t *addrs, int64_t n,
         if (tab_vals[slot] >= 0) {
             /* The `live` markers all sit before pos. */
             int64_t last = tab_vals[slot];
-            int64_t d = live - fen_prefix(tree, last);
-            if (d < 0 || d >= cap)
-                break;      /* a corrupt tree: never write past hist */
+            int64_t d = live - rank_upto(tree, words, last);
+            if (d < 0 || d >= hist_len)
+                break;      /* never write past hist */
             hist[d]++;
-            fen_add(tree, cap, last, -1);
+            rank_flip(tree, words, last, -1);
         } else {
             tab_tags[slot] = a;
             live++;
             cold++;
         }
-        fen_add(tree, cap, pos, 1);
+        rank_flip(tree, words, pos, 1);
         tab_vals[slot] = pos;
         pos++;
     }
@@ -2008,9 +2054,10 @@ enum {
 /* A fold record reuses Belady's table and heap members and PDP's
  * last-seen table: ht_tag/ht_reg are its last-position table of tsize
  * slots and ls_tags/ls_clocks the table of ls_size slots its state lives
- * in; heap_key is its Fenwick tree over heap_cap positions and heap_tag
- * the tree its state lives in; hist is its histogram and heap_io its
- * {position, live, cold} triple. */
+ * in; heap_key is its rank structure over heap_cap positions and
+ * heap_tag the one its state lives in, over old_tree_cap positions; hist
+ * is its histogram of hist_len entries and heap_io its {position, live,
+ * cold} triple. */
 
 /* One replay task.  Every member is 8 bytes, so the layout is identical
  * across platforms and trivially mirrored by a ctypes.Structure (see
@@ -2080,6 +2127,8 @@ typedef struct batch_task {
     int64_t heap_cap;
     int64_t capacity;
     int64_t num_streams;
+    int64_t old_tree_cap;
+    int64_t hist_len;
     double epsilon;
     int64_t result;
 } batch_task;
@@ -2153,8 +2202,9 @@ static void batch_run_one(batch_task *t)
     case BATCH_KIND_STACK:
         t->result = stack_fold(t->addrs, t->n, t->ht_tag, t->ht_reg,
                                t->tsize, t->ls_tags, t->ls_clocks,
-                               t->ls_size, t->heap_key, t->heap_tag,
-                               t->heap_cap, t->hist, t->heap_io);
+                               t->ls_size, t->heap_key, t->heap_cap,
+                               t->heap_tag, t->old_tree_cap, t->hist,
+                               t->hist_len, t->heap_io);
         break;
     case BATCH_KIND_GROUP:
         /* Sum of the records' miss counts, or the first negative one. */

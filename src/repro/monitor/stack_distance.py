@@ -6,25 +6,28 @@ single pass over a trace — recording, for each access, the number of
 distinct lines touched since that line's previous access (its *stack
 distance*) — yields the complete LRU miss curve at every capacity at once.
 
-The implementation uses the classic Fenwick-tree (binary indexed tree)
-formulation: keep each line's last access position, mark positions as live,
-and count live positions newer than the line's last access in O(log n).
+Both implementations keep each line's last access position, mark the
+live positions (one per distinct line) and count the live positions newer
+than a line's last access, in O(log n) per access:
 
-Two implementations share that algorithm:
-
-* :class:`StackDistanceMonitor` — the online reference (the oracle): feed
-  accesses one at a time, read the histogram or curve at any point.
-* :class:`IncrementalStackMonitor` — the fast path: the hash table,
-  Fenwick tree, position counter and histogram persist in numpy arrays
+* :class:`StackDistanceMonitor` — the online reference (the oracle): a
+  Fenwick tree (binary indexed tree) over positions; feed accesses one at
+  a time, read the histogram or curve at any point.
+* :class:`IncrementalStackMonitor` — the fast path: the hash table, rank
+  structure, position counter and histogram persist in numpy arrays
   across ``record_trace`` calls, so a monitor that interleaves recording
   with curve reads (the interval-based reconfiguration loop) never
-  re-replays its accumulated sub-stream.  Each chunk is one fold task of
-  the native batch dispatcher (:mod:`repro.cache.threadbatch`); the
-  kernel relabels the live markers in position order (the only thing
-  distances read) when a chunk would run past the tree or the monitor
-  hands it larger arrays.  Without a compiler it degrades to the online
-  monitor — identical results.  :func:`stack_distance_histogram` and
-  :func:`lru_miss_curve` are one fold over a materialized trace.
+  re-replays its accumulated sub-stream.  The rank structure is a bitmap
+  of the live positions under a Fenwick tree over its 64-bit words'
+  popcounts, so it takes 2 int64 per 64 positions, and the histogram is
+  sized by the table (which bounds the live lines), not by positions.
+  Each chunk is one fold task of the native batch dispatcher
+  (:mod:`repro.cache.threadbatch`); the kernel relabels the live markers
+  in position order (the only thing distances read) when a chunk would
+  run past the tree or the monitor hands it larger arrays.  Without a
+  compiler it degrades to the online monitor — identical results.
+  :func:`stack_distance_histogram` and :func:`lru_miss_curve` are one
+  fold over a materialized trace.
 
 This is the algorithmic core of the UMON monitors in :mod:`repro.monitor.umon`
 and of the fast exact LRU miss curves used throughout the experiments.
@@ -154,6 +157,13 @@ class StackDistanceMonitor:
             self.histogram(), cold_misses=self.cold_misses, sizes=sizes)
 
 
+def _rank_array(cap: int) -> np.ndarray:
+    """The kernel's rank structure over ``cap`` positions, empty: a bitmap
+    of ``ceil(cap / 64)`` words and a Fenwick tree over their popcounts,
+    in ``2 * ceil(cap / 64) + 1`` entries."""
+    return np.zeros(2 * (-(-cap // 64)) + 1, dtype=np.int64)
+
+
 class IncrementalStackMonitor:
     """Stateful chunked stack-distance monitor (native state, resumable).
 
@@ -165,11 +175,23 @@ class IncrementalStackMonitor:
     ``tests/test_resumable_runtime.py``).
 
     Each chunk is one fold task (:meth:`replay_task`) of the kernel's
-    batch dispatcher.  Before a fold the monitor only allocates: its
-    last-position table doubles while ``2 * (live + n)`` exceeds it, and
-    when the chunk's positions would run past the Fenwick tree, the tree
-    grows to ``live + 4 * n`` positions of headroom if ``live + 4 * n``
-    does not fit.  The kernel moves the state into the new arrays itself.
+    batch dispatcher.  The state is sized by lines, not by positions:
+
+    * the last-position table of ``tsize`` slots holds the live lines and
+      the chunk's new ones at most half full, and doubles while
+      ``2 * (live + n)`` exceeds it;
+    * the histogram has ``tsize / 2`` entries and grows with the table: a
+      distance counts the live markers newer than the line's last one, so
+      it is below the live count, which the table bounds;
+    * the rank structure over ``cap`` positions is a bitmap of the live
+      markers under a Fenwick tree over its words' popcounts,
+      ``2 * ceil(cap / 64) + 1`` int64.  When the chunk's positions would
+      run past it, it grows to ``live + 4 * n`` positions of headroom if
+      ``live + 4 * n`` does not fit; otherwise the kernel relabels in
+      place.
+
+    Before a fold the monitor only allocates; the kernel moves the state
+    into the new arrays itself (O(words + table), no sort).
 
     Parameters
     ----------
@@ -185,16 +207,36 @@ class IncrementalStackMonitor:
                 capacity_hint=max(1024, capacity_hint))
             return
         self._online = None
-        cap = max(64, int(capacity_hint))
-        self._tree = np.zeros(cap + 1, dtype=np.int64)
-        self._hist = np.zeros(cap + 1, dtype=np.int64)
+        #: Positions the rank structure covers.
+        self._cap = max(64, int(capacity_hint))
+        self._tree = _rank_array(self._cap)
         tsize = 64
-        while tsize < 2 * cap:
+        while tsize < 2 * self._cap:
             tsize <<= 1
         self._tab_tags = np.zeros(tsize, dtype=np.int64)
         self._tab_vals = np.full(tsize, -1, dtype=np.int64)
+        self._hist = np.zeros(tsize // 2, dtype=np.int64)
         #: Next position, live markers and cold misses.
         self._state = np.zeros(3, dtype=np.int64)
+        #: Addresses of the five state arrays, re-read only when one is
+        #: replaced.
+        self._ptrs = self._addresses()
+
+    def _addresses(self) -> tuple[int, ...]:
+        return tuple(map(i64_ptr, (self._tab_tags, self._tab_vals,
+                                   self._tree, self._hist, self._state)))
+
+    def __getstate__(self) -> dict:
+        """A copy owns new arrays, so it must not keep these addresses:
+        they are dropped here and re-read on load."""
+        state = dict(self.__dict__)
+        state.pop("_ptrs", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._online is None:
+            self._ptrs = self._addresses()
 
     @property
     def cold_misses(self) -> int:
@@ -226,35 +268,39 @@ class IncrementalStackMonitor:
         pos, live = int(self._state[0]), int(self._state[1])
         tags, vals, tree, hist = (self._tab_tags, self._tab_vals,
                                   self._tree, self._hist)
+        tags_p, vals_p, tree_p, hist_p, state_p = self._ptrs
         if 2 * (live + n) > tags.size:
             tsize = tags.size
             while 2 * (live + n) > tsize:
                 tsize <<= 1
             tags = np.zeros(tsize, dtype=np.int64)
             vals = np.full(tsize, -1, dtype=np.int64)
-        cap = tree.size - 1
+            hist = np.pad(hist, (0, tsize // 2 - hist.size))
+            tags_p, vals_p, hist_p = map(i64_ptr, (tags, vals, hist))
+        cap = self._cap
         if pos + n > cap and live + 4 * n > cap:
             # Grow with headroom: a tight fit would relabel the whole tree
             # on every following chunk of an interval-sized feed.
             while live + 4 * n > cap:
                 cap *= 2
-            tree = np.zeros(cap + 1, dtype=np.int64)
-            hist = np.pad(hist, (0, cap + 1 - hist.size))
+            tree = _rank_array(cap)
+            tree_p = i64_ptr(tree)
 
         def commit(_result: int) -> None:
             self._tab_tags, self._tab_vals = tags, vals
-            self._tree, self._hist = tree, hist
+            self._tree, self._hist, self._cap = tree, hist, cap
+            self._ptrs = (tags_p, vals_p, tree_p, hist_p, state_p)
             self.accesses += n
 
         fields = {"kind": KIND_STACK, "addrs": i64_ptr(addrs), "n": n,
-                  "ht_tag": i64_ptr(tags), "ht_reg": i64_ptr(vals),
+                  "ht_tag": tags_p, "ht_reg": vals_p,
                   "tsize": int(tags.size),
-                  "ls_tags": i64_ptr(self._tab_tags),
-                  "ls_clocks": i64_ptr(self._tab_vals),
+                  "ls_tags": self._ptrs[0], "ls_clocks": self._ptrs[1],
                   "ls_size": int(self._tab_tags.size),
-                  "heap_key": i64_ptr(tree), "heap_tag": i64_ptr(self._tree),
-                  "heap_cap": cap, "hist": i64_ptr(hist),
-                  "heap_io": i64_ptr(self._state)}
+                  "heap_key": tree_p, "heap_cap": cap,
+                  "heap_tag": self._ptrs[2], "old_tree_cap": self._cap,
+                  "hist": hist_p, "hist_len": int(hist.size),
+                  "heap_io": state_p}
         return ReplayTask(fields=fields, refs=(addrs, tags, vals, tree, hist),
                           commit=commit)
 
@@ -273,7 +319,7 @@ class IncrementalStackMonitor:
         A distance counts the live markers newer than the line's last
         one, so it is below the live count at the time, and the live
         count never falls: only the first ``live`` entries are scanned,
-        not the whole tree-sized array.
+        not the whole table-sized array.
         """
         if self._online is not None:
             return self._online.histogram()

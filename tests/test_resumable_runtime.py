@@ -24,6 +24,8 @@ Tests that build array caches directly need the native kernel.
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +41,8 @@ from repro.cache.hashing import H3Hash
 from repro.cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from repro.core.talus import TalusConfig
 from repro.monitor.stack_distance import (IncrementalStackMonitor,
-                                          StackDistanceMonitor)
+                                          StackDistanceMonitor,
+                                          stack_distance_histogram)
 from repro.sim.multicore import ReconfiguringSharedRun
 from repro.workloads.scale import lines_to_paper_mb, paper_mb_to_lines
 from repro.workloads.spec_profiles import get_profile
@@ -210,18 +213,23 @@ class TestWarmReallocation:
         """The native ideal-LRU region against the object ideal scheme:
         random traces (address -1 included) over 1-3 partitions, random
         feasible plans that empty partitions and regrow them, and scalar
-        accesses mixed with batched chunks, empty ones included.  After
-        every chunk both backends agree on every partition's misses and
+        accesses mixed with batched chunks, empty ones included.  The
+        cache holds 1 line (one access into an empty one-line region
+        ranks a single position), 24, or 63-65 (regions whose lines
+        straddle one 64-bit word of the rank bitmap).  After every chunk
+        both backends agree on every partition's misses and
         occupancy."""
         num = data.draw(st.integers(1, 3), label="partitions")
         # A small cache over a small address space, so reuse at every
         # stack distance (capacity included) is common.
-        capacity = 24
+        capacity = data.draw(st.sampled_from([1, 24, 63, 64, 65]),
+                             label="capacity")
         spec = PartitionSpec(scheme="ideal", capacity_lines=capacity,
                              num_partitions=num, policy="LRU")
         obj = build(replace(spec, backend="object"))
         arr = build(replace(spec, backend="array"))
-        access = st.tuples(st.integers(-1, 40), st.integers(0, num - 1))
+        access = st.tuples(st.integers(-1, capacity + 16),
+                           st.integers(0, num - 1))
         for _ in range(data.draw(st.integers(1, 6), label="chunks")):
             cuts = sorted(data.draw(st.lists(
                 st.integers(0, capacity), min_size=num, max_size=num),
@@ -453,8 +461,11 @@ class TestIncrementalMonitors:
         alone, tree growth alone, both at once, one-access chunks, and
         -1 and the int64 extremes as addresses.  Every interleaved read
         equals the oracle over the chunks fed so far, also on a monitor
-        whose tree is far larger than its footprint (a read scans only
-        the live distances)."""
+        whose table is far larger than its footprint (a read scans only
+        the live distances), and on monitors of 100 positions (a partial
+        last bitmap word) that make every move with 63, 64 and 65 live
+        lines, so the rank structure's word boundary falls at the last
+        live marker and the next position."""
         info = np.iinfo(np.int64)
         footprint = np.array([-1, info.min, info.max, *range(13)],
                              dtype=np.int64)
@@ -498,6 +509,63 @@ class TestIncrementalMonitors:
         fold_checked(wide, footprint_chunks)
         if wide._online is None:
             assert wide._hist.size > 200 * len(footprint)
+
+        for live in (63, 64, 65):
+            # `live` new lines, then reuses only: every move happens with
+            # `live` markers, and pos restarts at `live` after each one.
+            # The 100 positions fill up, a 1-access chunk relabels in
+            # place, 100 - live reuses grow the tree (to 400 positions, a
+            # partial last word again), 129 - live reuses grow the table
+            # (to 512 slots) and 272 grow both (to 1600 and 1024).
+            reuse = [rng.integers(0, live, k).astype(np.int64)
+                     for k in (100 - live, 1, 100 - live, 129 - live, 272)]
+            word = IncrementalStackMonitor(capacity_hint=100)
+            moves = fold_checked(word, [
+                np.arange(live, dtype=np.int64), *reuse, reuse[1]])
+            if word._online is None:
+                assert {(False, False, True), (True, False, False),
+                        (False, True, False), (True, True, False)} <= moves
+                assert word._cap == 1600 and int(word._state[1]) == live
+
+    def test_fold_state_bounded_by_table(self):
+        """A monitor's rank structure and histogram together take at most
+        the bytes of its table's tags after every chunk: both are sized
+        by the lines the table bounds, not by the positions a long stream
+        runs through.  Churn-shaped (1k accesses over 300 lines) and
+        mixsweep-shaped (15k over 2k lines) streams of 40 chunks, into a
+        monitor sized like a UMON's; the chunked histogram equals one
+        fold over the whole stream."""
+        for chunk, lines, seed in ((1000, 300, 21), (15000, 2000, 22)):
+            inc = IncrementalStackMonitor(capacity_hint=1024)
+            if inc._online is not None:
+                pytest.skip("without a kernel the monitor is the online "
+                            "oracle, which keeps no fold state")
+            stream = _mixed_trace(40 * chunk, spread=lines, seed=seed)
+            for part in np.split(stream, 40):
+                inc.record_trace(part)
+                assert (inc._tree.nbytes + inc._hist.nbytes
+                        <= inc._tab_tags.nbytes)
+            one_shot, cold = stack_distance_histogram(stream)
+            assert np.array_equal(inc.histogram(), one_shot)
+            assert inc.cold_misses == cold
+
+    def test_copies_fold_into_their_own_state(self):
+        """A deep copy and an unpickled copy of a monitor (which keeps its
+        arrays' addresses between folds) fold into their own arrays:
+        after each takes its own chunks, through a table and a tree
+        growth, every one equals the oracle over its own stream."""
+        head = _mixed_trace(300, spread=50, seed=23)
+        original = IncrementalStackMonitor(capacity_hint=64)
+        original.record_trace(head)
+        copies = [copy.deepcopy(original),
+                  pickle.loads(pickle.dumps(original))]
+        for seed, monitor in enumerate([original, *copies]):
+            tail = _mixed_trace(3000, spread=400 * (seed + 1), seed=seed)
+            monitor.record_trace(tail)
+            oracle = StackDistanceMonitor()
+            oracle.record_trace(np.concatenate([head, tail]))
+            assert np.array_equal(monitor.histogram(), oracle.histogram())
+            assert monitor.cold_misses == oracle.cold_misses
 
     def test_scalar_record_matches_trace(self):
         trace = _mixed_trace(2000, spread=300, seed=16)
