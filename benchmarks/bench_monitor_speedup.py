@@ -20,6 +20,14 @@ mixsweep-shaped (15k over 2k) chunks, every read checked against
 wall-clock floor: on a shared host one run drifts by 20%, so only a
 comparison between two commits on the same host says anything.
 
+A fourth case gates a curve read's cost against the app's footprint. A
+hardware UMON's read costs its fixed way counters, and a
+``CombinedUMON`` read sums only the distances below its grid's largest
+size, so the default read of a 2,048-line monitor holding about 63k live
+lines may take at most 1.5x the read of one holding 1k (best of 200
+reads each; a read that walked every live distance took about 7x).
+Both curves must equal the Mattson oracle over the whole histograms.
+
 The baselines here drive the *same* monitors through their per-access
 ``record()`` loop on object-model caches — the seed-style execution — so
 the measured curves are directly comparable: bit-identical for LRU/SRRIP
@@ -41,7 +49,8 @@ import pytest
 
 from benchlib import bench_json_path, write_bench_json
 from repro.cache._native import native_available
-from repro.monitor import UMON, MultiPointMonitor
+from repro.core.misscurve import mattson_misses
+from repro.monitor import UMON, CombinedUMON, MultiPointMonitor
 from repro.monitor.stack_distance import (IncrementalStackMonitor,
                                           StackDistanceMonitor)
 from repro.sim.engine import DEFAULT_WAYS
@@ -58,6 +67,14 @@ MONITOR_LINES = 2048
 #: Chunked-fold shapes: apps, chunks per app, accesses per chunk and lines
 #: per app, as in a churn batch and a mixsweep interval.
 FOLD_SHAPES = {"churn": (8, 40, 1000, 300), "mixsweep": (4, 8, 15000, 2000)}
+
+#: Read-cost gate: live lines of the small and the large footprint, the
+#: accesses each monitor records, the reads timed, and the largest
+#: allowed large/small ratio of the best read.
+READ_FOOTPRINTS = (1_000, 63_000)
+READ_ACCESSES = 100_000
+READ_REPEATS = 200
+READ_MAX_RATIO = 1.5
 
 
 def _fig9_trace():
@@ -214,3 +231,64 @@ def test_chunked_fold(capsys, shape):
               f"{steps} chunks of {size} accesses over {lines} lines) ==")
         print(f"  fold: {t_fold * 1000:8.1f} ms, {ns:6.1f} ns per access "
               f"(native={'yes' if native_available() else 'no'})")
+
+
+def _oracle_misses(combined):
+    """The default read's misses rebuilt from each monitor's whole
+    histogram through ``mattson_misses`` (the Mattson oracle)."""
+    grid = np.linspace(0, combined.max_size, 2 * combined.primary.points)
+    halves = []
+    for monitor, part in ((combined.primary, grid[grid <= combined.llc_size]),
+                          (combined.secondary,
+                           grid[grid > combined.llc_size])):
+        folded = monitor._folded()
+        misses = mattson_misses(folded.histogram(), folded.cold_misses,
+                                part * monitor.sampling_rate)
+        halves.append(np.minimum(misses * (1.0 / monitor.sampling_rate),
+                                 monitor.total_accesses))
+    return grid, np.minimum.accumulate(np.concatenate(halves))
+
+
+def test_read_cost_does_not_grow_with_footprint(capsys):
+    rng = np.random.default_rng(23)
+    best = {}
+    for lines in READ_FOOTPRINTS:
+        # The churn controller's monitor of an 8 MB (2,048-line) cache:
+        # every line once, then random reuse, so ``lines`` lines are live.
+        combined = CombinedUMON(llc_size=2048, primary_rate=1.0,
+                                coverage_ratio=0.25, points=33, seed=lines)
+        combined.record_trace(np.concatenate([
+            np.arange(lines), rng.integers(0, lines, READ_ACCESSES - lines)]))
+        curve = combined.miss_curve()
+        grid, want = _oracle_misses(combined)
+        assert np.array_equal(curve.sizes, grid)
+        assert np.array_equal(curve.misses, want)
+        times = []
+        for _ in range(READ_REPEATS):
+            t0 = time.perf_counter()
+            combined.miss_curve()
+            times.append(time.perf_counter() - t0)
+        best[lines] = min(times)
+
+    small, large = (best[lines] for lines in READ_FOOTPRINTS)
+    ratio = large / small
+    _write_json("umon_read", {
+        f"read_s_{lines}_lines": best[lines] for lines in READ_FOOTPRINTS}
+        | {"ratio": ratio, "max_ratio": READ_MAX_RATIO,
+           "reads": READ_REPEATS})
+    with capsys.disabled():
+        print()
+        print(f"== CombinedUMON read cost (2,048-line monitor, best of "
+              f"{READ_REPEATS} reads) ==")
+        for lines in READ_FOOTPRINTS:
+            print(f"  {lines:6d} live lines: {best[lines] * 1e6:8.1f} us")
+        print(f"  ratio           : {ratio:8.2f}x (gate <= "
+              f"{READ_MAX_RATIO}x; native="
+              f"{'yes' if native_available() else 'no'})")
+
+    # Without a kernel the monitor is the oracle, which builds the whole
+    # histogram on every read: there is no bounded read to time.
+    if native_available():
+        assert ratio <= READ_MAX_RATIO, (
+            f"a read over {READ_FOOTPRINTS[1]} live lines took {ratio:.2f}x "
+            f"the read over {READ_FOOTPRINTS[0]}")

@@ -38,17 +38,26 @@ def _lower_hull(xs: Sequence[float], ys: Sequence[float],
     from the point before it to the new point, i.e. while the z component
     of the cross product ``OA x OB`` (O the second-to-last hull point, A
     the last, B the new point) is at most ``tolerance``; that cross
-    product is written out inline.
+    product is written out inline.  The scan keeps O's and A's
+    coordinates in locals, so a point that pops nothing costs one cross
+    product.
     """
-    hull: List[int] = []
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            ox, oy = xs[o], ys[o]
-            if (xs[a] - ox) * (y - oy) - (ys[a] - oy) * (x - ox) > tolerance:
-                break
+    n = len(xs)
+    if n < 3:
+        return list(range(n))
+    hull = [0, 1]
+    ox, oy, ax, ay = xs[0], ys[0], xs[1], ys[1]
+    for i in range(2, n):
+        x, y = xs[i], ys[i]
+        while not (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > tolerance:
             hull.pop()
+            ax, ay = ox, oy
+            if len(hull) == 1:
+                break
+            o = hull[-2]
+            ox, oy = xs[o], ys[o]
         hull.append(i)
+        ox, oy, ax, ay = ax, ay, x, y
     return hull
 
 
@@ -114,17 +123,16 @@ def hull_neighbors(curve: MissCurve, size: float,
     ValueError
         If ``size`` is below the curve's smallest sampled size.
     """
-    if size < curve.min_size:
+    if not size >= curve.min_size:      # NaN included: nothing brackets it
         raise ValueError(
             f"size {size} below curve's smallest sample {curve.min_size}")
     if hull is None:
         hull = convex_hull(curve)
     vertices = hull.sizes
-    if size >= vertices[-1]:
+    above = int(np.searchsorted(vertices, size, side="right"))
+    if above == vertices.size:
         return float(vertices[-1]), float(vertices[-1])
-    alpha = float(vertices[vertices <= size][-1])
-    beta = float(vertices[vertices > size][0])
-    return alpha, beta
+    return float(vertices[above - 1]), float(vertices[above])
 
 
 def is_convex(curve: MissCurve, tolerance: float = 1e-9) -> bool:

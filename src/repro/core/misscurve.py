@@ -30,13 +30,13 @@ __all__ = ["MissCurve", "mattson_misses"]
 
 
 def _as_float_array(values: Iterable[float], name: str) -> np.ndarray:
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
                      dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -99,11 +99,11 @@ class MissCurve:
             raise ValueError(
                 f"sizes and misses must have the same length "
                 f"({sizes_arr.size} != {misses_arr.size})")
-        if np.any(sizes_arr < 0):
+        if sizes_arr.min() < 0:
             raise ValueError("sizes must be non-negative")
-        if np.any(np.diff(sizes_arr) <= 0):
+        if (sizes_arr[1:] <= sizes_arr[:-1]).any():
             raise ValueError("sizes must be strictly increasing")
-        if np.any(misses_arr < 0):
+        if misses_arr.min() < 0:
             raise ValueError("misses must be non-negative")
         object.__setattr__(self, "sizes", sizes_arr)
         object.__setattr__(self, "misses", misses_arr)

@@ -152,10 +152,11 @@ def plan_shadow_partitions(curve: MissCurve,
     # shadow partition to a knife-edge emulated size where sampling noise
     # could push it back up the cliff.
     weight = (beta - total_size) / (beta - alpha)
-    interpolated = weight * float(curve(alpha)) + (1 - weight) * float(curve(beta))
-    span = max(abs(float(curve(curve.min_size)) - float(curve(curve.max_size))),
-               1e-12)
-    if interpolated >= float(curve(total_size)) - 1e-6 * span:
+    at_alpha, at_beta, at_min, at_max, at_total = curve(
+        (alpha, beta, curve.min_size, curve.max_size, total_size)).tolist()
+    interpolated = weight * at_alpha + (1 - weight) * at_beta
+    span = max(abs(at_min - at_max), 1e-12)
+    if interpolated >= at_total - 1e-6 * span:
         return TalusConfig(total_size=total_size, alpha=total_size,
                            beta=total_size, rho=0.0, s1=0.0,
                            s2=total_size, degenerate=True)

@@ -28,15 +28,23 @@ def curve_drift(previous: MissCurve, current: MissCurve) -> float:
 
     Both curves are evaluated on the union of their sample grids, one
     array call per curve (the same interpolation, value for value, as
-    evaluating each grid point alone); the score is the mean absolute
+    evaluating each grid point alone); snapshots on one grid (a
+    monitor's successive reads) are compared sample by sample, which is
+    the same thing evaluated.  The score is the mean absolute
     difference divided by the larger curve's maximum value (0 when both
     curves are identically zero).  The result is in ``[0, 1]`` for curves
     whose values share a scale: 0 means "the curve did not move", 1 means
     "the curve moved by its own full height on average".
     """
-    grid = np.union1d(previous.sizes, current.sizes)
-    prev = previous(grid)
-    curr = current(grid)
+    if previous.sizes is current.sizes \
+            or np.array_equal(previous.sizes, current.sizes):
+        # A grid is its own union, and np.interp at a sample's own size
+        # returns that sample exactly.
+        prev, curr = previous.misses, current.misses
+    else:
+        grid = np.union1d(previous.sizes, current.sizes)
+        prev = previous(grid)
+        curr = current(grid)
     scale = max(float(prev.max(initial=0.0)), float(curr.max(initial=0.0)))
     if scale <= 0.0:
         return 0.0

@@ -327,6 +327,16 @@ class IncrementalStackMonitor:
         top = int(nonzero[-1]) + 1 if nonzero.size else 0
         return self._hist[:top].astype(float)
 
+    def distance_counts(self, limit: int) -> np.ndarray:
+        """The int64 counts of distances ``0 .. limit - 1``, cut short
+        where no distance reaches: past the live count (or, without a
+        kernel, past the last recorded distance).  Natively this is a
+        view of the monitor's state, valid until its next fold.
+        """
+        if self._online is not None:
+            return self._online.histogram()[:limit].astype(np.int64)
+        return self._hist[:min(limit, int(self._state[1]))]
+
     def miss_curve(self, sizes: Sequence[float] | None = None) -> MissCurve:
         """The LRU miss curve implied by the recorded distances."""
         return MissCurve.from_stack_distances(

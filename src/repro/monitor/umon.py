@@ -19,7 +19,8 @@ Fast path
 The monitor is incremental end to end: :meth:`UMON.record_trace` selects
 the sampled sub-stream with one vectorized splitmix64 pass
 (:func:`repro.cache.hashing.mix64_array`) instead of one Python hash call
-per access, and the sub-stream advances a persistent native
+per access (at rate 1.0 the mask keeps every access, so the batch is
+copied without hashing), and the sub-stream advances a persistent native
 stack-distance state
 (:class:`repro.monitor.stack_distance.IncrementalStackMonitor`) on the
 first curve read after new data, in one fold of everything sampled since
@@ -30,15 +31,26 @@ on the caller's thread.  The scalar
 :meth:`UMON.record` path selects exactly the same sub-stream, so online
 and batch recording are interchangeable and the produced curves are
 bit-identical to the pre-vectorization implementation.
+
+A read costs what its curve needs, not what the stream's footprint
+holds, as a hardware UMON's read costs its fixed way counters: it takes
+integer prefix sums over only the distances below its largest (sampled)
+size, and the total from the fold's access count.  The misses equal the
+Mattson construction (:func:`repro.core.misscurve.mattson_misses`) over
+the whole histogram bit for bit: the prefix sums are exact integers,
+``np.interp`` reads only the two samples around each size (and returns a
+sample exactly at its abscissa), and the misses are flat past the last
+live distance.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.misscurve import MissCurve, mattson_misses
+from ..core.misscurve import MissCurve
 from ..cache.cache import materialize_addresses as _materialize
 from ..cache.hashing import mix64, mix64_array, seed_mix
 from .stack_distance import IncrementalStackMonitor
@@ -85,8 +97,6 @@ class UMON:
         self._pending: list[int] = []
         self._observed = 0
         self._total = 0
-        # Cached (histogram, cold) keyed by the observed count at the time.
-        self._hist_cache: tuple[int, np.ndarray, int] | None = None
         # Persistent stack-distance state; pending chunks are folded in
         # lazily at the first curve read after new data.
         self._monitor: IncrementalStackMonitor | None = None
@@ -119,7 +129,11 @@ class UMON:
             # calls preceded this batch.
             self._chunks.append(np.asarray(self._pending, dtype=np.int64))
             self._pending = []
-        sub = addrs[self._sample_mask(addrs)]
+        # At rate 1.0 (threshold 2^30) the mask keeps every access.  The
+        # batch may be the caller's own array and is folded later, so it
+        # is copied, never kept as a view.
+        sub = (addrs.copy() if self._threshold >= 1 << 30
+               else addrs[self._sample_mask(addrs)])
         if sub.size:
             self._observed += int(sub.size)
             self._chunks.append(sub)
@@ -135,8 +149,8 @@ class UMON:
         return self._observed
 
     # ------------------------------------------------------------------ #
-    def _histogram(self) -> tuple[np.ndarray, int]:
-        """(stack-distance histogram, cold misses) of the sub-stream.
+    def _folded(self) -> IncrementalStackMonitor:
+        """The stack-distance state with every sampled access folded in.
 
         Chunks recorded since the last read are folded, as one task, into
         the persistent :class:`IncrementalStackMonitor` (native state when
@@ -145,9 +159,6 @@ class UMON:
         often the curve is read — the resumable-runtime contract the
         reconfiguration loop relies on.
         """
-        if self._hist_cache is not None \
-                and self._hist_cache[0] == self._observed:
-            return self._hist_cache[1], self._hist_cache[2]
         if self._pending:
             self._chunks.append(np.asarray(self._pending, dtype=np.int64))
             self._pending = []
@@ -157,9 +168,7 @@ class UMON:
         if self._chunks:
             self._monitor.record_trace(np.concatenate(self._chunks))
             self._chunks = []
-        dense, cold = self._monitor.histogram(), self._monitor.cold_misses
-        self._hist_cache = (self._observed, dense, cold)
-        return dense, cold
+        return self._monitor
 
     def miss_curve(self, sizes: Sequence[float] | None = None) -> MissCurve:
         """Estimated full-stream LRU miss curve.
@@ -175,9 +184,27 @@ class UMON:
         return MissCurve(sizes, self._misses(sizes))
 
     def _misses(self, sizes: np.ndarray) -> np.ndarray:
-        """Estimated full-stream misses at ``sizes`` (full-cache lines)."""
-        dense, cold = self._histogram()
-        misses = mattson_misses(dense, cold, sizes * self.sampling_rate)
+        """Estimated full-stream misses at ``sizes`` (full-cache lines).
+
+        The misses at sampled size ``c`` are the folded accesses less the
+        hits at distances below ``c``; only the counts below the largest
+        size (plus one) are summed, and past the last live distance the
+        misses are flat, so the result equals
+        :func:`~repro.core.misscurve.mattson_misses` over the whole
+        histogram.
+        """
+        monitor = self._folded()
+        scaled = sizes * self.sampling_rate
+        total = monitor.accesses
+        top = float(np.max(scaled, initial=0.0))
+        # A NaN or infinite size reads every count (and MissCurve then
+        # rejects it): no distance reaches the access count.
+        counts = monitor.distance_counts(
+            math.ceil(top) + 1 if top < total else total)
+        hits = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=hits[1:])
+        misses = np.interp(scaled, np.arange(hits.size, dtype=float),
+                           total - hits)
         scale = 1.0 / self.sampling_rate if self._observed else 1.0
         # Guard against sampling noise: the curve should not exceed the
         # total access count.
@@ -209,6 +236,11 @@ class CombinedUMON:
         extended = int(round(llc_size / coverage_ratio))
         self.secondary = UMON(sampling_rate=primary_rate * coverage_ratio,
                               max_size=extended, points=points, seed=seed + 1)
+        #: The default grid, shared read-only by every default read's
+        #: curve, and the index where its secondary half starts.
+        self._grid = np.linspace(0, self.max_size, 2 * points)
+        self._grid.flags.writeable = False
+        self._split = int(np.searchsorted(self._grid, llc_size, side="right"))
 
     def record(self, address: int) -> None:
         """Observe one access with both monitors."""
@@ -235,17 +267,18 @@ class CombinedUMON:
         envelope) and become one :class:`MissCurve`.
         """
         if sizes is None:
-            sizes = np.linspace(0, self.max_size, 2 * self.primary.points)
-        sizes = np.asarray(sizes, dtype=float)
-        halves = [(monitor, part) for monitor, part in
-                  ((self.primary, sizes[sizes <= self.llc_size]),
-                   (self.secondary, sizes[sizes > self.llc_size]))
-                  if part.size]
-        if not halves:
+            sizes = self._grid
+            parts = (sizes[:self._split], sizes[self._split:])
+        else:
+            sizes = np.asarray(sizes, dtype=float)
+            parts = (sizes[sizes <= self.llc_size],
+                     sizes[sizes > self.llc_size])
+            sizes = np.concatenate(parts)
+        if not sizes.size:
             raise ValueError("no sizes requested")
-        all_sizes = np.concatenate([part for _, part in halves])
-        all_misses = np.concatenate([monitor._misses(part)
-                                     for monitor, part in halves])
+        misses = np.concatenate([
+            monitor._misses(part) for monitor, part
+            in zip((self.primary, self.secondary), parts) if part.size])
         # Splicing two independently sampled monitors can introduce a small
         # upward step at the boundary; enforce monotonicity.
-        return MissCurve(all_sizes, np.minimum.accumulate(all_misses))
+        return MissCurve(sizes, np.minimum.accumulate(misses))

@@ -308,6 +308,9 @@ class OnlineTalusController:
             num_partitions=2 * self.max_apps, policy=policy, ways=ways,
             backend=backend), num_logical=self.max_apps)
         self.talus: TalusCache = build(spec)
+        #: Each slot's (alpha, beta) partition indices.
+        self._pairs = [(pair.alpha_index, pair.beta_index) for pair in
+                       map(self.talus.shadow_pair, range(self.max_apps))]
         self.partitionable = float(self.talus.base.partitionable_lines)
         self.quantum = self._scheme_quantum()
         if granularity_lines is None:
@@ -400,10 +403,9 @@ class OnlineTalusController:
 
     def granted_lines(self, app: str) -> float:
         """Current capacity of ``app``'s shadow pair, in lines."""
-        slot = self._slot_of[app]
-        pair = self.talus.shadow_pair(slot)
+        alpha, beta = self._pairs[self._slot_of[app]]
         granted = self.talus.base.granted_allocations()
-        return float(granted[pair.alpha_index] + granted[pair.beta_index])
+        return float(granted[alpha] + granted[beta])
 
     def floor_lines(self, app: str) -> float:
         """``app``'s QoS floor, snapped to the allocation quantum."""
@@ -435,10 +437,9 @@ class OnlineTalusController:
             if abs(total - self.partitionable) > 1e-6:
                 raise AssertionError(
                     f"granted {total} != partitionable {self.partitionable}")
-        for slot, app in enumerate(self._slots):
-            pair = self.talus.shadow_pair(slot)
-            pair_lines = float(granted[pair.alpha_index]
-                               + granted[pair.beta_index])
+        for slot, (app, (alpha, beta)) in enumerate(zip(self._slots,
+                                                        self._pairs)):
+            pair_lines = float(granted[alpha] + granted[beta])
             if app is not None:
                 floor = self._floors[app]
                 if replanned and pair_lines + 1e-6 < floor:
@@ -454,9 +455,8 @@ class OnlineTalusController:
                     # zero request is honoured exactly and the checks
                     # below apply.
                     continue
-                occupancy = (self.talus.base.partition_occupancy(
-                    pair.alpha_index)
-                    + self.talus.base.partition_occupancy(pair.beta_index))
+                occupancy = (self.talus.base.partition_occupancy(alpha)
+                             + self.talus.base.partition_occupancy(beta))
                 if occupancy:
                     raise AssertionError(
                         f"freed slot {slot} still holds {occupancy} lines")
@@ -565,10 +565,8 @@ class OnlineTalusController:
         self.talus.configure_many(configs)
         self._since_replan = 0
         granted = self.talus.base.granted_allocations()
-        pair_totals = tuple(
-            float(granted[self.talus.shadow_pair(slot).alpha_index]
-                  + granted[self.talus.shadow_pair(slot).beta_index])
-            for slot in range(self.max_apps))
+        pair_totals = tuple(float(granted[alpha] + granted[beta])
+                            for alpha, beta in self._pairs)
         floors = tuple(self._floors.get(app, 0.0) if app is not None else 0.0
                        for app in self._slots)
         self.replans.append(ReplanRecord(

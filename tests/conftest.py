@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cache._native import native_available
 from repro.core import MissCurve
+from repro.core.misscurve import mattson_misses
 
 #: Marks a test that builds array caches (``Array*`` classes or
 #: ``backend="array"``) directly: they have no replay path without the
@@ -61,3 +62,31 @@ def miss_curves(min_points: int = 3, max_points: int = 12,
         return MissCurve(sizes, misses)
 
     return _curves()
+
+
+def per_half_combined_curve(combined, sizes=None) -> MissCurve:
+    """:meth:`CombinedUMON.miss_curve` rebuilt from the Mattson oracle:
+    each monitor's misses are :func:`mattson_misses` over its whole
+    :meth:`IncrementalStackMonitor.histogram`, scaled by its rate, then
+    the halves are spliced and enveloped.  The exact reference for the
+    bounded reads (default grid when ``sizes`` is None)."""
+    if sizes is None:
+        sizes = np.linspace(0, combined.max_size,
+                            2 * combined.primary.points)
+    sizes = np.asarray(sizes, dtype=float)
+    parts, misses = [], []
+    for monitor, part in ((combined.primary,
+                           sizes[sizes <= combined.llc_size]),
+                          (combined.secondary,
+                           sizes[sizes > combined.llc_size])):
+        if not part.size:
+            continue
+        folded = monitor._folded()
+        sampled = mattson_misses(folded.histogram(), folded.cold_misses,
+                                 part * monitor.sampling_rate)
+        scale = (1.0 / monitor.sampling_rate if monitor.sampled_accesses
+                 else 1.0)
+        parts.append(part)
+        misses.append(np.minimum(sampled * scale, monitor.total_accesses))
+    return MissCurve(np.concatenate(parts),
+                     np.minimum.accumulate(np.concatenate(misses)))

@@ -28,9 +28,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from tests.conftest import miss_curves
+from tests.conftest import miss_curves, per_half_combined_curve
 from tests.faults import fault_queue
 
 from repro.core.convexhull import convex_hull
@@ -90,9 +90,18 @@ def pointwise_curve_drift(previous, current):
     return float(np.mean(np.abs(curr - prev)) / scale)
 
 
+#: A grid two snapshots share, as the same array object (a monitor's
+#: default grid) or as equal but distinct arrays.
+SHARED_GRID = np.array([0.0, 16.0, 40.0, 64.0])
+
+
 class TestDrift:
     @settings(max_examples=100, deadline=None)
     @given(previous=miss_curves(), current=miss_curves())
+    @example(previous=MissCurve(SHARED_GRID, [90.0, 60.0, 20.5, 3.0]),
+             current=MissCurve(SHARED_GRID, [80.0, 80.0, 11.0, 0.0]))
+    @example(previous=MissCurve(SHARED_GRID, [90.0, 60.0, 20.5, 3.0]),
+             current=MissCurve(SHARED_GRID.copy(), [70.0, 30.0, 30.0, 7.25]))
     def test_matches_pointwise_reference(self, previous, current):
         assert curve_drift(previous, current) == \
             pointwise_curve_drift(previous, current)
@@ -429,9 +438,10 @@ class TestDeterminism:
 # Planning-curve memo
 # --------------------------------------------------------------------------- #
 def rebuilt_planning_curve(monitor) -> MissCurve:
-    """An app's planning curve built from its monitor alone, kept as the
-    exact reference for the controller's memoised curve."""
-    raw = monitor.miss_curve()
+    """An app's planning curve rebuilt from the Mattson oracle over its
+    monitors' whole histograms, kept as the exact reference for the
+    controller's memoised curve and the bounded reads under it."""
+    raw = per_half_combined_curve(monitor)
     observed = max(monitor.primary.total_accesses, 1)
     return MissCurve(raw.sizes, np.minimum.accumulate(
         raw.misses * 1000.0 / observed))

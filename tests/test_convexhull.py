@@ -146,8 +146,10 @@ class TestHullNeighbors:
 
     def test_below_curve_raises(self):
         curve = MissCurve([1, 2], [5, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below curve's smallest"):
             hull_neighbors(curve, 0.5)
+        with pytest.raises(ValueError, match="below curve's smallest"):
+            hull_neighbors(curve, float("nan"))
 
     @settings(max_examples=60, deadline=None)
     @given(curve=miss_curves(), fraction=st.floats(0.0, 1.2))

@@ -18,30 +18,46 @@ class TestConstruction:
         assert curve.max_size == 2
 
     def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"same length \(2 != 3\)"):
             MissCurve([0, 1], [1, 2, 3])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sizes must not be empty"):
             MissCurve([], [])
 
     def test_rejects_negative_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sizes must be non-negative"):
             MissCurve([-1, 0, 1], [3, 2, 1])
+        # Negative and non-increasing: the sign is reported first.
+        with pytest.raises(ValueError, match="sizes must be non-negative"):
+            MissCurve([0, -2, -1], [3, 2, 1])
 
     def test_rejects_non_increasing_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             MissCurve([0, 2, 2], [3, 2, 1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             MissCurve([0, 3, 2], [3, 2, 1])
 
     def test_rejects_negative_misses(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="misses must be non-negative"):
             MissCurve([0, 1], [1, -2])
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        """NaN and +/-inf, in either array, are rejected as non-finite."""
+        with pytest.raises(ValueError, match="sizes must contain only finite"):
             MissCurve([0, float("nan")], [1, 2])
+        with pytest.raises(ValueError, match="sizes must contain only finite"):
+            MissCurve([0, float("inf")], [1, 2])
+        with pytest.raises(ValueError,
+                           match="misses must contain only finite"):
+            MissCurve([0, 1], [float("-inf"), 2])
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"sizes must be one-dimensional, "
+                                             r"got shape \(1, 2\)"):
+            MissCurve([[0, 1]], [1, 2])
+        with pytest.raises(ValueError, match="misses must be one-dimensional"):
+            MissCurve([0, 1], [[1], [2]])
 
     def test_from_points_sorts(self):
         curve = MissCurve.from_points([(4, 1), (0, 10), (2, 5)])
@@ -49,7 +65,7 @@ class TestConstruction:
         assert list(curve.misses) == [10, 5, 1]
 
     def test_from_points_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             MissCurve.from_points([(0, 10), (0, 5)])
 
 
@@ -73,7 +89,8 @@ class TestStackDistanceConstruction:
         assert curve(3) == 0
 
     def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="histogram counts must be non-negative"):
             MissCurve.from_stack_distances([1, -1])
 
 
@@ -102,9 +119,10 @@ class TestTransformations:
         assert scaled(4) == pytest.approx(example_curve(2) * 0.5)
 
     def test_scaled_rejects_bad_factors(self, example_curve):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="size_factor must be positive"):
             example_curve.scaled(size_factor=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="miss_factor must be non-negative"):
             example_curve.scaled(miss_factor=-1)
 
     def test_resampled(self, example_curve):
@@ -118,7 +136,7 @@ class TestTransformations:
         assert restricted(4.5) == pytest.approx(example_curve(4.5))
 
     def test_restricted_rejects_too_small(self, example_curve):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below smallest sample"):
             example_curve.restricted(-1.0)
 
     def test_monotone_envelope(self):
@@ -130,7 +148,7 @@ class TestTransformations:
     def test_shifted(self, example_curve):
         shifted = example_curve.shifted(1.0)
         assert shifted(0) == 25
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="would make miss values negative"):
             example_curve.shifted(-100.0)
 
     def test_addition(self):

@@ -4,6 +4,7 @@ UMON sampling, set-sampled multi-point monitors on the array backend)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import LRUPolicy
 from repro.core import MissCurve
@@ -11,33 +12,12 @@ from repro.monitor import (UMON, CombinedUMON, MultiPointMonitor,
                            StackDistanceMonitor, lru_miss_curve,
                            stack_distance_histogram)
 
-from .conftest import needs_kernel
+from .conftest import needs_kernel, per_half_combined_curve
 
 
 def brute_force_lru_misses(trace, capacity):
     policy = LRUPolicy(capacity)
     return sum(0 if policy.access(t) else 1 for t in trace)
-
-
-def per_half_combined_curve(combined, sizes):
-    """:meth:`CombinedUMON.miss_curve` built as two per-monitor curves
-    through :meth:`MissCurve.from_stack_distances`, spliced and
-    enveloped: the exact reference for its one-curve construction."""
-    halves = []
-    for monitor, part in ((combined.primary,
-                           sizes[sizes <= combined.llc_size]),
-                          (combined.secondary,
-                           sizes[sizes > combined.llc_size])):
-        dense, cold = monitor._histogram()
-        sampled = MissCurve.from_stack_distances(
-            dense, cold_misses=cold, sizes=part * monitor.sampling_rate)
-        scale = (1.0 / monitor.sampling_rate if monitor.sampled_accesses
-                 else 1.0)
-        halves.append(MissCurve(part, np.minimum(sampled.misses * scale,
-                                                 monitor.total_accesses)))
-    return MissCurve(np.concatenate([h.sizes for h in halves]),
-                     np.concatenate([h.misses for h in halves])
-                     ).monotone_envelope()
 
 
 def assert_same_curve(got, want):
@@ -153,9 +133,9 @@ class TestUMON:
             combined.miss_curve(sizes=[])
 
     def test_combined_umon_matches_per_half_curves(self):
-        """Every read equals the per-monitor ``from_stack_distances``
-        construction bit for bit: before any access, across batches with
-        reads in between, on the default and on straddling grids."""
+        """Every read equals the per-monitor Mattson oracle bit for bit:
+        before any access, across batches with reads in between, on the
+        default and on straddling grids."""
         rng = np.random.default_rng(21)
         combined = CombinedUMON(llc_size=512, primary_rate=1 / 4,
                                 coverage_ratio=1 / 8, points=17, seed=5)
@@ -163,12 +143,41 @@ class TestUMON:
                  np.sort(rng.uniform(0.0, 2 * combined.max_size, 40))]
         for batch in range(4):
             for grid in grids:
-                default = np.linspace(0, combined.max_size,
-                                      2 * combined.primary.points)
-                want = per_half_combined_curve(
-                    combined, default if grid is None else grid)
-                assert_same_curve(combined.miss_curve(sizes=grid), want)
+                assert_same_curve(combined.miss_curve(sizes=grid),
+                                  per_half_combined_curve(combined, grid))
             combined.record_trace(rng.integers(0, 300 * (batch + 1), 4000))
+
+    @settings(max_examples=40, deadline=None)
+    @given(llc=st.integers(4, 200),
+           rate=st.sampled_from([1.0, 1 / 2, 1 / 4]),
+           footprint_factor=st.sampled_from([1 / 8, 1 / 2, 2.0, 6.0]),
+           chunks=st.lists(st.integers(1, 1500), max_size=4),
+           seed=st.integers(0, 2**16))
+    def test_bounded_reads_match_the_oracle(self, llc, rate,
+                                            footprint_factor, chunks,
+                                            seed):
+        """A read sums only the distances below its largest size, and
+        its total is the fold's access count; it still equals
+        ``mattson_misses`` over each monitor's whole histogram: for
+        footprints below and above the grid's top distance, across
+        random chunkings with reads in between, on the default grid and
+        on fractional, integer, one-point and past-every-distance
+        grids, and before anything is recorded."""
+        rng = np.random.default_rng(seed)
+        combined = CombinedUMON(llc_size=llc, primary_rate=rate,
+                                coverage_ratio=1 / 4, points=9, seed=seed)
+        top = combined.max_size
+        grids = [None,
+                 np.sort(rng.uniform(0.0, top, 7)),
+                 np.unique(rng.integers(0, top + 1, 7)).astype(float),
+                 np.array([float(rng.integers(0, top + 1))]),
+                 np.array([0.5, top + 0.5, 8.0 * top])]
+        footprint = max(1, int(footprint_factor * top))
+        for n in [0] + chunks:
+            combined.record_trace(rng.integers(0, footprint, n))
+            for grid in grids:
+                assert_same_curve(combined.miss_curve(sizes=grid),
+                                  per_half_combined_curve(combined, grid))
 
 
 class TestMultiPointMonitor:
@@ -238,17 +247,24 @@ class TestBatchStackDistance:
 
 class TestUMONFastPath:
     def test_batch_and_scalar_recording_agree(self):
-        """record_trace selects exactly record()'s sub-stream (same hash)."""
+        """record_trace selects exactly record()'s sub-stream (same hash;
+        at rate 1.0 every access, unhashed) into its own array: the
+        batch folds at the first read, and writing into the caller's
+        array before then changes nothing."""
         rng = np.random.default_rng(43)
-        trace = rng.integers(0, 4000, 30000).astype(np.int64)
-        batch = UMON(sampling_rate=1 / 8, max_size=4096, points=9, seed=5)
-        batch.record_trace(trace)
-        scalar = UMON(sampling_rate=1 / 8, max_size=4096, points=9, seed=5)
-        for a in trace.tolist():
-            scalar.record(a)
-        assert batch.sampled_accesses == scalar.sampled_accesses
-        assert np.array_equal(batch.miss_curve().misses,
-                              scalar.miss_curve().misses)
+        for rate in (1 / 8, 1.0):
+            trace = rng.integers(0, 4000, 30000).astype(np.int64)
+            batch = UMON(sampling_rate=rate, max_size=4096, points=9,
+                         seed=5)
+            batch.record_trace(trace)
+            scalar = UMON(sampling_rate=rate, max_size=4096, points=9,
+                          seed=5)
+            for a in trace.tolist():
+                scalar.record(a)
+            trace[:] = 0
+            assert batch.sampled_accesses == scalar.sampled_accesses
+            assert np.array_equal(batch.miss_curve().misses,
+                                  scalar.miss_curve().misses)
 
     def test_scalar_then_batch_preserves_access_order(self):
         """Mixing record() and record_trace() must keep the sub-stream in
