@@ -3,11 +3,11 @@
 PR 1 made the swept caches fast; this PR moves the *monitors* — the other
 half of every Talus planning step — onto the same array/native machinery:
 
-* ``UMON`` selects its sampled sub-stream with one vectorized splitmix64
-  pass and folds it into the stack-distance histogram as one native
-  batch task per curve read (the kernel ranks the live lines in a bitmap
-  under a word-level Fenwick tree), instead of one Python hash call per
-  access;
+* ``UMON`` keeps each raw batch and, at the next curve read, folds it
+  as one native record that selects the sampled sub-stream with the
+  kernel's splitmix64 and advances the stack-distance histogram (the
+  kernel ranks the live lines in a bitmap under a word-level Fenwick
+  tree), instead of one Python hash call per access;
 * ``MultiPointMonitor`` precomputes each point's set-sampled sub-stream
   with numpy and replays it through an array-backend cache in one kernel
   call per point, instead of running 64 object-model caches access by
@@ -22,8 +22,9 @@ comparison between two commits on the same host says anything.
 
 A fourth case gates a curve read's cost against the app's footprint. A
 hardware UMON's read costs its fixed way counters, and a
-``CombinedUMON`` read sums only the distances below its grid's largest
-size, so the default read of a 2,048-line monitor holding about 63k live
+``CombinedUMON`` read takes, in its fold record, the hits at only the
+integer abscissae around its grid's sizes (capped at the live lines),
+so the default read of a 2,048-line monitor holding about 63k live
 lines may take at most 1.5x the read of one holding 1k (best of 200
 reads each; a read that walked every live distance took about 7x).
 Both curves must equal the Mattson oracle over the whole histograms.

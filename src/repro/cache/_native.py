@@ -42,7 +42,7 @@ __all__ = ["get_kernel", "native_available", "require_kernel",
            "available_cpus", "resolve_threads",
            "KIND_LRU", "KIND_RRIP", "KIND_DIP", "KIND_PDP", "KIND_RANDOM",
            "KIND_VANTAGE", "KIND_TADRRIP", "KIND_BELADY", "KIND_IDEAL_LRU",
-           "KIND_GROUP", "KIND_STACK"]
+           "KIND_GROUP", "KIND_STACK", "KIND_MISS"]
 
 _SOURCE = Path(__file__).with_name("_sweepkernel.c")
 
@@ -56,7 +56,7 @@ _kernel_tried = False
 #: BATCH_KIND_* enum in _sweepkernel.c.
 (KIND_LRU, KIND_RRIP, KIND_DIP, KIND_PDP, KIND_RANDOM, KIND_VANTAGE,
  KIND_TADRRIP, KIND_BELADY, KIND_IDEAL_LRU, KIND_GROUP,
- KIND_STACK) = range(11)
+ KIND_STACK, KIND_MISS) = range(12)
 
 #: Type of the array members of :class:`BatchTask`.
 _PTR = ctypes.c_void_p
@@ -71,7 +71,12 @@ class BatchTask(ctypes.Structure):
     (:func:`~repro.cache.threadbatch.i64_ptr`), the cheapest form ctypes
     packs.  Unused members of a given kind stay NULL/0 (the
     zero-initialized default).  A group record's ``sub`` is the address
-    of a ``BatchTask`` array of ``num_regions`` records.
+    of a ``BatchTask`` array of ``num_regions`` records, one per lane.
+    The ``steer_*`` members carry a Talus logical pair's steering (its H3
+    byte tables, limit register and alpha/beta ids) in place of a
+    ``parts`` array, and ``acc_out`` receives per-partition (a group's:
+    per-lane) access counts.  A fold record's ``sample_*`` members are its
+    UMON's sampling filter, and ``read_*`` its miss-curve read.
     """
 
     _fields_ = [
@@ -138,6 +143,17 @@ class BatchTask(ctypes.Structure):
         ("num_streams", ctypes.c_int64),
         ("old_tree_cap", ctypes.c_int64),
         ("hist_len", ctypes.c_int64),
+        ("steer_lut", _PTR),
+        ("steer_bytes", ctypes.c_int64),
+        ("steer_limit", ctypes.c_int64),
+        ("steer_alpha", ctypes.c_int64),
+        ("steer_beta", ctypes.c_int64),
+        ("acc_out", _PTR),
+        ("sample_mul", ctypes.c_uint64),
+        ("sample_threshold", ctypes.c_int64),
+        ("read_x", _PTR),
+        ("read_n", ctypes.c_int64),
+        ("read_out", _PTR),
         ("epsilon", ctypes.c_double),
         ("result", ctypes.c_int64),
     ]

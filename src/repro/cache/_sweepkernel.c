@@ -92,6 +92,26 @@ static inline int64_t set_of(int64_t a, int64_t num_sets, int64_t hashed,
     return (s < 0) ? s + num_sets : s;
 }
 
+/* Talus's shadow-pair steering (Sec. VI-B, Fig. 7b): an access goes to
+ * the alpha shadow partition iff the H3 hash of its address is below the
+ * pair's limit register.  H3 is XOR-linear over GF(2), so the hash is the
+ * XOR of one entry per input byte of the byte-sliced tables `lut` (`bytes`
+ * tables of 256 entries, repro.cache.hashing.H3Hash._byte_luts; entries
+ * for bits past the hash's input width are zero).  Matches
+ * SamplingFunction.goes_to_alpha bit for bit. */
+typedef struct {
+    const uint64_t *lut;
+    int64_t bytes, limit, alpha, beta;
+} steering;
+
+static inline int64_t steer(const steering *st, int64_t a)
+{
+    uint64_t v = (uint64_t)a, h = 0;
+    for (int64_t k = 0; k < st->bytes; k++, v >>= 8)
+        h ^= st->lut[(k << 8) | (v & 0xFF)];
+    return h < (uint64_t)st->limit ? st->alpha : st->beta;
+}
+
 /* splitmix64 stream; the uniform double construction matches the Python
  * fallback: take the top 53 bits of the state-advanced output. */
 static inline uint64_t splitmix64_next(uint64_t *state)
@@ -1669,14 +1689,17 @@ static void vt_index_close(vt_ctx *c)
     c->ix = NULL;
 }
 
-/* Replay a partition-tagged trace through a Vantage cache whose managed
- * regions run the `pol` replacement policy.  Fills per-partition miss
- * counts into miss_out (caller-zeroed) and returns the total, -1 on an
+/* Replay a trace through a Vantage cache whose managed regions run the
+ * `pol` replacement policy.  Each access's partition is parts[i], or, when
+ * parts is NULL, the shadow partition `st` steers it to (a Talus logical
+ * pair's replay).  Adds per-partition access and miss counts into acc_out
+ * and miss_out (caller-zeroed) and returns the total misses, -1 on an
  * out-of-range partition id, -2 on free-list exhaustion (both defensive;
  * callers validate / size the pool), or -3 when the RRPV bucket index's
  * scratch memory could not be allocated (the cache untouched).  Policy
  * side state not used by `pol` may be NULL. */
-int64_t vantage_run(const int64_t *addrs, const int64_t *parts, int64_t n,
+int64_t vantage_run(const int64_t *addrs, const int64_t *parts,
+                    const steering *st, int64_t n,
                     int64_t num_parts, const int64_t *caps, int64_t unm_cap,
                     int64_t pol, int64_t max_rrpv, double epsilon,
                     int64_t *counter, uint64_t *rng_state,
@@ -1691,7 +1714,7 @@ int64_t vantage_run(const int64_t *addrs, const int64_t *parts, int64_t n,
                     int64_t *ht_node, int64_t tsize, int64_t *node_tag,
                     int64_t *node_prev, int64_t *node_next, int64_t *head,
                     int64_t *tail, int64_t *occ, int64_t *free_io,
-                    int64_t *miss_out)
+                    int64_t *acc_out, int64_t *miss_out)
 {
     vt_ctx c = vt_make_ctx(num_parts, unm_cap, pol, max_rrpv, epsilon,
                            counter, rng_state, roles, psel, psel_max,
@@ -1708,11 +1731,12 @@ int64_t vantage_run(const int64_t *addrs, const int64_t *parts, int64_t n,
 
     for (int64_t i = 0; i < n && rc >= 0; i++) {
         int64_t a = addrs[i];
-        int64_t p = parts[i];
+        int64_t p = parts ? parts[i] : steer(st, a);
         if (p < 0 || p >= num_parts) {
             rc = -1;
             break;
         }
+        acc_out[p]++;
         int64_t slot = vt_lookup(c.ht_tag, c.ht_reg, c.ht_node, c.tmask,
                                  a, p);
         if (slot >= 0) {
@@ -1937,43 +1961,62 @@ static void stack_relabel(int64_t *tab_tags, int64_t *tab_vals,
     rank_fill(tree, words, live);
 }
 
-/* Fold `n` accesses into a stack-distance monitor's caller-owned state
- * (repro.monitor.stack_distance.IncrementalStackMonitor):
+/* Threshold of a sampling filter that keeps every access (rate 1.0). */
+#define SAMPLE_ALL (1LL << 30)
+
+/* Fold a UMON's raw accesses into a stack-distance monitor's caller-owned
+ * state (repro.monitor.stack_distance.IncrementalStackMonitor).  A UMON
+ * samples by address hash, as its hardware does beside every access
+ * (Sec. VI-C): access a joins the sub-stream iff
+ * mix64(a ^ sample_mul) mod 2^30 < threshold, the test of
+ * repro.monitor.umon.UMON._sampled; a threshold of SAMPLE_ALL keeps every
+ * access without hashing.  The state:
  *
  *   tab_tags/tab_vals  open-addressing last-position table, tsize slots
- *                      (a power of two; tab_vals[slot] < 0 == empty)
+ *                      (a power of two; tab_vals[slot] < 0 == empty),
+ *                      never more than half full
  *   tree               rank structure over positions [0, cap): a bitmap
  *                      of the live markers under a word-level Fenwick
  *                      tree, 2 * ceil(cap / 64) + 1 entries
- *   hist               distance histogram, hist_len entries (tsize / 2
- *                      bound every distance: a distance is below the
- *                      live count, and the table holds live + n lines
- *                      at most half full)
- *   state              {next position, live markers, cold misses}
+ *   hist               distance histogram, hist_len = tsize / 2 entries (a
+ *                      distance is below the live count, which the
+ *                      half-full table bounds)
+ *   state              {next position, live markers, cold misses,
+ *                       sampled accesses folded}
  *
  * The caller may hand over larger arrays than the state lives in (a new
  * table arrives empty): the state then still sits in old_tags/old_vals
  * (old_tsize slots) and in old_tree (old_cap positions).  When the arrays
  * moved or the chunk's positions would run past the tree, the markers
  * are relabelled first (stack_relabel), so the state moves itself.
- * Returns 0; -1 without touching any state when the chunk cannot fit
- * (the caller sizes the table to hold live + n lines at half load and
- * the tree to hold live + n positions, never fewer than old_cap); -2
- * when a distance falls outside the histogram, which only a corrupt tree
- * or a short histogram produces.  The histogram equals that of
- * StackDistanceMonitor over the concatenated chunks, however the stream
- * is chunked (tests/test_resumable_runtime.py). */
+ *
+ * The fold stops at the first new line that would fill the table past
+ * half load, with the state consistent up to it, and returns how many of
+ * the n accesses it consumed: the caller doubles the table and folds the
+ * rest.  Only a fold that consumed all n then reads: read_out[k] receives
+ * the hits at capacity min(read_x[k], live), the sum of hist[0, x), for
+ * read_x ascending (the integer abscissae a miss-curve read interpolates
+ * between).  Returns -1 without touching any state when the chunk cannot
+ * fit (the caller sizes the tree to hold live + n positions, never fewer
+ * than old_cap), or -2 when a distance falls outside the histogram, which
+ * only a corrupt tree or a short histogram produces.  The histogram equals
+ * that of StackDistanceMonitor over the concatenated sampled chunks,
+ * however the stream is chunked (tests/test_resumable_runtime.py). */
 static int64_t stack_fold(const int64_t *addrs, int64_t n,
+                          uint64_t sample_mul, int64_t threshold,
                           int64_t *tab_tags, int64_t *tab_vals,
                           int64_t tsize, const int64_t *old_tags,
                           const int64_t *old_vals, int64_t old_tsize,
                           int64_t *tree, int64_t cap,
                           const int64_t *old_tree, int64_t old_cap,
-                          int64_t *hist, int64_t hist_len, int64_t *state)
+                          int64_t *hist, int64_t hist_len, int64_t *state,
+                          const int64_t *read_x, int64_t read_n,
+                          int64_t *read_out)
 {
     int64_t pos = state[0], live = state[1], cold = state[2];
+    int64_t folded = state[3];
     int move = tab_vals != old_vals || tree != old_tree || pos + n > cap;
-    if (n < 0 || live + n > tsize / 2 || (move ? live : pos) + n > cap
+    if (n < 0 || 2 * live > tsize || (move ? live : pos) + n > cap
         || old_cap > cap)
         return -1;
     if (move) {
@@ -1983,9 +2026,13 @@ static int64_t stack_fold(const int64_t *addrs, int64_t n,
     }
     int64_t words = rank_words(cap);
     uint64_t tmask = (uint64_t)(tsize - 1);
-    int64_t i = 0;
+    int sampled = threshold < SAMPLE_ALL;
+    int64_t i = 0, rc = 0;
     for (; i < n; i++) {
         int64_t a = addrs[i];
+        if (sampled && (int64_t)(mix64((uint64_t)a ^ sample_mul)
+                                 & (SAMPLE_ALL - 1)) >= threshold)
+            continue;
         uint64_t slot = mix64((uint64_t)a) & tmask;
         while (tab_vals[slot] >= 0 && tab_tags[slot] != a)
             slot = (slot + 1) & tmask;
@@ -1993,11 +2040,15 @@ static int64_t stack_fold(const int64_t *addrs, int64_t n,
             /* The `live` markers all sit before pos. */
             int64_t last = tab_vals[slot];
             int64_t d = live - rank_upto(tree, words, last);
-            if (d < 0 || d >= hist_len)
-                break;      /* never write past hist */
+            if (d < 0 || d >= hist_len) {
+                rc = -2;    /* never write past hist */
+                break;
+            }
             hist[d]++;
             rank_flip(tree, words, last, -1);
         } else {
+            if (2 * (live + 1) > tsize)
+                break;      /* past half load: the caller grows the table */
             tab_tags[slot] = a;
             live++;
             cold++;
@@ -2005,11 +2056,24 @@ static int64_t stack_fold(const int64_t *addrs, int64_t n,
         rank_flip(tree, words, pos, 1);
         tab_vals[slot] = pos;
         pos++;
+        folded++;
     }
     state[0] = pos;
     state[1] = live;
     state[2] = cold;
-    return i == n ? 0 : -2;
+    state[3] = folded;
+    if (rc < 0)
+        return rc;
+    if (i == n) {
+        int64_t hits = 0, d = 0;
+        for (int64_t k = 0; k < read_n; k++) {
+            int64_t x = read_x[k] < live ? read_x[k] : live;
+            while (d < x)
+                hits += hist[d++];
+            read_out[k] = hits;
+        }
+    }
+    return i;
 }
 
 /* --------------------------------------------------------------------- *
@@ -2047,8 +2111,9 @@ enum {
     BATCH_KIND_TADRRIP = 6,  /* tadrrip_run (parts = thread ids)   */
     BATCH_KIND_BELADY = 7,   /* belady_run (ht_reg = next-use map) */
     BATCH_KIND_IDEAL_LRU = 8, /* ideal_lru_run (tags = resident)   */
-    BATCH_KIND_GROUP = 9,    /* sub[0, num_regions), in order      */
+    BATCH_KIND_GROUP = 9,    /* group_run (records below)          */
     BATCH_KIND_STACK = 10,   /* stack_fold (members below)         */
+    BATCH_KIND_MISS = 11,    /* a region of no capacity: all miss  */
 };
 
 /* A fold record reuses Belady's table and heap members and PDP's
@@ -2057,7 +2122,16 @@ enum {
  * in; heap_key is its rank structure over heap_cap positions and
  * heap_tag the one its state lives in, over old_tree_cap positions; hist
  * is its histogram of hist_len entries and heap_io its {position, live,
- * cold} triple. */
+ * cold, folded} state.  sample_mul/sample_threshold are the UMON's
+ * sampling filter and read_x/read_n/read_out its read.
+ *
+ * A group record (a way, set or ideal partitioned cache's replay) points
+ * `sub` at one region record per lane (num_regions of them), whose addrs
+ * and n it fills in; `parts` tags each access with its lane, or, when
+ * NULL, the steer_* members steer it (lanes 0 and 1 are the pair's alpha
+ * and beta).  A Vantage record takes the same steering, with the pair's
+ * partition ids as steer_alpha/steer_beta.  Both count each lane's (or
+ * partition's) accesses into acc_out and misses into miss_out. */
 
 /* One replay task.  Every member is 8 bytes, so the layout is identical
  * across platforms and trivially mirrored by a ctypes.Structure (see
@@ -2129,9 +2203,90 @@ typedef struct batch_task {
     int64_t num_streams;
     int64_t old_tree_cap;
     int64_t hist_len;
+    const uint64_t *steer_lut;
+    int64_t steer_bytes;
+    int64_t steer_limit;
+    int64_t steer_alpha;
+    int64_t steer_beta;
+    int64_t *acc_out;
+    uint64_t sample_mul;
+    int64_t sample_threshold;
+    const int64_t *read_x;
+    int64_t read_n;
+    int64_t *read_out;
     double epsilon;
     int64_t result;
 } batch_task;
+
+static void batch_run_one(batch_task *t);
+
+static inline steering task_steering(const batch_task *t)
+{
+    steering st = {t->steer_lut, t->steer_bytes, t->steer_limit,
+                   t->steer_alpha, t->steer_beta};
+    return st;
+}
+
+/* A group record: tag each access with its lane (parts[i], or the
+ * steering), split the trace by lane into scratch, in order, and replay
+ * each lane's sub-trace through its region record, which is equivalent to
+ * the interleaved replay because the regions share no state.  A lane
+ * without accesses does not run.  Writes each lane's access and miss
+ * counts into acc_out and miss_out and returns the total misses, the first
+ * negative region result, -1 on an out-of-range lane, or -3 when scratch
+ * could not be allocated (no region touched).  The scratch belongs to the
+ * worker thread running the record. */
+static int64_t group_run(batch_task *t)
+{
+    int64_t lanes = t->num_regions, n = t->n;
+    int64_t *acc = t->acc_out, *miss = t->miss_out;
+    steering st = task_steering(t);
+    for (int64_t r = 0; r < lanes; r++)
+        acc[r] = miss[r] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = t->parts ? t->parts[i] : steer(&st, t->addrs[i]);
+        if (r < 0 || r >= lanes)
+            return -1;
+        acc[r]++;
+    }
+    const int64_t *split = t->addrs;
+    int64_t *buf = NULL;
+    int whole = 0;
+    for (int64_t r = 0; r < lanes; r++)
+        whole |= acc[r] == n;
+    if (!whole) {
+        buf = malloc((size_t)(n + lanes) * sizeof(int64_t));
+        if (!buf)
+            return -3;
+        int64_t *fill = buf + n;
+        for (int64_t r = 0, start = 0; r < lanes; start += acc[r++])
+            fill[r] = start;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t a = t->addrs[i];
+            int64_t r = t->parts ? t->parts[i] : steer(&st, a);
+            buf[fill[r]++] = a;
+        }
+        split = buf;
+    }
+    int64_t total = 0;
+    for (int64_t r = 0, start = 0; r < lanes; start += acc[r++]) {
+        batch_task *sub = &t->sub[r];
+        sub->addrs = whole ? t->addrs : split + start;
+        sub->n = acc[r];
+        sub->result = 0;
+        if (!acc[r])
+            continue;
+        batch_run_one(sub);
+        if (sub->result < 0) {
+            total = sub->result;
+            break;
+        }
+        miss[r] = sub->result;
+        total += sub->result;
+    }
+    free(buf);
+    return total;
+}
 
 static void batch_run_one(batch_task *t)
 {
@@ -2167,8 +2322,10 @@ static void batch_run_one(batch_task *t)
                                t->tags, t->rng_state, t->hashed,
                                t->index_seed);
         break;
-    case BATCH_KIND_VANTAGE:
-        t->result = vantage_run(t->addrs, t->parts, t->n, t->num_regions,
+    case BATCH_KIND_VANTAGE: {
+        steering st = task_steering(t);
+        t->result = vantage_run(t->addrs, t->parts, &st, t->n,
+                                t->num_regions,
                                 t->caps, t->unm_cap, t->mode, t->max_rrpv,
                                 t->epsilon, t->counter, t->rng_state,
                                 t->roles, t->psel, t->psel_max,
@@ -2180,8 +2337,10 @@ static void batch_run_one(batch_task *t)
                                 t->ls_size, t->ht_tag, t->ht_reg,
                                 t->ht_node, t->tsize, t->node_tag,
                                 t->node_prev, t->node_next, t->head,
-                                t->tail, t->occ, t->free_io, t->miss_out);
+                                t->tail, t->occ, t->free_io, t->acc_out,
+                                t->miss_out);
         break;
+    }
     case BATCH_KIND_TADRRIP:
         t->result = tadrrip_run(t->addrs, t->parts, t->n, t->num_sets,
                                 t->ways, t->max_rrpv, t->tags, t->rrpv,
@@ -2200,23 +2359,19 @@ static void batch_run_one(batch_task *t)
                                   t->occ);
         break;
     case BATCH_KIND_STACK:
-        t->result = stack_fold(t->addrs, t->n, t->ht_tag, t->ht_reg,
+        t->result = stack_fold(t->addrs, t->n, t->sample_mul,
+                               t->sample_threshold, t->ht_tag, t->ht_reg,
                                t->tsize, t->ls_tags, t->ls_clocks,
                                t->ls_size, t->heap_key, t->heap_cap,
                                t->heap_tag, t->old_tree_cap, t->hist,
-                               t->hist_len, t->heap_io);
+                               t->hist_len, t->heap_io, t->read_x,
+                               t->read_n, t->read_out);
         break;
     case BATCH_KIND_GROUP:
-        /* Sum of the records' miss counts, or the first negative one. */
-        t->result = 0;
-        for (int64_t r = 0; r < t->num_regions; r++) {
-            batch_run_one(&t->sub[r]);
-            if (t->sub[r].result < 0) {
-                t->result = t->sub[r].result;
-                break;
-            }
-            t->result += t->sub[r].result;
-        }
+        t->result = group_run(t);
+        break;
+    case BATCH_KIND_MISS:
+        t->result = t->n;
         break;
     default:
         t->result = -2;

@@ -104,7 +104,7 @@ from ._native import require_kernel
 from .cache import CacheStats, materialize_addresses
 from .hashing import SplitMix64, mix64, seed_mix
 from .replacement.rrip import DuelRole, leader_roles
-from .threadbatch import ReplayTask, i64_ptr, u64_ptr
+from .threadbatch import ReplayTask, StateFields, i64_ptr, u64_ptr
 
 __all__ = ["ArraySetAssociativeCache", "ArrayBeladyCache", "ARRAY_POLICIES",
            "belady_next_use"]
@@ -247,6 +247,10 @@ class ArraySetAssociativeCache:
             raise ValueError("recompute_interval/max_distance_factor/"
                              "initial_distance apply to PDP only")
         self.stats = CacheStats()
+        #: This cache's kernel record apart from its trace (see
+        #: :meth:`kernel_record`), cleared whenever a resize replaces an
+        #: array.
+        self._fields = StateFields()
 
     def _init_pdp_state(self, recompute_interval: int | None,
                         max_distance_factor: float,
@@ -400,44 +404,32 @@ class ArraySetAssociativeCache:
             misses=self.stats.misses - before.misses,
             instructions=self.stats.instructions - before.instructions)
 
-    def replay_task(self, trace, thread_ids=None):
-        """This cache's replay of ``trace`` as a batchable
-        :class:`~repro.cache.threadbatch.ReplayTask`.
-
-        The one place this organization packs a kernel call: :meth:`run`
-        (and so :meth:`run_chunk` and :meth:`access`) runs this same task
-        at width 1, so a task executed by the threaded dispatcher — at any
-        width — is bit-identical to calling :meth:`run` directly.  An
-        empty trace is a native task with ``n = 0``.  ``thread_ids`` is
-        TA-DRRIP's per-access stream lane.
-        """
-        addrs = materialize_addresses(trace)
-        if addrs.ndim != 1:
-            raise ValueError("trace must be one-dimensional")
-        if addrs.size and bool(np.any(addrs == _EMPTY)):
-            raise ValueError("address -1 is reserved as the empty-way "
-                             "sentinel; the array backend cannot cache it")
-        tids = self._materialize_tids(addrs, thread_ids)
-        n = int(addrs.size)
-        fields = {
-            "addrs": i64_ptr(addrs), "n": n,
+    def kernel_record(self) -> dict:
+        """This cache's kernel record members apart from the trace
+        (``addrs``, ``n``) and TA-DRRIP's stream lane (``parts``; absent,
+        every access is stream 0): the policy's kind and constants and
+        its state arrays' addresses.  Read once and kept until a resize
+        replaces an array; a partitioned cache's group record runs one of
+        these per region over that region's sub-trace."""
+        fields = self._fields
+        if fields:
+            return fields
+        fields.update({
             "num_sets": self.num_sets, "ways": self.ways,
             "tags": i64_ptr(self.tags), "stamp": i64_ptr(self.stamp),
             "counter": i64_ptr(self._counter),
             "hashed": 1 if self.hashed_index else 0,
             "index_seed": self.index_seed,
-        }
-        refs: tuple = (addrs,)
+        })
         if self.policy == "TA-DRRIP":
             fields.update(
                 kind=_native.KIND_TADRRIP, max_rrpv=self.max_rrpv,
-                rrpv=i64_ptr(self.rrpv), parts=i64_ptr(tids),
+                rrpv=i64_ptr(self.rrpv),
                 epsilon=self.epsilon, rng_state=u64_ptr(self._rng_state),
                 psel=i64_ptr(self._psel), psel_max=self._psel_max,
                 leader_levels=self._leader_levels,
                 num_streams=self.num_streams,
                 miss_out=i64_ptr(self._tad_misses))
-            refs = (addrs, tids)
         elif self.policy in _RRIP_FAMILY:
             fields.update(
                 kind=_native.KIND_RRIP, max_rrpv=self.max_rrpv,
@@ -468,13 +460,41 @@ class ArraySetAssociativeCache:
         else:
             fields.update(kind=_native.KIND_LRU,
                           lip=1 if self.policy == "LIP" else 0)
+        return fields
 
-        def commit(misses: int) -> None:
-            self.stats.accesses += n
-            self.stats.misses += misses
-            self.stats.hits += n - misses
+    def fold_stats(self, accesses: int, misses: int) -> None:
+        """Add one replay's access and miss counts to :attr:`stats`."""
+        stats = self.stats
+        stats.accesses += accesses
+        stats.misses += misses
+        stats.hits += accesses - misses
 
-        return ReplayTask(fields=fields, refs=refs, commit=commit)
+    def replay_task(self, trace, thread_ids=None):
+        """This cache's replay of ``trace`` as a batchable
+        :class:`~repro.cache.threadbatch.ReplayTask`.
+
+        The one place this organization packs a kernel call: :meth:`run`
+        (and so :meth:`run_chunk` and :meth:`access`) runs this same task
+        at width 1, so a task executed by the threaded dispatcher — at any
+        width — is bit-identical to calling :meth:`run` directly.  An
+        empty trace is a native task with ``n = 0``.  ``thread_ids`` is
+        TA-DRRIP's per-access stream lane.
+        """
+        addrs = materialize_addresses(trace)
+        if addrs.ndim != 1:
+            raise ValueError("trace must be one-dimensional")
+        if addrs.size and bool(np.any(addrs == _EMPTY)):
+            raise ValueError("address -1 is reserved as the empty-way "
+                             "sentinel; the array backend cannot cache it")
+        tids = self._materialize_tids(addrs, thread_ids)
+        n = int(addrs.size)
+        fields = {**self.kernel_record(), "addrs": i64_ptr(addrs), "n": n}
+        refs: tuple = (addrs,)
+        if tids is not None:
+            fields["parts"] = i64_ptr(tids)
+            refs = (addrs, tids)
+        return ReplayTask(fields=fields, refs=refs,
+                          commit=lambda misses: self.fold_stats(n, misses))
 
     # ------------------------------------------------------------------ #
     # Warm resizing (the reallocation primitive of the resumable runtime)
@@ -574,6 +594,7 @@ class ArraySetAssociativeCache:
         if new_expires is not None:
             self.expires = new_expires
         self.ways = new_ways
+        self._fields.clear()
 
     def resize_sets(self, new_num_sets: int) -> None:
         """Warm-resize to ``new_num_sets`` sets, keeping the leading sets.
@@ -619,6 +640,7 @@ class ArraySetAssociativeCache:
                        if self.policy in _DUELING and new_num_sets > 0
                        else np.zeros(new_num_sets, dtype=np.int64))
         self.num_sets = new_num_sets
+        self._fields.clear()
 
     def to_spec(self):
         """A :class:`~repro.cache.spec.CacheSpec` rebuilding this cache.

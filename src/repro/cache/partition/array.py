@@ -12,12 +12,14 @@ possible:
   an :class:`~repro.cache.arraycache.ArraySetAssociativeCache` over the
   partition's ways of every set (way), its sets (set), or its one
   fully-associative set (ideal);
-* a whole trace *with per-access partition ids* is replayed by
-  :meth:`ArrayPartitionedCache.run_partitioned` as one native group task
-  (:meth:`~repro.cache.threadbatch.ReplayTask.group`): one plain kernel
-  record per region over that region's sub-trace, committed once, which
-  is equivalent to the interleaved replay exactly because the regions are
-  independent;
+* a whole trace *with per-access partition ids* — or a Talus logical
+  pair's trace with the pair's H3 steering in their place — is replayed
+  by :meth:`ArrayPartitionedCache.run_partitioned` as one native group
+  task (:meth:`~repro.cache.threadbatch.ReplayTask.group`): the kernel
+  tags and splits the trace by region in scratch and runs one plain
+  kernel record per region over that region's sub-trace, committed once,
+  which is equivalent to the interleaved replay exactly because the
+  regions are independent;
 * an idealized LRU partition is an :class:`_IdealLRURegion`, replayed by
   the ``ideal_lru_run`` stack-distance kernel (hit iff stack distance <
   allocation), which is bit-identical to a fully-associative
@@ -82,7 +84,10 @@ Each organization packs its replay call in one place, the task behind
 ``replay_task``; ``run_partitioned``/``run_chunk``/``access`` run that
 task on the calling thread, and
 :func:`~repro.cache.threadbatch.run_tasks` runs many of them in one
-threaded dispatch.
+threaded dispatch.  The kernel counts each partition's accesses, and a
+task's commit folds the statistics of the partitions it touched only.
+Each region keeps its record's members (its arrays' addresses) until a
+resize replaces an array.
 """
 
 from __future__ import annotations
@@ -91,12 +96,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .._native import KIND_IDEAL_LRU, KIND_VANTAGE, require_kernel
+from .._native import KIND_IDEAL_LRU, KIND_MISS, KIND_VANTAGE, require_kernel
 from ..arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
                           _dueling_roles, _next_pow2)
 from ..cache import materialize_addresses
 from ..hashing import SplitMix64
-from ..threadbatch import ReplayTask, i64_ptr, u64_ptr
+from ..threadbatch import ReplayTask, StateFields, i64_ptr, u64_ptr
 from .base import PartitionedCache, trim_line_allocations
 from .setpart import round_to_sets
 from .vantage import vantage_managed_lines
@@ -122,28 +127,48 @@ _VT_RRIP = ("SRRIP", "BRRIP", "DRRIP", "TA-DRRIP")
 
 _EMPTY = -1
 
+#: A lane record of a partition without a region (zero capacity): every
+#: access misses.
+_NO_REGION = {"kind": KIND_MISS}
 
-def _tagged_trace(trace, parts, num_partitions: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A validated partition-tagged trace: ``(addrs, parts, accesses)``
-    with ``accesses`` the per-partition access counts."""
+
+def _tagged_trace(trace, parts, steer, num_partitions: int
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """A validated trace and its partition ids (None when ``steer``, a
+    Talus pair's steering members, tags it instead)."""
     addrs = materialize_addresses(trace)
+    if (parts is None) == (steer is None):
+        raise ValueError("a partitioned replay takes partition ids or a "
+                         "steering, not both")
+    if steer is not None:
+        if addrs.ndim != 1:
+            raise ValueError("trace must be one-dimensional")
+        return addrs, None
     parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
     if addrs.shape != parts.shape or addrs.ndim != 1:
         raise ValueError("trace and parts must be 1-D and equally long")
     if addrs.size and (int(parts.min()) < 0
                        or int(parts.max()) >= num_partitions):
         raise ValueError(f"partition ids must be in [0, {num_partitions})")
-    accesses = np.bincount(parts, minlength=num_partitions)
-    return addrs, parts, accesses.astype(np.int64, copy=False)
+    return addrs, parts
 
 
-def _fold(stats: Sequence, accesses: np.ndarray, misses: np.ndarray) -> None:
-    """Add per-partition access and miss counts into ``stats[p]``."""
-    for entry, a, m in zip(stats, accesses.tolist(), misses.tolist()):
-        entry.accesses += a
-        entry.misses += m
-        entry.hits += a - m
+def _fold(stats: Sequence, lanes: Sequence[int], counts: np.ndarray,
+          out: np.ndarray) -> list[int]:
+    """Add each touched lane's access and miss counts (``counts``' two
+    rows) into its partition's ``stats`` entry and into ``out``'s two
+    per-partition rows; returns the touched partitions."""
+    touched = []
+    for p, a, m in zip(lanes, *counts.tolist()):
+        if a:
+            entry = stats[p]
+            entry.accesses += a
+            entry.misses += m
+            entry.hits += a - m
+            out[0, p] = a
+            out[1, p] = m
+            touched.append(p)
+    return touched
 
 
 class _IdealLRURegion:
@@ -151,18 +176,21 @@ class _IdealLRURegion:
     kernel.
 
     ``resident[:occ[0]]`` holds the region's lines, LRU -> MRU, in a
-    buffer of ``capacity`` slots.  The kernel runs one stack-distance pass
-    over those lines followed by the new accesses, counts an access as a
-    hit iff its distance is below ``capacity`` (the LRU stack property),
-    and writes back the last ``capacity`` distinct lines — bit-identical
-    to an :class:`~repro.cache.replacement.lru.LRUPolicy` of that
-    capacity.
+    buffer of at least ``capacity`` slots.  The kernel runs one
+    stack-distance pass over those lines followed by the new accesses,
+    counts an access as a hit iff its distance is below ``capacity`` (the
+    LRU stack property), and writes back the last ``capacity`` distinct
+    lines — bit-identical to an
+    :class:`~repro.cache.replacement.lru.LRUPolicy` of that capacity.  A
+    resize moves the lines within the buffer and replaces it only to grow
+    it, so the record's addresses outlive most reallocations.
     """
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
         self.resident = np.zeros(self.capacity, dtype=np.int64)
         self.occ = np.zeros(1, dtype=np.int64)
+        self._fields = StateFields()
 
     def occupancy(self) -> int:
         return int(self.occ[0])
@@ -172,29 +200,38 @@ class _IdealLRURegion:
         region), keeping the MRU-most ``min(occupancy, lines)`` lines."""
         occ = self.occupancy()
         keep = min(occ, lines)
-        resident = np.zeros(lines, dtype=np.int64)
-        resident[:keep] = self.resident[occ - keep:occ]
-        self.resident = resident
+        if lines > self.resident.size:
+            resident = np.zeros(lines, dtype=np.int64)
+            resident[:keep] = self.resident[occ - keep:occ]
+            self.resident = resident
+            self._fields.clear()
+        else:
+            self.resident[:keep] = self.resident[occ - keep:occ]
         self.capacity = int(lines)
         self.occ[0] = keep
+        if self._fields:
+            self._fields["capacity"] = self.capacity
 
-    def replay_task(self, addrs: np.ndarray) -> ReplayTask:
-        """The ``ideal_lru_run`` record replaying ``addrs``."""
-        fields = {"kind": KIND_IDEAL_LRU, "addrs": i64_ptr(addrs),
-                  "n": int(addrs.size), "capacity": self.capacity,
-                  "tags": i64_ptr(self.resident), "occ": i64_ptr(self.occ)}
-        return ReplayTask(fields=fields, refs=(addrs,))
+    def kernel_record(self) -> dict:
+        """The ``ideal_lru_run`` record apart from its trace, kept until a
+        resize replaces the resident buffer."""
+        fields = self._fields
+        if not fields:
+            fields.update(kind=KIND_IDEAL_LRU, capacity=self.capacity,
+                          tags=i64_ptr(self.resident), occ=i64_ptr(self.occ))
+        return fields
 
 
 class _ArrayReplayCache(PartitionedCache):
     """The replay entry points of the array partitioned caches.
 
     A subclass packs its replay call in one place,
-    ``_task(addrs, parts, accesses)``, which returns the
-    :class:`~repro.cache.threadbatch.ReplayTask` of a validated tagged
-    trace; :meth:`access`, :meth:`run_partitioned`, :meth:`run_chunk`
-    and :meth:`replay_task` all run that task.  Object schemes do not
-    derive from this class: :attr:`TalusCache.supports_batch_replay
+    ``_task(addrs, parts, steer)``, which returns the
+    :class:`~repro.cache.threadbatch.ReplayTask` of a validated trace
+    tagged by ``parts`` or by a Talus pair's steering; :meth:`access`,
+    :meth:`run_partitioned`, :meth:`run_chunk` and :meth:`replay_task`
+    all run that task.  Object schemes do not derive from this class:
+    :attr:`TalusCache.supports_batch_replay
     <repro.cache.talus_cache.TalusCache.supports_batch_replay>` tests
     for ``run_partitioned``.
     """
@@ -205,7 +242,8 @@ class _ArrayReplayCache(PartitionedCache):
                                 np.array([partition], dtype=np.int64))
         return int(task.run().misses[partition]) == 0
 
-    def run_partitioned(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
+    def run_partitioned(self, trace, parts=None, *, steer=None
+                        ) -> tuple[np.ndarray, np.ndarray]:
         """Replay a trace with per-access partition ids in one batch.
 
         Parameters
@@ -214,19 +252,27 @@ class _ArrayReplayCache(PartitionedCache):
             Addresses (any form :func:`materialize_addresses` accepts).
         parts:
             Partition id of each access (int array, same length).
+        steer:
+            In place of ``parts``: a Talus logical pair's steering, the
+            record members of :meth:`TalusCache.steering
+            <repro.cache.talus_cache.TalusCache.steering>`.  The kernel
+            then sends each access to the pair's alpha or beta partition
+            by its H3 hash against the limit register, as
+            :meth:`SamplingFunction.goes_to_alpha
+            <repro.cache.hashing.SamplingFunction.goes_to_alpha>` does.
 
         Returns
         -------
         (accesses, misses):
-            Per-partition int64 access and miss counts of this replay.
-            Per-partition statistics are updated as the per-access path
-            would (counts are order-independent, so both paths agree).
+            Per-partition int64 access and miss counts of this replay,
+            counted by the kernel.  Per-partition statistics are updated
+            as the per-access path would (counts are order-independent,
+            so both paths agree).
 
         Runs the task of :meth:`replay_task` on the calling thread.
         """
-        addrs, parts, accesses = _tagged_trace(trace, parts,
-                                               self.num_partitions)
-        return accesses, self._task(addrs, parts, accesses).run().misses
+        task = self.replay_task(trace, parts, steer=steer).run()
+        return task.accesses, task.misses
 
     def run_chunk(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay one chunk of a partition-tagged trace.
@@ -239,12 +285,16 @@ class _ArrayReplayCache(PartitionedCache):
         """
         return self.run_partitioned(trace, parts)
 
-    def replay_task(self, trace, parts):
+    def replay_task(self, trace, parts=None, *, steer=None):
         """One batchable :class:`~repro.cache.threadbatch.ReplayTask`
-        replaying a partition-tagged trace: the task that
-        :meth:`run_partitioned`, :meth:`run_chunk` and :meth:`access` run
-        (per-partition misses land in the task's ``misses`` array)."""
-        return self._task(*_tagged_trace(trace, parts, self.num_partitions))
+        replaying a trace tagged by ``parts`` or steered by ``steer`` (see
+        :meth:`run_partitioned`): the task that :meth:`run_partitioned`,
+        :meth:`run_chunk` and :meth:`access` run (per-partition accesses
+        and misses land in the task's ``accesses`` and ``misses``
+        arrays)."""
+        addrs, parts = _tagged_trace(trace, parts, steer,
+                                     self.num_partitions)
+        return self._task(addrs, parts, steer)
 
 
 class ArrayPartitionedCache(_ArrayReplayCache):
@@ -346,6 +396,10 @@ class ArrayPartitionedCache(_ArrayReplayCache):
         self._initial_alloc = list(self._alloc)
         self._regions = [self._make_region(p, size)
                          for p, size in enumerate(self._alloc)]
+        #: Whether the regions are set-associative arrays, which reserve
+        #: address -1 as the empty-way sentinel (an ideal LRU region
+        #: caches every int64 address).
+        self._sentinel = not (scheme == "ideal" and policy == "LRU")
 
     # ------------------------------------------------------------------ #
     # Region construction
@@ -456,6 +510,10 @@ class ArrayPartitionedCache(_ArrayReplayCache):
         region = self._regions[partition]
         return 0 if region is None else region.occupancy()
 
+    def partition_occupancies(self) -> list[int]:
+        return [0 if region is None else region.occupancy()
+                for region in self._regions]
+
     # ------------------------------------------------------------------ #
     # Batched replay
     # ------------------------------------------------------------------ #
@@ -464,28 +522,44 @@ class ArrayPartitionedCache(_ArrayReplayCache):
     # run_partitioned of each concrete class.
     run_partitioned = _ArrayReplayCache.run_partitioned
 
-    def _task(self, addrs: np.ndarray, parts: np.ndarray,
-              accesses: np.ndarray):
-        """The group task of a validated tagged trace: one region record
-        per partition with accesses and a region, over that partition's
-        sub-trace.  A partition without a region (zero capacity) misses
-        every access.  The commit folds the partition statistics; each
-        region record folds its region's own."""
-        owners = [p for p in np.flatnonzero(accesses).tolist()
-                  if self._regions[p] is not None]
-        tasks = [self._regions[p].replay_task(
-                     addrs if accesses[p] == addrs.size
-                     else addrs[parts == p])
-                 for p in owners]
-        misses = np.zeros(self.num_partitions, dtype=np.int64)
+    def _task(self, addrs: np.ndarray, parts: np.ndarray | None,
+              steer: dict | None):
+        """The group task of a validated trace.  Its lanes are the
+        partitions (``parts``), or the pair's alpha and beta partitions
+        (``steer``); each lane runs its partition's region record over
+        the accesses the kernel tags with it, and a partition without a
+        region (zero capacity) misses every access.  The commit folds the
+        statistics of the partitions the trace touched and of their
+        regions, from the kernel's counts."""
+        if self._sentinel and addrs.size and bool(np.any(addrs == _EMPTY)):
+            raise ValueError("address -1 is reserved as the empty-way "
+                             "sentinel; the array backend cannot cache it")
+        if steer is None:
+            lanes = range(self.num_partitions)
+            fields = {"parts": i64_ptr(parts)}
+        else:
+            lanes = (steer["steer_alpha"], steer["steer_beta"])
+            fields = {**steer, "steer_alpha": 0, "steer_beta": 1}
+        regions = [self._regions[p] for p in lanes]
+        counts = np.zeros((2, len(regions)), dtype=np.int64)
+        out = np.zeros((2, self.num_partitions), dtype=np.int64)
+        base = i64_ptr(counts)
+        fields.update(addrs=i64_ptr(addrs), n=int(addrs.size),
+                      acc_out=base, miss_out=base + 8 * len(regions))
 
-        def commit(results: list[int]) -> None:
-            misses[:] = accesses
-            misses[owners] = results
-            _fold(self.partition_stats, accesses, misses)
+        def commit(_total: int) -> None:
+            for p in _fold(self.partition_stats, lanes, counts, out):
+                region = self._regions[p]
+                if isinstance(region, ArraySetAssociativeCache):
+                    region.fold_stats(int(out[0, p]), int(out[1, p]))
 
-        return ReplayTask.group(tasks, int(addrs.size), commit=commit,
-                                misses=misses)
+        task = ReplayTask.group(
+            [_NO_REGION if region is None else region.kernel_record()
+             for region in regions],
+            fields, refs=(addrs, parts, counts), commit=commit,
+            misses=out[1])
+        task.accesses = out[0]
+        return task
 
     # ------------------------------------------------------------------ #
     def reset_stats(self) -> None:
@@ -628,6 +702,7 @@ class ArrayVantageCache(_ArrayReplayCache):
         self._tail = np.full(num_partitions + 1, -1, dtype=np.int64)
         self._occ = np.zeros(num_partitions + 1, dtype=np.int64)
         self._free = np.zeros(1, dtype=np.int64)
+        self._fields = StateFields()
         tsize = 64
         while tsize < 2 * pool:
             tsize <<= 1
@@ -731,6 +806,9 @@ class ArrayVantageCache(_ArrayReplayCache):
         self._check_partition(partition)
         return int(self._occ[partition])
 
+    def partition_occupancies(self) -> list[int]:
+        return self._occ[:self.num_partitions].tolist()
+
     def granted_allocations(self) -> list[int]:
         return [int(c) for c in self._caps]
 
@@ -760,7 +838,8 @@ class ArrayVantageCache(_ArrayReplayCache):
             self._occ, self._free)
         if result < 0:
             raise RuntimeError("native Vantage reallocation failed")
-        self._caps = new_caps
+        # In place: the replay record keeps this array's address.
+        self._caps[:] = new_caps
         return list(granted)
 
     # ------------------------------------------------------------------ #
@@ -769,15 +848,16 @@ class ArrayVantageCache(_ArrayReplayCache):
     # Bound here for the benchmark's tracer, as in ArrayPartitionedCache.
     run_partitioned = _ArrayReplayCache.run_partitioned
 
-    def _task(self, addrs: np.ndarray, parts: np.ndarray,
-              accesses: np.ndarray):
-        """The Vantage kernel task of a validated tagged trace; its
-        commit folds the partition statistics."""
-        miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-        fields = {
+    def kernel_record(self) -> dict:
+        """The ``vantage_run`` record apart from its trace: the policy's
+        constants and every state array's address.  No array is ever
+        replaced (a reallocation writes the capacities in place), so it
+        is read once."""
+        fields = self._fields
+        if fields:
+            return fields
+        fields.update({
             "kind": KIND_VANTAGE,
-            "addrs": i64_ptr(addrs), "n": int(addrs.size),
-            "parts": i64_ptr(parts),
             "num_regions": self.num_partitions,
             "caps": i64_ptr(self._caps), "unm_cap": self._unm_cap,
             "mode": self._pol, "max_rrpv": self.max_rrpv,
@@ -809,14 +889,35 @@ class ArrayVantageCache(_ArrayReplayCache):
             "node_next": i64_ptr(self._node_next),
             "head": i64_ptr(self._head), "tail": i64_ptr(self._tail),
             "occ": i64_ptr(self._occ), "free_io": i64_ptr(self._free),
-            "miss_out": i64_ptr(miss_out),
-        }
+        })
+        return fields
+
+    def _task(self, addrs: np.ndarray, parts: np.ndarray | None,
+              steer: dict | None):
+        """The Vantage kernel task of a validated trace, tagged by
+        ``parts`` or steered by ``steer``; its commit folds the
+        statistics of the partitions the trace touched, from the kernel's
+        counts."""
+        counts = np.zeros((2, self.num_partitions), dtype=np.int64)
+        base = i64_ptr(counts)
+        fields = {**self.kernel_record(), "addrs": i64_ptr(addrs),
+                  "n": int(addrs.size), "acc_out": base,
+                  "miss_out": base + 8 * self.num_partitions}
+        if steer is None:
+            fields["parts"] = i64_ptr(parts)
+            lanes = range(self.num_partitions)
+        else:
+            fields.update(steer)
+            lanes = (steer["steer_alpha"], steer["steer_beta"])
+        out = np.zeros_like(counts)
 
         def commit(_total: int) -> None:
-            _fold(self.partition_stats, accesses, miss_out)
+            _fold(self.partition_stats, lanes, counts[:, lanes], out)
 
-        return ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
-                          commit=commit, misses=miss_out)
+        task = ReplayTask(fields=fields, refs=(addrs, parts, counts),
+                          commit=commit, misses=out[1])
+        task.accesses = out[0]
+        return task
 
     # ------------------------------------------------------------------ #
     def to_spec(self):

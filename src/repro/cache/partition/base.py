@@ -103,6 +103,11 @@ class PartitionedCache(ABC):
     def partition_occupancy(self, partition: int) -> int:
         """Number of lines currently resident for ``partition``."""
 
+    def partition_occupancies(self) -> list[int]:
+        """:meth:`partition_occupancy` of every partition, in one pass."""
+        return [self.partition_occupancy(p)
+                for p in range(self.num_partitions)]
+
     # ------------------------------------------------------------------ #
     # Shared behaviour
     # ------------------------------------------------------------------ #

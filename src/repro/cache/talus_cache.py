@@ -14,19 +14,27 @@ built with ``2 * num_logical`` partitions and exposes the logical-partition
 interface.  Configurations come from the planner in :mod:`repro.core.talus`
 (directly, or via the software wrapper
 :func:`repro.sim.reconfigure.plan_shared_allocations`).
+
+The steering runs where the hardware runs it, beside each access: on an
+array-backed base a logical partition's replay is one native record that
+hashes every access with the pair's H3 byte tables, compares it with the
+limit register, and replays it into the alpha or beta partition
+(:meth:`TalusCache.steering`).  No numpy pass touches the trace first.
+:meth:`SamplingFunction.goes_to_alpha
+<repro.cache.hashing.SamplingFunction.goes_to_alpha>`, which the
+per-access path and the object model use, stays the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from ..core.talus import TalusConfig
 from .cache import CacheStats, materialize_addresses
 from .hashing import SamplingFunction
 from .partition.base import PartitionedCache
+from .threadbatch import StateFields, u64_ptr
 
 __all__ = ["TalusCache", "ShadowPair"]
 
@@ -40,6 +48,10 @@ class ShadowPair:
     beta_index: int
     sampler: SamplingFunction
     config: TalusConfig | None = None
+    #: The steering members of a replay record that never change (see
+    #: :meth:`TalusCache.steering`), read once.
+    steer_fields: StateFields = field(default_factory=StateFields,
+                                      repr=False, compare=False)
 
 
 class TalusCache:
@@ -191,28 +203,43 @@ class TalusCache:
         """Whether :meth:`run` replays a whole trace in one batched pass.
 
         True when the underlying partitioned cache offers
-        ``run_partitioned`` (the array backend); the steering decisions are
-        then vectorized and the replay runs in the native kernel.
+        ``run_partitioned`` (the array backend); the replay, steering
+        included, then runs in the native kernel.
         """
         return hasattr(self.base, "run_partitioned")
+
+    def steering(self, logical: int) -> dict:
+        """The replay record members that steer ``logical``'s accesses: the
+        address of its H3 byte tables (``H3Hash._byte_luts``), their count,
+        its limit register and its alpha and beta partition ids.  An array
+        base's ``run_partitioned`` and ``replay_task`` take them in place
+        of per-access partition ids, and the kernel sends each access to
+        the alpha partition iff its hash is below the limit — exactly
+        :meth:`SamplingFunction.goes_to_alpha`."""
+        pair = self._pairs[logical]
+        fixed = pair.steer_fields
+        if not fixed:
+            luts = pair.sampler.hash._byte_luts
+            fixed.update(steer_lut=u64_ptr(luts), steer_bytes=len(luts),
+                         steer_alpha=pair.alpha_index,
+                         steer_beta=pair.beta_index)
+        return {**fixed, "steer_limit": pair.sampler.limit}
 
     def run(self, trace, logical: int = 0, instructions: int = 0) -> CacheStats:
         """Replay a trace on behalf of one logical partition.
 
         On an array-backed base (:attr:`supports_batch_replay`) the whole
-        trace is steered in one vectorized H3 pass and replayed through
-        ``run_partitioned`` — bit-identical to the per-access path, since
-        the sampling function is a pure function of the address.
+        trace is one ``run_partitioned`` record that steers each access
+        with the pair's H3 hash as it replays it (:meth:`steering`) —
+        bit-identical to the per-access path, since the sampling function
+        is a pure function of the address.
         """
         self._check_logical(logical)
         if self.supports_batch_replay:
             addrs = materialize_addresses(trace)
             pair = self._pairs[logical]
-            hashes = pair.sampler.hash.hash_array(addrs)
-            parts = np.where(hashes < np.uint64(pair.sampler.limit),
-                             pair.alpha_index, pair.beta_index
-                             ).astype(np.int64)
-            _, misses = self.base.run_partitioned(addrs, parts)
+            _, misses = self.base.run_partitioned(
+                addrs, steer=self.steering(logical))
             stats = self.logical_stats[logical]
             n = int(addrs.size)
             m = int(misses[pair.alpha_index] + misses[pair.beta_index])
@@ -230,11 +257,10 @@ class TalusCache:
         """This logical partition's replay of ``trace`` as a batchable
         :class:`~repro.cache.threadbatch.ReplayTask`.
 
-        Steering is the same vectorized H3 pass :meth:`run` performs; the
-        resulting partition-tagged replay is delegated to the base cache's
-        ``replay_task`` with a chained hook folding the logical-partition
-        statistics — so a batched Talus task commits exactly what
-        :meth:`run` would have recorded.
+        The same steered record :meth:`run` replays, from the base
+        cache's ``replay_task``, with a chained hook folding the
+        logical-partition statistics — so a batched Talus task commits
+        exactly what :meth:`run` would have recorded.
         """
         from .threadbatch import ReplayTask
         self._check_logical(logical)
@@ -243,10 +269,7 @@ class TalusCache:
                 or not hasattr(self.base, "replay_task"):
             return ReplayTask(fallback=lambda: self.run(addrs, logical))
         pair = self._pairs[logical]
-        hashes = pair.sampler.hash.hash_array(addrs)
-        parts = np.where(hashes < np.uint64(pair.sampler.limit),
-                         pair.alpha_index, pair.beta_index).astype(np.int64)
-        task = self.base.replay_task(addrs, parts)
+        task = self.base.replay_task(addrs, steer=self.steering(logical))
         stats = self.logical_stats[logical]
         pair_misses = task.misses
         n = int(addrs.size)

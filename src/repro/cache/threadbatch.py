@@ -11,15 +11,19 @@ caller of it:
   as a ``BatchTask`` argument record for the native dispatcher, or as a
   fallback closure for a cache with no kernel task of its own (an
   object-model cache).  A way, set or ideal partitioned cache replays as
-  one *group* record (:meth:`ReplayTask.group`) that runs one plain
-  kernel record per region and commits once;
+  one *group* record (:meth:`ReplayTask.group`): the kernel splits the
+  partition-tagged (or, for a Talus logical pair, H3-steered) trace by
+  region in scratch, runs one plain kernel record per region over its
+  sub-trace, and the group commits once;
 * one private dispatcher packs all native tasks into one ctypes array,
   makes a *single* ``batch_run_threaded`` call (one GIL release, C worker
   threads inside), commits each task's statistics, then runs the
-  fallbacks in order.  :func:`run_tasks` calls it at the resolved width;
-  :meth:`ReplayTask.run` calls it with one task at width 1, which is how
-  every serial entry point of the array caches (``run``, ``run_chunk``,
-  ``access``, ``run_partitioned``) replays.
+  fallbacks in order.  A task whose commit asks to run again (a monitor
+  fold the kernel stopped to grow its table) joins the next call.
+  :func:`run_tasks` calls it at the resolved width; :meth:`ReplayTask.run`
+  and :func:`run_serial` call it at width 1, which is how every serial
+  entry point of the array caches (``run``, ``run_chunk``, ``access``,
+  ``run_partitioned``) replays and how the monitors fold and read.
 
 Because a task is the same kernel call whichever way it is dispatched,
 results are **bit-identical at any thread count**: the kernels never read
@@ -55,7 +59,8 @@ import numpy as np
 
 from ._native import KIND_GROUP, BatchTask, require_kernel, resolve_threads
 
-__all__ = ["ReplayTask", "run_tasks", "i64_ptr", "u64_ptr"]
+__all__ = ["ReplayTask", "StateFields", "run_tasks", "run_serial",
+           "i64_ptr", "u64_ptr"]
 
 
 def i64_ptr(array: np.ndarray) -> int:
@@ -80,6 +85,23 @@ def u64_ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+class StateFields(dict):
+    """Record members of an owner's long-lived state: the addresses of its
+    arrays (:func:`i64_ptr`) and its constants, read once and kept until
+    the owner replaces an array and clears them.  An address costs about
+    2 us to read, and a cache's arrays change only when it resizes.
+
+    A copied or unpickled owner holds new arrays, so the addresses never
+    travel with it: copying or pickling a ``StateFields`` yields an empty
+    one, which the owner refills at its next replay.
+    """
+
+    __slots__ = ()
+
+    def __reduce_ex__(self, protocol):
+        return (type(self), ())
+
+
 class ReplayTask:
     """One cache's replay of one trace, executable in a threaded batch.
 
@@ -98,6 +120,10 @@ class ReplayTask:
         Called with the task's non-negative kernel result after the batch
         returns; folds the replay into the cache's statistics.  The
         serial entry points run the same task, so they fold the same way.
+        It may instead return the fields of a follow-up record (a monitor
+        fold the kernel stopped to grow its table): the task then runs
+        again with them in the dispatcher's next call, and commits when
+        a commit returns None.
     fallback:
         Zero-argument closure replaying through another entry point of
         the cache (the per-access object model, or a per-region loop) —
@@ -105,11 +131,12 @@ class ReplayTask:
     misses:
         Optional caller-visible per-partition miss array (partitioned
         kinds); the kernel or the commit writes it, the fallback must
-        fill it.
+        fill it.  A partitioned task's commit also fills its
+        per-partition ``accesses``.
     """
 
-    __slots__ = ("fields", "refs", "misses", "_commit", "_fallback",
-                 "_after")
+    __slots__ = ("fields", "refs", "misses", "accesses", "_commit",
+                 "_fallback", "_after")
 
     def __init__(self, *, fields: dict | None = None,
                  refs: Sequence[object] = (),
@@ -121,36 +148,33 @@ class ReplayTask:
         self.fields = fields
         self.refs = tuple(refs)
         self.misses = misses
+        self.accesses: np.ndarray | None = None
         self._commit = commit
         self._fallback = fallback
         self._after: list[Callable[[], None]] = []
 
     @classmethod
-    def group(cls, tasks: Sequence["ReplayTask"], n: int, *,
-              commit: Callable[[list[int]], None],
-              misses: np.ndarray | None = None) -> "ReplayTask":
-        """One native task running the native ``tasks`` in order.
+    def group(cls, records: Sequence[dict], fields: dict, *,
+              refs: Sequence[object], commit: Callable[[int], None],
+              misses: np.ndarray) -> "ReplayTask":
+        """One native task replaying a trace over independent regions.
 
-        The group is a single ``BatchTask`` record pointing at the packed
-        records of ``tasks`` (one worker runs them all, one after the
-        other), so a partitioned cache's replay is one task of the batch
-        with ``n`` its whole tagged trace.  Its kernel result is the sum
-        of theirs, or the first negative one.  On commit each task commits
-        its own result, then ``commit`` receives the list of results.
+        ``records`` are the region records' members, one per lane (the
+        kernel fills in each one's ``addrs`` and ``n``); ``fields`` are
+        the group's own: ``addrs`` and ``n`` (the whole trace), each
+        access's lane as ``parts`` or through the ``steer_*`` members,
+        and ``acc_out``/``miss_out``, which receive each lane's counts.
+        The kernel splits the trace by lane, in order, into scratch of the
+        worker that claimed the group and replays each lane's sub-trace
+        through its record; its result is the total misses, or the first
+        negative region result.  ``commit`` then folds the counts.
         """
-        packed = (BatchTask * len(tasks))(
-            *[BatchTask(**task.fields) for task in tasks])
-
-        def commit_all(_total: int) -> None:
-            results = [int(slot.result) for slot in packed]
-            for task, result in zip(tasks, results):
-                task.commit(result)
-            commit(results)
-
-        fields = {"kind": KIND_GROUP, "n": int(n),
+        packed = (BatchTask * len(records))(
+            *[BatchTask(**record) for record in records])
+        fields = {**fields, "kind": KIND_GROUP,
                   "sub": ctypes.addressof(packed),
-                  "num_regions": len(tasks)}
-        return cls(fields=fields, refs=(packed, *tasks), commit=commit_all,
+                  "num_regions": len(records)}
+        return cls(fields=fields, refs=(packed, *refs), commit=commit,
                    misses=misses)
 
     @property
@@ -168,15 +192,20 @@ class ReplayTask:
         self._after.append(hook)
         return self
 
-    def commit(self, result: int) -> None:
-        """Fold a finished native task into the cache's statistics."""
+    def commit(self, result: int) -> bool:
+        """Fold a finished native task into the cache's statistics; False
+        when its commit asked to run a follow-up record instead."""
         if result < 0:
             raise RuntimeError(
                 f"native batched replay rejected a task (result={result})")
         if self._commit is not None:
-            self._commit(int(result))
+            follow = self._commit(int(result))
+            if follow is not None:
+                self.fields = follow
+                return False
         for hook in self._after:
             hook()
+        return True
 
     def run_fallback(self) -> None:
         """Replay through the serial fallback (identical results)."""
@@ -194,17 +223,26 @@ class ReplayTask:
 def _dispatch(tasks: Sequence[ReplayTask], threads: int) -> None:
     """Run ``tasks``: every native one in a single ``batch_run_threaded``
     call at width ``threads``, each committed in order once the call
-    returns; then every fallback task, in order."""
+    returns (a task whose commit asks to run again joins one more call);
+    then every fallback task, in order."""
     native = [t for t in tasks if t.native]
-    if native:
+    while native:
         packed = (BatchTask * len(native))(
             *[BatchTask(**task.fields) for task in native])
         require_kernel().batch_run_threaded(packed, len(native), threads)
-        for slot, task in zip(packed, native):
-            task.commit(int(slot.result))
+        native = [task for slot, task in zip(packed, native)
+                  if not task.commit(int(slot.result))]
     for task in tasks:
         if not task.native:
             task.run_fallback()
+
+
+def run_serial(tasks: Sequence[ReplayTask]) -> None:
+    """Run ``tasks`` on the calling thread in one width-1 dispatch, as
+    :meth:`ReplayTask.run` runs one.  A UMON read folds both of its
+    monitors this way; replays that should fan out across threads go
+    through :func:`run_tasks`."""
+    _dispatch(tasks, 1)
 
 
 def run_tasks(tasks: Iterable[ReplayTask],

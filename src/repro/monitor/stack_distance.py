@@ -19,12 +19,16 @@ than a line's last access, in O(log n) per access:
   with curve reads (the interval-based reconfiguration loop) never
   re-replays its accumulated sub-stream.  The rank structure is a bitmap
   of the live positions under a Fenwick tree over its 64-bit words'
-  popcounts, so it takes 2 int64 per 64 positions, and the histogram is
-  sized by the table (which bounds the live lines), not by positions.
-  Each chunk is one fold task of the native batch dispatcher
+  popcounts, so it takes 2 int64 per 64 positions, and the table and the
+  histogram are sized by the live lines, not by positions or accesses:
+  the kernel stops at the first new line that would fill the table past
+  half load, and the monitor doubles it and folds the rest.  Each chunk
+  is one fold task of the native batch dispatcher
   (:mod:`repro.cache.threadbatch`); the kernel relabels the live markers
   in position order (the only thing distances read) when a chunk would
-  run past the tree or the monitor hands it larger arrays.  Without a
+  run past the tree or the monitor hands it larger arrays.  A UMON's fold
+  also samples its raw accesses and reads its miss curve's hits in the
+  same record (:meth:`IncrementalStackMonitor.replay_task`).  Without a
   compiler it degrades to the online monitor — identical results.
   :func:`stack_distance_histogram` and :func:`lru_miss_curve` are one
   fold over a materialized trace.
@@ -164,6 +168,11 @@ def _rank_array(cap: int) -> np.ndarray:
     return np.zeros(2 * (-(-cap // 64)) + 1, dtype=np.int64)
 
 
+#: The sampling filter of a fold that keeps every access: the threshold of
+#: a rate-1.0 UMON (the kernel's ``SAMPLE_ALL``), which skips the hash.
+SAMPLE_ALL = (0, 1 << 30)
+
+
 class IncrementalStackMonitor:
     """Stateful chunked stack-distance monitor (native state, resumable).
 
@@ -177,20 +186,21 @@ class IncrementalStackMonitor:
     Each chunk is one fold task (:meth:`replay_task`) of the kernel's
     batch dispatcher.  The state is sized by lines, not by positions:
 
-    * the last-position table of ``tsize`` slots holds the live lines and
-      the chunk's new ones at most half full, and doubles while
-      ``2 * (live + n)`` exceeds it;
+    * the last-position table of ``tsize`` slots is never more than half
+      full: the kernel stops at the first new line that would pass half
+      load, and the monitor doubles the table and folds the rest of the
+      chunk into it (the task's next round);
     * the histogram has ``tsize / 2`` entries and grows with the table: a
       distance counts the live markers newer than the line's last one, so
       it is below the live count, which the table bounds;
     * the rank structure over ``cap`` positions is a bitmap of the live
       markers under a Fenwick tree over its words' popcounts,
       ``2 * ceil(cap / 64) + 1`` int64.  When the chunk's positions would
-      run past it, it grows to ``live + 4 * n`` positions of headroom if
-      ``live + 4 * n`` does not fit; otherwise the kernel relabels in
-      place.
+      run past it, it grows to exactly ``live + 4 * n`` positions of
+      headroom if ``live + 4 * n`` does not fit; otherwise the kernel
+      relabels in place.
 
-    Before a fold the monitor only allocates; the kernel moves the state
+    Before a round the monitor only allocates; the kernel moves the state
     into the new arrays itself (O(words + table), no sort).
 
     Parameters
@@ -201,7 +211,6 @@ class IncrementalStackMonitor:
     """
 
     def __init__(self, capacity_hint: int = 1 << 12):
-        self.accesses = 0
         if get_kernel() is None:
             self._online = StackDistanceMonitor(
                 capacity_hint=max(1024, capacity_hint))
@@ -216,8 +225,8 @@ class IncrementalStackMonitor:
         self._tab_tags = np.zeros(tsize, dtype=np.int64)
         self._tab_vals = np.full(tsize, -1, dtype=np.int64)
         self._hist = np.zeros(tsize // 2, dtype=np.int64)
-        #: Next position, live markers and cold misses.
-        self._state = np.zeros(3, dtype=np.int64)
+        #: Next position, live markers, cold misses and folded accesses.
+        self._state = np.zeros(4, dtype=np.int64)
         #: Addresses of the five state arrays, re-read only when one is
         #: replaced.
         self._ptrs = self._addresses()
@@ -239,6 +248,26 @@ class IncrementalStackMonitor:
             self._ptrs = self._addresses()
 
     @property
+    def native(self) -> bool:
+        """Whether the state lives in the kernel's arrays (else the
+        online oracle holds it)."""
+        return self._online is None
+
+    @property
+    def accesses(self) -> int:
+        """Accesses folded so far (a UMON's: the sampled ones)."""
+        if self._online is not None:
+            return self._online.accesses
+        return int(self._state[3])
+
+    @property
+    def live_lines(self) -> int:
+        """Distinct lines folded so far."""
+        if self._online is not None:
+            return len(self._online._last_position)
+        return int(self._state[1])
+
+    @property
     def cold_misses(self) -> int:
         """Accesses that never hit at any finite capacity so far."""
         if self._online is not None:
@@ -246,12 +275,28 @@ class IncrementalStackMonitor:
         return int(self._state[2])
 
     # -- recording ------------------------------------------------------- #
-    def replay_task(self, trace: Iterable[int]) -> ReplayTask:
+    def replay_task(self, trace: Iterable[int], *,
+                    sample: tuple[int, int] = SAMPLE_ALL,
+                    read: dict | None = None) -> ReplayTask:
         """The fold of one chunk as a task of the kernel's batch
         dispatcher (a fallback-only task without a kernel).
 
-        The monitor takes the task's arrays when it commits, so run each
-        task once, before building the monitor's next one.
+        ``sample`` is a UMON's sampling filter, ``(seed multiplier,
+        threshold)``: the kernel folds access ``a`` iff
+        ``mix64(a ^ multiplier) mod 2^30 < threshold``, as
+        :meth:`UMON._sampled <repro.monitor.umon.UMON._sampled>` decides
+        (the default keeps every access).  ``read`` holds the record's
+        ``read_x``/``read_n``/``read_out`` members: once the chunk is
+        folded, the kernel writes into ``out[k]`` the hits at capacity
+        ``min(x[k], live lines)``, for the ``read_n`` abscissae ``x``
+        ascending.  Without a kernel the caller samples (the online
+        monitor folds every access) and reads the histogram.
+
+        The kernel may stop at the table's half load; the task's commit
+        then doubles the table and the task runs again over the rest of
+        the chunk, so a run or dispatch of the task folds it all.  The
+        monitor takes the task's arrays when it commits, so run each task
+        once, before building the monitor's next one.
         """
         addrs = np.ascontiguousarray(np.asarray(
             trace if isinstance(trace, np.ndarray)
@@ -259,50 +304,15 @@ class IncrementalStackMonitor:
             dtype=np.int64))
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
-        n = int(addrs.size)
         if self._online is not None:
-            def fallback() -> None:
-                self._online.record_trace(addrs)
-                self.accesses += n
-            return ReplayTask(fallback=fallback)
-        pos, live = int(self._state[0]), int(self._state[1])
-        tags, vals, tree, hist = (self._tab_tags, self._tab_vals,
-                                  self._tree, self._hist)
-        tags_p, vals_p, tree_p, hist_p, state_p = self._ptrs
-        if 2 * (live + n) > tags.size:
-            tsize = tags.size
-            while 2 * (live + n) > tsize:
-                tsize <<= 1
-            tags = np.zeros(tsize, dtype=np.int64)
-            vals = np.full(tsize, -1, dtype=np.int64)
-            hist = np.pad(hist, (0, tsize // 2 - hist.size))
-            tags_p, vals_p, hist_p = map(i64_ptr, (tags, vals, hist))
-        cap = self._cap
-        if pos + n > cap and live + 4 * n > cap:
-            # Grow with headroom: a tight fit would relabel the whole tree
-            # on every following chunk of an interval-sized feed.
-            while live + 4 * n > cap:
-                cap *= 2
-            tree = _rank_array(cap)
-            tree_p = i64_ptr(tree)
-
-        def commit(_result: int) -> None:
-            self._tab_tags, self._tab_vals = tags, vals
-            self._tree, self._hist, self._cap = tree, hist, cap
-            self._ptrs = (tags_p, vals_p, tree_p, hist_p, state_p)
-            self.accesses += n
-
-        fields = {"kind": KIND_STACK, "addrs": i64_ptr(addrs), "n": n,
-                  "ht_tag": tags_p, "ht_reg": vals_p,
-                  "tsize": int(tags.size),
-                  "ls_tags": self._ptrs[0], "ls_clocks": self._ptrs[1],
-                  "ls_size": int(self._tab_tags.size),
-                  "heap_key": tree_p, "heap_cap": cap,
-                  "heap_tag": self._ptrs[2], "old_tree_cap": self._cap,
-                  "hist": hist_p, "hist_len": int(hist.size),
-                  "heap_io": state_p}
-        return ReplayTask(fields=fields, refs=(addrs, tags, vals, tree, hist),
-                          commit=commit)
+            if sample != SAMPLE_ALL or read is not None:
+                raise ValueError("without a kernel the caller samples the "
+                                 "chunk and reads the histogram")
+            return ReplayTask(
+                fallback=lambda: self._online.record_trace(addrs))
+        fold = _Fold(self, addrs, sample, read)
+        return ReplayTask(fields=fold.round(grow=False), refs=(fold,),
+                          commit=fold.commit)
 
     def record_trace(self, trace: Iterable[int]) -> None:
         """Record every access of a chunk (one fold on this thread)."""
@@ -327,20 +337,77 @@ class IncrementalStackMonitor:
         top = int(nonzero[-1]) + 1 if nonzero.size else 0
         return self._hist[:top].astype(float)
 
-    def distance_counts(self, limit: int) -> np.ndarray:
-        """The int64 counts of distances ``0 .. limit - 1``, cut short
-        where no distance reaches: past the live count (or, without a
-        kernel, past the last recorded distance).  Natively this is a
-        view of the monitor's state, valid until its next fold.
-        """
-        if self._online is not None:
-            return self._online.histogram()[:limit].astype(np.int64)
-        return self._hist[:min(limit, int(self._state[1]))]
-
     def miss_curve(self, sizes: Sequence[float] | None = None) -> MissCurve:
         """The LRU miss curve implied by the recorded distances."""
         return MissCurve.from_stack_distances(
             self.histogram(), cold_misses=self.cold_misses, sizes=sizes)
+
+
+class _Fold:
+    """One chunk's fold into a native monitor, in as many kernel rounds
+    as the table's growth takes: a round's record hands the kernel the
+    arrays the state should live in, and its commit adopts them."""
+
+    __slots__ = ("monitor", "addrs", "start", "sample", "read", "arrays")
+
+    def __init__(self, monitor: IncrementalStackMonitor, addrs: np.ndarray,
+                 sample: tuple[int, int], read: dict | None):
+        self.monitor = monitor
+        self.addrs = addrs
+        self.start = 0
+        self.sample = sample
+        self.read = read
+        self.arrays: tuple = ()
+
+    def round(self, grow: bool) -> dict:
+        """The record folding ``addrs[start:]``; ``grow`` doubles the
+        table (the last round stopped at its half load)."""
+        m = self.monitor
+        n = int(self.addrs.size) - self.start
+        pos, live = int(m._state[0]), int(m._state[1])
+        tags, vals, tree, hist = m._tab_tags, m._tab_vals, m._tree, m._hist
+        tags_p, vals_p, tree_p, hist_p, state_p = m._ptrs
+        if grow:
+            tsize = 2 * tags.size
+            tags = np.zeros(tsize, dtype=np.int64)
+            vals = np.full(tsize, -1, dtype=np.int64)
+            hist = np.pad(hist, (0, tsize // 2 - hist.size))
+            tags_p, vals_p, hist_p = map(i64_ptr, (tags, vals, hist))
+        cap = m._cap
+        if pos + n > cap and live + 4 * n > cap:
+            # Grow with headroom: a tight fit would relabel the whole tree
+            # on every following chunk of an interval-sized feed.
+            cap = live + 4 * n
+            tree = _rank_array(cap)
+            tree_p = i64_ptr(tree)
+        self.arrays = (tags, vals, tree, hist, cap,
+                       (tags_p, vals_p, tree_p, hist_p, state_p))
+        fields = {"kind": KIND_STACK,
+                  "addrs": i64_ptr(self.addrs) + 8 * self.start, "n": n,
+                  "sample_mul": self.sample[0],
+                  "sample_threshold": self.sample[1],
+                  "ht_tag": tags_p, "ht_reg": vals_p,
+                  "tsize": int(tags.size),
+                  "ls_tags": m._ptrs[0], "ls_clocks": m._ptrs[1],
+                  "ls_size": int(m._tab_tags.size),
+                  "heap_key": tree_p, "heap_cap": cap,
+                  "heap_tag": m._ptrs[2], "old_tree_cap": m._cap,
+                  "hist": hist_p, "hist_len": int(hist.size),
+                  "heap_io": state_p}
+        if self.read is not None:
+            fields.update(self.read)
+        return fields
+
+    def commit(self, consumed: int) -> dict | None:
+        """Adopt the round's arrays; the next round's record when the
+        kernel stopped short of the chunk's end."""
+        m = self.monitor
+        (m._tab_tags, m._tab_vals, m._tree, m._hist, m._cap,
+         m._ptrs) = self.arrays
+        self.start += consumed
+        if self.start < self.addrs.size:
+            return self.round(grow=True)
+        return None
 
 
 def stack_distance_histogram(trace: Sequence[int]) -> tuple[np.ndarray, int]:

@@ -16,46 +16,80 @@ factor on both axes.
 
 Fast path
 ---------
-The monitor is incremental end to end: :meth:`UMON.record_trace` selects
-the sampled sub-stream with one vectorized splitmix64 pass
-(:func:`repro.cache.hashing.mix64_array`) instead of one Python hash call
-per access (at rate 1.0 the mask keeps every access, so the batch is
-copied without hashing), and the sub-stream advances a persistent native
-stack-distance state
-(:class:`repro.monitor.stack_distance.IncrementalStackMonitor`) on the
-first curve read after new data, in one fold of everything sampled since
-the previous read — accumulated accesses are never re-replayed, so a
-reconfiguration loop that reads the curve every interval does
-O(sub-stream length) total monitoring work.  Recording and folding run
-on the caller's thread.  The scalar
-:meth:`UMON.record` path selects exactly the same sub-stream, so online
-and batch recording are interchangeable and the produced curves are
-bit-identical to the pre-vectorization implementation.
+A UMON samples and folds beside every access in hardware (Sec. VI-C);
+here both run inside one native record per monitor, at the read.
+:meth:`UMON.record_trace` only keeps a copy of the raw batch (a
+:class:`CombinedUMON` keeps one copy, which both of its monitors fold).
+The first curve read after new data folds everything recorded since the
+previous read into a persistent native stack-distance state
+(:class:`repro.monitor.stack_distance.IncrementalStackMonitor`): the fold
+record selects the sampled sub-stream with the kernel's ``mix64`` and the
+monitor's seed multiplier and threshold, exactly the test of the scalar
+:meth:`UMON.record` path, so the two paths interleave freely and the
+curves are bit-identical to the pre-vectorization implementation.
+Accumulated accesses are never re-replayed, so a reconfiguration loop
+that reads the curve every interval does O(stream length) total
+monitoring work, on the caller's thread.  A :class:`CombinedUMON` read is
+one width-1 dispatch of its two fold records.
 
 A read costs what its curve needs, not what the stream's footprint
-holds, as a hardware UMON's read costs its fixed way counters: it takes
-integer prefix sums over only the distances below its largest (sampled)
-size, and the total from the fold's access count.  The misses equal the
-Mattson construction (:func:`repro.core.misscurve.mattson_misses`) over
-the whole histogram bit for bit: the prefix sums are exact integers,
-``np.interp`` reads only the two samples around each size (and returns a
-sample exactly at its abscissa), and the misses are flat past the last
-live distance.
+holds, as a hardware UMON's read costs its fixed way counters: the fold
+record also writes the cumulative hits at only the integer abscissae the
+read interpolates between (the floor of each sampled size and the next
+integer, capped at the live lines), and numpy interpolates and scales
+those.  The misses equal the Mattson construction
+(:func:`repro.core.misscurve.mattson_misses`) over the whole histogram
+bit for bit: the hits are exact integers, ``np.interp`` reads only the
+two samples around each size (and returns a sample exactly at its
+abscissa), and the misses are flat past the last live distance.  Without
+a kernel the fold samples with the vectorized twin of the hash
+(:func:`repro.cache.hashing.mix64_array`) and a read is
+:func:`~repro.core.misscurve.mattson_misses` over the oracle's histogram.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.misscurve import MissCurve
 from ..cache.cache import materialize_addresses as _materialize
 from ..cache.hashing import mix64, mix64_array, seed_mix
+from ..cache.threadbatch import ReplayTask, StateFields, i64_ptr, run_serial
+from ..core.misscurve import MissCurve, mattson_misses
 from .stack_distance import IncrementalStackMonitor
 
 __all__ = ["UMON", "CombinedUMON"]
+
+
+class _Plan:
+    """A read of one monitor at fixed sizes (full-cache lines): the
+    sampled sizes, the sorted integer abscissae ``np.interp`` reads around
+    them — the floor and the next integer of each, at least 0 — and the
+    buffer the fold record writes their hits into.  ``xs`` is None when a
+    size is not finite (MissCurve rejects it).  A :class:`CombinedUMON`
+    keeps its default grid's plans, and their record members, for its
+    lifetime."""
+
+    __slots__ = ("scaled", "xs", "out", "_fields")
+
+    def __init__(self, sizes: np.ndarray, rate: float):
+        self.scaled = sizes * rate
+        self.xs = self.out = None
+        self._fields = StateFields()
+        if sizes.size and np.isfinite(self.scaled).all():
+            low = np.floor(self.scaled).clip(0.0, 2.0 ** 62)
+            self.xs = np.unique(np.concatenate((low, low + 1.0))
+                                ).astype(np.int64)
+            self.out = np.zeros(self.xs.size, dtype=np.int64)
+
+    def members(self) -> dict:
+        """The fold record's ``read_*`` members."""
+        fields = self._fields
+        if not fields:
+            fields.update(read_x=i64_ptr(self.xs), read_n=int(self.xs.size),
+                          read_out=i64_ptr(self.out))
+        return fields
 
 
 class UMON:
@@ -92,51 +126,60 @@ class UMON:
         self.points = points
         self.seed = seed
         self._threshold = int(sampling_rate * (1 << 30))
-        self._seed_mul = np.uint64(seed_mix(seed))
+        self._seed_mul = seed_mix(seed)
+        #: Raw batches (and flushed scalar samples) since the last fold.
         self._chunks: list[np.ndarray] = []
         self._pending: list[int] = []
-        self._observed = 0
         self._total = 0
-        # Persistent stack-distance state; pending chunks are folded in
-        # lazily at the first curve read after new data.
+        # Persistent stack-distance state; recorded chunks are folded in
+        # at the first curve read after new data.
         self._monitor: IncrementalStackMonitor | None = None
 
     # ------------------------------------------------------------------ #
     def _sampled(self, address: int) -> bool:
-        return (mix64(address ^ seed_mix(self.seed)) % (1 << 30)
+        return (mix64(address ^ self._seed_mul) % (1 << 30)
                 < self._threshold)
 
     def _sample_mask(self, addrs: np.ndarray) -> np.ndarray:
         """Vectorized twin of :meth:`_sampled` (same sub-stream exactly)."""
-        hashed = mix64_array(addrs.astype(np.uint64) ^ self._seed_mul)
+        hashed = mix64_array(addrs.astype(np.uint64)
+                             ^ np.uint64(self._seed_mul))
         return (hashed & np.uint64((1 << 30) - 1)) < np.uint64(self._threshold)
 
     def record(self, address: int) -> None:
         """Observe one access (the monitor decides whether to sample it)."""
         self._total += 1
         if self._sampled(address):
-            self._observed += 1
             self._pending.append(int(address))
 
     def record_trace(self, trace: Iterable[int]) -> None:
-        """Observe every access of a trace (one vectorized sampling pass)."""
+        """Observe every access of a trace: keep a copy of the batch, which
+        the next read samples and folds."""
         addrs = _materialize(trace)
-        self._total += int(addrs.size)
-        if not addrs.size:
-            return
+        self._append(addrs.copy() if addrs.size else addrs)
+
+    def _append(self, batch: np.ndarray) -> None:
+        """Keep ``batch``, a private copy (a :class:`CombinedUMON` hands
+        both monitors the same one), after any scalar samples."""
+        self._total += int(batch.size)
+        if batch.size:
+            self._flush()
+            self._chunks.append(batch)
+
+    def _flush(self) -> None:
+        """Queue the scalar samples as a chunk, in access order.  They pass
+        the fold's sampling test again, which selects them."""
         if self._pending:
-            # Keep the sub-stream in access order when scalar record()
-            # calls preceded this batch.
             self._chunks.append(np.asarray(self._pending, dtype=np.int64))
             self._pending = []
-        # At rate 1.0 (threshold 2^30) the mask keeps every access.  The
-        # batch may be the caller's own array and is folded later, so it
-        # is copied, never kept as a view.
-        sub = (addrs.copy() if self._threshold >= 1 << 30
-               else addrs[self._sample_mask(addrs)])
-        if sub.size:
-            self._observed += int(sub.size)
-            self._chunks.append(sub)
+
+    def _take(self) -> np.ndarray | None:
+        """Everything recorded since the last fold, as one array."""
+        self._flush()
+        chunks, self._chunks = self._chunks, []
+        if len(chunks) > 1:
+            return np.concatenate(chunks)
+        return chunks[0] if chunks else None
 
     @property
     def total_accesses(self) -> int:
@@ -145,30 +188,80 @@ class UMON:
 
     @property
     def sampled_accesses(self) -> int:
-        """Accesses actually sampled into the monitor."""
-        return self._observed
+        """Accesses actually sampled into the monitor (folds first)."""
+        return self._folded().accesses
 
     # ------------------------------------------------------------------ #
-    def _folded(self) -> IncrementalStackMonitor:
-        """The stack-distance state with every sampled access folded in.
-
-        Chunks recorded since the last read are folded, as one task, into
-        the persistent :class:`IncrementalStackMonitor` (native state when
-        a kernel is available, the online reference monitor otherwise),
-        so each sampled access is processed exactly once no matter how
-        often the curve is read — the resumable-runtime contract the
-        reconfiguration loop relies on.
-        """
-        if self._pending:
-            self._chunks.append(np.asarray(self._pending, dtype=np.int64))
-            self._pending = []
+    def _state(self) -> IncrementalStackMonitor:
         if self._monitor is None:
-            self._monitor = IncrementalStackMonitor(
-                capacity_hint=max(1024, self._observed))
-        if self._chunks:
-            self._monitor.record_trace(np.concatenate(self._chunks))
-            self._chunks = []
+            self._monitor = IncrementalStackMonitor(capacity_hint=1024)
         return self._monitor
+
+    def _fold_task(self, batch: np.ndarray | None,
+                   read: dict | None = None) -> ReplayTask | None:
+        """The fold of ``batch`` (raw accesses) into the stack-distance
+        state, also reading ``read`` (a plan's record members) natively:
+        the kernel samples the batch; without a kernel the numpy mask
+        does, before an online fold.  None when there is nothing to fold
+        or read."""
+        monitor = self._state()
+        if monitor.native:
+            if batch is None and read is None:
+                return None
+            return monitor.replay_task(
+                batch if batch is not None else np.zeros(0, np.int64),
+                sample=(self._seed_mul, self._threshold), read=read)
+        if batch is None:
+            return None
+        if self._threshold < 1 << 30:
+            batch = batch[self._sample_mask(batch)]
+        return monitor.replay_task(batch)
+
+    def _folded(self) -> IncrementalStackMonitor:
+        """The stack-distance state with every recorded access folded in
+        (one task on this thread), so each access is processed exactly
+        once no matter how often the curve is read."""
+        task = self._fold_task(self._take())
+        if task is not None:
+            task.run()
+        return self._state()
+
+    def _plan(self, sizes: np.ndarray) -> _Plan:
+        """The read plan of ``sizes`` (full-cache lines)."""
+        return _Plan(sizes, self.sampling_rate)
+
+    def _read_task(self, plan: _Plan, batch: np.ndarray | None
+                   ) -> ReplayTask | None:
+        """The fold of ``batch`` that also reads ``plan`` natively."""
+        if plan.xs is None or not self._state().native:
+            return self._fold_task(batch)
+        return self._fold_task(batch, plan.members())
+
+    def _misses(self, plan: _Plan) -> np.ndarray:
+        """Estimated full-stream misses at a plan's sizes, once its read
+        ran: the folded accesses less the hits below each sampled size,
+        scaled back up by the inverse rate (Theorem 4)."""
+        scaled, xs = plan.scaled, plan.xs
+        monitor = self._state()
+        if xs is None:
+            return np.full(scaled.shape, np.nan)
+        total = monitor.accesses
+        if not monitor.native:
+            misses = mattson_misses(monitor.histogram(), monitor.cold_misses,
+                                    scaled)
+        else:
+            # Abscissae at or past the live lines all read the hits at
+            # the live lines, where the misses turn flat: keep the first.
+            live = monitor.live_lines
+            k = int(np.searchsorted(xs, live))
+            if k < xs.size:
+                xs = xs[:k + 1].copy()
+                xs[k] = live
+            misses = np.interp(scaled, xs, total - plan.out[:xs.size])
+        scale = 1.0 / self.sampling_rate if total else 1.0
+        # Guard against sampling noise: the curve should not exceed the
+        # total access count.
+        return np.minimum(misses * scale, self._total)
 
     def miss_curve(self, sizes: Sequence[float] | None = None) -> MissCurve:
         """Estimated full-stream LRU miss curve.
@@ -181,34 +274,28 @@ class UMON:
         if sizes is None:
             sizes = np.linspace(0, self.max_size, self.points)
         sizes = np.asarray(sizes, dtype=float)
-        return MissCurve(sizes, self._misses(sizes))
+        return MissCurve(sizes, _read([(self, self._plan(sizes))])[0])
 
-    def _misses(self, sizes: np.ndarray) -> np.ndarray:
-        """Estimated full-stream misses at ``sizes`` (full-cache lines).
 
-        The misses at sampled size ``c`` are the folded accesses less the
-        hits at distances below ``c``; only the counts below the largest
-        size (plus one) are summed, and past the last live distance the
-        misses are flat, so the result equals
-        :func:`~repro.core.misscurve.mattson_misses` over the whole
-        histogram.
-        """
-        monitor = self._folded()
-        scaled = sizes * self.sampling_rate
-        total = monitor.accesses
-        top = float(np.max(scaled, initial=0.0))
-        # A NaN or infinite size reads every count (and MissCurve then
-        # rejects it): no distance reaches the access count.
-        counts = monitor.distance_counts(
-            math.ceil(top) + 1 if top < total else total)
-        hits = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=hits[1:])
-        misses = np.interp(scaled, np.arange(hits.size, dtype=float),
-                           total - hits)
-        scale = 1.0 / self.sampling_rate if self._observed else 1.0
-        # Guard against sampling noise: the curve should not exceed the
-        # total access count.
-        return np.minimum(misses * scale, self._total)
+def _read(reads: list[tuple[UMON, _Plan]]) -> list[np.ndarray]:
+    """Each monitor's misses at its plan's sizes.  Every monitor folds
+    what it recorded since its last read and reads its plan, in one
+    width-1 dispatch; two monitors that recorded the same batches (a
+    :class:`CombinedUMON`'s) fold one concatenation of them."""
+    for monitor, _ in reads:
+        monitor._flush()
+    first = reads[0][0]._chunks
+    if len(reads) == 2 and len(first) == len(reads[1][0]._chunks) and all(
+            a is b for a, b in zip(first, reads[1][0]._chunks)):
+        batch = reads[0][0]._take()
+        reads[1][0]._chunks = []
+        batches = [batch, batch]
+    else:
+        batches = [monitor._take() for monitor, _ in reads]
+    tasks = [monitor._read_task(plan, batch)
+             for (monitor, plan), batch in zip(reads, batches)]
+    run_serial([task for task in tasks if task is not None])
+    return [monitor._misses(plan) for monitor, plan in reads]
 
 
 class CombinedUMON:
@@ -237,10 +324,12 @@ class CombinedUMON:
         self.secondary = UMON(sampling_rate=primary_rate * coverage_ratio,
                               max_size=extended, points=points, seed=seed + 1)
         #: The default grid, shared read-only by every default read's
-        #: curve, and the index where its secondary half starts.
+        #: curve, and each monitor's plan of its half.
         self._grid = np.linspace(0, self.max_size, 2 * points)
         self._grid.flags.writeable = False
-        self._split = int(np.searchsorted(self._grid, llc_size, side="right"))
+        split = int(np.searchsorted(self._grid, llc_size, side="right"))
+        self._plans = (self.primary._plan(self._grid[:split]),
+                       self.secondary._plan(self._grid[split:]))
 
     def record(self, address: int) -> None:
         """Observe one access with both monitors."""
@@ -248,10 +337,12 @@ class CombinedUMON:
         self.secondary.record(address)
 
     def record_trace(self, trace: Iterable[int]) -> None:
-        """Observe every access of a trace (vectorized, both monitors)."""
+        """Observe every access of a trace: one copy of the batch, which
+        both monitors keep and fold at the next read."""
         addrs = _materialize(trace)
-        self.primary.record_trace(addrs)
-        self.secondary.record_trace(addrs)
+        batch = addrs.copy() if addrs.size else addrs
+        self.primary._append(batch)
+        self.secondary._append(batch)
 
     @property
     def max_size(self) -> int:
@@ -263,22 +354,25 @@ class CombinedUMON:
 
         Sizes up to ``llc_size`` read the primary monitor and larger sizes
         the secondary; a grid wholly on one side reads only that monitor.
-        The spliced misses take their running minimum (the monotone
-        envelope) and become one :class:`MissCurve`.
+        Both monitors fold and read in one dispatch.  The spliced misses
+        take their running minimum (the monotone envelope) and become one
+        :class:`MissCurve`.
         """
         if sizes is None:
-            sizes = self._grid
-            parts = (sizes[:self._split], sizes[self._split:])
+            sizes, plans = self._grid, self._plans
         else:
             sizes = np.asarray(sizes, dtype=float)
             parts = (sizes[sizes <= self.llc_size],
                      sizes[sizes > self.llc_size])
             sizes = np.concatenate(parts)
+            plans = (self.primary._plan(parts[0]),
+                     self.secondary._plan(parts[1]))
         if not sizes.size:
             raise ValueError("no sizes requested")
-        misses = np.concatenate([
-            monitor._misses(part) for monitor, part
-            in zip((self.primary, self.secondary), parts) if part.size])
+        misses = np.concatenate(_read([
+            (monitor, plan) for monitor, plan
+            in zip((self.primary, self.secondary), plans)
+            if plan.scaled.size]))
         # Splicing two independently sampled monitors can introduce a small
         # upward step at the boundary; enforce monotonicity.
         return MissCurve(sizes, np.minimum.accumulate(misses))

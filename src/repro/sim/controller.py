@@ -437,29 +437,33 @@ class OnlineTalusController:
             if abs(total - self.partitionable) > 1e-6:
                 raise AssertionError(
                     f"granted {total} != partitionable {self.partitionable}")
+        # With *no* active apps, way partitioning has no one to give the
+        # ways to — every way stays owned, and resident lines persist
+        # until the next arrival's reallocation evicts them.  With >= 1
+        # active app the zero request is honoured exactly and the free
+        # slots' checks apply.
+        check_free = (len(self._slot_of) < len(self._slots)
+                      and (self.scheme != "way" or bool(self._slot_of)))
+        # Every partition's occupancy in one pass, read only when a free
+        # slot is checked.
+        held = (self.talus.base.partition_occupancies() if check_free
+                else None)
         for slot, (app, (alpha, beta)) in enumerate(zip(self._slots,
                                                         self._pairs)):
-            pair_lines = float(granted[alpha] + granted[beta])
             if app is not None:
                 floor = self._floors[app]
-                if replanned and pair_lines + 1e-6 < floor:
-                    raise AssertionError(
-                        f"QoS floor violated for {app!r}: granted "
-                        f"{pair_lines} < floor {floor}")
-            else:
-                if self.scheme == "way" and not self._slot_of:
-                    # With *no* active apps, way partitioning has no one
-                    # to give the ways to — every way stays owned, and
-                    # resident lines persist until the next arrival's
-                    # reallocation evicts them.  With >= 1 active app the
-                    # zero request is honoured exactly and the checks
-                    # below apply.
-                    continue
-                occupancy = (self.talus.base.partition_occupancy(alpha)
-                             + self.talus.base.partition_occupancy(beta))
+                if replanned:
+                    pair_lines = float(granted[alpha] + granted[beta])
+                    if pair_lines + 1e-6 < floor:
+                        raise AssertionError(
+                            f"QoS floor violated for {app!r}: granted "
+                            f"{pair_lines} < floor {floor}")
+            elif check_free:
+                occupancy = held[alpha] + held[beta]
                 if occupancy:
                     raise AssertionError(
                         f"freed slot {slot} still holds {occupancy} lines")
+                pair_lines = float(granted[alpha] + granted[beta])
                 if replanned and self.scheme != "way" and pair_lines:
                     raise AssertionError(
                         f"freed slot {slot} still granted {pair_lines} lines")

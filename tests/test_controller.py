@@ -350,6 +350,50 @@ class TestInvariants:
                 if app is not None:
                     assert granted + 1e-6 >= floor
 
+    def test_detects_corrupted_states(self, scheme):
+        """Each invariant fails, with its own message, on a state
+        corrupted behind the controller's back: lines resident in a
+        freed slot's pair, an over-granted cache, capacity that leaks
+        from the active apps, and a pair below its QoS floor."""
+        def warm():
+            ctl = controller(scheme=scheme, max_apps=3)
+            for seed, app in enumerate("ab"):
+                ctl.handle(AppArrive(app))
+                ctl.handle(batch(app, 500, seed=seed))
+            ctl.check_invariants()
+            return ctl
+
+        with warm() as ctl:
+            base = ctl.talus.base
+            free = ctl._slots.index(None)
+            alpha = ctl.talus.shadow_pair(free).alpha_index
+            requests = [float(g) for g in base.granted_allocations()]
+            donor = int(np.argmax(requests))
+            moved = 2 * ctl.quantum
+            requests[donor] -= moved
+            requests[alpha] += moved
+            base.set_allocations(requests)
+            for address in range(64):
+                base.access(address, alpha)
+            assert base.partition_occupancy(alpha) > 0
+            with pytest.raises(AssertionError,
+                               match=f"freed slot {free} still holds"):
+                ctl.check_invariants()
+        with warm() as ctl:
+            ctl.partitionable -= 1.0
+            with pytest.raises(AssertionError, match="exceeds partitionable"):
+                ctl.check_invariants()
+        if scheme != "way":
+            with warm() as ctl:
+                ctl.partitionable += 1.0
+                with pytest.raises(AssertionError, match="!= partitionable"):
+                    ctl.check_invariants()
+        with warm() as ctl:
+            ctl._floors["b"] = ctl.granted_lines("b") + 1.0
+            with pytest.raises(AssertionError,
+                               match="QoS floor violated for 'b'"):
+                ctl.check_invariants()
+
     def test_exact_conservation_when_active(self, scheme):
         result = run_churn(small_spec(), scheme=scheme,
                            base_interval_accesses=1_500)

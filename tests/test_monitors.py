@@ -156,13 +156,15 @@ class TestUMON:
     def test_bounded_reads_match_the_oracle(self, llc, rate,
                                             footprint_factor, chunks,
                                             seed):
-        """A read sums only the distances below its largest size, and
-        its total is the fold's access count; it still equals
-        ``mattson_misses`` over each monitor's whole histogram: for
-        footprints below and above the grid's top distance, across
-        random chunkings with reads in between, on the default grid and
-        on fractional, integer, one-point and past-every-distance
-        grids, and before anything is recorded."""
+        """A read takes the hits at only the integer abscissae around its
+        sampled sizes, capped at the live lines, and its total is the
+        fold's access count; it still equals ``mattson_misses`` over each
+        monitor's whole histogram: for footprints below and above the
+        grid's top distance, across random chunkings with reads in
+        between, on the default grid and on fractional, integer,
+        one-point and past-every-distance grids, on explicit sizes at
+        integer and fractional sampled sizes and around each monitor's
+        live lines, and before anything is recorded."""
         rng = np.random.default_rng(seed)
         combined = CombinedUMON(llc_size=llc, primary_rate=rate,
                                 coverage_ratio=1 / 4, points=9, seed=seed)
@@ -173,9 +175,23 @@ class TestUMON:
                  np.array([float(rng.integers(0, top + 1))]),
                  np.array([0.5, top + 0.5, 8.0 * top])]
         footprint = max(1, int(footprint_factor * top))
+        monitors = (combined.primary, combined.secondary)
         for n in [0] + chunks:
             combined.record_trace(rng.integers(0, footprint, n))
-            for grid in grids:
+            # Explicit sizes at the read's own abscissae: integer and
+            # fractional sampled sizes, and sizes around and past each
+            # monitor's live lines, where its misses turn flat.
+            lives = [m._folded().live_lines for m in monitors]
+            explicit = [
+                np.unique(np.concatenate([np.arange(4) / m.sampling_rate
+                                          for m in monitors])),
+                np.unique(np.concatenate([(np.arange(4) + 0.25)
+                                          / m.sampling_rate
+                                          for m in monitors])),
+                np.unique(np.concatenate([
+                    np.array([max(live - 1, 0), live, live + 0.5, live + 2])
+                    / m.sampling_rate for live, m in zip(lives, monitors)]))]
+            for grid in grids + explicit:
                 assert_same_curve(combined.miss_curve(sizes=grid),
                                   per_half_combined_curve(combined, grid))
 
@@ -303,6 +319,77 @@ class TestUMONFastPath:
             chunked.miss_curve()   # interleaved curve reads must be safe
         assert np.array_equal(whole.miss_curve().misses,
                               chunked.miss_curve().misses)
+
+
+class TestRawFolds:
+    """A UMON keeps raw batches and its fold record samples them in the
+    kernel (the numpy mask without one), growing its table when new
+    sampled lines pass half load in the middle of a fold."""
+
+    @pytest.mark.parametrize("rate", [1 / 64, 1 / 4, 1.0])
+    def test_raw_folds_match_scalar_path_and_oracle(self, rate):
+        """Raw-chunk folds equal the scalar ``record()`` path and the
+        ``StackDistanceMonitor`` oracle over the sampled sub-stream,
+        with scalar records interleaved between the batches and reads
+        between chunks: sampled count, histogram, cold misses and curve
+        at every read.  One chunk brings enough new sampled lines to
+        cross the table's half load mid-fold; natively the table grows
+        there, by lines, not by the raw chunk's length."""
+        rng = np.random.default_rng(int(1 / rate))
+        kwargs = dict(sampling_rate=rate, max_size=1 << 14, points=9,
+                      seed=17)
+        raw, scalar = UMON(**kwargs), UMON(**kwargs)
+        oracle = StackDistanceMonitor()
+        # The monitor's table starts at 2048 slots, half load at 1024
+        # lines: the fourth chunk brings 1536 new sampled lines at once.
+        fresh = np.arange(1 << 20, (1 << 20) + int(1536 / rate),
+                          dtype=np.int64)
+        chunks = [rng.integers(0, 3000, 4000), rng.integers(0, 3000, 600),
+                  rng.integers(0, 6000, 4000), fresh,
+                  rng.integers(0, 6000, 1), rng.integers(0, 9000, 5000)]
+        for step, chunk in enumerate(chunks):
+            chunk = chunk.astype(np.int64)
+            if step == 1:
+                for a in chunk.tolist():
+                    raw.record(a)
+            else:
+                raw.record_trace(chunk)
+            for a in chunk.tolist():
+                scalar.record(a)
+            oracle.record_trace([a for a in chunk.tolist()
+                                 if scalar._sampled(a)])
+            if step in (0, 3, 5):
+                state = raw._state()
+                before = state._tab_tags.size if state.native else 0
+                curve = raw.miss_curve()
+                assert np.array_equal(curve.misses,
+                                      scalar.miss_curve().misses)
+                folded = raw._folded()
+                assert raw.sampled_accesses == oracle.accesses
+                assert np.array_equal(folded.histogram(),
+                                      oracle.histogram())
+                assert folded.cold_misses == oracle.cold_misses
+                if step == 3 and state.native:
+                    size, live = state._tab_tags.size, folded.live_lines
+                    assert before < size <= 4 * live and 2 * live <= size
+
+    def test_combined_monitors_share_one_copy(self):
+        """A ``CombinedUMON`` keeps one copy of each batch, which both
+        monitors fold: writing into the caller's array after recording
+        changes nothing, and a read equals the per-monitor oracle."""
+        rng = np.random.default_rng(47)
+        combined = CombinedUMON(llc_size=512, primary_rate=1 / 2,
+                                coverage_ratio=1 / 4, points=9, seed=3)
+        batches = [rng.integers(0, 4000, 3000).astype(np.int64)
+                   for _ in range(3)]
+        for batch in batches:
+            combined.record_trace(batch)
+        assert all(a is b for a, b in zip(combined.primary._chunks,
+                                          combined.secondary._chunks))
+        for batch in batches:
+            batch[:] = 0
+        assert np.array_equal(combined.miss_curve().misses,
+                              per_half_combined_curve(combined).misses)
 
 
 class TestUMONIncrementalMode:

@@ -462,10 +462,11 @@ class TestIncrementalMonitors:
         -1 and the int64 extremes as addresses.  Every interleaved read
         equals the oracle over the chunks fed so far, also on a monitor
         whose table is far larger than its footprint (a read scans only
-        the live distances), and on monitors of 100 positions (a partial
-        last bitmap word) that make every move with 63, 64 and 65 live
-        lines, so the rank structure's word boundary falls at the last
-        live marker and the next position."""
+        the live distances), on monitors of 100 positions (a partial
+        last bitmap word) that relabel and grow the tree with 63, 64 and
+        65 live lines, so the rank structure's word boundary falls at the
+        last live marker and the next position, and on a monitor whose
+        table grows in the middle of a chunk with 64 live lines."""
         info = np.iinfo(np.int64)
         footprint = np.array([-1, info.min, info.max, *range(13)],
                              dtype=np.int64)
@@ -514,18 +515,36 @@ class TestIncrementalMonitors:
             # `live` new lines, then reuses only: every move happens with
             # `live` markers, and pos restarts at `live` after each one.
             # The 100 positions fill up, a 1-access chunk relabels in
-            # place, 100 - live reuses grow the tree (to 400 positions, a
-            # partial last word again), 129 - live reuses grow the table
-            # (to 512 slots) and 272 grow both (to 1600 and 1024).
+            # place, 100 - live reuses grow the tree (to live + 4 * (100 -
+            # live) positions, a partial last word again), and 129 - live
+            # and then 272 reuses fill it and grow it again (to live +
+            # 4 * 272).  The table is sized by lines, so reuses never grow
+            # it: it keeps its 256 slots.
             reuse = [rng.integers(0, live, k).astype(np.int64)
                      for k in (100 - live, 1, 100 - live, 129 - live, 272)]
             word = IncrementalStackMonitor(capacity_hint=100)
             moves = fold_checked(word, [
                 np.arange(live, dtype=np.int64), *reuse, reuse[1]])
             if word._online is None:
-                assert {(False, False, True), (True, False, False),
-                        (False, True, False), (True, True, False)} <= moves
-                assert word._cap == 1600 and int(word._state[1]) == live
+                assert moves == {(False, False, False), (False, False, True),
+                                 (False, True, False)}
+                assert word._cap == live + 4 * 272
+                assert int(word._state[1]) == live
+                assert word._tab_tags.size == 256
+
+        # The table grows only when a new line would fill it past half
+        # load.  A 64-position monitor's 128 slots hold 64 lines at half
+        # load: the 65th line, in the middle of a chunk that also grows
+        # the tree, stops the kernel with 64 live markers (the whole first
+        # bitmap word); the table doubles and the fold resumes over the
+        # rest of the chunk.
+        edge = IncrementalStackMonitor(capacity_hint=64)
+        tail = np.concatenate([rng.integers(0, 64, 30), [64, 65],
+                               rng.integers(0, 66, 30)]).astype(np.int64)
+        moves = fold_checked(edge, [np.arange(64, dtype=np.int64), tail])
+        if edge._online is None:
+            assert moves == {(False, False, False), (True, True, False)}
+            assert edge._tab_tags.size == 256 and int(edge._state[1]) == 66
 
     def test_fold_state_bounded_by_table(self):
         """A monitor's rank structure and histogram together take at most

@@ -235,6 +235,66 @@ class TestReplayTaskDeterminism:
                     (policy, width)
 
     @needs_kernel
+    @pytest.mark.parametrize("scheme", ("ideal", "way", "set", "vantage"))
+    @pytest.mark.parametrize("policy",
+                             ("LRU", "SRRIP", "DRRIP", "TA-DRRIP", "PDP"))
+    def test_kernel_steering_matches_per_access_path(self, scheme, policy):
+        """A Talus pair's replay, steered inside the kernel record, equals
+        the per-access path (the scalar ``SamplingFunction`` picks the
+        shadow partition, then one access replays into it) at limits 0,
+        1, 255 and 256: every partition's counts, every region's state
+        and the logical statistics, through ``run``, ``run_chunk`` and
+        batched ``replay_task``s at widths 1, 2 and ``REPRO_THREADS``
+        (a steered group record splits its trace in the scratch of the
+        worker that runs it).  Both logical pairs replay, so the steered
+        partitions are 0/1 and 2/3 of the base."""
+        limits = (0, 1, 255, 256)
+        traces = [zipfian(500, 800, seed=seed).addresses for seed in (4, 5)]
+
+        def caches():
+            out = []
+            for limit in limits:
+                talus = build(TalusSpec(partition=PartitionSpec(
+                    scheme=scheme, capacity_lines=256, num_partitions=4,
+                    policy=policy, backend="array"), num_logical=2))
+                for logical in range(2):
+                    talus.shadow_pair(logical).sampler.set_rate(limit / 256)
+                out.append(talus)
+            return out
+
+        reference = caches()
+        for talus in reference:
+            for logical, trace in enumerate(traces):
+                pair = talus.shadow_pair(logical)
+                to_alpha = 0
+                for address in trace.tolist():
+                    to_alpha += pair.sampler.goes_to_alpha(address)
+                    talus.access(address, logical)
+                stats = talus.base.partition_stats
+                assert stats[pair.alpha_index].accesses == to_alpha
+                assert (stats[pair.beta_index].accesses
+                        == trace.size - to_alpha)
+        want = [talus.snapshot().digest() for talus in reference]
+
+        whole, chunked = caches(), caches()
+        for logical, trace in enumerate(traces):
+            for talus in whole:
+                talus.run(trace, logical)
+            for talus in chunked:
+                for part in np.array_split(trace, 7):
+                    talus.run_chunk(part, logical)
+        assert [t.snapshot().digest() for t in whole] == want
+        assert [t.snapshot().digest() for t in chunked] == want
+        for width in (1, 2, None):
+            batch = caches()
+            for logical, trace in enumerate(traces):
+                for part in np.array_split(trace, 3):
+                    tasks = run_tasks([talus.replay_task(part, logical)
+                                       for talus in batch], threads=width)
+                    assert all(task.native for task in tasks)
+            assert [t.snapshot().digest() for t in batch] == want, width
+
+    @needs_kernel
     def test_monitor_folds_all_widths(self):
         """A batch of stack-distance folds, one per monitor (from a
         64-position tree that grows and relabels to one that never
