@@ -43,13 +43,20 @@
  * tree over its 64-bit words' popcounts.  stack_fold is the same pass
  * over a stack-distance monitor's caller-owned table, rank structure and
  * histogram, so the LRU miss-curve monitors feed their sub-streams in
- * chunks (the resumable-runtime contract) without ever re-replaying.
+ * chunks (the resumable-runtime contract) without ever re-replaying.  It
+ * also does what a UMON's hardware does beside each access (Sec. VI-C):
+ * it samples the raw accesses by address hash, and a read takes the hits
+ * at the few capacities the miss curve interpolates between.
  *
  * A way, set or ideal partitioned cache has no kernel of its own: its
  * partitions are independent regions, and its replay is one group record
- * that runs one of the kernels above per region, over that region's
- * sub-trace, state, random stream and PSEL.  Vantage, whose partitions
- * share a victim region, has vantage_run.
+ * (group_run) that splits the trace by region in scratch and runs one of
+ * the kernels above per region, over that region's sub-trace, state,
+ * random stream and PSEL.  Vantage, whose partitions share a victim
+ * region, has vantage_run.  Both take a Talus logical pair's steering in
+ * place of per-access partition ids: the pair's H3 hash against its
+ * limit register sends each access to its alpha or beta partition
+ * (Sec. VI-B, Fig. 7b), as the hardware does beside each access.
  *
  * Every replay kernel is chunk-resumable by construction: all state is
  * passed in and returned through caller-owned arrays, so calling a kernel

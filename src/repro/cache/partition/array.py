@@ -131,6 +131,10 @@ _EMPTY = -1
 #: access misses.
 _NO_REGION = {"kind": KIND_MISS}
 
+#: The lane of a one-access replay (the per-access path), whose group has
+#: one lane: its partition's.
+_LANE0 = np.zeros(1, dtype=np.int64)
+
 
 def _tagged_trace(trace, parts, steer, num_partitions: int
                   ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -138,8 +142,8 @@ def _tagged_trace(trace, parts, steer, num_partitions: int
     Talus pair's steering members, tags it instead)."""
     addrs = materialize_addresses(trace)
     if (parts is None) == (steer is None):
-        raise ValueError("a partitioned replay takes partition ids or a "
-                         "steering, not both")
+        raise ValueError("a partitioned replay takes either partition "
+                         "ids or a steering")
     if steer is not None:
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
@@ -510,9 +514,11 @@ class ArrayPartitionedCache(_ArrayReplayCache):
         region = self._regions[partition]
         return 0 if region is None else region.occupancy()
 
-    def partition_occupancies(self) -> list[int]:
-        return [0 if region is None else region.occupancy()
-                for region in self._regions]
+    def partition_occupancies(self, partitions: Sequence[int]) -> list[int]:
+        self._check_partitions(partitions)
+        regions = self._regions
+        return [0 if regions[p] is None else regions[p].occupancy()
+                for p in partitions]
 
     # ------------------------------------------------------------------ #
     # Batched replay
@@ -525,16 +531,20 @@ class ArrayPartitionedCache(_ArrayReplayCache):
     def _task(self, addrs: np.ndarray, parts: np.ndarray | None,
               steer: dict | None):
         """The group task of a validated trace.  Its lanes are the
-        partitions (``parts``), or the pair's alpha and beta partitions
-        (``steer``); each lane runs its partition's region record over
-        the accesses the kernel tags with it, and a partition without a
-        region (zero capacity) misses every access.  The commit folds the
+        partitions (``parts``; a single access's partition alone), or the
+        pair's alpha and beta partitions (``steer``); each lane runs its
+        partition's region record over the accesses the kernel tags with
+        it, and a partition without a region (zero capacity) misses every
+        access.  The commit folds the
         statistics of the partitions the trace touched and of their
         regions, from the kernel's counts."""
         if self._sentinel and addrs.size and bool(np.any(addrs == _EMPTY)):
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
-        if steer is None:
+        if steer is None and addrs.size == 1:
+            lanes = (int(parts[0]),)
+            fields = {"parts": i64_ptr(_LANE0)}
+        elif steer is None:
             lanes = range(self.num_partitions)
             fields = {"parts": i64_ptr(parts)}
         else:
@@ -806,8 +816,9 @@ class ArrayVantageCache(_ArrayReplayCache):
         self._check_partition(partition)
         return int(self._occ[partition])
 
-    def partition_occupancies(self) -> list[int]:
-        return self._occ[:self.num_partitions].tolist()
+    def partition_occupancies(self, partitions: Sequence[int]) -> list[int]:
+        self._check_partitions(partitions)
+        return self._occ[list(partitions)].tolist()
 
     def granted_allocations(self) -> list[int]:
         return [int(c) for c in self._caps]

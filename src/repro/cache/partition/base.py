@@ -103,10 +103,16 @@ class PartitionedCache(ABC):
     def partition_occupancy(self, partition: int) -> int:
         """Number of lines currently resident for ``partition``."""
 
-    def partition_occupancies(self) -> list[int]:
-        """:meth:`partition_occupancy` of every partition, in one pass."""
-        return [self.partition_occupancy(p)
-                for p in range(self.num_partitions)]
+    def partition_occupancies(self, partitions: Sequence[int]) -> list[int]:
+        """:meth:`partition_occupancy` of each of ``partitions``, in one
+        pass."""
+        return [self.partition_occupancy(p) for p in partitions]
+
+    def _check_partitions(self, partitions: Sequence[int]) -> None:
+        """:meth:`_check_partition` of each of ``partitions`` at once."""
+        if partitions:
+            self._check_partition(min(partitions))
+            self._check_partition(max(partitions))
 
     # ------------------------------------------------------------------ #
     # Shared behaviour

@@ -198,14 +198,15 @@ class UMON:
         return self._monitor
 
     def _fold_task(self, batch: np.ndarray | None,
-                   read: dict | None = None) -> ReplayTask | None:
+                   plan: _Plan | None = None) -> ReplayTask | None:
         """The fold of ``batch`` (raw accesses) into the stack-distance
-        state, also reading ``read`` (a plan's record members) natively:
-        the kernel samples the batch; without a kernel the numpy mask
-        does, before an online fold.  None when there is nothing to fold
-        or read."""
+        state, also reading ``plan`` natively: the kernel samples the
+        batch; without a kernel the numpy mask does, before an online
+        fold.  None when there is nothing to fold or read."""
         monitor = self._state()
         if monitor.native:
+            read = (plan.members() if plan is not None
+                    and plan.xs is not None else None)
             if batch is None and read is None:
                 return None
             return monitor.replay_task(
@@ -226,17 +227,6 @@ class UMON:
             task.run()
         return self._state()
 
-    def _plan(self, sizes: np.ndarray) -> _Plan:
-        """The read plan of ``sizes`` (full-cache lines)."""
-        return _Plan(sizes, self.sampling_rate)
-
-    def _read_task(self, plan: _Plan, batch: np.ndarray | None
-                   ) -> ReplayTask | None:
-        """The fold of ``batch`` that also reads ``plan`` natively."""
-        if plan.xs is None or not self._state().native:
-            return self._fold_task(batch)
-        return self._fold_task(batch, plan.members())
-
     def _misses(self, plan: _Plan) -> np.ndarray:
         """Estimated full-stream misses at a plan's sizes, once its read
         ran: the folded accesses less the hits below each sampled size,
@@ -250,14 +240,10 @@ class UMON:
             misses = mattson_misses(monitor.histogram(), monitor.cold_misses,
                                     scaled)
         else:
-            # Abscissae at or past the live lines all read the hits at
-            # the live lines, where the misses turn flat: keep the first.
-            live = monitor.live_lines
-            k = int(np.searchsorted(xs, live))
-            if k < xs.size:
-                xs = xs[:k + 1].copy()
-                xs[k] = live
-            misses = np.interp(scaled, xs, total - plan.out[:xs.size])
+            # Abscissae past the live lines read the hits at the live
+            # lines (the kernel caps them there): a flat run, which
+            # np.interp returns exactly, as the whole histogram's curve.
+            misses = np.interp(scaled, xs, total - plan.out)
         scale = 1.0 / self.sampling_rate if total else 1.0
         # Guard against sampling noise: the curve should not exceed the
         # total access count.
@@ -274,7 +260,8 @@ class UMON:
         if sizes is None:
             sizes = np.linspace(0, self.max_size, self.points)
         sizes = np.asarray(sizes, dtype=float)
-        return MissCurve(sizes, _read([(self, self._plan(sizes))])[0])
+        plan = _Plan(sizes, self.sampling_rate)
+        return MissCurve(sizes, _read([(self, plan)])[0])
 
 
 def _read(reads: list[tuple[UMON, _Plan]]) -> list[np.ndarray]:
@@ -292,7 +279,7 @@ def _read(reads: list[tuple[UMON, _Plan]]) -> list[np.ndarray]:
         batches = [batch, batch]
     else:
         batches = [monitor._take() for monitor, _ in reads]
-    tasks = [monitor._read_task(plan, batch)
+    tasks = [monitor._fold_task(batch, plan)
              for (monitor, plan), batch in zip(reads, batches)]
     run_serial([task for task in tasks if task is not None])
     return [monitor._misses(plan) for monitor, plan in reads]
@@ -328,8 +315,9 @@ class CombinedUMON:
         self._grid = np.linspace(0, self.max_size, 2 * points)
         self._grid.flags.writeable = False
         split = int(np.searchsorted(self._grid, llc_size, side="right"))
-        self._plans = (self.primary._plan(self._grid[:split]),
-                       self.secondary._plan(self._grid[split:]))
+        self._plans = (
+            _Plan(self._grid[:split], self.primary.sampling_rate),
+            _Plan(self._grid[split:], self.secondary.sampling_rate))
 
     def record(self, address: int) -> None:
         """Observe one access with both monitors."""
@@ -365,8 +353,8 @@ class CombinedUMON:
             parts = (sizes[sizes <= self.llc_size],
                      sizes[sizes > self.llc_size])
             sizes = np.concatenate(parts)
-            plans = (self.primary._plan(parts[0]),
-                     self.secondary._plan(parts[1]))
+            plans = (_Plan(parts[0], self.primary.sampling_rate),
+                     _Plan(parts[1], self.secondary.sampling_rate))
         if not sizes.size:
             raise ValueError("no sizes requested")
         misses = np.concatenate(_read([

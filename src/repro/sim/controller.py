@@ -444,10 +444,10 @@ class OnlineTalusController:
         # slots' checks apply.
         check_free = (len(self._slot_of) < len(self._slots)
                       and (self.scheme != "way" or bool(self._slot_of)))
-        # Every partition's occupancy in one pass, read only when a free
-        # slot is checked.
-        held = (self.talus.base.partition_occupancies() if check_free
-                else None)
+        # The free pairs' occupancies, in one pass, in slot order.
+        held = iter(self.talus.base.partition_occupancies(
+            [p for app, pair in zip(self._slots, self._pairs)
+             if app is None for p in pair]) if check_free else ())
         for slot, (app, (alpha, beta)) in enumerate(zip(self._slots,
                                                         self._pairs)):
             if app is not None:
@@ -459,7 +459,7 @@ class OnlineTalusController:
                             f"QoS floor violated for {app!r}: granted "
                             f"{pair_lines} < floor {floor}")
             elif check_free:
-                occupancy = held[alpha] + held[beta]
+                occupancy = next(held) + next(held)
                 if occupancy:
                     raise AssertionError(
                         f"freed slot {slot} still holds {occupancy} lines")
