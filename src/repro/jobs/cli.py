@@ -31,14 +31,15 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
 from ..core.atomicio import atomic_write_json
 from .bank import DEFAULT_BANK_ENV, ResultBank
-from .drivers import _split
-from .payloads import SweepJob, TraceRef
-from .queue import JobQueue, JobState, RetryPolicy
+from .drivers import run_supervised
+from .payloads import TraceRef, sweep_points
+from .queue import JobFailed, JobQueue, JobState, RetryPolicy
 
 __all__ = ["main"]
 
@@ -88,14 +89,13 @@ def _drain_cancel_markers(bank_dir: Path, queue: JobQueue) -> None:
 # --------------------------------------------------------------------- #
 # Subcommands
 # --------------------------------------------------------------------- #
-def _submit_payloads(args, trace) -> list:
-    """The job payloads one ``submit`` invocation expands to.
+def _submit_units(args) -> tuple:
+    """The sweep points one ``submit`` invocation expands to.
 
-    The sweep points — the classic policy × size sweep, or with
-    ``--schemes`` the whole policy × scheme × size matrix — sharded
-    round-robin across the workers.  Each completed point banks under
-    its own content key, so a resubmission resumes where the last run
-    stopped.
+    The classic policy × size sweep, or with ``--schemes`` the whole
+    policy × scheme × size matrix, on the profile's trace.  Each
+    completed point banks under its own content key, so a resubmission
+    resumes where the last run stopped.
     """
     from ..sim.sweep import MATRIX_SCHEMES, SweepSpec, matrix_configs
     policies = tuple(args.policies.split(","))
@@ -110,23 +110,38 @@ def _submit_payloads(args, trace) -> list:
         configs = SweepSpec(policies=policies, sizes_mb=sizes,
                             ways=args.ways, base_seed=args.seed,
                             backend=args.backend).expand()
-    return [SweepJob(trace=trace, configs=tuple(group))
-            for group in _split(configs, args.workers)]
+    trace = TraceRef(profile=args.profile, n_accesses=args.accesses,
+                     seed=args.trace_seed)
+    return sweep_points(trace, configs)
+
+
+def _watch(bank_dir: Path, queue: JobQueue, stop: threading.Event) -> None:
+    """Every 0.2 s until ``stop`` is set, act on cancel markers and
+    mirror the queue's jobs into the state file."""
+    while not stop.wait(0.2):
+        _drain_cancel_markers(bank_dir, queue)
+        _record_state(bank_dir, queue.jobs())
 
 
 def _cmd_submit(args) -> int:
     bank_dir = _bank_dir(args)
-    trace = TraceRef(profile=args.profile, n_accesses=args.accesses,
-                     seed=args.trace_seed)
-    payloads = _submit_payloads(args, trace)
+    units = _submit_units(args)
     with JobQueue(ResultBank(bank_dir), max_workers=args.workers,
                   job_timeout=args.timeout,
                   retry=RetryPolicy(max_retries=args.retries)) as queue:
-        jobs = [queue.submit(payload) for payload in payloads]
-        _record_state(bank_dir, jobs)
-        while not queue.join(timeout=0.2):
-            _drain_cancel_markers(bank_dir, queue)
-            _record_state(bank_dir, jobs)
+        stop = threading.Event()
+        watcher = threading.Thread(target=_watch,
+                                   args=(bank_dir, queue, stop), daemon=True)
+        watcher.start()
+        try:
+            # Points dealt round-robin over the workers, one job each.
+            run_supervised(units, shards=args.workers, queue=queue)
+        except JobFailed:
+            queue.join()        # the other jobs finish before the report
+        finally:
+            stop.set()
+            watcher.join()
+        jobs = queue.jobs()
         _record_state(bank_dir, jobs)
         report = {"jobs": [job.snapshot() for job in jobs],
                   "bank": queue.bank.stats()}

@@ -55,8 +55,9 @@ class FaultPlan:
     kind:
         One of :data:`FAULT_KINDS`.
     stage:
-        The unit-boundary label the plan listens on (payloads report
-        ``"unit"`` before each config/mix/run unit).
+        The boundary label the plan listens on (a job reports
+        ``"unit"`` before each of its units, and a churn stream
+        ``"event"`` before each of its events).
     index:
         Unit index at which to fire.
     attempts:

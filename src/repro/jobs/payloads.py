@@ -1,30 +1,42 @@
 """Job payloads: the work descriptions the supervised runtime executes.
 
-A payload is a frozen, picklable dataclass wrapping the repo's existing
-declarative specs (sweep points — a plain sweep's or a policy × scheme
-matrix's — sampled windows, :class:`~repro.sim.mixsweep.MixSweepSpec`
-mixes, :class:`~repro.sim.multicore.ChurnSpec` streams) together with
-the *trace identity* the job runs against.  Payloads define three things:
+Every job is one shape, a :class:`BankedJob`: a tuple of *units* plus an
+optional fault plan.  A unit is a frozen, picklable dataclass wrapping
+the repo's existing declarative specs, of one of four kinds —
 
-* their canonical identity (every ``compare=True`` field feeds
-  :func:`repro.jobs.keys.job_key` — fault plans and raw arrays are
-  ``compare=False`` and keyed by digest instead);
-* :meth:`execute`, which runs inside a supervised worker process,
-  heart-beats at unit boundaries through the :class:`JobContext`, banks
-  completed units so a killed worker loses at most one unit, and skips
-  units the bank already holds (this is what makes interrupted or
-  cancelled sweeps *resume*) — the loop every multi-unit payload runs
-  through :meth:`JobContext.banked_units`;
-* :meth:`load`, which turns the JSON-able result payload back into the
-  rich result object (:class:`~repro.sim.sweep.SweepResult`,
-  :class:`~repro.sim.mixsweep.MixRunRecord`, ...) on the submitting
-  side.  Floats survive the JSON round trip exactly (shortest-repr), so
-  a loaded result is bit-identical to a directly computed one.
+* :class:`SweepPoint`: one sweep point (a plain sweep's or a policy ×
+  scheme matrix's) replayed over a trace;
+* :class:`SampledWindow`: one detailed window of a sampled estimate;
+* :class:`MixRun`: one :class:`~repro.sim.mixsweep.MixSweepSpec` mix
+  through the closed Talus loop;
+* :class:`ChurnStream`: one :class:`~repro.sim.multicore.ChurnSpec`
+  stream through the online controller.
+
+A unit's ``compare=True`` fields are its identity, and
+:func:`repro.jobs.keys.job_key` of the unit is its bank key (raw arrays
+and a sweep point's key are ``compare=False``), so equal units share one
+bank entry whichever job carried them.  A unit has a ``run``,
+which computes its JSON-able value inside a worker, and a ``load``,
+which turns that value back into the rich result object
+(:class:`~repro.cache.cache.CacheStats`,
+:class:`~repro.sim.mixsweep.MixRunRecord`, ...) on the submitting side.
+``load`` reads no ``compare=False`` field: a queue serves an equal
+submission with the job it already holds, whose units are equal only in
+their compared fields.
+:meth:`BankedJob.execute` runs every unit through
+:meth:`JobContext.banked_units`, which heart-beats at unit boundaries,
+banks each unit as it completes (a killed worker loses at most one
+unit) and skips units the bank already holds (this is what makes
+interrupted or cancelled sweeps *resume*).  Floats survive the JSON
+round trip exactly (shortest-repr), so a loaded value is bit-identical
+to a directly computed one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import inspect
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,8 +49,8 @@ from .faults import FaultPlan
 from .keys import job_key
 
 __all__ = ["TraceRef", "InlineTrace", "as_trace_source", "JobContext",
-           "SweepJob", "MixSweepJob", "ControllerJob", "SamplingJob",
-           "stats_to_payload", "stats_from_payload"]
+           "BankedJob", "SweepPoint", "sweep_points", "SampledWindow",
+           "MixRun", "ChurnStream"]
 
 
 # --------------------------------------------------------------------- #
@@ -70,7 +82,8 @@ class InlineTrace:
     For traces that do not come from a registered profile (externally
     loaded, synthetic one-offs).  The address array itself is excluded
     from comparison/keying — the sha256 ``digest`` stands for it — but is
-    shipped with the pickle so workers need no side channel.
+    shipped with the pickle so workers need no side channel.  A bare
+    address array records 0 instructions and materializes as the array.
     """
 
     digest: str
@@ -87,16 +100,17 @@ class InlineTrace:
             name = trace.name
         else:
             addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-            instructions = max(1, int(addrs.size))
+            instructions = 0
             name = "trace"
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
-        import hashlib
         digest = hashlib.sha256(addrs.tobytes()).hexdigest()
         return cls(digest=digest, instructions=int(instructions), name=name,
                    addresses=addrs)
 
-    def materialize(self) -> Trace:
+    def materialize(self) -> Trace | np.ndarray:
+        if not self.instructions:
+            return self.addresses
         return Trace(self.addresses, self.instructions, name=self.name)
 
 
@@ -118,12 +132,12 @@ def as_trace_source(trace) -> TraceRef | InlineTrace | ChunkedTrace:
 # --------------------------------------------------------------------- #
 @dataclass
 class JobContext:
-    """What a payload sees while executing inside a worker.
+    """What a job sees while executing inside a worker.
 
     ``beat()`` feeds the supervisor's watchdog; :meth:`unit` combines a
-    beat with the payload's fault-injection hook so deterministic fault
-    tests fire at exact unit boundaries.  ``bank`` (when the queue was
-    given one) is where completed units persist.
+    beat with the job's fault-injection hook so deterministic fault
+    tests fire at exact boundaries.  ``bank`` (when the queue was given
+    one) is where completed units persist.
     """
 
     attempt: int = 0
@@ -131,9 +145,10 @@ class JobContext:
     bank: object | None = None
     beat: Callable[[], None] = lambda: None
     fault: FaultPlan | None = None
+    _traces: dict = field(default_factory=dict, init=False, repr=False)
 
     def unit(self, stage: str, index: int) -> None:
-        """Mark a unit boundary: heartbeat, then any planned fault."""
+        """Mark a boundary: heartbeat, then any planned fault."""
         self.beat()
         if self.fault is not None:
             self.fault.maybe_fire(stage, index, self.attempt, self.degraded)
@@ -143,283 +158,217 @@ class JobContext:
         return {"degraded": bool(self.degraded),
                 "attempt": int(self.attempt)}
 
-    def banked_units(self, units, key: Callable,
-                     compute: Callable) -> tuple[list, int]:
+    def trace(self, source):
+        """``source``'s trace, materialized at most once per attempt (a
+        :class:`~repro.workloads.scale.ChunkedTrace` is read in place)."""
+        if isinstance(source, ChunkedTrace):
+            return source
+        if source not in self._traces:
+            self._traces[source] = source.materialize()
+        return self._traces[source]
+
+    def banked_units(self, units) -> tuple[list, int]:
         """Run ``units`` in order through the bank.
 
-        Each unit first marks its boundary (:meth:`unit`), then takes
-        the bank's value for ``key(unit)`` or computes ``compute(unit)``
-        and banks it as soon as it completes.  Returns the per-unit
-        values and how many came from the bank.
+        Each unit first marks its boundary (:meth:`unit`, stage
+        ``"unit"``), then takes the bank's value under its content key
+        or runs and banks it as soon as it completes.  Returns the
+        per-unit values and how many came from the bank.
         """
         values = []
         hits = 0
         for index, unit in enumerate(units):
             self.unit("unit", index)
-            ukey = key(unit)
-            value = self.bank.get(ukey) if self.bank is not None else None
+            key = job_key(unit)
+            value = self.bank.get(key) if self.bank is not None else None
             if value is not None:
                 hits += 1
             else:
-                value = compute(unit)
+                value = unit.run(self)
                 if self.bank is not None:
-                    self.bank.put(ukey, value, meta=self.unit_meta())
+                    self.bank.put(key, value, meta=self.unit_meta())
             values.append(value)
         return values, hits
 
 
 # --------------------------------------------------------------------- #
-# Stats serialization
-# --------------------------------------------------------------------- #
-def stats_to_payload(stats: CacheStats) -> dict:
-    """JSON-able form of a :class:`CacheStats` (counters + extra)."""
-    return {"accesses": stats.accesses, "hits": stats.hits,
-            "misses": stats.misses, "instructions": stats.instructions,
-            "bypasses": stats.bypasses, "extra": dict(stats.extra)}
-
-
-def stats_from_payload(payload: dict) -> CacheStats:
-    """Inverse of :func:`stats_to_payload`."""
-    return CacheStats(accesses=int(payload["accesses"]),
-                      hits=int(payload["hits"]),
-                      misses=int(payload["misses"]),
-                      instructions=int(payload.get("instructions", 0)),
-                      bypasses=int(payload.get("bypasses", 0)),
-                      extra=dict(payload.get("extra", {})))
-
-
-def _key_to_json(key):
-    """Sweep-config keys (tuples of plain values) as JSON."""
-    if isinstance(key, tuple):
-        return {"__tuple__": [_key_to_json(k) for k in key]}
-    return key
-
-
-def _key_from_json(key):
-    if isinstance(key, dict) and "__tuple__" in key:
-        return tuple(_key_from_json(k) for k in key["__tuple__"])
-    return key
-
-
-# --------------------------------------------------------------------- #
-# Payloads
+# The job
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class SweepJob:
-    """Replay a batch of sweep points against one trace.
+class BankedJob:
+    """A tuple of units run in order in one worker, each banked as it
+    completes.
 
-    The points are a plain sweep's (:meth:`from_spec`) or any
-    :class:`~repro.sim.sweep.SweepConfig` sequence, a policy × scheme
-    matrix's (:func:`~repro.sim.sweep.matrix_configs`) included.
-    Executes point by point (each point's spec carries its backend and
-    seed, so any grouping is bit-identical to a serial
-    :func:`~repro.sim.sweep.run_sweep`), banking each point's stats
-    under the content key of its spec as it completes.  A retried or
-    resubmitted job therefore *resumes*: banked points are loaded, not
-    re-run, and equal specs share one entry whatever their sweep key.
+    The job's key covers its units' compared fields in order, not the
+    fault plan, so a resubmission of the same units is served whole from
+    the bank, and a retried or resubmitted job *resumes* from its banked
+    units.
     """
 
-    trace: TraceRef | InlineTrace
-    configs: tuple
+    units: tuple
     fault: FaultPlan | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "configs", tuple(self.configs))
-
-    @classmethod
-    def from_spec(cls, trace, spec,
-                  fault: FaultPlan | None = None) -> "SweepJob":
-        """A job for a whole :class:`~repro.sim.sweep.SweepSpec` (or an
-        explicit config sequence)."""
-        from ..sim.sweep import sweep_configs
-        return cls(trace=as_trace_source(trace), configs=sweep_configs(spec),
-                   fault=fault)
-
-    def unit_key(self, config) -> str:
-        """Bank key of one point's stats on this trace."""
-        return job_key({"unit": "sweep-point", "trace": self.trace,
-                        "spec": config.spec})
+        object.__setattr__(self, "units", tuple(self.units))
 
     def execute(self, ctx: JobContext) -> dict:
-        from ..sim.sweep import run_sweep
-        trace = self.trace.materialize()
+        values, banked_units = ctx.banked_units(self.units)
+        return {"units": values, "banked_units": banked_units}
 
-        def replay(config) -> dict:
-            result = run_sweep(trace, (config,), threads=1)
-            return stats_to_payload(result[config.key])
+    def load(self, payload: dict) -> list:
+        """Each unit's loaded value, in unit order."""
+        return [unit.load(value)
+                for unit, value in zip(self.units, payload["units"])]
 
-        stats, banked_units = ctx.banked_units(self.configs, self.unit_key,
-                                               replay)
-        units = [{"key": _key_to_json(config.key), "stats": unit_stats}
-                 for config, unit_stats in zip(self.configs, stats)]
-        return {"units": units, "instructions": trace.instructions,
-                "banked_units": banked_units}
 
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the :class:`~repro.sim.sweep.SweepResult`."""
-        from ..sim.sweep import SweepResult
-        stats = {_key_from_json(unit["key"]):
-                 stats_from_payload(unit["stats"])
-                 for unit in payload["units"]}
-        return SweepResult(stats,
-                           instructions=int(payload.get("instructions", 0)))
+# --------------------------------------------------------------------- #
+# Units
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class SweepPoint:
+    """One sweep point replayed over one trace.
+
+    The spec carries its backend and seed, so any grouping of points is
+    bit-identical to a serial :func:`~repro.sim.sweep.run_sweep`.  Equal
+    specs on one trace share one bank entry whatever their sweep
+    ``key``, which only the submitting side reads.
+    """
+
+    trace: TraceRef | InlineTrace
+    spec: object            # CacheSpec | PartitionSpec | TalusSpec | None
+    key: object = field(default=None, compare=False)
+
+    def run(self, ctx: JobContext) -> dict:
+        from ..sim.sweep import SweepConfig, run_sweep
+        result = run_sweep(ctx.trace(self.trace),
+                           (SweepConfig(self.key, self.spec),), threads=1)
+        return asdict(result[self.key])
+
+    def load(self, value: dict) -> CacheStats:
+        return CacheStats(**value)
+
+
+def sweep_points(trace, spec, backend: str | None = None) -> tuple:
+    """One :class:`SweepPoint` per point of ``spec`` (a
+    :class:`~repro.sim.sweep.SweepSpec` or a config sequence, as in
+    :func:`~repro.sim.sweep.sweep_configs`), all on one trace source, so
+    an inline trace is hashed once."""
+    from ..sim.sweep import sweep_configs
+    source = as_trace_source(trace)
+    return tuple(SweepPoint(source, config.spec, config.key)
+                 for config in sweep_configs(spec, backend))
 
 
 @dataclass(frozen=True)
-class SamplingJob:
-    """Simulate a shard of sampled-simulation windows against one trace.
+class SampledWindow:
+    """One detailed window of a sampled estimate
+    (:func:`~repro.sampling.driver.run_sampled`).
 
-    The unit of work (and of banking) is one detailed window: each
-    window's ``(accesses, misses)`` banks under a key derived from the
-    trace identity, the cache spec and the window's bounds/seed — never
-    its shard or index — so a SIGKILLed worker loses at most one window
-    and a resubmitted estimate resumes from the bank.  Window seeds
-    arrive pre-derived inside ``units`` (stable functions of window
-    *position*, see :func:`repro.sampling.driver.window_units`), which is
-    what keeps supervised, threaded and serial estimates bit-identical.
+    ``window`` is ``(warm_start, start, stop, seed)``, with the seed
+    pre-derived from the window's position
+    (:func:`~repro.sampling.driver.window_units`), which keeps
+    supervised, threaded and serial estimates bit-identical.  The key
+    names the window's content, not its place in a placement.
     """
 
     trace: TraceRef | InlineTrace | ChunkedTrace
     cache: CacheSpec | TalusSpec
-    units: tuple    #: ``(index, warm_start, start, stop, seed)`` tuples
-    fault: FaultPlan | None = field(default=None, compare=False)
+    window: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "units", tuple(tuple(u) for u in self.units))
-        if not isinstance(self.cache, (CacheSpec, TalusSpec)):
-            raise TypeError("cache must be a CacheSpec or TalusSpec")
-
-    def unit_key(self, unit) -> str:
-        """Bank key of one window's counters (index excluded: the key
-        names the window's *content*, not its place in a placement)."""
-        _, warm_start, start, stop, seed = unit
-        return job_key({"unit": "sampling-window", "trace": self.trace,
-                        "cache": self.cache,
-                        "window": [int(warm_start), int(start), int(stop),
-                                   None if seed is None else int(seed)]})
-
-    def execute(self, ctx: JobContext) -> dict:
+    def run(self, ctx: JobContext) -> dict:
         from ..sampling.driver import simulate_window_units
-        source = (self.trace if isinstance(self.trace, ChunkedTrace)
-                  else self.trace.materialize())
+        (_, _, accesses, misses, _), = simulate_window_units(
+            ctx.trace(self.trace), self.cache, ((0, *self.window),))
+        return {"accesses": int(accesses), "misses": int(misses)}
 
-        def simulate(unit) -> dict:
-            (_, _, accesses, misses, _), = simulate_window_units(
-                source, self.cache, (unit,))
-            return {"accesses": int(accesses), "misses": int(misses)}
-
-        counters, banked_units = ctx.banked_units(self.units, self.unit_key,
-                                                  simulate)
-        rows = [[int(index), int(start), int(c["accesses"]),
-                 int(c["misses"]), int(start - warm_start)]
-                for (index, warm_start, start, _, _), c
-                in zip(self.units, counters)]
-        return {"rows": rows, "banked_units": banked_units}
-
-    @staticmethod
-    def load(payload: dict) -> list[tuple]:
-        """The shard's ``(index, start, accesses, misses, warmup)`` rows."""
-        return [tuple(int(v) for v in row) for row in payload["rows"]]
+    def load(self, value: dict) -> tuple[int, int]:
+        """The window's ``(accesses, misses)``."""
+        return int(value["accesses"]), int(value["misses"])
 
 
 @dataclass(frozen=True)
-class MixSweepJob:
-    """Execute one mix of a multi-mix sweep through the closed Talus loop.
+class MixRun:
+    """One mix of a multi-mix sweep through the closed Talus loop.
 
-    One job per mix is the sweep's natural fault-isolation unit: a mix's
-    applications share one cache and must advance together, so the whole
-    mix re-runs on failure — deterministically, thanks to the stable
-    per-mix trace seeding.
+    A mix's applications share one cache and advance together, so the
+    whole mix is one unit, and its stable per-mix trace seeding makes a
+    re-run bit-identical.  The spec's ``max_workers`` is not compared,
+    so it is not keyed.
     """
 
-    spec: object            # MixSweepSpec (frozen dataclass)
-    mix: object             # WorkloadMix (frozen dataclass)
-    fault: FaultPlan | None = field(default=None, compare=False)
+    spec: object            # MixSweepSpec
+    mix: object             # WorkloadMix
 
-    def execute(self, ctx: JobContext) -> dict:
+    def run(self, ctx: JobContext) -> dict:
         from ..sim.mixsweep import _run_one_mix
-        ctx.unit("unit", 0)
-        record = _run_one_mix(self.spec, self.mix)
-        ctx.beat()
-        return record.to_payload()
+        return _run_one_mix(self.spec, self.mix).to_payload()
 
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the :class:`~repro.sim.mixsweep.MixRunRecord`."""
+    def load(self, value: dict):
         from ..sim.mixsweep import MixRunRecord
-        return MixRunRecord.from_payload(payload)
+        return MixRunRecord.from_payload(value)
+
+
+#: Controller arguments that choose how a stream runs, not what it records.
+_EXECUTION_ONLY = ("parallel", "threads", "validate")
 
 
 @dataclass(frozen=True)
-class ControllerJob:
-    """One online-controller churn run
-    (:class:`~repro.sim.controller.OnlineTalusController` driven by a
-    :class:`~repro.sim.multicore.ChurnSpec`).
+class ChurnStream:
+    """One online-controller churn stream
+    (:func:`~repro.sim.multicore.run_churn`).
 
-    The event schedule is *not* shipped: it is a pure function of the
-    frozen spec, so the worker regenerates it and the job key covers it
-    through the spec's scalars.  ``ctx.unit`` ticks at every event
-    boundary — the heartbeat proves liveness on long streams, and the
-    fault hook lets the soak suite kill the worker mid-stream; because
-    the payload is the complete record list and every seed derives from
-    stable identities, a retried run banks bit-identical records.
+    ``controller`` holds the caller's
+    :class:`~repro.sim.controller.OnlineTalusController` keyword
+    arguments as sorted ``(name, value)`` pairs, checked against the
+    controller's own signature, with the algorithm by registered name;
+    the controller's defaults fill in the rest, so none is restated
+    here.  ``parallel``, ``threads`` and ``validate`` never change a
+    run's records, so they are dropped.  The event schedule is not
+    shipped: it is a pure function of the spec, which the worker
+    regenerates.  Every event is a heartbeat and a fault boundary
+    (stage ``"event"``).
     """
 
     spec: object            # ChurnSpec
-    scheme: str = "ideal"
-    policy: str = "LRU"
-    algorithm: str = "hill"
-    base_interval_accesses: int = 20_000
-    min_interval_accesses: int | None = None
-    max_interval_accesses: int | None = None
-    drift_shrink: float = 0.10
-    drift_grow: float = 0.02
-    safety_margin: float = 0.05
-    monitor_points: int = 33
-    fairness: float = 0.0
-    granularity_lines: int | None = None
-    ways: int = 16
-    backend: str = "auto"
-    base_seed: int = 2015
-    fault: FaultPlan | None = field(default=None, compare=False)
+    controller: tuple = ()
 
     def __post_init__(self):
+        from ..sim.controller import OnlineTalusController
         from ..sim.mixsweep import ALGORITHMS
         from ..sim.multicore import ChurnSpec
         if not isinstance(self.spec, ChurnSpec):
             raise TypeError("spec must be a ChurnSpec")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; valid "
-                             f"algorithms: {', '.join(sorted(ALGORITHMS))}")
+        kwargs = dict(self.controller)
+        inspect.signature(OnlineTalusController).bind(
+            self.spec.total_mb, max_apps=self.spec.max_apps, **kwargs)
+        if "algorithm" in kwargs:
+            algorithm = kwargs["algorithm"]
+            names = [name for name, fn in ALGORITHMS.items()
+                     if algorithm is fn or algorithm == name]
+            if not names:
+                raise ValueError(
+                    "a supervised churn stream needs a registered "
+                    f"partitioning algorithm ({', '.join(sorted(ALGORITHMS))}"
+                    f"); got {getattr(algorithm, '__name__', algorithm)!r}")
+            kwargs["algorithm"] = names[0]
+        for name in _EXECUTION_ONLY:
+            kwargs.pop(name, None)
+        object.__setattr__(self, "controller", tuple(sorted(kwargs.items())))
 
-    def execute(self, ctx: JobContext) -> dict:
+    def run(self, ctx: JobContext) -> dict:
         from ..sim.controller import OnlineTalusController
         from ..sim.mixsweep import ALGORITHMS
         from ..sim.multicore import churn_events
-        events = churn_events(self.spec)
+        kwargs = dict(self.controller)
+        if "algorithm" in kwargs:
+            kwargs["algorithm"] = ALGORITHMS[kwargs["algorithm"]]
         controller = OnlineTalusController(
-            self.spec.total_mb, max_apps=self.spec.max_apps,
-            scheme=self.scheme, policy=self.policy,
-            algorithm=ALGORITHMS[self.algorithm],
-            base_interval_accesses=self.base_interval_accesses,
-            min_interval_accesses=self.min_interval_accesses,
-            max_interval_accesses=self.max_interval_accesses,
-            drift_shrink=self.drift_shrink, drift_grow=self.drift_grow,
-            safety_margin=self.safety_margin,
-            monitor_points=self.monitor_points, fairness=self.fairness,
-            granularity_lines=self.granularity_lines, ways=self.ways,
-            backend=self.backend, base_seed=self.base_seed)
-        with controller:
-            for index, event in enumerate(events):
-                ctx.unit("unit", index)
-                controller.handle(event)
-            result = controller.result()
-        ctx.beat()
-        return result.to_payload()
+            self.spec.total_mb, max_apps=self.spec.max_apps, **kwargs)
+        for index, event in enumerate(churn_events(self.spec)):
+            ctx.unit("event", index)
+            controller.handle(event)
+        return controller.result().to_payload()
 
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the run's :class:`~repro.sim.controller.ControllerResult`."""
+    def load(self, value: dict):
         from ..sim.controller import ControllerResult
-        return ControllerResult.from_payload(payload)
+        return ControllerResult.from_payload(value)

@@ -132,7 +132,7 @@ class Job:
 
         Blocks until the job is terminal; the raw banked payload is in
         :attr:`result_payload`, and ``payload.load`` lifts it back into
-        the domain type (``SweepResult``, ``MixRunRecord``, ...).
+        the domain types (``CacheStats``, ``MixRunRecord``, ...).
         """
         self.done.wait()
         if self.state != JobState.SUCCEEDED:

@@ -363,8 +363,7 @@ def run_exact(trace, cache, *, chunk: int = DEFAULT_CHUNK) -> CacheStats:
 def run_sampled(trace, cache, spec: SamplingSpec, *,
                 threads: int | None = None,
                 max_workers: int | None = None,
-                supervise: bool = False, bank=None, queue=None,
-                faults=None) -> SampledResult:
+                supervise: bool = False, bank=None) -> SampledResult:
     """Estimate ``cache``'s MPKI on ``trace`` from sampled windows.
 
     Parameters mirror :func:`repro.sim.sweep.run_sweep`: in-process, the
@@ -372,9 +371,8 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
     else ``max_workers`` when it is above 1, else ``REPRO_THREADS`` or
     the CPUs this process may run on; ``supervise=True`` runs them in
     ``max_workers`` processes of the fault-tolerant job runtime with
-    per-window banking in ``bank`` (``faults`` is the fault-injection
-    hook, tests only).  Results are bit-identical across all execution
-    strategies.
+    per-window banking in ``bank``.  Results are bit-identical across
+    all execution strategies.
 
     Returns a :class:`~repro.sampling.estimator.SampledResult`; compare
     against :func:`run_exact` with ``result.error_vs_exact(...)``.
@@ -388,10 +386,16 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
             raise ValueError(
                 "warming='checkpoint' is a serial validation pass and is "
                 "not supervised; use warming='window' with supervise=True")
-        from ..jobs.drivers import run_sampled_supervised
-        rows = run_sampled_supervised(
-            trace, cache, spec, window_units(spec, cache, n),
-            max_workers=max_workers, bank=bank, queue=queue, faults=faults)
+        from ..jobs.drivers import run_supervised
+        from ..jobs.payloads import SampledWindow, as_trace_source
+        source = as_trace_source(trace)
+        units = window_units(spec, cache, n)
+        counts = run_supervised(
+            [SampledWindow(source, cache, unit[1:]) for unit in units],
+            shards=max_workers, max_workers=max_workers, bank=bank)
+        rows = [(index, start, accesses, misses, start - warm_start)
+                for (index, warm_start, start, _, _), (accesses, misses)
+                in zip(units, counts)]
     else:
         width = resolve_threads(
             threads if threads is not None

@@ -429,11 +429,14 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
         raise ValueError("mix names must be unique")
     if backend is not None and backend != spec.backend:
         spec = replace(spec, backend=backend)
-    if supervise:
-        from ..jobs.drivers import run_mix_sweep_supervised
-        return run_mix_sweep_supervised(mixes, spec, bank=bank,
-                                        max_workers=max_workers)
     workers = max_workers if max_workers is not None else spec.max_workers
+    if supervise:
+        from ..jobs.drivers import run_supervised
+        from ..jobs.payloads import MixRun
+        records = run_supervised([MixRun(spec, mix) for mix in mixes],
+                                 max_workers=workers, bank=bank,
+                                 job_timeout=1800.0)
+        return MixSweepResult(spec, mixes, records)
     if workers > 1 and len(mixes) > 1 and native_available():
         with ThreadPoolExecutor(max_workers=min(workers, len(mixes))) as pool:
             futures = [pool.submit(_run_one_mix, spec, mix, trace_store)

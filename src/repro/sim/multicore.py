@@ -795,9 +795,11 @@ def run_churn(spec: ChurnSpec, *, supervise: bool = False, bank=None,
     to the in-process path.
     """
     if supervise:
-        from ..jobs.drivers import run_controller_supervised
-        return run_controller_supervised(spec, bank=bank,
-                                         **controller_kwargs)
+        from ..jobs.drivers import run_supervised
+        from ..jobs.payloads import ChurnStream
+        stream = ChurnStream(spec, tuple(controller_kwargs.items()))
+        return run_supervised([stream], max_workers=1, bank=bank,
+                              job_timeout=1800.0)[0]
     from .controller import OnlineTalusController
     controller = OnlineTalusController(spec.total_mb, max_apps=spec.max_apps,
                                        **controller_kwargs)

@@ -522,9 +522,15 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     (per-window banking).
     """
     if supervise and sampling is None:
-        from ..jobs.drivers import run_sweep_supervised
-        return run_sweep_supervised(trace, spec, backend=backend,
-                                    max_workers=max_workers, bank=bank)
+        from ..jobs.drivers import run_supervised
+        from ..jobs.payloads import sweep_points
+        points = sweep_points(trace, spec, backend)
+        workers = (max_workers if max_workers is not None
+                   else getattr(spec, "max_workers", 2))
+        stats = dict(zip((point.key for point in points), run_supervised(
+            points, shards=workers, max_workers=workers, bank=bank)))
+        return SweepResult(stats, instructions=max(
+            (s.instructions for s in stats.values()), default=0))
     configs = sweep_configs(spec, backend)
     if max_workers is None:
         max_workers = getattr(spec, "max_workers", 1)

@@ -12,7 +12,8 @@ the shared ingredients:
 * tight-watchdog queue construction (:func:`fault_queue`) so hang tests
   do not sit out production-sized timeout budgets;
 * exact result signatures (:func:`sweep_signature`,
-  :func:`record_signature`) — every counter, not a tolerance.
+  :func:`record_signature`) — every counter, not a tolerance — and
+  :func:`job_stats`, a sweep job's stats keyed like a sweep's.
 """
 
 from __future__ import annotations
@@ -44,14 +45,21 @@ def serial_signature(trace=None, spec=None) -> dict:
     """Signature of the unfaulted serial reference run."""
     trace = trace if trace is not None else small_trace()
     spec = spec if spec is not None else small_spec()
-    return sweep_signature(run_sweep(trace, spec))
+    return sweep_signature(run_sweep(trace, spec).stats)
 
 
-def sweep_signature(result) -> dict:
+def sweep_signature(stats: dict) -> dict:
     """Every counter of every config — the bit-identity fingerprint."""
-    return {key: (stats.accesses, stats.hits, stats.misses,
-                  stats.bypasses)
-            for key, stats in result.stats.items()}
+    return {key: (point.accesses, point.hits, point.misses,
+                  point.bypasses)
+            for key, point in stats.items()}
+
+
+def job_stats(job) -> dict:
+    """A finished sweep job's stats, keyed by each point's sweep key
+    (raises :class:`~repro.jobs.queue.JobFailed` as ``job.result()``)."""
+    return {unit.key: stats
+            for unit, stats in zip(job.payload.units, job.result())}
 
 
 def record_signature(records) -> list:

@@ -35,7 +35,7 @@ from tests.faults import fault_queue
 
 from repro.core.convexhull import convex_hull
 from repro.core.misscurve import MissCurve
-from repro.jobs import ControllerJob, FaultPlan, run_controller_supervised
+from repro.jobs import BankedJob, ChurnStream, FaultPlan, run_supervised
 from repro.monitor import drift as drift_module
 from repro.monitor.drift import CurveDriftTracker, curve_drift
 from repro.partitioning.base import PartitioningProblem
@@ -622,22 +622,28 @@ class TestFaultSoak:
         assert len(events) >= 1_000     # a genuine soak, not a toy stream
 
         reference = run_churn(spec, base_interval_accesses=2_000).signature()
+        stream = ChurnStream(spec, (("base_interval_accesses", 2_000),))
+        plan = FaultPlan("kill", stage="event", index=len(events) // 2)
         with fault_queue(tmp_path) as queue:
-            faulted = run_controller_supervised(
-                spec, queue=queue, base_interval_accesses=2_000,
-                fault=FaultPlan("kill", index=len(events) // 2))
+            faulted, = run_supervised([stream], queue=queue,
+                                      faults={0: plan})
+            job, = queue.jobs()
         assert faulted.signature() == reference
+        # The plan fired: one worker died mid-stream, of a signal.
+        assert len(job.crashes) == 1
+        assert job.crashes[0]["signal"] is not None
 
     def test_resubmission_resumes_from_the_bank(self, tmp_path):
         spec = soak_spec()
-        payload = ControllerJob(spec=spec, base_interval_accesses=2_000)
+        payload = BankedJob(
+            [ChurnStream(spec, (("base_interval_accesses", 2_000),))])
         with fault_queue(tmp_path) as queue:
             first = queue.submit(payload)
-            first_result = first.result()
+            first_result, = first.result()
         with fault_queue(tmp_path) as queue:
-            second = queue.submit(ControllerJob(
-                spec=spec, base_interval_accesses=2_000))
-            second_result = second.result()
+            second = queue.submit(BankedJob(
+                [ChurnStream(spec, (("base_interval_accesses", 2_000),))]))
+            second_result, = second.result()
         assert second.meta.get("bank_hit") is True
         assert second_result.signature() == first_result.signature()
 

@@ -14,10 +14,10 @@ import time
 
 import pytest
 
-from tests.faults import (fault_queue, serial_signature, small_spec,
-                          small_trace, sweep_signature)
-from repro.jobs import (FaultPlan, JobFailed, JobState, SweepJob, job_key,
-                        run_sweep_supervised)
+from tests.faults import (fault_queue, job_stats, serial_signature,
+                          small_spec, small_trace, sweep_signature)
+from repro.jobs import (BankedJob, FaultPlan, JobFailed, JobState, job_key,
+                        run_supervised, sweep_points)
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +31,11 @@ class TestSigkillRecovery:
                                                           reference):
         # The plan SIGKILLs the worker at the *second* config of its
         # first attempt: one unit is already banked when the worker dies.
-        result = run_sweep_supervised(
-            small_trace(), small_spec(), max_workers=1, bank=tmp_path,
-            queue=None, faults={0: FaultPlan("kill", index=1)})
+        points = sweep_points(small_trace(), small_spec())
+        stats = run_supervised(points, shards=1, max_workers=1,
+                               bank=tmp_path,
+                               faults={0: FaultPlan("kill", index=1)})
+        result = {point.key: s for point, s in zip(points, stats)}
         assert sweep_signature(result) == reference
 
     def test_completed_units_survive_the_kill(self, tmp_path, reference):
@@ -42,11 +44,11 @@ class TestSigkillRecovery:
         # sentinel can tell the scheduler that the worker died.
         with fault_queue(tmp_path, job_timeout=None,
                          heartbeat_timeout=3600.0) as queue:
-            job = queue.submit(SweepJob.from_spec(
-                trace, small_spec(), fault=FaultPlan("kill", index=2)))
+            job = queue.submit(BankedJob(sweep_points(trace, small_spec()),
+                                         fault=FaultPlan("kill", index=2)))
             queue.wait(job, timeout=60.0)
             assert job.state == JobState.SUCCEEDED, job.state
-            result = job.result()
+            result = job_stats(job)
         assert sweep_signature(result) == reference
         # The retry found the first two configs in the bank: the unit
         # banking happened in the worker, before the kill.
@@ -57,8 +59,8 @@ class TestSigkillRecovery:
     def test_kill_every_attempt_exhausts_retries(self, tmp_path):
         plan = FaultPlan("kill", index=0, attempts=tuple(range(10)))
         with fault_queue(tmp_path, max_retries=1) as queue:
-            job = queue.submit(SweepJob.from_spec(small_trace(),
-                                                  small_spec(), fault=plan))
+            job = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec()), fault=plan))
             queue.wait(job, timeout=60.0)
         assert job.state == JobState.FAILED
         with pytest.raises(JobFailed):
@@ -69,9 +71,10 @@ class TestWatchdogRecovery:
     def test_hung_worker_is_killed_and_retried(self, tmp_path, reference):
         started = time.monotonic()
         with fault_queue(tmp_path, job_timeout=2.0) as queue:
-            job = queue.submit(SweepJob.from_spec(
-                small_trace(), small_spec(), fault=FaultPlan("hang")))
-            result = job.result()
+            job = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec()),
+                fault=FaultPlan("hang")))
+            result = job_stats(job)
         assert sweep_signature(result) == reference
         # Far below the fault's one-hour sleep: the watchdog fired.
         assert time.monotonic() - started < 30.0
@@ -82,8 +85,8 @@ class TestWatchdogRecovery:
         plan = FaultPlan("hang", attempts=tuple(range(10)))
         with fault_queue(tmp_path, job_timeout=0.5,
                          max_retries=0) as queue:
-            job = queue.submit(SweepJob.from_spec(small_trace(),
-                                                  small_spec(), fault=plan))
+            job = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec()), fault=plan))
             queue.wait(job, timeout=60.0)
         assert job.state == JobState.FAILED
         assert "wall-clock" in (job.error or "")
@@ -96,9 +99,9 @@ class TestNativeCrashDegradation:
         # the REPRO_NATIVE=0 quarantine retry can complete the job.
         plan = FaultPlan("native-crash", attempts=tuple(range(10)))
         with fault_queue(tmp_path) as queue:
-            job = queue.submit(SweepJob.from_spec(small_trace(),
-                                                  small_spec(), fault=plan))
-            result = job.result()
+            job = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec()), fault=plan))
+            result = job_stats(job)
         assert sweep_signature(result) == reference
         assert job.degraded
         assert job.meta["degraded"] is True
@@ -112,9 +115,9 @@ class TestNativeCrashDegradation:
         expected = serial_signature(spec=spec)
         plan = FaultPlan("native-crash", attempts=tuple(range(10)))
         with fault_queue(tmp_path) as queue:
-            job = queue.submit(SweepJob.from_spec(small_trace(), spec,
-                                                  fault=plan))
-            result = job.result()
+            job = queue.submit(BankedJob(sweep_points(small_trace(), spec),
+                                         fault=plan))
+            result = job_stats(job)
         assert job.degraded
         assert sweep_signature(result) == expected
 
@@ -125,8 +128,8 @@ class TestNativeCrashDegradation:
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         plan = FaultPlan("native-crash", attempts=tuple(range(10)))
         with fault_queue(tmp_path) as queue:
-            job = queue.submit(SweepJob.from_spec(small_trace(),
-                                                  small_spec(), fault=plan))
+            job = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec()), fault=plan))
             job.result()
             banked = queue.bank.get(job.key, with_meta=True)
         assert banked is not None
@@ -145,15 +148,15 @@ class TestCorruptBankRecovery:
         trace = small_trace()
         spec = small_spec()
         with fault_queue(tmp_path) as queue:
-            first = queue.submit(SweepJob.from_spec(trace, spec))
+            first = queue.submit(BankedJob(sweep_points(trace, spec)))
             first.result()
             key = first.key
         # Truncate the banked entry mid-file: a torn copy / bit rot.
         path = next((tmp_path / key[:2]).glob(key + ".json"))
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with fault_queue(tmp_path) as queue:
-            again = queue.submit(SweepJob.from_spec(trace, spec))
-            result = again.result()
+            again = queue.submit(BankedJob(sweep_points(trace, spec)))
+            result = job_stats(again)
         assert sweep_signature(result) == reference
         # The bad entry was moved aside, not crashed on.
         assert list(tmp_path.glob("*/*.corrupt"))
@@ -163,9 +166,9 @@ class TestCorruptBankRecovery:
         trace = small_trace()
         spec = small_spec()
         with fault_queue(tmp_path) as queue:
-            queue.submit(SweepJob.from_spec(trace, spec)).result()
+            queue.submit(BankedJob(sweep_points(trace, spec))).result()
         with fault_queue(tmp_path) as queue:
-            job = queue.submit(SweepJob.from_spec(trace, spec))
+            job = queue.submit(BankedJob(sweep_points(trace, spec)))
             job.result()
         assert job.meta.get("bank_hit") is True
         assert job.attempts == 0
@@ -179,7 +182,8 @@ class TestCancelResume:
         # bank, then the worker wedges until cancelled.
         plan = FaultPlan("hang", index=2, attempts=tuple(range(10)))
         with fault_queue(tmp_path, job_timeout=600.0) as queue:
-            job = queue.submit(SweepJob.from_spec(trace, spec, fault=plan))
+            job = queue.submit(BankedJob(sweep_points(trace, spec),
+                                         fault=plan))
             deadline = time.monotonic() + 30.0
             while len(queue.bank.keys()) < 2:
                 assert time.monotonic() < deadline, "units never banked"
@@ -188,26 +192,26 @@ class TestCancelResume:
             queue.wait(job, timeout=30.0)
             assert job.state == JobState.CANCELLED
             # Same payload, fresh submission: runs, resuming from bank.
-            resumed = queue.submit(SweepJob.from_spec(trace, spec))
+            resumed = queue.submit(BankedJob(sweep_points(trace, spec)))
             assert resumed.id != job.id
-            result = resumed.result()
+            result = job_stats(resumed)
         assert sweep_signature(result) == reference
         assert resumed.result_payload["banked_units"] == 2
 
     def test_fault_plan_does_not_change_the_job_key(self):
-        clean = SweepJob.from_spec(small_trace(), small_spec())
-        faulted = SweepJob.from_spec(small_trace(), small_spec(),
-                                     fault=FaultPlan("kill"))
+        clean = BankedJob(sweep_points(small_trace(), small_spec()))
+        faulted = BankedJob(sweep_points(small_trace(), small_spec()),
+                            fault=FaultPlan("kill"))
         assert job_key(clean) == job_key(faulted)
 
     def test_cancel_pending_job(self, tmp_path):
         with fault_queue(tmp_path, max_workers=1,
                          job_timeout=600.0) as queue:
-            blocker = queue.submit(SweepJob.from_spec(
-                small_trace(), small_spec(),
+            blocker = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec()),
                 fault=FaultPlan("hang", attempts=tuple(range(10)))))
-            waiting = queue.submit(SweepJob.from_spec(
-                small_trace(), small_spec(sizes_mb=(4.0,))))
+            waiting = queue.submit(BankedJob(
+                sweep_points(small_trace(), small_spec(sizes_mb=(4.0,)))))
             assert queue.cancel(waiting)
             queue.wait(waiting, timeout=10.0)
             assert waiting.state == JobState.CANCELLED

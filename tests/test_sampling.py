@@ -452,29 +452,36 @@ def test_supervised_matches_serial_and_resumes(tmp_path):
 
 
 def test_sigkill_mid_window_recovers_bit_identical(tmp_path):
+    from repro.jobs import SampledWindow, run_supervised
+    from repro.sampling.driver import window_units
     trace = make_trace(24_000)
     cache = CacheSpec(capacity_lines=512, ways=8, policy="LRU")
     spec = SamplingSpec(window=1_500, n_windows=5, offset=3_000)
     serial = run_sampled(trace, cache, spec, threads=1)
+    units = window_units(spec, cache, len(trace))
     with fault_queue(tmp_path, max_workers=1) as queue:
-        faulted = run_sampled(
-            trace, cache, spec, supervise=True, queue=queue,
-            max_workers=1, faults={0: FaultPlan("kill", index=2)})
-    assert window_key(faulted) == window_key(serial)
+        # One job of five windows, its worker killed at the third.
+        faulted = run_supervised(
+            [SampledWindow(trace, cache, unit[1:]) for unit in units],
+            shards=1, queue=queue, faults={0: FaultPlan("kill", index=2)})
+        job, = queue.jobs()
+    assert faulted == [(w.accesses, w.misses) for w in serial.windows]
+    assert len(job.crashes) == 1
+    assert job.crashes[0]["signal"] is not None
+    assert job.result_payload["banked_units"] == 2
 
 
 def test_chunked_trace_rides_job_keys(tmp_path):
     """A ChunkedTrace is keyed by generator identity, not content."""
-    from repro.jobs import SamplingJob, as_trace_source, canonical_json
+    from repro.jobs import SampledWindow, as_trace_source, canonical_json
     trace = make_trace(16_000)
     assert as_trace_source(trace) is trace
     cache = CacheSpec(capacity_lines=256, ways=8, policy="LRU")
-    job = SamplingJob(trace=trace, cache=cache,
-                      units=((0, 0, 1_000, 2_000, None),))
-    text = canonical_json(job)
+    window = SampledWindow(trace, cache, (0, 1_000, 2_000, None))
+    text = canonical_json(window)
     assert "zipfian" in text
-    other = SamplingJob(trace=make_trace(16_000, seed=10), cache=cache,
-                        units=((0, 0, 1_000, 2_000, None),))
+    other = SampledWindow(make_trace(16_000, seed=10), cache,
+                          (0, 1_000, 2_000, None))
     assert canonical_json(other) != text
 
 
